@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke
+.PHONY: all build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare
 
 all: build test
 
@@ -54,8 +54,8 @@ bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
 # Raw-speed floor: blocked vs seed MatMul kernels on the model shapes
-# (ns/op, GFLOP/s), the dense/sparse density crossover, and the quantized
-# serving path's footprint, latency and MRR delta (see DESIGN.md §13).
+# (ns/op, GFLOP/s) and the quantized serving path's footprint, latency and
+# MRR delta (see DESIGN.md §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 
@@ -64,6 +64,22 @@ bench-kernels:
 # scripts/bce_allowlist.txt (run with -update after intentional changes).
 bce-check:
 	bash scripts/bce_check.sh
+
+# The benchmark (BENCHMARK.json, benchmark/) is a module of its own that
+# compiles against this tree's models/adaptive/autograd/train/serve API and is
+# outside `go build ./...`: vet it and run its self-test (toy sizes, ~5 s) so
+# an API change that breaks it fails here, not in the benchmark driver.
+benchmark-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Compare two run-sets made by `bash benchmark/run.sh set LABEL ...` (which
+# also builds .bench_build/taser-benchmark): medians, quartiles, how much
+# worse CHANGE is than BASE per metric and workload, against BENCHMARK.json's
+# bounds; exit 1 on a breach.
+#   make bench-compare BASE=benchmark/out/base CHANGE=benchmark/out/change
+bench-compare:
+	@test -n "$(BASE)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare BASE=<dir> CHANGE=<dir>" >&2; exit 2; }
+	.bench_build/taser-benchmark -compare $(BASE) $(CHANGE)
 
 # Online fine-tuning on a drifted stream: frozen vs fine-tuned prequential
 # MRR, with weight publication measured as non-blocking (see DESIGN.md §8).

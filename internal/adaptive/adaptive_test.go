@@ -348,4 +348,12 @@ func TestCandidateSetHelpers(t *testing.T) {
 	if c.MaskBias.Data[0] != 0 {
 		t.Fatal("valid slot bias")
 	}
+	if len(c.Valid) != 2 || c.Valid[0] != 0 || c.Valid[1] != 4 {
+		t.Fatalf("valid-slot index %v, want [0 4]", c.Valid)
+	}
+	c.Reset(1, 2, 0, 2)
+	c.FinishMask()
+	if len(c.Valid) != 0 {
+		t.Fatalf("reset set indexes %v", c.Valid)
+	}
 }

@@ -18,6 +18,10 @@ type CandidateSet struct {
 	EdgeFeat *tensor.Matrix // (B·M)×dE (dE may be 0)
 	Mask     *tensor.Matrix // B×M validity mask
 	MaskBias *tensor.Matrix // B×M, (mask−1)·1e9 for masked softmax
+	// Valid lists the flat slot indices (i·M+j) of the valid candidates,
+	// ascending. FinishMask builds it from Mask; the sampler encodes, mixes
+	// channels and decodes these rows only.
+	Valid []int32
 
 	// TargetFeat holds the roots' own node features, B×dN (Eq. 21).
 	TargetFeat *tensor.Matrix
@@ -34,6 +38,7 @@ func NewCandidateSet(b, m, nodeDim, edgeDim int) *CandidateSet {
 		EdgeFeat:   tensor.New(b*m, edgeDim),
 		Mask:       tensor.New(b, m),
 		MaskBias:   tensor.New(b, m),
+		Valid:      make([]int32, 0, b*m),
 		TargetFeat: tensor.New(b, nodeDim),
 	}
 }
@@ -59,6 +64,7 @@ func (c *CandidateSet) Reset(b, m, nodeDim, edgeDim int) {
 	c.EdgeFeat.Resize(n, edgeDim)
 	c.Mask.Resize(b, m)
 	c.MaskBias.Resize(b, m)
+	c.Valid = c.Valid[:0]
 	c.TargetFeat.Resize(b, nodeDim)
 }
 
@@ -70,14 +76,17 @@ func (c *CandidateSet) SetEntry(i, j int, node int32, deltaT float64) {
 	c.Mask.Data[s] = 1
 }
 
-// FinishMask writes padding markers for untouched slots.
+// FinishMask writes padding markers for untouched slots and indexes the
+// others in Valid.
 func (c *CandidateSet) FinishMask() {
+	c.Valid = c.Valid[:0]
 	for s, v := range c.Mask.Data {
 		if v == 0 {
 			c.Nodes[s] = -1
 			c.MaskBias.Data[s] = -1e9
 		} else {
 			c.MaskBias.Data[s] = 0
+			c.Valid = append(c.Valid, int32(s))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"taser/internal/autograd"
 	"taser/internal/encoding"
 	"taser/internal/mathx"
+	"taser/internal/models"
 	"taser/internal/nn"
 	"taser/internal/tensor"
 )
@@ -198,43 +199,47 @@ func (s *NeighborSampler) Params() []*autograd.Var {
 	return nn.CollectParams(mods...)
 }
 
-// encode builds the neighbor embeddings z_(u,t) (Eq. 15) for a candidate set.
-// Encoder feature tables (TE/FE/IE) are graph-lifetime arena scratch; the
-// part list reuses the sampler's own slice (Select calls are serialized).
+// encode builds the neighbor embeddings z_(u,t) (Eq. 15) of a candidate
+// set's valid slots, one row per entry of c.Valid. Encoder feature tables
+// (TE/FE/IE) are graph-lifetime arena scratch; the part list reuses the
+// sampler's own slice (Select calls are serialized).
 func (s *NeighborSampler) encode(g *autograd.Graph, c *CandidateSet) *autograd.Var {
+	valid := c.Valid
 	parts := s.parts[:0]
 	if s.nodeProj != nil {
-		parts = append(parts, g.GELU(s.nodeProj.Apply(g, g.Const(c.NodeFeat))))
+		parts = append(parts, g.GELU(s.nodeProj.Apply(g, g.GatherRows(g.Const(c.NodeFeat), valid))))
 	}
 	if s.edgeProj != nil {
-		parts = append(parts, g.GELU(s.edgeProj.Apply(g, g.Const(c.EdgeFeat))))
+		parts = append(parts, g.GELU(s.edgeProj.Apply(g, g.GatherRows(g.Const(c.EdgeFeat), valid))))
 	}
-	rows := c.B * c.M
 	if s.cfg.UseTE {
-		te := g.Scratch(rows, s.cfg.TimeDim)
-		for i := 0; i < rows; i++ {
-			s.timeEnc.Encode(te.Row(i), c.DeltaT[i])
+		te := g.Scratch(len(valid), s.cfg.TimeDim)
+		for i, slot := range valid {
+			s.timeEnc.Encode(te.Row(i), c.DeltaT[slot])
 		}
 		parts = append(parts, g.Const(te))
 	}
 	if s.cfg.UseFE {
-		fe := g.Scratch(rows, s.cfg.FreqDim)
+		fe := g.Scratch(len(valid), s.cfg.FreqDim)
 		if cap(s.freqs) < c.M {
 			s.freqs = make([]int, c.M)
 		}
 		freqs := s.freqs[:c.M]
-		for b := 0; b < c.B; b++ {
-			encoding.Frequencies(c.Nodes[b*c.M:(b+1)*c.M], freqs)
-			for j, f := range freqs {
-				s.freqEnc.Encode(fe.Row(b*c.M+j), f)
+		root := -1 // whose frequencies freqs holds
+		for i, slot := range valid {
+			if b := int(slot) / c.M; b != root {
+				root = b
+				encoding.Frequencies(c.Nodes[b*c.M:(b+1)*c.M], freqs)
 			}
+			s.freqEnc.Encode(fe.Row(i), freqs[int(slot)%c.M])
 		}
 		parts = append(parts, g.Const(fe))
 	}
 	if s.cfg.UseIE {
-		ie := g.Scratch(rows, c.M)
-		for b := 0; b < c.B; b++ {
-			encoding.Identity(c.Nodes[b*c.M:(b+1)*c.M], ie.Data[b*c.M*c.M:(b+1)*c.M*c.M], c.M)
+		ie := g.Scratch(len(valid), c.M)
+		for i, slot := range valid {
+			b, j := int(slot)/c.M, int(slot)%c.M
+			encoding.Identity(c.Nodes[b*c.M:(b+1)*c.M], j, ie.Row(i))
 		}
 		parts = append(parts, g.Const(ie))
 	}
@@ -260,40 +265,54 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 }
 
 // Scores computes the unnormalized per-root candidate scores (before the
-// softmax σ of Eqs. 17–20), with padding already masked to −1e9.
+// softmax σ of Eqs. 17–20), with padding masked to −1e9. Only valid
+// candidates are encoded, channel-mixed and decoded; their logits are
+// scattered into the B×M layout, so a padding slot scores exactly −1e9.
 func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.Var {
 	if c.M != s.cfg.M {
 		panic(fmt.Sprintf("adaptive: candidate set has m=%d, sampler built for m=%d", c.M, s.cfg.M))
 	}
-	z := s.encode(g, c)
-	z = g.MulColVec(z, maskCol(g, c)) // zero padding tokens before mixing
-	z = s.mixer.Apply(g, z)        // Z_Ns(v) (Eq. 16)
+	if err := models.CheckValid(c.Mask, c.Valid); err != nil {
+		panic(fmt.Sprintf("adaptive: candidate set: %v", err))
+	}
+	valid, slots := c.Valid, c.B*c.M
+	// Scattering is the padding mask: token mixing sees zero rows there.
+	z := g.ScatterRows(s.encode(g, c), valid, slots)
+	z = s.mixer.Apply(g, z, valid) // Z_Ns(v) (Eq. 16), valid rows
 
+	// A head's V×1 logits fold back into the B×M layout; where it needs the
+	// root's target row next to a candidate it gathers through slot→root.
+	fold := func(logits *autograd.Var) *autograd.Var {
+		return g.Reshape(g.ScatterRows(logits, valid, slots), c.B, c.M)
+	}
 	var scores *autograd.Var
 	switch s.cfg.Decoder {
 	case DecoderLinear:
-		scores = g.Reshape(s.linHead.Apply(g, z), c.B, c.M)
+		scores = fold(s.linHead.Apply(g, z))
 	case DecoderGAT:
 		u := s.gatU.Apply(g, z)
-		v := g.RepeatRows(s.gatV.Apply(g, s.encodeTarget(g, c)), c.M)
-		e := s.gatA.Apply(g, g.ConcatCols(u, v))
-		scores = g.Reshape(g.LeakyReLU(e, 0.2), c.B, c.M)
+		v := g.GatherRows(s.gatV.Apply(g, s.encodeTarget(g, c)), rootOf(g, c))
+		scores = fold(g.LeakyReLU(s.gatA.Apply(g, g.ConcatCols(u, v)), 0.2))
 	case DecoderGATv2:
-		v := g.RepeatRows(s.encodeTarget(g, c), c.M)
-		e := s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.Apply(g, g.ConcatCols(z, v)), 0.2))
-		scores = g.Reshape(e, c.B, c.M)
+		v := g.GatherRows(s.encodeTarget(g, c), rootOf(g, c))
+		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.Apply(g, g.ConcatCols(z, v)), 0.2)))
 	case DecoderTrans:
+		// The dot product is the grouped kernel's, which reads keys in the
+		// B·M layout.
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
-		k := s.transK.Apply(g, z)
+		k := g.ScatterRows(s.transK.Apply(g, z), valid, slots)
 		scores = g.Scale(g.GroupedScore(q, k, c.M), 1/math.Sqrt(float64(c.M)))
 	}
 	return g.Add(scores, g.Const(c.MaskBias))
 }
 
-func maskCol(g *autograd.Graph, c *CandidateSet) *tensor.Matrix {
-	col := g.Scratch(c.B*c.M, 1)
-	copy(col.Data, c.Mask.Data)
-	return col
+// rootOf maps each valid candidate to its root's row: slot / M.
+func rootOf(g *autograd.Graph, c *CandidateSet) []int32 {
+	idx := g.Ints(len(c.Valid))
+	for i, slot := range c.Valid {
+		idx[i] = slot / int32(c.M)
+	}
+	return idx
 }
 
 // Selection is the result of adaptive neighbor sampling for one batch.

@@ -17,7 +17,8 @@
 // Scratch and Ints — from an attached tensor.Arena that Reset returns in one
 // stroke. The ownership contract is DESIGN.md §7: everything produced by a
 // graph op or Scratch call dies at Reset; copy out anything that must
-// survive.
+// survive. A pass that will never call Backward checks the graph out with
+// ResetForwardOnly instead and pays for neither gradients nor a tape.
 //
 // Beyond the usual dense primitives, the package provides the fused grouped
 // operations TASER's models need: per-neighborhood attention scoring and
@@ -84,12 +85,16 @@ type Graph struct {
 
 	// ints backs Ints: chunked so earlier checkouts stay valid while later
 	// ones grow the slab list. Rewound on Reset.
-	ints    [][]int32
-	intCur  int
-	intOff  int
+	ints   [][]int32
+	intCur int
+	intOff int
 
 	// matScratch is transient per-call space for kernels taking []*Matrix.
 	matScratch []*tensor.Matrix
+
+	// forwardOnly is set by ResetForwardOnly for the pass it starts: no op
+	// output carries a gradient, so nothing is recorded.
+	forwardOnly bool
 }
 
 // New returns an empty graph without an arena: the tape and Var headers are
@@ -124,9 +129,20 @@ func (g *Graph) Reset() {
 	g.varRefs = g.varRefs[:0]
 	g.nvars = 0
 	g.intCur, g.intOff = 0, 0
+	g.forwardOnly = false
 	if g.arena != nil {
 		g.arena.Reset()
 	}
+}
+
+// ResetForwardOnly is Reset for a pass that only reads values (serving,
+// evaluation, drawing a Selection that is never co-trained): until the next
+// Reset every op output is a constant — no Grad matrix is checked out and
+// zero-filled for it, no tape entry is pushed, Ops stays 0 — and Backward
+// panics. Values are bitwise those of a recording pass.
+func (g *Graph) ResetForwardOnly() {
+	g.Reset()
+	g.forwardOnly = true
 }
 
 // Ops reports the number of recorded backward steps (for tests/metrics).
@@ -155,10 +171,10 @@ func (g *Graph) alloc(r, c int) *tensor.Matrix {
 }
 
 // out allocates a result Var; it carries a gradient buffer iff any input
-// requires gradients.
+// requires gradients and the pass records.
 func (g *Graph) out(rows, cols int, needsGrad bool) *Var {
 	var grad *tensor.Matrix
-	if needsGrad {
+	if needsGrad && !g.forwardOnly {
 		grad = g.alloc(rows, cols)
 	}
 	return g.newVar(g.alloc(rows, cols), grad)
@@ -330,6 +346,21 @@ func (g *Graph) GatherRows(src *Var, idx []int32) *Var {
 	tensor.GatherRowsInto(o.Val, src.Val, idx)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opGatherRows, out: o, a: src, idx: idx})
+	}
+	return o
+}
+
+// ScatterRows is GatherRows' adjoint: a zero rows×C matrix whose row idx[i]
+// is src row i. idx must be duplicate-free (two sources for one row would
+// make the value depend on order) and, like GatherRows' index, is borrowed
+// until Backward/Reset. The models use it to put rows computed on valid
+// neighbor slots only back into the padded T·n layout the grouped kernels
+// read, with exact zeros at padding.
+func (g *Graph) ScatterRows(src *Var, idx []int32, rows int) *Var {
+	o := g.out(rows, src.Cols(), src.NeedsGrad())
+	tensor.ScatterRowsInto(o.Val, src.Val, idx)
+	if o.NeedsGrad() {
+		g.push(tapeEntry{op: opScatterRows, out: o, a: src, idx: idx})
 	}
 	return o
 }

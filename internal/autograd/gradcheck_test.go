@@ -206,15 +206,6 @@ func TestGradGroupedMatMulLeft(t *testing.T) {
 	}, 1e-6)
 }
 
-func TestGradRepeatRows(t *testing.T) {
-	rng := mathx.NewRNG(15)
-	a := NewParam(tensor.Randn(3, 4, 1, rng))
-	coef := tensor.Randn(6, 4, 1, rng)
-	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.RepeatRows(a, 2), coef)
-	}, 1e-6)
-}
-
 func TestGradFullAttentionStack(t *testing.T) {
 	// End-to-end: a miniature grouped-attention block exactly like TGAT's
 	// combiner, checked against finite differences through softmax, scoring

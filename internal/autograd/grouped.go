@@ -41,42 +41,3 @@ func (g *Graph) GroupedMatMulLeft(w, src *Var, group int) *Var {
 	}
 	return o
 }
-
-// MulColVec scales every row i of a by the constant col[i] (an R×1 matrix).
-// With a 0/1 column this masks out padded neighborhood rows. col is borrowed
-// until Backward/Reset.
-func (g *Graph) MulColVec(a *Var, col *tensor.Matrix) *Var {
-	if col.Rows != a.Rows() || col.Cols != 1 {
-		panic("autograd: MulColVec wants an R×1 constant column")
-	}
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	for i := 0; i < a.Rows(); i++ {
-		s := col.Data[i]
-		src := a.Val.Row(i)
-		dst := o.Val.Row(i)
-		for j, v := range src {
-			dst[j] = v * s
-		}
-	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opMulColVec, out: o, a: a, coef: col})
-	}
-	return o
-}
-
-// RepeatRows tiles each row of a `times` times consecutively:
-// out rows [i·times, (i+1)·times) all equal a.Row(i). It broadcasts per-root
-// vectors (e.g. the query's source embedding) across each neighborhood.
-func (g *Graph) RepeatRows(a *Var, times int) *Var {
-	o := g.out(a.Rows()*times, a.Cols(), a.NeedsGrad())
-	for i := 0; i < a.Rows(); i++ {
-		src := a.Val.Row(i)
-		for t := 0; t < times; t++ {
-			copy(o.Val.Row(i*times+t), src)
-		}
-	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opRepeatRows, out: o, a: a, group: times})
-	}
-	return o
-}

@@ -27,35 +27,67 @@ func TestReshapePanicsOnCountMismatch(t *testing.T) {
 	g.Reshape(a, 4, 2)
 }
 
-func TestGradMulColVec(t *testing.T) {
+func TestGradScatterRows(t *testing.T) {
 	rng := mathx.NewRNG(21)
-	a := NewParam(tensor.Randn(4, 3, 1, rng))
-	col := tensor.FromSlice(4, 1, []float64{1, 0, 0.5, 2})
-	coef := tensor.Randn(4, 3, 1, rng)
+	a := NewParam(tensor.Randn(3, 4, 1, rng))
+	idx := []int32{4, 0, 2} // duplicate-free, unordered, rows > max idx + 1
+	coef := tensor.Randn(7, 4, 1, rng)
 	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.MulColVec(a, col), coef)
+		return g.WeightedSumConst(g.ScatterRows(a, idx, 7), coef)
 	}, 1e-6)
 }
 
-func TestMulColVecMasksRows(t *testing.T) {
+func TestScatterRowsIsGatherRowsAdjoint(t *testing.T) {
 	g := New()
 	a := NewParam(tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}))
-	col := tensor.FromSlice(2, 1, []float64{0, 1})
-	o := g.MulColVec(a, col)
-	if o.Val.At(0, 0) != 0 || o.Val.At(0, 1) != 0 {
-		t.Fatal("masked row must zero")
+	o := g.ScatterRows(a, []int32{2, 0}, 4)
+	want := []float64{3, 4, 0, 0, 1, 2, 0, 0}
+	for i, w := range want {
+		if o.Val.Data[i] != w {
+			t.Fatalf("scattered %v, want %v", o.Val.Data, want)
+		}
 	}
-	if o.Val.At(1, 0) != 3 {
-		t.Fatal("unmasked row must pass through")
-	}
-	// Gradient must not flow into masked rows.
-	g.Backward(g.SumAll(o))
-	if a.Grad.At(0, 0) != 0 || a.Grad.At(1, 0) != 1 {
-		t.Fatalf("mask gradient: %v", a.Grad)
+	// Only the named rows feed gradient back, each to its own source row.
+	coef := tensor.FromSlice(4, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	g.Backward(g.WeightedSumConst(o, coef))
+	for i, w := range []float64{5, 6, 1, 2} {
+		if a.Grad.Data[i] != w {
+			t.Fatalf("scatter gradient %v", a.Grad.Data)
+		}
 	}
 }
 
-func TestMulColVecShapePanic(t *testing.T) {
+// TestScatterRowsZeroRowSource is the all-padding batch: no valid slot, so a
+// 0×C operand runs through MatMul, ConcatCols, GatherRows and ScatterRows
+// (forward and backward) under the degenerate-shape policy — no-ops, and an
+// all-zero result.
+func TestScatterRowsZeroRowSource(t *testing.T) {
+	rng := mathx.NewRNG(23)
+	table := NewParam(tensor.Randn(5, 3, 1, rng))
+	w := NewParam(tensor.Randn(6, 2, 1, rng))
+	bias := NewParam(tensor.Randn(4, 2, 1, rng))
+	g := New()
+	none := g.GatherRows(table, nil)
+	if none.Rows() != 0 || none.Cols() != 3 {
+		t.Fatalf("empty gather is %dx%d", none.Rows(), none.Cols())
+	}
+	proj := g.MatMul(g.ConcatCols(none, none), w)
+	out := g.Add(g.ScatterRows(proj, nil, 4), bias)
+	for i, v := range out.Val.Data {
+		if v != bias.Val.Data[i] {
+			t.Fatal("scattering no rows must yield zeros")
+		}
+	}
+	g.Backward(g.SumAll(out))
+	if table.Grad.MaxAbs() != 0 || w.Grad.MaxAbs() != 0 {
+		t.Fatal("no row, no gradient")
+	}
+	if bias.Grad.Data[0] != 1 {
+		t.Fatal("gradient must still reach the other operand")
+	}
+}
+
+func TestScatterRowsShapePanic(t *testing.T) {
 	g := New()
 	a := NewParam(tensor.New(2, 2))
 	defer func() {
@@ -63,7 +95,7 @@ func TestMulColVecShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	g.MulColVec(a, tensor.New(3, 1))
+	g.ScatterRows(a, []int32{0}, 3)
 }
 
 func TestOpsCount(t *testing.T) {

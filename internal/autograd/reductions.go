@@ -83,12 +83,14 @@ func (g *Graph) LayerNormRows(a, gain, bias *Var) *Var {
 	const eps = 1e-5
 	needs := a.NeedsGrad() || gain.NeedsGrad() || bias.NeedsGrad()
 	o := g.out(a.Rows(), a.Cols(), needs)
+	if !o.NeedsGrad() {
+		tensor.LayerNormRowsInto(o.Val, a.Val, gain.Val, bias.Val, nil, nil, eps)
+		return o
+	}
 	// Per-row statistics for the backward pass, with graph lifetime.
 	means := g.alloc(1, a.Rows())
 	invStds := g.alloc(1, a.Rows())
 	tensor.LayerNormRowsInto(o.Val, a.Val, gain.Val, bias.Val, means.Data, invStds.Data, eps)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opLayerNormRows, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds})
-	}
+	g.push(tapeEntry{op: opLayerNormRows, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds})
 	return o
 }

@@ -35,14 +35,17 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 		idx[i] = int32(i % groups)
 	}
 	gathered := g.GatherRows(g.ConcatCols(x, agg, mean), idx)
-	rep := g.RepeatRows(g.Sub(g.Mul(x, x), x), 2)
+	rep := g.GatherRows(g.Sub(g.Mul(x, x), x), idx)
 	rep = g.ConcatCols(rep, rep, rep) // widen to match gathered
 
-	col := g.Scratch(2*groups, 1)
-	for i := range col.Data {
-		col.Data[i] = float64(i%2) + 0.5
+	// Compute on a subset of the rows and scatter back, as the models do
+	// with valid neighbor slots: the other rows become exact zeros.
+	keep := g.Ints(groups)
+	for i := range keep {
+		keep[i] = int32(2*i + i%2)
 	}
-	masked := g.MulColVec(g.Add(gathered, rep), col)
+	kept := g.GatherRows(g.Add(gathered, rep), keep)
+	masked := g.ScatterRows(g.Scale(kept, 1.5), keep, 2*groups)
 
 	logits := g.Reshape(g.MatMul(g.LeakyReLU(masked, 0.2), p["head"]), 2*groups, 1)
 	bce := g.BCEWithLogits(g.Sigmoid(logits), reuseLabels)
@@ -168,6 +171,44 @@ func TestReusedGraphSteadyStateAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, pass); allocs > 0 {
 		t.Fatalf("warm forward-backward allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestForwardOnlyPassMatchesRecording pins the forward-only checkout: the same
+// op sequence yields bitwise the same values with no gradient matrix on any
+// output and nothing on the tape, the mode ends at the next Reset, and
+// Backward refuses a pass that recorded nothing.
+func TestForwardOnlyPassMatchesRecording(t *testing.T) {
+	p := reuseParams(5)
+	g := NewReusable()
+	g.Reset()
+	want := math.Float64bits(reuseLoss(g, p).Val.Data[0])
+	recorded := g.Ops()
+	checkouts := g.Arena().InUse()
+
+	g.ResetForwardOnly()
+	l := reuseLoss(g, p)
+	if got := math.Float64bits(l.Val.Data[0]); got != want {
+		t.Fatalf("forward-only loss bits %#x, recording %#x", got, want)
+	}
+	if g.Ops() != 0 || l.NeedsGrad() {
+		t.Fatalf("forward-only pass recorded %d ops (loss carries grad: %v)", g.Ops(), l.NeedsGrad())
+	}
+	if fwd := g.Arena().InUse(); 2*fwd > checkouts+2 {
+		t.Fatalf("forward-only pass checked out %d matrices, recording %d: gradients still allocated", fwd, checkouts)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Backward on a forward-only pass must panic")
+			}
+		}()
+		g.Backward(l)
+	}()
+
+	g.Reset()
+	if reuseLoss(g, p); g.Ops() != recorded {
+		t.Fatalf("after Reset the graph records %d ops, want %d", g.Ops(), recorded)
 	}
 }
 

@@ -20,6 +20,7 @@ const (
 	opConcatCols
 	opReshape
 	opGatherRows
+	opScatterRows
 
 	opSigmoid
 	opTanh
@@ -40,8 +41,6 @@ const (
 	opGroupedScore
 	opGroupedWeightedSum
 	opGroupedMatMulLeft
-	opMulColVec
-	opRepeatRows
 )
 
 // tapeEntry is one recorded operation: a value (not a closure), so the tape
@@ -49,15 +48,15 @@ const (
 // union over the ops' needs; unused fields stay zero.
 type tapeEntry struct {
 	op     opKind
-	group  int     // GroupMean/Grouped* group size, RepeatRows times
+	group  int     // GroupMean/Grouped* group size
 	scalar float64 // Scale factor, LeakyReLU slope
 
 	out     *Var
 	a, b, c *Var // inputs; c is LayerNorm's bias
 
-	coef         *tensor.Matrix // WeightedSumConst coefficients, MulColVec column
+	coef         *tensor.Matrix // WeightedSumConst coefficients
 	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R)
-	idx          []int32        // GatherRows indices (borrowed)
+	idx          []int32        // GatherRows/ScatterRows indices (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // ConcatCols part list: g.varRefs[refLo:refHi]
 }
@@ -146,6 +145,9 @@ func (g *Graph) backstep(e *tapeEntry) {
 
 	case opGatherRows:
 		tensor.ScatterAddRows(e.a.Grad, e.out.Grad, e.idx)
+
+	case opScatterRows:
+		tensor.GatherAddRows(e.a.Grad, e.out.Grad, e.idx)
 
 	case opSigmoid:
 		for i, s := range e.out.Val.Data {
@@ -374,31 +376,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 							ds[j] += wv * d
 						}
 					}
-				}
-			}
-		}
-
-	case opMulColVec:
-		for i := 0; i < e.a.Rows(); i++ {
-			s := e.coef.Data[i]
-			if s == 0 {
-				continue
-			}
-			src := e.out.Grad.Row(i)
-			dst := e.a.Grad.Row(i)
-			for j, v := range src {
-				dst[j] += v * s
-			}
-		}
-
-	case opRepeatRows:
-		times := e.group
-		for i := 0; i < e.a.Rows(); i++ {
-			dst := e.a.Grad.Row(i)
-			for t := 0; t < times; t++ {
-				src := e.out.Grad.Row(i*times + t)
-				for j, v := range src {
-					dst[j] += v
 				}
 			}
 		}

@@ -170,7 +170,7 @@ func TestKernelsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Dense MatMul", "MatMulTransB", "Sparsity crossover", "Quantized serving", "int8"} {
+	for _, want := range []string{"Dense MatMul", "MatMulTransB", "Quantized serving", "int8"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("kernels output missing %q:\n%s", want, out)
 		}

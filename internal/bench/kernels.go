@@ -16,9 +16,8 @@ import (
 
 // Kernels measures the raw-speed floor (DESIGN.md §13): the blocked,
 // bounds-check-free MatMul kernels against the seed's skip-based ikj loop on
-// the shapes the models actually push through them, the density crossover
-// between the dense path and the explicit MatMulSparseAInto entry point, and
-// the quantized serving path (f32/int8 weight clones at PublishWeights) as
+// the shapes the models actually push through them, and the quantized
+// serving path (f32/int8 weight clones at PublishWeights) as
 // predict latency, weight footprint and MRR delta against f64.
 //
 // On the 1-CPU dev container the GFLOP rates are scalar-SSE2 single-core
@@ -75,30 +74,6 @@ func Kernels(o Options) error {
 		newNs := timeOp(func() { tensor.MatMulTransBInto(dst, a, b) })
 		fmt.Fprintf(o.Out, "%-20s %-16s %12.0f %12.0f %7.2fx\n",
 			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n), refNs, newNs, refNs/newNs)
-	}
-
-	// --- sparsity crossover: dense path vs MatMulSparseAInto -------------
-	// The dense kernels dropped the seed's per-element zero test; callers
-	// with mask-zeroed left operands use the explicit sparse entry point.
-	// This table records where the branchy skip loop starts winning.
-	fmt.Fprintf(o.Out, "\nSparsity crossover on 1504×38×24 (zeros in a)\n")
-	fmt.Fprintf(o.Out, "%-10s %12s %12s %10s\n", "zero frac", "dense ns/op", "sparse ns/op", "winner")
-	for _, zf := range []float64{0, 0.5, 0.75, 0.9, 0.97} {
-		a := tensor.Randn(1504, 38, 1, rng)
-		for i := range a.Data {
-			if rng.Float64() < zf {
-				a.Data[i] = 0
-			}
-		}
-		b := tensor.Randn(38, 24, 1, rng)
-		dst := tensor.New(1504, 24)
-		denseNs := timeOp(func() { tensor.MatMulInto(dst, a, b) })
-		sparseNs := timeOp(func() { tensor.MatMulSparseAInto(dst, a, b) })
-		winner := "dense"
-		if sparseNs < denseNs {
-			winner = "sparse"
-		}
-		fmt.Fprintf(o.Out, "%-10.2f %12.0f %12.0f %10s\n", zf, denseNs, sparseNs, winner)
 	}
 
 	// --- quantized serving path ------------------------------------------

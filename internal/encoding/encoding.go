@@ -103,26 +103,21 @@ func Frequencies(nodes []int32, out []int) {
 	}
 }
 
-// Identity writes the identity encoding (Eq. 13) for a neighborhood of
-// budget entries sorted most-recent-first: row j gets IE(u_j, i) = 1 iff
-// u_j == u_i, for i < budget. dst must have budget·budget elements laid out
-// row-major. Padding entries (−1) produce zero rows.
-func Identity(nodes []int32, dst []float64, budget int) {
-	if len(nodes) != budget || len(dst) != budget*budget {
+// Identity writes row j of a neighborhood's identity encoding (Eq. 13), the
+// neighborhood being sorted most-recent-first: dst[i] = IE(u_j, i) = 1 iff
+// nodes[i] == nodes[j]. dst must have len(nodes) elements. A padding entry
+// (−1) gets a zero row. Row-at-a-time because the sampler encodes valid
+// candidates only.
+func Identity(nodes []int32, j int, dst []float64) {
+	if len(dst) != len(nodes) {
 		panic("encoding: Identity shape")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j := 0; j < budget; j++ {
-		if nodes[j] < 0 {
-			continue
-		}
-		row := dst[j*budget : (j+1)*budget]
-		for i := 0; i < budget; i++ {
-			if nodes[i] == nodes[j] {
-				row[i] = 1
-			}
+	u := nodes[j]
+	for i, v := range nodes {
+		if u >= 0 && v == u {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
 		}
 	}
 }

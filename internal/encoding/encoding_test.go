@@ -159,10 +159,19 @@ func TestFrequenciesProperty(t *testing.T) {
 	}
 }
 
+// identityMatrix stacks Identity's rows into the budget×budget encoding.
+func identityMatrix(nodes []int32) []float64 {
+	n := len(nodes)
+	dst := make([]float64, n*n)
+	for j := range nodes {
+		Identity(nodes, j, dst[j*n:(j+1)*n])
+	}
+	return dst
+}
+
 func TestIdentityEncoding(t *testing.T) {
 	nodes := []int32{7, 9, 7, -1}
-	dst := make([]float64, 16)
-	Identity(nodes, dst, 4)
+	dst := identityMatrix(nodes)
 	want := []float64{
 		1, 0, 1, 0, // u0=7 matches positions 0 and 2
 		0, 1, 0, 0, // u1=9 matches itself only
@@ -183,8 +192,7 @@ func TestIdentitySymmetricProperty(t *testing.T) {
 		for i, r := range raw {
 			nodes[i] = int32(r % 4)
 		}
-		dst := make([]float64, 36)
-		Identity(nodes, dst, 6)
+		dst := identityMatrix(nodes)
 		for i := 0; i < 6; i++ {
 			if dst[i*6+i] != 1 {
 				return false // diagonal must be 1 for non-padding
@@ -208,5 +216,5 @@ func TestIdentityPanicsOnShape(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Identity([]int32{1, 2}, make([]float64, 4), 3)
+	Identity([]int32{1, 2}, 0, make([]float64, 3))
 }

@@ -60,20 +60,23 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	block := mb.Layers[0]
 	t, n := block.NumTargets, block.Budget
 	h := g.Const(mb.LeafFeat)
-	hT, hN := splitTargetsNbrs(g, h, t, n)
+	valid := block.Valid
+	hT, hN := splitTargetsNbrs(g, h, block)
 
-	// Fixed time encoding of each neighbor's Δt (Eq. 8), computed outside
-	// the graph since it carries no parameters; the buffer is graph-lifetime
-	// arena scratch.
-	phi := g.Scratch(t*n, m.cfg.TimeDim)
-	for i := 0; i < t*n; i++ {
-		m.timeEnc.Encode(phi.Row(i), block.DeltaT.Data[i])
+	// Fixed time encoding of each valid neighbor's Δt (Eq. 8), computed
+	// outside the graph since it carries no parameters; the buffer is
+	// graph-lifetime arena scratch.
+	phi := g.Scratch(len(valid), m.cfg.TimeDim)
+	for i, s := range valid {
+		m.timeEnc.Encode(phi.Row(i), block.DeltaT.Data[s])
 	}
 
-	tokens := g.ConcatCols(hN, g.Const(block.EdgeFeat), g.Const(phi))
-	tokens = g.MulColVec(m.tokenIn.Apply(g, tokens), block.MaskCol) // zero padding
-	mixed := m.mixer.Apply(g, tokens)
-	mixed = g.MulColVec(mixed, block.MaskCol)
+	// Tokens exist for valid slots only; scattering them into the T·n layout
+	// is the padding mask (exact zero rows). The mixer's token mixing needs
+	// that layout, its channel mixing does not and hands back valid rows.
+	tokens := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
+	tokens = g.ScatterRows(m.tokenIn.Apply(g, tokens), valid, t*n)
+	mixed := g.ScatterRows(m.mixer.Apply(g, tokens, valid), valid, t*n)
 	mean := g.GroupMean(mixed, n)
 	out := g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
 

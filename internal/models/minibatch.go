@@ -30,11 +30,14 @@ type LayerBlock struct {
 	DeltaT *tensor.Matrix
 	// Mask is 1 for valid entries, 0 for padding, T×Budget.
 	Mask *tensor.Matrix
-	// MaskCol is the same mask flattened to (T·Budget)×1.
-	MaskCol *tensor.Matrix
 	// MaskBias is (Mask−1)·1e9, added to attention logits so padded entries
 	// vanish under softmax.
 	MaskBias *tensor.Matrix
+	// Valid lists the flat slot indices (i·Budget+j) of the valid entries,
+	// ascending. FinishMask builds it from Mask; the models run every
+	// per-neighbor stage on these rows only, so a Mask edited afterwards
+	// without another FinishMask fails Validate.
+	Valid []int32
 }
 
 // NewLayerBlock allocates a block for t targets with the given budget and
@@ -47,8 +50,8 @@ func NewLayerBlock(t, budget, edgeDim int) *LayerBlock {
 		EdgeFeat:   tensor.New(t*budget, edgeDim),
 		DeltaT:     tensor.New(t*budget, 1),
 		Mask:       tensor.New(t, budget),
-		MaskCol:    tensor.New(t*budget, 1),
 		MaskBias:   tensor.New(t, budget),
+		Valid:      make([]int32, 0, t*budget),
 	}
 }
 
@@ -70,8 +73,8 @@ func (b *LayerBlock) Reset(t, budget, edgeDim int) {
 	b.EdgeFeat.Resize(n, edgeDim)
 	b.DeltaT.Resize(n, 1)
 	b.Mask.Resize(t, budget)
-	b.MaskCol.Resize(n, 1)
 	b.MaskBias.Resize(t, budget)
+	b.Valid = b.Valid[:0]
 }
 
 // SetEntry fills neighbor slot (i, j) as valid with the given timespan.
@@ -80,19 +83,43 @@ func (b *LayerBlock) SetEntry(i, j int, node int32, deltaT float64) {
 	b.NbrNodes[s] = node
 	b.DeltaT.Data[s] = deltaT
 	b.Mask.Data[s] = 1
-	b.MaskCol.Data[s] = 1
 	b.MaskBias.Data[s] = 0
 }
 
 // FinishMask must be called after all SetEntry calls: it writes the −1e9
-// bias for every slot that remained padding.
+// bias for every slot that remained padding and indexes the others in Valid.
 func (b *LayerBlock) FinishMask() {
+	b.Valid = b.Valid[:0]
 	for s, v := range b.Mask.Data {
 		if v == 0 {
 			b.MaskBias.Data[s] = -1e9
 			b.NbrNodes[s] = -1
+		} else {
+			b.Valid = append(b.Valid, int32(s))
 		}
 	}
+}
+
+// CheckValid reports whether valid is exactly the ascending list of mask's
+// nonzero slots — the invariant FinishMask establishes, here and on the
+// adaptive sampler's CandidateSet. The compact forward reads only the rows
+// valid names, so a mask edited behind FinishMask's back must fail loudly
+// instead of silently dropping (or admitting) a slot.
+func CheckValid(mask *tensor.Matrix, valid []int32) error {
+	n := 0
+	for s, v := range mask.Data {
+		if v == 0 {
+			continue
+		}
+		if n >= len(valid) || valid[n] != int32(s) {
+			return fmt.Errorf("models: valid-slot index is stale at mask slot %d (FinishMask not called after the last mask edit?)", s)
+		}
+		n++
+	}
+	if n != len(valid) {
+		return fmt.Errorf("models: valid-slot index lists %d slots, mask has %d", len(valid), n)
+	}
+	return nil
 }
 
 // MiniBatch is the fully materialized input of one TGNN forward pass.
@@ -109,7 +136,8 @@ type MiniBatch struct {
 	LeafFeat *tensor.Matrix
 }
 
-// Validate checks the layout invariant; models call it before forward.
+// Validate checks the layout invariant and every block's valid-slot index;
+// models call it before forward.
 func (mb *MiniBatch) Validate() error {
 	if len(mb.Layers) == 0 {
 		return fmt.Errorf("models: minibatch has no layers")
@@ -120,6 +148,11 @@ func (mb *MiniBatch) Validate() error {
 		if inner.NumTargets != want {
 			return fmt.Errorf("models: layer %d has %d targets, want %d (outer targets+neighbors)",
 				k-1, inner.NumTargets, want)
+		}
+	}
+	for k, blk := range mb.Layers {
+		if err := CheckValid(blk.Mask, blk.Valid); err != nil {
+			return fmt.Errorf("layer %d: %w", k, err)
 		}
 	}
 	leaf := mb.Layers[0]

@@ -14,6 +14,14 @@ import (
 // the given root count, layer count, budget and feature widths. fillRatio
 // controls how many neighbor slots are valid.
 func buildMiniBatch(rng *mathx.RNG, roots, layers, budget, nodeDim, edgeDim int, fillRatio float64) *MiniBatch {
+	return buildMiniBatchWhere(rng, roots, layers, budget, nodeDim, edgeDim,
+		func(k, i, j int) bool { return rng.Float64() < fillRatio })
+}
+
+// buildMiniBatchWhere is buildMiniBatch with slot (i, j) of layer k valid iff
+// keep says so. Padding slots keep a block's zero Δt and edge features, as
+// in the real build path.
+func buildMiniBatchWhere(rng *mathx.RNG, roots, layers, budget, nodeDim, edgeDim int, keep func(k, i, j int) bool) *MiniBatch {
 	mb := &MiniBatch{}
 	mb.Layers = make([]*LayerBlock, layers)
 	t := roots
@@ -22,7 +30,7 @@ func buildMiniBatch(rng *mathx.RNG, roots, layers, budget, nodeDim, edgeDim int,
 		block := NewLayerBlock(t, budget, edgeDim)
 		for i := 0; i < t; i++ {
 			for j := 0; j < budget; j++ {
-				if rng.Float64() < fillRatio {
+				if keep(k, i, j) {
 					block.SetEntry(i, j, int32(rng.Intn(100)), rng.Float64()*10)
 					if edgeDim > 0 {
 						row := block.EdgeFeat.Row(i*budget + j)
@@ -75,8 +83,51 @@ func TestLayerBlockMasking(t *testing.T) {
 	if b.NbrNodes[0] != 7 || b.NbrNodes[1] != -1 {
 		t.Fatal("padding node ids must be -1")
 	}
-	if b.MaskCol.Data[5] != 1 || b.MaskCol.Data[4] != 0 {
-		t.Fatal("mask col")
+	if len(b.Valid) != 2 || b.Valid[0] != 0 || b.Valid[1] != 5 {
+		t.Fatalf("valid-slot index %v, want [0 5]", b.Valid)
+	}
+	// A finished block may take more entries; FinishMask re-indexes.
+	b.SetEntry(0, 2, 3, 2.5)
+	b.FinishMask()
+	if len(b.Valid) != 3 || b.Valid[1] != 2 || b.MaskBias.At(0, 2) != 0 {
+		t.Fatalf("re-finished index %v", b.Valid)
+	}
+	// And a recycled block starts empty.
+	b.Reset(1, 2, 0)
+	b.FinishMask()
+	if len(b.Valid) != 0 {
+		t.Fatalf("reset block indexes %v", b.Valid)
+	}
+}
+
+// TestStaleValidIndexFailsValidate: the compact forward reads only the rows
+// Valid names, so a mask edited behind FinishMask's back must be refused,
+// whichever way it drifted.
+func TestStaleValidIndexFailsValidate(t *testing.T) {
+	rng := mathx.NewRNG(31)
+	for name, edit := range map[string]func(b *LayerBlock){
+		"cleared": func(b *LayerBlock) { b.Mask.Data[b.Valid[1]] = 0 },
+		"set":     func(b *LayerBlock) { b.Mask.Data[1] = 1 },
+		"moved":   func(b *LayerBlock) { b.Mask.Data[b.Valid[0]] = 0; b.Mask.Data[1] = 1 },
+		"short":   func(b *LayerBlock) { b.Valid = b.Valid[:len(b.Valid)-1] },
+	} {
+		mb := buildMiniBatchWhere(rng, 2, 1, 3, 2, 2, func(k, i, j int) bool { return j != 1 })
+		if err := mb.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		edit(mb.Layers[0])
+		if err := mb.Validate(); err == nil {
+			t.Fatalf("%s: a mask that disagrees with Valid must fail validation", name)
+		}
+		m := NewGraphMixer(GraphMixerConfig{NodeDim: 2, EdgeDim: 2, HiddenDim: 4, TimeDim: 3, Budget: 3}, rng)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Forward must panic on a stale index", name)
+				}
+			}()
+			m.Forward(autograd.New(), mb)
+		}()
 	}
 }
 
@@ -127,13 +178,10 @@ func TestTGATPaddingDoesNotAffectOutput(t *testing.T) {
 	rng := mathx.NewRNG(4)
 	cfg := TGATConfig{NodeDim: 2, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: 1, Budget: 3}
 	m := NewTGAT(cfg, rng)
-	mb := buildMiniBatch(rng, 2, 1, 3, 2, 2, 1.0)
-	// Manually pad slot (0, 2).
+	// Everything valid but slot (0, 2).
+	mb := buildMiniBatchWhere(rng, 2, 1, 3, 2, 2, func(k, i, j int) bool { return i != 0 || j != 2 })
 	block := mb.Layers[0]
 	s := 0*3 + 2
-	block.Mask.Data[s] = 0
-	block.MaskCol.Data[s] = 0
-	block.MaskBias.Data[s] = -1e9
 	out1, _ := m.Forward(autograd.New(), mb)
 	// Perturb the padded slot's inputs.
 	block.EdgeFeat.Set(s, 0, 999)
@@ -206,12 +254,9 @@ func TestGraphMixerPaddingInert(t *testing.T) {
 	rng := mathx.NewRNG(10)
 	cfg := GraphMixerConfig{NodeDim: 0, EdgeDim: 3, HiddenDim: 6, TimeDim: 4, Budget: 3}
 	m := NewGraphMixer(cfg, rng)
-	mb := buildMiniBatch(rng, 2, 1, 3, 0, 3, 1.0)
+	mb := buildMiniBatchWhere(rng, 2, 1, 3, 0, 3, func(k, i, j int) bool { return i != 1 || j != 1 })
 	block := mb.Layers[0]
 	s := 1*3 + 1
-	block.Mask.Data[s] = 0
-	block.MaskCol.Data[s] = 0
-	block.MaskBias.Data[s] = -1e9
 	out1, _ := m.Forward(autograd.New(), mb)
 	block.EdgeFeat.Set(s, 1, -555)
 	block.DeltaT.Data[s] = 123

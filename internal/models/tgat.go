@@ -69,17 +69,19 @@ func (m *TGAT) Params() []*autograd.Var {
 	return out
 }
 
-// splitTargetsNbrs gathers the first t rows (targets) and remaining t·n rows
-// (flattened neighbors) of h as two Vars. Index storage comes from the
-// graph's arena (the tape borrows it until Reset).
-func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, t, n int) (*autograd.Var, *autograd.Var) {
+// splitTargetsNbrs gathers from h, laid out [t target rows | t·n neighbor
+// rows], the target rows and the neighbor rows of the block's valid slots
+// (V rows, in slot order). Index storage comes from the graph's arena (the
+// tape borrows it until Reset).
+func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, block *LayerBlock) (hT, hN *autograd.Var) {
+	t := block.NumTargets
 	idxT := g.Ints(t)
 	for i := range idxT {
 		idxT[i] = int32(i)
 	}
-	idxN := g.Ints(t * n)
-	for i := range idxN {
-		idxN[i] = int32(t + i)
+	idxN := g.Ints(len(block.Valid))
+	for i, s := range block.Valid {
+		idxN[i] = int32(t) + s
 	}
 	return g.GatherRows(h, idxT), g.GatherRows(h, idxN)
 }
@@ -97,16 +99,22 @@ func (m *TGAT) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrai
 	for k, block := range mb.Layers {
 		layer := m.layers[k]
 		t, n := block.NumTargets, block.Budget
-		hT, hN := splitTargetsNbrs(g, h, t, n)
+		valid := block.Valid
+		hT, hN := splitTargetsNbrs(g, h, block)
 
-		// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1).
-		phi := layer.timeEnc.Encode(g, block.DeltaT)
-		msg := g.ConcatCols(hN, g.Const(block.EdgeFeat), phi)
+		// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1), built for the V
+		// valid slots only: padding is never encoded, projected or
+		// differentiated.
+		dt := g.GatherRows(g.Const(block.DeltaT), valid)
+		phi := layer.timeEnc.Encode(g, dt.Val)
+		msg := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), phi)
 
-		// Query from the target itself with Φ(0) (Eq. 4).
+		// Query from the target itself with Φ(0) (Eq. 4). Keys and values
+		// go back to the T·n layout the grouped kernels read, as exact zero
+		// rows at padding.
 		q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
-		keys := layer.wk.Apply(g, msg)
-		vals := layer.wv.Apply(g, msg)
+		keys := g.ScatterRows(layer.wk.Apply(g, msg), valid, t*n)
+		vals := g.ScatterRows(layer.wv.Apply(g, msg), valid, t*n)
 
 		// Scaled dot-product attention within each neighborhood (Eq. 7),
 		// with padding masked out before and after the softmax.

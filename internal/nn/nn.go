@@ -126,15 +126,19 @@ func NewMixerBlock(k, c, tokenHidden, channelHidden int, rng *mathx.RNG) *MixerB
 	}
 }
 
-// Apply mixes tokens then channels, each with a residual connection.
-// x is (B·K)×C; the result has the same shape.
-func (m *MixerBlock) Apply(g *autograd.Graph, x *autograd.Var) *autograd.Var {
+// Apply mixes tokens then channels, each with a residual connection. x is
+// (B·K)×C with exact zero rows at padding tokens; valid lists the real
+// tokens' row indices, ascending. Token mixing runs on the full K-token
+// layout — a padding token's LayerNorm output is the bias, not zero, and
+// that legitimately mixes into its group — while channel mixing is row-wise,
+// so it runs on (and Apply returns) the len(valid)×C valid rows only.
+func (m *MixerBlock) Apply(g *autograd.Graph, x *autograd.Var, valid []int32) *autograd.Var {
 	// Token mixing: for each group, tokenDown @ GELU(tokenUp @ norm(x)).
 	h := m.normToken.Apply(g, x)
 	h = g.GroupedMatMulLeft(m.tokenUp, h, m.K)
 	h = g.GELU(h)
 	h = g.GroupedMatMulLeft(m.tokenDown, h, m.tokenUp.Rows())
-	x = g.Add(x, h)
+	x = g.GatherRows(g.Add(x, h), valid)
 	// Channel mixing: row-wise MLP.
 	h2 := m.channelMLP.Apply(g, m.normChannel.Apply(g, x))
 	return g.Add(x, h2)

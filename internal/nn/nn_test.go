@@ -86,15 +86,58 @@ func TestMLPShapes(t *testing.T) {
 	}
 }
 
+// everyRow lists all n rows as valid tokens.
+func everyRow(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
 func TestMixerBlockShapePreserved(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	const b, k, c = 3, 5, 8
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	g := autograd.New()
 	x := autograd.NewConst(tensor.Randn(b*k, c, 1, rng))
-	y := mix.Apply(g, x)
+	y := mix.Apply(g, x, everyRow(b*k))
 	if y.Rows() != b*k || y.Cols() != c {
 		t.Fatalf("mixer output %dx%d want %dx%d", y.Rows(), y.Cols(), b*k, c)
+	}
+}
+
+// TestMixerBlockReturnsValidRowsOnly: with padding tokens (zero rows left out
+// of valid) Apply hands back exactly the valid rows of the full-layout
+// result, in order.
+func TestMixerBlockReturnsValidRowsOnly(t *testing.T) {
+	rng := mathx.NewRNG(8)
+	const b, k, c = 2, 4, 6
+	mix := NewMixerBlock(k, c, 0, 0, rng)
+	x := tensor.Randn(b*k, c, 1, rng)
+	valid := []int32{0, 2, 3, 5}
+	keep := map[int32]bool{}
+	for _, r := range valid {
+		keep[r] = true
+	}
+	for r := 0; r < b*k; r++ {
+		if !keep[int32(r)] {
+			for j := range x.Row(r) {
+				x.Row(r)[j] = 0
+			}
+		}
+	}
+	full := mix.Apply(autograd.New(), autograd.NewConst(x), everyRow(b*k)).Val
+	got := mix.Apply(autograd.New(), autograd.NewConst(x), valid).Val
+	if got.Rows != len(valid) {
+		t.Fatalf("%d rows for %d valid tokens", got.Rows, len(valid))
+	}
+	for i, r := range valid {
+		for j, v := range got.Row(i) {
+			if v != full.At(int(r), j) {
+				t.Fatalf("valid row %d differs from the full layout's row %d", i, r)
+			}
+		}
 	}
 }
 
@@ -105,10 +148,10 @@ func TestMixerBlockMixesAcrossTokens(t *testing.T) {
 	const b, k, c = 2, 4, 6
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	base := tensor.Randn(b*k, c, 1, rng)
-	y0 := mix.Apply(autograd.New(), autograd.NewConst(base.Clone())).Val.Clone()
+	y0 := mix.Apply(autograd.New(), autograd.NewConst(base.Clone()), everyRow(b*k)).Val.Clone()
 	perturbed := base.Clone()
 	perturbed.Set(0, 0, perturbed.At(0, 0)+1) // token 0 of group 0
-	y1 := mix.Apply(autograd.New(), autograd.NewConst(perturbed)).Val
+	y1 := mix.Apply(autograd.New(), autograd.NewConst(perturbed), everyRow(b*k)).Val
 
 	groupChanged := false
 	for j := 0; j < c; j++ {
@@ -134,7 +177,7 @@ func TestMixerGradFlowsToAllParams(t *testing.T) {
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	g := autograd.New()
 	x := autograd.NewConst(tensor.Randn(b*k, c, 1, rng))
-	loss := g.MeanAll(g.Mul(mix.Apply(g, x), mix.Apply(g, x)))
+	loss := g.MeanAll(g.Mul(mix.Apply(g, x, everyRow(b*k)), mix.Apply(g, x, everyRow(b*k))))
 	g.Backward(loss)
 	for i, p := range mix.Params() {
 		if p.Grad.MaxAbs() == 0 {

@@ -321,7 +321,7 @@ func (e *Engine) flush(pending []*request) {
 			fs.roots = append(fs.roots, sampler.Target{})
 		}
 		mb := e.builder.Build(fs.roots)
-		g := e.builder.Graph()
+		g := e.builder.ForwardGraph()
 		out, _ := e.cfg.Model.Forward(g, mb)
 		for i, si := range fs.miss {
 			copy(fs.states[si].emb, out.Val.Row(i))
@@ -396,7 +396,7 @@ func (e *Engine) scorePairs(pending []*request) []float64 {
 	}
 	// Fresh checkout of the builder graph: the forward-pass embeddings were
 	// already copied into fs.embBuf, so resetting here is safe.
-	g := e.builder.Graph()
+	g := e.builder.ForwardGraph()
 	logits := e.cfg.Pred.ScoreGathered(g, g.Const(fs.embMat), fs.srcRows, fs.dstRows)
 	for j, i := range fs.which {
 		fs.scores[i] = logits.Val.Data[j]

@@ -6,34 +6,44 @@ import (
 	"os"
 )
 
-// Arena is a slab-backed Matrix allocator for bounded-lifetime intermediates:
-// Get checks a zeroed matrix out, Reset returns every outstanding checkout to
-// per-shape-class free lists in one stroke. After one warm pass over a fixed
-// working set, Get performs no heap allocations — both the Matrix headers and
-// their float64 slabs are recycled.
+// Arena is a region allocator for bounded-lifetime Matrix intermediates: Get
+// carves a zeroed matrix out of a few large backing chunks, Reset ends every
+// outstanding checkout in one stroke by rewinding them. After one warm pass
+// over a working set, Get performs no heap allocations — both the Matrix
+// headers and the float64 storage are recycled.
 //
-// Shape classes: slab capacity is the element count rounded up to a power of
-// two (arenaMinClass at least), so matrices whose sizes differ only by
-// padding or small batch jitter share a free list instead of fragmenting one
-// list per exact shape.
+// What it retains is the largest pass, not the largest of every shape: a
+// checkout takes the first chunk with room, wherever the previous pass put
+// the matrix of that position or size, so a working set whose row counts
+// jitter from pass to pass (the number of valid neighbor slots does) costs
+// its peak total plus the growth headroom. Chunks are never freed, moved or
+// merged, so growing leaves no garbage behind.
 //
 // Lifetime contract (DESIGN.md §7): a checked-out matrix is owned by the
 // caller until the next Reset; anything that must survive Reset has to be
-// copied out. Arena slabs are always allocated by the arena itself — they can
+// copied out. Chunks are always allocated by the arena itself — they can
 // never alias caller-provided storage (e.g. pinned snapshot views), so
 // resetting an arena cannot corrupt data owned by other subsystems.
 //
 // An Arena is not safe for concurrent use; attach one per single-threaded
 // execution context (a training step's graph, a serving scheduler).
 type Arena struct {
-	free   map[int][]*Matrix // keyed by slab capacity class (power of two)
-	used   []*Matrix
-	poison bool
+	chunks   []arenaChunk
+	capacity int       // elements over all chunks
+	hdrs     []*Matrix // headers, handed out in checkout order
+	inUse    int       // checkouts since the last Reset
+	poison   bool
 }
 
-// arenaMinClass is the smallest slab capacity; tiny matrices (scalars, bias
-// rows) all land in one class instead of one per width.
-const arenaMinClass = 8
+// arenaChunk is one backing slab with its bump offset.
+type arenaChunk struct {
+	buf []float64
+	off int
+}
+
+// arenaMinChunk is the smallest chunk, in elements (32 KB): a serving-sized
+// pass fits in a handful.
+const arenaMinChunk = 4096
 
 // arenaPoisonEnv force-enables poisoning for every arena in the process; use
 // it to flush use-after-Reset bugs out of any binary without a rebuild.
@@ -42,27 +52,15 @@ const arenaPoisonEnv = "TASER_ARENA_POISON"
 // NewArena returns an empty arena. Poison debugging is off unless the
 // TASER_ARENA_POISON environment variable is non-empty.
 func NewArena() *Arena {
-	return &Arena{
-		free:   make(map[int][]*Matrix),
-		poison: os.Getenv(arenaPoisonEnv) != "",
-	}
+	return &Arena{poison: os.Getenv(arenaPoisonEnv) != ""}
 }
 
-// SetPoison toggles the debug mode: on Reset every returned slab is filled
-// with NaN, so any stale reference that outlives its checkout reads NaN and
-// surfaces immediately (losses, gradients and predictions all go NaN) instead
-// of silently consuming the next step's data. Legitimate reuse is unaffected:
-// Get zero-fills before handing a slab back out.
+// SetPoison toggles the debug mode: on Reset every region handed out is
+// filled with NaN, so any stale reference that outlives its checkout reads
+// NaN and surfaces immediately (losses, gradients and predictions all go
+// NaN) instead of silently consuming the next step's data. Legitimate reuse
+// is unaffected: Get zero-fills before handing a region back out.
 func (a *Arena) SetPoison(on bool) { a.poison = on }
-
-// classOf rounds n up to the slab capacity class.
-func classOf(n int) int {
-	c := arenaMinClass
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
 
 // Get checks out a zeroed r×c matrix. The result is indistinguishable from
 // tensor.New(r, c) and is owned by the caller until the next Reset.
@@ -70,46 +68,56 @@ func (a *Arena) Get(r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("tensor: Arena.Get(%d, %d) with negative dimension", r, c))
 	}
-	n := r * c
-	cls := classOf(n)
 	var m *Matrix
-	if list := a.free[cls]; len(list) > 0 {
-		m = list[len(list)-1]
-		list[len(list)-1] = nil
-		a.free[cls] = list[:len(list)-1]
-		m.Resize(r, c) // zero-fills; see Matrix.Resize
+	if a.inUse < len(a.hdrs) {
+		m = a.hdrs[a.inUse]
 	} else {
-		m = &Matrix{Rows: r, Cols: c, Data: make([]float64, n, cls)}
+		m = &Matrix{}
+		a.hdrs = append(a.hdrs, m)
 	}
-	a.used = append(a.used, m)
+	a.inUse++
+	m.Rows, m.Cols, m.Data = r, c, a.carve(r*c)
 	return m
 }
 
-// Reset ends every outstanding checkout: all matrices handed out since the
-// previous Reset return to their free lists (poisoned with NaN when the debug
-// mode is on). Matrices obtained before Reset must not be used afterwards.
+// carve returns n zeroed elements from the first chunk with room, adding a
+// chunk when none has. The slice's capacity is clipped so a caller growing it
+// reallocates instead of running into its neighbor.
+func (a *Arena) carve(n int) []float64 {
+	for i := range a.chunks {
+		ch := &a.chunks[i]
+		if len(ch.buf)-ch.off >= n {
+			data := ch.buf[ch.off : ch.off+n : ch.off+n]
+			ch.off += n
+			clear(data)
+			return data
+		}
+	}
+	// A quarter of what is already held bounds both the number of chunks
+	// (geometric) and the headroom a finished warm-up leaves unused.
+	size := max(n, arenaMinChunk, a.capacity/4)
+	buf := make([]float64, size)
+	a.chunks = append(a.chunks, arenaChunk{buf: buf, off: n})
+	a.capacity += size
+	return buf[:n:n]
+}
+
+// Reset ends every outstanding checkout: all chunks rewind (their used part
+// poisoned with NaN when the debug mode is on). Matrices obtained before
+// Reset must not be used afterwards.
 func (a *Arena) Reset() {
-	for i, m := range a.used {
+	for i := range a.chunks {
+		ch := &a.chunks[i]
 		if a.poison {
-			for j := range m.Data {
-				m.Data[j] = math.NaN()
+			used := ch.buf[:ch.off]
+			for j := range used {
+				used[j] = math.NaN()
 			}
 		}
-		cls := classOf(cap(m.Data))
-		a.free[cls] = append(a.free[cls], m)
-		a.used[i] = nil
+		ch.off = 0
 	}
-	a.used = a.used[:0]
+	a.inUse = 0
 }
 
 // InUse reports the number of outstanding checkouts (for tests and metrics).
-func (a *Arena) InUse() int { return len(a.used) }
-
-// FreeSlabs reports the total number of matrices parked on free lists.
-func (a *Arena) FreeSlabs() int {
-	n := 0
-	for _, list := range a.free {
-		n += len(list)
-	}
-	return n
-}
+func (a *Arena) InUse() int { return a.inUse }

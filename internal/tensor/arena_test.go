@@ -26,26 +26,66 @@ func TestArenaGetReturnsZeroedMatrix(t *testing.T) {
 	}
 }
 
-func TestArenaRecyclesByShapeClass(t *testing.T) {
+func TestArenaRecyclesStorageAndHeaders(t *testing.T) {
 	a := NewArena()
-	m := a.Get(4, 4) // class 16
+	m := a.Get(4, 4)
 	a.Reset()
-	// Same class, different shape: the slab must be reused.
-	m2 := a.Get(2, 5) // 10 elements → class 16
-	if &m2.Data[:1][0] != &m.Data[:1][0] {
-		t.Fatal("same-class checkout did not reuse the slab")
+	// The next pass starts where the last one did, whatever the shape.
+	m2 := a.Get(2, 5)
+	if &m2.Data[0] != &m.Data[:1][0] {
+		t.Fatal("checkout after Reset did not reuse the storage")
 	}
 	if m2 != m {
-		t.Fatal("same-class checkout did not reuse the Matrix header")
+		t.Fatal("checkout after Reset did not reuse the Matrix header")
 	}
-	a.Reset()
-	// Larger class: must not hand back the small slab.
-	m3 := a.Get(5, 5) // 25 elements → class 32
-	if cap(m3.Data) < 25 {
-		t.Fatalf("class-32 checkout has cap %d", cap(m3.Data))
+	if cap(m2.Data) != 10 {
+		t.Fatalf("checkout has cap %d: growing it would run into its neighbor", cap(m2.Data))
 	}
-	if a.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", a.InUse())
+	m3 := a.Get(3, 3)
+	m3.Fill(1)
+	for _, v := range m2.Data {
+		if v != 0 {
+			t.Fatal("checkouts of one pass overlap")
+		}
+	}
+	if a.InUse() != 2 {
+		t.Fatalf("InUse = %d, want 2", a.InUse())
+	}
+	empty := a.Get(0, 7)
+	if empty.Rows != 0 || empty.Cols != 7 || len(empty.Data) != 0 {
+		t.Fatal("zero-row checkout")
+	}
+}
+
+// TestArenaRetainsPeakPassUnderJitter is why the arena is a region and not a
+// set of per-size free lists: passes whose matrix sizes move around (and
+// trade places) are served from what the largest pass needed plus the growth
+// headroom, with no allocation once that pass has been seen.
+func TestArenaRetainsPeakPassUnderJitter(t *testing.T) {
+	a := NewArena()
+	pass := func(rows [4]int) (total int) {
+		for _, r := range rows {
+			a.Get(r, 16).Fill(1)
+			total += r * 16
+		}
+		a.Reset()
+		return total
+	}
+	peak := pass([4]int{1000, 900, 1100, 1000})
+	held := a.capacity
+	if held > peak+peak/4+arenaMinChunk {
+		t.Fatalf("retains %d elements for a %d-element pass", held, peak)
+	}
+	jitter := func() {
+		pass([4]int{700, 1100, 900, 1000})
+		pass([4]int{1100, 700, 1000, 900})
+		pass([4]int{520, 1030, 640, 990}) // crosses power-of-two sizes
+	}
+	if allocs := testing.AllocsPerRun(10, jitter); allocs > 0 {
+		t.Fatalf("smaller jittering passes allocate %.1f times, want 0", allocs)
+	}
+	if a.capacity != held {
+		t.Fatalf("smaller jittering passes grew the arena from %d to %d elements", held, a.capacity)
 	}
 }
 

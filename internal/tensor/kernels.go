@@ -111,6 +111,35 @@ func ScatterAddRows(dst, src *Matrix, idx []int32) {
 	}
 }
 
+// ScatterRowsInto copies src row i into dst row idx[i] — GatherRowsInto's
+// inverse. Rows of dst that idx does not name are left as they are; idx must
+// be duplicate-free for the result to be independent of order.
+func ScatterRowsInto(dst, src *Matrix, idx []int32) {
+	if src.Rows != len(idx) || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: ScatterRows src %dx%d for %d idx into width %d",
+			src.Rows, src.Cols, len(idx), dst.Cols))
+	}
+	for i, id := range idx {
+		copy(dst.Row(int(id)), src.Row(i))
+	}
+}
+
+// GatherAddRows accumulates src row idx[i] into dst row i (ScatterRowsInto's
+// adjoint, as ScatterAddRows is GatherRowsInto's).
+func GatherAddRows(dst, src *Matrix, idx []int32) {
+	if dst.Rows != len(idx) || dst.Cols != src.Cols {
+		panic("tensor: GatherAddRows shape")
+	}
+	c := src.Cols
+	for i, id := range idx {
+		drow := dst.Data[i*c : i*c+c]
+		srow := src.Data[int(id)*c : int(id)*c+c][:len(drow)]
+		for j, v := range srow {
+			drow[j] += v
+		}
+	}
+}
+
 // ConcatColsInto writes the column-wise concatenation of parts into dst.
 // Every part must have dst.Rows rows and the widths must sum to dst.Cols.
 func ConcatColsInto(dst *Matrix, parts ...*Matrix) {

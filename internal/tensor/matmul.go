@@ -32,8 +32,8 @@ func workerLimit() int { return runtime.GOMAXPROCS(0) }
 // The dense path carries no zero-skip branch: every a element is multiplied
 // through, which keeps the inner loop branch-free and lets products with
 // exact-zero operands follow IEEE semantics (0·Inf = NaN propagates instead
-// of being skipped). Callers multiplying a row- or element-sparse a should
-// use MatMulSparseAInto, which keeps the skip.
+// of being skipped). The models do not hand it mask-zeroed rows to skip:
+// they multiply valid neighbor rows only.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -119,49 +119,6 @@ func matMulSmallRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		arow := a.Data[i*n : i*n+n]
 		for k, av := range arow {
-			brow := b.Data[k*p : k*p+p][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulSparseAInto computes dst = a @ b exactly like MatMulInto but keeps
-// the per-element zero-skip on a: a row of b is only read (and a row of
-// multiply-adds only spent) for nonzero a elements. This is the explicit
-// sparse entry point for callers whose left operand is mostly zero —
-// mask-zeroed token rows, one-hot gathers — where skipping beats the dense
-// micro-kernel; `taser-bench -exp kernels` records the density crossover.
-// For dense a the branch mispredicts per element and loses to MatMulInto.
-func MatMulSparseAInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulSparseA %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulSparseAInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || workerLimit() == 1 {
-		matMulSparseARange(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulSparseARange(dst, a, b, lo, hi) })
-}
-
-// matMulSparseARange is the skip-based ikj kernel: rows [lo, hi) of a @ b,
-// reading b row k only when a[i][k] != 0.
-func matMulSparseARange(dst, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*p : i*p+p]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*n : i*n+n]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
 			brow := b.Data[k*p : k*p+p][:len(drow)]
 			for j, bv := range brow {
 				drow[j] += av * bv
@@ -315,11 +272,11 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 // Large products are parallelized across dst row blocks: each worker owns a
 // disjoint set of dst rows, so no synchronization is needed.
 //
-// This entry keeps a sparsity skip — per tile of four a columns, not per
-// element — because its left operand is forward activations, where padding
-// masks (MulColVec) zero whole token rows; a zeroed a row zeroes all four
-// lanes of its tile, so the skip fires exactly on masked tokens and the
-// dense inner loop stays branch-free per element.
+// Like the dense forward kernel it carries no zero-skip: its left operand is
+// forward activations, and those no longer hold mask-zeroed token rows (the
+// models multiply valid rows only); the all-zero rows that remain — the
+// aggregate of a target without neighbors — are 0.1–7 % of the tiles, where
+// the test costs more on the dense rows than it saves (EXPERIMENTS.md).
 func MatMulTransAInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA (%dx%d)ᵀ @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -352,9 +309,6 @@ func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 		for k := 0; k < m; k++ {
 			acol := a.Data[k*n+i : k*n+i+4]
 			av0, av1, av2, av3 := acol[0], acol[1], acol[2], acol[3]
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-				continue // masked token: its whole a row is zero
-			}
 			brow := b.Data[k*p : k*p+p][:len(d0)]
 			for j, bv := range brow {
 				d0[j] += av0 * bv
@@ -368,9 +322,6 @@ func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 		drow := dst.Data[i*p : i*p+p]
 		for k := 0; k < m; k++ {
 			av := a.Data[k*n+i]
-			if av == 0 {
-				continue
-			}
 			brow := b.Data[k*p : k*p+p][:len(drow)]
 			for j, bv := range brow {
 				drow[j] += av * bv

@@ -212,30 +212,6 @@ func TestMatMulTransABitwiseMatchesRef(t *testing.T) {
 	}
 }
 
-// TestMatMulSparseABitwiseMatchesDense pins that the explicit sparse entry
-// point computes the same product as the dense path for finite inputs.
-func TestMatMulSparseABitwiseMatchesDense(t *testing.T) {
-	rng := mathx.NewRNG(16)
-	a := withZeros(Randn(90, 40, 1, rng), 0.8, rng)
-	b := Randn(40, 24, 1, rng)
-	dense := New(90, 24)
-	MatMulInto(dense, a, b)
-	sparse := New(90, 24)
-	MatMulSparseAInto(sparse, a, b)
-	if d := bitwiseDiff(dense, sparse); d >= 0 {
-		t.Fatalf("sparse and dense paths differ at elem %d", d)
-	}
-}
-
-func TestMatMulSparseAShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected shape panic")
-		}
-	}()
-	MatMulSparseAInto(New(2, 2), New(2, 3), New(2, 3))
-}
-
 // TestMatMulParallelSerialBitwiseAtCrossover forces multiple workers and
 // checks, for every parallelized matmul entry point, that results exactly at
 // and around the parallelThreshold crossover are bitwise-identical to the

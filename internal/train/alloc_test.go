@@ -74,8 +74,8 @@ func TestTrainStepGraphReuseMatchesFresh(t *testing.T) {
 		fresh.freshGraphs = true
 		// Poison the reused trainer's arenas: if any step consumed a stale
 		// checkout the losses would go NaN and diverge.
-		reused.modelGraph().Arena().SetPoison(true)
-		reused.samplerGraph().Arena().SetPoison(true)
+		reused.modelGraph(false).Arena().SetPoison(true)
+		reused.samplerGraph(false).Arena().SetPoison(true)
 
 		for step := 0; step < 6; step++ {
 			lr, lf := reused.TrainStep(), fresh.TrainStep()

@@ -101,8 +101,10 @@ func (t *Trainer) finishBatch(pb *prepared) *builtBatch {
 	if t.Sampler != nil {
 		// Checking the reusable sampler graph out here ends the previous
 		// step's pass; finishBatch always runs consumer-side when the
-		// adaptive sampler is on, serialized with SampleLoss/Backward.
-		out.gS = t.samplerGraph()
+		// adaptive sampler is on, serialized with SampleLoss/Backward. Only
+		// training batches are co-trained: evaluation and inference batches
+		// (no edges) draw their Selection on a forward-only pass.
+		out.gS = t.samplerGraph(pb.edges == nil)
 	}
 
 	layers := t.Model.NumLayers()

@@ -85,8 +85,9 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 	defer t.releasePrepared(pb)
 	// Same reusable graph and pooled index scratch as a training step: the
 	// eval path shares the build pool and the arena, so steady-state
-	// evaluation allocates like a step instead of rebuilding from scratch.
-	g := t.modelGraph()
+	// evaluation allocates like a step instead of rebuilding from scratch —
+	// and, forward-only, without a gradient per intermediate.
+	g := t.modelGraph(true)
 	emb, _ := t.Model.Forward(g, built.mb)
 
 	// Score all (src, candidate) pairs in one shot.
@@ -156,7 +157,7 @@ func (t *Trainer) EvalAP(split Split) float64 {
 		b := len(batch)
 		pb := t.prepareRoots(t.rootsForEdges(batch)) // [srcs | dsts | negs]
 		built := t.finishBatch(pb)
-		g := t.modelGraph()
+		g := t.modelGraph(true)
 		emb, _ := t.Model.Forward(g, built.mb)
 		srcIdx := t.pool.getIDs(2 * b)[:2*b]
 		dstIdx := t.pool.getIDs(2 * b)[:2*b]

@@ -63,17 +63,22 @@ type InferenceBuilder struct {
 }
 
 // Graph checks out the builder's reusable arena-backed autograd graph for
-// one forward pass, resetting the previous pass's tape and recycling its
-// intermediates. The serving scheduler pairs each Build with one Graph
-// checkout: embeddings must be copied out of the returned graph's matrices
-// before the next checkout (DESIGN.md §7). Like Build/SwapGraph, it is owned
-// by a single goroutine.
-func (b *InferenceBuilder) Graph() *autograd.Graph {
+// one recording forward–backward pass (the fine-tuner's), resetting the
+// previous pass's tape and recycling its intermediates. Outputs must be
+// copied out of the returned graph's matrices before the next checkout
+// (DESIGN.md §7). Like Build/SwapGraph, it is owned by a single goroutine.
+func (b *InferenceBuilder) Graph() *autograd.Graph { return b.checkout(false) }
+
+// ForwardGraph is Graph for a pass that never calls Backward: the same
+// graph, checked out forward-only. The serving scheduler pairs each Build
+// with one ForwardGraph checkout.
+func (b *InferenceBuilder) ForwardGraph() *autograd.Graph { return b.checkout(true) }
+
+func (b *InferenceBuilder) checkout(forwardOnly bool) *autograd.Graph {
 	if b.g == nil {
 		b.g = autograd.NewReusable()
 	}
-	b.g.Reset()
-	return b.g
+	return checkout(b.g, forwardOnly)
 }
 
 // NewInferenceBuilder validates cfg and builds the initial finder and stores.

@@ -33,10 +33,17 @@ func requireBlocksEqual(t *testing.T, got, want *models.LayerBlock, layer int) {
 			t.Fatalf("layer %d NbrNodes[%d]: %d vs %d", layer, s, got.NbrNodes[s], want.NbrNodes[s])
 		}
 	}
+	if len(got.Valid) != len(want.Valid) {
+		t.Fatalf("layer %d indexes %d valid slots vs %d", layer, len(got.Valid), len(want.Valid))
+	}
+	for i := range want.Valid {
+		if got.Valid[i] != want.Valid[i] {
+			t.Fatalf("layer %d Valid[%d]: %d vs %d", layer, i, got.Valid[i], want.Valid[i])
+		}
+	}
 	for name, pair := range map[string][2][]float64{
 		"DeltaT":   {got.DeltaT.Data, want.DeltaT.Data},
 		"Mask":     {got.Mask.Data, want.Mask.Data},
-		"MaskCol":  {got.MaskCol.Data, want.MaskCol.Data},
 		"MaskBias": {got.MaskBias.Data, want.MaskBias.Data},
 		"EdgeFeat": {got.EdgeFeat.Data, want.EdgeFeat.Data},
 	} {

@@ -78,7 +78,7 @@ func (t *Trainer) consume(pb *prepared) float64 {
 		// Reusable arena-backed graph: checkout ends the previous step's
 		// pass. Everything read after Backward (posLogits, importance
 		// scores) is copied out below, per the §7 ownership contract.
-		gM := t.modelGraph()
+		gM := t.modelGraph(false)
 		emb, fwdInfo := t.Model.Forward(gM, built.mb)
 		info = fwdInfo
 		t.srcIdx = grow(t.srcIdx, 2*b)

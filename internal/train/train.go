@@ -208,30 +208,39 @@ type Trainer struct {
 	freshGraphs bool
 }
 
-// modelGraph checks out the model graph for one forward(-backward) pass,
-// ending the previous pass's checkouts.
-func (t *Trainer) modelGraph() *autograd.Graph {
+// modelGraph checks out the model graph for one pass, ending the previous
+// pass's checkouts: recording for a training step, forward-only (no gradient
+// matrices, no tape) for evaluation.
+func (t *Trainer) modelGraph(forwardOnly bool) *autograd.Graph {
 	if t.freshGraphs {
-		return autograd.New()
+		return checkout(autograd.New(), forwardOnly)
 	}
 	if t.gM == nil {
 		t.gM = autograd.NewReusable()
 	}
-	t.gM.Reset()
-	return t.gM
+	return checkout(t.gM, forwardOnly)
 }
 
 // samplerGraph is modelGraph's counterpart for the adaptive sampler's tape
 // (a separate graph so the sample loss backward never replays model ops).
-func (t *Trainer) samplerGraph() *autograd.Graph {
+func (t *Trainer) samplerGraph(forwardOnly bool) *autograd.Graph {
 	if t.freshGraphs {
-		return autograd.New()
+		return checkout(autograd.New(), forwardOnly)
 	}
 	if t.gS == nil {
 		t.gS = autograd.NewReusable()
 	}
-	t.gS.Reset()
-	return t.gS
+	return checkout(t.gS, forwardOnly)
+}
+
+// checkout resets g for a recording or a forward-only pass.
+func checkout(g *autograd.Graph, forwardOnly bool) *autograd.Graph {
+	if forwardOnly {
+		g.ResetForwardOnly()
+	} else {
+		g.Reset()
+	}
+	return g
 }
 
 // New builds a trainer for the dataset under cfg.
