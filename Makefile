@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare
+.PHONY: all build cross-build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare
 
 all: build test
 
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The dense-matmul tile is assembly on amd64 only; every other platform runs
+# its Go twin behind a build constraint. Cross-compile (and vet the tensor
+# package, asmdecl included) so the twin's side of that constraint cannot rot.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).
@@ -53,9 +60,9 @@ bench-ingest:
 bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
-# Raw-speed floor: blocked vs seed MatMul kernels on the model shapes
-# (ns/op, GFLOP/s) and the quantized serving path's footprint, latency and
-# MRR delta (see DESIGN.md §13).
+# Raw-speed floor: the three dense products on the 4×8 tile, AVX2 assembly vs
+# its Go twin, on the shapes a TASER step issues (ns/op, GFLOP/s), and the
+# quantized serving path's footprint, latency and MRR delta (DESIGN.md §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 

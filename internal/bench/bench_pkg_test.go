@@ -162,15 +162,15 @@ func TestAllocSmoke(t *testing.T) {
 func TestKernelsSmoke(t *testing.T) {
 	// Gut the timing loops: the smoke test checks wiring and the quantized
 	// path end to end, not measurement quality.
-	oldBudget, oldRounds := kernelTimeBudget, kernelTimeRounds
-	kernelTimeBudget, kernelTimeRounds = time.Millisecond, 1
-	defer func() { kernelTimeBudget, kernelTimeRounds = oldBudget, oldRounds }()
+	oldBudget, oldRounds, oldSquares := kernelTimeBudget, kernelTimeRounds, kernelSquares
+	kernelTimeBudget, kernelTimeRounds, kernelSquares = time.Millisecond, 1, []int{64}
+	defer func() { kernelTimeBudget, kernelTimeRounds, kernelSquares = oldBudget, oldRounds, oldSquares }()
 	var buf bytes.Buffer
 	if err := Kernels(tinyOptions(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Dense MatMul", "MatMulTransB", "Quantized serving", "int8"} {
+	for _, want := range []string{"Dense products", "1389×73×73", "a@bᵀ", "64×64×64", "Quantized serving", "int8"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("kernels output missing %q:\n%s", want, out)
 		}

@@ -14,66 +14,68 @@ import (
 	"taser/internal/train"
 )
 
-// Kernels measures the raw-speed floor (DESIGN.md §13): the blocked,
-// bounds-check-free MatMul kernels against the seed's skip-based ikj loop on
-// the shapes the models actually push through them, and the quantized
-// serving path (f32/int8 weight clones at PublishWeights) as
-// predict latency, weight footprint and MRR delta against f64.
+// Kernels measures the raw-speed floor (DESIGN.md §13): the three dense
+// products on the 4×8 register tile — the AVX2 assembly routine against its
+// pure-Go twin, the path on CPUs without AVX2 — on the shapes a TASER
+// training step actually issues, and the quantized serving path (f32/int8
+// weight clones at PublishWeights) as predict latency, weight footprint and
+// MRR delta against f64.
 //
-// On the 1-CPU dev container the GFLOP rates are scalar-SSE2 single-core
-// numbers; speedups are the stable signal (EXPERIMENTS.md).
+// GFLOP rates are single-goroutine when GOMAXPROCS is 1; on a shared host
+// the asm/Go ratio is the stable signal (EXPERIMENTS.md).
 func Kernels(o Options) error {
 	o = o.Normalize()
 
-	// --- dense MatMul: seed reference loop vs dispatching kernel ---------
-	// The first three shapes are the per-batch projections a bench-profile
-	// TGAT/GraphMixer forward issues (batch·(budget+1) = 1504 and 304 token
-	// rows at Hidden=24, TimeDim=12, feat 38/48); the squares exercise the
-	// unpacked 4-row regime and the packed 2×4 blocked regime.
-	shapes := []struct {
-		label   string
-		m, k, n int
+	// --- dense products: assembly tile vs Go twin ------------------------
+	// The six m×k×n are the matmuls of one train-taser-tgat step (wikipedia,
+	// batch 32, Hidden 24, N 10, M 25): x is m×k, w is k×n, and each shape
+	// runs forward (x@w), the weight gradient (xᵀ@dy, accumulating) and the
+	// input gradient (dy@wᵀ, accumulating) — 2·m·k·n FLOP each.
+	type shape struct{ m, k, n int }
+	steps := []shape{{1389, 73, 73}, {5500, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}}
+	products := []struct {
+		name string
+		run  func(x, w, y, dw, dx *tensor.Matrix)
 	}{
-		{"proj feat→hidden", 1504, 38, 24},
-		{"ffn hidden→2h", 1504, 24, 48},
-		{"ffn 2h→hidden", 304, 48, 24},
-		{"square dense-path", 256, 256, 256},
-		{"square blocked", 512, 512, 512},
+		{"a@b", func(x, w, y, dw, dx *tensor.Matrix) { tensor.MatMulInto(y, x, w) }},
+		{"aᵀ@b", func(x, w, y, dw, dx *tensor.Matrix) { tensor.MatMulTransAInto(dw, x, y) }},
+		{"a@bᵀ", func(x, w, y, dw, dx *tensor.Matrix) { tensor.MatMulTransBAddInto(dx, y, w) }},
 	}
 	rng := mathx.NewRNG(o.Seed)
-	fmt.Fprintf(o.Out, "Dense MatMul: seed skip-loop vs dispatching kernel\n")
-	fmt.Fprintf(o.Out, "%-20s %-16s %12s %12s %9s %9s %8s\n",
-		"shape", "m×k×n", "ref ns/op", "new ns/op", "ref GF/s", "new GF/s", "speedup")
-	for _, s := range shapes {
-		a := tensor.Randn(s.m, s.k, 1, rng)
-		b := tensor.Randn(s.k, s.n, 1, rng)
-		dst := tensor.New(s.m, s.n)
-		refNs := timeOp(func() { matMulSeedRef(dst, a, b) })
-		newNs := timeOp(func() { tensor.MatMulInto(dst, a, b) })
+	haveAsm := tensor.ForceGoTile(false)
+	defer tensor.ForceGoTile(false)
+	fmt.Fprintf(o.Out, "Dense products on the 4×8 tile: AVX2 assembly vs Go twin\n")
+	fmt.Fprintf(o.Out, "%-16s %-6s %12s %12s %9s %9s %8s\n",
+		"m×k×n", "form", "asm ns/op", "go ns/op", "asm GF/s", "go GF/s", "asm/go")
+	row := func(s shape, forms int) {
+		x := tensor.Randn(s.m, s.k, 1, rng)
+		w := tensor.Randn(s.k, s.n, 1, rng)
+		y, dw, dx := tensor.New(s.m, s.n), tensor.New(s.k, s.n), tensor.New(s.m, s.k)
 		flop := 2 * float64(s.m) * float64(s.k) * float64(s.n)
-		fmt.Fprintf(o.Out, "%-20s %-16s %12.0f %12.0f %9.2f %9.2f %7.2fx\n",
-			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n),
-			refNs, newNs, flop/refNs, flop/newNs, refNs/newNs)
+		label := fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n)
+		for _, p := range products[:forms] {
+			tensor.ForceGoTile(true)
+			goNs := timeOp(func() { p.run(x, w, y, dw, dx) })
+			if !tensor.ForceGoTile(false) {
+				fmt.Fprintf(o.Out, "%-16s %-6s %12s %12.0f %9s %9.2f %8s\n", label, p.name, "-", goNs, "-", flop/goNs, "-")
+				continue
+			}
+			asmNs := timeOp(func() { p.run(x, w, y, dw, dx) })
+			fmt.Fprintf(o.Out, "%-16s %-6s %12.0f %12.0f %9.2f %9.2f %7.2fx\n",
+				label, p.name, asmNs, goNs, flop/asmNs, flop/goNs, goNs/asmNs)
+		}
 	}
-
-	// --- MatMulTransB (attention scores / weight gradients) --------------
-	fmt.Fprintf(o.Out, "\nMatMulTransB (a @ bᵀ): seed dot-loop vs 2×4-tiled kernel\n")
-	fmt.Fprintf(o.Out, "%-20s %-16s %12s %12s %8s\n",
-		"shape", "m×k×n", "ref ns/op", "new ns/op", "speedup")
-	for _, s := range []struct {
-		label   string
-		m, k, n int
-	}{
-		{"scores q@kᵀ", 1504, 24, 38},
-		{"grad w@xᵀ", 304, 24, 48},
-	} {
-		a := tensor.Randn(s.m, s.k, 1, rng)
-		b := tensor.Randn(s.n, s.k, 1, rng)
-		dst := tensor.New(s.m, s.n)
-		refNs := timeOp(func() { matMulTransBSeedRef(dst, a, b) })
-		newNs := timeOp(func() { tensor.MatMulTransBInto(dst, a, b) })
-		fmt.Fprintf(o.Out, "%-20s %-16s %12.0f %12.0f %7.2fx\n",
-			s.label, fmt.Sprintf("%d×%d×%d", s.m, s.k, s.n), refNs, newNs, refNs/newNs)
+	for _, s := range steps {
+		row(s, len(products))
+	}
+	// The squares no model issues: where the deleted packed-panel kernel
+	// used to engage (B ≥ 2^18 elements). The unblocked tile driver is
+	// faster there than it was (EXPERIMENTS.md), which is why it is gone.
+	for _, n := range kernelSquares {
+		row(shape{n, n, n}, 1)
+	}
+	if !haveAsm {
+		fmt.Fprintf(o.Out, "(no AVX2 on this CPU: every product runs the Go twin)\n")
 	}
 
 	// --- quantized serving path ------------------------------------------
@@ -169,6 +171,7 @@ func Kernels(o Options) error {
 var (
 	kernelTimeBudget = 100 * time.Millisecond // per timing round
 	kernelTimeRounds = 3                      // best-of rounds
+	kernelSquares    = []int{512, 1024}       // n of the n³ rows
 )
 
 // timeOp reports the best-of-rounds ns/op for op, each round running until
@@ -196,47 +199,6 @@ func timeOp(op func()) float64 {
 		}
 	}
 	return best
-}
-
-// matMulSeedRef is the seed repo's MatMul kernel — skip-based ikj with a
-// per-element zero test — kept verbatim as the "before" baseline.
-func matMulSeedRef(dst, a, b *tensor.Matrix) {
-	n, p := a.Cols, b.Cols
-	for i := 0; i < a.Rows; i++ {
-		drow := dst.Data[i*p : (i+1)*p]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*n : (i+1)*n]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*p : (k+1)*p]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matMulTransBSeedRef is the seed's a @ bᵀ kernel: one dot product per
-// output element.
-func matMulTransBSeedRef(dst, a, b *tensor.Matrix) {
-	n := a.Cols
-	m2 := b.Rows
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		drow := dst.Data[i*m2 : (i+1)*m2]
-		for j := 0; j < m2; j++ {
-			brow := b.Data[j*n : (j+1)*n]
-			var s float64
-			for k, bv := range brow {
-				s += arow[k] * bv
-			}
-			drow[j] = s
-		}
-	}
 }
 
 // engineMRRBench scores the n events after the bootstrap prefix against negs

@@ -10,13 +10,6 @@ import (
 // single-threaded; goroutine fan-out costs more than it saves on tiny inputs.
 const parallelThreshold = 1 << 16
 
-// smallThreshold is the number of multiply-adds below which MatMulInto runs
-// the plain one-row ikj loop: for tiny products the 4-row lane kernel's
-// setup and remainder handling cost more than they save. Every dispatch
-// target accumulates k-ascending per element, so the cutover is invisible
-// to callers (bitwise, when K fits one panel — see matmul_blocked.go).
-const smallThreshold = 1 << 12
-
 // workerLimit reports the scheduler width for parallel kernels. It is read
 // at call time — not frozen at package init — so runtime.GOMAXPROCS changes
 // (tests pinning to 1, operators resizing a cgroup) take effect on the next
@@ -25,15 +18,15 @@ const smallThreshold = 1 << 12
 func workerLimit() int { return runtime.GOMAXPROCS(0) }
 
 // MatMulInto computes dst = a @ b. dst must be pre-shaped a.Rows×b.Cols and
-// must not alias a or b. Large products run the cache-blocked packed-panel
-// kernel (matmul_blocked.go) and are split across worker goroutines by row
-// block; each worker owns a disjoint range of dst rows.
+// must not alias a or b. It runs on the 4×8 register tile (tile.go) and, past
+// parallelThreshold, is split across worker goroutines by row block; each
+// worker owns a disjoint range of dst rows.
 //
-// The dense path carries no zero-skip branch: every a element is multiplied
-// through, which keeps the inner loop branch-free and lets products with
-// exact-zero operands follow IEEE semantics (0·Inf = NaN propagates instead
-// of being skipped). The models do not hand it mask-zeroed rows to skip:
-// they multiply valid neighbor rows only.
+// There is no zero-skip branch: every a element is multiplied through, which
+// keeps the inner loop branch-free and lets products with exact-zero
+// operands follow IEEE semantics (0·Inf = NaN propagates instead of being
+// skipped). The models do not hand it mask-zeroed rows to skip: they
+// multiply valid neighbor rows only.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -42,89 +35,11 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	work := a.Rows * a.Cols * b.Cols
-	if work < smallThreshold {
-		matMulSmallRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	// Pick the kernel by B's footprint: while B stays cache-resident the
-	// unpacked 4-row kernel wins; past blockedMinElems the packed panels pay
-	// for themselves. All model shapes in this repo take the dense path.
-	if b.Rows*b.Cols >= blockedMinElems {
-		if work < parallelThreshold || workerLimit() == 1 {
-			matMulBlockedRange(dst, a, b, 0, a.Rows)
-			return
-		}
-		parallelRows(a.Rows, func(lo, hi int) { matMulBlockedRange(dst, a, b, lo, hi) })
-		return
-	}
 	if work < parallelThreshold || workerLimit() == 1 {
-		matMulDenseRange(dst, a, b, 0, a.Rows)
+		productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulDenseRange(dst, a, b, lo, hi) })
-}
-
-// matMulDenseRange computes rows [lo, hi) of dst = a @ b four dst rows per
-// pass: each streamed b row is loaded once and feeds four register-resident
-// a values (4 multiply-adds per b load instead of 1), and the four dst rows
-// it writes stay in L1 because b.Cols is cache-small on this path. No
-// packing, no zero-skip. Per-element accumulation is k-ascending, so the
-// result is bitwise-identical to the straight-line ikj loop for every shape
-// and any [lo, hi) split — the lane grouping only changes which rows are
-// computed together, never the order of adds within an element.
-func matMulDenseRange(dst, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		d0 := dst.Data[i*p : i*p+p]
-		d1 := dst.Data[(i+1)*p : (i+1)*p+p][:len(d0)]
-		d2 := dst.Data[(i+2)*p : (i+2)*p+p][:len(d0)]
-		d3 := dst.Data[(i+3)*p : (i+3)*p+p][:len(d0)]
-		for j := range d0 {
-			d0[j] = 0
-			d1[j] = 0
-			d2[j] = 0
-			d3[j] = 0
-		}
-		a0 := a.Data[i*n : i*n+n]
-		a1 := a.Data[(i+1)*n : (i+1)*n+n][:len(a0)]
-		a2 := a.Data[(i+2)*n : (i+2)*n+n][:len(a0)]
-		a3 := a.Data[(i+3)*n : (i+3)*n+n][:len(a0)]
-		for k, av0 := range a0 {
-			av1, av2, av3 := a1[k], a2[k], a3[k]
-			brow := b.Data[k*p : k*p+p][:len(d0)]
-			for j, bv := range brow {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
-			}
-		}
-	}
-	if i < hi {
-		matMulSmallRange(dst, a, b, i, hi)
-	}
-}
-
-// matMulSmallRange computes rows [lo, hi) of dst = a @ b with an ikj loop
-// order that streams b row-wise. No packing, no zero-skip: the small-product
-// path of MatMulInto. Accumulation order (k ascending per element) matches
-// the blocked kernel's single-panel order.
-func matMulSmallRange(dst, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*p : i*p+p]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*n : i*n+n]
-		for k, av := range arow {
-			brow := b.Data[k*p : k*p+p][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	parallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, lo, hi) })
 }
 
 // MatMul allocates and returns a @ b.
@@ -134,148 +49,17 @@ func MatMul(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MatMulTransBInto computes dst = a @ bᵀ without materializing bᵀ.
-func MatMulTransBInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MatMulTransBInto dst shape")
-	}
-	// The serial path goes through a named range function so no closure is
-	// materialized on it (conditionally-constructed closures heap-escape even
-	// when the parallel branch is never taken).
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || workerLimit() == 1 {
-		matMulTransBRange(dst, a, b, 0, a.Rows, false)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, lo, hi, false) })
-}
-
-// matMulTransBRange computes (or, with accumulate, adds) rows [lo, hi) of
-// a @ bᵀ into dst. Both operands stream along k contiguously, so no packing
-// is needed; rows are processed in 2×4 register tiles (eight dot products
-// share six operand loads per k — 2×4 rather than 4×4 because eight f64
-// accumulators plus six operands fit the sixteen scalar XMM registers of
-// GOAMD64=v1, while a 4×4 tile spills). Every dot product accumulates
-// k-ascending from zero, so results are bitwise-identical to the
-// straight-line loop for every shape and any [lo, hi) split.
-func matMulTransBRange(dst, a, b *Matrix, lo, hi int, accumulate bool) {
-	n, p := a.Cols, b.Cols
-	m2 := b.Rows
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0 := a.Data[i*n : i*n+n]
-		a1 := a.Data[(i+1)*n : (i+1)*n+n][:len(a0)]
-		d0 := dst.Data[i*m2 : i*m2+m2]
-		d1 := dst.Data[(i+1)*m2 : (i+1)*m2+m2][:len(d0)]
-		j := 0
-		for ; j+4 <= m2; j += 4 {
-			b0 := b.Data[j*p : j*p+p][:len(a0)]
-			b1 := b.Data[(j+1)*p : (j+1)*p+p][:len(a0)]
-			b2 := b.Data[(j+2)*p : (j+2)*p+p][:len(a0)]
-			b3 := b.Data[(j+3)*p : (j+3)*p+p][:len(a0)]
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			for k, av0 := range a0 {
-				bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-				c00 += av0 * bv0
-				c01 += av0 * bv1
-				c02 += av0 * bv2
-				c03 += av0 * bv3
-				av1 := a1[k]
-				c10 += av1 * bv0
-				c11 += av1 * bv1
-				c12 += av1 * bv2
-				c13 += av1 * bv3
-			}
-			if accumulate {
-				d0[j] += c00
-				d0[j+1] += c01
-				d0[j+2] += c02
-				d0[j+3] += c03
-				d1[j] += c10
-				d1[j+1] += c11
-				d1[j+2] += c12
-				d1[j+3] += c13
-			} else {
-				d0[j] = c00
-				d0[j+1] = c01
-				d0[j+2] = c02
-				d0[j+3] = c03
-				d1[j] = c10
-				d1[j+1] = c11
-				d1[j+2] = c12
-				d1[j+3] = c13
-			}
-		}
-		for ; j < m2; j++ {
-			brow := b.Data[j*p : j*p+p][:len(a0)]
-			var s0, s1 float64
-			for k, bv := range brow {
-				s0 += a0[k] * bv
-				s1 += a1[k] * bv
-			}
-			if accumulate {
-				d0[j] += s0
-				d1[j] += s1
-			} else {
-				d0[j] = s0
-				d1[j] = s1
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a.Data[i*n : i*n+n]
-		drow := dst.Data[i*m2 : i*m2+m2]
-		for j := 0; j < m2; j++ {
-			brow := b.Data[j*p : j*p+p][:len(arow)]
-			var s float64
-			for k, bv := range brow {
-				s += arow[k] * bv
-			}
-			if accumulate {
-				drow[j] += s
-			} else {
-				drow[j] = s
-			}
-		}
-	}
-}
-
-// MatMulTransB allocates and returns a @ bᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Rows)
-	MatMulTransBInto(dst, a, b)
-	return dst
-}
-
-// MatMulTransBAddInto accumulates dst += a @ bᵀ without materializing bᵀ or a
-// temporary product (the gradient-accumulation form autograd's MatMul
-// backward uses: dA += dO @ Bᵀ). Workers own disjoint dst row blocks.
-func MatMulTransBAddInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransBAdd %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MatMulTransBAddInto dst shape")
-	}
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || workerLimit() == 1 {
-		matMulTransBRange(dst, a, b, 0, a.Rows, true)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, lo, hi, true) })
-}
-
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
 // zeroed first — this is the gradient-accumulation form used by autograd).
-// Large products are parallelized across dst row blocks: each worker owns a
-// disjoint set of dst rows, so no synchronization is needed.
+// It is the same tile as MatMulInto with a's strides swapped: a lane is a
+// column of a and the depth runs down its rows. Large products are
+// parallelized across dst row blocks: each worker owns a disjoint set of dst
+// rows, so no synchronization is needed.
 //
-// Like the dense forward kernel it carries no zero-skip: its left operand is
+// Like the forward product it carries no zero-skip: its left operand is
 // forward activations, and those no longer hold mask-zeroed token rows (the
 // models multiply valid rows only); the all-zero rows that remain — the
-// aggregate of a target without neighbors — are 0.1–7 % of the tiles, where
+// aggregate of a target without neighbors — are 0.1–7 % of the rows, where
 // the test costs more on the dense rows than it saves (EXPERIMENTS.md).
 func MatMulTransAInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
@@ -286,46 +70,195 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || workerLimit() == 1 || dst.Rows == 1 {
-		matMulTransARange(dst, a, b, 0, dst.Rows)
+		productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, 0, dst.Rows)
 		return
 	}
-	parallelRows(dst.Rows, func(lo, hi int) { matMulTransARange(dst, a, b, lo, hi) })
+	parallelRows(dst.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, lo, hi) })
 }
 
-// matMulTransARange accumulates dst rows [lo, hi) of aᵀ @ b. Four dst rows
-// (four a columns) are produced per pass so each streamed b row is loaded
-// once for four accumulate lanes; the four a loads per k are contiguous.
-// Per-element accumulation is k-ascending exactly like the straight-line
-// loop, so any [lo, hi) split of rows is bitwise-equivalent to serial.
-func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	m := a.Rows
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		d0 := dst.Data[i*p : i*p+p]
-		d1 := dst.Data[(i+1)*p : (i+1)*p+p][:len(d0)]
-		d2 := dst.Data[(i+2)*p : (i+2)*p+p][:len(d0)]
-		d3 := dst.Data[(i+3)*p : (i+3)*p+p][:len(d0)]
-		for k := 0; k < m; k++ {
-			acol := a.Data[k*n+i : k*n+i+4]
-			av0, av1, av2, av3 := acol[0], acol[1], acol[2], acol[3]
-			brow := b.Data[k*p : k*p+p][:len(d0)]
-			for j, bv := range brow {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
+// productRange computes dst rows [lo, hi) of a lane-strided product (the
+// tile's own form, tile.go):
+//
+//	dst[i, :]  ⟵  Σ_kk  a[i*lane + kk*kstep] · b[kk, :]
+//
+// on the tile where the range holds a whole one, on the scalar loop where
+// it does not. Per-element accumulation is k-ascending either way, so any
+// [lo, hi) split of rows is bitwise-equivalent to serial.
+func productRange(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, hi int) {
+	if !tileRows(dst, b.Cols, a, lane, kstep, b.Data, b.Rows, mode, lo, hi) {
+		axpyRows(dst, a, lane, kstep, b, mode, lo, hi)
+	}
+}
+
+// tileRows covers dst rows [lo, hi) × cols [0, p) with 4×8 tiles and
+// reports whether it could: the range must hold one whole tile and the
+// product must have depth. Where the extent is not a multiple of the tile
+// (rows%4, cols%8) the last tile is shifted back to end on the boundary and
+// commits only the part no earlier tile owns (tilePart), so remainders run
+// on the same kernel and every element is still written exactly once.
+func tileRows(dst []float64, p int, a []float64, lane, kstep int, b []float64, k int, mode tileMode, lo, hi int) bool {
+	if !tileFits(hi-lo, p, k) {
+		return false
+	}
+	for i := lo; i < hi; i += 4 {
+		l0 := 0
+		if i+4 > hi {
+			l0, i = i+4-hi, hi-4
+		}
+		for j := 0; j < p; j += 8 {
+			c0 := 0
+			if j+8 > p {
+				c0, j = j+8-p, p-8
+			}
+			if l0|c0 == 0 {
+				tile(dst[i*p+j:], p, a[i*lane:], lane, kstep, b[j:], p, k, mode)
+			} else {
+				tilePart(dst[i*p+j:], p, a[i*lane:], lane, kstep, b[j:], p, k, mode, l0, c0)
 			}
 		}
 	}
-	for ; i < hi; i++ {
-		drow := dst.Data[i*p : i*p+p]
-		for k := 0; k < m; k++ {
-			av := a.Data[k*n+i]
-			brow := b.Data[k*p : k*p+p][:len(drow)]
+	return true
+}
+
+// tileFits reports whether a rows×cols block of depth k holds a whole tile.
+func tileFits(rows, cols, k int) bool { return rows >= 4 && cols >= 8 && k > 0 }
+
+// axpyRows is productRange's scalar form, for ranges no tile fits (fewer
+// than 4 rows, fewer than 8 columns, k = 0): one dst row at a time,
+// streaming b row-wise. tileStore zeroes the row first; tileAccum
+// accumulates onto it. The float64(…) conversion forbids multiply-add
+// fusion (see tileGo).
+func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, hi int) {
+	k, p := b.Rows, b.Cols
+	for i := lo; i < hi; i++ {
+		drow := dst[i*p : i*p+p]
+		if mode == tileStore {
+			clear(drow)
+		}
+		ai := i * lane
+		for kk := 0; kk < k; kk++ {
+			av := a[ai]
+			brow := b.Data[kk*p : kk*p+p][:len(drow)]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
+			ai += kstep
+		}
+	}
+}
+
+// MatMulTransBInto computes dst = a @ bᵀ.
+func MatMulTransBInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTransB %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic("tensor: MatMulTransBInto dst shape")
+	}
+	matMulTransB(dst, a, b, tileStore)
+}
+
+// MatMulTransB allocates and returns a @ bᵀ.
+func MatMulTransB(a, b *Matrix) *Matrix {
+	dst := New(a.Rows, b.Rows)
+	MatMulTransBInto(dst, a, b)
+	return dst
+}
+
+// MatMulTransBAddInto accumulates dst += a @ bᵀ without a temporary product
+// (the gradient-accumulation form autograd's MatMul backward uses:
+// dA += dO @ Bᵀ). Each element's sum is formed from zero and added to dst
+// once, at the end. Workers own disjoint dst row blocks.
+func MatMulTransBAddInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTransBAdd %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic("tensor: MatMulTransBAddInto dst shape")
+	}
+	matMulTransB(dst, a, b, tileAdd)
+}
+
+// transFree recycles the k-major copies of b that a @ bᵀ multiplies against:
+// a free list of grow-only buffers, one per concurrent caller at the peak,
+// never aliasing caller data. A plain list rather than a sync.Pool because
+// the steady state must allocate exactly nothing — a Pool is emptied by the
+// collector and drops items at random under the race detector, either of
+// which shows up in the step allocation budgets.
+var transFree struct {
+	sync.Mutex
+	bufs [][]float64
+}
+
+func getTrans(n int) []float64 {
+	var buf []float64
+	transFree.Lock()
+	if last := len(transFree.bufs) - 1; last >= 0 {
+		buf, transFree.bufs = transFree.bufs[last], transFree.bufs[:last]
+	}
+	transFree.Unlock()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	return buf[:n]
+}
+
+func putTrans(buf []float64) {
+	transFree.Lock()
+	transFree.bufs = append(transFree.bufs, buf)
+	transFree.Unlock()
+}
+
+// matMulTransB runs a @ bᵀ as the forward tile against bᵀ: b is the small
+// operand on every model path (a weight matrix), so copying it k-major once
+// per call is noise next to the product, and it turns the tile's b loads
+// into the same contiguous 8-wide rows the other two products read.
+func matMulTransB(dst, a, b *Matrix, mode tileMode) {
+	n, m2 := a.Cols, b.Rows
+	if !tileFits(a.Rows, m2, n) { // no tile will run: skip the copy
+		dotRows(dst, a, b, mode, 0, a.Rows)
+		return
+	}
+	bt := getTrans(n * m2)
+	for j := 0; j < m2; j++ {
+		brow := b.Data[j*n : j*n+n]
+		for kk, bv := range brow {
+			bt[kk*m2+j] = bv
+		}
+	}
+	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
+		transBRange(dst, a, b, bt, mode, 0, a.Rows)
+	} else {
+		parallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, mode, lo, hi) })
+	}
+	putTrans(bt)
+}
+
+// transBRange computes rows [lo, hi) of a @ bᵀ against bt, b's k-major copy.
+func transBRange(dst, a, b *Matrix, bt []float64, mode tileMode, lo, hi int) {
+	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, mode, lo, hi) {
+		dotRows(dst, a, b, mode, lo, hi)
+	}
+}
+
+// dotRows is a @ bᵀ's scalar form for ranges no tile fits: one dot product
+// per element, both operands contiguous along k, summed k-ascending from
+// zero and then stored (tileStore) or added to dst (tileAdd).
+func dotRows(dst, a, b *Matrix, mode tileMode, lo, hi int) {
+	n, m2 := a.Cols, b.Rows
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*n : i*n+n]
+		drow := dst.Data[i*m2 : i*m2+m2]
+		for j := range drow {
+			brow := b.Data[j*n : j*n+n][:len(arow)]
+			var s float64
+			for kk, bv := range brow {
+				s += float64(arow[kk] * bv)
+			}
+			if mode == tileAdd {
+				s += drow[j]
+			}
+			drow[j] = s
 		}
 	}
 }

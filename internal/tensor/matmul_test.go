@@ -121,48 +121,6 @@ func TestMatMulDenseBitwiseMatchesRef(t *testing.T) {
 	}
 }
 
-// TestMatMulBlockedBitwiseRefWithinPanel pins the packed kernel's contract
-// for K ≤ blockKc: one Kc panel means no regrouping, so the blocked result
-// is bitwise-identical to the reference, edge tiles included.
-func TestMatMulBlockedBitwiseRefWithinPanel(t *testing.T) {
-	rng := mathx.NewRNG(12)
-	shapes := [][3]int{
-		{3, 5, 2}, {64, 256, 64}, {70, 200, 70}, {65, 37, 9}, {128, 256, 31},
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := withZeros(Randn(m, k, 1, rng), 0.2, rng)
-		b := Randn(k, n, 1, rng)
-		got := New(m, n)
-		matMulBlockedRange(got, a, b, 0, m)
-		want := New(m, n)
-		matMulRef(want, a, b)
-		if d := bitwiseDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: elem %d differs: got %v want %v", m, k, n, d, got.Data[d], want.Data[d])
-		}
-	}
-}
-
-// TestMatMulBlockedULPBoundedAcrossPanels checks the K > blockKc regime:
-// accumulation regroups once per Kc panel, so results may differ from the
-// reference, but only within a tight relative bound.
-func TestMatMulBlockedULPBoundedAcrossPanels(t *testing.T) {
-	rng := mathx.NewRNG(13)
-	m, k, n := 33, 600, 31
-	a := Randn(m, k, 1, rng)
-	b := Randn(k, n, 1, rng)
-	got := New(m, n)
-	matMulBlockedRange(got, a, b, 0, m)
-	want := New(m, n)
-	matMulRef(want, a, b)
-	for i := range got.Data {
-		diff := math.Abs(got.Data[i] - want.Data[i])
-		if diff > 1e-10*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("elem %d: blocked %v vs ref %v differ beyond panel-regroup bound", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 // TestMatMulTransBBitwiseMatchesRef covers the 2×4 tile plus both remainder
 // loops (odd dst rows, dst cols not divisible by 4) and the accumulate form.
 func TestMatMulTransBBitwiseMatchesRef(t *testing.T) {

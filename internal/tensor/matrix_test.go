@@ -164,7 +164,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := Randn(64, 96, 1, rng)
 	got := MatMul(a, b)
 	want := New(128, 96)
-	matMulBlockedRange(want, a, b, 0, 128)
+	productRange(want.Data, a.Data, a.Cols, 1, b, tileStore, 0, 128)
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("parallel and serial matmul disagree")
 	}

@@ -1,0 +1,26 @@
+package tensor
+
+// haveTileAsm reports whether tile may run tileAVX2: the CPU has AVX2 and
+// the OS saves the YMM state. Probed once at package init; there is no flag,
+// environment variable or build tag that overrides it.
+var haveTileAsm = cpuHasAVX2()
+
+// ForceGoTile routes every product through the Go twin (on) or back to what
+// the CPU probe chose (off), and reports whether the assembly tile is then
+// active. It exists so `taser-bench -exp kernels` and the equivalence tests
+// can time and compare one implementation against the other; no training or
+// serving path calls it, and it must not be called while kernels run.
+func ForceGoTile(on bool) (asm bool) {
+	haveTileAsm = !on && cpuHasAVX2()
+	return haveTileAsm
+}
+
+// tileAVX2 is the 4×8 tile of tile.go in AVX2 assembly (tile_amd64.s). It
+// performs no bounds checks: call it only through tile, which has verified
+// the extent of every operand. Strides are in elements.
+//
+//go:noescape
+func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, mode int)
+
+// cpuHasAVX2 reads CPUID and XCR0 (tile_amd64.s).
+func cpuHasAVX2() bool

@@ -1,0 +1,267 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+
+	"taser/internal/mathx"
+)
+
+// canaryBits is a NaN with a recognizable payload: a kernel that reads a
+// canary poisons its output with NaN, one that writes over it changes the
+// bits.
+const canaryBits = 0x7ff8_dead_beef_0001
+
+// guarded returns a zeroed n-element slice of exact length and capacity cut
+// from a backing array that carries canaries on both sides, and a function
+// reporting whether every canary is still intact.
+func guarded(n int) (s []float64, intact func() bool) {
+	const g = 16
+	back := make([]float64, n+2*g)
+	for i := range back {
+		back[i] = math.Float64frombits(canaryBits)
+	}
+	s = back[g : g+n : g+n]
+	clear(s)
+	return s, func() bool {
+		for i := 0; i < g; i++ {
+			if math.Float64bits(back[i]) != canaryBits || math.Float64bits(back[g+n+i]) != canaryBits {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// guardedRandn is Randn on guarded storage.
+func guardedRandn(r, c int, rng *mathx.RNG) (*Matrix, func() bool) {
+	s, intact := guarded(r * c)
+	for i := range s {
+		s[i] = rng.NormFloat64()
+	}
+	return FromSlice(r, c, s), intact
+}
+
+// sameBits returns the first index at which x and y differ bitwise — any NaN
+// equal to any NaN, since the hardware chooses which operand's payload
+// survives — or -1.
+func sameBits(x, y []float64) int {
+	if len(x) != len(y) {
+		return 0
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+func firstNaN(x []float64) int {
+	for i, v := range x {
+		if math.IsNaN(v) {
+			return i
+		}
+	}
+	return -1
+}
+
+// tileRef is the tile contract (tile.go) as the straight-line scalar loop.
+func tileRef(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k int, mode tileMode) {
+	for l := 0; l < 4; l++ {
+		for c := 0; c < 8; c++ {
+			var s float64
+			if mode == tileAccum {
+				s = dst[l*ldd+c]
+			}
+			for kk := 0; kk < k; kk++ {
+				s += float64(a[l*lane+kk*kstep] * b[kk*ldb+c])
+			}
+			if mode == tileAdd {
+				s = dst[l*ldd+c] + s
+			}
+			dst[l*ldd+c] = s
+		}
+	}
+}
+
+// tileCase is one tile call's geometry; operand lengths are exactly the
+// extent the contract says the tile touches.
+type tileCase struct {
+	ldd, lane, kstep, ldb, k int
+	mode                     tileMode
+}
+
+func (tc tileCase) lens() (dst, a, b int) {
+	if tc.k == 0 {
+		return 3*tc.ldd + 8, 0, 0
+	}
+	return 3*tc.ldd + 8, 3*tc.lane + (tc.k-1)*tc.kstep + 1, (tc.k-1)*tc.ldb + 8
+}
+
+// randomTileCases mixes the two layouts the drivers use (row lanes: lane ≥ k,
+// kstep 1; column lanes: lane 1, kstep ≥ 4) with arbitrary strides, at depths
+// that include 0 and 1.
+func randomTileCases(rng *mathx.RNG, n int) []tileCase {
+	depths := []int{0, 1, 2, 3, 7, 16, 24, 73, 105}
+	var out []tileCase
+	for i := 0; i < n; i++ {
+		k := depths[rng.Intn(len(depths))]
+		tc := tileCase{ldd: 8 + rng.Intn(70), ldb: 8 + rng.Intn(70), k: k, mode: tileMode(i % 3)}
+		switch rng.Intn(3) {
+		case 0:
+			tc.lane, tc.kstep = k+rng.Intn(5), 1
+		case 1:
+			tc.lane, tc.kstep = 1, 4+rng.Intn(70)
+		default:
+			tc.lane, tc.kstep = rng.Intn(9), rng.Intn(9)
+		}
+		out = append(out, tc)
+	}
+	return out
+}
+
+// TestTileStaysInsideItsOperands is the canary test for the unchecked
+// routine behind tile: with every operand cut to the exact extent the
+// contract names and NaN canaries on both sides, neither implementation may
+// read a canary (the result would turn NaN) or write one, and both must
+// equal the scalar reference.
+func TestTileStaysInsideItsOperands(t *testing.T) {
+	rng := mathx.NewRNG(31)
+	impls := map[string]func([]float64, int, []float64, int, int, []float64, int, int, tileMode){
+		"tile": tile, "tileGo": tileGo,
+	}
+	for _, tc := range randomTileCases(rng, 300) {
+		nd, na, nb := tc.lens()
+		a, aOK := guarded(na)
+		b, bOK := guarded(nb)
+		init := make([]float64, nd)
+		for _, s := range [][]float64{a, b, init} {
+			for i := range s {
+				s[i] = rng.NormFloat64()
+			}
+		}
+		want := append([]float64(nil), init...)
+		tileRef(want, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode)
+		for name, impl := range impls {
+			dst, dOK := guarded(nd)
+			copy(dst, init)
+			impl(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode)
+			if !aOK() || !bOK() || !dOK() {
+				t.Fatalf("%s %+v: wrote outside an operand", name, tc)
+			}
+			if i := firstNaN(dst); i >= 0 {
+				t.Fatalf("%s %+v: dst[%d] is NaN — read outside an operand", name, tc, i)
+			}
+			if i := sameBits(dst, want); i >= 0 {
+				t.Fatalf("%s %+v: dst[%d] = %v, reference %v", name, tc, i, dst[i], want[i])
+			}
+			// Everything between the four 8-wide lanes belongs to the caller.
+			for i, v := range dst {
+				if i%tc.ldd >= 8 && i/tc.ldd < 3 && math.Float64bits(v) != math.Float64bits(init[i]) {
+					t.Fatalf("%s %+v: dst[%d] outside the tile changed", name, tc, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTilePanicsOnShortOperand pins where memory safety lives: an operand
+// one element short of the extent the tile will touch, or a negative stride,
+// must panic in the Go wrapper before the unchecked routine runs.
+func TestTilePanicsOnShortOperand(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	for _, tc := range []tileCase{
+		{ldd: 8, lane: 5, kstep: 1, ldb: 8, k: 5},
+		{ldd: 73, lane: 1, kstep: 73, ldb: 16, k: 24, mode: tileAccum},
+		{ldd: 9, lane: 3, kstep: 2, ldb: 11, k: 1, mode: tileAdd},
+	} {
+		nd, na, nb := tc.lens()
+		dst, a, b := make([]float64, nd), make([]float64, na), make([]float64, nb)
+		tile(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) // exact lengths are fine
+		mustPanic("short dst", func() { tile(dst[:nd-1], tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) })
+		mustPanic("short a", func() { tile(dst, tc.ldd, a[:na-1], tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) })
+		mustPanic("short b", func() { tile(dst, tc.ldd, a, tc.lane, tc.kstep, b[:nb-1], tc.ldb, tc.k, tc.mode) })
+		mustPanic("negative ldb", func() { tile(dst, tc.ldd, a, tc.lane, tc.kstep, b, -tc.ldb, tc.k, tc.mode) })
+		mustPanic("negative kstep", func() { tile(dst, tc.ldd, a, tc.lane, -tc.kstep, b, tc.ldb, tc.k, tc.mode) })
+	}
+	// Depth 0 touches neither a nor b.
+	tile(make([]float64, 32), 8, nil, 3, 1, nil, 8, 0, tileStore)
+}
+
+// TestMatMulDriversStayInBounds runs the four entry points on matrices whose
+// storage is exact-length with canaries on both sides, over shapes with
+// every remainder (rows%4, cols%8, the shifted-back partial tiles, fewer
+// rows or columns than one tile, k = 0): results must match the references
+// bitwise with no canary read or written.
+func TestMatMulDriversStayInBounds(t *testing.T) {
+	rng := mathx.NewRNG(32)
+	shapes := [][3]int{
+		{4, 1, 8}, {5, 3, 9}, {7, 5, 15}, {3, 9, 40}, {40, 9, 7}, {13, 40, 17},
+		{66, 48, 24}, {67, 38, 27}, {130, 40, 33}, {9, 0, 11}, {0, 4, 9}, {6, 4, 0},
+	}
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		a, aOK := guardedRandn(m, k, rng)
+		b, bOK := guardedRandn(k, n, rng)
+		bt, btOK := guardedRandn(n, k, rng)
+		wide, wideOK := guardedRandn(m, n, rng)
+		check := func(name string, got, want *Matrix, gotOK func() bool) {
+			t.Helper()
+			if !aOK() || !bOK() || !btOK() || !wideOK() || !gotOK() {
+				t.Fatalf("%s %dx%dx%d: wrote outside an operand", name, m, k, n)
+			}
+			if i := firstNaN(got.Data); i >= 0 {
+				t.Fatalf("%s %dx%dx%d: elem %d is NaN — read outside an operand", name, m, k, n, i)
+			}
+			if d := bitwiseDiff(got, want); d >= 0 {
+				t.Fatalf("%s %dx%dx%d: elem %d differs from the reference", name, m, k, n, d)
+			}
+		}
+
+		got, gotOK := guardedRandn(m, n, rng)
+		want := New(m, n)
+		MatMulInto(got, a, b)
+		matMulRef(want, a, b)
+		check("MatMulInto", got, want, gotOK)
+
+		got, gotOK = guardedRandn(m, n, rng)
+		MatMulTransBInto(got, a, bt)
+		matMulTransBRef(want, a, bt, false)
+		check("MatMulTransBInto", got, want, gotOK)
+		MatMulTransBAddInto(got, a, bt)
+		matMulTransBRef(want, a, bt, true)
+		check("MatMulTransBAddInto", got, want, gotOK)
+
+		got, gotOK = guardedRandn(k, n, rng)
+		want = got.Clone()
+		MatMulTransAInto(got, a, wide)
+		matMulTransARef(want, a, wide)
+		check("MatMulTransAInto", got, want, gotOK)
+	}
+}
+
+// TestMatMulTransBSteadyStateAllocFree pins the a @ bᵀ scratch discipline:
+// the k-major copy of b comes from a free list, so a warm call allocates
+// nothing — with or without the race detector.
+func TestMatMulTransBSteadyStateAllocFree(t *testing.T) {
+	rng := mathx.NewRNG(33)
+	a := Randn(40, 24, 1, rng)
+	b := Randn(48, 24, 1, rng)
+	dst := New(40, 48)
+	MatMulTransBAddInto(dst, a, b) // warm the free list
+	if allocs := testing.AllocsPerRun(50, func() {
+		MatMulTransBInto(dst, a, b)
+		MatMulTransBAddInto(dst, a, b)
+	}); allocs != 0 {
+		t.Fatalf("warm MatMulTransB allocates %.1f times per call pair, want 0", allocs)
+	}
+}
