@@ -2,9 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare
+.PHONY: all build cross-build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
 
 all: build test
+
+# Non-test Go lines per package and in total — the number ROADMAP aim 2 and
+# the CHANGES.md entries of simplification PRs report before/after.
+# benchmark/ is a module of its own and is not counted.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' \
+		| xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 build:
 	$(GO) build ./...
@@ -61,8 +69,8 @@ bench-alloc:
 	$(GO) run ./cmd/taser-bench -exp alloc
 
 # Raw-speed floor: the three dense products on the 4×8 tile, AVX2 assembly vs
-# its Go twin, on the shapes a TASER step issues (ns/op, GFLOP/s), and the
-# quantized serving path's footprint, latency and MRR delta (DESIGN.md §13).
+# its Go twin, on the shapes a TASER step issues (ns/op, GFLOP/s; DESIGN.md
+# §13).
 bench-kernels:
 	$(GO) run ./cmd/taser-bench -exp kernels
 

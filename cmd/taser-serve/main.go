@@ -17,15 +17,10 @@
 // up where the previous one crashed — losing at most the unsynced WAL tail,
 // bounded by -wal-sync-every events.
 //
-// Endpoints (all JSON; see serve.NewHandler):
-//
-//	POST /v1/ingest   {"src":1,"dst":2,"t":123.5,"feat":[...]}   → {"events":N,"watermark":T}
-//	POST /v1/predict  {"src":1,"dst":2,"t":123.5}                → {"score":S,"version":V,"weights":W,"cached":B}
-//	POST /v1/embed    {"node":1,"t":123.5}                       → {"embedding":[...],"version":V,"weights":W,"cached":B}
-//	GET  /v1/stats                                               → engine counters and latency percentiles
-//
-// Out-of-order events are rejected with HTTP 409 and the current watermark
-// in the error body, so producers can resynchronize.
+// The endpoints (/v1/ingest, /v1/predict, /v1/embed, /v1/stats, /v1/healthz;
+// all JSON) and their status codes are serve.NewHandler's. Whatever the
+// topology, the process runs one sequence: recover → bootstrap → replay →
+// listen → drain, over a backend that is a single engine or a fleet.
 //
 // Sharding: -shards K (K > 1, requires -model graphmixer) partitions the node
 // space across K engines behind a consistent-hash router. Ingest routes each
@@ -60,13 +55,28 @@ import (
 
 	"taser/internal/datasets"
 	"taser/internal/finetune"
-	"taser/internal/models"
 	"taser/internal/overload"
 	"taser/internal/replica"
 	"taser/internal/sampler"
 	"taser/internal/serve"
+	"taser/internal/tensor"
+	"taser/internal/tgraph"
 	"taser/internal/train"
 )
+
+// backend is what the run sequence drives: the serving surface the HTTP
+// handler mounts plus the lifecycle *serve.Engine and *serve.Fleet share.
+type backend interface {
+	serve.Server
+	Recover() (serve.RecoveryReport, error)
+	Bootstrap(events []tgraph.Event, feats *tensor.Matrix) error
+	Close()
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers, on the API listener and the -repl-listen one alike: without it a
+// client that opens a socket and stalls holds a goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -84,9 +94,7 @@ func main() {
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max coalescing wait per micro-batch")
 		cacheSize = flag.Int("emb-cache", 4096, "embedding-cache capacity in nodes (0 disables)")
 		snapEvery = flag.Int("snapshot-every", 256, "publish a snapshot every k ingested events")
-		latWindow = flag.Int("latency-window", 0, "request latencies retained for P50/P99 stats (0 = default 4096)")
 		replay    = flag.Bool("replay", false, "replay the val/test split through ingest at startup")
-		quant     = flag.String("quant", "none", "serving weight quantization: none|f32|int8 (fine-tuning keeps f64 masters)")
 
 		walDir    = flag.String("wal-dir", "", "durable store directory: WAL + checkpoints (empty = durability off)")
 		walSync   = flag.Int("wal-sync-every", 0, "events per WAL group commit (0 = serve default 64; 1 = fsync every event)")
@@ -112,6 +120,12 @@ func main() {
 	flag.Parse()
 	explicit := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
+	// die exits with code 2 for a configuration error (caught before any work
+	// is done) and 1 for a failure of the work itself.
+	die := func(code int, err error) {
+		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
+		os.Exit(code)
+	}
 	if err := validateFlags(flagValues{
 		walDir: *walDir, replFrom: *replFrom, replListen: *replListen,
 		promote: *promote, ftOn: *ftOn, replay: *replay,
@@ -119,19 +133,12 @@ func main() {
 		sloP99: *sloP99, ovInterval: *ovInterval,
 		maxQueue: *maxQueue, ovCap: *ovCap,
 	}, explicit); err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(2)
-	}
-	quantMode, err := models.ParseQuantization(*quant)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(2)
+		die(2, err)
 	}
 
 	ds, ok := datasets.ByName(*dataset, *scale, *seed)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "taser-serve: unknown dataset %q\n", *dataset)
-		os.Exit(2)
+		die(2, fmt.Errorf("unknown dataset %q", *dataset))
 	}
 	fmt.Println(ds)
 
@@ -140,66 +147,85 @@ func main() {
 		Hidden: *hidden, BatchSize: *batch, Epochs: *epochs, N: *n, Seed: *seed,
 	}, ds)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		die(1, err)
+	}
+	// The model exists now, so the serving config can be checked before the
+	// first pretraining epoch instead of after the last (validateFlags already
+	// covered what -shards needs).
+	cfg := serve.Config{
+		Model: tr.Model, Pred: tr.Pred,
+		NumNodes: ds.Spec.NumNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
+		Budget: *n, Policy: sampler.MostRecent,
+		MaxBatch: *maxBatch, MaxWait: *maxWait,
+		CacheSize: *cacheSize, SnapshotEvery: *snapEvery,
+		Durability: serve.Durability{Dir: *walDir, SyncEvery: *walSync, CheckpointEvery: *ckptEvery},
+		Overload:   overload.Config{TargetP99: *sloP99, Interval: *ovInterval, MaxQueue: *maxQueue, Capacity: *ovCap},
+		Seed:       *seed,
+	}
+	if err := cfg.Validate(); err != nil {
+		die(2, err)
 	}
 	for e := 0; e < *epochs; e++ {
 		res := tr.TrainEpoch()
 		fmt.Printf("pretrain epoch %2d  loss=%.4f  (%.1fs)\n", e+1, res.MeanLoss, res.Duration.Seconds())
 	}
 
-	cfg := serve.Config{
-		Model: tr.Model, Pred: tr.Pred,
-		NumNodes: ds.Spec.NumNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
-		Budget: *n, Policy: sampler.MostRecent,
-		MaxBatch: *maxBatch, MaxWait: *maxWait,
-		CacheSize: *cacheSize, SnapshotEvery: *snapEvery, LatencyWindow: *latWindow,
-		FinetuneInterval: *ftInterval, ReplayWindow: *ftWindow,
-		Durability: serve.Durability{Dir: *walDir, SyncEvery: *walSync, CheckpointEvery: *ckptEvery},
-		Overload:   overload.Config{TargetP99: *sloP99, Interval: *ovInterval, MaxQueue: *maxQueue, Capacity: *ovCap},
-		Quantize:   quantMode,
-		Seed:       *seed,
-	}
+	// One backend, either shape. Replication and fine-tuning write into a
+	// single engine directly, so they attach only when engine is non-nil
+	// (validateFlags rejected them for -shards K>1).
+	var (
+		be     backend
+		engine *serve.Engine
+		fleet  *serve.Fleet
+	)
 	if *shards > 1 {
-		// The sharded plane has its own serving loop: per-shard WAL dirs,
-		// aggregate recovery, no replication/fine-tuning (validated above).
-		runFleet(cfg, ds, *shards, *addr, *walDir, *doRecover, *replay)
-		return
+		fleet, err = serve.NewFleet(serve.FleetConfig{Config: cfg, Shards: *shards})
+		be = fleet
+	} else {
+		engine, err = serve.New(cfg)
+		be = engine
 	}
-	engine, err := serve.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		die(1, err)
+	}
+	if fleet != nil {
+		fmt.Printf("sharded plane: %d engines on a consistent-hash ring (vnodes=%d/shard)\n", *shards, serve.DefaultVNodes)
 	}
 
-	// Recover the stream from the durable store when one exists; otherwise
-	// bootstrap with the training split. The rest of the stream arrives via
-	// /v1/ingest (or -replay for a self-contained demo). A recovered store
-	// already contains the bootstrap prefix (Bootstrap WAL-logs its events),
-	// so re-bootstrapping would double-ingest it.
+	// Recover the stream from the durable store when one exists (a fleet
+	// recovers every shard from <dir>/shard-i); otherwise bootstrap with the
+	// training split. The rest of the stream arrives via /v1/ingest (or
+	// -replay for a self-contained demo). A recovered store already contains
+	// the bootstrap prefix (Bootstrap WAL-logs its events), so
+	// re-bootstrapping would double-ingest it.
 	recovered := false
 	if *walDir != "" && *doRecover {
-		rep, err := engine.Recover()
+		rep, err := be.Recover()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: recover: %v\n", err)
-			os.Exit(1)
+			die(1, fmt.Errorf("recover: %w", err))
 		}
 		if rep.HasWatermark {
 			recovered = true
 			fmt.Printf("recovered %d events (checkpoint %d + replay %d, healed %d) to watermark t=%v, weights v%d in %v\n",
-				rep.CheckpointEvents+rep.ReplayedEvents, rep.CheckpointEvents, rep.ReplayedEvents,
+				rep.CheckpointEvents+rep.ReplayedEvents-int(rep.Teed), rep.CheckpointEvents, rep.ReplayedEvents,
 				rep.HealedEvents, rep.Watermark, rep.WeightVersion, rep.Duration.Round(time.Millisecond))
+			if len(rep.Shards) > 0 {
+				fmt.Printf("  across %d shards, the counts include %d teed copies\n", len(rep.Shards), rep.Teed)
+			}
+			for i, sr := range rep.Shards {
+				fmt.Printf("  shard %d: checkpoint %d + replay %d (healed %d), watermark t=%v\n",
+					i, sr.CheckpointEvents, sr.ReplayedEvents, sr.HealedEvents, sr.Watermark)
+			}
 		} else {
 			fmt.Printf("durable store %s is empty: fresh start\n", *walDir)
 		}
 	}
 	feats := ds.EdgeFeat
 	if !recovered && *replFrom == "" {
-		if err := engine.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: bootstrap: %v\n", err)
-			os.Exit(1)
+		if err := be.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
+			die(1, fmt.Errorf("bootstrap: %w", err))
 		}
-		wm, _ := engine.Watermark()
+		wm, _ := be.Watermark()
 		fmt.Printf("bootstrapped %d events (watermark t=%v)\n", ds.TrainEnd, wm)
 	}
 	if *replay && !recovered {
@@ -209,13 +235,17 @@ func main() {
 			if feats.Cols > 0 {
 				row = feats.Row(i)
 			}
-			if err := engine.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
-				fmt.Fprintf(os.Stderr, "taser-serve: replay: %v\n", err)
-				os.Exit(1)
+			if err := be.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
+				die(1, fmt.Errorf("replay: %w", err))
 			}
 		}
-		engine.PublishSnapshot() // serve the replayed tail immediately
-		wm, _ := engine.Watermark()
+		// Serve the replayed tail immediately.
+		if fleet != nil {
+			fleet.PublishSnapshot()
+		} else {
+			engine.PublishSnapshot()
+		}
+		wm, _ := be.Watermark()
 		fmt.Printf("replayed to watermark t=%v\n", wm)
 	}
 
@@ -230,8 +260,7 @@ func main() {
 			FailoverAfter: *failover, LagThreshold: *lagBound,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: replicate: %v\n", err)
-			os.Exit(1)
+			die(1, fmt.Errorf("replicate: %w", err))
 		}
 		st := follower.Status()
 		fmt.Printf("replicating from %s: %d events applied at start (leader synced %d)\n",
@@ -249,18 +278,18 @@ func main() {
 			NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
 			NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc,
 			Budget: *n, Policy: sampler.MostRecent,
+			Interval: *ftInterval, ReplayWindow: *ftWindow,
 			LR: *ftLR, Seed: *seed,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: finetune: %v\n", err)
-			os.Exit(1)
+			die(1, fmt.Errorf("finetune: %w", err))
 		}
 		tuner.Start()
 		fmt.Println("online fine-tuner attached (weights publish lock-free into serving)")
 	}
 
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting connections,
-	// finish in-flight handlers, and only then close the tuner and engine so
+	// finish in-flight handlers, and only then close the tuner and backend so
 	// every accepted micro-batch is served. A bare http.ListenAndServe would
 	// block until process kill and the deferred closes would never run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -268,11 +297,11 @@ func main() {
 	hc := serve.HandlerConfig{}
 	if follower != nil {
 		hc.LeaderURL = func() string { return *replFrom }
-		hc.StatsExtra = follower.StatsExtra
+		hc.Replication = follower.ReplicationStats
 		hc.Health = follower.Healthy
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/", serve.NewHandlerConfig(engine, hc))
+	mux.Handle("/", serve.NewHandlerConfig(be, hc))
 	if follower != nil {
 		mux.HandleFunc("POST /v1/repl/promote", func(w http.ResponseWriter, r *http.Request) {
 			follower.Promote()
@@ -281,16 +310,16 @@ func main() {
 		})
 	}
 	var replSrv *http.Server
-	if *walDir != "" {
-		// A durable node is a shippable log: mount the leader endpoints so
-		// replicas (and, after a promotion, the demoted ex-leader) can tail it.
+	if *walDir != "" && engine != nil {
+		// A durable engine is a shippable log: mount the leader endpoints so
+		// replicas (and, after a promotion, the demoted ex-leader) can tail
+		// it. A fleet ships no single log — each shard has its own.
 		leader, err := replica.NewLeader(engine)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		if *replListen != "" {
-			replSrv = &http.Server{Addr: *replListen, Handler: leader.Handler()}
+			replSrv = &http.Server{Addr: *replListen, Handler: leader.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 			go func() {
 				if err := replSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 					fmt.Fprintf(os.Stderr, "taser-serve: repl listener: %v\n", err)
@@ -301,7 +330,7 @@ func main() {
 			mux.Handle("GET /v1/repl/", leader.Handler())
 		}
 	}
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("serving on %s\n", *addr)
@@ -325,8 +354,20 @@ func main() {
 				fmt.Fprintf(os.Stderr, "taser-serve: fine-tuner stopped early: %s\n", st.Failed)
 			}
 		}
-		engine.Close() // flushes the WAL and writes the final checkpoint
-		if st := engine.Stats(); st.Durable {
+		be.Close() // drains in-flight ops, flushes the WAL(s) and writes the final checkpoint(s)
+		var st serve.Stats
+		if fleet != nil {
+			fs := fleet.Stats()
+			fmt.Printf("fleet: %d distinct events (+%d teed), %d requests (%d cross-shard, %d gather retries)\n",
+				fs.Events, fs.Teed, fs.Requests, fs.CrossShard, fs.GatherRetries)
+			for _, ss := range fs.Shards {
+				fmt.Printf("  shard %d: %d events, %d requests, snapshot v%d\n", ss.Shard, ss.Events, ss.Requests, ss.SnapshotVersion)
+			}
+			st = fs.Stats
+		} else {
+			st = engine.Stats()
+		}
+		if st.Durable {
 			fmt.Printf("durable store: %d events logged (%d synced, %d fsync batches, %d segments), %d checkpoints (last covers %d events, %d failed)\n",
 				st.WALAppended, st.WALSynced, st.WALSyncs, st.WALSegments,
 				st.Checkpoints, st.CheckpointEvents, st.CheckpointFails)
@@ -335,104 +376,11 @@ func main() {
 	select {
 	case err := <-errc: // listener failed before any signal
 		shutdown()
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
+		die(1, err)
 	case <-ctx.Done():
 	}
 	stop() // restore default signal handling: a second ^C kills immediately
-	fmt.Println("shutting down: draining HTTP connections, the fine-tuner and the engine")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: shutdown: %v\n", err)
-	}
-	shutdown()
-	fmt.Println("bye")
-}
-
-// runFleet is the sharded serving loop: K engines behind the consistent-hash
-// router, each with its own WAL directory under -wal-dir, served through the
-// same HTTP surface (the handler speaks serve.Server, which both the bare
-// engine and the fleet implement). Replication and fine-tuning are
-// single-engine features — validateFlags already rejected them for K>1.
-func runFleet(cfg serve.Config, ds *datasets.Dataset, shards int, addr, walDir string, doRecover, replay bool) {
-	fleet, err := serve.NewFleet(serve.FleetConfig{Config: cfg, Shards: shards})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("sharded plane: %d engines on a consistent-hash ring (vnodes=%d/shard)\n", shards, serve.DefaultVNodes)
-
-	recovered := false
-	if walDir != "" && doRecover {
-		rep, err := fleet.Recover()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: recover: %v\n", err)
-			os.Exit(1)
-		}
-		if _, has := fleet.Watermark(); has {
-			recovered = true
-			fmt.Printf("recovered %d distinct events (+%d teed copies) across %d shards, weights v%d in %v\n",
-				rep.Events, rep.Teed, shards, rep.WeightVersion, rep.Duration.Round(time.Millisecond))
-			for i, sr := range rep.Shards {
-				fmt.Printf("  shard %d: checkpoint %d + replay %d (healed %d), watermark t=%v\n",
-					i, sr.CheckpointEvents, sr.ReplayedEvents, sr.HealedEvents, sr.Watermark)
-			}
-		} else {
-			fmt.Printf("durable store %s is empty: fresh start\n", walDir)
-		}
-	}
-	feats := ds.EdgeFeat
-	if !recovered {
-		if err := fleet.Bootstrap(ds.Graph.Events[:ds.TrainEnd], feats.SliceRows(ds.TrainEnd)); err != nil {
-			fmt.Fprintf(os.Stderr, "taser-serve: bootstrap: %v\n", err)
-			os.Exit(1)
-		}
-		wm, _ := fleet.Watermark()
-		fmt.Printf("bootstrapped %d events (watermark t=%v)\n", ds.TrainEnd, wm)
-	}
-	if replay && !recovered {
-		for i := ds.TrainEnd; i < len(ds.Graph.Events); i++ {
-			ev := ds.Graph.Events[i]
-			var row []float64
-			if feats.Cols > 0 {
-				row = feats.Row(i)
-			}
-			if err := fleet.Ingest(ev.Src, ev.Dst, ev.Time, row); err != nil {
-				fmt.Fprintf(os.Stderr, "taser-serve: replay: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		fleet.PublishSnapshots()
-		wm, _ := fleet.Watermark()
-		fmt.Printf("replayed to watermark t=%v\n", wm)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{Addr: addr, Handler: serve.NewHandler(fleet)}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("serving on %s\n", addr)
-
-	shutdown := func() {
-		fleet.Close() // drains in-flight ops, then each shard checkpoints
-		st := fleet.Stats()
-		fmt.Printf("fleet: %d distinct events (+%d teed), %d requests (%d cross-shard, %d gather retries)\n",
-			st.Ingested, st.Teed, st.Requests, st.CrossShard, st.GatherRetries)
-		for i, ss := range st.Shards {
-			fmt.Printf("  shard %d: %d events, %d requests, snapshot v%d\n", i, ss.Events, ss.Requests, ss.SnapshotVersion)
-		}
-	}
-	select {
-	case err := <-errc:
-		shutdown()
-		fmt.Fprintf(os.Stderr, "taser-serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("shutting down: draining HTTP connections and the fleet")
+	fmt.Println("shutting down: draining HTTP connections, the fine-tuner and the backend")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {

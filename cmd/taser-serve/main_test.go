@@ -4,6 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"taser/internal/datasets"
+	"taser/internal/overload"
+	"taser/internal/serve"
+	"taser/internal/train"
 )
 
 // ok is a valid single-engine baseline every case below perturbs.
@@ -81,6 +86,59 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("validateFlags(%+v) = %v, want error containing %q", v, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestServeConfigValidate covers what validateFlags cannot see — values, not
+// flag combinations — through the check main runs as soon as the model
+// exists: a setting New would reject (or, before Validate, silently
+// misbehave on) must fail before pretraining, not after it.
+func TestServeConfigValidate(t *testing.T) {
+	ds := datasets.Wikipedia(0.02, 1)
+	tr, err := train.New(train.Config{
+		Model: train.ModelTGAT, Finder: train.FinderGPU, FinderPolicy: "recent", Hidden: 8, Seed: 1,
+	}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*serve.Config)
+		wantErr string // substring; "" = must pass
+	}{
+		{name: "flag defaults pass", mutate: func(c *serve.Config) {
+			c.MaxBatch, c.MaxWait, c.SnapshotEvery = 32, 2*time.Millisecond, 256
+		}},
+		{name: "zeros select defaults", mutate: func(c *serve.Config) {}},
+		{name: "overload on", mutate: func(c *serve.Config) {
+			c.Overload = overload.Config{TargetP99: 25 * time.Millisecond, MaxQueue: 64}
+		}},
+		{name: "negative max-batch", mutate: func(c *serve.Config) { c.MaxBatch = -1 }, wantErr: "MaxBatch"},
+		{name: "negative max-wait", mutate: func(c *serve.Config) { c.MaxWait = -time.Millisecond }, wantErr: "MaxWait"},
+		{name: "negative snapshot-every", mutate: func(c *serve.Config) { c.SnapshotEvery = -1 }, wantErr: "SnapshotEvery"},
+		{name: "negative overload capacity", mutate: func(c *serve.Config) {
+			c.Overload = overload.Config{MaxQueue: 8, Capacity: -1}
+		}, wantErr: "Capacity"},
+		{name: "no model", mutate: func(c *serve.Config) { c.Model = nil }, wantErr: "Model is required"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serve.Config{Model: tr.Model, Pred: tr.Pred, NumNodes: ds.Spec.NumNodes}
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+			}
+			if _, newErr := serve.New(cfg); newErr == nil {
+				t.Fatal("serve.New accepted a config Validate rejects")
 			}
 		})
 	}

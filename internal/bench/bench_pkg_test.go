@@ -160,8 +160,8 @@ func TestAllocSmoke(t *testing.T) {
 }
 
 func TestKernelsSmoke(t *testing.T) {
-	// Gut the timing loops: the smoke test checks wiring and the quantized
-	// path end to end, not measurement quality.
+	// Gut the timing loops: the smoke test checks wiring, not measurement
+	// quality.
 	oldBudget, oldRounds, oldSquares := kernelTimeBudget, kernelTimeRounds, kernelSquares
 	kernelTimeBudget, kernelTimeRounds, kernelSquares = time.Millisecond, 1, []int{64}
 	defer func() { kernelTimeBudget, kernelTimeRounds, kernelSquares = oldBudget, oldRounds, oldSquares }()
@@ -170,7 +170,7 @@ func TestKernelsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Dense products", "1389×73×73", "a@bᵀ", "64×64×64", "Quantized serving", "int8"} {
+	for _, want := range []string{"Dense products", "1389×73×73", "a@bᵀ", "64×64×64"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("kernels output missing %q:\n%s", want, out)
 		}

@@ -77,17 +77,9 @@ func LoadHTTP(o Options) error {
 	if err != nil {
 		return err
 	}
-	nodesF, err := statNum(st, "nodes")
-	if err != nil {
-		return err
-	}
-	watermark, err := statNum(st, "watermark")
-	if err != nil {
-		return err
-	}
-	numNodes := int(nodesF)
+	numNodes, watermark := st.Nodes, st.Watermark
 	fmt.Fprintf(o.Out, "server ready: %d nodes, %v events, watermark t=%v, weights v%v\n",
-		numNodes, st["events"], watermark, st["weight_version"])
+		numNodes, st.Events, watermark, st.WeightVersion)
 
 	clientsList := o.ServeClients
 	if len(clientsList) == 0 {
@@ -176,12 +168,7 @@ func loadHTTPShardSweep(o Options) error {
 		srv := httptest.NewServer(serve.NewHandler(fleet))
 		st, err := fetchStats(srv.URL)
 		if err == nil {
-			var nodesF, watermark float64
-			if nodesF, err = statNum(st, "nodes"); err == nil {
-				if watermark, err = statNum(st, "watermark"); err == nil {
-					err = shardSweepRows(o, srv.URL, K, int(nodesF), watermark, clientsList, reqs, rate)
-				}
-			}
+			err = shardSweepRows(o, srv.URL, K, st.Nodes, st.Watermark, clientsList, reqs, rate)
 		}
 		srv.Close()
 		fleet.Close()
@@ -218,44 +205,29 @@ func shardSweepRows(o Options, base string, K, numNodes int, watermark float64, 
 	if err != nil {
 		return err
 	}
-	teed, _ := statNum(after, "events_teed")
-	crossPred, _ := statNum(after, "cross_shard_predicts")
-	retries, _ := statNum(after, "gather_retries")
-	fmt.Fprintf(o.Out, "fleet: teed=%0.f cross_shard_predicts=%.0f gather_retries=%.0f\n", teed, crossPred, retries)
-	blocks, ok := after["shards"].([]any)
-	if !ok {
+	fmt.Fprintf(o.Out, "fleet: teed=%d cross_shard_predicts=%d gather_retries=%d\n",
+		after.Teed, after.CrossShard, after.GatherRetries)
+	if len(after.Shards) == 0 {
 		return fmt.Errorf("bench: /v1/stats has no shards[] — is the server a sharded taser-serve?")
 	}
-	var totalReq float64
-	deltas := make([]map[string]float64, len(blocks))
-	beforeBlocks, _ := before["shards"].([]any)
-	for i, b := range blocks {
-		blk, _ := b.(map[string]any)
-		d := map[string]float64{}
-		for _, key := range []string{"requests", "events", "batches"} {
-			v, err := statNum(blk, key)
-			if err != nil {
-				return err
-			}
-			if i < len(beforeBlocks) {
-				if bb, ok := beforeBlocks[i].(map[string]any); ok {
-					if pv, err := statNum(bb, key); err == nil && key == "requests" {
-						v -= pv // throughput share is about this sweep's traffic
-					}
-				}
-			}
-			d[key] = v
+	// Throughput share is about this sweep's traffic: requests are deltas
+	// against the pre-sweep stats, events and batches are totals.
+	sweepReqs := make([]uint64, len(after.Shards))
+	var totalReq uint64
+	for i, blk := range after.Shards {
+		sweepReqs[i] = blk.Requests
+		if i < len(before.Shards) {
+			sweepReqs[i] -= before.Shards[i].Requests
 		}
-		deltas[i] = d
-		totalReq += d["requests"]
+		totalReq += sweepReqs[i]
 	}
-	for i, d := range deltas {
+	for i, blk := range after.Shards {
 		share := 0.0
 		if totalReq > 0 {
-			share = 100 * d["requests"] / totalReq
+			share = 100 * float64(sweepReqs[i]) / float64(totalReq)
 		}
-		fmt.Fprintf(o.Out, "  shard %d: events=%.0f requests=%.0f (%.0f%% of fleet) batches=%.0f\n",
-			i, d["events"], d["requests"], share, d["batches"])
+		fmt.Fprintf(o.Out, "  shard %d: events=%d requests=%d (%.0f%% of fleet) batches=%d\n",
+			i, blk.Events, sweepReqs[i], share, blk.Batches)
 	}
 	fmt.Fprintln(o.Out)
 	return nil
@@ -272,10 +244,7 @@ func loadHTTPRow(o Options, base string, zipf *mathx.Alias, qt float64, clients,
 	// fixed base would land behind the previous row's stream). qt sits
 	// 1e9 past the bootstrap watermark, far above any tick reached here,
 	// so probe queries stay at-or-after every ingested event.
-	tick, err := statNum(before, "live_watermark")
-	if err != nil {
-		return err
-	}
+	tick := before.LiveWatermark
 	// One ingest producer: the watermark contract serializes writers, so a
 	// single monotone HTTP producer avoids artificial 409 churn.
 	stop := make(chan struct{})
@@ -359,26 +328,9 @@ func loadHTTPRow(o Options, base string, zipf *mathx.Alias, qt float64, clients,
 	}
 	// Server-side deltas for this row (the server is long-lived; absolute
 	// counters span every row and any prior traffic).
-	delta := func(key string) (float64, error) {
-		a, err := statNum(after, key)
-		if err != nil {
-			return 0, err
-		}
-		b, err := statNum(before, key)
-		return a - b, err
-	}
-	hits, err := delta("cache_hits")
-	if err != nil {
-		return err
-	}
-	misses, err := delta("cache_misses")
-	if err != nil {
-		return err
-	}
-	batches, err := delta("batches")
-	if err != nil {
-		return err
-	}
+	hits := float64(after.CacheHits - before.CacheHits)
+	misses := float64(after.CacheMisses - before.CacheMisses)
+	batches := float64(after.Batches - before.Batches)
 	roots := hits + misses // resolved roots this row ≈ hits + misses
 	hitRate := 0.0
 	if hits+misses > 0 {
@@ -391,13 +343,13 @@ func loadHTTPRow(o Options, base string, zipf *mathx.Alias, qt float64, clients,
 	fmt.Fprintf(o.Out, "%-8d %8.0f %9.2f %9.2f %9.1f %6.1f%% %8d %8v\n",
 		clients, float64(len(all))/elapsed.Seconds(),
 		stats.Quantile(all, 0.50)*1e3, stats.Quantile(all, 0.99)*1e3,
-		avgBatch, hitRate, ingested.Load(), after["weight_version"])
+		avgBatch, hitRate, ingested.Load(), after.WeightVersion)
 	return nil
 }
 
 // pollStats waits for the server to come up (it may still be pretraining)
 // and returns its first stats payload.
-func pollStats(base string, wait time.Duration) (map[string]any, error) {
+func pollStats(base string, wait time.Duration) (serve.FleetStats, error) {
 	deadline := time.Now().Add(wait)
 	for {
 		st, err := fetchStats(base)
@@ -405,25 +357,31 @@ func pollStats(base string, wait time.Duration) (map[string]any, error) {
 			return st, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: server at %s not ready after %v: %w", base, wait, err)
+			return st, fmt.Errorf("bench: server at %s not ready after %v: %w", base, wait, err)
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
 }
 
-// fetchStats GETs /v1/stats.
-func fetchStats(base string) (map[string]any, error) {
+// fetchStats GETs /v1/stats into the server's own wire type. FleetStats is a
+// superset of a single engine's Stats, so one decode reads either topology
+// (an engine's payload leaves Shards empty). A payload without a node count
+// is not a taser-serve's — e.g. -serve-addr pointed at something else.
+func fetchStats(base string) (serve.FleetStats, error) {
+	var st serve.FleetStats
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
-		return nil, err
+		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("bench: GET /v1/stats: %s", resp.Status)
+		return st, fmt.Errorf("bench: GET /v1/stats: %s", resp.Status)
 	}
-	var st map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
+		return st, err
+	}
+	if st.Nodes <= 0 {
+		return st, fmt.Errorf("bench: /v1/stats reports no nodes — is the server a current taser-serve?")
 	}
 	return st, nil
 }
@@ -431,17 +389,6 @@ func fetchStats(base string) (map[string]any, error) {
 // errStale marks an ingest rejected with HTTP 409 (behind the watermark);
 // the producer skips the event, any other failure aborts the row.
 var errStale = errors.New("bench: stale event (409)")
-
-// statNum extracts a numeric /v1/stats field, erroring (instead of
-// panicking on a type assertion) when the target server's schema lacks it —
-// e.g. -serve-addr pointed at something other than a current taser-serve.
-func statNum(st map[string]any, key string) (float64, error) {
-	v, ok := st[key].(float64)
-	if !ok {
-		return 0, fmt.Errorf("bench: /v1/stats has no numeric %q — is the server a current taser-serve?", key)
-	}
-	return v, nil
-}
 
 // postJSON POSTs body and decodes into out when non-nil; non-2xx is an
 // error, with 409 (stale ingest) distinguished as errStale.

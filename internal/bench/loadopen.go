@@ -299,10 +299,9 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 
 	// Surface the control plane's own account of the run when it has one.
 	if st, err := fetchStats(base); err == nil {
-		if ov, ok := st["overload"].(map[string]any); ok {
-			eb, _ := statNum(ov, "effective_max_batch")
-			ew, _ := statNum(ov, "effective_max_wait_us")
-			fmt.Fprintf(o.Out, "overload plane: effective_max_batch=%.0f effective_max_wait_us=%.0f\n", eb, ew)
+		if ov := st.Overload; ov != nil {
+			fmt.Fprintf(o.Out, "overload plane: effective_max_batch=%d effective_max_wait_us=%d\n",
+				ov.EffectiveMaxBatch, ov.EffectiveMaxWaitUS)
 		}
 	}
 	return nil

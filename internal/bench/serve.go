@@ -162,5 +162,5 @@ func serveRow(o Options, numNodes, edgeDim int, tr *train.Trainer, clients, cach
 	return fmt.Sprintf("%-8d %-7s %8.0f %9.2f %9.2f %9.1f %6.1f%% %6d %6d\n",
 		clients, cacheLabel, qps,
 		float64(st.P50.Microseconds())/1000, float64(st.P99.Microseconds())/1000,
-		st.AvgBatch(), 100*st.CacheHitRate(), st.SnapshotVersion, ingested.Load()), nil
+		st.AvgBatch, 100*st.CacheHitRate, st.SnapshotVersion, ingested.Load()), nil
 }

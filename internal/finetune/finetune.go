@@ -32,8 +32,7 @@ import (
 	"taser/internal/train"
 )
 
-// Defaults used when neither Config nor the engine's FinetuneHints set a
-// value.
+// Defaults used when Config leaves a value zero.
 const (
 	DefaultInterval     = 250 * time.Millisecond
 	DefaultReplayWindow = 2048
@@ -59,8 +58,8 @@ type Config struct {
 	Policy sampler.Policy   // static sampling policy (default MostRecent, as serving)
 	Finder train.FinderKind // "" = FinderGPU
 
-	Interval     time.Duration // round cadence (0 = engine hint, then DefaultInterval)
-	ReplayWindow int           // freshest events replayed per round (0 = engine hint, then DefaultReplayWindow)
+	Interval     time.Duration // round cadence (default DefaultInterval)
+	ReplayWindow int           // freshest events replayed per round (default DefaultReplayWindow)
 	BatchSize    int           // events per fine-tune step (default 128)
 	Passes       int           // optimizer passes over each round's window (default 1; >1 = experience replay)
 	LR           float64       // default 1e-4 (train.FineTuner's default)
@@ -129,15 +128,8 @@ func New(cfg Config) (*Tuner, error) {
 	if cfg.NumNodes <= 0 {
 		return nil, fmt.Errorf("finetune: Config.NumNodes must be positive")
 	}
-	hintInterval, hintWindow := cfg.Engine.FinetuneHints()
-	if cfg.Interval == 0 {
-		cfg.Interval = hintInterval
-	}
 	if cfg.Interval == 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.ReplayWindow == 0 {
-		cfg.ReplayWindow = hintWindow
 	}
 	if cfg.ReplayWindow == 0 {
 		cfg.ReplayWindow = DefaultReplayWindow

@@ -28,7 +28,7 @@ func newStack(t *testing.T, ds *datasets.Dataset, cacheSize int) (*serve.Engine,
 		NumNodes: ds.Spec.NumNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
 		Budget: 5, Policy: sampler.MostRecent, CacheSize: cacheSize,
 		MaxBatch: 8, MaxWait: 200 * time.Microsecond, SnapshotEvery: 64,
-		FinetuneInterval: 5 * time.Millisecond, ReplayWindow: 256, Seed: 3,
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +39,7 @@ func newStack(t *testing.T, ds *datasets.Dataset, cacheSize int) (*serve.Engine,
 		NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
 		NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc,
 		Budget: 5, Policy: sampler.MostRecent,
+		Interval: 5 * time.Millisecond, ReplayWindow: 256,
 		BatchSize: 32, Seed: 29,
 	})
 	if err != nil {

@@ -34,17 +34,6 @@ func CaptureWeights(version uint64, mods ...nn.Module) *WeightSet {
 	return w
 }
 
-// Clone returns an independent deep copy of the set, same version. Used
-// when one captured master fans out to engines that may each quantize (and
-// therefore must not share) their stored copy.
-func (w *WeightSet) Clone() *WeightSet {
-	c := &WeightSet{Version: w.Version, Params: make([]*tensor.Matrix, len(w.Params))}
-	for i, p := range w.Params {
-		c.Params[i] = p.Clone()
-	}
-	return c
-}
-
 // LoadInto copies the snapshot's values into the parameters of mods
 // (gradients are untouched). The module list must present the same
 // parameter count and shapes the set was captured from.

@@ -138,26 +138,44 @@ func (c *Controller) observe(p99 time.Duration) Decision {
 	}
 }
 
-// ControllerStats is the controller's point-in-time summary.
+// ControllerStats is the controller's point-in-time summary and the
+// "controller" block of /v1/stats. MaxBatch/MaxWait stay off the wire: the
+// enclosing overload block reports them as its effective values.
 type ControllerStats struct {
-	TargetP99       time.Duration
-	MaxBatch        int           // current effective batch ceiling
-	MaxWait         time.Duration // current effective coalescing wait
-	Tightened       uint64
-	Relaxed         uint64
-	Held            uint64
-	DecisionsPerSec float64 // decision rate since the controller started
+	TargetP99       time.Duration `json:"-"`
+	TargetP99US     int64         `json:"target_p99_us"` // TargetP99 on the wire
+	MaxBatch        int           `json:"-"`             // current effective batch ceiling
+	MaxWait         time.Duration `json:"-"`             // current effective coalescing wait
+	Tightened       uint64        `json:"tightened"`
+	Relaxed         uint64        `json:"relaxed"`
+	Held            uint64        `json:"held"`
+	DecisionsPerSec float64       `json:"decisions_per_sec"` // decision rate since the controller started
+}
+
+// Merge folds another engine's controller into s (the fleet view): decision
+// counters and rates sum, the effective values report the most-tightened
+// shard, and the target — one config for every shard — folds by max.
+func (s *ControllerStats) Merge(o ControllerStats) {
+	s.TargetP99 = max(s.TargetP99, o.TargetP99)
+	s.TargetP99US = max(s.TargetP99US, o.TargetP99US)
+	s.MaxBatch = min(s.MaxBatch, o.MaxBatch)
+	s.MaxWait = min(s.MaxWait, o.MaxWait)
+	s.Tightened += o.Tightened
+	s.Relaxed += o.Relaxed
+	s.Held += o.Held
+	s.DecisionsPerSec += o.DecisionsPerSec
 }
 
 // Stats snapshots the controller.
 func (c *Controller) Stats() ControllerStats {
 	st := ControllerStats{
-		TargetP99: c.cfg.TargetP99,
-		MaxBatch:  c.MaxBatch(),
-		MaxWait:   c.MaxWait(),
-		Tightened: c.tightened.Load(),
-		Relaxed:   c.relaxed.Load(),
-		Held:      c.held.Load(),
+		TargetP99:   c.cfg.TargetP99,
+		TargetP99US: c.cfg.TargetP99.Microseconds(),
+		MaxBatch:    c.MaxBatch(),
+		MaxWait:     c.MaxWait(),
+		Tightened:   c.tightened.Load(),
+		Relaxed:     c.relaxed.Load(),
+		Held:        c.held.Load(),
 	}
 	if el := time.Since(c.start).Seconds(); el > 0 {
 		st.DecisionsPerSec = float64(st.Tightened+st.Relaxed+st.Held) / el

@@ -202,25 +202,57 @@ func (g *Gate) Close() {
 
 // LaneStats is one lane's point-in-time admission summary.
 type LaneStats struct {
-	Queued    int    // waiters blocked in the lane right now
-	InService int    // admitted through the lane and still in service
-	Admitted  uint64 // total admissions
-	Shed      uint64 // total rejections (ErrOverload)
+	Queued    int    `json:"queued"`     // waiters blocked in the lane right now
+	InService int    `json:"in_service"` // admitted through the lane and still in service
+	Admitted  uint64 `json:"admitted"`   // total admissions
+	Shed      uint64 `json:"shed"`       // total rejections (ErrOverload)
 }
 
-// GateStats is the gate's point-in-time summary.
+// Merge folds another gate's lane into s: every field sums.
+func (s *LaneStats) Merge(o LaneStats) {
+	s.Queued += o.Queued
+	s.InService += o.InService
+	s.Admitted += o.Admitted
+	s.Shed += o.Shed
+}
+
+// GateStats is the gate's point-in-time summary and the "gate" block of
+// /v1/stats, where the lanes appear keyed by name after the scalars.
 type GateStats struct {
-	Capacity    int
-	MaxQueue    int     // per-lane queue bound
-	InService   int     // slots in use across all lanes
-	ServiceRate float64 // completions/sec from the Retry-After EWMA (0 until measured)
-	Lanes       [NumLanes]LaneStats
+	Capacity    int                  `json:"capacity"`
+	MaxQueue    int                  `json:"max_queue"`    // per-lane queue bound
+	InService   int                  `json:"in_service"`   // slots in use across all lanes
+	ServiceRate float64              `json:"service_rate"` // completions/sec from the Retry-After EWMA (0 until measured)
+	Lanes       [NumLanes]LaneStats  `json:"-"`
+	ByName      map[string]LaneStats `json:"lanes"` // Lanes on the wire, keyed by Lane.String
+}
+
+// Merge folds another engine's gate into s (the fleet view): capacities,
+// occupancy, rates and every lane sum; the per-lane queue bound — one config
+// for every shard — folds by max.
+func (s *GateStats) Merge(o GateStats) {
+	s.Capacity += o.Capacity
+	s.MaxQueue = max(s.MaxQueue, o.MaxQueue)
+	s.InService += o.InService
+	s.ServiceRate += o.ServiceRate
+	for l := range s.Lanes {
+		s.Lanes[l].Merge(o.Lanes[l])
+	}
+	s.nameLanes()
+}
+
+// nameLanes fills the wire form of Lanes. It always builds a fresh map, so
+// copies of a GateStats may share one safely.
+func (s *GateStats) nameLanes() {
+	s.ByName = make(map[string]LaneStats, NumLanes)
+	for l, ls := range s.Lanes {
+		s.ByName[Lane(l).String()] = ls
+	}
 }
 
 // Stats snapshots the gate.
 func (g *Gate) Stats() GateStats {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	st := GateStats{Capacity: g.cfg.Capacity, MaxQueue: g.cfg.MaxQueue, InService: g.totalIn}
 	if g.svcEWMA > 0 {
 		st.ServiceRate = 1 / g.svcEWMA
@@ -233,5 +265,7 @@ func (g *Gate) Stats() GateStats {
 			Shed:      g.shed[l],
 		}
 	}
+	g.mu.Unlock()
+	st.nameLanes()
 	return st
 }

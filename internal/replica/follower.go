@@ -654,23 +654,18 @@ func (f *Follower) staleBound() time.Duration {
 	return 5 * f.cfg.PollInterval
 }
 
-// StatsExtra is the serve.HandlerConfig.StatsExtra hook: replication fields
-// merged into /v1/stats.
-func (f *Follower) StatsExtra() map[string]any {
+// ReplicationStats is the serve.HandlerConfig.Replication hook: the
+// replication block of /v1/stats.
+func (f *Follower) ReplicationStats() serve.ReplicationStats {
 	st := f.Status()
 	role := "follower"
 	if st.State == StatePromoted {
 		role = "leader"
 	}
-	return map[string]any{
-		"repl_role":        role,
-		"repl_state":       st.State.String(),
-		"repl_applied":     st.Applied,
-		"repl_leader_seq":  st.LeaderSeq,
-		"repl_lag":         st.Lag,
-		"repl_polls":       st.Polls,
-		"repl_fault_polls": st.FaultPolls,
-		"repl_dup_records": st.DupRecords,
+	return serve.ReplicationStats{
+		Role: role, State: st.State.String(),
+		Applied: st.Applied, LeaderSeq: st.LeaderSeq, Lag: st.Lag,
+		Polls: st.Polls, FaultPolls: st.FaultPolls, DupRecords: st.DupRecords,
 	}
 }
 

@@ -4,14 +4,35 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"taser/internal/overload"
 )
+
+// failingServer is an engine whose serving calls all fail with err — how the
+// status-code cases below put errors an idle test engine never raises (a
+// closed engine, a failed store, a diverged gather) behind the real handler.
+type failingServer struct {
+	*Engine
+	err error
+}
+
+func (s failingServer) Ingest(src, dst int32, t float64, feat []float64) error { return s.err }
+func (s failingServer) PredictLink(src, dst int32, t float64) (PredictResult, error) {
+	return PredictResult{}, s.err
+}
+func (s failingServer) Embed(node int32, t float64) (EmbedResult, error) {
+	return EmbedResult{}, s.err
+}
 
 // TestHandlerEndpoints exercises the HTTP/JSON surface end to end over a
 // real loopback listener: ingest (including the 409 stale contract), predict
-// and embed (including the served snapshot/weight versions), and stats.
+// and embed (including the served snapshot/weight versions), stats, the body
+// size bound, and the one error → status table the three POST handlers share.
 func TestHandlerEndpoints(t *testing.T) {
 	e, ds := newWeightTestEngine(t, 64)
 	srv := httptest.NewServer(NewHandler(e))
@@ -89,19 +110,82 @@ func TestHandlerEndpoints(t *testing.T) {
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d", r2.StatusCode)
 	}
+
+	// Oversized body: 413 before the decoder buffers it, and nothing admitted.
+	eventsBefore, wmBefore := e.NumEvents(), wm+1
+	huge := `{"src":1,"dst":2,"t":1e18,"feat":[` + strings.Repeat("0,", maxBodyBytes/2) + `0]}`
+	r3, err := http.Post(srv.URL+"/v1/ingest", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3.Body.Close()
+	if r3.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest body: %d, want 413", r3.StatusCode)
+	}
+	if got, _ := e.Watermark(); e.NumEvents() != eventsBefore || got != wmBefore {
+		t.Fatalf("oversized ingest changed the stream: %d events at t=%v, want %d at t=%v",
+			e.NumEvents(), got, eventsBefore, wmBefore)
+	}
+
+	// Client errors the engine itself raises: 400 from every handler.
+	for path, body := range map[string]map[string]any{
+		"/v1/ingest":  {"src": 1, "dst": 2, "t": wm + 5, "feat": []float64{1}}, // wrong feature width
+		"/v1/predict": {"src": -1, "dst": 2, "t": wm + 5},
+		"/v1/embed":   {"node": ds.Spec.NumNodes, "t": wm + 5},
+	} {
+		if code, out := post(path, body); code != http.StatusBadRequest || out["error"] == nil {
+			t.Fatalf("%s with a bad argument: %d %v, want 400", path, code, out)
+		}
+	}
+
+	// Every other error class, through all three handlers: the status comes
+	// from one table, whichever call failed.
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{errors.New("serve: node id out of range"), http.StatusBadRequest},
+		{&ShardError{Shard: 1, Err: fmt.Errorf("%w: behind t=3", ErrStaleEvent)}, http.StatusConflict},
+		{fmt.Errorf("%w: ingest", ErrReadOnly), http.StatusMisdirectedRequest},
+		{&overload.RejectedError{Lane: overload.LaneIngest, Depth: 4}, http.StatusTooManyRequests},
+		{ErrClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: disk full", ErrDurability), http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: shard 0 at v2, shard 1 at v3", ErrGather), http.StatusServiceUnavailable},
+	} {
+		fsrv := httptest.NewServer(NewHandler(failingServer{Engine: e, err: tc.err}))
+		for _, path := range []string{"/v1/ingest", "/v1/predict", "/v1/embed"} {
+			resp, err := http.Post(fsrv.URL+path, "application/json", strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s failing with %q: status %d, want %d", path, tc.err, resp.StatusCode, tc.want)
+			}
+		}
+		fsrv.Close()
+	}
+
+	// The SIGTERM drain, for real: a closed engine answers 503, not 400.
+	e.Close()
+	for _, path := range []string{"/v1/predict", "/v1/embed"} {
+		if code, out := post(path, map[string]any{"src": 1, "dst": 2, "node": 1, "t": wm + 5}); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s after Close: %d %v, want 503", path, code, out)
+		}
+	}
 }
 
 // TestHandlerReplicaSurface exercises the replication-aware HTTP surface: a
 // read-only engine answers ingest with 421 + the leader's URL, /v1/healthz
 // reflects role, writability and the injected readiness predicate, and
-// /v1/stats carries read_only, checkpoint age and the merged extra fields.
+// /v1/stats carries read_only, checkpoint age and the replication block.
 func TestHandlerReplicaSurface(t *testing.T) {
 	e, _ := newWeightTestEngine(t, 0)
 	var healthErr error
 	srv := httptest.NewServer(NewHandlerConfig(e, HandlerConfig{
-		LeaderURL:  func() string { return "http://leader.example:8191" },
-		StatsExtra: func() map[string]any { return map[string]any{"repl_lag": 7} },
-		Health:     func() error { return healthErr },
+		LeaderURL:   func() string { return "http://leader.example:8191" },
+		Replication: func() ReplicationStats { return ReplicationStats{Role: "follower", Lag: 7} },
+		Health:      func() error { return healthErr },
 	}))
 	defer srv.Close()
 
@@ -160,15 +244,23 @@ func TestHandlerReplicaSurface(t *testing.T) {
 	}
 	healthErr = nil
 
-	code, st := getJSON("/v1/stats")
-	if code != http.StatusOK || st["read_only"] != true {
-		t.Fatalf("stats read_only: %d %v", code, st["read_only"])
+	resp, err = http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st["repl_lag"].(float64) != 7 {
-		t.Fatalf("stats extra not merged: %v", st["repl_lag"])
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
 	}
-	if st["checkpoint_age_ms"].(float64) != -1 {
-		t.Fatalf("non-durable engine should report checkpoint age -1, got %v", st["checkpoint_age_ms"])
+	if !st.ReadOnly {
+		t.Fatal("stats read_only false on a read-only engine")
+	}
+	if st.ReplicationStats == nil || st.Lag != 7 || st.Role != "follower" {
+		t.Fatalf("replication block not attached: %+v", st.ReplicationStats)
+	}
+	if st.CheckpointAgeMS != -1 {
+		t.Fatalf("non-durable engine should report checkpoint age -1, got %v", st.CheckpointAgeMS)
 	}
 }
 

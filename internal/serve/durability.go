@@ -39,7 +39,8 @@ type Durability struct {
 	FS              wal.FS // file-op layer (default wal.OSFS; tests inject wal.FaultFS)
 }
 
-// RecoveryReport summarizes what Recover rebuilt.
+// RecoveryReport summarizes what Recover rebuilt — an engine's stream, or a
+// fleet's (Fleet.Recover), whose report also carries one per shard.
 type RecoveryReport struct {
 	CheckpointEvents int           // events restored from the newest valid checkpoint
 	ReplayedEvents   int           // events replayed from the WAL suffix past the checkpoint
@@ -48,6 +49,11 @@ type RecoveryReport struct {
 	Watermark        float64       // ingest watermark after recovery (meaningful iff HasWatermark)
 	HasWatermark     bool          // false when the durable store held no events
 	Duration         time.Duration // wall time of the whole recovery
+
+	// Fleet only (zero for a single engine): the event counts above then sum
+	// the shards', so they include Teed cross-shard copies.
+	Teed   uint64
+	Shards []RecoveryReport
 }
 
 // Recover rebuilds the engine's stream from the durable store: the newest

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -92,7 +93,6 @@ type Fleet struct {
 type FleetConfig struct {
 	Config
 	Shards int // engine count K (default 1)
-	VNodes int // virtual points per shard on the hash ring (default DefaultVNodes)
 }
 
 // ShardError attributes a fleet failure to the shard that raised it; it
@@ -127,7 +127,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			"so multi-hop backbones (TGAT) would silently read incomplete hop-2 neighborhoods",
 			cfg.Shards, base.Model.NumLayers())
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes, base.Seed)
+	ring, err := NewRing(cfg.Shards, DefaultVNodes, base.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		preds:         map[uint64]*models.EdgePredictor{1: base.Pred.Clone()},
 		routerVersion: 1,
 	}
-	f.lat.init(base.LatencyWindow)
+	f.lat.init(latencyWindow)
 	for i := 0; i < cfg.Shards; i++ {
 		sc := base
 		sc.Model = base.Model.Clone()
@@ -361,6 +361,12 @@ func (f *Fleet) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 	return res, err
 }
 
+// ErrGather wraps a cross-shard prediction the router could not score: the two
+// owners kept reporting different weight versions (a publisher racing every
+// attempt), or the version they agreed on has no router replica. It is the
+// server's failure, not the request's — the HTTP layer answers 503.
+var ErrGather = errors.New("serve: cross-shard gather failed")
+
 // gatherAttempts bounds the weight-version convergence loop of a cross-shard
 // prediction. Each retry is itself a request to the lagging shard, whose
 // flush applies the pending weight set before serving it — so one retry
@@ -405,8 +411,8 @@ func (f *Fleet) predictLink(src, dst int32, t float64) (PredictResult, error) {
 		f.gatherRetries.Add(1)
 		if attempt >= gatherAttempts {
 			return PredictResult{}, fmt.Errorf(
-				"serve: cross-shard gather did not converge on one weight version (shard %d at v%d, shard %d at v%d)",
-				ss, ra.Weights, sd, rb.Weights)
+				"%w: did not converge on one weight version (shard %d at v%d, shard %d at v%d)",
+				ErrGather, ss, ra.Weights, sd, rb.Weights)
 		}
 	}
 }
@@ -420,7 +426,7 @@ func (f *Fleet) scorePair(srcEmb, dstEmb []float64, version uint64) (float64, er
 	pred := f.preds[version]
 	f.predMu.RUnlock()
 	if pred == nil {
-		return 0, fmt.Errorf("serve: no router predictor for weight version %d", version)
+		return 0, fmt.Errorf("%w: no router predictor for weight version %d", ErrGather, version)
 	}
 	d := f.cfg.Model.HiddenDim()
 	m := tensor.New(2, d)
@@ -487,9 +493,9 @@ func (f *Fleet) installRouterPred(w *models.WeightSet) error {
 	return nil
 }
 
-// PublishSnapshots forces an immediate snapshot publication on every shard
+// PublishSnapshot forces an immediate snapshot publication on every shard
 // (the fleet analogue of Engine.PublishSnapshot, e.g. after a bulk replay).
-func (f *Fleet) PublishSnapshots() {
+func (f *Fleet) PublishSnapshot() {
 	if err := f.enter(); err != nil {
 		return
 	}
@@ -544,45 +550,52 @@ func (f *Fleet) DurableErr() error {
 	return nil
 }
 
-// FleetStats is a point-in-time summary of the fleet: per-shard engine stats
-// plus the fleet-level routing counters.
+// FleetStats is a point-in-time summary of the fleet and its /v1/stats
+// payload: the routing counters, then the shards' Stats folded into one view
+// under the keys a standalone engine reports (Stats.Merge has the rules), then
+// every shard's own block. Three fields of the merged view are the router's,
+// not a fold: Requests and P50/P99 count and time fleet-level calls —
+// scatter/gather overhead included, which no shard sees — and Events is the
+// distinct count (the shards' sum, teed copies included, is SnapshotEvents).
 type FleetStats struct {
-	Shards []Stats
+	ShardCount     int    `json:"shard_count"`
+	Teed           uint64 `json:"events_teed"` // cross-shard duplicates (Events counts each event once)
+	CrossShard     uint64 `json:"cross_shard_predicts"`
+	GatherRetries  uint64 `json:"gather_retries"`        // embeds re-requested to converge weight versions
+	SnapshotEvents int    `json:"snapshot_events_total"` // events across the shards' published snapshots
+	Stats
+	Shards []ShardStats `json:"shards"`
+}
 
-	Ingested uint64 // distinct events admitted
-	Teed     uint64 // cross-shard duplicates (dedup accounting: Ingested counts each event once)
-
-	Requests      uint64 // fleet-level serving calls
-	CrossShard    uint64 // predictions that scattered across two shards
-	GatherRetries uint64 // embeds re-requested to converge weight versions
-
-	P50, P99 time.Duration // fleet-level, scatter/gather overhead included
+// ShardStats is one shard's block of FleetStats: its engine's Stats (WAL
+// counters and checkpoint age are per-shard by construction — every shard
+// runs its own log and checkpoint cadence) labeled with its index.
+type ShardStats struct {
+	Shard int `json:"shard"`
+	Stats
 }
 
 // Stats snapshots the fleet's counters and every shard's.
 func (f *Fleet) Stats() FleetStats {
 	st := FleetStats{
-		Ingested:      f.ingested.Load(),
+		ShardCount:    len(f.shards),
 		Teed:          f.teed.Load(),
-		Requests:      f.requests.Load(),
 		CrossShard:    f.crossShard.Load(),
 		GatherRetries: f.gatherRetries.Load(),
-		P50:           f.lat.quantile(0.50),
-		P99:           f.lat.quantile(0.99),
 	}
-	for _, s := range f.shards {
-		st.Shards = append(st.Shards, s.Stats())
+	for i, s := range f.shards {
+		st.Shards = append(st.Shards, ShardStats{Shard: i, Stats: s.Stats()})
 	}
+	st.Stats = st.Shards[0].Stats
+	for _, ss := range st.Shards[1:] {
+		st.Merge(ss.Stats)
+	}
+	st.SnapshotEvents = st.Events
+	st.Events = int(f.ingested.Load())
+	st.Requests = f.requests.Load()
+	st.P50, st.P99 = f.lat.quantile(0.50), f.lat.quantile(0.99)
+	st.derive(time.Now())
 	return st
-}
-
-// FleetRecoveryReport aggregates the shards' recovery reports.
-type FleetRecoveryReport struct {
-	Shards        []RecoveryReport
-	Events        int    // distinct events restored fleet-wide
-	Teed          uint64 // cross-shard duplicates restored
-	WeightVersion uint64 // weight version every shard serves after leveling
-	Duration      time.Duration
 }
 
 // Recover restores every shard independently from its own WAL directory
@@ -601,10 +614,12 @@ type FleetRecoveryReport struct {
 //     also recomputes the distinct/teed counters (an event's canonical copy
 //     is the one on Owner(dst)).
 //
-// Like Engine.Recover, it must run on a freshly built Fleet before any
-// traffic.
-func (f *Fleet) Recover() (FleetRecoveryReport, error) {
-	var rep FleetRecoveryReport
+// The report carries every shard's own under Shards; its event counts are
+// their sums (teed copies included, Teed of them), its watermark the fleet's
+// and its weight version the one every shard serves after leveling. Like
+// Engine.Recover, it must run on a freshly built Fleet before any traffic.
+func (f *Fleet) Recover() (RecoveryReport, error) {
+	var rep RecoveryReport
 	if err := f.enter(); err != nil {
 		return rep, err
 	}
@@ -616,6 +631,9 @@ func (f *Fleet) Recover() (FleetRecoveryReport, error) {
 			return rep, &ShardError{Shard: i, Err: err}
 		}
 		rep.Shards = append(rep.Shards, r)
+		rep.CheckpointEvents += r.CheckpointEvents
+		rep.ReplayedEvents += r.ReplayedEvents
+		rep.HealedEvents += r.HealedEvents
 	}
 
 	var maxW *models.WeightSet
@@ -658,8 +676,8 @@ func (f *Fleet) Recover() (FleetRecoveryReport, error) {
 	}
 	f.ingested.Store(uint64(distinct))
 	f.teed.Store(uint64(total - distinct))
-	rep.Events = distinct
 	rep.Teed = uint64(total - distinct)
+	rep.Watermark, rep.HasWatermark = f.Watermark()
 	rep.Duration = time.Since(start)
 	return rep, nil
 }

@@ -121,7 +121,7 @@ func TestFleetK1MatchesEngine(t *testing.T) {
 	}
 
 	eng.PublishSnapshot()
-	fl.PublishSnapshots()
+	fl.PublishSnapshot()
 	qt := ewm + 1
 	for i := 0; i < 30; i++ {
 		ev := events[i*len(events)/30]
@@ -290,7 +290,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	}
 
 	eng.PublishSnapshot()
-	fl.PublishSnapshots()
+	fl.PublishSnapshot()
 	qt := ewm + 1
 	var cross, local int
 	for i := 0; i < len(events) && (cross < 15 || local < 15); i++ {
@@ -522,61 +522,48 @@ func TestFleetStatsHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st map[string]any
+	var st FleetStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	num := func(m map[string]any, k string) float64 {
-		t.Helper()
-		v, ok := m[k].(float64)
-		if !ok {
-			t.Fatalf("stats[%q] = %v (%T), want number", k, m[k], m[k])
-		}
-		return v
-	}
-	if got, want := num(st, "events"), float64(half+2); got != want {
+	if got, want := st.Events, half+2; got != want {
 		t.Fatalf("merged events %v, want %v distinct", got, want)
 	}
-	if num(st, "events_teed") < 1 {
-		t.Fatalf("events_teed %v, want ≥ 1", st["events_teed"])
+	if st.Teed < 1 {
+		t.Fatalf("events_teed %v, want ≥ 1", st.Teed)
 	}
-	if num(st, "cross_shard_predicts") < 1 {
-		t.Fatalf("cross_shard_predicts %v, want ≥ 1", st["cross_shard_predicts"])
+	if st.CrossShard < 1 {
+		t.Fatalf("cross_shard_predicts %v, want ≥ 1", st.CrossShard)
 	}
-	if num(st, "shard_count") != K {
-		t.Fatalf("shard_count %v, want %d", st["shard_count"], K)
+	if st.ShardCount != K {
+		t.Fatalf("shard_count %v, want %d", st.ShardCount, K)
 	}
-	if st["durable"] != true {
-		t.Fatalf("merged durable %v, want true", st["durable"])
+	if !st.Durable {
+		t.Fatal("merged durable false, want true")
 	}
-	blocks, ok := st["shards"].([]any)
-	if !ok || len(blocks) != K {
-		t.Fatalf("shards[] = %v, want %d blocks", st["shards"], K)
+	if len(st.Shards) != K {
+		t.Fatalf("shards[] has %d blocks, want %d", len(st.Shards), K)
 	}
-	var walSum float64
-	for i, b := range blocks {
-		blk, ok := b.(map[string]any)
-		if !ok {
-			t.Fatalf("shard block %d is %T", i, b)
-		}
-		if num(blk, "shard") != float64(i) {
-			t.Fatalf("shard block %d labeled %v", i, blk["shard"])
+	var walSum uint64
+	for i, blk := range st.Shards {
+		if blk.Shard != i {
+			t.Fatalf("shard block %d labeled %v", i, blk.Shard)
 		}
 		// Per-shard durability telemetry: every shard ran a bootstrap
 		// checkpoint, so age is a real (non-sentinel) value.
-		if num(blk, "checkpoint_age_ms") < 0 {
-			t.Fatalf("shard %d checkpoint_age_ms %v, want ≥ 0", i, blk["checkpoint_age_ms"])
+		if blk.CheckpointAgeMS < 0 {
+			t.Fatalf("shard %d checkpoint_age_ms %v, want ≥ 0", i, blk.CheckpointAgeMS)
 		}
-		if num(blk, "wal_appended") <= 0 {
-			t.Fatalf("shard %d wal_appended %v, want > 0", i, blk["wal_appended"])
+		if blk.WALAppended == 0 {
+			t.Fatalf("shard %d wal_appended %v, want > 0", i, blk.WALAppended)
 		}
-		walSum += num(blk, "wal_appended")
+		walSum += blk.WALAppended
 	}
-	if got := num(st, "wal_appended"); got != walSum {
+	if got := st.WALAppended; got != walSum {
 		t.Fatalf("merged wal_appended %v, want per-shard sum %v", got, walSum)
 	}
 	// The tee means physical appends exceed distinct events.
-	if walSum < float64(half+2)+1 {
+	if walSum < uint64(half+2)+1 {
 		t.Fatalf("wal appends %v do not reflect the tee (distinct %d)", walSum, half+2)
 	}
 
@@ -800,7 +787,7 @@ func TestFleetIngestStaleAcrossTee(t *testing.T) {
 		t.Fatalf("stale rejection not attributed to a shard: %v", err)
 	}
 	after := fl.Stats()
-	if after.Ingested != before.Ingested || after.Teed != before.Teed {
+	if after.Events != before.Events || after.Teed != before.Teed {
 		t.Fatal("a rejected tee moved the dedup counters")
 	}
 	total := 0

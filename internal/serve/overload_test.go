@@ -48,7 +48,7 @@ func TestOverloadDisabledAnchor(t *testing.T) {
 	if off.Stats().Overload != nil {
 		t.Fatal("disabled engine reports overload stats")
 	}
-	if _, ok := off.statsPayload()["overload"]; ok {
+	if raw, _ := json.Marshal(off.wireStats(nil)); strings.Contains(string(raw), `"overload"`) {
 		t.Fatal(`disabled engine's stats payload has an "overload" key`)
 	}
 	if b, w := off.curMaxBatch(), off.curMaxWait(); b != off.cfg.MaxBatch || w != off.cfg.MaxWait {
@@ -374,39 +374,34 @@ func TestFleetMergedOverloadStats(t *testing.T) {
 		}
 	}
 
-	// Round-trip through JSON so the assertions see the wire types an HTTP
-	// client would.
-	raw, err := json.Marshal(fl.statsPayload())
+	// Round-trip through JSON so the assertions see what an HTTP client
+	// decoding the wire struct would.
+	raw, err := json.Marshal(fl.wireStats(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var payload map[string]any
-	if err := json.Unmarshal(raw, &payload); err != nil {
+	var st FleetStats
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	ov, ok := payload["overload"].(map[string]any)
-	if !ok {
-		t.Fatal("fleet stats payload has no overload block")
+	if st.Overload == nil || st.Overload.Gate == nil {
+		t.Fatal("fleet stats payload has no overload gate block")
 	}
-	gate := ov["gate"].(map[string]any)
 	perShard := 2 * fl.cfg.MaxBatch // Normalize's Capacity default per engine
-	if got := int(gate["capacity"].(float64)); got != 2*perShard {
+	if got := st.Overload.Gate.Capacity; got != 2*perShard {
 		t.Fatalf("merged capacity = %d, want %d (sum of %d shards)", got, 2*perShard, 2)
 	}
-	lanes := gate["lanes"].(map[string]any)
-	var admitted float64
-	var shardAdmitted float64
-	for _, name := range []string{"predict", "ingest", "low"} {
-		admitted += lanes[name].(map[string]any)["admitted"].(float64)
+	lanes := []string{"predict", "ingest", "low"}
+	var admitted, shardAdmitted uint64
+	for _, name := range lanes {
+		admitted += st.Overload.Gate.ByName[name].Admitted
 	}
-	for _, b := range payload["shards"].([]any) {
-		blk := b.(map[string]any)
-		sov, ok := blk["overload"].(map[string]any)
-		if !ok {
-			t.Fatalf("shard block %v has no overload block", blk["shard"])
+	for _, blk := range st.Shards {
+		if blk.Overload == nil || blk.Overload.Gate == nil {
+			t.Fatalf("shard block %d has no overload gate block", blk.Shard)
 		}
-		for _, name := range []string{"predict", "ingest", "low"} {
-			shardAdmitted += sov["gate"].(map[string]any)["lanes"].(map[string]any)[name].(map[string]any)["admitted"].(float64)
+		for _, name := range lanes {
+			shardAdmitted += blk.Overload.Gate.ByName[name].Admitted
 		}
 	}
 	if admitted == 0 || admitted != shardAdmitted {

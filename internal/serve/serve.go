@@ -83,25 +83,11 @@ type Config struct {
 	MaxWait       time.Duration // max time the first request of a batch waits (default 2ms)
 	CacheSize     int           // embedding-cache capacity in nodes (0 disables)
 	SnapshotEvery int           // publish a snapshot every k ingested events (default 256)
-	LatencyWindow int           // request latencies retained for the P50/P99 stats (default 4096)
-
-	// Online fine-tuning hints, consumed by internal/finetune when a Tuner
-	// is attached to this engine (the engine itself only stores them; weight
-	// publication works with or without a tuner via PublishWeights).
-	FinetuneInterval time.Duration // cadence of fine-tune rounds (0 = finetune default)
-	ReplayWindow     int           // recent events replayed per round (0 = finetune default)
 
 	// Durability enables the write-ahead log and checkpointing when its Dir
 	// is set (durability.go, DESIGN.md §9); the zero value serves purely
 	// in-memory.
 	Durability Durability
-
-	// Quantize selects the serving-side weight representation (DESIGN.md
-	// §13). Fine-tuners keep publishing float64 masters; with QuantF32 or
-	// QuantInt8 the engine stores (and checkpoints) a rounded clone of each
-	// publication, trading weight precision for footprint under an MRR error
-	// budget guarded by the serve tests. The zero value serves f64 unchanged.
-	Quantize models.Quantization
 
 	// Overload enables the overload control plane (internal/overload,
 	// DESIGN.md §14): TargetP99 attaches an SLO feedback controller to the
@@ -115,6 +101,18 @@ type Config struct {
 	Xfer *device.XferStats // optional transfer accounting shared with offline runs
 }
 
+// latencyWindow is how many recent request latencies an engine (and a fleet's
+// router) retains for the P50/P99 stats and the SLO controller's sample.
+const latencyWindow = 4096
+
+// Validate reports whether New would accept the config, without building
+// anything — cmd/taser-serve calls it as soon as the model exists, so a bad
+// serving, overload or durability setting fails before pretraining starts.
+func (c Config) Validate() error {
+	_, err := c.normalize()
+	return err
+}
+
 // normalize fills defaults and validates.
 func (c Config) normalize() (Config, error) {
 	if c.Model == nil {
@@ -125,6 +123,12 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.NumNodes <= 0 {
 		return c, fmt.Errorf("serve: Config.NumNodes must be positive")
+	}
+	// A negative batch bound flushes every request alone and a negative
+	// snapshot cadence republishes per event — never what was meant.
+	if c.MaxBatch < 0 || c.MaxWait < 0 || c.SnapshotEvery < 0 {
+		return c, fmt.Errorf("serve: Config.MaxBatch, MaxWait and SnapshotEvery must not be negative "+
+			"(got %d, %v, %d; 0 selects the default)", c.MaxBatch, c.MaxWait, c.SnapshotEvery)
 	}
 	if c.Budget == 0 {
 		c.Budget = 10
@@ -137,9 +141,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 256
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 4096
 	}
 	if c.Durability.Dir != "" && c.Durability.FS == nil {
 		c.Durability.FS = wal.OSFS{}
@@ -306,7 +307,7 @@ func New(cfg Config) (*Engine, error) {
 		e.cache = newEmbCache(cfg.CacheSize, cfg.Model.HiddenDim())
 	}
 	e.weightVersion.Store(1) // version 1: the weights the engine was built with
-	e.lat.init(cfg.LatencyWindow)
+	e.lat.init(latencyWindow)
 	if cfg.Overload.AdmissionEnabled() {
 		e.gate = overload.NewGate(cfg.Overload)
 	}
@@ -646,15 +647,6 @@ func (e *Engine) publishWeightsCore(w *models.WeightSet) error {
 	if err := w.Matches(e.cfg.Model, e.cfg.Pred); err != nil {
 		return fmt.Errorf("serve: published weights do not fit the serving model: %w", err)
 	}
-	// Quantize before storing, so the applied weights, PublishedWeights and
-	// every checkpoint all hold the same rounded clone. Recovery republishes
-	// checkpointed (already quantized) sets through this same path;
-	// quantization is bitwise-idempotent (models.Quantization.Clone), so a
-	// recovered engine serves exactly the weights it crashed with.
-	w, err := e.cfg.Quantize.Clone(w)
-	if err != nil {
-		return fmt.Errorf("serve: quantizing published weights: %w", err)
-	}
 	// CAS loop against the latest *published* set (which may be ahead of the
 	// applied version when no flush has run yet), so a slower publisher can
 	// neither clobber a newer pending set nor sneak in behind the applied
@@ -684,12 +676,6 @@ func (e *Engine) WeightVersion() uint64 { return e.weightVersion.Load() }
 // recovery to level shards that checkpointed different weight versions
 // (a crash can split a publication fan-out); the returned set is immutable.
 func (e *Engine) PublishedWeights() *models.WeightSet { return e.weights.Load() }
-
-// FinetuneHints returns the Config's fine-tuning knobs for an attached
-// tuner (zero values mean "use the tuner's defaults").
-func (e *Engine) FinetuneHints() (interval time.Duration, replayWindow int) {
-	return e.cfg.FinetuneInterval, e.cfg.ReplayWindow
-}
 
 // SetWritable flips the engine between writable (the default) and read-only.
 // A read-only engine rejects Ingest and Bootstrap with ErrReadOnly while

@@ -398,7 +398,7 @@ func TestConcurrentIngestAndServe(t *testing.T) {
 	}
 	t.Logf("ingested=%d rejected=%d version=%d batches=%d avg-batch=%.1f hit=%.2f p50=%v p99=%v",
 		ingested.Load(), rejected.Load(), st.SnapshotVersion, st.Batches,
-		st.AvgBatch(), st.CacheHitRate(), st.P50, st.P99)
+		st.AvgBatch, st.CacheHitRate, st.P50, st.P99)
 }
 
 // TestCloseDrainsAndRejects: Close serves accepted requests, later calls
