@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test bench bench-full bench-ingest bench-alloc bench-kernels bench-finetune bench-recover bench-replicate vet serve loadtest loadtest-http repl-smoke shard-smoke bench-shards bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
+.PHONY: all build cross-build test bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
 
 all: build test
 
@@ -29,8 +29,10 @@ cross-build:
 
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).
-# internal/bench's end-to-end smoke tests run every experiment, which is
-# slow under -race on few-core machines — hence the generous timeout.
+# The tests that train real models — internal/bench's one smoke per
+# registered experiment (~15 s without -race), internal/train's trajectory
+# pins and pipeline-equivalence tests (~10 s) — slow severalfold under -race
+# on few-core machines; hence the generous timeout.
 test: vet
 	$(GO) test -race -timeout=45m ./...
 
@@ -51,28 +53,6 @@ bench-full:
 # logged and the engine recovers the stream on restart (DESIGN.md §9).
 serve:
 	$(GO) run ./cmd/taser-serve -dataset wikipedia -scale 0.1 -epochs 2 -addr :8080 $(if $(WAL_DIR),-wal-dir $(WAL_DIR))
-
-# Closed-loop load test of the serving subsystem (in-process, no HTTP):
-# Zipfian request mix + streaming ingest; reports p50/p99, QPS, hit rate.
-loadtest:
-	$(GO) run ./cmd/taser-bench -exp serve -scale 0.05
-
-# Streaming-ingest publication cost: incremental snapshots vs the full
-# O(events) repack, across stream lengths (see EXPERIMENTS.md).
-bench-ingest:
-	$(GO) run ./cmd/taser-bench -exp ingest
-
-# Arena-backed execution: allocs/step and allocs/request before/after warmup
-# for the training step, micro-batched serving and the online fine-tune step
-# (see DESIGN.md §7/§8).
-bench-alloc:
-	$(GO) run ./cmd/taser-bench -exp alloc
-
-# Raw-speed floor: the three dense products on the 4×8 tile, AVX2 assembly vs
-# its Go twin, on the shapes a TASER step issues (ns/op, GFLOP/s; DESIGN.md
-# §13).
-bench-kernels:
-	$(GO) run ./cmd/taser-bench -exp kernels
 
 # Bounds-check-elimination guard: rebuild internal/tensor with
 # -d=ssa/check_bce and fail if the residual check sites drift from
@@ -119,8 +99,8 @@ bench-replicate:
 # comparison); the second forces the shed path with a far-offered rate and a
 # tiny queue so 429 + Retry-After accounting is exercised (EXPERIMENTS.md).
 bench-overload:
-	$(GO) run ./cmd/taser-bench -exp loadhttp -open
-	$(GO) run ./cmd/taser-bench -exp loadhttp -open -open-rate 10000 -open-queue 4
+	$(GO) run ./cmd/taser-bench -exp overload
+	$(GO) run ./cmd/taser-bench -exp overload -open-rate 10000 -open-queue 4
 
 # Overload smoke test over localhost: flag validation, a taser-serve with
 # tiny admission queues, a parallel burst that must shed with 429 +
@@ -139,20 +119,3 @@ repl-smoke:
 # continuity (DESIGN.md §12).
 shard-smoke:
 	bash scripts/shard_smoke.sh
-
-# Shard-count sweep of the HTTP load test: one self-hosted GraphMixer fleet
-# per K, per-shard throughput from /v1/stats shards[] (DESIGN.md §12,
-# EXPERIMENTS.md for the recorded 1-CPU run).
-bench-shards:
-	$(GO) run ./cmd/taser-bench -exp loadhttp -shards 1,2,4
-
-# HTTP-mode load test: build taser-serve and taser-bench, start a real server
-# (short pretraining at small scale), drive /v1/ingest + /v1/predict +
-# /v1/embed over HTTP with closed-loop clients, then shut the server down.
-loadtest-http:
-	$(GO) build -o /tmp/taser-serve ./cmd/taser-serve
-	$(GO) build -o /tmp/taser-bench ./cmd/taser-bench
-	@/tmp/taser-serve -dataset wikipedia -scale 0.05 -epochs 1 -addr 127.0.0.1:8091 & \
-	SRV=$$!; \
-	/tmp/taser-bench -exp loadhttp -serve-addr http://127.0.0.1:8091; \
-	STATUS=$$?; kill $$SRV 2>/dev/null; wait $$SRV 2>/dev/null; exit $$STATUS

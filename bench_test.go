@@ -4,8 +4,8 @@
 //   - Micro-benchmarks of the mechanisms behind each figure/table
 //     (neighbor finders for Fig. 3a, cache policies for Fig. 3b / Table III,
 //     epoch phases for Fig. 1 / Table III, variants for Table I).
-//   - BenchmarkExperiment* wrappers that run the internal/bench generators
-//     at a miniature scale so `go test -bench=.` exercises every reported
+//   - BenchmarkExperiment, which runs internal/bench's registry at a
+//     miniature scale so `go test -bench=.` exercises every reported
 //     experiment end to end. Full-scale reproductions are run with
 //     cmd/taser-bench (see EXPERIMENTS.md).
 package taser_test
@@ -240,62 +240,20 @@ func miniOptions() bench.Options {
 	}
 }
 
-func benchmarkExperiment(b *testing.B, fn func(bench.Options) error) {
-	o := miniOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fn(o); err != nil {
-			b.Fatal(err)
+// BenchmarkExperiment runs every experiment of `taser-bench -exp all` from
+// internal/bench's registry as a sub-benchmark (-bench 'Experiment/table1').
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.Experiments {
+		if !e.InAll {
+			continue
 		}
-	}
-}
-
-func BenchmarkExperimentTable1(b *testing.B) { benchmarkExperiment(b, bench.Table1) }
-
-func BenchmarkExperimentPipeline(b *testing.B) { benchmarkExperiment(b, bench.Pipeline) }
-
-// BenchmarkExperimentServe smoke-runs the online-serving load test at a tiny
-// profile (two client counts, few requests) so `go test -bench=.` exercises
-// ingest + micro-batched serving + the embedding cache end to end.
-func BenchmarkExperimentServe(b *testing.B) {
-	o := miniOptions()
-	o.ServeClients = []int{1, 4}
-	o.ServeRequests = 40
-	o.ServeIngestRate = 5000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bench.Serve(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-func BenchmarkExperimentTable2(b *testing.B)   { benchmarkExperiment(b, bench.Table2) }
-func BenchmarkExperimentTable3(b *testing.B)   { benchmarkExperiment(b, bench.Table3) }
-func BenchmarkExperimentFig1(b *testing.B)     { benchmarkExperiment(b, bench.Fig1) }
-func BenchmarkExperimentFig3a(b *testing.B)    { benchmarkExperiment(b, bench.Fig3a) }
-func BenchmarkExperimentFig3b(b *testing.B)    { benchmarkExperiment(b, bench.Fig3b) }
-
-func BenchmarkExperimentFig4(b *testing.B) {
-	// Fig. 4 trains a 20-cell grid; keep the per-iteration cost bounded.
-	o := miniOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bench.Fig4(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentAblations(b *testing.B) {
-	o := miniOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, fn := range []func(bench.Options) error{
-			bench.AblationEncoder, bench.AblationDecoder, bench.AblationCache,
-		} {
-			if err := fn(o); err != nil {
-				b.Fatal(err)
+		b.Run(e.Name, func(b *testing.B) {
+			o := miniOptions()
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(o); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }

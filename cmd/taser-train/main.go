@@ -42,17 +42,17 @@ func main() {
 	)
 	flag.Parse()
 
+	dec, err := adaptive.ParseDecoder(*decoder)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "taser-train: %v\n", err)
+		os.Exit(2)
+	}
 	ds, ok := datasets.ByName(*dataset, *scale, *seed)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "taser-train: unknown dataset %q\n", *dataset)
 		os.Exit(2)
 	}
 	fmt.Println(ds)
-
-	dec := map[string]adaptive.Decoder{
-		"linear": adaptive.DecoderLinear, "gat": adaptive.DecoderGAT,
-		"gatv2": adaptive.DecoderGATv2, "trans": adaptive.DecoderTrans,
-	}[*decoder]
 
 	cfg := train.Config{
 		Model: train.ModelKind(*model), Finder: train.FinderKind(*finder),

@@ -23,7 +23,7 @@ func TestSelectorInitUniform(t *testing.T) {
 
 func TestSelectorBatchDistinct(t *testing.T) {
 	s := NewMiniBatchSelector(50, 0.1, mathx.NewRNG(2))
-	batch := s.SampleBatch(20)
+	batch := s.SampleBatchInto(20, nil)
 	if len(batch) != 20 {
 		t.Fatal("batch size")
 	}
@@ -52,7 +52,7 @@ func TestSelectorUpdateShiftsDistribution(t *testing.T) {
 	// Sampling must now visit edge 0 ~11× more often than edge 1.
 	c0, c1 := 0, 0
 	for trial := 0; trial < 30000; trial++ {
-		for _, e := range s.SampleBatch(1) {
+		for _, e := range s.SampleBatchInto(1, nil) {
 			if e == 0 {
 				c0++
 			}
@@ -355,5 +355,21 @@ func TestCandidateSetHelpers(t *testing.T) {
 	c.FinishMask()
 	if len(c.Valid) != 0 {
 		t.Fatalf("reset set indexes %v", c.Valid)
+	}
+}
+
+// TestParseDecoder: every decoder's name parses back to it, and anything
+// else is an error rather than the zero value (the linear head).
+func TestParseDecoder(t *testing.T) {
+	for _, d := range []Decoder{DecoderLinear, DecoderGAT, DecoderGATv2, DecoderTrans} {
+		got, err := ParseDecoder(d.String())
+		if err != nil || got != d {
+			t.Errorf("ParseDecoder(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+	}
+	for _, bad := range []string{"gatv3", "", "GATv2", "Decoder(7)"} {
+		if got, err := ParseDecoder(bad); err == nil {
+			t.Errorf("ParseDecoder(%q) = %v, want an error", bad, got)
+		}
 	}
 }

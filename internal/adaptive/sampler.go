@@ -44,6 +44,16 @@ func (d Decoder) String() string {
 	return fmt.Sprintf("Decoder(%d)", int(d))
 }
 
+// ParseDecoder is the inverse of Decoder.String.
+func ParseDecoder(name string) (Decoder, error) {
+	for d := DecoderLinear; d <= DecoderTrans; d++ {
+		if d.String() == name {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("adaptive: unknown decoder %q (known: linear, gat, gatv2, trans)", name)
+}
+
 // SamplerConfig configures the temporal adaptive neighbor sampler.
 type SamplerConfig struct {
 	NodeDim int // raw node-feature width (0 if absent)

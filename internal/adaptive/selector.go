@@ -54,15 +54,11 @@ func (s *MiniBatchSelector) Score(e int) float64 {
 	return s.scores[e]
 }
 
-// SampleBatch draws batchSize distinct training-edge indices with
-// probability proportional to the importance scores.
-func (s *MiniBatchSelector) SampleBatch(batchSize int) []int {
-	return s.SampleBatchInto(batchSize, nil)
-}
-
-// SampleBatchInto is SampleBatch drawing into out's backing array, keeping
-// the per-step selection path allocation-free: the O(numTrain) key/index
-// scratch is reused across calls and only the result occupies out.
+// SampleBatchInto draws batchSize distinct training-edge indices with
+// probability proportional to the importance scores, into out's backing
+// array (nil allocates). It keeps the per-step selection path
+// allocation-free: the O(numTrain) key/index scratch is reused across calls
+// and only the result occupies out.
 func (s *MiniBatchSelector) SampleBatchInto(batchSize int, out []int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -31,20 +31,6 @@ func (g *Graph) Tanh(a *Var) *Var {
 	return o
 }
 
-// ReLU applies max(0, x) element-wise.
-func (g *Graph) ReLU(a *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	for i, v := range a.Val.Data {
-		if v > 0 {
-			o.Val.Data[i] = v
-		}
-	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opReLU, out: o, a: a})
-	}
-	return o
-}
-
 // LeakyReLU applies x>=0 ? x : slope·x element-wise (GAT uses slope 0.2).
 func (g *Graph) LeakyReLU(a *Var, slope float64) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())

@@ -55,7 +55,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 		coef.Data[i] = 0.1 * float64(i+1)
 	}
 	aux := g.WeightedSumConst(g.LogSoftmaxRows(g.Cos(logits)), coef)
-	return g.Add(g.MeanAll(g.ReLU(bce)), g.SumAll(aux))
+	return g.Add(g.MeanAll(g.Tanh(bce)), g.SumAll(aux))
 }
 
 func reuseParams(seed uint64) map[string]*Var {

@@ -24,7 +24,6 @@ const (
 
 	opSigmoid
 	opTanh
-	opReLU
 	opLeakyReLU
 	opGELU
 	opCos
@@ -157,13 +156,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 	case opTanh:
 		for i, t := range e.out.Val.Data {
 			e.a.Grad.Data[i] += e.out.Grad.Data[i] * (1 - t*t)
-		}
-
-	case opReLU:
-		for i, v := range e.a.Val.Data {
-			if v > 0 {
-				e.a.Grad.Data[i] += e.out.Grad.Data[i]
-			}
 		}
 
 	case opLeakyReLU:

@@ -7,11 +7,10 @@ import (
 	"taser/internal/train"
 )
 
-// AblationEncoder measures the contribution of each neighbor-encoder
+// ablationEncoder measures the contribution of each neighbor-encoder
 // component (TE, FE, IE — §III-B / §IV-B): TASER on the Wikipedia-style
 // dataset with one component removed at a time.
-func AblationEncoder(o Options) error {
-	o = o.Normalize()
+func ablationEncoder(o Options) error {
 	fmt.Fprintf(o.Out, "Ablation — neighbor-encoder components (TGAT, wikipedia) | scale=%.2f epochs=%d\n",
 		o.Scale, o.Epochs)
 	fmt.Fprintf(o.Out, "%-16s %10s\n", "config", "test MRR")
@@ -40,11 +39,10 @@ func AblationEncoder(o Options) error {
 	return nil
 }
 
-// AblationDecoder compares the four predictor heads (Eqs. 17–20) on both
+// ablationDecoder compares the four predictor heads (Eqs. 17–20) on both
 // backbones; the paper reports TGAT pairing best with GATv2 and GraphMixer
 // with the linear/Mixer head.
-func AblationDecoder(o Options) error {
-	o = o.Normalize()
+func ablationDecoder(o Options) error {
 	fmt.Fprintf(o.Out, "Ablation — neighbor-decoder heads (wikipedia) | scale=%.2f epochs=%d\n",
 		o.Scale, o.Epochs)
 	fmt.Fprintf(o.Out, "%-10s %12s %12s\n", "decoder", "TGAT", "GraphMixer")
@@ -69,13 +67,12 @@ func AblationDecoder(o Options) error {
 	return nil
 }
 
-// AblationHeuristics contrasts human-defined static denoising policies
+// ablationHeuristics contrasts human-defined static denoising policies
 // (uniform, most-recent, inverse-timespan — §I/§II-A) against TASER's
 // learned sampler on the same backbone. The paper's claim to reproduce: the
 // inverse-timespan heuristic does NOT reliably beat uniform, while the
 // adaptive sampler encompasses and outperforms the heuristics.
-func AblationHeuristics(o Options) error {
-	o = o.Normalize()
+func ablationHeuristics(o Options) error {
 	fmt.Fprintf(o.Out, "Ablation — static heuristics vs adaptive sampling (TGAT, wikipedia) | scale=%.2f epochs=%d\n",
 		o.Scale, o.Epochs)
 	fmt.Fprintf(o.Out, "%-24s %10s\n", "sampling", "test MRR")
@@ -104,11 +101,10 @@ func AblationHeuristics(o Options) error {
 	return nil
 }
 
-// AblationCache compares cache replacement policies (Algorithm 3's
+// ablationCache compares cache replacement policies (Algorithm 3's
 // frequency policy vs. LRU) at a 20% ratio under the TASER access pattern:
 // hit rate after warm-up and the resulting FS time.
-func AblationCache(o Options) error {
-	o = o.Normalize()
+func ablationCache(o Options) error {
 	fmt.Fprintf(o.Out, "Ablation — cache replacement policy (TGAT+TASER, 20%% ratio) | scale=%.2f\n", o.Scale)
 	fmt.Fprintf(o.Out, "%-10s %-8s %10s %10s\n", "dataset", "policy", "hit rate", "FS (s)")
 	for _, name := range []string{"wikipedia", "reddit"} {

@@ -1,26 +1,82 @@
-// Package bench regenerates every table and figure of the paper's evaluation
-// (§IV) against the synthetic datasets: Table I (accuracy), Table II
-// (dataset statistics), Table III (runtime breakdown), Fig. 1 (mini-batch
-// generation bottleneck), Fig. 3a (neighbor-finder comparison), Fig. 3b
-// (cache hit rates vs. the oracle), Fig. 4 (m×n ablation) and the encoder/
-// decoder/cache-policy ablations DESIGN.md calls out.
+// Package bench regenerates the paper's evaluation (§IV) against the
+// synthetic datasets — Tables I–III, Figs. 1/3/4 and the ablations DESIGN.md
+// calls out — plus the serving experiments that have no counterpart workload
+// in benchmark/ (online fine-tuning, recovery, replication, the open-loop
+// overload burst). Steady-state performance numbers live in BENCHMARK.json's
+// workloads, not here.
 //
-// Each experiment takes Options and writes a plain-text table to Out; the
-// cmd/taser-bench binary exposes them behind -exp flags and bench_test.go
-// wires them into `go test -bench`.
+// Experiments is the one list of what exists: cmd/taser-bench, the package
+// smoke test and the root bench_test.go all read it. Each experiment takes
+// Options and writes a plain-text table to Out.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"time"
+	"slices"
+	"strings"
 
 	"taser/internal/datasets"
 	"taser/internal/train"
 )
 
-// Options scales every experiment. The zero value is filled with the quick
-// profile; see Normalize.
+// Experiment is one registry row.
+type Experiment struct {
+	Name  string
+	InAll bool // part of `taser-bench -exp all`
+	run   func(Options) error
+}
+
+// Experiments is the registry, in the order `-exp all` runs it.
+var Experiments = []Experiment{
+	{"table2", true, table2},
+	{"table1", true, table1},
+	{"fig1", true, fig1},
+	{"table3", true, table3},
+	{"fig3a", true, fig3a},
+	{"fig3b", true, fig3b},
+	{"fig4", true, fig4},
+	{"ablation-encoder", true, ablationEncoder},
+	{"ablation-decoder", true, ablationDecoder},
+	{"ablation-cache", true, ablationCache},
+	{"ablation-heuristics", true, ablationHeuristics},
+	{"finetune", true, finetuneExp},
+	{"recover", true, recoverExp},
+	{"replicate", true, replicateExp},
+	{"overload", false, overloadExp}, // ~25 s of wall-clock timeline: run on request
+}
+
+// Run fills o's defaults, validates it and runs the experiment.
+func (e Experiment) Run(o Options) error {
+	o = o.Normalize()
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	return e.run(o)
+}
+
+// Lookup finds a registered experiment by name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Names lists the registered experiment names, comma-separated, for flag
+// help and error messages.
+func Names() string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
+	}
+	return strings.Join(names, ", ")
+}
+
+// Options is the training profile every experiment shares. The zero value is
+// filled with the quick profile; see Normalize.
 type Options struct {
 	Out io.Writer
 
@@ -36,59 +92,6 @@ type Options struct {
 	// Datasets restricts experiments to these names (nil = experiment's
 	// default set).
 	Datasets []string
-
-	// Serving load-test knobs (-exp serve); zero values pick the defaults
-	// documented in Serve.
-	ServeClients    []int   // concurrent closed-loop clients per row
-	ServeRequests   int     // requests per client
-	ServeIngestRate float64 // ingest writer rate, events/sec
-
-	// Ingest experiment knobs (-exp ingest); zero values pick the defaults
-	// documented in Ingest.
-	IngestEvents []int // stream lengths per row (default 8192..65536)
-	IngestEvery  int   // events per snapshot publication (default 256)
-	IngestNodes  int   // node-id space of the synthetic stream (default 2000)
-
-	// Fine-tuning experiment knobs (-exp finetune); zero values pick the
-	// defaults documented in Finetune.
-	FinetuneEvery  int     // drifted events ingested per fine-tune round (default 96)
-	FinetuneNegs   int     // negatives per prequential MRR evaluation (default 19)
-	FinetuneLR     float64 // fine-tuning learning rate (default 3e-4)
-	FinetunePasses int     // replay passes per round (default 4)
-
-	// Recovery experiment knobs (-exp recover); zero values pick the
-	// defaults documented in Recover.
-	RecoverEvents    []int // stream lengths per Table A row (default 1024,4096,16384)
-	RecoverSyncEvery int   // WAL group-commit interval (default 64)
-
-	// Replication experiment knobs (-exp replicate); zero values pick the
-	// defaults documented in Replicate.
-	ReplicateEvents []int // catch-up stream lengths (default 1024,4096,16384)
-	ReplicateRates  []int // leader ingest rates, events/sec (default 1000,4000,16000)
-
-	// HTTP load-generator knobs (-exp loadhttp). Empty ServeAddr self-hosts
-	// an in-process HTTP server; otherwise the generator drives a live
-	// taser-serve at that base URL (e.g. http://127.0.0.1:8080).
-	ServeAddr string
-	ServeWait time.Duration // readiness-poll budget for an external server (default 120s)
-
-	// ServeShards switches loadhttp into a shard-count sweep: for each K it
-	// self-hosts a K-shard GraphMixer fleet (the model class a K>1 fleet
-	// requires), runs the same closed-loop rows, and reports per-shard
-	// throughput from the merged /v1/stats shards[] blocks. Incompatible
-	// with ServeAddr.
-	ServeShards []int
-
-	// OpenLoop switches loadhttp into the open-loop overload experiment: a
-	// constant-arrival-rate timeline (baseline → 2×-sustainable burst →
-	// recovery) driven against a static engine and an engine with the
-	// overload control plane, with per-second offered/completed/shed
-	// accounting (see loadopen.go). Incompatible with ServeAddr/ServeShards.
-	OpenLoop     bool
-	OpenRate     float64       // offered burst rate, req/sec (0 = 2× the calibrated sustainable rate)
-	OpenDuration time.Duration // per-phase duration (default 3s)
-	OpenSLO      time.Duration // adaptive engine's p99 target (default 25ms)
-	OpenQueue    int           // adaptive engine's per-lane admission bound (default 64)
 }
 
 // Normalize fills defaults.
@@ -120,13 +123,18 @@ func (o Options) Normalize() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	if o.IngestEvery == 0 {
-		o.IngestEvery = 256
-	}
-	if o.IngestNodes == 0 {
-		o.IngestNodes = 2000
-	}
 	return o
+}
+
+// Validate rejects what no experiment can run with: a name in Datasets that
+// is not a dataset. cmd/taser-bench reports it as a usage error.
+func (o Options) Validate() error {
+	for _, n := range o.Datasets {
+		if !slices.Contains(allNames, n) {
+			return fmt.Errorf("bench: unknown dataset %q (known: %s)", n, strings.Join(allNames, ", "))
+		}
+	}
+	return nil
 }
 
 // baseConfig builds the shared training config for accuracy experiments.
@@ -139,7 +147,8 @@ func (o Options) baseConfig(model train.ModelKind) train.Config {
 	}
 }
 
-// loadDatasets resolves the requested dataset list (or def when nil).
+// loadDatasets generates the requested datasets (or def when none were
+// requested). Names were checked by Validate.
 func (o Options) loadDatasets(def []string) []*datasets.Dataset {
 	names := o.Datasets
 	if len(names) == 0 {

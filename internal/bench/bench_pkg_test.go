@@ -35,238 +35,149 @@ func TestVariantsOrder(t *testing.T) {
 	}
 }
 
-func TestTable2Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Datasets = nil // Table II always lists all five
-	if err := Table2(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("Table II missing %s:\n%s", name, out)
-		}
-	}
+// lower sets a package knob for one test and restores it afterwards.
+func lower[T any](t *testing.T, knob *T, v T) {
+	old := *knob
+	*knob = v
+	t.Cleanup(func() { *knob = old })
 }
 
-func TestTable1Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table1(tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Baseline", "TASER", "Improvement", "TGAT", "GraphMixer"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table I missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTable3Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table3(tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Baseline", "+GPU NF", "+20% Cache", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table III missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig1Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	if err := Fig1(o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Prep") {
-		t.Fatalf("Fig 1 output:\n%s", buf.String())
-	}
-}
-
-func TestFig3aSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig3a(tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"origin-cpu", "tgl-cpu", "taser-gpu"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Fig 3a missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig3bSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Epochs = 2
-	if err := Fig3b(o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "oracle") {
-		t.Fatalf("Fig 3b output:\n%s", buf.String())
-	}
-}
-
-func TestFig4Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	// Shrink the grid cost: tiny dataset already set; run as-is.
-	if err := Fig4(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "m=10") || !strings.Contains(out, "n=5") {
-		t.Fatalf("Fig 4 output:\n%s", out)
-	}
-	// n > m cells must be dashes.
-	if !strings.Contains(out, "-") {
-		t.Fatal("triangular grid expected")
-	}
-}
-
-func TestAblationsSmoke(t *testing.T) {
-	for name, fn := range map[string]func(Options) error{
-		"encoder":    AblationEncoder,
-		"decoder":    AblationDecoder,
-		"cache":      AblationCache,
-		"heuristics": AblationHeuristics,
-	} {
-		var buf bytes.Buffer
-		if err := fn(tinyOptions(&buf)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s: empty output", name)
-		}
-	}
-}
-
-func TestAllocSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Alloc(tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"train-step", "serve-predict", "cold", "warm"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("alloc output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestKernelsSmoke(t *testing.T) {
-	// Gut the timing loops: the smoke test checks wiring, not measurement
-	// quality.
-	oldBudget, oldRounds, oldSquares := kernelTimeBudget, kernelTimeRounds, kernelSquares
-	kernelTimeBudget, kernelTimeRounds, kernelSquares = time.Millisecond, 1, []int{64}
-	defer func() { kernelTimeBudget, kernelTimeRounds, kernelSquares = oldBudget, oldRounds, oldSquares }()
-	var buf bytes.Buffer
-	if err := Kernels(tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Dense products", "1389×73×73", "a@bᵀ", "64×64×64"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("kernels output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestIngestSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.IngestEvents = []int{1024, 2048}
-	o.IngestEvery = 128
-	o.IngestNodes = 300
-	if err := Ingest(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Incremental vs full-repack", "1024", "2048", "publishes"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ingest output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFinetuneSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.FinetuneEvery = 16
-	o.FinetuneNegs = 5
-	if err := Finetune(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"frozen", "fine-tuned", "MRR", "swap"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("finetune output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRecoverSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.RecoverEvents = []int{192}
-	o.RecoverSyncEvery = 16
-	if err := Recover(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Recovery time", "crash", "clean", "Durable ingest overhead", "sync-every=1", "allocs/event"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("recover output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestLoadHTTPSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	// Empty ServeAddr self-hosts an engine behind serve.NewHandler on a
-	// loopback httptest listener — the same HTTP surface `make loadtest-http`
-	// drives against a live taser-serve process.
-	o.ServeClients = []int{2}
-	o.ServeRequests = 12
-	o.ServeIngestRate = 2000
-	if err := LoadHTTP(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"server ready", "clients", "qps", "ingested"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("loadhttp output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestLoadOpenSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
+// smokes is the package smoke test, one row per registered experiment: how to
+// shrink the run below tinyOptions (optional) and what the output must
+// contain. TestEveryExperimentHasSmoke fails when the registry and this table
+// disagree.
+var smokes = map[string]struct {
+	tune func(t *testing.T, o *Options)
+	want []string
+}{
+	"table2": {
+		tune: func(t *testing.T, o *Options) { o.Datasets = nil }, // Table II always lists all five
+		want: []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"},
+	},
+	"table1": {want: []string{"Baseline", "TASER", "Improvement", "TGAT", "GraphMixer"}},
+	"table3": {want: []string{"Baseline", "+GPU NF", "+20% Cache", "speedup"}},
+	"fig1":   {want: []string{"Prep"}},
+	"fig3a":  {want: []string{"origin-cpu", "tgl-cpu", "taser-gpu"}},
+	"fig3b": {
+		tune: func(t *testing.T, o *Options) { o.Epochs = 2 },
+		want: []string{"oracle"},
+	},
+	// The grid is triangular: n > m cells must be dashes.
+	"fig4":                {want: []string{"m=10", "n=5", "-"}},
+	"ablation-encoder":    {want: []string{"full (TE+FE+IE)", "w/o IE", "features only"}},
+	"ablation-decoder":    {want: []string{"linear", "gatv2", "trans"}},
+	"ablation-cache":      {want: []string{"freq", "lru", "hit rate"}},
+	"ablation-heuristics": {want: []string{"most-recent", "inverse-timespan", "adaptive (TASER)"}},
+	"finetune": {
+		tune: func(t *testing.T, o *Options) {
+			lower(t, &finetuneEvery, 16)
+			lower(t, &finetuneNegs, 5)
+		},
+		want: []string{"frozen", "fine-tuned", "MRR", "swap"},
+	},
+	"recover": {
+		tune: func(t *testing.T, o *Options) {
+			lower(t, &recoverEvents, []int{192})
+			lower(t, &recoverSyncEvery, 16)
+		},
+		want: []string{"Recovery time", "crash", "clean", "Durable ingest overhead", "sync-every=1", "allocs/event"},
+	},
+	"replicate": {
+		tune: func(t *testing.T, o *Options) {
+			lower(t, &replicateEvents, []int{192})
+			lower(t, &replicateRates, []int{1000})
+		},
+		want: []string{"Catch-up time", "stream", "ckpt", "Steady-state follower lag", "final lag"},
+	},
 	// A sub-second timeline at a modest fixed rate: the smoke checks the
 	// open-loop machinery (calibration, per-second accounting, both variant
 	// summary lines), not the overload physics — scripts/overload_smoke.sh
 	// covers those at realistic pressure.
-	o.OpenLoop = true
-	o.OpenRate = 400
-	o.OpenDuration = 300 * time.Millisecond
-	if err := LoadHTTP(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"sustainable", "offered burst 400",
-		"OPENLOOP static", "OPENLOOP adaptive",
-		"retry_after_ok=true", "lost=0", "overload plane",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("open-loop output missing %q:\n%s", want, out)
+	"overload": {
+		tune: func(t *testing.T, o *Options) {
+			lower(t, &OverloadRate, 400)
+			lower(t, &overloadPhase, 300*time.Millisecond)
+		},
+		want: []string{
+			"sustainable", "offered burst 400",
+			"OPENLOOP static", "OPENLOOP adaptive",
+			"retry_after_ok=true", "lost=0", "overload plane",
+		},
+	},
+}
+
+func TestEveryExperimentHasSmoke(t *testing.T) {
+	for _, e := range Experiments {
+		if _, ok := smokes[e.Name]; !ok {
+			t.Errorf("experiment %q is registered but has no smoke row", e.Name)
 		}
+	}
+	for name := range smokes {
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("smoke row %q names no registered experiment", name)
+		}
+	}
+}
+
+// runSmoke runs the named experiments at tinyOptions scale and checks their
+// rows' output assertions.
+func runSmoke(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		e, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("experiment %q is not registered", name)
+		}
+		row := smokes[name]
+		var buf bytes.Buffer
+		o := tinyOptions(&buf)
+		if row.tune != nil {
+			row.tune(t, &o)
+		}
+		if err := e.Run(o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range row.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Fatalf("%s output missing %q:\n%s", name, want, buf.String())
+			}
+		}
+	}
+}
+
+// One named test per experiment, so a failure (and `go test -run`) names it.
+func TestTable1Smoke(t *testing.T)    { runSmoke(t, "table1") }
+func TestTable2Smoke(t *testing.T)    { runSmoke(t, "table2") }
+func TestTable3Smoke(t *testing.T)    { runSmoke(t, "table3") }
+func TestFig1Smoke(t *testing.T)      { runSmoke(t, "fig1") }
+func TestFig3aSmoke(t *testing.T)     { runSmoke(t, "fig3a") }
+func TestFig3bSmoke(t *testing.T)     { runSmoke(t, "fig3b") }
+func TestFig4Smoke(t *testing.T)      { runSmoke(t, "fig4") }
+func TestFinetuneSmoke(t *testing.T)  { runSmoke(t, "finetune") }
+func TestRecoverSmoke(t *testing.T)   { runSmoke(t, "recover") }
+func TestReplicateSmoke(t *testing.T) { runSmoke(t, "replicate") }
+func TestLoadOpenSmoke(t *testing.T)  { runSmoke(t, "overload") }
+func TestAblationsSmoke(t *testing.T) {
+	runSmoke(t, "ablation-encoder", "ablation-decoder", "ablation-cache", "ablation-heuristics")
+}
+
+// TestUnknownDatasetIsAnError: a typo in -datasets is a usage error naming
+// the real datasets, not a panic out of loadDatasets.
+func TestUnknownDatasetIsAnError(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOptions(&buf)
+	o.Datasets = []string{"wikipedai"}
+	e, _ := Lookup("table2")
+	err := e.Run(o)
+	if err == nil {
+		t.Fatal("an unknown dataset name must be an error")
+	}
+	for _, want := range []string{`"wikipedai"`, "wikipedia", "gdelt"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %s", err, want)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("experiment ran despite the bad dataset name:\n%s", buf.String())
 	}
 }

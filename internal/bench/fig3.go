@@ -14,7 +14,7 @@ import (
 	"taser/internal/train"
 )
 
-// Fig3a reproduces Figure 3(a): total sampling time per epoch of a 2-layer
+// fig3a reproduces Figure 3(a): total sampling time per epoch of a 2-layer
 // TGAT fanout under the three neighbor finders as the per-layer budget
 // grows. All finders receive identical chronological batches (the only order
 // the TGL finder is built for). The shape to reproduce: Origin is orders of
@@ -23,8 +23,7 @@ import (
 // comes from thousands of CUDA threads vs 192 CPU threads; on a host-only
 // simulator both finders share the same cores, so expect the same ordering
 // with a smaller ratio.)
-func Fig3a(o Options) error {
-	o = o.Normalize()
+func fig3a(o Options) error {
 	fmt.Fprintf(o.Out, "Fig. 3(a) — 2-hop sampling time per epoch (sec) | scale=%.2f batch=%d\n",
 		o.Scale, o.BatchSize)
 	budgets := []int{5, 10, 15, 20, 25}
@@ -89,14 +88,13 @@ func sampleEpoch(ds *datasets.Dataset, f sampler.Finder, budget, batchSize int) 
 	return total
 }
 
-// Fig3b reproduces Figure 3(b): cache hit rate per epoch of TASER's
+// fig3b reproduces Figure 3(b): cache hit rate per epoch of TASER's
 // frequency cache vs. the Oracle cache at 10/20/30% capacity. The access
 // stream is recorded from a real TASER training run (it is independent of
 // cache contents), then each policy's epoch-granular hit rate is simulated
 // from the per-epoch access counts. The shape to reproduce: TASER's curve
 // hugs the oracle's within a few percent after the first epochs.
-func Fig3b(o Options) error {
-	o = o.Normalize()
+func fig3b(o Options) error {
 	fmt.Fprintf(o.Out, "Fig. 3(b) — edge-feature cache hit rate per epoch | scale=%.2f epochs=%d\n",
 		o.Scale, o.Epochs)
 	ratios := []float64{0.10, 0.20, 0.30}

@@ -7,14 +7,13 @@ import (
 	"taser/internal/train"
 )
 
-// Fig4 reproduces Figure 4: test MRR of TASER on the Wikipedia-style dataset
+// fig4 reproduces Figure 4: test MRR of TASER on the Wikipedia-style dataset
 // over the (m, n) grid — m candidates pre-sampled by the neighbor finder, n
 // supporting neighbors selected adaptively. The shape to reproduce: MRR
 // improves along both axes, i.e. a larger candidate pool lets the adaptive
 // sampler find more informative neighbors, and more supporting neighbors
 // help when the pool is large enough.
-func Fig4(o Options) error {
-	o = o.Normalize()
+func fig4(o Options) error {
 	ms := []int{10, 15, 20, 25}
 	ns := []int{5, 10, 15, 20}
 	for _, spec := range []struct {

@@ -9,17 +9,16 @@ import (
 	"taser/internal/sampler"
 	"taser/internal/serve"
 	"taser/internal/stats"
-	"taser/internal/train"
 )
 
-// Finetune measures what online fine-tuning buys on a drifted stream: a
+// finetuneExp measures what online fine-tuning buys on a drifted stream: a
 // model is pretrained on the training split, then the evaluation split is
 // replayed with every destination remapped through a fixed permutation — the
 // (src, dst) affinities the model learned stop holding, which is the
 // distribution shift continual learning exists for. Two engines serve the
-// drifted stream prequentially (each event is scored against FinetuneNegs
+// drifted stream prequentially (each event is scored against finetuneNegs
 // negatives *before* it is ingested, DistTGL-style MRR): one frozen, one
-// with the internal/finetune Tuner running a round every FinetuneEvery
+// with the internal/finetune Tuner running a round every finetuneEvery
 // events. Both engines see identical events, query times and negative sets.
 //
 // Reported per engine: MRR over the first and second half of the drifted
@@ -27,33 +26,12 @@ import (
 // predict latency p50/p99 — the fine-tuned column includes every weight
 // swap, which is the non-blocking-publication claim — and the weight
 // versions published/applied plus the mean in-scheduler swap cost.
-func Finetune(o Options) error {
-	o = o.Normalize()
-	every := o.FinetuneEvery
-	if every == 0 {
-		every = 96
-	}
-	negs := o.FinetuneNegs
-	if negs == 0 {
-		negs = 19
-	}
-	lr := o.FinetuneLR
-	if lr == 0 {
-		lr = 3e-4
-	}
-	passes := o.FinetunePasses
-	if passes == 0 {
-		passes = 4
-	}
-	ds := o.loadDatasets([]string{"wikipedia"})[0]
-
-	cfg := o.baseConfig(train.ModelTGAT)
-	cfg.FinderPolicy = "recent" // deterministic serving-parity sampling
-	cfg.CacheRatio = 0
-	tr, err := train.New(cfg, ds)
+func finetuneExp(o Options) error {
+	fx, err := newServingFixture(o)
 	if err != nil {
 		return err
 	}
+	ds, tr := fx.ds, fx.tr
 	for e := 0; e < o.Epochs; e++ {
 		tr.TrainEpoch()
 	}
@@ -84,7 +62,7 @@ func Finetune(o Options) error {
 	// Per-event negative candidates, shared by both engines.
 	negSets := make([][]int32, len(drift))
 	for i := range negSets {
-		ns := make([]int32, negs)
+		ns := make([]int32, finetuneNegs)
 		for j := range ns {
 			ns[j] = int32(lo + rng.Intn(ds.Spec.NumNodes-lo))
 		}
@@ -92,17 +70,15 @@ func Finetune(o Options) error {
 	}
 
 	mkEngine := func() (*serve.Engine, error) {
-		e, err := serve.New(serve.Config{
-			Model: tr.Model.Clone(), Pred: tr.Pred.Clone(),
-			NumNodes: ds.Spec.NumNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
-			Budget: tr.Cfg.N, Policy: sampler.MostRecent,
-			MaxBatch: 2 * (1 + negs), MaxWait: 50 * time.Microsecond,
-			SnapshotEvery: every, Seed: o.Seed,
+		e, err := fx.engine(func(c *serve.Config) {
+			c.Model, c.Pred = tr.Model.Clone(), tr.Pred.Clone()
+			c.MaxBatch, c.MaxWait = 2*(1+finetuneNegs), 50*time.Microsecond
+			c.SnapshotEvery = finetuneEvery
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := e.Bootstrap(ds.Graph.Events[:ds.TrainEnd], ds.EdgeFeat.SliceRows(ds.TrainEnd)); err != nil {
+		if err := fx.bootstrap(e); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -110,7 +86,7 @@ func Finetune(o Options) error {
 	}
 
 	fmt.Fprintf(o.Out, "Online fine-tuning on a drifted stream (%s, %d drifted events, round every %d, %d negatives, lr %g, passes %d)\n",
-		ds.Spec.Name, len(drift), every, negs, lr, passes)
+		ds.Spec.Name, len(drift), finetuneEvery, finetuneNegs, finetuneLR, finetunePasses)
 	fmt.Fprintf(o.Out, "%-11s %9s %9s %9s %9s %7s %9s\n",
 		"model", "MRR(1st)", "MRR(2nd)", "p50(ms)", "p99(ms)", "swaps", "swap(us)")
 
@@ -127,7 +103,7 @@ func Finetune(o Options) error {
 				NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
 				NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc,
 				Budget: tr.Cfg.N, Policy: sampler.MostRecent,
-				ReplayWindow: 4 * every, BatchSize: 64, Passes: passes, LR: lr,
+				ReplayWindow: 4 * finetuneEvery, BatchSize: 64, Passes: finetunePasses, LR: finetuneLR,
 				Seed: o.Seed ^ 0xf1e,
 			})
 			if err != nil {
@@ -179,7 +155,7 @@ func Finetune(o Options) error {
 				e.Close()
 				return err
 			}
-			if tu != nil && (i+1)%every == 0 {
+			if tu != nil && (i+1)%finetuneEvery == 0 {
 				e.PublishSnapshot()
 				if _, err := tu.RunOnce(); err != nil {
 					e.Close()
@@ -211,6 +187,18 @@ func Finetune(o Options) error {
 	}
 	return nil
 }
+
+// Knobs of the fine-tuning experiment. The stream knobs are variables so the
+// package smoke test can shorten the run.
+var (
+	finetuneEvery = 96 // drifted events ingested per fine-tune round
+	finetuneNegs  = 19 // negatives per prequential MRR evaluation
+)
+
+const (
+	finetuneLR     = 3e-4 // fine-tuning learning rate
+	finetunePasses = 4    // replay passes per round
+)
 
 // event is one drifted stream entry (row indexes the original edge-feature
 // row, reused unchanged).

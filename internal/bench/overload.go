@@ -14,16 +14,28 @@ import (
 
 	"taser/internal/mathx"
 	"taser/internal/overload"
-	"taser/internal/sampler"
 	"taser/internal/serve"
 	"taser/internal/stats"
-	"taser/internal/train"
 )
 
-// loadOpen is the open-loop overload experiment (-exp loadhttp -open): unlike
-// the closed-loop rows — where clients wait for each response, so a slow
-// server throttles its own offered load — arrivals here come at a constant
-// rate regardless of completions, which is how real overload behaves.
+// OverloadRate and OverloadQueue are the overload experiment's own two
+// parameters (`taser-bench -open-rate / -open-queue`, which `make
+// bench-overload` sets to force the shed path).
+var (
+	OverloadRate  float64 // offered burst rate, req/sec (0 = 2× the calibrated sustainable rate)
+	OverloadQueue = 64    // adaptive engine's per-lane admission bound
+)
+
+// The rest of the timeline is fixed; a variable so the package smoke test
+// can shorten the run.
+var overloadPhase = 3 * time.Second // per-phase duration
+
+const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
+
+// overloadExp is the open-loop overload experiment: where a closed loop's
+// clients wait for each response, so a slow server throttles its own offered
+// load, arrivals here come at a constant rate regardless of completions,
+// which is how real overload behaves.
 //
 // The timeline is continuous (no drain between phases, so a backlog built in
 // the burst is visible in recovery):
@@ -32,35 +44,19 @@ import (
 //	burst     the full offered rate (2× the calibrated sustainable rate)
 //	recovery  rate/4 again
 //
-// It runs twice over self-hosted engines: "static" (today's fixed
-// MaxBatch/MaxWait, unbounded admission — the burst builds an unbounded
-// queue and recovery-phase latency shows it) and "adaptive" (SLO controller
-// + bounded admission — excess load is shed with 429 + Retry-After and the
-// completed requests' p99 stays near the target). Per-second
-// offered/completed/shed accounting and a machine-greppable OPENLOOP summary
-// line per variant close the loop for scripts/overload_smoke.sh.
-func loadOpen(o Options) error {
-	if o.ServeAddr != "" {
-		return fmt.Errorf("bench: the open-loop experiment self-hosts its static/adaptive engine pair; it cannot target -serve-addr")
+// It runs twice over self-hosted engines: "static" (fixed MaxBatch/MaxWait,
+// unbounded admission — the burst builds an unbounded queue and
+// recovery-phase latency shows it) and "adaptive" (SLO controller + bounded
+// admission — excess load is shed with 429 + Retry-After and the completed
+// requests' p99 stays near the target). Per-second offered/completed/shed
+// accounting and a machine-greppable OPENLOOP summary line per variant close
+// the loop for scripts/overload_smoke.sh.
+func overloadExp(o Options) error {
+	fx, err := newServingFixture(o)
+	if err != nil {
+		return err
 	}
-	if len(o.ServeShards) > 0 {
-		return fmt.Errorf("bench: the open-loop experiment is single-engine; it cannot combine with -shards")
-	}
-	dur := o.OpenDuration
-	if dur == 0 {
-		dur = 3 * time.Second
-	}
-	slo := o.OpenSLO
-	if slo == 0 {
-		slo = 25 * time.Millisecond
-	}
-	queue := o.OpenQueue
-	if queue == 0 {
-		queue = 64
-	}
-	ds := o.loadDatasets([]string{"wikipedia"})[0]
-	numNodes := ds.Spec.NumNodes
-	weights := make([]float64, numNodes)
+	weights := make([]float64, fx.ds.Spec.NumNodes)
 	for i := range weights {
 		weights[i] = math.Pow(float64(i+1), -1.1)
 	}
@@ -71,31 +67,17 @@ func loadOpen(o Options) error {
 		ov   overload.Config
 	}{
 		{"static", overload.Config{}},
-		{"adaptive", overload.Config{TargetP99: slo, Interval: 50 * time.Millisecond, MaxQueue: queue}},
+		{"adaptive", overload.Config{TargetP99: overloadSLO, Interval: 50 * time.Millisecond, MaxQueue: OverloadQueue}},
 	}
-	offered := o.OpenRate
+	offered := OverloadRate
 	for _, v := range variants {
-		tr, err := train.New(train.Config{
-			Model: train.ModelTGAT, Finder: train.FinderGPU, FinderPolicy: "recent",
-			Hidden: o.Hidden, TimeDim: o.TimeDim, Seed: o.Seed,
-		}, ds)
-		if err != nil {
-			return err
-		}
-		e, err := serve.New(serve.Config{
-			Model: tr.Model, Pred: tr.Pred,
-			NumNodes: numNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
-			Budget: tr.Cfg.N, Policy: sampler.MostRecent,
-			MaxBatch: 32, MaxWait: 500 * time.Microsecond,
-			CacheSize: 2048, SnapshotEvery: 128, Seed: o.Seed,
-			Overload: v.ov,
-		})
+		e, err := fx.engine(func(c *serve.Config) { c.CacheSize, c.Overload = 2048, v.ov })
 		if err != nil {
 			return err
 		}
 		runErr := func() error {
 			defer e.Close()
-			if err := e.Bootstrap(ds.Graph.Events[:ds.TrainEnd], ds.EdgeFeat.SliceRows(ds.TrainEnd)); err != nil {
+			if err := fx.bootstrap(e); err != nil {
 				return err
 			}
 			srv := httptest.NewServer(serve.NewHandler(e))
@@ -115,7 +97,15 @@ func loadOpen(o Options) error {
 			}
 			fmt.Fprintf(o.Out, "\n%s engine: sustainable ~%.0f req/s closed-loop, offered burst %.0f req/s (open-loop)\n",
 				v.name, sus, offered)
-			return runOpenTimeline(o, srv.URL, v.name, zipf, qt, offered, dur, slo)
+			if err := runOpenTimeline(o, srv.URL, v.name, zipf, qt, offered); err != nil {
+				return err
+			}
+			// Surface the control plane's own account of the run when it has one.
+			if ov := e.Stats().Overload; ov != nil {
+				fmt.Fprintf(o.Out, "overload plane: effective_max_batch=%d effective_max_wait_us=%d\n",
+					ov.EffectiveMaxBatch, ov.EffectiveMaxWait.Microseconds())
+			}
+			return nil
 		}()
 		if runErr != nil {
 			return runErr
@@ -175,7 +165,8 @@ type openSecond struct {
 
 // runOpenTimeline drives the three-phase constant-arrival-rate timeline and
 // prints the per-second table plus the OPENLOOP summary line.
-func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate float64, dur time.Duration, slo time.Duration) error {
+func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate float64) error {
+	dur := overloadPhase
 	phases := []struct {
 		name string
 		rate float64
@@ -295,15 +286,7 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 	retryOK := shedMissingRA == 0
 	fmt.Fprintf(o.Out, "OPENLOOP %s burst_p99_ms=%.2f recovery_p99_ms=%.2f shed=%d retry_after_ok=%v lost=%d slo_ms=%.0f\n",
 		label, quant("burst", 0.99), quant("recovery", 0.99), shed, retryOK, lost,
-		float64(slo.Milliseconds()))
-
-	// Surface the control plane's own account of the run when it has one.
-	if st, err := fetchStats(base); err == nil {
-		if ov := st.Overload; ov != nil {
-			fmt.Fprintf(o.Out, "overload plane: effective_max_batch=%d effective_max_wait_us=%d\n",
-				ov.EffectiveMaxBatch, ov.EffectiveMaxWaitUS)
-		}
-	}
+		float64(overloadSLO.Milliseconds()))
 	return nil
 }
 

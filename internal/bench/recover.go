@@ -7,13 +7,11 @@ import (
 	"time"
 
 	"taser/internal/mathx"
-	"taser/internal/sampler"
 	"taser/internal/serve"
-	"taser/internal/train"
 	"taser/internal/wal"
 )
 
-// Recover measures the durability subsystem (DESIGN.md §9) along both axes
+// recoverExp measures the durability subsystem (DESIGN.md §9) along both axes
 // the design trades between:
 //
 // Table A — recovery time vs stream length, for the two recovery shapes. The
@@ -29,36 +27,18 @@ import (
 // fsync-per-event (SyncEvery=1). Group commit is the row that must sit within
 // a couple of allocations of the non-durable baseline; SyncEvery=1 shows the
 // fsync floor a caller opts into for zero-loss ingest.
-func Recover(o Options) error {
-	o = o.Normalize()
-	ds := o.loadDatasets([]string{"wikipedia"})[0]
-
-	// Weights are irrelevant to recovery timing; take the model from a fresh
-	// trainer (same shortcut as the serve load test).
-	tr, err := train.New(train.Config{
-		Model: train.ModelTGAT, Finder: train.FinderGPU, FinderPolicy: "recent",
-		Hidden: o.Hidden, TimeDim: o.TimeDim, Seed: o.Seed,
-	}, ds)
+func recoverExp(o Options) error {
+	fx, err := newServingFixture(o)
 	if err != nil {
 		return err
 	}
-
-	syncEvery := o.RecoverSyncEvery
-	if syncEvery == 0 {
-		syncEvery = 64
-	}
-	lengths := o.RecoverEvents
-	if len(lengths) == 0 {
-		lengths = []int{1024, 4096, 16384}
-	}
-
 	fmt.Fprintf(o.Out, "Recovery time vs stream length (%s graph, edge dim %d, sync every %d)\n",
-		ds.Spec.Name, ds.Spec.EdgeDim, syncEvery)
+		fx.ds.Spec.Name, fx.ds.Spec.EdgeDim, recoverSyncEvery)
 	fmt.Fprintf(o.Out, "%-8s %-7s | %9s %9s %9s | %12s %12s\n",
 		"events", "path", "recovered", "ckpt", "replayed", "recover(ms)", "µs/event")
-	for _, n := range lengths {
+	for _, n := range recoverEvents {
 		for _, crash := range []bool{true, false} {
-			row, err := recoverRow(o, ds.Spec.NumNodes, tr, n, syncEvery, crash)
+			row, err := recoverRow(fx, n, crash)
 			if err != nil {
 				return err
 			}
@@ -74,10 +54,10 @@ func Recover(o Options) error {
 		syncEvery int // 0 = durability off
 	}{
 		{"off", 0},
-		{fmt.Sprintf("sync-every=%d", syncEvery), syncEvery},
+		{fmt.Sprintf("sync-every=%d", recoverSyncEvery), recoverSyncEvery},
 		{"sync-every=1", 1},
 	} {
-		row, err := overheadRow(o, ds.Spec.NumNodes, tr, mode.label, mode.syncEvery)
+		row, err := overheadRow(fx, mode.label, mode.syncEvery)
 		if err != nil {
 			return err
 		}
@@ -91,40 +71,19 @@ func Recover(o Options) error {
 // on slow filesystems.
 const overheadEvents = 1024
 
-// recoverEngine builds a serving engine for the recovery experiment; dur.Dir
-// empty means durability off.
-func recoverEngine(o Options, numNodes int, tr *train.Trainer, dur serve.Durability) (*serve.Engine, error) {
-	return serve.New(serve.Config{
-		Model: tr.Model, Pred: tr.Pred,
-		NumNodes: numNodes, NodeFeat: tr.DS.NodeFeat, EdgeDim: tr.DS.Spec.EdgeDim,
-		Budget: tr.Cfg.N, Policy: sampler.MostRecent,
-		MaxBatch: 32, MaxWait: 500 * time.Microsecond,
-		SnapshotEvery: 128, Seed: o.Seed,
-		Durability: dur,
-	})
-}
-
-// feedSynthetic streams n synthetic chronological events (uniform endpoints,
-// zero-filled edge features) into the engine, stopping at the first
-// durability rejection (the fault-injected runs hit one at the kill point).
-func feedSynthetic(e *serve.Engine, seed uint64, numNodes, n int) (int, error) {
-	rng := mathx.NewRNG(seed ^ 0x5ec0fe4)
-	tm := 0.0
-	for i := 0; i < n; i++ {
-		tm += rng.Float64()
-		err := e.Ingest(int32(rng.Intn(numNodes)), int32(rng.Intn(numNodes)), tm, nil)
-		if err != nil {
-			return i, err
-		}
-	}
-	return n, nil
-}
+// Knobs of the recovery experiment; variables so the package smoke test can
+// shorten the run.
+var (
+	recoverEvents    = []int{1024, 4096, 16384} // stream lengths, one Table A row pair each
+	recoverSyncEvery = 64                       // WAL group-commit interval
+)
 
 // recoverRow ingests n events into a durable engine, ends the process's life
 // either by fault-injected kill (crash: the final checkpoint and any unsynced
 // tail are lost) or by clean Close (final checkpoint covers everything), then
 // times Recover on a fresh engine over the surviving store.
-func recoverRow(o Options, numNodes int, tr *train.Trainer, n, syncEvery int, crash bool) (string, error) {
+func recoverRow(fx *servingFixture, n int, crash bool) (string, error) {
+	syncEvery := recoverSyncEvery
 	dir, err := os.MkdirTemp("", "taser-recover-*")
 	if err != nil {
 		return "", err
@@ -133,11 +92,11 @@ func recoverRow(o Options, numNodes int, tr *train.Trainer, n, syncEvery int, cr
 
 	ff := wal.NewFaultFS(wal.OSFS{})
 	dur := serve.Durability{Dir: dir, SyncEvery: syncEvery, FS: ff}
-	e, err := recoverEngine(o, numNodes, tr, dur)
+	e, err := fx.durableEngine(dur)
 	if err != nil {
 		return "", err
 	}
-	if _, err := feedSynthetic(e, o.Seed, numNodes, n); err != nil {
+	if err := fx.feedSynthetic(e, n); err != nil {
 		e.Close()
 		return "", err
 	}
@@ -149,7 +108,7 @@ func recoverRow(o Options, numNodes int, tr *train.Trainer, n, syncEvery int, cr
 	}
 	e.Close()
 
-	rec, err := recoverEngine(o, numNodes, tr, serve.Durability{Dir: dir, SyncEvery: syncEvery})
+	rec, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: syncEvery})
 	if err != nil {
 		return "", err
 	}
@@ -175,7 +134,8 @@ func recoverRow(o Options, numNodes int, tr *train.Trainer, n, syncEvery int, cr
 // overheadRow times overheadEvents ingests and counts heap allocations per
 // event (runtime.MemStats.Mallocs delta — unaffected by GC timing) for one
 // durability mode.
-func overheadRow(o Options, numNodes int, tr *train.Trainer, label string, syncEvery int) (string, error) {
+func overheadRow(fx *servingFixture, label string, syncEvery int) (string, error) {
+	numNodes := fx.ds.Spec.NumNodes
 	var dur serve.Durability
 	var dir string
 	if syncEvery > 0 {
@@ -187,18 +147,18 @@ func overheadRow(o Options, numNodes int, tr *train.Trainer, label string, syncE
 		defer os.RemoveAll(dir)
 		dur = serve.Durability{Dir: dir, SyncEvery: syncEvery}
 	}
-	e, err := recoverEngine(o, numNodes, tr, dur)
+	e, err := fx.durableEngine(dur)
 	if err != nil {
 		return "", err
 	}
 	defer e.Close()
 
 	// Warm the append paths so slice growth doesn't bill the measured window.
-	if _, err := feedSynthetic(e, o.Seed, numNodes, 256); err != nil {
+	if err := fx.feedSynthetic(e, 256); err != nil {
 		return "", err
 	}
 
-	rng := mathx.NewRNG(o.Seed ^ 0xbadc0de)
+	rng := mathx.NewRNG(fx.o.Seed ^ 0xbadc0de)
 	tm, _ := e.Watermark()
 	runtime.GC()
 	var before, after runtime.MemStats

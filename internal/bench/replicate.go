@@ -9,10 +9,9 @@ import (
 	"taser/internal/mathx"
 	"taser/internal/replica"
 	"taser/internal/serve"
-	"taser/internal/train"
 )
 
-// Replicate measures the log-shipping replication subsystem (DESIGN.md §11)
+// replicateExp measures the log-shipping replication subsystem (DESIGN.md §11)
 // along the two axes operators size replicas by:
 //
 // Table A — catch-up time vs stream length, for the two catch-up shapes. The
@@ -29,28 +28,18 @@ import (
 // synced minus follower applied) is sampled throughout. Lag that holds
 // steady means the follower absorbs the rate; lag that climbs means the
 // rate exceeds one replica's apply throughput.
-func Replicate(o Options) error {
-	o = o.Normalize()
-	ds := o.loadDatasets([]string{"wikipedia"})[0]
-
-	tr, err := train.New(train.Config{
-		Model: train.ModelTGAT, Finder: train.FinderGPU, FinderPolicy: "recent",
-		Hidden: o.Hidden, TimeDim: o.TimeDim, Seed: o.Seed,
-	}, ds)
+func replicateExp(o Options) error {
+	fx, err := newServingFixture(o)
 	if err != nil {
 		return err
 	}
 
-	lengths := o.ReplicateEvents
-	if len(lengths) == 0 {
-		lengths = []int{1024, 4096, 16384}
-	}
-	fmt.Fprintf(o.Out, "Catch-up time vs stream length (%s graph, sync every 64, poll 1ms)\n", ds.Spec.Name)
+	fmt.Fprintf(o.Out, "Catch-up time vs stream length (%s graph, sync every 64, poll 1ms)\n", fx.ds.Spec.Name)
 	fmt.Fprintf(o.Out, "%-8s %-7s | %9s %9s | %12s %12s\n",
 		"events", "path", "applied", "polls", "catchup(ms)", "µs/event")
-	for _, n := range lengths {
+	for _, n := range replicateEvents {
 		for _, ckpt := range []bool{false, true} {
-			row, err := replicateCatchupRow(o, ds.Spec.NumNodes, tr, n, ckpt)
+			row, err := replicateCatchupRow(fx, n, ckpt)
 			if err != nil {
 				return err
 			}
@@ -58,16 +47,12 @@ func Replicate(o Options) error {
 		}
 	}
 
-	rates := o.ReplicateRates
-	if len(rates) == 0 {
-		rates = []int{1000, 4000, 16000}
-	}
 	fmt.Fprintf(o.Out, "\nSteady-state follower lag vs ingest rate (%.1fs window per rate)\n",
 		lagWindow.Seconds())
 	fmt.Fprintf(o.Out, "%-10s | %10s %10s %10s %10s\n",
 		"target ev/s", "actual", "mean lag", "max lag", "final lag")
-	for _, rate := range rates {
-		row, err := replicateLagRow(o, ds.Spec.NumNodes, tr, rate)
+	for _, rate := range replicateRates {
+		row, err := replicateLagRow(fx, rate)
 		if err != nil {
 			return err
 		}
@@ -90,14 +75,21 @@ func replLag(e *serve.Engine, f *replica.Follower) uint64 {
 // reach its steady shape, short enough to keep the experiment CI-sized.
 const lagWindow = 1500 * time.Millisecond
 
+// Knobs of the replication experiment; variables so the package smoke test
+// can shorten the run.
+var (
+	replicateEvents = []int{1024, 4096, 16384} // catch-up stream lengths
+	replicateRates  = []int{1000, 4000, 16000} // leader ingest rates, events/sec
+)
+
 // replicatePair builds a durable leader engine over its own store plus an
 // httptest server shipping its log; cleanup closes everything.
-func replicatePair(o Options, numNodes int, tr *train.Trainer) (*serve.Engine, *httptest.Server, func(), error) {
+func replicatePair(fx *servingFixture) (*serve.Engine, *httptest.Server, func(), error) {
 	dir, err := os.MkdirTemp("", "taser-repl-*")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	e, err := recoverEngine(o, numNodes, tr, serve.Durability{Dir: dir, SyncEvery: 64})
+	e, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: 64})
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, nil, err
@@ -119,12 +111,12 @@ func replicatePair(o Options, numNodes int, tr *train.Trainer) (*serve.Engine, *
 
 // startBenchFollower builds a durable follower engine and attaches it to the
 // leader's server with a tight poll interval.
-func startBenchFollower(o Options, numNodes int, tr *train.Trainer, leaderURL string) (*serve.Engine, *replica.Follower, func(), error) {
+func startBenchFollower(fx *servingFixture, leaderURL string) (*serve.Engine, *replica.Follower, func(), error) {
 	dir, err := os.MkdirTemp("", "taser-repl-f-*")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fe, err := recoverEngine(o, numNodes, tr, serve.Durability{Dir: dir, SyncEvery: 64})
+	fe, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: 64})
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, nil, err
@@ -148,13 +140,13 @@ func startBenchFollower(o Options, numNodes int, tr *train.Trainer, leaderURL st
 // replicateCatchupRow ingests n events into a leader, optionally seals them
 // in a checkpoint, then times a fresh follower from StartFollower to parity
 // with the leader's synced sequence.
-func replicateCatchupRow(o Options, numNodes int, tr *train.Trainer, n int, ckpt bool) (string, error) {
-	e, ts, cleanup, err := replicatePair(o, numNodes, tr)
+func replicateCatchupRow(fx *servingFixture, n int, ckpt bool) (string, error) {
+	e, ts, cleanup, err := replicatePair(fx)
 	if err != nil {
 		return "", err
 	}
 	defer cleanup()
-	if _, err := feedSynthetic(e, o.Seed, numNodes, n); err != nil {
+	if err := fx.feedSynthetic(e, n); err != nil {
 		return "", err
 	}
 	if ckpt {
@@ -165,7 +157,7 @@ func replicateCatchupRow(o Options, numNodes int, tr *train.Trainer, n int, ckpt
 	synced := e.Stats().WALSynced
 
 	start := time.Now()
-	_, f, fCleanup, err := startBenchFollower(o, numNodes, tr, ts.URL)
+	_, f, fCleanup, err := startBenchFollower(fx, ts.URL)
 	if err != nil {
 		return "", err
 	}
@@ -194,17 +186,18 @@ func replicateCatchupRow(o Options, numNodes int, tr *train.Trainer, n int, ckpt
 // replicateLagRow feeds the leader at the target rate for lagWindow while
 // sampling the follower's lag every 10ms, then reports the achieved rate and
 // the lag profile.
-func replicateLagRow(o Options, numNodes int, tr *train.Trainer, rate int) (string, error) {
-	e, ts, cleanup, err := replicatePair(o, numNodes, tr)
+func replicateLagRow(fx *servingFixture, rate int) (string, error) {
+	numNodes := fx.ds.Spec.NumNodes
+	e, ts, cleanup, err := replicatePair(fx)
 	if err != nil {
 		return "", err
 	}
 	defer cleanup()
 	// A warm prefix so neither side measures cold-start slice growth.
-	if _, err := feedSynthetic(e, o.Seed, numNodes, 256); err != nil {
+	if err := fx.feedSynthetic(e, 256); err != nil {
 		return "", err
 	}
-	_, f, fCleanup, err := startBenchFollower(o, numNodes, tr, ts.URL)
+	_, f, fCleanup, err := startBenchFollower(fx, ts.URL)
 	if err != nil {
 		return "", err
 	}
@@ -216,7 +209,7 @@ func replicateLagRow(o Options, numNodes int, tr *train.Trainer, rate int) (stri
 	if batch < 1 {
 		batch = 1
 	}
-	rng := mathx.NewRNG(o.Seed ^ 0x1a9)
+	rng := mathx.NewRNG(fx.o.Seed ^ 0x1a9)
 	tm, _ := e.Watermark()
 	var fed int
 	var sumLag, maxLag, samples uint64

@@ -7,13 +7,12 @@ import (
 	"taser/internal/train"
 )
 
-// Table1 reproduces Table I: test MRR of the four sampling variants on every
+// table1 reproduces Table I: test MRR of the four sampling variants on every
 // dataset for both backbones. The paper's finding to reproduce is the
 // *ordering* — each adaptive component alone beats the baseline, and TASER
 // (both combined) is at least as good — not the absolute numbers (our
 // datasets are synthetic and ~100× smaller).
-func Table1(o Options) error {
-	o = o.Normalize()
+func table1(o Options) error {
 	fmt.Fprintf(o.Out, "Table I — accuracy (test MRR, %d negatives) | scale=%.2f epochs=%d seed=%d\n",
 		49, o.Scale, o.Epochs, o.Seed)
 	for _, ds := range o.loadDatasets(allNames) {
@@ -53,9 +52,8 @@ func Table1(o Options) error {
 	return nil
 }
 
-// Table2 reproduces Table II: the dataset statistics.
-func Table2(o Options) error {
-	o = o.Normalize()
+// table2 reproduces Table II: the dataset statistics.
+func table2(o Options) error {
 	fmt.Fprintf(o.Out, "Table II — dataset statistics (scale=%.2f, ~100× below the paper)\n", o.Scale)
 	for _, ds := range o.loadDatasets(allNames) {
 		fmt.Fprintln(o.Out, ds)

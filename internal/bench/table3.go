@@ -25,7 +25,7 @@ func table3Rows() []table3Row {
 	}
 }
 
-// Table3 reproduces Table III: the per-epoch runtime breakdown (NF, AS, FS,
+// table3 reproduces Table III: the per-epoch runtime breakdown (NF, AS, FS,
 // PP) of the full TASER pipeline as the system optimizations are stacked:
 // original neighbor finder → GPU finder → GPU finder + 10/20/30% feature
 // cache. The shape to reproduce: NF dominant in the baseline, reduced to ~0
@@ -34,8 +34,7 @@ func table3Rows() []table3Row {
 //
 // Timing protocol: one warm-up epoch (trains the cache, Algorithm 3), then
 // one measured epoch. Both adaptive components are on, as in the paper.
-func Table3(o Options) error {
-	o = o.Normalize()
+func table3(o Options) error {
 	fmt.Fprintf(o.Out, "Table III — per-epoch runtime breakdown (sec) | scale=%.2f seed=%d\n", o.Scale, o.Seed)
 	// The paper omits Flights (no edge features to cache).
 	def := []string{"wikipedia", "reddit", "movielens", "gdelt"}
@@ -79,12 +78,11 @@ func Table3(o Options) error {
 	return nil
 }
 
-// Fig1 reproduces Figure 1: the per-epoch runtime of baseline TGAT split
+// fig1 reproduces Figure 1: the per-epoch runtime of baseline TGAT split
 // into mini-batch generation (Prep = NF + FS) and propagation (Prop = PP) as
 // the number of neighbors per layer grows. The shape to reproduce: Prep
 // grows much faster than Prop and dominates the epoch time.
-func Fig1(o Options) error {
-	o = o.Normalize()
+func fig1(o Options) error {
 	fmt.Fprintf(o.Out, "Fig. 1 — TGAT per-epoch runtime breakdown vs #neighbors | scale=%.2f\n", o.Scale)
 	for _, ds := range o.loadDatasets([]string{"wikipedia", "reddit"}) {
 		fmt.Fprintf(o.Out, "\n%s\n%-12s %10s %10s %8s\n", ds.Spec.Name, "#neighbors", "Prep(s)", "Prop(s)", "Prep%")

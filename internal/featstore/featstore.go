@@ -41,9 +41,6 @@ func New(host *tensor.Matrix, policy cache.Policy, stats *device.XferStats) *Sto
 // Dim returns the feature width.
 func (s *Store) Dim() int { return s.host.Cols }
 
-// NumRows returns the backing row count.
-func (s *Store) NumRows() int { return s.host.Rows }
-
 // rowBytes is the transfer size of one feature row.
 func (s *Store) rowBytes() int64 { return int64(s.host.Cols) * 8 }
 
@@ -165,6 +162,3 @@ func (s *Store) refillLocked(inserted []int32) {
 
 // Policy exposes the cache policy (nil when uncached).
 func (s *Store) Policy() cache.Policy { return s.policy }
-
-// Host exposes the backing matrix (read-only by convention).
-func (s *Store) Host() *tensor.Matrix { return s.host }

@@ -161,22 +161,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceDistribution(t *testing.T) {
-	r := NewRNG(7)
-	weights := []float64{1, 2, 7}
-	counts := make([]int, 3)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[WeightedChoice(r, weights)]++
-	}
-	for i, w := range weights {
-		want := w / 10 * draws
-		if math.Abs(float64(counts[i])-want) > 0.05*draws {
-			t.Fatalf("weight %d: count %d want ~%v", i, counts[i], want)
-		}
-	}
-}
-
 func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := NewRNG(seed)

@@ -5,27 +5,6 @@ import (
 	"sort"
 )
 
-// WeightedChoice draws one index from the unnormalized non-negative weights.
-// It panics if the weights sum to zero or are empty.
-func WeightedChoice(r *RNG, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 || len(weights) == 0 {
-		panic("mathx: WeightedChoice with non-positive total weight")
-	}
-	u := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // WeightedSampleNoReplace draws k distinct indices from the unnormalized
 // non-negative weights using the Efraimidis–Spirakis exponential-key method:
 // each item i receives key u_i^(1/w_i) and the k largest keys win. Items with

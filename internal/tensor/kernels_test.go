@@ -166,7 +166,8 @@ func TestGroupedMatMulLeftMatchesPerGroupMatMul(t *testing.T) {
 	GroupedMatMulLeftInto(dst, w, src, k)
 	for g := 0; g < groups; g++ {
 		block := FromSlice(k, c, src.Data[g*k*c:(g+1)*k*c])
-		want := MatMul(w, block)
+		want := New(k2, c)
+		MatMulInto(want, w, block)
 		got := FromSlice(k2, c, dst.Data[g*k2*c:(g+1)*k2*c])
 		if !got.Equal(want, 1e-10) {
 			t.Fatalf("group %d mismatch", g)

@@ -42,13 +42,6 @@ func MatMulInto(dst, a, b *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, lo, hi) })
 }
 
-// MatMul allocates and returns a @ b.
-func MatMul(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Cols)
-	MatMulInto(dst, a, b)
-	return dst
-}
-
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
 // zeroed first — this is the gradient-accumulation form used by autograd).
 // It is the same tile as MatMulInto with a's strides swapped: a lane is a
@@ -147,24 +140,6 @@ func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, h
 	}
 }
 
-// MatMulTransBInto computes dst = a @ bᵀ.
-func MatMulTransBInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MatMulTransBInto dst shape")
-	}
-	matMulTransB(dst, a, b, tileStore)
-}
-
-// MatMulTransB allocates and returns a @ bᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Rows)
-	MatMulTransBInto(dst, a, b)
-	return dst
-}
-
 // MatMulTransBAddInto accumulates dst += a @ bᵀ without a temporary product
 // (the gradient-accumulation form autograd's MatMul backward uses:
 // dA += dO @ Bᵀ). Each element's sum is formed from zero and added to dst
@@ -176,7 +151,28 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MatMulTransBAddInto dst shape")
 	}
-	matMulTransB(dst, a, b, tileAdd)
+	n, m2 := a.Cols, b.Rows
+	if !tileFits(a.Rows, m2, n) { // no tile will run: skip the copy
+		dotRows(dst, a, b, 0, a.Rows)
+		return
+	}
+	// Run it as the forward tile against bᵀ: b is the small operand on every
+	// model path (a weight matrix), so copying it k-major once per call is
+	// noise next to the product, and it turns the tile's b loads into the
+	// same contiguous 8-wide rows the other two products read.
+	bt := getTrans(n * m2)
+	for j := 0; j < m2; j++ {
+		brow := b.Data[j*n : j*n+n]
+		for kk, bv := range brow {
+			bt[kk*m2+j] = bv
+		}
+	}
+	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
+		transBRange(dst, a, b, bt, 0, a.Rows)
+	} else {
+		parallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, lo, hi) })
+	}
+	putTrans(bt)
 }
 
 // transFree recycles the k-major copies of b that a @ bᵀ multiplies against:
@@ -209,42 +205,18 @@ func putTrans(buf []float64) {
 	transFree.Unlock()
 }
 
-// matMulTransB runs a @ bᵀ as the forward tile against bᵀ: b is the small
-// operand on every model path (a weight matrix), so copying it k-major once
-// per call is noise next to the product, and it turns the tile's b loads
-// into the same contiguous 8-wide rows the other two products read.
-func matMulTransB(dst, a, b *Matrix, mode tileMode) {
-	n, m2 := a.Cols, b.Rows
-	if !tileFits(a.Rows, m2, n) { // no tile will run: skip the copy
-		dotRows(dst, a, b, mode, 0, a.Rows)
-		return
-	}
-	bt := getTrans(n * m2)
-	for j := 0; j < m2; j++ {
-		brow := b.Data[j*n : j*n+n]
-		for kk, bv := range brow {
-			bt[kk*m2+j] = bv
-		}
-	}
-	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
-		transBRange(dst, a, b, bt, mode, 0, a.Rows)
-	} else {
-		parallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, mode, lo, hi) })
-	}
-	putTrans(bt)
-}
-
-// transBRange computes rows [lo, hi) of a @ bᵀ against bt, b's k-major copy.
-func transBRange(dst, a, b *Matrix, bt []float64, mode tileMode, lo, hi int) {
-	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, mode, lo, hi) {
-		dotRows(dst, a, b, mode, lo, hi)
+// transBRange adds rows [lo, hi) of a @ bᵀ to dst against bt, b's k-major
+// copy.
+func transBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
+	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, tileAdd, lo, hi) {
+		dotRows(dst, a, b, lo, hi)
 	}
 }
 
-// dotRows is a @ bᵀ's scalar form for ranges no tile fits: one dot product
-// per element, both operands contiguous along k, summed k-ascending from
-// zero and then stored (tileStore) or added to dst (tileAdd).
-func dotRows(dst, a, b *Matrix, mode tileMode, lo, hi int) {
+// dotRows is dst += a @ bᵀ's scalar form for ranges no tile fits: one dot
+// product per element, both operands contiguous along k, summed k-ascending
+// from zero and then added to dst.
+func dotRows(dst, a, b *Matrix, lo, hi int) {
 	n, m2 := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*n : i*n+n]
@@ -255,10 +227,7 @@ func dotRows(dst, a, b *Matrix, mode tileMode, lo, hi int) {
 			for kk, bv := range brow {
 				s += float64(arow[kk] * bv)
 			}
-			if mode == tileAdd {
-				s += drow[j]
-			}
-			drow[j] = s
+			drow[j] = s + drow[j]
 		}
 	}
 }

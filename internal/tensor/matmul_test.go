@@ -34,7 +34,9 @@ func matMulRef(dst, a, b *Matrix) {
 	}
 }
 
-func matMulTransBRef(dst, a, b *Matrix, accumulate bool) {
+// matMulTransBRef is dst += a @ bᵀ, each element's dot product summed
+// k-ascending from zero before it is added.
+func matMulTransBRef(dst, a, b *Matrix) {
 	n := a.Cols
 	m2 := b.Rows
 	for i := 0; i < a.Rows; i++ {
@@ -46,11 +48,7 @@ func matMulTransBRef(dst, a, b *Matrix, accumulate bool) {
 			for k, bv := range brow {
 				s += arow[k] * bv
 			}
-			if accumulate {
-				drow[j] += s
-			} else {
-				drow[j] = s
-			}
+			drow[j] += s
 		}
 	}
 }
@@ -121,8 +119,9 @@ func TestMatMulDenseBitwiseMatchesRef(t *testing.T) {
 	}
 }
 
-// TestMatMulTransBBitwiseMatchesRef covers the 2×4 tile plus both remainder
-// loops (odd dst rows, dst cols not divisible by 4) and the accumulate form.
+// TestMatMulTransBBitwiseMatchesRef covers the tile plus both remainders
+// (dst rows not divisible by 4, dst cols not divisible by 8) and the scalar
+// form, accumulating onto a zero and onto a non-zero dst.
 func TestMatMulTransBBitwiseMatchesRef(t *testing.T) {
 	rng := mathx.NewRNG(14)
 	shapes := [][3]int{{1, 5, 1}, {5, 7, 6}, {32, 24, 38}, {33, 24, 39}, {130, 48, 27}}
@@ -130,17 +129,13 @@ func TestMatMulTransBBitwiseMatchesRef(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a := Randn(m, k, 1, rng)
 		b := Randn(n, k, 1, rng)
-		got := New(m, n)
-		MatMulTransBInto(got, a, b)
-		want := New(m, n)
-		matMulTransBRef(want, a, b, false)
-		if d := bitwiseDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: elem %d differs", m, k, n, d)
-		}
-		MatMulTransBAddInto(got, a, b)
-		matMulTransBRef(want, a, b, true)
-		if d := bitwiseDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d add: elem %d differs", m, k, n, d)
+		got, want := New(m, n), New(m, n)
+		for round := 0; round < 2; round++ {
+			MatMulTransBAddInto(got, a, b)
+			matMulTransBRef(want, a, b)
+			if d := bitwiseDiff(got, want); d >= 0 {
+				t.Fatalf("%dx%dx%d round %d: elem %d differs", m, k, n, round, d)
+			}
 		}
 	}
 }
@@ -186,12 +181,11 @@ func TestMatMulParallelSerialBitwiseAtCrossover(t *testing.T) {
 		bt := Randn(n, k, 1, rng)
 		wide := Randn(m, n, 1, rng)
 
-		type result struct{ mm, tb, tba, ta *Matrix }
+		type result struct{ mm, tba, ta *Matrix }
 		run := func(procs int) result {
 			runtime.GOMAXPROCS(procs)
-			r := result{New(m, n), New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6))}
+			r := result{New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6))}
 			MatMulInto(r.mm, a, b)
-			MatMulTransBInto(r.tb, a, bt)
 			MatMulTransBAddInto(r.tba, a, bt)
 			MatMulTransAInto(r.ta, a, wide)
 			return r
@@ -203,7 +197,6 @@ func TestMatMulParallelSerialBitwiseAtCrossover(t *testing.T) {
 			s, p *Matrix
 		}{
 			{"MatMulInto", serial.mm, parallel.mm},
-			{"MatMulTransBInto", serial.tb, parallel.tb},
 			{"MatMulTransBAddInto", serial.tba, parallel.tba},
 			{"MatMulTransAInto", serial.ta, parallel.ta},
 		} {
@@ -262,26 +255,59 @@ func TestWorkerLimitTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func benchMM(b *testing.B, kernel func(dst, a, bb *Matrix), shapes [][3]int) {
-	for _, s := range shapes {
+// stepShapes are the six m×k×n matmuls of one train-taser-tgat step
+// (wikipedia, batch 32, Hidden 24, N 10, M 25): x is m×k, w is k×n.
+var stepShapes = [][3]int{{1389, 73, 73}, {5500, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}}
+
+// BenchmarkMatMul is the raw-speed floor (DESIGN.md §13): every step shape ×
+// the three product forms it runs in — forward x@w (ab), the weight gradient
+// xᵀ@dy (aTb) and the input gradient dy@wᵀ (abT), 2·m·k·n FLOP each — on the
+// AVX2 assembly tile (asm) and on its Go twin (go), the path on CPUs without
+// AVX2. SetBytes carries the FLOP count, so the MB/s column reads MFLOP/s. On
+// a shared host the asm/go ratio is the stable signal.
+func BenchmarkMatMul(b *testing.B) {
+	defer forceGoTile(false)
+	forms := []struct {
+		name string
+		run  func(x, w, y, dw, dx *Matrix)
+	}{
+		{"ab", func(x, w, y, dw, dx *Matrix) { MatMulInto(y, x, w) }},
+		{"aTb", func(x, w, y, dw, dx *Matrix) { MatMulTransAInto(dw, x, y) }},
+		{"abT", func(x, w, y, dw, dx *Matrix) { MatMulTransBAddInto(dx, y, w) }},
+	}
+	for _, s := range stepShapes {
 		m, k, n := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
-			rng := mathx.NewRNG(99)
-			a := Randn(m, k, 1, rng)
-			bb := Randn(k, n, 1, rng)
-			dst := New(m, n)
-			b.SetBytes(int64(2 * m * k * n)) // MB/s column ≈ 4·MFLOP/s
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kernel(dst, a, bb)
+		rng := mathx.NewRNG(99)
+		x, w := Randn(m, k, 1, rng), Randn(k, n, 1, rng)
+		y, dw, dx := New(m, n), New(k, n), New(m, k)
+		for _, f := range forms {
+			for _, impl := range []string{"asm", "go"} {
+				b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, f.name, impl), func(b *testing.B) {
+					if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
+						b.Skip("no AVX2 on this CPU: every product runs the Go twin")
+					}
+					b.SetBytes(int64(2 * m * k * n))
+					for i := 0; i < b.N; i++ {
+						f.run(x, w, y, dw, dx)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
-var benchShapes = [][3]int{{1504, 38, 24}, {1504, 24, 48}, {304, 48, 24}, {256, 256, 256}, {512, 512, 512}}
-
-func BenchmarkMatMul(b *testing.B) { benchMM(b, MatMulInto, benchShapes) }
+// BenchmarkMatMulRef is the seed's scalar loop on the same forward products.
 func BenchmarkMatMulRef(b *testing.B) {
-	benchMM(b, func(d, x, y *Matrix) { matMulRef(d, x, y) }, benchShapes)
+	for _, s := range stepShapes {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			rng := mathx.NewRNG(99)
+			x, w, y := Randn(m, k, 1, rng), Randn(k, n, 1, rng), New(m, n)
+			b.SetBytes(int64(2 * m * k * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matMulRef(y, x, w)
+			}
+		})
+	}
 }

@@ -77,7 +77,7 @@ func (m *Matrix) Clone() *Matrix {
 // The zero-fill is a contract, not an optimization detail: recycled slabs
 // (pool.go, Arena) hold a previous checkout's data, and every consumer of a
 // resized matrix — gradient accumulators that +=, masks finished by
-// FinishMask, kernels like ReLU that only write selected elements — assumes a
+// FinishMask, kernels like ScatterRows that only write selected rows — assumes a
 // fresh-New state. This includes the region beyond the previous length when a
 // matrix grows within its capacity: Go reslicing does NOT clear it, so Resize
 // must (TestResizeZeroFillsGrownRegion pins this).

@@ -112,7 +112,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(i, i, 1)
 	}
-	if !MatMul(a, id).Equal(a, 1e-12) || !MatMul(id, a).Equal(a, 1e-12) {
+	right, left := New(4, 4), New(4, 4)
+	MatMulInto(right, a, id)
+	MatMulInto(left, id, a)
+	if !right.Equal(a, 1e-12) || !left.Equal(a, 1e-12) {
 		t.Fatal("identity multiply must be a no-op")
 	}
 }
@@ -120,7 +123,8 @@ func TestMatMulIdentity(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got := MatMul(a, b)
+	got := New(2, 2)
+	MatMulInto(got, a, b)
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("got %v", got)
@@ -150,7 +154,9 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 		c := 1 + int((seed>>16)%11)
 		a := Randn(r, k, 1, rng)
 		b := Randn(k, c, 1, rng)
-		return MatMul(a, b).Equal(matMulNaive(a, b), 1e-9)
+		got := New(r, c)
+		MatMulInto(got, a, b)
+		return got.Equal(matMulNaive(a, b), 1e-9)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +168,8 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Large enough to cross parallelThreshold.
 	a := Randn(128, 64, 1, rng)
 	b := Randn(64, 96, 1, rng)
-	got := MatMul(a, b)
+	got := New(128, 96)
+	MatMulInto(got, a, b)
 	want := New(128, 96)
 	productRange(want.Data, a.Data, a.Cols, 1, b, tileStore, 0, 128)
 	if !got.Equal(want, 1e-12) {
@@ -174,10 +181,11 @@ func TestMatMulTransB(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	a := Randn(5, 7, 1, rng)
 	b := Randn(6, 7, 1, rng)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, b.Transpose())
+	got, want := New(5, 6), New(5, 6)
+	MatMulTransBAddInto(got, a, b)
+	MatMulInto(want, a, b.Transpose())
 	if !got.Equal(want, 1e-10) {
-		t.Fatal("MatMulTransB mismatch")
+		t.Fatal("a @ bᵀ mismatch")
 	}
 }
 
@@ -188,7 +196,8 @@ func TestMatMulTransAAccumulates(t *testing.T) {
 	dst := New(3, 4)
 	dst.Fill(1)
 	MatMulTransAInto(dst, a, b)
-	want := MatMul(a.Transpose(), b)
+	want := New(3, 4)
+	MatMulInto(want, a.Transpose(), b)
 	ones := New(3, 4)
 	ones.Fill(1)
 	want.AddInPlace(ones)
@@ -203,7 +212,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestSumMaxAbs(t *testing.T) {

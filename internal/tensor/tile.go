@@ -24,7 +24,7 @@ package tensor
 type tileMode int
 
 const (
-	tileStore tileMode = iota // dst = 0 + p₀ + p₁ + …         (a @ b, a @ bᵀ)
+	tileStore tileMode = iota // dst = 0 + p₀ + p₁ + …         (a @ b)
 	tileAccum                 // dst = dst + p₀ + p₁ + …       (aᵀ @ b gradient accumulation)
 	tileAdd                   // dst = dst + (0 + p₀ + p₁ + …) (dst += a @ bᵀ)
 )

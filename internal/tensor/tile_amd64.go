@@ -5,12 +5,12 @@ package tensor
 // environment variable or build tag that overrides it.
 var haveTileAsm = cpuHasAVX2()
 
-// ForceGoTile routes every product through the Go twin (on) or back to what
+// forceGoTile routes every product through the Go twin (on) or back to what
 // the CPU probe chose (off), and reports whether the assembly tile is then
-// active. It exists so `taser-bench -exp kernels` and the equivalence tests
-// can time and compare one implementation against the other; no training or
-// serving path calls it, and it must not be called while kernels run.
-func ForceGoTile(on bool) (asm bool) {
+// active. It exists so BenchmarkMatMul and the equivalence tests can time and
+// compare one implementation against the other; nothing outside this
+// package's tests calls it, and it must not be called while kernels run.
+func forceGoTile(on bool) (asm bool) {
 	haveTileAsm = !on && cpuHasAVX2()
 	return haveTileAsm
 }

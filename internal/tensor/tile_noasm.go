@@ -5,8 +5,8 @@ package tensor
 // Without an assembly tile every product runs tileGo.
 const haveTileAsm = false
 
-// ForceGoTile has nothing to switch here (see tile_amd64.go).
-func ForceGoTile(on bool) (asm bool) { return false }
+// forceGoTile has nothing to switch here (see tile_amd64.go).
+func forceGoTile(on bool) (asm bool) { return false }
 
 func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, mode int) {
 	panic("tensor: tileAVX2 on a platform without it")

@@ -120,84 +120,6 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 	return sumRR
 }
 
-// EvalAP computes link-prediction Average Precision: each evaluated edge
-// contributes one positive (u, v) and one random negative (u, v′) pair; AP
-// is the area under the precision–recall curve of the logit ranking. This
-// is the metric TGAT/TGN report; the paper's tables use MRR, but both are
-// exposed for downstream use.
-func (t *Trainer) EvalAP(split Split) float64 {
-	lo, hi := t.DS.TrainEnd, t.DS.ValEnd
-	if split == SplitTest {
-		lo, hi = t.DS.ValEnd, len(t.DS.Graph.Events)
-	}
-	edges := make([]int, 0, hi-lo)
-	for e := lo; e < hi; e++ {
-		edges = append(edges, e)
-	}
-	if t.Cfg.MaxEvalEdges > 0 && len(edges) > t.Cfg.MaxEvalEdges {
-		stride := float64(len(edges)) / float64(t.Cfg.MaxEvalEdges)
-		sub := make([]int, 0, t.Cfg.MaxEvalEdges)
-		for i := 0; i < t.Cfg.MaxEvalEdges; i++ {
-			sub = append(sub, edges[int(float64(i)*stride)])
-		}
-		edges = sub
-	}
-	type scored struct {
-		logit float64
-		pos   bool
-	}
-	var all []scored
-	const chunk = 50
-	for start := 0; start < len(edges); start += chunk {
-		end := start + chunk
-		if end > len(edges) {
-			end = len(edges)
-		}
-		batch := edges[start:end]
-		b := len(batch)
-		pb := t.prepareRoots(t.rootsForEdges(batch)) // [srcs | dsts | negs]
-		built := t.finishBatch(pb)
-		g := t.modelGraph(true)
-		emb, _ := t.Model.Forward(g, built.mb)
-		srcIdx := t.pool.getIDs(2 * b)[:2*b]
-		dstIdx := t.pool.getIDs(2 * b)[:2*b]
-		for i := 0; i < b; i++ {
-			srcIdx[i], dstIdx[i] = int32(i), int32(b+i)
-			srcIdx[b+i], dstIdx[b+i] = int32(i), int32(2*b+i)
-		}
-		logits := t.Pred.ScoreGathered(g, emb, srcIdx, dstIdx)
-		for i := 0; i < b; i++ {
-			all = append(all,
-				scored{logits.Val.Data[i], true},
-				scored{logits.Val.Data[b+i], false})
-		}
-		t.pool.putIDs(srcIdx)
-		t.pool.putIDs(dstIdx)
-		t.releasePrepared(pb)
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	// AP = Σ_k precision@k over positive hits / #positives, descending logit
-	// (ties broken pessimistically: negatives first).
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].logit != all[j].logit {
-			return all[i].logit > all[j].logit
-		}
-		return !all[i].pos && all[j].pos
-	})
-	var ap float64
-	positives, seen := 0, 0
-	for _, s := range all {
-		seen++
-		if s.pos {
-			positives++
-			ap += float64(positives) / float64(seen)
-		}
-	}
-	return ap / float64(positives)
-}
-
 // Run trains for Cfg.Epochs epochs and returns the per-epoch losses plus the
 // final validation and test MRR.
 func (t *Trainer) Run() (losses []float64, valMRR, testMRR float64) {

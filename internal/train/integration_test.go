@@ -183,29 +183,6 @@ func TestLRUCachePolicyConfig(t *testing.T) {
 	}
 }
 
-// TestEvalAPBounds checks the AP metric: in [0, 1], ~0.5 untrained, and
-// higher after training on the learnable dataset.
-func TestEvalAPBounds(t *testing.T) {
-	ds := tinyDS(29)
-	cfg := tinyCfg()
-	cfg.Epochs = 3
-	tr, _ := New(cfg, ds)
-	before := tr.EvalAP(SplitTest)
-	if before < 0.2 || before > 0.8 {
-		t.Fatalf("untrained AP %v should be near 0.5", before)
-	}
-	for e := 0; e < cfg.Epochs; e++ {
-		tr.TrainEpoch()
-	}
-	after := tr.EvalAP(SplitTest)
-	if after < 0 || after > 1 {
-		t.Fatalf("AP out of bounds: %v", after)
-	}
-	if after <= before-0.1 {
-		t.Fatalf("training should not collapse AP: before %v after %v", before, after)
-	}
-}
-
 // TestFinderPolicyOverride covers the static-policy knob, including the
 // inverse-timespan heuristic.
 func TestFinderPolicyOverride(t *testing.T) {
