@@ -136,16 +136,21 @@ func main() {
 		die(2, err)
 	}
 
+	trainCfg := train.Config{
+		Model: train.ModelKind(*model), Finder: train.FinderGPU, FinderPolicy: "recent",
+		Hidden: *hidden, BatchSize: *batch, Epochs: *epochs, N: *n, Seed: *seed,
+	}
+	if err := trainCfg.Validate(); err != nil {
+		die(2, err)
+	}
+
 	ds, ok := datasets.ByName(*dataset, *scale, *seed)
 	if !ok {
 		die(2, fmt.Errorf("unknown dataset %q", *dataset))
 	}
 	fmt.Println(ds)
 
-	tr, err := train.New(train.Config{
-		Model: train.ModelKind(*model), Finder: train.FinderGPU, FinderPolicy: "recent",
-		Hidden: *hidden, BatchSize: *batch, Epochs: *epochs, N: *n, Seed: *seed,
-	}, ds)
+	tr, err := train.New(trainCfg, ds)
 	if err != nil {
 		die(1, err)
 	}

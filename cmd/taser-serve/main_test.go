@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"taser/internal/datasets"
 	"taser/internal/overload"
+	"taser/internal/sampler"
 	"taser/internal/serve"
 	"taser/internal/train"
 )
@@ -121,11 +125,14 @@ func TestServeConfigValidate(t *testing.T) {
 		{name: "negative overload capacity", mutate: func(c *serve.Config) {
 			c.Overload = overload.Config{MaxQueue: 8, Capacity: -1}
 		}, wantErr: "Capacity"},
+		// The zero Policy is sampler.Uniform: two identical predicts would
+		// embed two different random neighborhoods (and the cache freeze one).
+		{name: "zero policy", mutate: func(c *serve.Config) { c.Policy = 0 }, wantErr: "zero value is sampler.Uniform"},
 		{name: "no model", mutate: func(c *serve.Config) { c.Model = nil }, wantErr: "Model is required"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := serve.Config{Model: tr.Model, Pred: tr.Pred, NumNodes: ds.Spec.NumNodes}
+			cfg := serve.Config{Model: tr.Model, Pred: tr.Pred, NumNodes: ds.Spec.NumNodes, Policy: sampler.MostRecent}
 			tc.mutate(&cfg)
 			err := cfg.Validate()
 			if tc.wantErr == "" {
@@ -141,5 +148,26 @@ func TestServeConfigValidate(t *testing.T) {
 				t.Fatal("serve.New accepted a config Validate rejects")
 			}
 		})
+	}
+}
+
+// TestBadTrainValueExits2 runs the built command: a pretraining value
+// train.Config.Validate rejects is a usage error — exit status 2 and one line
+// on stderr before the dataset is even generated — not a panic mid-pretraining.
+func TestBadTrainValueExits2(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "taser-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-n", "-1")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Fatalf("-n -1: %v, want exit status 2\nstderr: %s", err, stderr.String())
+	}
+	msg := strings.TrimSpace(stderr.String())
+	if !strings.HasPrefix(msg, "taser-serve: train: Config.N ") || strings.Contains(msg, "\n") || stdout.Len() != 0 {
+		t.Fatalf("want one line on stderr and nothing on stdout, got:\n%s%s", stdout.String(), stderr.String())
 	}
 }

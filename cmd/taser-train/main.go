@@ -47,13 +47,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "taser-train: %v\n", err)
 		os.Exit(2)
 	}
-	ds, ok := datasets.ByName(*dataset, *scale, *seed)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "taser-train: unknown dataset %q\n", *dataset)
-		os.Exit(2)
-	}
-	fmt.Println(ds)
-
 	cfg := train.Config{
 		Model: train.ModelKind(*model), Finder: train.FinderKind(*finder),
 		Hidden: *hidden, BatchSize: *batch, Epochs: *epochs, LR: *lr,
@@ -63,6 +56,17 @@ func main() {
 		MaxEvalEdges: *evalEdges, Seed: *seed,
 		PrefetchDepth: *prefetch,
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "taser-train: %v\n", err)
+		os.Exit(2)
+	}
+	ds, ok := datasets.ByName(*dataset, *scale, *seed)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "taser-train: unknown dataset %q\n", *dataset)
+		os.Exit(2)
+	}
+	fmt.Println(ds)
+
 	tr, err := train.New(cfg, ds)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "taser-train: %v\n", err)

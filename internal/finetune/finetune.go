@@ -54,9 +54,11 @@ type Config struct {
 	NumNodes int // negative-sampling id space
 	NumSrc   int // bipartite: negatives drawn from [NumSrc, NumNodes); 0 = any node
 
-	Budget int              // supporting neighbors per hop (default 10)
-	Policy sampler.Policy   // static sampling policy (default MostRecent, as serving)
-	Finder train.FinderKind // "" = FinderGPU
+	Budget int // supporting neighbors per hop (default 10)
+	// Policy is the static sampling policy of the fine-tuner's builds. There
+	// is no default: the zero value is sampler.Uniform; set
+	// sampler.MostRecent to train on the neighborhoods serving embeds.
+	Policy sampler.Policy
 
 	Interval     time.Duration // round cadence (default DefaultInterval)
 	ReplayWindow int           // freshest events replayed per round (default DefaultReplayWindow)
@@ -151,7 +153,7 @@ func New(cfg Config) (*Tuner, error) {
 		Model: cfg.Model, Pred: cfg.Pred,
 		Infer: train.InferConfig{
 			TCSR: snap.TCSR, NodeFeat: cfg.NodeFeat, EdgeFeat: snap.EdgeFeat,
-			Budget: cfg.Budget, Policy: cfg.Policy, Finder: cfg.Finder, Seed: cfg.Seed,
+			Budget: cfg.Budget, Policy: cfg.Policy, Seed: cfg.Seed,
 		},
 		LR: cfg.LR, ClipNorm: cfg.ClipNorm,
 		NumNodes: cfg.NumNodes, NumSrc: cfg.NumSrc, Seed: cfg.Seed,

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"taser/internal/device"
 	"taser/internal/models"
 	"taser/internal/overload"
 	"taser/internal/sampler"
@@ -75,9 +74,13 @@ type Config struct {
 	NodeFeat *tensor.Matrix // static node features (nil when the graph has none)
 	EdgeDim  int            // per-event edge-feature width (0 when absent)
 
-	Budget int              // supporting neighbors per hop (default 10)
-	Policy sampler.Policy   // static sampling policy (default MostRecent: deterministic serving)
-	Finder train.FinderKind // default FinderGPU (requests arrive in arbitrary time order)
+	Budget int // supporting neighbors per hop (default 10)
+	// Policy is the static sampling policy and must be sampler.MostRecent,
+	// the deterministic one: the embedding cache, the fleet anchors and
+	// replication all assume a build is a function of (snapshot, root). There
+	// is no default — the zero value is sampler.Uniform, which normalize
+	// rejects.
+	Policy sampler.Policy
 
 	MaxBatch      int           // max roots coalesced per micro-batch (default 32)
 	MaxWait       time.Duration // max time the first request of a batch waits (default 2ms)
@@ -98,7 +101,6 @@ type Config struct {
 	Overload overload.Config
 
 	Seed uint64
-	Xfer *device.XferStats // optional transfer accounting shared with offline runs
 }
 
 // latencyWindow is how many recent request latencies an engine (and a fleet's
@@ -129,6 +131,10 @@ func (c Config) normalize() (Config, error) {
 	if c.MaxBatch < 0 || c.MaxWait < 0 || c.SnapshotEvery < 0 {
 		return c, fmt.Errorf("serve: Config.MaxBatch, MaxWait and SnapshotEvery must not be negative "+
 			"(got %d, %v, %d; 0 selects the default)", c.MaxBatch, c.MaxWait, c.SnapshotEvery)
+	}
+	if c.Policy != sampler.MostRecent {
+		return c, fmt.Errorf("serve: Config.Policy must be sampler.MostRecent, the deterministic policy "+
+			"(got %v; the zero value is sampler.Uniform, so the field has to be set)", c.Policy)
 	}
 	if c.Budget == 0 {
 		c.Budget = 10
@@ -294,7 +300,7 @@ func New(cfg Config) (*Engine, error) {
 	e.builder, err = train.NewInferenceBuilder(train.InferConfig{
 		TCSR: snap.TCSR, NodeFeat: cfg.NodeFeat, EdgeFeat: snap.EdgeFeat,
 		Layers: cfg.Model.NumLayers(), Budget: cfg.Budget,
-		Policy: cfg.Policy, Finder: cfg.Finder, Seed: cfg.Seed, Xfer: cfg.Xfer,
+		Policy: cfg.Policy, Seed: cfg.Seed,
 	})
 	if err != nil {
 		if e.wlog != nil {
@@ -485,23 +491,9 @@ func (e *Engine) ingestOne(src, dst int32, t float64, feat []float64) (checkpoin
 		return false, fmt.Errorf("%w: event (%d→%d) at t=%v arrived behind watermark t=%v",
 			ErrStaleEvent, src, dst, t, wm)
 	}
-	if e.wlog != nil {
-		// Validate first (Check is Add without the mutation) so the WAL never
-		// logs an event the builder would then reject, then log before
-		// admitting so a crash can lose a logged-but-unadmitted suffix but
-		// never an admitted-but-unlogged one.
-		if err := e.gb.Check(src, dst, t); err != nil {
-			return false, fmt.Errorf("serve: ingest rejected: %w", err)
-		}
-		if err := e.wlog.Append(src, dst, t, e.walRow(feat)); err != nil {
-			e.walFailures.Add(1)
-			return false, fmt.Errorf("%w: event (%d→%d) not logged: %w", ErrDurability, src, dst, err)
-		}
+	if err := e.admitLocked(src, dst, t, feat); err != nil {
+		return false, fmt.Errorf("serve: ingest of event (%d→%d) rejected: %w", src, dst, err)
 	}
-	if err := e.gb.Add(src, dst, t); err != nil {
-		return false, fmt.Errorf("serve: ingest rejected: %w", err)
-	}
-	e.appendFeatLocked(feat)
 	e.sinceSnap++
 	if e.sinceSnap >= e.cfg.SnapshotEvery {
 		e.publishLocked()
@@ -514,6 +506,29 @@ func (e *Engine) ingestOne(src, dst int32, t float64, feat []float64) (checkpoin
 		}
 	}
 	return false, nil
+}
+
+// admitLocked admits one event under the ingest lock, in the order that is
+// the durability invariant: validate first (Check is Add without the
+// mutation) so the WAL never logs an event the builder would then reject,
+// then log before admitting so a crash can lose a logged-but-unadmitted
+// suffix but never an admitted-but-unlogged one. A WAL failure wraps
+// ErrDurability and admits nothing.
+func (e *Engine) admitLocked(src, dst int32, t float64, row []float64) error {
+	if e.wlog != nil {
+		if err := e.gb.Check(src, dst, t); err != nil {
+			return err
+		}
+		if err := e.wlog.Append(src, dst, t, e.walRow(row)); err != nil {
+			e.walFailures.Add(1)
+			return fmt.Errorf("%w: not logged: %w", ErrDurability, err)
+		}
+	}
+	if err := e.gb.Add(src, dst, t); err != nil {
+		return err
+	}
+	e.appendFeatLocked(row)
+	return nil
 }
 
 // Bootstrap bulk-loads a historical event prefix (e.g. the offline training
@@ -576,19 +591,9 @@ func (e *Engine) bootstrapLocked(events []tgraph.Event, feats *tensor.Matrix) er
 		if feats != nil {
 			row = feats.Row(i)
 		}
-		if e.wlog != nil {
-			if err := e.gb.Check(ev.Src, ev.Dst, ev.Time); err != nil {
-				return fmt.Errorf("serve: bootstrap event %d: %w", i, err)
-			}
-			if err := e.wlog.Append(ev.Src, ev.Dst, ev.Time, e.walRow(row)); err != nil {
-				e.walFailures.Add(1)
-				return fmt.Errorf("%w: bootstrap event %d not logged: %w", ErrDurability, i, err)
-			}
-		}
-		if err := e.gb.Add(ev.Src, ev.Dst, ev.Time); err != nil {
+		if err := e.admitLocked(ev.Src, ev.Dst, ev.Time, row); err != nil {
 			return fmt.Errorf("serve: bootstrap event %d: %w", i, err)
 		}
-		e.appendFeatLocked(row)
 	}
 	e.publishLocked()
 	return nil

@@ -18,20 +18,23 @@ func allocBudgetConfig() Config {
 	}
 }
 
-// TestStepAllocBudget is the allocation-regression guard: after arena warmup
-// a full TASER training step (build + adaptive selection + forward/backward +
-// both optimizer steps) must stay within stepAllocBudget heap allocations.
-// A warm step makes 16; the budget leaves room for a handful more but not
-// for one per kernel call — a scratch buffer made per a @ bᵀ product is +14
-// per step here, and the pre-arena execution stack made ~1,430.
+// The allocation-regression guards below hold each warm step to exactly the
+// number of heap allocations it makes today, the same quantity the benchmark
+// gates as allocs_per_op with a 5 % bound (under one allocation per step on
+// both training workloads): one more allocation per step fails here, in
+// tier-1, instead of as a rejected benchmark run. For scale, a scratch buffer
+// made per a @ bᵀ product is +14 per TASER step and the pre-arena execution
+// stack made ~1,430.
 //
-// The test pins GOMAXPROCS to 1 for its duration: with more, the parallel
+// They pin GOMAXPROCS to 1 for their duration: with more, the parallel
 // kernels (MatMul row fan-out, large GELU) legitimately allocate goroutine
 // closures per call, and a budget loose enough for those would let a
-// per-call allocation through in tier-1 (`go test ./...` on a multi-core
-// host), leaving the benchmark's allocs_per_op bound to catch it.
+// per-call allocation through.
+
+// TestStepAllocBudget: a full TASER training step (build + adaptive selection
+// + forward/backward + both optimizer steps).
 func TestStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 24
+	const stepAllocBudget = 16
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := datasets.Wikipedia(0.1, 3)
 	tr, err := New(allocBudgetConfig(), ds)
@@ -45,6 +48,33 @@ func TestStepAllocBudget(t *testing.T) {
 	t.Logf("allocs/step = %.1f (budget %d)", allocs, stepAllocBudget)
 	if allocs > stepAllocBudget {
 		t.Fatalf("TrainStep allocates %.1f times/step, budget %d", allocs, stepAllocBudget)
+	}
+}
+
+// TestPipelinedStepAllocBudget: a base-GraphMixer step through the pipelined
+// loop — the train-base-mixer shape, where the producer completes the whole
+// static build and the consumer only runs the link-prediction step.
+func TestPipelinedStepAllocBudget(t *testing.T) {
+	const stepAllocBudget = 6.25
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds := datasets.GDELT(0.03, 3)
+	tr, err := New(Config{
+		Model: ModelGraphMixer, Finder: FinderGPU, CacheRatio: 0.2,
+		Hidden: 16, TimeDim: 8, BatchSize: 64,
+	}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whole pipelines of a fixed length, so the producer prepares exactly the
+	// batches the consumer trains on and the count does not depend on how far
+	// ahead it happens to be; opening and closing a pipeline is amortized
+	// over its steps, as in a TrainEpochPipelined lap.
+	const steps = 20
+	tr.trainPipelined(8) // warm the arena, pools and tape
+	allocs := testing.AllocsPerRun(5, func() { tr.trainPipelined(steps) }) / steps
+	t.Logf("allocs/pipelined-step = %.2f (budget %v)", allocs, stepAllocBudget)
+	if allocs > stepAllocBudget {
+		t.Fatalf("a pipelined step allocates %.2f times, budget %v", allocs, stepAllocBudget)
 	}
 }
 

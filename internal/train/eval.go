@@ -1,10 +1,6 @@
 package train
 
-import (
-	"sort"
-
-	"taser/internal/sampler"
-)
+import "taser/internal/sampler"
 
 // Split selects which chronological slice of events to evaluate.
 type Split int
@@ -65,7 +61,7 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 	b := len(edges)
 	k := t.Cfg.EvalNegatives
 	// Roots: [srcs(b) | positives(b) | negatives(b·k)].
-	roots := t.pool.getTargets(b * (2 + k))
+	roots := t.pool.targets.get(b * (2 + k))
 	for _, e := range edges {
 		ev := t.DS.Graph.Events[e]
 		roots = append(roots, sampler.Target{Node: ev.Src, Time: ev.Time})
@@ -91,10 +87,10 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 	emb, _ := t.Model.Forward(g, built.mb)
 
 	// Score all (src, candidate) pairs in one shot.
-	srcIdx := t.pool.getIDs(b * (1 + k))[:b*(1+k)]
-	dstIdx := t.pool.getIDs(b * (1 + k))[:b*(1+k)]
-	defer t.pool.putIDs(srcIdx)
-	defer t.pool.putIDs(dstIdx)
+	srcIdx := t.pool.ids.get(b * (1 + k))[:b*(1+k)]
+	dstIdx := t.pool.ids.get(b * (1 + k))[:b*(1+k)]
+	defer t.pool.ids.put(srcIdx)
+	defer t.pool.ids.put(dstIdx)
 	for i := 0; i < b; i++ {
 		srcIdx[i] = int32(i)
 		dstIdx[i] = int32(b + i) // positive
@@ -128,17 +124,4 @@ func (t *Trainer) Run() (losses []float64, valMRR, testMRR float64) {
 		losses = append(losses, res.MeanLoss)
 	}
 	return losses, t.EvalMRR(SplitVal), t.EvalMRR(SplitTest)
-}
-
-// RankOf is a test helper: the 1-based pessimistic rank of x within scores.
-func RankOf(x float64, scores []float64) int {
-	cp := append([]float64(nil), scores...)
-	sort.Float64s(cp)
-	rank := 1
-	for _, s := range cp {
-		if s >= x {
-			rank++
-		}
-	}
-	return rank
 }

@@ -28,12 +28,12 @@ type FineTuneConfig struct {
 	Seed     uint64
 }
 
-// FineTuner runs continual-learning steps on streamed events: the same
-// self-supervised link-prediction objective, forward–backward and Adam
-// update as one offline Trainer step, but assembled through the pooled
-// InferenceBuilder against an arbitrary (typically live-serving) adjacency
-// snapshot instead of a frozen dataset. One online Step on the same events,
-// graph and starting parameters is bitwise-equal to the offline TrainStep
+// FineTuner runs continual-learning steps on streamed events: the offline
+// Trainer's model update (linkStep.update — the same function, not a copy)
+// on minibatches assembled through the pooled InferenceBuilder against an
+// arbitrary (typically live-serving) adjacency snapshot instead of a frozen
+// dataset. Online Steps on the same events, graph and starting parameters
+// are bitwise-equal to offline TrainSteps
 // (TestFinetuneStepMatchesOfflineTrainStep).
 //
 // Like the InferenceBuilder it owns, a FineTuner is single-goroutine state:
@@ -41,17 +41,11 @@ type FineTuneConfig struct {
 // and Capture on its own goroutine.
 type FineTuner struct {
 	cfg     FineTuneConfig
-	model   models.TGNN
-	pred    *models.EdgePredictor
+	step    linkStep // the fine-tuner's own model, decoder and optimizer
 	builder *InferenceBuilder
-	opt     *nn.Adam
 	rng     *mathx.RNG
 
-	// Step scratch, reused across steps (the step envelope allocates O(1)
-	// amortized once the builder pool and graph arena are warm).
-	roots          []sampler.Target
-	srcIdx, dstIdx []int32
-	labels         []float64
+	roots []sampler.Target // step scratch, reused like linkStep's
 }
 
 // NewFineTuner clones cfg.Model/cfg.Pred and binds the pooled build path to
@@ -73,28 +67,23 @@ func NewFineTuner(cfg FineTuneConfig) (*FineTuner, error) {
 	if cfg.Infer.Seed == 0 {
 		cfg.Infer.Seed = cfg.Seed
 	}
-	ft := &FineTuner{
-		cfg:   cfg,
-		model: cfg.Model.Clone(),
-		pred:  cfg.Pred.Clone(),
-		rng:   mathx.NewRNG(cfg.Seed),
-	}
+	ft := &FineTuner{cfg: cfg, rng: mathx.NewRNG(cfg.Seed)}
+	ft.step.Model, ft.step.Pred = cfg.Model.Clone(), cfg.Pred.Clone()
 	b, err := NewInferenceBuilder(cfg.Infer)
 	if err != nil {
 		return nil, err
 	}
 	ft.builder = b
-	params := append(ft.model.Params(), ft.pred.Params()...)
-	ft.opt = nn.NewAdam(params, cfg.LR)
-	ft.opt.ClipNorm = cfg.ClipNorm
+	ft.step.OptModel = nn.NewAdam(append(ft.step.Model.Params(), ft.step.Pred.Params()...), cfg.LR)
+	ft.step.OptModel.ClipNorm = cfg.ClipNorm
 	return ft, nil
 }
 
 // Model returns the fine-tuner's own (mutating) model copy.
-func (f *FineTuner) Model() models.TGNN { return f.model }
+func (f *FineTuner) Model() models.TGNN { return f.step.Model }
 
 // Pred returns the fine-tuner's own (mutating) decoder copy.
-func (f *FineTuner) Pred() *models.EdgePredictor { return f.pred }
+func (f *FineTuner) Pred() *models.EdgePredictor { return f.step.Pred }
 
 // SwapGraph retargets the build path at a new adjacency snapshot; the buffer
 // pool, arena graph and optimizer state all survive the swap (see
@@ -107,23 +96,16 @@ func (f *FineTuner) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Matrix) er
 // versioned WeightSet, ready for lock-free publication into a serving
 // engine.
 func (f *FineTuner) Capture(version uint64) *models.WeightSet {
-	return models.CaptureWeights(version, f.model, f.pred)
-}
-
-// negativeDst mirrors Trainer.negativeDst: a uniform destination from the
-// destination partition (or any node for general graphs).
-func (f *FineTuner) negativeDst() int32 {
-	lo := f.cfg.NumSrc
-	return int32(lo + f.rng.Intn(f.cfg.NumNodes-lo))
+	return models.CaptureWeights(version, f.step.Model, f.step.Pred)
 }
 
 // Step runs one fine-tune iteration on a batch of streamed events: roots
 // [srcs | dsts | negatives] at the events' own timestamps, one pooled build,
-// one forward–backward on the builder's reusable arena graph, BCE over
-// positive and negative pairs, and one Adam update on the fine-tuner's
-// parameter copies. negs supplies the negative destinations explicitly
-// (len(events)); nil draws them from the fine-tuner's RNG in batch order,
-// exactly as the offline loop draws them. Returns the batch loss.
+// and the model update on the builder's reusable arena graph, applied to the
+// fine-tuner's parameter copies. negs supplies the negative destinations
+// explicitly (len(events)); nil draws them from the fine-tuner's RNG in
+// batch order, exactly as the offline loop draws them. Returns the batch
+// loss.
 func (f *FineTuner) Step(events []tgraph.Event, negs []int32) float64 {
 	b := len(events)
 	if b == 0 {
@@ -134,34 +116,16 @@ func (f *FineTuner) Step(events []tgraph.Event, negs []int32) float64 {
 	}
 	f.roots = grow(f.roots, 3*b)
 	for i, ev := range events {
-		neg := int32(0)
+		var neg int32
 		if negs != nil {
 			neg = negs[i]
 		} else {
-			neg = f.negativeDst()
+			neg = negativeDst(f.rng, f.cfg.NumSrc, f.cfg.NumNodes)
 		}
-		f.roots[i] = sampler.Target{Node: ev.Src, Time: ev.Time}
-		f.roots[b+i] = sampler.Target{Node: ev.Dst, Time: ev.Time}
-		f.roots[2*b+i] = sampler.Target{Node: neg, Time: ev.Time}
+		setRootTriple(f.roots, i, ev, neg)
 	}
-
 	mb := f.builder.Build(f.roots)
-	g := f.builder.Graph()
-	emb, _ := f.model.Forward(g, mb)
-
-	f.srcIdx = grow(f.srcIdx, 2*b)
-	f.dstIdx = grow(f.dstIdx, 2*b)
-	f.labels = grow(f.labels, 2*b)
-	for i := 0; i < b; i++ {
-		f.srcIdx[i], f.dstIdx[i], f.labels[i] = int32(i), int32(b+i), 1 // positive
-		f.srcIdx[b+i], f.dstIdx[b+i], f.labels[b+i] = int32(i), int32(2*b+i), 0
-	}
-	logits := f.pred.ScoreGathered(g, emb, f.srcIdx, f.dstIdx)
-	lossVar := g.BCEWithLogits(logits, f.labels)
-	loss := lossVar.Val.Data[0]
-	g.Backward(lossVar)
-	f.opt.Step()
-	f.opt.ZeroGrad()
+	loss, _, _ := f.step.update(f.builder.Graph(), mb, b)
 	f.builder.Release(mb)
 	return loss
 }

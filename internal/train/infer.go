@@ -7,7 +7,6 @@ import (
 	"taser/internal/autograd"
 	"taser/internal/device"
 	"taser/internal/featstore"
-	"taser/internal/mathx"
 	"taser/internal/models"
 	"taser/internal/sampler"
 	"taser/internal/tensor"
@@ -22,20 +21,22 @@ type InferConfig struct {
 	NodeFeat *tensor.Matrix // static node features (nil or zero-width when absent)
 	EdgeFeat *tensor.Matrix // per-event edge features, rows aligned with event ids
 
-	Layers int            // model hop depth (TGAT: 2, GraphMixer: 1)
-	Budget int            // supporting neighbors per hop (n)
-	Policy sampler.Policy // static sampling policy (serving default: MostRecent)
-	Finder FinderKind     // "" = FinderGPU (arbitrary-order, the serving requirement)
+	Layers int // model hop depth (TGAT: 2, GraphMixer: 1)
+	Budget int // supporting neighbors per hop (n)
+	// Policy is the static sampling policy. The zero value is sampler.Uniform,
+	// which draws a fresh random neighborhood per build; serving sets
+	// sampler.MostRecent, the deterministic policy.
+	Policy sampler.Policy
 	Seed   uint64
-
-	Xfer *device.XferStats // optional transfer accounting (may be nil)
 }
 
-// InferenceBuilder materializes inference minibatches through the same
-// pooled, allocation-free build path the training loop uses (pool.go),
-// detached from any Trainer: it binds a neighbor finder over an arbitrary
-// T-CSR — e.g. an online serving snapshot — plus node/edge feature stores,
-// and builds non-adaptive (static-policy) minibatches for arbitrary roots.
+// InferenceBuilder is the static build path (buildCore) detached from any
+// Trainer: it binds a neighbor finder over an arbitrary T-CSR — e.g. an
+// online serving snapshot — plus node/edge feature stores, and builds
+// non-adaptive (static-policy) minibatches for arbitrary roots, with the
+// same pooled buffers and the byte-identical kernel the offline loop uses.
+// The finder is always the GPU finder: roots arrive in arbitrary time order,
+// which the chronological TGL finder cannot serve.
 //
 // The online serving subsystem (internal/serve) creates one per engine and
 // retargets it at each published snapshot with SwapGraph. The buffer pool
@@ -47,39 +48,25 @@ type InferConfig struct {
 // SwapGraph; the serving scheduler owns the builder from a single goroutine,
 // which is also what keeps the finder's sampling stream well-defined.
 type InferenceBuilder struct {
-	cfg      InferConfig
+	core     buildCore
+	seed     uint64
 	gpu      *device.GPU // one worker pool shared by every snapshot's finder
 	finder   sampler.Finder
 	finderMu sync.Mutex
 
-	nodeStore *featstore.Store
-	edgeStore *featstore.Store // nil when the graph carries no edge features
-
-	pool             *buildPool
-	nodeDim, edgeDim int
-
-	// g is the builder's reusable arena-backed forward graph; see Graph.
-	g *autograd.Graph
+	g graphHolder
 }
 
 // Graph checks out the builder's reusable arena-backed autograd graph for
-// one recording forward–backward pass (the fine-tuner's), resetting the
-// previous pass's tape and recycling its intermediates. Outputs must be
-// copied out of the returned graph's matrices before the next checkout
-// (DESIGN.md §7). Like Build/SwapGraph, it is owned by a single goroutine.
-func (b *InferenceBuilder) Graph() *autograd.Graph { return b.checkout(false) }
+// one recording forward–backward pass (the fine-tuner's); see graphHolder
+// for the ownership contract. Like Build/SwapGraph, it is owned by a single
+// goroutine.
+func (b *InferenceBuilder) Graph() *autograd.Graph { return b.g.checkout(false, false) }
 
 // ForwardGraph is Graph for a pass that never calls Backward: the same
 // graph, checked out forward-only. The serving scheduler pairs each Build
 // with one ForwardGraph checkout.
-func (b *InferenceBuilder) ForwardGraph() *autograd.Graph { return b.checkout(true) }
-
-func (b *InferenceBuilder) checkout(forwardOnly bool) *autograd.Graph {
-	if b.g == nil {
-		b.g = autograd.NewReusable()
-	}
-	return checkout(b.g, forwardOnly)
-}
+func (b *InferenceBuilder) ForwardGraph() *autograd.Graph { return b.g.checkout(true, false) }
 
 // NewInferenceBuilder validates cfg and builds the initial finder and stores.
 func NewInferenceBuilder(cfg InferConfig) (*InferenceBuilder, error) {
@@ -93,14 +80,14 @@ func NewInferenceBuilder(cfg InferConfig) (*InferenceBuilder, error) {
 	if cfg.NodeFeat == nil {
 		cfg.NodeFeat = tensor.New(cfg.TCSR.NumNodes(), 0)
 	}
-	b := &InferenceBuilder{
-		cfg:     cfg,
-		pool:    newBuildPool(),
+	b := &InferenceBuilder{seed: cfg.Seed, gpu: device.New()}
+	b.core = buildCore{
+		NodeStore: featstore.New(cfg.NodeFeat, nil, nil), pool: newBuildPool(),
+		policy: cfg.Policy, layers: cfg.Layers, budget: cfg.Budget,
 		nodeDim: cfg.NodeFeat.Cols,
 	}
-	b.nodeStore = featstore.New(cfg.NodeFeat, nil, cfg.Xfer)
 	if cfg.EdgeFeat != nil {
-		b.edgeDim = cfg.EdgeFeat.Cols
+		b.core.edgeDim = cfg.EdgeFeat.Cols
 	}
 	if err := b.SwapGraph(cfg.TCSR, cfg.EdgeFeat); err != nil {
 		return nil, err
@@ -108,101 +95,44 @@ func NewInferenceBuilder(cfg InferConfig) (*InferenceBuilder, error) {
 	return b, nil
 }
 
-// newFinder constructs a finder of the configured kind over tcsr. The GPU
-// finder reuses the builder's device (and so its persistent worker pool)
-// across snapshot swaps instead of spinning up a pool per snapshot.
-func (b *InferenceBuilder) newFinder(tcsr tgraph.Adjacency) (sampler.Finder, error) {
-	switch b.cfg.Finder {
-	case FinderOrigin:
-		return sampler.NewOriginFinder(tcsr, mathx.NewRNG(b.cfg.Seed)), nil
-	case FinderTGL:
-		return sampler.NewTGLFinder(tcsr, mathx.NewRNG(b.cfg.Seed)), nil
-	case "", FinderGPU:
-		if b.gpu == nil {
-			b.gpu = device.New()
-		}
-		return sampler.NewGPUFinder(tcsr, b.gpu, b.cfg.Seed), nil
-	}
-	return nil, fmt.Errorf("train: unknown finder %q", b.cfg.Finder)
-}
-
 // SwapGraph retargets the builder at a new immutable graph snapshot: a fresh
-// finder over tcsr and a fresh edge-feature store (rows aligned with the
-// snapshot's event ids). The node store and the buffer pool are retained.
-// The finder is reseeded from the configured seed, so randomized policies
-// restart their stream per snapshot; the serving default (MostRecent) draws
-// no randomness and is unaffected. tcsr may be any packed layout; with
+// finder over tcsr (on the builder's one device, so its persistent worker
+// pool is not respawned per snapshot) and a fresh edge-feature store (rows
+// aligned with the snapshot's event ids). The node store and the buffer pool
+// are retained. The finder is reseeded from the configured seed, so
+// randomized policies restart their stream per snapshot; MostRecent draws no
+// randomness and is unaffected. tcsr may be any packed layout; with
 // incremental snapshots (tgraph.AppendableTCSR) the swap cost is independent
 // of the stream length.
 func (b *InferenceBuilder) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Matrix) error {
 	if edgeFeat == nil {
-		edgeFeat = tensor.New(0, b.edgeDim)
+		edgeFeat = tensor.New(0, b.core.edgeDim)
 	}
-	if edgeFeat.Cols != b.edgeDim {
+	if edgeFeat.Cols != b.core.edgeDim {
 		return fmt.Errorf("train: SwapGraph edge-feature width %d, builder expects %d",
-			edgeFeat.Cols, b.edgeDim)
+			edgeFeat.Cols, b.core.edgeDim)
 	}
-	finder, err := b.newFinder(tcsr)
-	if err != nil {
-		return err
-	}
+	finder := sampler.NewGPUFinder(tcsr, b.gpu, b.seed)
 	b.finderMu.Lock()
 	b.finder = finder
 	b.finderMu.Unlock()
-	if b.edgeDim > 0 {
-		b.edgeStore = featstore.New(edgeFeat, nil, b.cfg.Xfer)
+	if b.core.edgeDim > 0 {
+		b.core.EdgeStore = featstore.New(edgeFeat, nil, nil)
 	}
 	return nil
 }
 
-// Build materializes the minibatch for roots through the pooled non-adaptive
-// path: per hop, neighbor finding at the static policy followed by edge
-// feature slicing, then leaf (h⁰) slicing. The returned minibatch is owned by
-// the pool — hand it back with Release after the forward pass; do not retain
-// references across the Release.
+// Build materializes the minibatch for roots (buildCore.build, every hop
+// static). The returned minibatch is owned by the pool — hand it back with
+// Release after the forward pass; do not retain references across the
+// Release.
 func (b *InferenceBuilder) Build(roots []sampler.Target) *models.MiniBatch {
-	blocks := make([]*models.LayerBlock, b.cfg.Layers)
-	targets := roots
-	var spent []sampler.Target
-	for l := b.cfg.Layers - 1; l >= 0; l-- {
-		res := b.pool.getResult()
-		b.finderMu.Lock()
-		err := b.finder.Sample(targets, b.cfg.Budget, b.cfg.Policy, res)
-		b.finderMu.Unlock()
-		if err != nil {
-			panic(err) // targets are internally generated; a failure is a bug
-		}
-		block := b.pool.getBlock(len(targets), res.Budget, b.edgeDim)
-		fillBlockFromResult(block, targets, res)
-		if b.edgeDim > 0 {
-			b.edgeStore.Slice(res.Eids, block.EdgeFeat)
-		}
-		b.pool.putResult(res)
-		blocks[l] = block
-
-		next := b.pool.getTargets(len(targets) + len(block.NbrNodes))
-		next = appendExtendedTargets(next, targets, block)
-		b.pool.putTargets(spent)
-		spent, targets = next, next
-	}
-	leaf := b.pool.getMat(len(targets), b.nodeDim)
-	ids := b.pool.getIDs(len(targets))
-	for _, tg := range targets {
-		ids = append(ids, tg.Node)
-	}
-	b.nodeStore.Slice(ids, leaf)
-	b.pool.putIDs(ids)
-	b.pool.putTargets(spent)
-	return &models.MiniBatch{Layers: blocks, LeafFeat: leaf}
+	return b.core.build(roots, b.finder, &b.finderMu, nil)
 }
 
 // Release returns a minibatch built by Build to the pool.
 func (b *InferenceBuilder) Release(mb *models.MiniBatch) {
-	if mb == nil {
-		return
+	if mb != nil {
+		b.core.release(mb)
 	}
-	for _, blk := range mb.Layers {
-		b.pool.putBlock(blk)
-	}
-	b.pool.putMat(mb.LeafFeat)
 }

@@ -46,7 +46,7 @@ func TestNoTemporalLeakage(t *testing.T) {
 					}
 				}
 			}
-			targets = extendTargets(targets, block)
+			targets = appendExtendedTargets(nil, targets, block)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package train
 import (
 	"time"
 
+	"taser/internal/autograd"
 	"taser/internal/models"
 	"taser/internal/sampler"
 )
@@ -13,7 +14,7 @@ import (
 func (t *Trainer) nextBatchEdges() []int {
 	b := t.Cfg.BatchSize
 	if t.Selector != nil {
-		return t.Selector.SampleBatchInto(b, t.pool.getInts(b))
+		return t.Selector.SampleBatchInto(b, t.pool.ints.get(b))
 	}
 	if t.cursor >= t.DS.TrainEnd {
 		t.cursor = 0
@@ -22,7 +23,7 @@ func (t *Trainer) nextBatchEdges() []int {
 	if hi > t.DS.TrainEnd {
 		hi = t.DS.TrainEnd
 	}
-	edges := t.pool.getInts(hi - t.cursor)
+	edges := t.pool.ints.get(hi - t.cursor)
 	for e := t.cursor; e < hi; e++ {
 		edges = append(edges, e)
 	}
@@ -33,13 +34,9 @@ func (t *Trainer) nextBatchEdges() []int {
 // rootsForEdges builds the root target list [srcs | dsts | negs] for a set
 // of training edges, all at their interaction timestamps.
 func (t *Trainer) rootsForEdges(edges []int) []sampler.Target {
-	b := len(edges)
-	roots := t.pool.getTargets(3 * b)[:3*b]
+	roots := t.pool.targets.get(3 * len(edges))[:3*len(edges)]
 	for i, e := range edges {
-		ev := t.DS.Graph.Events[e]
-		roots[i] = sampler.Target{Node: ev.Src, Time: ev.Time}
-		roots[b+i] = sampler.Target{Node: ev.Dst, Time: ev.Time}
-		roots[2*b+i] = sampler.Target{Node: t.negativeDst(), Time: ev.Time}
+		setRootTriple(roots, i, t.DS.Graph.Events[e], t.negativeDst())
 	}
 	return roots
 }
@@ -55,46 +52,23 @@ func (t *Trainer) TrainStep() float64 {
 	return t.consume(t.prepareBatch(edges))
 }
 
-// grow returns s resized to length n, reusing capacity.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // consume runs the parameter-dependent half of one training step on a
 // prepared batch: finish construction (resolving the adaptive Selection, if
-// any), forward/backward/step (the PP bucket), adaptive-sampler co-training,
-// and the importance-score update — then recycles the batch's buffers.
+// any), the model update (linkStep.update, the PP bucket), adaptive-sampler
+// co-training, and the importance-score update — then recycles the batch's
+// buffers.
 func (t *Trainer) consume(pb *prepared) float64 {
 	built := t.finishBatch(pb)
 	b := len(pb.edges)
 
 	// Forward + model loss (Eq. 10) + backward + step: the PP bucket.
+	// Everything read after the step (positive logits here, dL/dh below) is
+	// copied out or consumed before gM's next checkout, per the §7 contract.
 	var loss float64
 	var info *models.CoTrainInfo
 	t.time("PP", func() {
-		// Reusable arena-backed graph: checkout ends the previous step's
-		// pass. Everything read after Backward (posLogits, importance
-		// scores) is copied out below, per the §7 ownership contract.
-		gM := t.modelGraph(false)
-		emb, fwdInfo := t.Model.Forward(gM, built.mb)
-		info = fwdInfo
-		t.srcIdx = grow(t.srcIdx, 2*b)
-		t.dstIdx = grow(t.dstIdx, 2*b)
-		t.labels = grow(t.labels, 2*b)
-		for i := 0; i < b; i++ {
-			t.srcIdx[i], t.dstIdx[i], t.labels[i] = int32(i), int32(b+i), 1 // positive
-			t.srcIdx[b+i], t.dstIdx[b+i], t.labels[b+i] = int32(i), int32(2*b+i), 0
-		}
-		logits := t.Pred.ScoreGathered(gM, emb, t.srcIdx, t.dstIdx)
-		lossVar := gM.BCEWithLogits(logits, t.labels)
-		loss = lossVar.Val.Data[0]
-		gM.Backward(lossVar)
-		t.OptModel.Step()
-		t.OptModel.ZeroGrad()
-
+		var logits *autograd.Var
+		loss, logits, info = t.update(t.modelGraph(false), built.mb, b)
 		t.posLogits = grow(t.posLogits, b)
 		copy(t.posLogits, logits.Val.Data[:b])
 	})

@@ -20,33 +20,69 @@ type csKey struct{ b, m, nodeDim, edgeDim int }
 // buildPool recycles every buffer the minibatch construction path
 // materializes — layer blocks, candidate sets, finder results, leaf feature
 // matrices, and the per-step target/id scratch slices — so the steady-state
-// build path is (near-)allocation-free. It is safe for concurrent use: the
-// pipelined loop acquires buffers on the prefetch goroutine and releases them
-// on the consumer after the optimizer step.
+// build path is (near-)allocation-free. It is safe for concurrent use (each
+// free list locks itself): the pipelined loop acquires buffers on the
+// prefetch goroutine and releases them on the consumer after the optimizer
+// step.
 //
-// Ownership is move-semantics: a Get transfers the buffer to the caller, a
-// Put transfers it back. Buffers handed to external callers (e.g. through
+// Ownership is move-semantics: a get transfers the buffer to the caller, a
+// put transfers it back. Buffers handed to external callers (e.g. through
 // Trainer.BuildMiniBatch) are simply never returned; the pool then allocates
 // fresh ones, which keeps the exported API leak-proof.
 type buildPool struct {
-	mu      sync.Mutex
-	blocks  map[blockKey][]*models.LayerBlock
-	sets    map[csKey][]*adaptive.CandidateSet
-	results []*sampler.Result
-	mats    map[int][]*tensor.Matrix // keyed by column count
+	blocks  keyedList[blockKey, models.LayerBlock]
+	sets    keyedList[csKey, adaptive.CandidateSet]
+	results keyedList[struct{}, sampler.Result]
+	mats    keyedList[int, tensor.Matrix] // keyed by column count
 	targets sliceList[sampler.Target]
 	ids     sliceList[int32]
 	ints    sliceList[int]
 }
 
+func newBuildPool() *buildPool { return &buildPool{} }
+
+// keyedList is a free list of *T buffers bucketed by shape class K.
+type keyedList[K comparable, T any] struct {
+	mu   sync.Mutex
+	free map[K][]*T
+}
+
+// get pops a buffer of class k, or returns nil when none is free.
+func (l *keyedList[K, T]) get(k K) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	list := l.free[k]
+	n := len(list)
+	if n == 0 {
+		return nil
+	}
+	l.free[k] = list[:n-1]
+	return list[n-1]
+}
+
+// put takes a buffer of class k back; nil is ignored.
+func (l *keyedList[K, T]) put(k K, v *T) {
+	if v == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.free == nil {
+		l.free = make(map[K][]*T)
+	}
+	l.free[k] = append(l.free[k], v)
+}
+
 // sliceList is a free list of []T scratch slices. get returns an empty slice
-// with capacity ≥ hint; put takes one back. Callers synchronize (buildPool
-// wraps every access in its mutex).
+// with capacity ≥ hint; put takes one back (nil is ignored).
 type sliceList[T any] struct {
+	mu   sync.Mutex
 	free [][]T
 }
 
 func (l *sliceList[T]) get(hint int) []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if n := len(l.free); n > 0 {
 		s := l.free[n-1]
 		l.free = l.free[:n-1]
@@ -58,150 +94,58 @@ func (l *sliceList[T]) get(hint int) []T {
 }
 
 func (l *sliceList[T]) put(s []T) {
-	if s != nil {
-		l.free = append(l.free, s)
+	if s == nil {
+		return
 	}
-}
-
-func newBuildPool() *buildPool {
-	return &buildPool{
-		blocks: make(map[blockKey][]*models.LayerBlock),
-		sets:   make(map[csKey][]*adaptive.CandidateSet),
-		mats:   make(map[int][]*tensor.Matrix),
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, s)
 }
 
 // getBlock returns a zeroed t×budget layer block with edge width edgeDim.
 func (p *buildPool) getBlock(t, budget, edgeDim int) *models.LayerBlock {
-	key := blockKey{t, budget, edgeDim}
-	p.mu.Lock()
-	list := p.blocks[key]
-	if n := len(list); n > 0 {
-		blk := list[n-1]
-		p.blocks[key] = list[:n-1]
-		p.mu.Unlock()
+	if blk := p.blocks.get(blockKey{t, budget, edgeDim}); blk != nil {
 		blk.Reset(t, budget, edgeDim)
 		return blk
 	}
-	p.mu.Unlock()
 	return models.NewLayerBlock(t, budget, edgeDim)
 }
 
 func (p *buildPool) putBlock(blk *models.LayerBlock) {
-	if blk == nil {
-		return
-	}
-	key := blockKey{blk.NumTargets, blk.Budget, blk.EdgeFeat.Cols}
-	p.mu.Lock()
-	p.blocks[key] = append(p.blocks[key], blk)
-	p.mu.Unlock()
+	p.blocks.put(blockKey{blk.NumTargets, blk.Budget, blk.EdgeFeat.Cols}, blk)
 }
 
 // getSet returns a zeroed b×m candidate set.
 func (p *buildPool) getSet(b, m, nodeDim, edgeDim int) *adaptive.CandidateSet {
-	key := csKey{b, m, nodeDim, edgeDim}
-	p.mu.Lock()
-	list := p.sets[key]
-	if n := len(list); n > 0 {
-		cs := list[n-1]
-		p.sets[key] = list[:n-1]
-		p.mu.Unlock()
+	if cs := p.sets.get(csKey{b, m, nodeDim, edgeDim}); cs != nil {
 		cs.Reset(b, m, nodeDim, edgeDim)
 		return cs
 	}
-	p.mu.Unlock()
 	return adaptive.NewCandidateSet(b, m, nodeDim, edgeDim)
 }
 
 func (p *buildPool) putSet(cs *adaptive.CandidateSet) {
-	if cs == nil {
-		return
+	if cs != nil {
+		p.sets.put(csKey{cs.B, cs.M, cs.NodeFeat.Cols, cs.EdgeFeat.Cols}, cs)
 	}
-	key := csKey{cs.B, cs.M, cs.NodeFeat.Cols, cs.EdgeFeat.Cols}
-	p.mu.Lock()
-	p.sets[key] = append(p.sets[key], cs)
-	p.mu.Unlock()
 }
 
 // getResult returns a finder result; callers shape it via Finder.Sample.
 func (p *buildPool) getResult() *sampler.Result {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.results); n > 0 {
-		res := p.results[n-1]
-		p.results = p.results[:n-1]
+	if res := p.results.get(struct{}{}); res != nil {
 		return res
 	}
 	return &sampler.Result{}
 }
 
-func (p *buildPool) putResult(res *sampler.Result) {
-	if res == nil {
-		return
-	}
-	p.mu.Lock()
-	p.results = append(p.results, res)
-	p.mu.Unlock()
-}
+func (p *buildPool) putResult(res *sampler.Result) { p.results.put(struct{}{}, res) }
 
 // getMat returns a zeroed rows×cols matrix.
 func (p *buildPool) getMat(rows, cols int) *tensor.Matrix {
-	p.mu.Lock()
-	list := p.mats[cols]
-	if n := len(list); n > 0 {
-		m := list[n-1]
-		p.mats[cols] = list[:n-1]
-		p.mu.Unlock()
+	if m := p.mats.get(cols); m != nil {
 		return m.Resize(rows, cols)
 	}
-	p.mu.Unlock()
 	return tensor.New(rows, cols)
 }
 
-func (p *buildPool) putMat(m *tensor.Matrix) {
-	if m == nil {
-		return
-	}
-	p.mu.Lock()
-	p.mats[m.Cols] = append(p.mats[m.Cols], m)
-	p.mu.Unlock()
-}
-
-// getTargets returns an empty target slice with capacity ≥ hint.
-func (p *buildPool) getTargets(hint int) []sampler.Target {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.targets.get(hint)
-}
-
-func (p *buildPool) putTargets(s []sampler.Target) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.targets.put(s)
-}
-
-// getIDs returns an empty int32 slice with capacity ≥ hint.
-func (p *buildPool) getIDs(hint int) []int32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ids.get(hint)
-}
-
-func (p *buildPool) putIDs(s []int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ids.put(s)
-}
-
-// getInts returns an empty int slice with capacity ≥ hint.
-func (p *buildPool) getInts(hint int) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ints.get(hint)
-}
-
-func (p *buildPool) putInts(s []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ints.put(s)
-}
+func (p *buildPool) putMat(m *tensor.Matrix) { p.mats.put(m.Cols, m) }

@@ -25,7 +25,6 @@ import (
 	"taser/internal/nn"
 	"taser/internal/sampler"
 	"taser/internal/stats"
-	"taser/internal/tensor"
 )
 
 // ModelKind selects the backbone.
@@ -145,115 +144,103 @@ func (c Config) Normalize() Config {
 	return c
 }
 
+// Validate rejects values no run can mean: a negative (or NaN) size, count or
+// rate — zero is fine, it selects Normalize's default or, for MaxEvalEdges,
+// "all" — and a cache ratio outside [0, 1]. New calls it; the commands call it
+// first, so a bad flag is a usage error and not a panic mid-run.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Hidden", float64(c.Hidden)}, {"TimeDim", float64(c.TimeDim)},
+		{"N", float64(c.N)}, {"M", float64(c.M)},
+		{"BatchSize", float64(c.BatchSize)}, {"Epochs", float64(c.Epochs)},
+		{"PrefetchDepth", float64(c.PrefetchDepth)}, {"EvalNegatives", float64(c.EvalNegatives)},
+		{"MaxEvalEdges", float64(c.MaxEvalEdges)}, {"LR", c.LR},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("train: Config.%s must not be negative (got %v)", f.name, f.v)
+		}
+	}
+	if !(c.CacheRatio >= 0 && c.CacheRatio <= 1) {
+		return fmt.Errorf("train: Config.CacheRatio %v is outside [0, 1]", c.CacheRatio)
+	}
+	return nil
+}
+
 // Trainer binds a dataset, a backbone, the sampling pipeline and feature
 // stores into a runnable training/evaluation harness.
 type Trainer struct {
 	Cfg Config
 	DS  *datasets.Dataset
 
-	Model models.TGNN
-	Pred  *models.EdgePredictor
+	linkStep  // Model, Pred, OptModel and the model update (step.go)
+	buildCore // EdgeStore, NodeStore, Timer and the static build path (core.go)
 
 	Selector *adaptive.MiniBatchSelector // nil unless AdaBatch
 	Sampler  *adaptive.NeighborSampler   // nil unless AdaNeighbor
 
-	Finder sampler.Finder
-	// finderC is an independent finder instance (own RNG streams / call
-	// counter / TGL pointer array) for the hops resolved consumer-side when
-	// adaptive neighbor sampling is on. Dedicating an instance to each side
-	// of the pipeline keeps every finder's sampling stream a function of its
-	// own call order — so pipelined adaptive training is deterministic for a
-	// fixed seed and bitwise-equal to the synchronous loop, instead of
-	// depending on how producer and consumer interleave on one shared stream.
+	// Finder serves the producer side of the pipeline; finderC is an
+	// independent instance (own RNG streams / call counter / TGL pointer
+	// array) for the hops resolved consumer-side when adaptive neighbor
+	// sampling is on. Dedicating an instance — and a mutex, see
+	// buildCore.sample — to each side keeps every finder's sampling stream a
+	// function of its own call order, so pipelined adaptive training is
+	// deterministic for a fixed seed and bitwise-equal to the synchronous
+	// loop, instead of depending on how producer and consumer interleave on
+	// one shared stream.
+	Finder    sampler.Finder
 	finderC   sampler.Finder
-	EdgeStore *featstore.Store
-	NodeStore *featstore.Store
-	Xfer      *device.XferStats
-
-	OptModel   *nn.Adam
-	OptSampler *nn.Adam
-
-	Timer *stats.Timer
-	rng   *mathx.RNG
-
-	policy sampler.Policy
-	cursor int // chronological batch cursor (baseline mini-batching)
-
-	// pool recycles every minibatch-construction buffer. Each finder
-	// instance gets its own mutex (finders keep mutable RNG/pointer state):
-	// producer-side and consumer-side neighbor finding touch disjoint
-	// instances and may overlap, while concurrent callers of one instance —
-	// today only hypothetical multi-producer extensions — serialize.
-	pool      *buildPool
 	finderMuP sync.Mutex // guards Finder
 	finderMuC sync.Mutex // guards finderC
 
-	// Consumer-side step scratch (reused across consume calls, which are
-	// serialized by construction).
-	srcIdx, dstIdx []int32
-	labels         []float64
-	posLogits      []float64
+	Xfer       *device.XferStats
+	OptSampler *nn.Adam
 
-	// Reusable arena-backed autograd graphs (DESIGN.md §7): gM records the
-	// model forward–backward, gS the adaptive sampler's. Both are owned by
-	// the consumer side (consume, finishBatch, eval), which is serialized by
-	// construction; each is Reset at checkout, so everything a step produced
-	// stays readable until the next step begins and anything that must
-	// survive (losses, logits, importance scores) is copied out before then.
-	gM, gS *autograd.Graph
+	rng    *mathx.RNG
+	cursor int // chronological batch cursor (baseline mini-batching)
+
+	posLogits []float64 // consumer-side step scratch
+
+	// Reusable arena-backed autograd graphs: gM records the model
+	// forward–backward, gS the adaptive sampler's (a separate graph so the
+	// sample loss backward never replays model ops). Both are owned by the
+	// consumer side (consume, finishBatch, eval), which is serialized by
+	// construction.
+	gM, gS graphHolder
 
 	// freshGraphs disables graph/arena reuse: every checkout returns a new
-	// unpooled graph. Tests use it to pin the reused path bitwise-equal to
-	// the from-scratch path.
+	// unpooled graph (see graphHolder.checkout).
 	freshGraphs bool
 }
 
-// modelGraph checks out the model graph for one pass, ending the previous
-// pass's checkouts: recording for a training step, forward-only (no gradient
-// matrices, no tape) for evaluation.
+// modelGraph checks out the model graph for one pass: recording for a
+// training step, forward-only for evaluation.
 func (t *Trainer) modelGraph(forwardOnly bool) *autograd.Graph {
-	if t.freshGraphs {
-		return checkout(autograd.New(), forwardOnly)
-	}
-	if t.gM == nil {
-		t.gM = autograd.NewReusable()
-	}
-	return checkout(t.gM, forwardOnly)
+	return t.gM.checkout(forwardOnly, t.freshGraphs)
 }
 
-// samplerGraph is modelGraph's counterpart for the adaptive sampler's tape
-// (a separate graph so the sample loss backward never replays model ops).
+// samplerGraph is modelGraph's counterpart for the adaptive sampler's tape.
 func (t *Trainer) samplerGraph(forwardOnly bool) *autograd.Graph {
-	if t.freshGraphs {
-		return checkout(autograd.New(), forwardOnly)
-	}
-	if t.gS == nil {
-		t.gS = autograd.NewReusable()
-	}
-	return checkout(t.gS, forwardOnly)
-}
-
-// checkout resets g for a recording or a forward-only pass.
-func checkout(g *autograd.Graph, forwardOnly bool) *autograd.Graph {
-	if forwardOnly {
-		g.ResetForwardOnly()
-	} else {
-		g.Reset()
-	}
-	return g
+	return t.gS.checkout(forwardOnly, t.freshGraphs)
 }
 
 // New builds a trainer for the dataset under cfg.
 func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.Normalize()
 	rng := mathx.NewRNG(cfg.Seed)
-	t := &Trainer{
-		Cfg: cfg, DS: ds, Timer: stats.NewTimer(), rng: rng,
-		Xfer: device.NewXferStats(), pool: newBuildPool(),
-	}
-
 	nodeDim := ds.Spec.NodeDim
 	edgeDim := ds.Spec.EdgeDim
+	t := &Trainer{Cfg: cfg, DS: ds, rng: rng, Xfer: device.NewXferStats()}
+	t.buildCore = buildCore{
+		Timer: stats.NewTimer(), pool: newBuildPool(),
+		budget: cfg.N, nodeDim: nodeDim, edgeDim: edgeDim,
+	}
+
 	switch cfg.Model {
 	case ModelTGAT:
 		t.Model = models.NewTGAT(models.TGATConfig{
@@ -270,6 +257,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	default:
 		return nil, fmt.Errorf("train: unknown model %q", cfg.Model)
 	}
+	t.layers = t.Model.NumLayers()
 	t.Pred = models.NewEdgePredictor(cfg.Hidden, rng.Split())
 
 	switch cfg.FinderPolicy {
@@ -347,35 +335,14 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	return t, nil
 }
 
-// negativeDst samples a negative destination (destination partition for
-// bipartite datasets, any node otherwise).
+// negativeDst draws a negative destination from the trainer's RNG stream.
 func (t *Trainer) negativeDst() int32 {
-	lo := 0
-	if t.DS.Spec.NumSrc > 0 {
-		lo = t.DS.Spec.NumSrc
-	}
-	return int32(lo + t.rng.Intn(t.DS.Spec.NumNodes-lo))
+	return negativeDst(t.rng, t.DS.Spec.NumSrc, t.DS.Spec.NumNodes)
 }
 
 // time runs f and charges its wall time to bucket.
 func (t *Trainer) time(bucket string, f func()) {
 	start := time.Now()
 	f()
-	t.Timer.Add(bucket, time.Since(start))
-}
-
-// sliceEdges charges FS with both the real copy time and the modeled
-// transfer time of the rows fetched. Slice reports its own call's modeled
-// cost, so concurrent slicing from the prefetch goroutine and the consumer
-// never cross-charges.
-func (t *Trainer) sliceEdges(ids []int32, dst *tensor.Matrix) {
-	start := time.Now()
-	modeled := t.EdgeStore.Slice(ids, dst)
-	t.Timer.Add("FS", time.Since(start)+modeled)
-}
-
-func (t *Trainer) sliceNodes(ids []int32, dst *tensor.Matrix) {
-	start := time.Now()
-	modeled := t.NodeStore.Slice(ids, dst)
-	t.Timer.Add("FS", time.Since(start)+modeled)
+	t.charge(bucket, start, 0)
 }

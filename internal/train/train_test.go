@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"taser/internal/datasets"
@@ -29,6 +30,35 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	if c.Model != ModelTGAT || c.Finder != FinderGPU || c.N != 10 || c.M != 25 ||
 		c.Gamma != 0.1 || c.EvalNegatives != 49 {
 		t.Fatalf("defaults: %+v", c)
+	}
+}
+
+// TestConfigValidateRejects: every value Validate names is refused, by
+// Validate with the field in the message and by New before it builds anything
+// (negative batch sizes used to "train" a negative number of steps, a
+// negative N or a CacheRatio above 1 to panic deep in the sampler or cache).
+func TestConfigValidateRejects(t *testing.T) {
+	ds := tinyDS(1)
+	for field, cfg := range map[string]Config{
+		"Hidden": {Hidden: -1}, "TimeDim": {TimeDim: -1}, "N": {N: -1}, "M": {M: -1},
+		"BatchSize": {BatchSize: -5}, "Epochs": {Epochs: -1}, "PrefetchDepth": {PrefetchDepth: -1},
+		"EvalNegatives": {EvalNegatives: -1}, "MaxEvalEdges": {MaxEvalEdges: -1},
+		"LR": {LR: -1e-3}, "LR (NaN)": {LR: math.NaN()},
+		"CacheRatio": {CacheRatio: 1.5}, "CacheRatio (negative)": {CacheRatio: -0.1},
+	} {
+		name, _, _ := strings.Cut(field, " ")
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Config."+name+" ") {
+			t.Errorf("%s: Validate() = %v, want an error naming Config.%s", field, err, name)
+		}
+		if _, err := New(cfg, ds); err == nil {
+			t.Errorf("%s: New accepted a config Validate rejects", field)
+		}
+	}
+	// Zero selects the default; the ratio's bounds themselves are valid.
+	for _, cfg := range []Config{{}, {CacheRatio: 1}, tinyCfg()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
 	}
 }
 
@@ -216,18 +246,6 @@ func TestNegativeDstRespectsBipartite(t *testing.T) {
 		if v := tr.negativeDst(); v < 48 || v >= 60 {
 			t.Fatalf("negative %d outside destination partition", v)
 		}
-	}
-}
-
-func TestRankOf(t *testing.T) {
-	if RankOf(5, []float64{1, 2, 3}) != 1 {
-		t.Fatal("top rank")
-	}
-	if RankOf(0, []float64{1, 2, 3}) != 4 {
-		t.Fatal("bottom rank")
-	}
-	if RankOf(2, []float64{1, 2, 3}) != 3 {
-		t.Fatal("ties rank pessimistically")
 	}
 }
 

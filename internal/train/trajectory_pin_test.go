@@ -15,16 +15,22 @@ import (
 // the first 25 TrainStep losses and of the validation MRR evaluated right
 // after them.
 type pinnedRun struct {
-	name   string
-	cfg    Config
-	losses [25]uint64
-	mrr    uint64
+	name      string
+	cfg       Config
+	pipelined bool // losses via NewPipeline(25).Step instead of TrainStep
+	losses    [25]uint64
+	mrr       uint64
 }
 
 // pinnedRuns were recorded at commit 6435808, the last one whose models and
 // sampler ran every stage on the full padded T·n / B·m layout. Executing on
 // valid slots only is bitwise-neutral (DESIGN.md §15), so the trajectories
 // must never move; a failure prints the observed table in Go syntax.
+//
+// The last three rows were recorded at commit f584484, the last one with two
+// build paths and two link-prediction steps in this package: adaptive inner
+// hops, a non-GPU finder under a randomized policy, and the pipelined loop
+// all run through the shared descent and must not have moved with it.
 var pinnedRuns = []pinnedRun{
 	{
 		name: "taser-tgat-gatv2",
@@ -73,6 +79,54 @@ var pinnedRuns = []pinnedRun{
 		},
 		mrr: 0x3fc5488010ef32ac,
 	},
+	{
+		name: "taser-tgat-all-layers",
+		cfg: Config{Model: ModelTGAT, Finder: FinderGPU, CacheRatio: 0.2,
+			AdaBatch: true, AdaNeighbor: true, AdaAllLayers: true, Decoder: adaptive.DecoderGATv2,
+			Hidden: 12, TimeDim: 6, N: 5, M: 10, BatchSize: 32, MaxEvalEdges: 8, Seed: 14},
+		losses: [25]uint64{
+			0x3ff1b179f2fa3835, 0x3fecc7f3d2406840, 0x3fee3b2292e2f2c1, 0x3fefdcdc107f3ba5,
+			0x3feb560412a42a5a, 0x3fea06e2ce3fbdd2, 0x3fec1275e051e280, 0x3feae0de7f39e24d,
+			0x3fe983603030aa36, 0x3fe83b4aa7840ddd, 0x3fe8b70b0150a389, 0x3feb2eeb0fc7a092,
+			0x3fe93aae63b99a3c, 0x3fe5c555d0b6830c, 0x3fe99e7f8946f0f2, 0x3fe7ae2e45a665e1,
+			0x3fe8d3e6bba5d4ba, 0x3fe6da5d86d4c390, 0x3fe76bcfe3b067a6, 0x3fe8f15c70034836,
+			0x3fe63f9faa33e040, 0x3fe7f3ac727a81ba, 0x3fe8b660b09b08e8, 0x3fe6671dbf15f165,
+			0x3fe6e0c0a6e6d414,
+		},
+		mrr: 0x3fb45b43a7cf3280,
+	},
+	{
+		name: "base-tgat-origin-invts",
+		cfg: Config{Model: ModelTGAT, Finder: FinderOrigin, FinderPolicy: "invts",
+			Hidden: 12, TimeDim: 6, BatchSize: 32, MaxEvalEdges: 8, Seed: 15},
+		losses: [25]uint64{
+			0x3fe647c2c621c671, 0x3fe6230791a8dfdc, 0x3fe64116f9e03487, 0x3fe5b1c256d5722e,
+			0x3fe560b6755fe981, 0x3fe6197e1c4a6bf7, 0x3fe6a1655d914db7, 0x3fe698018e4d6efa,
+			0x3fe718253c12d9ee, 0x3fe594543cfc616c, 0x3fe581a438090035, 0x3fe5e74f8ea1a4da,
+			0x3fe5dd91a2698cad, 0x3fe6c3f0a22f5f43, 0x3fe5b38acf0c2e93, 0x3fe6752bb2ae9b11,
+			0x3fe5506c77c9ebd5, 0x3fe60643df96dce6, 0x3fe5a78b2d388598, 0x3fe5e16a08a14aad,
+			0x3fe5fe868dcbb340, 0x3fe5afdb6d9d3149, 0x3fe5ed9c85c37180, 0x3fe4f2d41dfff7c1,
+			0x3fe68fedfd0d4105,
+		},
+		mrr: 0x3fb3c8439615a8cc,
+	},
+	{
+		name: "pipelined-tgat-adaneighbor",
+		cfg: Config{Model: ModelTGAT, Finder: FinderGPU, AdaNeighbor: true,
+			Decoder: adaptive.DecoderGATv2, Hidden: 12, TimeDim: 6, BatchSize: 32,
+			MaxEvalEdges: 8, Seed: 16},
+		pipelined: true,
+		losses: [25]uint64{
+			0x3fe60cb9771bb102, 0x3fe71e6a9d77c36a, 0x3fe6cfc2d981a9d2, 0x3fe702703bed1f5f,
+			0x3fe81ee871ce8f68, 0x3fe6c154f0a9fd5c, 0x3fe7921cf5841aca, 0x3fe7d1e9b5fa76ef,
+			0x3fe611c33cc4192f, 0x3fe58794d254ee58, 0x3fe703d6cd66b23e, 0x3fe649b93d866df9,
+			0x3fe5443dc2ccf0a1, 0x3fe4971e9c7cad8e, 0x3fe5a82c3480f229, 0x3fe65765da34ecfb,
+			0x3fe6259d828ed2cd, 0x3fe60342a051a762, 0x3fe67889d4e0b569, 0x3fe59c6816e48bf7,
+			0x3fe5b4d6af751945, 0x3fe71f61d8b2c5e7, 0x3fe5d7fcce8477a9, 0x3fe4ea20105666d9,
+			0x3fe6bc3731da0f75,
+		},
+		mrr: 0x3fc11834bd615950,
+	},
 }
 
 // TestTrajectoriesPinnedToPaddedExecution is the end-to-end half of the
@@ -91,9 +145,20 @@ func TestTrajectoriesPinnedToPaddedExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := pinnedRun{}
-		for i := range got.losses {
-			got.losses[i] = math.Float64bits(tr.TrainStep())
+		step := func() (float64, bool) { return tr.TrainStep(), true }
+		closePipeline := func() {}
+		if want.pipelined {
+			p := tr.NewPipeline(len(got.losses))
+			step, closePipeline = p.Step, p.Close
 		}
+		for i := range got.losses {
+			loss, ok := step()
+			if !ok {
+				t.Fatalf("%s: pipeline exhausted at step %d", want.name, i)
+			}
+			got.losses[i] = math.Float64bits(loss)
+		}
+		closePipeline() // before evaluating on this goroutine
 		got.mrr = math.Float64bits(tr.EvalMRR(SplitVal))
 		if got.losses != want.losses || got.mrr != want.mrr {
 			var sb strings.Builder
