@@ -91,7 +91,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		shards    = flag.Int("shards", 1, "serving shards: partition the node space across K engines behind a consistent-hash router (requires -model graphmixer for K>1)")
 		maxBatch  = flag.Int("max-batch", 32, "max roots per serving micro-batch")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max coalescing wait per micro-batch")
+		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "upper bound on a micro-batch's gather (it normally ends sooner: when nobody else is submitting or at -max-batch)")
 		cacheSize = flag.Int("emb-cache", 4096, "embedding-cache capacity in nodes (0 disables)")
 		snapEvery = flag.Int("snapshot-every", 256, "publish a snapshot every k ingested events")
 		replay    = flag.Bool("replay", false, "replay the val/test split through ingest at startup")

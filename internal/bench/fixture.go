@@ -42,7 +42,7 @@ func (f *servingFixture) engine(tune func(*serve.Config)) (*serve.Engine, error)
 		Model: f.tr.Model, Pred: f.tr.Pred,
 		NumNodes: f.ds.Spec.NumNodes, NodeFeat: f.ds.NodeFeat, EdgeDim: f.ds.Spec.EdgeDim,
 		Budget: f.tr.Cfg.N, Policy: sampler.MostRecent,
-		MaxBatch: 32, MaxWait: 500 * time.Microsecond,
+		MaxBatch: 32, MaxWait: 500 * time.Microsecond, // a bound on one gather; no request here waits it out
 		SnapshotEvery: 128, Seed: f.o.Seed,
 	}
 	if tune != nil {

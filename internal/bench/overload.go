@@ -44,7 +44,7 @@ const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
 //	burst     the full offered rate (2× the calibrated sustainable rate)
 //	recovery  rate/4 again
 //
-// It runs twice over self-hosted engines: "static" (fixed MaxBatch/MaxWait,
+// It runs twice over self-hosted engines: "static" (fixed MaxBatch,
 // unbounded admission — the burst builds an unbounded queue and
 // recovery-phase latency shows it) and "adaptive" (SLO controller + bounded
 // admission — excess load is shed with 429 + Retry-After and the completed
@@ -116,7 +116,8 @@ func overloadExp(o Options) error {
 
 // calibrateRate measures the closed-loop saturation throughput: 4 clients
 // back-to-back, no think time — the rate the engine sustains when clients
-// self-throttle. The open-loop burst offers a multiple of this.
+// self-throttle (HTTP + build + forward; batches form behind each flush, no
+// request waits on MaxWait). The open-loop burst offers a multiple of this.
 func calibrateRate(o Options, base string, zipf *mathx.Alias, qt float64) (float64, error) {
 	const clients, reqs = 4, 100
 	client := openHTTPClient()

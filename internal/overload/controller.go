@@ -15,7 +15,7 @@ const (
 	// DecisionHold left the effective values unchanged (p99 in the
 	// comfort band, an empty sample window, or already pinned at a clamp).
 	DecisionHold Decision = iota
-	// DecisionTighten reacted to p99 above target: coalescing wait halved,
+	// DecisionTighten reacted to p99 above target: gather bound halved,
 	// batch ceiling doubled (both clamped).
 	DecisionTighten
 	// DecisionRelax stepped additively back toward the configured base
@@ -40,13 +40,15 @@ type ControllerConfig struct {
 }
 
 // Controller retunes the scheduler's effective MaxBatch/MaxWait against a
-// p99 target with an AIMD law. The physics: under overload the batch is
-// always full, so MaxWait no longer pays for coalescing — cutting it
-// removes pure queueing delay — while a larger MaxBatch amortizes the
+// p99 target with an AIMD law. The physics: a larger MaxBatch amortizes the
 // per-flush fixed cost over more roots, raising throughput to drain the
-// backlog. Both revert additively toward the operator's base once p99 is
-// comfortably under target, so the steady state is the configured behavior,
-// not the emergency one.
+// backlog. The scheduler's gather is work-conserving (serve's Engine.loop:
+// under overload the batch fills from the requests parked behind the previous
+// flush), so MaxWait is only its upper bound and halving it tightens a bound
+// a loaded engine does not reach; the arm stays until the wire and benchmark/
+// can drop it (ROADMAP). Both revert additively toward the operator's base
+// once p99 is comfortably under target: the steady state is the configured
+// behavior, not the emergency one.
 //
 // MaxBatch/MaxWait are lock-free atomic reads — the scheduler loop reads
 // them per request with no coordination. Tick is called by a single owner
@@ -87,7 +89,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 // MaxBatch returns the effective batch ceiling (lock-free).
 func (c *Controller) MaxBatch() int { return int(c.batch.Load()) }
 
-// MaxWait returns the effective coalescing wait (lock-free).
+// MaxWait returns the effective bound on one gather (lock-free).
 func (c *Controller) MaxWait() time.Duration { return time.Duration(c.waitNs.Load()) }
 
 // Tick runs one control step: sample the latency window, compute p99, apply
@@ -145,7 +147,7 @@ type ControllerStats struct {
 	TargetP99       time.Duration `json:"-"`
 	TargetP99US     int64         `json:"target_p99_us"` // TargetP99 on the wire
 	MaxBatch        int           `json:"-"`             // current effective batch ceiling
-	MaxWait         time.Duration `json:"-"`             // current effective coalescing wait
+	MaxWait         time.Duration `json:"-"`             // current effective gather bound
 	Tightened       uint64        `json:"tightened"`
 	Relaxed         uint64        `json:"relaxed"`
 	Held            uint64        `json:"held"`

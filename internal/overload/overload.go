@@ -17,8 +17,8 @@
 //   - A Controller (controller.go) retunes the micro-batching scheduler's
 //     effective MaxBatch/MaxWait against a p99 target using the live
 //     request-latency window: AIMD — tighten multiplicatively when p99
-//     exceeds the target (halve the coalescing wait, double the batch
-//     ceiling, both clamped), relax additively back toward the operator's
+//     exceeds the target (double the batch ceiling, halve the bound on a
+//     gather, both clamped), relax additively back toward the operator's
 //     configured base when p99 is comfortably under it.
 //
 // Both are opt-in per serve.Config; the zero Config disables the subsystem

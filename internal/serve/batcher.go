@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -98,6 +99,11 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 	if src < 0 || int(src) >= e.cfg.NumNodes || (kind == reqPredict && (dst < 0 || int(dst) >= e.cfg.NumNodes)) {
 		return response{}, fmt.Errorf("serve: node id out of range [0, %d)", e.cfg.NumNodes)
 	}
+	// A non-finite t embeds to NaN, and +Inf passes the cache's t >= lastTs
+	// test: one call would poison the node's entry for every later query.
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return response{}, fmt.Errorf("serve: query time %v is not finite", t)
+	}
 	start := time.Now() // before the gate: measured latency includes admission wait
 	if e.gate != nil {
 		if err := e.gate.Enter(overload.LanePredict); err != nil {
@@ -120,59 +126,47 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 	return resp, resp.err
 }
 
-// loop is the micro-batching scheduler: it coalesces requests until MaxBatch
-// roots are pending or the oldest pending request has waited MaxWait, then
-// flushes the batch through one pooled build + model forward. On Close it
-// flushes whatever it has accepted and exits. Both thresholds are read
-// through curMaxBatch/curMaxWait — the static config normally, the SLO
-// controller's retuned values when one is attached (lock-free atomic reads,
-// re-read per request so a control decision takes effect mid-stream).
+// loop is the micro-batching scheduler, a work-conserving gather (DESIGN.md
+// §5): block for the first request, take every request parked on the
+// unbuffered e.reqs, and when it runs dry yield the processor once — callers
+// that are runnable but have not reached their send yet (at GOMAXPROCS=1, all
+// but the one that woke this goroutine) get there — and take again. The
+// gather ends at MaxBatch roots, when a yield surfaced nobody, or MaxWait
+// after the first arrival, and always in a flush, so an accepted request is
+// never stranded and quit is only looked at between batches. Submitters park
+// on e.reqs while a flush runs: the next batch forms behind it, 1 root when
+// idle, MaxBatch when saturated. curMaxBatch/curMaxWait are the static config
+// or the SLO controller's retuned values (atomic reads, re-read per request
+// so a control decision takes effect mid-stream).
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	var pending []*request
-	pendingRoots := 0
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	stopTimer := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	doFlush := func() {
-		e.flush(pending)
-		for i := range pending {
-			pending[i] = nil
-		}
-		pending = pending[:0]
-		pendingRoots = 0
-	}
 	for {
 		select {
 		case r := <-e.reqs:
 			pending = append(pending, r)
-			pendingRoots += r.rootCount()
-			if pendingRoots >= e.curMaxBatch() {
-				stopTimer()
-				doFlush()
-			} else if len(pending) == 1 {
-				timer.Reset(e.curMaxWait())
-			}
-		case <-timer.C:
-			if len(pending) > 0 {
-				doFlush()
-			}
 		case <-e.quit:
-			stopTimer()
-			if len(pending) > 0 {
-				doFlush()
-			}
 			return
 		}
+		first, roots := time.Now(), pending[0].rootCount()
+	gather:
+		for yielded := false; roots < e.curMaxBatch(); {
+			select {
+			case r := <-e.reqs:
+				pending = append(pending, r)
+				roots += r.rootCount()
+				yielded = false
+			default:
+				if yielded || time.Since(first) >= e.curMaxWait() {
+					break gather // nobody else is about to submit, or out of time
+				}
+				runtime.Gosched()
+				yielded = true
+			}
+		}
+		e.flush(pending)
+		clear(pending)
+		pending = pending[:0]
 	}
 }
 

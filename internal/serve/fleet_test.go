@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -796,5 +797,32 @@ func TestFleetIngestStaleAcrossTee(t *testing.T) {
 	}
 	if want := len(ds.Graph.Events) + int(before.Teed); total != want {
 		t.Fatalf("a rejected tee changed physical shard event counts: %d, want %d", total, want)
+	}
+}
+
+// TestFleetNonFiniteQueryDoesNotPoisonCache is the cache-poisoning regression
+// through the fleet: a cross-shard predict at t=+Inf scatters one Embed to
+// each owner, and neither may leave a NaN entry for the next finite predict.
+func TestFleetNonFiniteQueryDoesNotPoisonCache(t *testing.T) {
+	ds := datasets.Wikipedia(0.02, 37)
+	tr := newMixerTrainer(t, ds)
+	fl := newTestFleet(t, tr, ds, 2, func(fc *FleetConfig) { fc.CacheSize = 32 })
+	if err := fl.Bootstrap(ds.Graph.Events, ds.EdgeFeat); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := int32(0), int32(1)
+	for fl.Owner(dst) == fl.Owner(src) {
+		dst++
+	}
+	if _, err := fl.PredictLink(src, dst, math.Inf(1)); err == nil || statusFor(err) != http.StatusBadRequest {
+		t.Fatalf("cross-shard predict at t=+Inf: want a 400-class error, got %v", err)
+	}
+	wm, _ := fl.Watermark()
+	res, err := fl.PredictLink(src, dst, wm+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached || math.IsNaN(res.Score) || math.IsInf(res.Score, 0) {
+		t.Fatalf("finite predict after a +Inf one: score %v cached %v", res.Score, res.Cached)
 	}
 }

@@ -339,6 +339,13 @@ func TestCloseDuringShedBurst(t *testing.T) {
 	}
 
 	// Every engine goroutine (scheduler, control loop) must be gone.
+	waitGoroutinesGone(t, before)
+}
+
+// waitGoroutinesGone fails the test unless the goroutine count returns to its
+// pre-engine level (plus slack for runtime helpers) soon after Close.
+func waitGoroutinesGone(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {

@@ -14,10 +14,11 @@
 //     separation of a production feature store, with Go's GC standing in for
 //     epoch reclamation.
 //
-//   - Micro-batched serving (batcher.go). Concurrent requests are coalesced
-//     into minibatches (bounded by MaxBatch roots and MaxWait latency) and
-//     run through the pooled, allocation-free build path the training loop
-//     uses (train.InferenceBuilder over internal/train/pool.go) and one model
+//   - Micro-batched serving (batcher.go). Concurrent requests are gathered
+//     into minibatches (whoever is submitting while the previous flush runs,
+//     up to MaxBatch roots; nothing waits out a timer) and run through the
+//     pooled, allocation-free build path the training loop uses
+//     (train.InferenceBuilder over internal/train/pool.go) and one model
 //     forward — amortizing neighbor finding and feature slicing across
 //     requests exactly as training amortizes them across a batch.
 //
@@ -82,10 +83,12 @@ type Config struct {
 	// rejects.
 	Policy sampler.Policy
 
-	MaxBatch      int           // max roots coalesced per micro-batch (default 32)
-	MaxWait       time.Duration // max time the first request of a batch waits (default 2ms)
-	CacheSize     int           // embedding-cache capacity in nodes (0 disables)
-	SnapshotEvery int           // publish a snapshot every k ingested events (default 256)
+	MaxBatch int // max roots gathered into one micro-batch (default 32)
+	// MaxWait is an upper bound on one gather (default 2ms), not a wait: a
+	// gather ends when nobody else is about to submit or at MaxBatch (loop).
+	MaxWait       time.Duration
+	CacheSize     int // embedding-cache capacity in nodes (0 disables)
+	SnapshotEvery int // publish a snapshot every k ingested events (default 256)
 
 	// Durability enables the write-ahead log and checkpointing when its Dir
 	// is set (durability.go, DESIGN.md §9); the zero value serves purely
@@ -365,7 +368,7 @@ func (e *Engine) curMaxBatch() int {
 	return e.cfg.MaxBatch
 }
 
-// curMaxWait returns the scheduler's effective coalescing wait.
+// curMaxWait returns the effective upper bound on one gather.
 func (e *Engine) curMaxWait() time.Duration {
 	if e.ctrl != nil {
 		return e.ctrl.MaxWait()

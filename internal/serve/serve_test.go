@@ -2,6 +2,9 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -401,29 +404,48 @@ func TestConcurrentIngestAndServe(t *testing.T) {
 		st.AvgBatch, st.CacheHitRate, st.P50, st.P99)
 }
 
-// TestCloseDrainsAndRejects: Close serves accepted requests, later calls
-// fail fast with ErrClosed.
+// TestCloseDrainsAndRejects: Close lands in the middle of a request stream.
+// Every call returns a result or ErrClosed, nothing hangs, later calls fail
+// fast with ErrClosed and every engine goroutine is gone.
 func TestCloseDrainsAndRejects(t *testing.T) {
+	before := runtime.NumGoroutine()
 	ds := datasets.Wikipedia(0.02, 17)
-	e, _ := newTestEngine(t, ds, func(c *Config) { c.MaxWait = 50 * time.Millisecond })
+	e, _ := newTestEngine(t, ds, nil)
 
 	qt := e.Pin().Watermark + 1
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := range errs {
+	var served atomic.Int64
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = e.Embed(int32(i), qt)
+			for {
+				res, err := e.Embed(int32(i), qt)
+				switch {
+				case errors.Is(err, ErrClosed):
+					return
+				case err != nil:
+					t.Errorf("caller %d: %v", i, err)
+					return
+				case len(res.Embedding) == 0:
+					t.Errorf("caller %d: nil error with an empty embedding", i)
+					return
+				}
+				served.Add(1)
+			}
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond) // let requests reach the scheduler
+	for served.Load() < 100 { // the stream is flowing when Close lands
+		time.Sleep(time.Millisecond)
+	}
 	e.Close()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatalf("request %d: %v", i, err)
-		}
+
+	joined := make(chan struct{})
+	go func() { wg.Wait(); close(joined) }()
+	select {
+	case <-joined:
+	case <-time.After(60 * time.Second):
+		t.Fatal("requests hung across Close")
 	}
 	if _, err := e.Embed(0, qt); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close embed must return ErrClosed, got %v", err)
@@ -431,9 +453,11 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if _, err := e.PredictLink(0, 1, qt); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close predict must return ErrClosed, got %v", err)
 	}
+	waitGoroutinesGone(t, before)
 }
 
-// TestRequestValidation: out-of-range nodes are rejected before enqueue.
+// TestRequestValidation: out-of-range nodes and non-finite query times are
+// rejected before enqueue, as client errors.
 func TestRequestValidation(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 19)
 	e, _ := newTestEngine(t, ds, nil)
@@ -446,9 +470,41 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := e.PredictLink(0, int32(ds.Spec.NumNodes), 10); err == nil {
 		t.Fatal("dst beyond range must be rejected")
 	}
+	for _, qt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := e.Embed(0, qt); err == nil || statusFor(err) != http.StatusBadRequest {
+			t.Fatalf("Embed at t=%v: want a 400-class error, got %v", qt, err)
+		}
+		if _, err := e.PredictLink(0, 1, qt); err == nil || statusFor(err) != http.StatusBadRequest {
+			t.Fatalf("PredictLink at t=%v: want a 400-class error, got %v", qt, err)
+		}
+	}
+	if st := e.Stats(); st.Requests != 0 {
+		t.Fatalf("%d rejected requests reached the scheduler", st.Requests)
+	}
 	wm, _ := e.Watermark()
 	if err := e.Ingest(0, 1, wm+1, make([]float64, ds.Spec.EdgeDim+3)); err == nil {
 		t.Fatal("wrong feature width must be rejected")
+	}
+}
+
+// TestNonFiniteQueryDoesNotPoisonCache: +Inf passes the cache's t >= lastTs
+// test, so an unvalidated Embed(v, +Inf) stored a NaN embedding that every
+// later finite query on v was answered from.
+func TestNonFiniteQueryDoesNotPoisonCache(t *testing.T) {
+	ds := datasets.Wikipedia(0.02, 29)
+	e, _ := newTestEngine(t, ds, func(c *Config) { c.CacheSize = 32 })
+	e.Embed(0, math.Inf(1)) // rejected (TestRequestValidation); what matters here is what it leaves behind
+	res, err := e.Embed(0, e.Pin().Watermark+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached {
+		t.Fatal("first finite query was served from the cache: the +Inf query left an entry behind")
+	}
+	for j, x := range res.Embedding {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("emb[%d] = %v after a +Inf query on the same node", j, x)
+		}
 	}
 }
 

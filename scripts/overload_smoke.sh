@@ -9,7 +9,7 @@
 #   server :18301 (-slo-p99 25ms -max-queue 2 -overload-capacity 1
 #                  → at most 1 in service + 2 queued per lane; everything
 #                    else sheds)
-#   8 looping predict clients against that → guaranteed rejections
+#   8 predict clients, 4 requests in flight each → guaranteed rejections
 #   contradictory overload flags must fail fast before any of that.
 set -euo pipefail
 
@@ -84,20 +84,22 @@ echo "$STATS" | grep -q '"effective_max_batch"' || die "overload block has no ef
 echo "$STATS" | grep -q '"target_p99_us"' || die "overload block has no controller view"
 echo "$STATS" | grep -q '"lanes"' || die "overload block has no gate lanes"
 
-say "burst: 8 looping clients against capacity 1 / queue 2 must shed"
+say "burst: 8 clients × 4 in flight against capacity 1 / queue 2 must shed"
 T0=$(field "http://$ADDR/v1/stats" live_watermark)
 QT=$(awk "BEGIN{printf \"%.1f\", $T0 + 1e9}")
-flood() { # flood N_REQS OUT — sequential predicts, one status code per line
-    local n=$1 out=$2
-    for _ in $(seq "$n"); do
-        curl -s -o /dev/null --max-time 10 -w '%{http_code}\n' \
-            -X POST "http://$ADDR/v1/predict" \
-            -d "{\"src\":1,\"dst\":4,\"t\":$QT}" >>"$out" 2>/dev/null || true
-    done
+# flood N_REQS OUT — N predicts, 4 in flight at a time, one status code per
+# line. One curl process holds the connections (-Z over a globbed URL; the
+# handler ignores the query): a hot predict is answered in well under a
+# millisecond, so clients that fork a curl per request never overlap enough
+# to fill even this gate.
+flood() {
+    curl -s -Z --parallel-max 4 -o /dev/null --max-time 10 -w '%{http_code}\n' \
+        -X POST -d "{\"src\":1,\"dst\":4,\"t\":$QT}" \
+        "http://$ADDR/v1/predict?n=[1-$1]" >>"$2" 2>/dev/null || true
 }
 FLOODERS=()
 for c in $(seq 8); do
-    flood 40 "$WORK/codes.$c" &
+    flood 400 "$WORK/codes.$c" &
     FLOODERS+=("$!")
 done
 # While the flood holds the gate full, capture one full shed response: it
@@ -136,7 +138,7 @@ done
 
 say "SIGTERM mid-burst: the drain must terminate, queued work must not hang it"
 for c in $(seq 4); do
-    flood 200 /dev/null &
+    flood 4000 /dev/null &
     FLOODERS+=("$!")
 done
 sleep 0.3
