@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
+.PHONY: all build cross-build test test-poison bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
 
 all: build test
 
@@ -35,6 +35,12 @@ cross-build:
 # on few-core machines; hence the generous timeout.
 test: vet
 	$(GO) test -race -timeout=45m ./...
+
+# The execution stack with every arena poisoned (DESIGN.md §7): op outputs
+# are checked out un-zeroed, so an op that forgets to write an element reads
+# NaN there and fails a loss, trajectory pin or oracle comparison.
+test-poison:
+	TASER_ARENA_POISON=1 $(GO) test -count=1 ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive ./internal/train
 
 # Smoke-check every step benchmark with allocation accounting. The output is
 # benchstat-compatible: save it per commit and compare with

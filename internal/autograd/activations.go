@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math"
+	"runtime"
 
 	"taser/internal/mathx"
 	"taser/internal/tensor"
@@ -43,42 +44,61 @@ func (g *Graph) LeakyReLU(a *Var, slope float64) *Var {
 	return o
 }
 
-// geluParallelThreshold is the element count above which GELU fans out; the
-// tanh evaluation is expensive enough that this is the hottest element-wise
-// op in training.
+// geluParallelThreshold is the element count above which GELU's forward fans
+// out when there is more than one worker to fan out to: one tanh per element
+// makes it the hottest element-wise op in training. The backward reads that
+// tanh back from the tape and stays serial.
 const geluParallelThreshold = 1 << 14
 
-// GELU applies the Gaussian error linear unit element-wise.
+// GELU applies the Gaussian error linear unit element-wise. A recording pass
+// keeps each element's tanh on the tape entry for the backward body.
 func (g *Graph) GELU(a *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	// The serial path is written out (not a conditionally-spawned closure) so
-	// small activations allocate nothing.
-	if n := len(a.Val.Data); n < geluParallelThreshold {
-		for i := 0; i < n; i++ {
-			o.Val.Data[i] = mathx.GELU(a.Val.Data[i])
-		}
-	} else {
-		tensor.ParallelRows(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				o.Val.Data[i] = mathx.GELU(a.Val.Data[i])
-			}
-		})
-	}
+	var t []float64
 	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opGELU, out: o, a: a})
+		tanh := g.arena.GetUninit(a.Rows(), a.Cols())
+		t = tanh.Data
+		g.push(tapeEntry{op: opGELU, out: o, a: a, aux1: tanh})
+	}
+	x, y := a.Val.Data, o.Val.Data
+	// The serial path is a plain call (not a conditionally-run closure) so it
+	// allocates nothing.
+	if n := len(x); n < geluParallelThreshold || runtime.GOMAXPROCS(0) == 1 {
+		geluRange(y, t, x, 0, n)
+	} else {
+		tensor.ParallelRows(n, func(lo, hi int) { geluRange(y, t, x, lo, hi) })
 	}
 	return o
 }
 
+// geluRange writes y = GELU(x) over [lo, hi) and, unless t is nil, each
+// element's tanh into t.
+func geluRange(y, t, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var th float64
+		y[i], th = mathx.GELUTanh(x[i])
+		if t != nil {
+			t[i] = th
+		}
+	}
+}
+
 // Cos applies cos element-wise; used by the learnable time encoding (Eq. 3).
+// A recording pass evaluates each element's sine alongside (math.Sincos
+// returns bitwise math.Sin and math.Cos) and keeps it for the backward body.
 func (g *Graph) Cos(a *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
+	if !o.NeedsGrad() {
+		for i, v := range a.Val.Data {
+			o.Val.Data[i] = math.Cos(v)
+		}
+		return o
+	}
+	sin := g.arena.GetUninit(a.Rows(), a.Cols())
 	for i, v := range a.Val.Data {
-		o.Val.Data[i] = math.Cos(v)
+		sin.Data[i], o.Val.Data[i] = math.Sincos(v)
 	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opCos, out: o, a: a})
-	}
+	g.push(tapeEntry{op: opCos, out: o, a: a, aux1: sin})
 	return o
 }
 

@@ -138,8 +138,9 @@ func (g *Graph) Reset() {
 // ResetForwardOnly is Reset for a pass that only reads values (serving,
 // evaluation, drawing a Selection that is never co-trained): until the next
 // Reset every op output is a constant — no Grad matrix is checked out and
-// zero-filled for it, no tape entry is pushed, Ops stays 0 — and Backward
-// panics. Values are bitwise those of a recording pass.
+// zero-filled for it, nothing is stashed for a backward body, no tape entry
+// is pushed, Ops stays 0 — and Backward panics. Values are bitwise those of a
+// recording pass.
 func (g *Graph) ResetForwardOnly() {
 	g.Reset()
 	g.forwardOnly = true
@@ -162,22 +163,17 @@ func (g *Graph) newVar(val, grad *tensor.Matrix) *Var {
 	return v
 }
 
-// alloc returns a zeroed r×c matrix from the arena (or the heap without one).
-func (g *Graph) alloc(r, c int) *tensor.Matrix {
-	if g.arena != nil {
-		return g.arena.Get(r, c)
-	}
-	return tensor.New(r, c)
-}
-
 // out allocates a result Var; it carries a gradient buffer iff any input
-// requires gradients and the pass records.
+// requires gradients and the pass records. The gradient is zeroed (backward
+// bodies accumulate into it); Val is not — every op overwrites every element
+// of its output, and one that writes only some (ScatterRows) zeroes it first.
+// TestReusedGraphBitwiseEqualsFresh holds every op to that.
 func (g *Graph) out(rows, cols int, needsGrad bool) *Var {
 	var grad *tensor.Matrix
 	if needsGrad && !g.forwardOnly {
-		grad = g.alloc(rows, cols)
+		grad = g.arena.Get(rows, cols)
 	}
-	return g.newVar(g.alloc(rows, cols), grad)
+	return g.newVar(g.arena.GetUninit(rows, cols), grad)
 }
 
 // Const wraps m as a constant whose Var header is recycled on Reset — the
@@ -190,7 +186,7 @@ func (g *Graph) Const(m *tensor.Matrix) *Var { return g.newVar(m, nil) }
 // tape node: callers fill it (time encodings, coefficient tables, mask
 // columns) and typically wrap it with Const or pass it to a *Const op. It is
 // recycled at Reset like every other intermediate.
-func (g *Graph) Scratch(r, c int) *tensor.Matrix { return g.alloc(r, c) }
+func (g *Graph) Scratch(r, c int) *tensor.Matrix { return g.arena.Get(r, c) }
 
 // Ints checks out an int32 slice of length n with graph lifetime (gather
 // index vectors live as long as the tape that references them). Contents are
@@ -358,6 +354,7 @@ func (g *Graph) GatherRows(src *Var, idx []int32) *Var {
 // read, with exact zeros at padding.
 func (g *Graph) ScatterRows(src *Var, idx []int32, rows int) *Var {
 	o := g.out(rows, src.Cols(), src.NeedsGrad())
+	o.Val.Zero()
 	tensor.ScatterRowsInto(o.Val, src.Val, idx)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opScatterRows, out: o, a: src, idx: idx})

@@ -88,8 +88,8 @@ func (g *Graph) LayerNormRows(a, gain, bias *Var) *Var {
 		return o
 	}
 	// Per-row statistics for the backward pass, with graph lifetime.
-	means := g.alloc(1, a.Rows())
-	invStds := g.alloc(1, a.Rows())
+	means := g.arena.Get(1, a.Rows())
+	invStds := g.arena.Get(1, a.Rows())
 	tensor.LayerNormRowsInto(o.Val, a.Val, gain.Val, bias.Val, means.Data, invStds.Data, eps)
 	g.push(tapeEntry{op: opLayerNormRows, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds})
 	return o

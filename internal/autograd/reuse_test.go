@@ -93,13 +93,22 @@ func runPass(g *Graph, p map[string]*Var) (loss float64, grads map[string][]floa
 // same forward–backward on one arena-backed graph with Reset between passes
 // yields bitwise-identical losses and parameter gradients to a fresh unpooled
 // graph per pass — recycled slabs are indistinguishable from fresh matrices.
+//
+// It is also the proof that no reader sees an un-zeroed Val. Op outputs are
+// checked out without a zero-fill, so under poison the reused graph's are NaN
+// until the op writes them (from the first pass: GetUninit poisons fresh
+// storage too). The tapes are therefore compared entry by entry — every op's
+// value and gradient NaN-free and equal to the fresh graph's bits — and the
+// pass is held to recording every op kind the package has, so an op added
+// later that leaves an element unwritten fails here.
 func TestReusedGraphBitwiseEqualsFresh(t *testing.T) {
 	pFresh := reuseParams(42)
 	pReuse := reuseParams(42)
 	reused := NewReusable()
 	reused.Arena().SetPoison(true) // poison must never leak into legit reuse
 	for pass := 0; pass < 4; pass++ {
-		fl, fg := runPass(New(), pFresh)
+		fresh := New()
+		fl, fg := runPass(fresh, pFresh)
 		reused.Reset()
 		rl, rg := runPass(reused, pReuse)
 		if fl != rl {
@@ -110,6 +119,27 @@ func TestReusedGraphBitwiseEqualsFresh(t *testing.T) {
 				if rg[name][i] != v {
 					t.Fatalf("pass %d: grad %q[%d] reused %v != fresh %v", pass, name, i, rg[name][i], v)
 				}
+			}
+		}
+
+		if len(reused.tape) != len(fresh.tape) {
+			t.Fatalf("pass %d: reused graph recorded %d ops, fresh %d", pass, len(reused.tape), len(fresh.tape))
+		}
+		var seen [opKinds]bool
+		for i := range reused.tape {
+			re, fe := &reused.tape[i], &fresh.tape[i]
+			seen[re.op] = true
+			for _, m := range [][2]*tensor.Matrix{{re.out.Val, fe.out.Val}, {re.out.Grad, fe.out.Grad}} {
+				for j, v := range m[0].Data {
+					if math.IsNaN(v) || math.Float64bits(v) != math.Float64bits(m[1].Data[j]) {
+						t.Fatalf("pass %d, tape entry %d (op %d), elem %d: reused %v, fresh %v", pass, i, re.op, j, v, m[1].Data[j])
+					}
+				}
+			}
+		}
+		for op, ok := range seen {
+			if !ok {
+				t.Fatalf("reuseLoss records no op of kind %d: every op must run under poison here", op)
 			}
 		}
 	}
@@ -175,9 +205,11 @@ func TestReusedGraphSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestForwardOnlyPassMatchesRecording pins the forward-only checkout: the same
-// op sequence yields bitwise the same values with no gradient matrix on any
-// output and nothing on the tape, the mode ends at the next Reset, and
-// Backward refuses a pass that recorded nothing.
+// op sequence (GELU and Cos included, which evaluate differently when they
+// record) yields bitwise the same values with no gradient matrix on any
+// output, nothing stashed for a backward body and nothing on the tape, the
+// mode ends at the next Reset, and Backward refuses a pass that recorded
+// nothing.
 func TestForwardOnlyPassMatchesRecording(t *testing.T) {
 	p := reuseParams(5)
 	g := NewReusable()
@@ -194,8 +226,14 @@ func TestForwardOnlyPassMatchesRecording(t *testing.T) {
 	if g.Ops() != 0 || l.NeedsGrad() {
 		t.Fatalf("forward-only pass recorded %d ops (loss carries grad: %v)", g.Ops(), l.NeedsGrad())
 	}
-	if fwd := g.Arena().InUse(); 2*fwd > checkouts+2 {
-		t.Fatalf("forward-only pass checked out %d matrices, recording %d: gradients still allocated", fwd, checkouts)
+	// A recording pass checks out a value and a gradient per op, LayerNorm's
+	// two statistics rows, GELU's tanh, Cos's sine, and reuseLoss's one
+	// Scratch; a forward-only pass the values and the Scratch, nothing else.
+	if want := 2*recorded + 5; checkouts != want {
+		t.Fatalf("recording pass checked out %d matrices, want %d", checkouts, want)
+	}
+	if fwd, want := g.Arena().InUse(), recorded+1; fwd != want {
+		t.Fatalf("forward-only pass checked out %d matrices, want %d: a gradient or a backward stash is still allocated", fwd, want)
 	}
 	func() {
 		defer func() {
@@ -209,6 +247,57 @@ func TestForwardOnlyPassMatchesRecording(t *testing.T) {
 	g.Reset()
 	if reuseLoss(g, p); g.Ops() != recorded {
 		t.Fatalf("after Reset the graph records %d ops, want %d", g.Ops(), recorded)
+	}
+
+	// The two ops with a recording-only forward body, element by element over
+	// arguments from 1e-3 to 1e6 (past math.Cos's Payne–Hanek threshold).
+	x := tensor.Randn(64, 40, 1, mathx.NewRNG(6))
+	for i := range x.Data {
+		x.Data[i] *= math.Pow(10, float64(i%10-3))
+	}
+	xp := NewParam(x)
+	g.Reset()
+	gelu, cos := g.GELU(xp).Val.Clone(), g.Cos(xp).Val.Clone()
+	g.ResetForwardOnly()
+	fGELU, fCos := g.GELU(xp), g.Cos(xp)
+	if g.Arena().InUse() != 2 {
+		t.Fatalf("forward-only GELU and Cos checked out %d matrices, want their 2 values", g.Arena().InUse())
+	}
+	for i := range x.Data {
+		if math.Float64bits(fGELU.Val.Data[i]) != math.Float64bits(gelu.Data[i]) ||
+			math.Float64bits(fCos.Val.Data[i]) != math.Float64bits(cos.Data[i]) {
+			t.Fatalf("x = %v: forward-only GELU %v Cos %v, recording %v %v",
+				x.Data[i], fGELU.Val.Data[i], fCos.Val.Data[i], gelu.Data[i], cos.Data[i])
+		}
+	}
+}
+
+// TestSincosIsSinAndCosBitwise is the premise of Cos's recording pass: it
+// takes cos(x) from math.Sincos and keeps the sine for the backward body,
+// while a forward-only pass calls math.Cos and the backward used to call
+// math.Sin. The three must agree to the last bit or the two passes (and the
+// pinned training trajectories) diverge. That holds for the pure-Go
+// implementations amd64 and arm64 run (same reduction, same polynomials);
+// this test is what fails loudly if a Go release changes it.
+func TestSincosIsSinAndCosBitwise(t *testing.T) {
+	same := func(a, b float64) bool { // NaN payloads aside
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	check := func(x float64) {
+		s, c := math.Sincos(x)
+		if !same(s, math.Sin(x)) || !same(c, math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin %v, Cos %v", x, s, c, math.Sin(x), math.Cos(x))
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Pi / 4, math.Pi / 2, math.Pi, 1 << 29, 1<<29 + 1, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		check(x)
+		check(-x)
+	}
+	rng := mathx.NewRNG(2024)
+	for i := 0; i < 1100000; i++ {
+		// Scales 1e-3 … 1e18, both signs.
+		check(rng.NormFloat64() * math.Pow(10, float64(i%22-3)))
 	}
 }
 

@@ -40,6 +40,7 @@ const (
 	opGroupedScore
 	opGroupedWeightedSum
 	opGroupedMatMulLeft
+	opKinds // count, for the test that must run every op
 )
 
 // tapeEntry is one recorded operation: a value (not a closure), so the tape
@@ -54,7 +55,7 @@ type tapeEntry struct {
 	a, b, c *Var // inputs; c is LayerNorm's bias
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
-	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R)
+	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
 	idx          []int32        // GatherRows/ScatterRows indices (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // ConcatCols part list: g.varRefs[refLo:refHi]
@@ -168,22 +169,13 @@ func (g *Graph) backstep(e *tapeEntry) {
 		}
 
 	case opGELU:
-		a, o := e.a, e.out
-		if n := len(a.Val.Data); n < geluParallelThreshold {
-			for i := 0; i < n; i++ {
-				a.Grad.Data[i] += o.Grad.Data[i] * mathx.GELUGrad(a.Val.Data[i])
-			}
-		} else {
-			tensor.ParallelRows(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a.Grad.Data[i] += o.Grad.Data[i] * mathx.GELUGrad(a.Val.Data[i])
-				}
-			})
+		for i, t := range e.aux1.Data {
+			e.a.Grad.Data[i] += e.out.Grad.Data[i] * mathx.GELUGradTanh(e.a.Val.Data[i], t)
 		}
 
 	case opCos:
-		for i, v := range e.a.Val.Data {
-			e.a.Grad.Data[i] -= e.out.Grad.Data[i] * math.Sin(v)
+		for i, sin := range e.aux1.Data {
+			e.a.Grad.Data[i] -= e.out.Grad.Data[i] * sin
 		}
 
 	case opSoftmaxRows:
@@ -338,39 +330,9 @@ func (g *Graph) backstep(e *tapeEntry) {
 		}
 
 	case opGroupedMatMulLeft:
-		w, src, group := e.a, e.b, e.group
-		k2 := w.Rows()
-		b := src.Rows() / group
-		c := src.Cols()
-		for gi := 0; gi < b; gi++ {
-			for i := 0; i < k2; i++ {
-				dOut := e.out.Grad.Row(gi*k2 + i)
-				if w.NeedsGrad() {
-					dw := w.Grad.Row(i)
-					for k := 0; k < group; k++ {
-						srow := src.Val.Row(gi*group + k)
-						var dot float64
-						for j := 0; j < c; j++ {
-							dot += dOut[j] * srow[j]
-						}
-						dw[k] += dot
-					}
-				}
-				if src.NeedsGrad() {
-					wrow := w.Val.Row(i)
-					for k := 0; k < group; k++ {
-						wv := wrow[k]
-						if wv == 0 {
-							continue
-						}
-						ds := src.Grad.Row(gi*group + k)
-						for j, d := range dOut {
-							ds[j] += wv * d
-						}
-					}
-				}
-			}
-		}
+		// A constant input's Grad is nil, which is how the kernel is told
+		// to leave that half out.
+		tensor.GroupedMatMulLeftGradInto(e.a.Grad, e.b.Grad, e.out.Grad, e.a.Val, e.b.Val)
 
 	default:
 		panic("autograd: unknown tape op")

@@ -12,20 +12,25 @@ func Sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// GELU is the Gaussian error linear unit (tanh approximation, as used by
-// MLP-Mixer and most transformer stacks).
-func GELU(x float64) float64 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+// The tanh approximation of the Gaussian error linear unit (as used by
+// MLP-Mixer and most transformer stacks): GELU(x) = x/2 · (1 + tanh(u)),
+// u = geluC·(x + geluA·x³).
+const (
+	geluC = 0.7978845608028654 // sqrt(2/pi)
+	geluA = 0.044715
+)
+
+// GELUTanh returns GELU(x) together with the tanh(u) it evaluated — all that
+// GELUGradTanh needs to differentiate at x without a second transcendental.
+func GELUTanh(x float64) (y, t float64) {
+	t = math.Tanh(geluC * (x + geluA*x*x*x))
+	return 0.5 * x * (1 + t), t
 }
 
-// GELUGrad is d GELU(x)/dx for the tanh approximation.
-func GELUGrad(x float64) float64 {
-	const c = 0.7978845608028654
-	inner := c * (x + 0.044715*x*x*x)
-	t := math.Tanh(inner)
+// GELUGradTanh is d GELU(x)/dx given t, the tanh GELUTanh(x) returned.
+func GELUGradTanh(x, t float64) float64 {
 	sech2 := 1 - t*t
-	return 0.5*(1+t) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
+	return 0.5*(1+t) + 0.5*x*sech2*geluC*(1+3*geluA*x*x)
 }
 
 // LeakyReLU with the conventional 0.2 negative slope used by GAT.

@@ -130,9 +130,42 @@ func TestSigmoid(t *testing.T) {
 func TestGELUGradMatchesFiniteDiff(t *testing.T) {
 	for _, x := range []float64{-3, -1, -0.1, 0, 0.1, 1, 3} {
 		const h = 1e-6
-		fd := (GELU(x+h) - GELU(x-h)) / (2 * h)
-		if math.Abs(fd-GELUGrad(x)) > 1e-5 {
-			t.Fatalf("GELUGrad(%v)=%v finite diff %v", x, GELUGrad(x), fd)
+		up, _ := GELUTanh(x + h)
+		down, _ := GELUTanh(x - h)
+		fd := (up - down) / (2 * h)
+		_, th := GELUTanh(x)
+		if an := GELUGradTanh(x, th); math.Abs(fd-an) > 1e-5 {
+			t.Fatalf("GELUGradTanh(%v)=%v finite diff %v", x, an, fd)
+		}
+	}
+}
+
+// TestGELUPairMatchesOneShotFormulas pins the value/tanh pair bit for bit to
+// the self-contained formulas it replaced (kept here as the oracle): GELU's
+// value, and the gradient that recomputed its own tanh. Training trajectories
+// are pinned bitwise, so the stashed tanh must be the one a recomputation
+// would have produced.
+func TestGELUPairMatchesOneShotFormulas(t *testing.T) {
+	const c = 0.7978845608028654
+	gelu := func(x float64) float64 { return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))) }
+	geluGrad := func(x float64) float64 {
+		inner := c * (x + 0.044715*x*x*x)
+		th := math.Tanh(inner)
+		sech2 := 1 - th*th
+		return 0.5*(1+th) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
+	}
+	rng := NewRNG(31)
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-300, -1e300}
+	for i := 0; i < 200000; i++ {
+		xs = append(xs, rng.NormFloat64()*math.Pow(10, float64(i%7-3)))
+	}
+	for _, x := range xs {
+		y, th := GELUTanh(x)
+		if math.Float64bits(y) != math.Float64bits(gelu(x)) {
+			t.Fatalf("GELU(%v): pair %v, one-shot %v", x, y, gelu(x))
+		}
+		if got, want := GELUGradTanh(x, th), geluGrad(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("GELU'(%v): from the stored tanh %v, recomputed %v", x, got, want)
 		}
 	}
 }

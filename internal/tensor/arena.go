@@ -7,10 +7,11 @@ import (
 )
 
 // Arena is a region allocator for bounded-lifetime Matrix intermediates: Get
-// carves a zeroed matrix out of a few large backing chunks, Reset ends every
-// outstanding checkout in one stroke by rewinding them. After one warm pass
-// over a working set, Get performs no heap allocations — both the Matrix
-// headers and the float64 storage are recycled.
+// carves a zeroed matrix (GetUninit an unwritten one) out of a few large
+// backing chunks, Reset ends every outstanding checkout in one stroke by
+// rewinding them. After one warm pass over a working set, a checkout performs
+// no heap allocations — both the Matrix headers and the float64 storage are
+// recycled.
 //
 // What it retains is the largest pass, not the largest of every shape: a
 // checkout takes the first chunk with room, wherever the previous pass put
@@ -26,7 +27,9 @@ import (
 // resetting an arena cannot corrupt data owned by other subsystems.
 //
 // An Arena is not safe for concurrent use; attach one per single-threaded
-// execution context (a training step's graph, a serving scheduler).
+// execution context (a training step's graph, a serving scheduler). A nil
+// *Arena is the heap: its checkouts are tensor.New, which is what a graph
+// without an arena runs on.
 type Arena struct {
 	chunks   []arenaChunk
 	capacity int       // elements over all chunks
@@ -58,15 +61,29 @@ func NewArena() *Arena {
 // SetPoison toggles the debug mode: on Reset every region handed out is
 // filled with NaN, so any stale reference that outlives its checkout reads
 // NaN and surfaces immediately (losses, gradients and predictions all go
-// NaN) instead of silently consuming the next step's data. Legitimate reuse
-// is unaffected: Get zero-fills before handing a region back out.
+// NaN) instead of silently consuming the next step's data. GetUninit hands
+// its region out NaN-filled too, so an element its caller forgot to write
+// surfaces the same way. Legitimate reuse is unaffected: Get zero-fills
+// before handing a region back out.
 func (a *Arena) SetPoison(on bool) { a.poison = on }
 
 // Get checks out a zeroed r×c matrix. The result is indistinguishable from
 // tensor.New(r, c) and is owned by the caller until the next Reset.
 func (a *Arena) Get(r, c int) *Matrix {
+	m := a.GetUninit(r, c)
+	clear(m.Data)
+	return m
+}
+
+// GetUninit is Get without the zero-fill, for a caller that writes every
+// element before anything reads one (an op output a kernel overwrites): the
+// contents are whatever an earlier checkout left there — NaN in poison mode.
+func (a *Arena) GetUninit(r, c int) *Matrix {
+	if a == nil {
+		return New(r, c)
+	}
 	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("tensor: Arena.Get(%d, %d) with negative dimension", r, c))
+		panic(fmt.Sprintf("tensor: Arena checkout %d×%d with negative dimension", r, c))
 	}
 	var m *Matrix
 	if a.inUse < len(a.hdrs) {
@@ -77,10 +94,13 @@ func (a *Arena) Get(r, c int) *Matrix {
 	}
 	a.inUse++
 	m.Rows, m.Cols, m.Data = r, c, a.carve(r*c)
+	if a.poison {
+		fillNaN(m.Data)
+	}
 	return m
 }
 
-// carve returns n zeroed elements from the first chunk with room, adding a
+// carve returns n elements from the first chunk with room, adding a
 // chunk when none has. The slice's capacity is clipped so a caller growing it
 // reallocates instead of running into its neighbor.
 func (a *Arena) carve(n int) []float64 {
@@ -89,7 +109,6 @@ func (a *Arena) carve(n int) []float64 {
 		if len(ch.buf)-ch.off >= n {
 			data := ch.buf[ch.off : ch.off+n : ch.off+n]
 			ch.off += n
-			clear(data)
 			return data
 		}
 	}
@@ -109,14 +128,17 @@ func (a *Arena) Reset() {
 	for i := range a.chunks {
 		ch := &a.chunks[i]
 		if a.poison {
-			used := ch.buf[:ch.off]
-			for j := range used {
-				used[j] = math.NaN()
-			}
+			fillNaN(ch.buf[:ch.off])
 		}
 		ch.off = 0
 	}
 	a.inUse = 0
+}
+
+func fillNaN(data []float64) {
+	for i := range data {
+		data[i] = math.NaN()
+	}
 }
 
 // InUse reports the number of outstanding checkouts (for tests and metrics).

@@ -125,6 +125,40 @@ func TestArenaPoisonMarksReturnedSlabs(t *testing.T) {
 	}
 }
 
+// TestArenaGetUninitSkipsTheZeroFill pins the no-zero checkout: same header
+// and storage recycling as Get, contents left as they were (that is the
+// saving), NaN-filled in poison mode even on storage no Reset has poisoned
+// yet — and a Get that follows on the same storage still reads zero.
+func TestArenaGetUninitSkipsTheZeroFill(t *testing.T) {
+	a := NewArena()
+	a.SetPoison(false) // whatever TASER_ARENA_POISON says
+	a.Get(2, 3).Fill(7)
+	a.Reset()
+	m := a.GetUninit(3, 2)
+	if m.Rows != 3 || m.Cols != 2 || len(m.Data) != 6 || cap(m.Data) != 6 || a.InUse() != 1 {
+		t.Fatalf("GetUninit(3, 2) = %dx%d len %d cap %d, InUse %d", m.Rows, m.Cols, len(m.Data), cap(m.Data), a.InUse())
+	}
+	for i, v := range m.Data {
+		if v != 7 {
+			t.Fatalf("element %d = %v: the checkout was rewritten, want the previous pass's 7", i, v)
+		}
+	}
+	a.Reset()
+	for i, v := range a.Get(3, 2).Data {
+		if v != 0 {
+			t.Fatalf("Get after GetUninit: element %d = %v, want 0", i, v)
+		}
+	}
+
+	p := NewArena()
+	p.SetPoison(true)
+	for i, v := range p.GetUninit(2, 2).Data { // fresh chunk: zeros underneath
+		if !math.IsNaN(v) {
+			t.Fatalf("poisoned GetUninit element %d = %v, want NaN", i, v)
+		}
+	}
+}
+
 // TestResizeZeroFillsGrownRegion pins Resize's documented contract: growing a
 // matrix within its existing capacity must zero the newly exposed region.
 // Arena reuse makes this reachable on every hot path — a recycled slab holds

@@ -303,81 +303,75 @@ func GroupedWeightedSumInto(dst, w, vals *Matrix, group int) {
 // GroupedMatMulLeftInto applies the shared K2×K matrix w on the left of each
 // K×C group of src: for group g, dst rows [g*K2,(g+1)*K2) = w @ src rows
 // [g*K,(g+1)*K). This is MLP-Mixer token mixing over per-root neighborhoods.
-// The inner product is dense (no zero-skip on w — mixer weights are dense,
-// and the branch costs more than the multiply) and register-tiled four dst
-// rows at a time so each streamed src row feeds four accumulate lanes.
+// Like its gradient below it is a driver over the dense products' 4×8 tile
+// (matmul.go), one call per group, and shares their contract: dense (no
+// zero-skip on w), k-ascending per element, bitwise-equal to the
+// straight-line scalar loop.
 func GroupedMatMulLeftInto(dst, w, src *Matrix, group int) {
 	if group <= 0 {
 		panic(fmt.Sprintf("tensor: GroupedMatMulLeft group %d must be positive", group))
 	}
-	k2 := w.Rows
-	if w.Cols != group || src.Rows%group != 0 {
+	b := tokenMixGroups(w, src, dst)
+	if w.Cols != group {
 		panic("tensor: GroupedMatMulLeft shape")
 	}
-	b := src.Rows / group
-	if dst.Rows != b*k2 || dst.Cols != src.Cols {
-		panic("tensor: GroupedMatMulLeft dst shape")
-	}
-	c := src.Cols
-	if b*k2*group*c < parallelThreshold || workerLimit() == 1 {
-		groupedMatMulLeftRange(dst, w, src, group, 0, b)
+	if b*w.Rows*group*src.Cols < parallelThreshold || workerLimit() == 1 {
+		groupedMatMulLeftRange(dst, w, src, 0, b)
 		return
 	}
-	parallelRows(b, func(gLo, gHi int) { groupedMatMulLeftRange(dst, w, src, group, gLo, gHi) })
+	ParallelRows(b, func(gLo, gHi int) { groupedMatMulLeftRange(dst, w, src, gLo, gHi) })
 }
 
 // groupedMatMulLeftRange computes groups [gLo, gHi) of GroupedMatMulLeftInto;
-// a named function so the serial path allocates no closure. Four output rows
-// share each loaded src row; per-element accumulation is k-ascending with
-// one sequential add per w element, bitwise-equal to the row-at-a-time loop.
-func groupedMatMulLeftRange(dst, w, src *Matrix, group, gLo, gHi int) {
-	k2, c := w.Rows, src.Cols
-	if c == 0 {
-		return
-	}
+// a named function so the serial path allocates no closure.
+func groupedMatMulLeftRange(dst, w, src *Matrix, gLo, gHi int) {
+	k2, group := w.Rows, w.Cols
 	for g := gLo; g < gHi; g++ {
-		srcBase := g * group * c
-		i := 0
-		for ; i+4 <= k2; i += 4 {
-			w0 := w.Data[i*group : i*group+group]
-			w1 := w.Data[(i+1)*group : (i+1)*group+group][:len(w0)]
-			w2 := w.Data[(i+2)*group : (i+2)*group+group][:len(w0)]
-			w3 := w.Data[(i+3)*group : (i+3)*group+group][:len(w0)]
-			o := (g*k2 + i) * c
-			out0 := dst.Data[o : o+c]
-			out1 := dst.Data[o+c : o+2*c][:len(out0)]
-			out2 := dst.Data[o+2*c : o+3*c][:len(out0)]
-			out3 := dst.Data[o+3*c : o+4*c][:len(out0)]
-			for j := range out0 {
-				out0[j] = 0
-				out1[j] = 0
-				out2[j] = 0
-				out3[j] = 0
-			}
-			for k := 0; k < group; k++ {
-				wv0, wv1, wv2, wv3 := w0[k], w1[k], w2[k], w3[k]
-				srow := src.Data[srcBase+k*c : srcBase+k*c+c][:len(out0)]
-				for j, v := range srow {
-					out0[j] += wv0 * v
-					out1[j] += wv1 * v
-					out2[j] += wv2 * v
-					out3[j] += wv3 * v
-				}
-			}
+		srcG := src.rowBlock(g, group)
+		productRange(dst.rowBlock(g, k2).Data, w.Data, group, 1, &srcG, tileStore, 0, k2)
+	}
+}
+
+// GroupedMatMulLeftGradInto accumulates GroupedMatMulLeftInto's gradients,
+// either of which may be nil: dSrc group g += wᵀ @ dOut group g, each element
+// summed over w's rows ascending on top of what dSrc holds (MatMulTransAInto's
+// form), and dW += dOut group g @ (src group g)ᵀ, groups ascending, each
+// group's element summed from zero and added once (MatMulTransBAddInto's
+// form, against a k-major copy of the group when a tile fits).
+func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
+	k2, group := w.Rows, w.Cols
+	b := tokenMixGroups(w, src, dOut)
+	var st []float64
+	if dW != nil && tileFits(k2, group, src.Cols) {
+		st = getTrans(src.Cols * group)
+		defer putTrans(st)
+	}
+	for g := 0; g < b; g++ {
+		dOutG := dOut.rowBlock(g, k2)
+		if dSrc != nil {
+			productRange(dSrc.rowBlock(g, group).Data, w.Data, 1, group, &dOutG, tileAccum, 0, group)
 		}
-		for ; i < k2; i++ {
-			wrow := w.Data[i*group : i*group+group]
-			out := dst.Data[(g*k2+i)*c : (g*k2+i)*c+c]
-			for j := range out {
-				out[j] = 0
+		if dW != nil {
+			srcG := src.rowBlock(g, group)
+			if st != nil {
+				transposeInto(st, &srcG)
 			}
-			for k := 0; k < group; k++ {
-				wv := wrow[k]
-				srow := src.Data[srcBase+k*c : srcBase+k*c+c][:len(out)]
-				for j, v := range srow {
-					out[j] += wv * v
-				}
-			}
+			transBRange(dW, &dOutG, &srcG, st, 0, k2)
 		}
 	}
+}
+
+// tokenMixGroups validates src (b·K)×C against out (b·K2)×C for a K2×K
+// weight and returns b.
+func tokenMixGroups(w, src, out *Matrix) int {
+	if w.Cols <= 0 || src.Rows%w.Cols != 0 || out.Rows != src.Rows/w.Cols*w.Rows || out.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: GroupedMatMulLeft %dx%d weight, %dx%d against %dx%d",
+			w.Rows, w.Cols, src.Rows, src.Cols, out.Rows, out.Cols))
+	}
+	return src.Rows / w.Cols
+}
+
+// rowBlock returns a view (no copy) of the g-th block of n consecutive rows.
+func (m *Matrix) rowBlock(g, n int) Matrix {
+	return Matrix{Rows: n, Cols: m.Cols, Data: m.Data[g*n*m.Cols : (g+1)*n*m.Cols]}
 }

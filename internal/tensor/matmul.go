@@ -39,7 +39,7 @@ func MatMulInto(dst, a, b *Matrix) {
 		productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, lo, hi) })
+	ParallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, lo, hi) })
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
@@ -66,7 +66,7 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 		productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, 0, dst.Rows)
 		return
 	}
-	parallelRows(dst.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, lo, hi) })
+	ParallelRows(dst.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, lo, hi) })
 }
 
 // productRange computes dst rows [lo, hi) of a lane-strided product (the
@@ -161,16 +161,11 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	// noise next to the product, and it turns the tile's b loads into the
 	// same contiguous 8-wide rows the other two products read.
 	bt := getTrans(n * m2)
-	for j := 0; j < m2; j++ {
-		brow := b.Data[j*n : j*n+n]
-		for kk, bv := range brow {
-			bt[kk*m2+j] = bv
-		}
-	}
+	transposeInto(bt, b)
 	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
 		transBRange(dst, a, b, bt, 0, a.Rows)
 	} else {
-		parallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, lo, hi) })
+		ParallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, lo, hi) })
 	}
 	putTrans(bt)
 }
@@ -205,6 +200,17 @@ func putTrans(buf []float64) {
 	transFree.Unlock()
 }
 
+// transposeInto writes b's k-major copy (bᵀ, row-major) into bt.
+func transposeInto(bt []float64, b *Matrix) {
+	n, m2 := b.Cols, b.Rows
+	for j := 0; j < m2; j++ {
+		brow := b.Data[j*n : j*n+n]
+		for kk, bv := range brow {
+			bt[kk*m2+j] = bv
+		}
+	}
+}
+
 // transBRange adds rows [lo, hi) of a @ bᵀ to dst against bt, b's k-major
 // copy.
 func transBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
@@ -232,10 +238,11 @@ func dotRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// parallelRows splits [0, rows) across the worker pool and blocks until all
-// chunks complete. The pool width is re-read from GOMAXPROCS on every call
-// (workerLimit), so resizing the process takes effect immediately.
-func parallelRows(rows int, body func(lo, hi int)) {
+// ParallelRows splits [0, rows) across the worker pool and blocks until all
+// chunks complete (exported for other packages' row kernels). The pool width
+// is re-read from GOMAXPROCS on every call (workerLimit), so resizing the
+// process takes effect immediately.
+func ParallelRows(rows int, body func(lo, hi int)) {
 	workers := workerLimit()
 	if workers > rows {
 		workers = rows
@@ -261,6 +268,3 @@ func parallelRows(rows int, body func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ParallelRows exposes the row-block scheduler for other packages' kernels.
-func ParallelRows(rows int, body func(lo, hi int)) { parallelRows(rows, body) }

@@ -219,17 +219,17 @@ func TestWorkerLimitTracksGOMAXPROCS(t *testing.T) {
 			t.Fatalf("workerLimit() = %d after GOMAXPROCS(%d)", got, procs)
 		}
 	}
-	// parallelRows must fan out to the current width, not the init-time one.
+	// ParallelRows must fan out to the current width, not the init-time one.
 	runtime.GOMAXPROCS(2)
 	var mu sync.Mutex
 	var chunks [][2]int
-	parallelRows(10, func(lo, hi int) {
+	ParallelRows(10, func(lo, hi int) {
 		mu.Lock()
 		chunks = append(chunks, [2]int{lo, hi})
 		mu.Unlock()
 	})
 	if len(chunks) != 2 {
-		t.Fatalf("parallelRows split into %d chunks with GOMAXPROCS=2: %v", len(chunks), chunks)
+		t.Fatalf("ParallelRows split into %d chunks with GOMAXPROCS=2: %v", len(chunks), chunks)
 	}
 	covered := make([]bool, 10)
 	for _, ch := range chunks {
@@ -247,11 +247,11 @@ func TestWorkerLimitTracksGOMAXPROCS(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(1)
 	chunks = chunks[:0]
-	parallelRows(10, func(lo, hi int) {
+	ParallelRows(10, func(lo, hi int) {
 		chunks = append(chunks, [2]int{lo, hi})
 	})
 	if len(chunks) != 1 || chunks[0] != [2]int{0, 10} {
-		t.Fatalf("parallelRows with GOMAXPROCS=1 must run one serial chunk, got %v", chunks)
+		t.Fatalf("ParallelRows with GOMAXPROCS=1 must run one serial chunk, got %v", chunks)
 	}
 }
 

@@ -34,7 +34,7 @@ func allocBudgetConfig() Config {
 // TestStepAllocBudget: a full TASER training step (build + adaptive selection
 // + forward/backward + both optimizer steps).
 func TestStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 16
+	const stepAllocBudget = 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := datasets.Wikipedia(0.1, 3)
 	tr, err := New(allocBudgetConfig(), ds)
