@@ -84,20 +84,17 @@ func geluRange(y, t, x []float64, lo, hi int) {
 }
 
 // Cos applies cos element-wise; used by the learnable time encoding (Eq. 3).
-// A recording pass evaluates each element's sine alongside (math.Sincos
-// returns bitwise math.Sin and math.Cos) and keeps it for the backward body.
+// A recording pass evaluates each element's sine alongside and keeps it for
+// the backward body. Both run mathx's branch-free kernels, which return
+// math.Cos and math.Sincos bit for bit — and so agree with each other.
 func (g *Graph) Cos(a *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
 	if !o.NeedsGrad() {
-		for i, v := range a.Val.Data {
-			o.Val.Data[i] = math.Cos(v)
-		}
+		mathx.CosInto(o.Val.Data, a.Val.Data)
 		return o
 	}
 	sin := g.arena.GetUninit(a.Rows(), a.Cols())
-	for i, v := range a.Val.Data {
-		sin.Data[i], o.Val.Data[i] = math.Sincos(v)
-	}
+	mathx.SincosInto(sin.Data, o.Val.Data, a.Val.Data)
 	g.push(tapeEntry{op: opCos, out: o, a: a, aux1: sin})
 	return o
 }

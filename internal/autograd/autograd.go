@@ -232,12 +232,14 @@ func (g *Graph) Backward(loss *Var) {
 // records one value-typed tape entry; the matching backward body lives in
 // backstep (tape.go).
 
-// MatMul returns a @ b.
-func (g *Graph) MatMul(a, b *Var) *Var {
-	o := g.out(a.Rows(), b.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	tensor.MatMulInto(o.Val, a.Val, b.Val)
+// Affine returns x @ w + b, the 1×C row vector b broadcast over every row:
+// a linear layer as one op, the bias added onto the product in place.
+func (g *Graph) Affine(x, w, b *Var) *Var {
+	o := g.out(x.Rows(), w.Cols(), x.NeedsGrad() || w.NeedsGrad() || b.NeedsGrad())
+	tensor.MatMulInto(o.Val, x.Val, w.Val)
+	o.Val.AddRowVecInPlace(b.Val)
 	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opMatMul, out: o, a: a, b: b})
+		g.push(tapeEntry{op: opAffine, out: o, a: x, b: w, c: b})
 	}
 	return o
 }
@@ -282,17 +284,6 @@ func (g *Graph) Scale(a *Var, s float64) *Var {
 	o.Val.ScaleInPlace(s)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opScale, out: o, a: a, scalar: s})
-	}
-	return o
-}
-
-// AddBias broadcasts the 1×C row vector b over every row of a.
-func (g *Graph) AddBias(a, b *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	copy(o.Val.Data, a.Val.Data)
-	o.Val.AddRowVecInPlace(b.Val)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opAddBias, out: o, a: a, b: b})
 	}
 	return o
 }

@@ -40,13 +40,18 @@ func gradCheck(t *testing.T, params []*Var, forward func(g *Graph) *Var, tol flo
 	}
 }
 
+// TestGradMatMul checks the product half of Affine — dX and dW — on a tile
+// shape, a scalar-loop shape and the time encoder's K = 1 outer product.
 func TestGradMatMul(t *testing.T) {
 	rng := mathx.NewRNG(1)
-	a := NewParam(tensor.Randn(3, 4, 1, rng))
-	b := NewParam(tensor.Randn(4, 2, 1, rng))
-	gradCheck(t, []*Var{a, b}, func(g *Graph) *Var {
-		return g.MeanAll(g.MatMul(a, b))
-	}, 1e-6)
+	for _, shape := range [][3]int{{3, 4, 2}, {5, 3, 9}, {6, 1, 8}} {
+		x := NewParam(tensor.Randn(shape[0], shape[1], 1, rng))
+		w := NewParam(tensor.Randn(shape[1], shape[2], 1, rng))
+		bias := NewConst(tensor.Randn(1, shape[2], 1, rng))
+		gradCheck(t, []*Var{x, w}, func(g *Graph) *Var {
+			return g.MeanAll(g.Tanh(g.Affine(x, w, bias)))
+		}, 1e-6)
+	}
 }
 
 func TestGradAddSubMulScale(t *testing.T) {
@@ -61,12 +66,14 @@ func TestGradAddSubMulScale(t *testing.T) {
 	}, 1e-6)
 }
 
+// TestGradAddBias checks the bias half of Affine: dB is dOut's column sum.
 func TestGradAddBias(t *testing.T) {
 	rng := mathx.NewRNG(3)
-	a := NewParam(tensor.Randn(4, 3, 1, rng))
+	x := NewConst(tensor.Randn(4, 3, 1, rng))
+	w := NewConst(tensor.Randn(3, 3, 1, rng))
 	bias := NewParam(tensor.Randn(1, 3, 1, rng))
-	gradCheck(t, []*Var{a, bias}, func(g *Graph) *Var {
-		return g.MeanAll(g.Sigmoid(g.AddBias(a, bias)))
+	gradCheck(t, []*Var{bias}, func(g *Graph) *Var {
+		return g.MeanAll(g.Sigmoid(g.Affine(x, w, bias)))
 	}, 1e-6)
 }
 
@@ -75,8 +82,9 @@ func TestGradConcatCols(t *testing.T) {
 	a := NewParam(tensor.Randn(3, 2, 1, rng))
 	b := NewParam(tensor.Randn(3, 4, 1, rng))
 	w := NewParam(tensor.Randn(6, 1, 1, rng))
-	gradCheck(t, []*Var{a, b, w}, func(g *Graph) *Var {
-		return g.MeanAll(g.MatMul(g.ConcatCols(a, b), w))
+	bias := NewParam(tensor.Randn(1, 1, 1, rng))
+	gradCheck(t, []*Var{a, b, w, bias}, func(g *Graph) *Var {
+		return g.MeanAll(g.Affine(g.ConcatCols(a, b), w, bias))
 	}, 1e-6)
 }
 
@@ -232,7 +240,7 @@ func TestConstHasNoGrad(t *testing.T) {
 	g := New()
 	c := NewConst(tensor.FromSlice(1, 2, []float64{1, 2}))
 	p := NewParam(tensor.FromSlice(2, 1, []float64{3, 4}))
-	loss := g.MeanAll(g.MatMul(c, p))
+	loss := g.MeanAll(g.Affine(c, p, NewConst(tensor.New(1, 1))))
 	g.Backward(loss)
 	if c.Grad != nil {
 		t.Fatal("const must not accumulate grad")

@@ -1,6 +1,7 @@
 package autograd
 
 import (
+	"math"
 	"testing"
 
 	"taser/internal/mathx"
@@ -58,7 +59,7 @@ func TestScatterRowsIsGatherRowsAdjoint(t *testing.T) {
 }
 
 // TestScatterRowsZeroRowSource is the all-padding batch: no valid slot, so a
-// 0×C operand runs through MatMul, ConcatCols, GatherRows and ScatterRows
+// 0×C operand runs through Affine, ConcatCols, GatherRows and ScatterRows
 // (forward and backward) under the degenerate-shape policy — no-ops, and an
 // all-zero result.
 func TestScatterRowsZeroRowSource(t *testing.T) {
@@ -71,7 +72,7 @@ func TestScatterRowsZeroRowSource(t *testing.T) {
 	if none.Rows() != 0 || none.Cols() != 3 {
 		t.Fatalf("empty gather is %dx%d", none.Rows(), none.Cols())
 	}
-	proj := g.MatMul(g.ConcatCols(none, none), w)
+	proj := g.Affine(g.ConcatCols(none, none), w, NewConst(tensor.New(1, 2)))
 	out := g.Add(g.ScatterRows(proj, nil, 4), bias)
 	for i, v := range out.Val.Data {
 		if v != bias.Val.Data[i] {
@@ -124,6 +125,53 @@ func TestGELULargeInputParallelPath(t *testing.T) {
 	for i, v := range a.Val.Data {
 		if _, th := mathx.GELUTanh(v); a.Grad.Data[i] != mathx.GELUGradTanh(v, th) {
 			t.Fatal("parallel GELU backward mismatch")
+		}
+	}
+}
+
+// TestAffineMatchesMatMulThenAddBiasBitwise keeps the pair of ops Affine
+// replaced as a reference, written out on matrices the way their tape entries
+// ran: the product into its own output, a copy of it plus the bias into a
+// second; backward, the second's gradient added onto the product's zeroed
+// one, and the two matmul products read from that sum. Values, dX, dW and dB
+// agree to the bit on the step's shapes — the time encoder's K = 1, a
+// projection, the FFN — and on ones no tile fits or that have no rows.
+func TestAffineMatchesMatMulThenAddBiasBitwise(t *testing.T) {
+	rng := mathx.NewRNG(24)
+	for _, shape := range [][3]int{{70, 1, 100}, {37, 272, 100}, {13, 200, 100}, {3, 4, 2}, {5, 9, 3}, {0, 8, 8}} {
+		r, k, c := shape[0], shape[1], shape[2]
+		x := NewParam(tensor.Randn(r, k, 1, rng))
+		w := NewParam(tensor.Randn(k, c, 1, rng))
+		b := NewParam(tensor.Randn(1, c, 1, rng))
+		dOut := tensor.Randn(r, c, 1, rng)
+
+		prod := tensor.New(r, c)
+		tensor.MatMulInto(prod, x.Val, w.Val)
+		want := prod.Clone()
+		want.AddRowVecInPlace(b.Val)
+		dProd := tensor.New(r, c)
+		dProd.AddInPlace(dOut)
+		dB := tensor.New(1, c)
+		for i := 0; i < r; i++ {
+			for j, v := range dOut.Row(i) {
+				dB.Data[j] += v
+			}
+		}
+		dX, dW := tensor.New(r, k), tensor.New(k, c)
+		tensor.MatMulTransBAddInto(dX, dProd, w.Val)
+		tensor.MatMulTransAInto(dW, x.Val, dProd)
+
+		g := New()
+		o := g.Affine(x, w, b)
+		g.Backward(g.WeightedSumConst(o, dOut))
+		for name, m := range map[string][2]*tensor.Matrix{
+			"value": {o.Val, want}, "dX": {x.Grad, dX}, "dW": {w.Grad, dW}, "dB": {b.Grad, dB},
+		} {
+			for i, v := range m[0].Data {
+				if math.Float64bits(v) != math.Float64bits(m[1].Data[i]) {
+					t.Fatalf("%dx%d @ %dx%d: %s[%d] = %v, the pair gives %v", r, k, k, c, name, i, v, m[1].Data[i])
+				}
+			}
 		}
 	}
 }

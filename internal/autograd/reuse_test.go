@@ -18,11 +18,11 @@ var reuseLabels = []float64{1, 0, 1, 1, 0, 0}
 // paths. It is deterministic given the params.
 func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	const groups, k = 3, 4 // p["keys"] is (groups·k)×d
-	x := g.AddBias(g.MatMul(p["x"], p["w"]), p["b"])
+	x := g.Affine(p["x"], p["w"], p["b"])
 	x = g.LayerNormRows(x, p["gain"], p["bias"])
 	x = g.GELU(x)
 
-	q := g.Tanh(g.MatMul(p["x"], p["w"]))
+	q := g.Tanh(g.Affine(p["x"], p["w"], p["b"]))
 	scores := g.Scale(g.GroupedScore(q, p["keys"], k), 1/math.Sqrt(k))
 	attn := g.SoftmaxRows(scores)
 	agg := g.GroupedWeightedSum(attn, p["vals"], k)
@@ -47,7 +47,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	kept := g.GatherRows(g.Add(gathered, rep), keep)
 	masked := g.ScatterRows(g.Scale(kept, 1.5), keep, 2*groups)
 
-	logits := g.Reshape(g.MatMul(g.LeakyReLU(masked, 0.2), p["head"]), 2*groups, 1)
+	logits := g.Reshape(g.Affine(g.LeakyReLU(masked, 0.2), p["head"], p["headB"]), 2*groups, 1)
 	bce := g.BCEWithLogits(g.Sigmoid(logits), reuseLabels)
 
 	coef := g.Scratch(2*groups, 1)
@@ -64,15 +64,16 @@ func reuseParams(seed uint64) map[string]*Var {
 	gain := tensor.Randn(1, d, 0.2, rng)
 	gain.AddRowVecInPlace(onesRow(d))
 	return map[string]*Var{
-		"x":    NewParam(tensor.Randn(groups, d, 1, rng)),
-		"w":    NewParam(tensor.Randn(d, d, 1, rng)),
-		"b":    NewParam(tensor.Randn(1, d, 1, rng)),
-		"gain": NewParam(gain),
-		"bias": NewParam(tensor.Randn(1, d, 0.2, rng)),
-		"keys": NewParam(tensor.Randn(groups*k, d, 1, rng)),
-		"vals": NewParam(tensor.Randn(groups*k, d, 1, rng)),
-		"mix":  NewParam(tensor.Randn(2, k, 1, rng)),
-		"head": NewParam(tensor.Randn(3*d, 1, 1, rng)),
+		"x":     NewParam(tensor.Randn(groups, d, 1, rng)),
+		"w":     NewParam(tensor.Randn(d, d, 1, rng)),
+		"b":     NewParam(tensor.Randn(1, d, 1, rng)),
+		"gain":  NewParam(gain),
+		"bias":  NewParam(tensor.Randn(1, d, 0.2, rng)),
+		"keys":  NewParam(tensor.Randn(groups*k, d, 1, rng)),
+		"vals":  NewParam(tensor.Randn(groups*k, d, 1, rng)),
+		"mix":   NewParam(tensor.Randn(2, k, 1, rng)),
+		"head":  NewParam(tensor.Randn(3*d, 1, 1, rng)),
+		"headB": NewParam(tensor.Randn(1, 1, 1, rng)),
 	}
 }
 
@@ -272,32 +273,40 @@ func TestForwardOnlyPassMatchesRecording(t *testing.T) {
 	}
 }
 
-// TestSincosIsSinAndCosBitwise is the premise of Cos's recording pass: it
-// takes cos(x) from math.Sincos and keeps the sine for the backward body,
-// while a forward-only pass calls math.Cos and the backward used to call
-// math.Sin. The three must agree to the last bit or the two passes (and the
-// pinned training trajectories) diverge. That holds for the pure-Go
-// implementations amd64 and arm64 run (same reduction, same polynomials);
-// this test is what fails loudly if a Go release changes it.
+// TestSincosIsSinAndCosBitwise is the premise of Cos's two passes: a recording
+// pass takes cos(x) from mathx.SincosInto and keeps the sine for the backward
+// body, a forward-only pass calls mathx.CosInto, and the backward used to call
+// math.Sin. The chain kernel ≡ math.Sincos ≡ (math.Sin, math.Cos) must hold to
+// the last bit or the two passes (and the pinned training trajectories)
+// diverge. The library half holds for the pure-Go implementations amd64 and
+// arm64 run (same reduction, same polynomials) and the kernels copy that
+// arithmetic (internal/mathx has their own, denser test); this one is what
+// fails loudly, next to the op, if a Go release changes either.
 func TestSincosIsSinAndCosBitwise(t *testing.T) {
 	same := func(a, b float64) bool { // NaN payloads aside
 		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 	}
-	check := func(x float64) {
-		s, c := math.Sincos(x)
-		if !same(s, math.Sin(x)) || !same(c, math.Cos(x)) {
-			t.Fatalf("Sincos(%v) = (%v, %v), Sin %v, Cos %v", x, s, c, math.Sin(x), math.Cos(x))
-		}
-	}
-	for _, x := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Pi / 4, math.Pi / 2, math.Pi, 1 << 29, 1<<29 + 1, math.MaxFloat64, math.SmallestNonzeroFloat64} {
-		check(x)
-		check(-x)
+	xs := []float64{}
+	for _, x := range []float64{0, math.Inf(1), math.NaN(), math.Pi / 4, math.Pi / 2, math.Pi,
+		1 << 29, 1<<29 + 1, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		xs = append(xs, x, -x)
 	}
 	rng := mathx.NewRNG(2024)
 	for i := 0; i < 1100000; i++ {
 		// Scales 1e-3 … 1e18, both signs.
-		check(rng.NormFloat64() * math.Pow(10, float64(i%22-3)))
+		xs = append(xs, rng.NormFloat64()*math.Pow(10, float64(i%22-3)))
+	}
+	kSin, kCos, kCosOnly := make([]float64, len(xs)), make([]float64, len(xs)), make([]float64, len(xs))
+	mathx.SincosInto(kSin, kCos, xs)
+	mathx.CosInto(kCosOnly, xs)
+	for i, x := range xs {
+		s, c := math.Sincos(x)
+		if !same(s, math.Sin(x)) || !same(c, math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin %v, Cos %v", x, s, c, math.Sin(x), math.Cos(x))
+		}
+		if !same(kSin[i], s) || !same(kCos[i], c) || !same(kCosOnly[i], c) {
+			t.Fatalf("x = %v: kernels give sin %v, cos %v and %v, math.Sincos (%v, %v)", x, kSin[i], kCos[i], kCosOnly[i], s, c)
+		}
 	}
 }
 

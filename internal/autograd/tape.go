@@ -11,12 +11,11 @@ import (
 type opKind uint8
 
 const (
-	opMatMul opKind = iota
+	opAffine opKind = iota
 	opAdd
 	opSub
 	opMul
 	opScale
-	opAddBias
 	opConcatCols
 	opReshape
 	opGatherRows
@@ -52,7 +51,7 @@ type tapeEntry struct {
 	scalar float64 // Scale factor, LeakyReLU slope
 
 	out     *Var
-	a, b, c *Var // inputs; c is LayerNorm's bias
+	a, b, c *Var // inputs; c is Affine's and LayerNorm's bias
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
 	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
@@ -67,14 +66,22 @@ type tapeEntry struct {
 // carries gradient, but individual inputs may still be constants).
 func (g *Graph) backstep(e *tapeEntry) {
 	switch e.op {
-	case opMatMul:
-		if e.a.NeedsGrad() {
-			// dA += dO @ Bᵀ
-			tensor.MatMulTransBAddInto(e.a.Grad, e.out.Grad, e.b.Val)
+	case opAffine:
+		x, w, bias := e.a, e.b, e.c
+		if bias.NeedsGrad() {
+			for i := 0; i < e.out.Grad.Rows; i++ {
+				for j, v := range e.out.Grad.Row(i) {
+					bias.Grad.Data[j] += v
+				}
+			}
 		}
-		if e.b.NeedsGrad() {
-			// dB += Aᵀ @ dO
-			tensor.MatMulTransAInto(e.b.Grad, e.a.Val, e.out.Grad)
+		if x.NeedsGrad() {
+			// dX += dO @ Wᵀ
+			tensor.MatMulTransBAddInto(x.Grad, e.out.Grad, w.Val)
+		}
+		if w.NeedsGrad() {
+			// dW += Xᵀ @ dO
+			tensor.MatMulTransAInto(w.Grad, x.Val, e.out.Grad)
 		}
 
 	case opAdd:
@@ -107,19 +114,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 
 	case opScale:
 		e.a.Grad.AxpyInPlace(e.scalar, e.out.Grad)
-
-	case opAddBias:
-		if e.a.NeedsGrad() {
-			e.a.Grad.AddInPlace(e.out.Grad)
-		}
-		if e.b.NeedsGrad() {
-			for i := 0; i < e.out.Grad.Rows; i++ {
-				row := e.out.Grad.Row(i)
-				for j, v := range row {
-					e.b.Grad.Data[j] += v
-				}
-			}
-		}
 
 	case opConcatCols:
 		rows := e.out.Rows()

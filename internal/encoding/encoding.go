@@ -15,6 +15,8 @@ package encoding
 
 import (
 	"math"
+
+	"taser/internal/mathx"
 )
 
 // TimeEncoder is the fixed (non-learnable) time encoding of Eq. 8.
@@ -41,11 +43,13 @@ func NewTimeEncoder(d int, alpha, beta float64) *TimeEncoder {
 // Dim returns the encoding width.
 func (e *TimeEncoder) Dim() int { return len(e.omega) }
 
-// Encode writes cos(dt·ω) into dst (len Dim).
+// Encode writes cos(dt·ω) into dst (len Dim), bitwise math.Cos of each.
 func (e *TimeEncoder) Encode(dst []float64, dt float64) {
+	dst = dst[:len(e.omega)]
 	for i, w := range e.omega {
-		dst[i] = math.Cos(dt * w)
+		dst[i] = dt * w
 	}
+	mathx.CosInto(dst, dst)
 }
 
 // FreqEncoder is the sinusoidal frequency encoding of Eq. 12. Frequencies

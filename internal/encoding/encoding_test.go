@@ -20,11 +20,15 @@ func TestTimeEncoderZeroDelta(t *testing.T) {
 func TestTimeEncoderRange(t *testing.T) {
 	e := NewTimeEncoder(16, 0, 0)
 	dst := make([]float64, 16)
-	for _, dt := range []float64{0.1, 1, 100, 1e6} {
+	for _, dt := range []float64{0.1, 1, 100, 1e6, -3e9} {
 		e.Encode(dst, dt)
 		for i, v := range dst {
 			if v < -1 || v > 1 {
 				t.Fatalf("encoding[%d]=%v out of [-1,1]", i, v)
+			}
+			// Eq. 8 to the bit, whichever cosine kernel runs underneath.
+			if want := math.Cos(dt * e.omega[i]); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("encoding[%d] of Δt=%v is %v, math.Cos gives %v", i, dt, v, want)
 			}
 		}
 	}

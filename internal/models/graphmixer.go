@@ -49,6 +49,19 @@ func (m *GraphMixer) Params() []*autograd.Var {
 	return nn.CollectParams(m.tokenIn, m.mixer, m.readout)
 }
 
+// splitTargetsNbrs gathers from h, laid out [t target rows | t·n neighbor
+// rows], the target rows and the neighbor rows of the block's valid slots
+// (V rows, in slot order). Index storage comes from the graph's arena (the
+// tape borrows it until Reset).
+func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, block *LayerBlock) (hT, hN *autograd.Var) {
+	t := block.NumTargets
+	idxN := g.Ints(len(block.Valid))
+	for i, s := range block.Valid {
+		idxN[i] = int32(t) + s
+	}
+	return g.GatherRows(h, rowRange(g, t)), g.GatherRows(h, idxN)
+}
+
 // Forward implements TGNN (Eqs. 8–9).
 func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrainInfo) {
 	if err := mb.Validate(); err != nil {

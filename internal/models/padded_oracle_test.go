@@ -47,6 +47,13 @@ func paddedSplit(g *autograd.Graph, h *autograd.Var, t, n int) (hT, hN *autograd
 }
 
 func paddedTGATForward(m *TGAT, g *autograd.Graph, mb *MiniBatch) *autograd.Var {
+	hs := paddedTGATLayers(m, g, mb)
+	return hs[len(hs)-1]
+}
+
+// paddedTGATLayers returns every layer's output, innermost first, one row per
+// target of the padded layout — live or not.
+func paddedTGATLayers(m *TGAT, g *autograd.Graph, mb *MiniBatch) (hs []*autograd.Var) {
 	h := g.Const(mb.LeafFeat)
 	for k, block := range mb.Layers {
 		layer := m.layers[k]
@@ -62,8 +69,9 @@ func paddedTGATForward(m *TGAT, g *autograd.Graph, mb *MiniBatch) *autograd.Var 
 		attn := g.Mul(g.SoftmaxRows(scores), g.Const(block.Mask))
 		agg := g.GroupedWeightedSum(attn, vals, n)
 		h = g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
+		hs = append(hs, h)
 	}
-	return h
+	return hs
 }
 
 func paddedGraphMixerForward(m *GraphMixer, g *autograd.Graph, mb *MiniBatch) *autograd.Var {
@@ -156,15 +164,79 @@ func sameBits(got, want []float64) error {
 	return nil
 }
 
+// The batches' random inner masks give targets nothing above reads — the
+// neighbors in padded slots, and everything under them — valid neighbors of
+// their own, which a build on a dataset with negative timestamps or a
+// hand-built minibatch can produce: the padded forward computes those rows
+// and masks them, the compact one never runs them. Three layers take the
+// live recursion past one step.
 func TestTGATCompactMatchesPaddedBitwise(t *testing.T) {
 	rng := mathx.NewRNG(41)
-	cfg := TGATConfig{NodeDim: 3, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: 2, Budget: 3}
-	m := NewTGAT(cfg, rng)
-	for name, mb := range oracleBatches(rng, 5, 2, 3, 3, 2) {
-		mb := mb
-		assertBitwise(t, name, m.Params(),
-			func(g *autograd.Graph) *autograd.Var { out, _ := m.Forward(g, mb); return out },
-			func(g *autograd.Graph) *autograd.Var { return paddedTGATForward(m, g, mb) })
+	for _, layers := range []int{2, 3} {
+		cfg := TGATConfig{NodeDim: 3, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: layers, Budget: 3}
+		m := NewTGAT(cfg, rng)
+		for name, mb := range oracleBatches(rng, 5, layers, 3, 3, 2) {
+			mb := mb
+			name = fmt.Sprintf("%d layers, %s", layers, name)
+			assertBitwise(t, name, m.Params(),
+				func(g *autograd.Graph) *autograd.Var { out, _ := m.Forward(g, mb); return out },
+				func(g *autograd.Graph) *autograd.Var { return paddedTGATForward(m, g, mb) })
+
+			// And a pass that records nothing computes the same bits.
+			g := autograd.NewReusable()
+			g.ResetForwardOnly()
+			out, _ := m.Forward(g, mb)
+			if err := sameBits(out.Val.Data, paddedTGATForward(m, autograd.New(), mb).Val.Data); err != nil {
+				t.Fatalf("%s, forward-only: output %v", name, err)
+			}
+		}
+	}
+}
+
+// TestTGATEmbedsLiveTargetsOnly pins what each layer runs on: layer k hands
+// back one row per live target — bitwise the padded layer's row for it — and
+// asks the layer underneath for those targets plus the neighbors in their
+// valid slots, nothing else. With every root live that is roots + valid rows
+// for the layer under the outermost, not roots·(1+n).
+func TestTGATEmbedsLiveTargetsOnly(t *testing.T) {
+	rng := mathx.NewRNG(43)
+	const roots, layers, n = 4, 3, 3
+	m := NewTGAT(TGATConfig{NodeDim: 3, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: layers, Budget: n}, rng)
+	mb := oracleBatches(rng, roots, layers, n, 3, 2)["fill=0.3"]
+	g := autograd.New()
+	padded := paddedTGATLayers(m, g, mb)
+
+	live := rowRange(g, roots)
+	for k := layers - 1; k >= 0; k-- {
+		block := mb.Layers[k]
+		h := m.embed(g, mb, k, live, &CoTrainInfo{})
+		if h.Rows() != len(live) {
+			t.Fatalf("layer %d embedded %d rows for %d live targets", k, h.Rows(), len(live))
+		}
+		isLive := make([]bool, block.NumTargets)
+		for j, i := range live {
+			isLive[i] = true
+			if err := sameBits(h.Val.Row(j), padded[k].Val.Row(int(i))); err != nil {
+				t.Fatalf("layer %d, live target %d: %v", k, i, err)
+			}
+		}
+		want := append([]int32(nil), live...)
+		for _, s := range block.Valid {
+			if isLive[s/n] {
+				want = append(want, int32(block.NumTargets)+s)
+			}
+		}
+		if k == layers-1 && len(want) != roots+len(block.Valid) {
+			t.Fatalf("every root is live: the layer below must run on roots + valid = %d rows, not %d", roots+len(block.Valid), len(want))
+		}
+		_, _, below := liveSlots(g, block, live)
+		if fmt.Sprint(below) != fmt.Sprint(want) {
+			t.Fatalf("layer %d asks the layer below for targets %v, want %v", k, below, want)
+		}
+		if padded := block.NumTargets * (1 + n); len(below) >= padded {
+			t.Fatalf("layer %d: all %d padded targets below are live in a sparse batch", k, padded)
+		}
+		live = below
 	}
 }
 

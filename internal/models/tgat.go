@@ -69,24 +69,13 @@ func (m *TGAT) Params() []*autograd.Var {
 	return out
 }
 
-// splitTargetsNbrs gathers from h, laid out [t target rows | t·n neighbor
-// rows], the target rows and the neighbor rows of the block's valid slots
-// (V rows, in slot order). Index storage comes from the graph's arena (the
-// tape borrows it until Reset).
-func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, block *LayerBlock) (hT, hN *autograd.Var) {
-	t := block.NumTargets
-	idxT := g.Ints(t)
-	for i := range idxT {
-		idxT[i] = int32(i)
-	}
-	idxN := g.Ints(len(block.Valid))
-	for i, s := range block.Valid {
-		idxN[i] = int32(t) + s
-	}
-	return g.GatherRows(h, idxT), g.GatherRows(h, idxN)
-}
-
 // Forward implements TGNN (Algorithm: Eqs. 1–2 with the combiner of Eq. 7).
+//
+// Only live targets are embedded. Every root is live; a target of layer k−1
+// is live if it is a live target of layer k (its own previous-layer state)
+// or the neighbor in a valid slot of one. The rest of the padded layout —
+// the sentinel targets padded slots turn into, with everything sampled under
+// them — is read by nothing above, so no layer runs a row for it.
 func (m *TGAT) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrainInfo) {
 	if err := mb.Validate(); err != nil {
 		panic(err)
@@ -94,45 +83,90 @@ func (m *TGAT) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrai
 	if len(mb.Layers) != m.cfg.Layers {
 		panic("models: TGAT minibatch layer count mismatch")
 	}
-	h := g.Const(mb.LeafFeat)
-	info := &CoTrainInfo{Budget: mb.Layers[len(mb.Layers)-1].Budget}
-	for k, block := range mb.Layers {
-		layer := m.layers[k]
-		t, n := block.NumTargets, block.Budget
-		valid := block.Valid
-		hT, hN := splitTargetsNbrs(g, h, block)
+	top := len(mb.Layers) - 1
+	info := &CoTrainInfo{Budget: mb.Layers[top].Budget}
+	info.Out = m.embed(g, mb, top, rowRange(g, mb.Roots()), info)
+	return info.Out, info
+}
 
-		// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1), built for the V
-		// valid slots only: padding is never encoded, projected or
-		// differentiated.
-		dt := g.GatherRows(g.Const(block.DeltaT), valid)
-		phi := layer.timeEnc.Encode(g, dt.Val)
-		msg := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), phi)
+// rowRange is the identity index 0..n−1, in graph-lifetime storage.
+func rowRange(g *autograd.Graph, n int) []int32 {
+	idx := g.Ints(n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
 
-		// Query from the target itself with Φ(0) (Eq. 4). Keys and values
-		// go back to the T·n layout the grouped kernels read, as exact zero
-		// rows at padding.
-		q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
-		keys := g.ScatterRows(layer.wk.Apply(g, msg), valid, t*n)
-		vals := g.ScatterRows(layer.wv.Apply(g, msg), valid, t*n)
-
-		// Scaled dot-product attention within each neighborhood (Eq. 7),
-		// with padding masked out before and after the softmax.
-		scores := g.Scale(g.GroupedScore(q, keys, n), 1/math.Sqrt(float64(n)))
-		scores = g.Add(scores, g.Const(block.MaskBias))
-		attn := g.SoftmaxRows(scores)
-		attn = g.Mul(attn, g.Const(block.Mask))
-		agg := g.GroupedWeightedSum(attn, vals, n)
-
-		// Post-attention FFN combining with the target's own state.
-		h = g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
-
-		if k == len(mb.Layers)-1 {
-			info.Attn, info.Scores, info.Vals = attn, scores, vals
+// liveSlots walks block.Valid against live (both ascending) and returns the
+// valid slots of live targets three ways: valid, as the block numbers them;
+// slots, as the len(live)·n layout of live targets only numbers them; and
+// below, live followed by T+s for each slot s — the live targets of the
+// layer underneath, which at the innermost layer are rows of LeafFeat.
+// Storage is the graph's (the tape borrows index lists until Reset).
+func liveSlots(g *autograd.Graph, block *LayerBlock, live []int32) (valid, slots, below []int32) {
+	n := int32(block.Budget)
+	bound := min(len(block.Valid), len(live)*block.Budget)
+	valid, slots = g.Ints(bound)[:0], g.Ints(bound)[:0]
+	below = append(g.Ints(len(live) + bound)[:0], live...)
+	rest := block.Valid
+	for j, i := range live {
+		for len(rest) > 0 && rest[0] < i*n {
+			rest = rest[1:]
+		}
+		for ; len(rest) > 0 && rest[0] < (i+1)*n; rest = rest[1:] {
+			s := rest[0]
+			valid = append(valid, s)
+			slots = append(slots, int32(j)*n+s-i*n)
+			below = append(below, int32(block.NumTargets)+s)
 		}
 	}
-	info.Out = h
-	return h, info
+	return valid, slots, below
+}
+
+// embed returns layer k's embeddings of the targets live names, one row each
+// in that order.
+func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info *CoTrainInfo) *autograd.Var {
+	layer, block := m.layers[k], mb.Layers[k]
+	t, n := len(live), block.Budget
+	valid, slots, below := liveSlots(g, block, live)
+
+	// The layer underneath hands back exactly the rows below names, targets
+	// first; raw features are still in the padded layout and are picked out
+	// of it.
+	h, rows := g.Const(mb.LeafFeat), below
+	if k > 0 {
+		h, rows = m.embed(g, mb, k-1, below, info), rowRange(g, len(below))
+	}
+	hT, hN := g.GatherRows(h, rows[:t]), g.GatherRows(h, rows[t:])
+
+	// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1), built for the valid
+	// slots of live targets only: padding is never encoded, projected or
+	// differentiated.
+	dt := g.GatherRows(g.Const(block.DeltaT), valid)
+	phi := layer.timeEnc.Encode(g, dt.Val)
+	msg := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), phi)
+
+	// Query from the target itself with Φ(0) (Eq. 4). Keys and values go
+	// into the t·n layout the grouped kernels read, as exact zero rows at
+	// padding.
+	q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
+	keys := g.ScatterRows(layer.wk.Apply(g, msg), slots, t*n)
+	vals := g.ScatterRows(layer.wv.Apply(g, msg), slots, t*n)
+
+	// Scaled dot-product attention within each neighborhood (Eq. 7), with
+	// padding masked out before and after the softmax.
+	scores := g.Scale(g.GroupedScore(q, keys, n), 1/math.Sqrt(float64(n)))
+	scores = g.Add(scores, g.GatherRows(g.Const(block.MaskBias), live))
+	attn := g.SoftmaxRows(scores)
+	attn = g.Mul(attn, g.GatherRows(g.Const(block.Mask), live))
+	agg := g.GroupedWeightedSum(attn, vals, n)
+
+	if k == len(mb.Layers)-1 {
+		info.Attn, info.Scores, info.Vals = attn, scores, vals
+	}
+	// Post-attention FFN combining with the target's own state.
+	return g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
 }
 
 var _ TGNN = (*TGAT)(nil)

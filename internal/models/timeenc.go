@@ -31,9 +31,8 @@ func NewLearnableTimeEnc(d int, rng *mathx.RNG) *LearnableTimeEnc {
 
 // Encode maps a (R×1) constant Δt column to R×d time features.
 func (t *LearnableTimeEnc) Encode(g *autograd.Graph, deltaT *tensor.Matrix) *autograd.Var {
-	dt := g.Const(deltaT)
 	// (R×1)@(1×d) broadcasts Δt across frequencies.
-	return g.Cos(g.AddBias(g.MatMul(dt, t.W), t.B))
+	return g.Cos(g.Affine(g.Const(deltaT), t.W, t.B))
 }
 
 // EncodeZeros returns Φ(0) = cos(b) tiled over rows (used for the target's

@@ -42,7 +42,7 @@ func NewLinear(in, out int, rng *mathx.RNG) *Linear {
 
 // Apply runs the layer on x (B×In) and returns B×Out.
 func (l *Linear) Apply(g *autograd.Graph, x *autograd.Var) *autograd.Var {
-	return g.AddBias(g.MatMul(x, l.W), l.B)
+	return g.Affine(x, l.W, l.B)
 }
 
 // Params implements Module.

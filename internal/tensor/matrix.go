@@ -171,7 +171,7 @@ func (m *Matrix) AddRowVecInPlace(b *Matrix) {
 		panic(fmt.Sprintf("tensor: AddRowVecInPlace bias %dx%d onto %dx%d", b.Rows, b.Cols, m.Rows, m.Cols))
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+		row := m.Row(i)[:len(b.Data)] // hoists row[j]'s bounds check out of the loop
 		for j, v := range b.Data {
 			row[j] += v
 		}
