@@ -30,9 +30,10 @@ cross-build:
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).
 # The tests that train real models — internal/bench's one smoke per
-# registered experiment (~15 s without -race), internal/train's trajectory
-# pins and pipeline-equivalence tests (~10 s) — slow severalfold under -race
-# on few-core machines; hence the generous timeout.
+# registered experiment (~15 s without -race) and its default-profile claim
+# test (~25 s), internal/train's trajectory pins and pipeline-equivalence
+# tests (~10 s) — slow severalfold under -race on few-core machines; hence
+# the generous timeout.
 test: vet
 	$(GO) test -race -timeout=45m ./...
 

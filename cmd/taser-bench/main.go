@@ -1,8 +1,9 @@
 // Command taser-bench regenerates the paper's tables and figures against the
 // synthetic datasets, and runs the serving experiments that have no
 // BENCHMARK.json workload (finetune, recover, replicate, overload). Each
-// experiment prints a plain-text table; see EXPERIMENTS.md for recorded runs
-// and the paper-vs-measured comparison.
+// experiment returns typed rows (group, variant, metric, value, unit), printed
+// here as one table per group; see EXPERIMENTS.md for the layout, recorded
+// runs and the paper-vs-measured comparison.
 //
 // Usage:
 //

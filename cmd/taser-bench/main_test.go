@@ -41,6 +41,12 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"retired mode", []string{"-exp", "kernels"}, []string{`unknown experiment "kernels"`, "known: table2"}},
 		{"no experiment", nil, []string{"unknown experiment"}},
 		{"retired flag", []string{"-exp", "table2", "-serve-addr", "http://x"}, []string{"flag provided but not defined"}},
+		// Values no run can mean: -scale -1 used to print scale=-1.00 over
+		// full-size datasets and exit 0, -hidden -3 the title and then exit 1.
+		{"negative scale", []string{"-exp", "table2", "-scale", "-1"}, []string{"scale must be positive (got -1)"}},
+		{"zero scale", []string{"-exp", "table2", "-scale", "0"}, []string{"scale must be positive (got 0)"}},
+		{"NaN scale", []string{"-exp", "table2", "-scale", "NaN"}, []string{"scale must be positive (got NaN)"}},
+		{"negative hidden", []string{"-exp", "ablation-encoder", "-hidden", "-3"}, []string{"Config.Hidden must not be negative"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

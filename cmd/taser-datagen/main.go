@@ -23,6 +23,10 @@ func main() {
 		dump  = flag.String("dump", "", "dump one dataset's events as CSV to stdout")
 	)
 	flag.Parse()
+	if err := datasets.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "taser-datagen: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *dump != "" {
 		ds, ok := datasets.ByName(*dump, *scale, *seed)

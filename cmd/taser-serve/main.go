@@ -143,6 +143,9 @@ func main() {
 	if err := trainCfg.Validate(); err != nil {
 		die(2, err)
 	}
+	if err := datasets.CheckScale(*scale); err != nil {
+		die(2, err)
+	}
 
 	ds, ok := datasets.ByName(*dataset, *scale, *seed)
 	if !ok {

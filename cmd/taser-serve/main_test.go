@@ -152,22 +152,32 @@ func TestServeConfigValidate(t *testing.T) {
 }
 
 // TestBadTrainValueExits2 runs the built command: a pretraining value
-// train.Config.Validate rejects is a usage error — exit status 2 and one line
-// on stderr before the dataset is even generated — not a panic mid-pretraining.
+// train.Config.Validate or datasets.CheckScale rejects is a usage error — exit
+// status 2 and one line on stderr before the dataset is even generated — not a
+// panic mid-pretraining, an exit 1 out of train.New (-model) or a quiet run at
+// full size (-scale -1).
 func TestBadTrainValueExits2(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "taser-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-n", "-1")
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
-		t.Fatalf("-n -1: %v, want exit status 2\nstderr: %s", err, stderr.String())
-	}
-	msg := strings.TrimSpace(stderr.String())
-	if !strings.HasPrefix(msg, "taser-serve: train: Config.N ") || strings.Contains(msg, "\n") || stdout.Len() != 0 {
-		t.Fatalf("want one line on stderr and nothing on stdout, got:\n%s%s", stdout.String(), stderr.String())
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-n", "-1", "train: Config.N "},
+		{"-model", "foo", "train: Config.Model "},
+		{"-scale", "-1", "datasets: scale must be positive"},
+		{"-scale", "0", "datasets: scale must be positive"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.flag, tc.value)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Fatalf("%s %s: %v, want exit status 2\nstderr: %s", tc.flag, tc.value, err, stderr.String())
+		}
+		msg := strings.TrimSpace(stderr.String())
+		if !strings.HasPrefix(msg, "taser-serve: "+tc.want) || strings.Contains(msg, "\n") || stdout.Len() != 0 {
+			t.Fatalf("%s %s: want one line on stderr and nothing on stdout, got:\n%s%s",
+				tc.flag, tc.value, stdout.String(), stderr.String())
+		}
 	}
 }

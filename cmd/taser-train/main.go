@@ -56,7 +56,10 @@ func main() {
 		MaxEvalEdges: *evalEdges, Seed: *seed,
 		PrefetchDepth: *prefetch,
 	}
-	if err := cfg.Validate(); err != nil {
+	if err = cfg.Validate(); err == nil {
+		err = datasets.CheckScale(*scale)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "taser-train: %v\n", err)
 		os.Exit(2)
 	}

@@ -10,61 +10,36 @@ import (
 // ablationEncoder measures the contribution of each neighbor-encoder
 // component (TE, FE, IE — §III-B / §IV-B): TASER on the Wikipedia-style
 // dataset with one component removed at a time.
-func ablationEncoder(o Options) error {
-	fmt.Fprintf(o.Out, "Ablation — neighbor-encoder components (TGAT, wikipedia) | scale=%.2f epochs=%d\n",
-		o.Scale, o.Epochs)
-	fmt.Fprintf(o.Out, "%-16s %10s\n", "config", "test MRR")
-	for _, row := range []struct {
-		name       string
-		te, fe, ie bool // disabled flags
-	}{
-		{"full (TE+FE+IE)", false, false, false},
-		{"w/o TE", true, false, false},
-		{"w/o FE", false, true, false},
-		{"w/o IE", false, false, true},
-		{"features only", true, true, true},
-	} {
-		ds := o.loadDatasets([]string{"wikipedia"})[0]
-		cfg := o.baseConfig(train.ModelTGAT)
-		cfg.AdaBatch, cfg.AdaNeighbor = true, true
-		cfg.Decoder = adaptive.DecoderGATv2
-		cfg.DisableTE, cfg.DisableFE, cfg.DisableIE = row.te, row.fe, row.ie
-		tr, err := train.New(cfg, ds)
-		if err != nil {
-			return err
-		}
-		_, _, test := tr.Run()
-		fmt.Fprintf(o.Out, "%-16s %10.4f\n", row.name, test)
+func ablationEncoder(o Options) (string, []Row, error) {
+	without := func(name string, te, fe, ie bool) variant {
+		return variant{name, func(c *train.Config) {
+			taser(c)
+			c.DisableTE, c.DisableFE, c.DisableIE = te, fe, ie
+		}}
 	}
-	return nil
+	rows, err := o.accuracyGrid([]string{"wikipedia"}, backbones[:1], []variant{
+		without("full (TE+FE+IE)", false, false, false),
+		without("w/o TE", true, false, false),
+		without("w/o FE", false, true, false),
+		without("w/o IE", false, false, true),
+		without("features only", true, true, true),
+	})
+	return fmt.Sprintf("Ablation — neighbor-encoder components | scale=%.2f epochs=%d", o.Scale, o.Epochs), rows, err
 }
 
 // ablationDecoder compares the four predictor heads (Eqs. 17–20) on both
 // backbones; the paper reports TGAT pairing best with GATv2 and GraphMixer
 // with the linear/Mixer head.
-func ablationDecoder(o Options) error {
-	fmt.Fprintf(o.Out, "Ablation — neighbor-decoder heads (wikipedia) | scale=%.2f epochs=%d\n",
-		o.Scale, o.Epochs)
-	fmt.Fprintf(o.Out, "%-10s %12s %12s\n", "decoder", "TGAT", "GraphMixer")
-	for _, dec := range []adaptive.Decoder{
-		adaptive.DecoderLinear, adaptive.DecoderGAT, adaptive.DecoderGATv2, adaptive.DecoderTrans,
-	} {
-		fmt.Fprintf(o.Out, "%-10s", dec)
-		for _, model := range []train.ModelKind{train.ModelTGAT, train.ModelGraphMixer} {
-			ds := o.loadDatasets([]string{"wikipedia"})[0]
-			cfg := o.baseConfig(model)
-			cfg.AdaBatch, cfg.AdaNeighbor = true, true
-			cfg.Decoder = dec
-			tr, err := train.New(cfg, ds)
-			if err != nil {
-				return err
-			}
-			_, _, test := tr.Run()
-			fmt.Fprintf(o.Out, " %12.4f", test)
-		}
-		fmt.Fprintln(o.Out)
+func ablationDecoder(o Options) (string, []Row, error) {
+	var heads []variant
+	for dec := adaptive.DecoderLinear; dec <= adaptive.DecoderTrans; dec++ {
+		heads = append(heads, variant{dec.String(), func(c *train.Config) {
+			taser(c)
+			c.Decoder = dec
+		}})
 	}
-	return nil
+	rows, err := o.accuracyGrid([]string{"wikipedia"}, backbones, heads)
+	return fmt.Sprintf("Ablation — neighbor-decoder heads | scale=%.2f epochs=%d", o.Scale, o.Epochs), rows, err
 }
 
 // ablationHeuristics contrasts human-defined static denoising policies
@@ -72,60 +47,39 @@ func ablationDecoder(o Options) error {
 // learned sampler on the same backbone. The paper's claim to reproduce: the
 // inverse-timespan heuristic does NOT reliably beat uniform, while the
 // adaptive sampler encompasses and outperforms the heuristics.
-func ablationHeuristics(o Options) error {
-	fmt.Fprintf(o.Out, "Ablation — static heuristics vs adaptive sampling (TGAT, wikipedia) | scale=%.2f epochs=%d\n",
-		o.Scale, o.Epochs)
-	fmt.Fprintf(o.Out, "%-24s %10s\n", "sampling", "test MRR")
-	for _, row := range []struct {
-		name     string
-		policy   string
-		adaptive bool
-	}{
-		{"uniform (baseline)", "uniform", false},
-		{"most-recent", "recent", false},
-		{"inverse-timespan", "invts", false},
-		{"adaptive (TASER)", "uniform", true},
-	} {
-		ds := o.loadDatasets([]string{"wikipedia"})[0]
-		cfg := o.baseConfig(train.ModelTGAT)
-		cfg.FinderPolicy = row.policy
-		cfg.AdaBatch, cfg.AdaNeighbor = row.adaptive, row.adaptive
-		cfg.Decoder = adaptive.DecoderGATv2
-		tr, err := train.New(cfg, ds)
-		if err != nil {
-			return err
-		}
-		_, _, test := tr.Run()
-		fmt.Fprintf(o.Out, "%-24s %10.4f\n", row.name, test)
+func ablationHeuristics(o Options) (string, []Row, error) {
+	static := func(name, policy string) variant {
+		return variant{name, func(c *train.Config) { c.FinderPolicy = policy }}
 	}
-	return nil
+	rows, err := o.accuracyGrid([]string{"wikipedia"}, backbones[:1], []variant{
+		static("uniform (baseline)", "uniform"),
+		static("most-recent", "recent"),
+		static("inverse-timespan", "invts"),
+		{"adaptive (TASER)", func(c *train.Config) {
+			taser(c)
+			c.FinderPolicy = "uniform"
+		}},
+	})
+	return fmt.Sprintf("Ablation — static heuristics vs adaptive sampling | scale=%.2f epochs=%d", o.Scale, o.Epochs), rows, err
 }
 
 // ablationCache compares cache replacement policies (Algorithm 3's
 // frequency policy vs. LRU) at a 20% ratio under the TASER access pattern:
 // hit rate after warm-up and the resulting FS time.
-func ablationCache(o Options) error {
-	fmt.Fprintf(o.Out, "Ablation — cache replacement policy (TGAT+TASER, 20%% ratio) | scale=%.2f\n", o.Scale)
-	fmt.Fprintf(o.Out, "%-10s %-8s %10s %10s\n", "dataset", "policy", "hit rate", "FS (s)")
-	for _, name := range []string{"wikipedia", "reddit"} {
+func ablationCache(o Options) (string, []Row, error) {
+	var rows []Row
+	for _, ds := range o.loadDatasets([]string{"wikipedia", "reddit"}) {
+		g := group(ds, train.ModelTGAT)
 		for _, policy := range []string{"freq", "lru"} {
-			ds := o.loadDatasets([]string{name})[0]
-			cfg := o.baseConfig(train.ModelTGAT)
-			cfg.AdaBatch, cfg.AdaNeighbor = true, true
-			cfg.Decoder = adaptive.DecoderGATv2
-			cfg.CacheRatio = 0.2
-			cfg.CachePolicy = policy
-			tr, err := train.New(cfg, ds)
+			s, err := o.measuredEpoch(ds, train.ModelTGAT, 1, func(c *train.Config) {
+				taser(c)
+				c.CacheRatio, c.CachePolicy = 0.2, policy
+			})
 			if err != nil {
-				return err
+				return "", nil, err
 			}
-			tr.TrainEpoch() // warm-up
-			tr.EdgeStore.Policy().ResetStats()
-			tr.Timer.Reset()
-			tr.TrainEpoch()
-			fmt.Fprintf(o.Out, "%-10s %-8s %9.1f%% %10.3f\n",
-				name, policy, 100*tr.EdgeStore.Policy().HitRate(), tr.Timer.Get("FS").Seconds())
+			rows = append(rows, Row{g, policy, "hit rate", 100 * s.hitRate, "%"}, Row{g, policy, "FS", s.fs.Seconds(), "s"})
 		}
 	}
-	return nil
+	return fmt.Sprintf("Ablation — cache replacement policy (TASER, 20%% ratio) | scale=%.2f", o.Scale), rows, nil
 }

@@ -6,8 +6,10 @@
 // workloads, not here.
 //
 // Experiments is the one list of what exists: cmd/taser-bench, the package
-// smoke test and the root bench_test.go all read it. Each experiment takes
-// Options and writes a plain-text table to Out.
+// tests and the root bench_test.go all read it. Each experiment takes Options
+// and returns a title and typed rows; Run prints them through the one
+// renderer (render.go), Rows hands them to tests, which is where the paper's
+// claims are asserted (claims_test.go).
 package bench
 
 import (
@@ -16,15 +18,25 @@ import (
 	"slices"
 	"strings"
 
+	"taser/internal/adaptive"
 	"taser/internal/datasets"
 	"taser/internal/train"
 )
+
+// Row is one measured cell: Group names the table it belongs to (dataset and
+// model, taken from what was actually generated and trained), Variant its
+// line, Metric its column.
+type Row struct {
+	Group, Variant, Metric string
+	Value                  float64
+	Unit                   string
+}
 
 // Experiment is one registry row.
 type Experiment struct {
 	Name  string
 	InAll bool // part of `taser-bench -exp all`
-	run   func(Options) error
+	run   func(Options) (title string, rows []Row, err error)
 }
 
 // Experiments is the registry, in the order `-exp all` runs it.
@@ -46,13 +58,23 @@ var Experiments = []Experiment{
 	{"overload", false, overloadExp}, // ~25 s of wall-clock timeline: run on request
 }
 
-// Run fills o's defaults, validates it and runs the experiment.
-func (e Experiment) Run(o Options) error {
+// Rows fills o's defaults, validates it and runs the experiment.
+func (e Experiment) Rows(o Options) (title string, rows []Row, err error) {
 	o = o.Normalize()
 	if err := o.Validate(); err != nil {
-		return err
+		return "", nil, err
 	}
 	return e.run(o)
+}
+
+// Run is Rows rendered to o.Out.
+func (e Experiment) Run(o Options) error {
+	title, rows, err := e.Rows(o)
+	if err != nil {
+		return err
+	}
+	render(o.Out, title, rows)
+	return nil
 }
 
 // Lookup finds a registered experiment by name.
@@ -127,20 +149,31 @@ func (o Options) Normalize() Options {
 }
 
 // Validate rejects what no experiment can run with: a name in Datasets that
-// is not a dataset. cmd/taser-bench reports it as a usage error.
+// is not a dataset, a scale that is not positive, a training value
+// train.Config.Validate refuses. cmd/taser-bench reports it as a usage error.
 func (o Options) Validate() error {
 	for _, n := range o.Datasets {
 		if !slices.Contains(allNames, n) {
 			return fmt.Errorf("bench: unknown dataset %q (known: %s)", n, strings.Join(allNames, ", "))
 		}
 	}
-	return nil
+	if err := datasets.CheckScale(o.Scale); err != nil {
+		return err
+	}
+	return o.baseConfig(train.ModelTGAT).Validate()
 }
 
-// baseConfig builds the shared training config for accuracy experiments.
+// baseConfig builds the training config every experiment starts from. The
+// sampler head is the paper's pairing (§IV-B) — TGAT with GATv2, GraphMixer
+// with the linear/Mixer head — and is read only when a variant turns
+// adaptive neighbor sampling on.
 func (o Options) baseConfig(model train.ModelKind) train.Config {
+	decoder := adaptive.DecoderGATv2
+	if model == train.ModelGraphMixer {
+		decoder = adaptive.DecoderLinear
+	}
 	return train.Config{
-		Model: model, Finder: train.FinderGPU,
+		Model: model, Finder: train.FinderGPU, Decoder: decoder,
 		Hidden: o.Hidden, TimeDim: o.TimeDim,
 		BatchSize: o.BatchSize, Epochs: o.Epochs, LR: o.LR,
 		CacheRatio: 0.2, MaxEvalEdges: o.MaxEvalEdges, Seed: o.Seed,
@@ -166,20 +199,3 @@ func (o Options) loadDatasets(def []string) []*datasets.Dataset {
 }
 
 var allNames = []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"}
-
-// Variant labels the four rows of Table I.
-type Variant struct {
-	Name        string
-	AdaBatch    bool
-	AdaNeighbor bool
-}
-
-// Variants returns Table I's rows in paper order.
-func Variants() []Variant {
-	return []Variant{
-		{"Baseline", false, false},
-		{"w/ Ada. Mini-Batch", true, false},
-		{"w/ Ada. Neighbor", false, true},
-		{"TASER", true, true},
-	}
-}

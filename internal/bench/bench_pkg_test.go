@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"taser/internal/train"
 )
 
 // tinyOptions keeps package tests fast: minuscule datasets, one epoch.
@@ -26,11 +28,13 @@ func TestNormalizeRequiresOut(t *testing.T) {
 }
 
 func TestVariantsOrder(t *testing.T) {
-	v := Variants()
-	if len(v) != 4 || v[0].Name != "Baseline" || v[3].Name != "TASER" {
+	v := table1Variants
+	if len(v) != 4 || v[0].name != "Baseline" || v[3].name != "TASER" {
 		t.Fatalf("variants: %+v", v)
 	}
-	if !v[3].AdaBatch || !v[3].AdaNeighbor {
+	var cfg train.Config
+	v[3].set(&cfg)
+	if !cfg.AdaBatch || !cfg.AdaNeighbor {
 		t.Fatal("TASER must enable both components")
 	}
 }
@@ -42,66 +46,159 @@ func lower[T any](t *testing.T, knob *T, v T) {
 	t.Cleanup(func() { *knob = old })
 }
 
+// cell finds one value in an experiment's rows.
+func cell(rows []Row, group, variant, metric string) (float64, bool) {
+	for _, r := range rows {
+		if r.Group == group && r.Variant == variant && r.Metric == metric {
+			return r.Value, true
+		}
+	}
+	return 0, false
+}
+
+// mustCell is cell for a value that has to be there.
+func mustCell(t *testing.T, rows []Row, group, variant, metric string) float64 {
+	t.Helper()
+	v, ok := cell(rows, group, variant, metric)
+	if !ok {
+		t.Fatalf("no row (%q, %q, %q) in:\n%+v", group, variant, metric, rows)
+	}
+	return v
+}
+
 // smokes is the package smoke test, one row per registered experiment: how to
-// shrink the run below tinyOptions (optional) and what the output must
-// contain. TestEveryExperimentHasSmoke fails when the registry and this table
-// disagree.
+// shrink the run below tinyOptions (optional), cells — (group, variant,
+// metric) — that must be among the rows, and what else must hold of them.
+// TestEveryExperimentHasSmoke fails when the registry and this table disagree.
 var smokes = map[string]struct {
-	tune func(t *testing.T, o *Options)
-	want []string
+	tune  func(t *testing.T, o *Options)
+	cells [][3]string
+	check func(t *testing.T, rows []Row)
 }{
 	"table2": {
 		tune: func(t *testing.T, o *Options) { o.Datasets = nil }, // Table II always lists all five
-		want: []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"},
+		cells: [][3]string{{"", "wikipedia", "|E|"}, {"", "reddit", "|V|"}, {"", "flights", "dv"},
+			{"", "movielens", "de"}, {"", "gdelt", "test"}},
 	},
-	"table1": {want: []string{"Baseline", "TASER", "Improvement", "TGAT", "GraphMixer"}},
-	"table3": {want: []string{"Baseline", "+GPU NF", "+20% Cache", "speedup"}},
-	"fig1":   {want: []string{"Prep"}},
-	"fig3a":  {want: []string{"origin-cpu", "tgl-cpu", "taser-gpu"}},
+	"table1": {
+		cells: [][3]string{{"wikipedia", "w/ Ada. Neighbor", "tgat"}, {"wikipedia", "w/ Ada. Mini-Batch", "graphmixer"}},
+		check: func(t *testing.T, rows []Row) {
+			for _, model := range []string{"tgat", "graphmixer"} {
+				base, taser := mustCell(t, rows, "wikipedia", "Baseline", model), mustCell(t, rows, "wikipedia", "TASER", model)
+				if imp := mustCell(t, rows, "wikipedia", "(Improvement)", model); imp != taser-base {
+					t.Errorf("%s: improvement %v, want TASER − Baseline = %v", model, imp, taser-base)
+				}
+			}
+		},
+	},
+	"table3": {cells: [][3]string{{"wikipedia / tgat", "+GPU NF", "NF"}, {"wikipedia / graphmixer", "+20% Cache", "speedup"}}},
+	"fig1": {
+		cells: [][3]string{{"wikipedia / tgat", "n=5", "Prep"}, {"wikipedia / tgat", "n=20", "Prop"}},
+		check: func(t *testing.T, rows []Row) {
+			if share := mustCell(t, rows, "wikipedia / tgat", "n=10", "Prep share"); !(share > 0 && share < 100) {
+				t.Errorf("Prep share %v%% is not a share", share)
+			}
+		},
+	},
+	"fig3a": {
+		cells: [][3]string{{"wikipedia", "n=25", "gpu-vs-tgl"}},
+		check: func(t *testing.T, rows []Row) {
+			for _, finder := range []string{"origin-cpu", "tgl-cpu", "taser-gpu"} {
+				if s := mustCell(t, rows, "wikipedia", "n=5", finder); !(s > 0) {
+					t.Errorf("%s sampled an epoch in %v s", finder, s)
+				}
+			}
+		},
+	},
 	"fig3b": {
-		tune: func(t *testing.T, o *Options) { o.Epochs = 2 },
-		want: []string{"oracle"},
+		tune:  func(t *testing.T, o *Options) { o.Epochs = 3 },
+		cells: [][3]string{{"wikipedia", "epoch 1", "oracle 10%"}, {"wikipedia", "epoch 3", "taser 30%"}},
 	},
-	// The grid is triangular: n > m cells must be dashes.
-	"fig4":                {want: []string{"m=10", "n=5", "-"}},
-	"ablation-encoder":    {want: []string{"full (TE+FE+IE)", "w/o IE", "features only"}},
-	"ablation-decoder":    {want: []string{"linear", "gatv2", "trans"}},
-	"ablation-cache":      {want: []string{"freq", "lru", "hit rate"}},
-	"ablation-heuristics": {want: []string{"most-recent", "inverse-timespan", "adaptive (TASER)"}},
+	// The grid is triangular (TestClaimFig4GridIsTriangular checks every cell).
+	"fig4":                {cells: [][3]string{{"wikipedia / tgat", "n=5", "m=10"}, {"wikipedia / graphmixer", "n=20", "m=25"}}},
+	"ablation-encoder":    {cells: [][3]string{{"wikipedia", "full (TE+FE+IE)", "tgat"}, {"wikipedia", "w/o IE", "tgat"}, {"wikipedia", "features only", "tgat"}}},
+	"ablation-decoder":    {cells: [][3]string{{"wikipedia", "linear", "tgat"}, {"wikipedia", "gatv2", "graphmixer"}, {"wikipedia", "trans", "tgat"}}},
+	"ablation-cache":      {cells: [][3]string{{"wikipedia / tgat", "freq", "hit rate"}, {"wikipedia / tgat", "lru", "FS"}}},
+	"ablation-heuristics": {cells: [][3]string{{"wikipedia", "most-recent", "tgat"}, {"wikipedia", "inverse-timespan", "tgat"}, {"wikipedia", "adaptive (TASER)", "tgat"}}},
 	"finetune": {
 		tune: func(t *testing.T, o *Options) {
 			lower(t, &finetuneEvery, 16)
 			lower(t, &finetuneNegs, 5)
 		},
-		want: []string{"frozen", "fine-tuned", "MRR", "swap"},
+		cells: [][3]string{{"wikipedia / tgat", "frozen", "1st half"}, {"wikipedia / tgat", "fine-tuned", "p99"},
+			{"summary", "fine-tuned − frozen", "2nd half"}},
+		check: func(t *testing.T, rows []Row) {
+			if mustCell(t, rows, "wikipedia / tgat", "frozen", "swaps") != 0 || mustCell(t, rows, "wikipedia / tgat", "fine-tuned", "swaps") == 0 {
+				t.Error("only the fine-tuned arm swaps weights")
+			}
+		},
 	},
 	"recover": {
 		tune: func(t *testing.T, o *Options) {
 			lower(t, &recoverEvents, []int{192})
 			lower(t, &recoverSyncEvery, 16)
 		},
-		want: []string{"Recovery time", "crash", "clean", "Durable ingest overhead", "sync-every=1", "allocs/event"},
+		cells: [][3]string{{"durable ingest overhead (1024 events)", "off", "allocs"},
+			{"durable ingest overhead (1024 events)", "sync-every=1", "ingest"}},
+		check: func(t *testing.T, rows []Row) {
+			const g = "recovery time vs stream length"
+			// A crash loses the final checkpoint (all replay, bar an unsynced
+			// tail); a clean shutdown replays nothing.
+			if ckpt := mustCell(t, rows, g, "192 crash", "ckpt"); ckpt != 0 {
+				t.Errorf("crash path loaded %v events from a checkpoint", ckpt)
+			}
+			if mustCell(t, rows, g, "192 clean", "recovered") != 192 || mustCell(t, rows, g, "192 clean", "replayed") != 0 {
+				t.Error("clean path must recover all 192 events from the checkpoint")
+			}
+		},
 	},
 	"replicate": {
 		tune: func(t *testing.T, o *Options) {
 			lower(t, &replicateEvents, []int{192})
 			lower(t, &replicateRates, []int{1000})
 		},
-		want: []string{"Catch-up time", "stream", "ckpt", "Steady-state follower lag", "final lag"},
+		cells: [][3]string{{"catch-up time vs stream length", "192 stream", "catchup"},
+			{"steady-state follower lag vs ingest rate (1.5s window per rate)", "1000 ev/s", "final lag"}},
+		check: func(t *testing.T, rows []Row) {
+			if applied := mustCell(t, rows, "catch-up time vs stream length", "192 ckpt", "applied"); applied != 192 {
+				t.Errorf("follower caught up to %v of 192 events", applied)
+			}
+		},
 	},
 	// A sub-second timeline at a modest fixed rate: the smoke checks the
-	// open-loop machinery (calibration, per-second accounting, both variant
-	// summary lines), not the overload physics — scripts/overload_smoke.sh
+	// open-loop machinery (calibration, per-second accounting, both variants'
+	// summaries), not the overload physics — scripts/overload_smoke.sh
 	// covers those at realistic pressure.
 	"overload": {
 		tune: func(t *testing.T, o *Options) {
 			lower(t, &OverloadRate, 400)
 			lower(t, &overloadPhase, 300*time.Millisecond)
 		},
-		want: []string{
-			"sustainable", "offered burst 400",
-			"OPENLOOP static", "OPENLOOP adaptive",
-			"retry_after_ok=true", "lost=0", "overload plane",
+		cells: [][3]string{{"summary", "adaptive", "effective_max_batch"}},
+		check: func(t *testing.T, rows []Row) {
+			for _, v := range []string{"static", "adaptive"} {
+				// Every offered request is accounted for on the variant's timeline.
+				var offered, accounted float64
+				for _, r := range rows {
+					if r.Group == v && r.Metric == "offered" {
+						offered += r.Value
+					} else if r.Group == v && (r.Metric == "completed" || r.Metric == "shed" || r.Metric == "errs") {
+						accounted += r.Value
+					}
+				}
+				if offered == 0 || accounted != offered {
+					t.Errorf("%s: timeline offers %v requests and accounts for %v", v, offered, accounted)
+				}
+				if mustCell(t, rows, "summary", v, "lost") != 0 || mustCell(t, rows, "summary", v, "retry_after_ok") != 1 {
+					t.Errorf("%s: requests lost or shed without Retry-After", v)
+				}
+				if mustCell(t, rows, "summary", v, "offered") != 400 || !(mustCell(t, rows, "summary", v, "sustainable") > 0) {
+					t.Errorf("%s: offered/sustainable rates wrong", v)
+				}
+			}
+			if _, ok := cell(rows, "summary", "static", "effective_max_batch"); ok {
+				t.Error("the static engine has no overload plane to report")
+			}
 		},
 	},
 }
@@ -119,28 +216,48 @@ func TestEveryExperimentHasSmoke(t *testing.T) {
 	}
 }
 
-// runSmoke runs the named experiments at tinyOptions scale and checks their
-// rows' output assertions.
+// tinyRuns memoizes tinyRows: the smoke and the claim test of an experiment
+// read one run.
+var tinyRuns = map[string][]Row{}
+
+// tinyRows runs the named experiment at its smoke row's scale and returns its
+// rows, having rendered them once.
+func tinyRows(t *testing.T, name string) []Row {
+	t.Helper()
+	if rows, ok := tinyRuns[name]; ok {
+		return rows
+	}
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q is not registered", name)
+	}
+	var buf bytes.Buffer
+	o := tinyOptions(&buf)
+	if tune := smokes[name].tune; tune != nil {
+		tune(t, &o)
+	}
+	title, rows, err := e.Rows(o)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	render(&buf, title, rows)
+	if title == "" || len(rows) == 0 || !strings.HasPrefix(buf.String(), title+"\n") {
+		t.Fatalf("%s: title %q, %d rows, rendered:\n%s", name, title, len(rows), buf.String())
+	}
+	tinyRuns[name] = rows
+	return rows
+}
+
+// runSmoke checks the named experiments' smoke rows.
 func runSmoke(t *testing.T, names ...string) {
 	t.Helper()
 	for _, name := range names {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("experiment %q is not registered", name)
+		rows := tinyRows(t, name)
+		for _, c := range smokes[name].cells {
+			mustCell(t, rows, c[0], c[1], c[2])
 		}
-		row := smokes[name]
-		var buf bytes.Buffer
-		o := tinyOptions(&buf)
-		if row.tune != nil {
-			row.tune(t, &o)
-		}
-		if err := e.Run(o); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, want := range row.want {
-			if !strings.Contains(buf.String(), want) {
-				t.Fatalf("%s output missing %q:\n%s", name, want, buf.String())
-			}
+		if check := smokes[name].check; check != nil {
+			check(t, rows)
 		}
 	}
 }
@@ -159,6 +276,55 @@ func TestReplicateSmoke(t *testing.T) { runSmoke(t, "replicate") }
 func TestLoadOpenSmoke(t *testing.T)  { runSmoke(t, "overload") }
 func TestAblationsSmoke(t *testing.T) {
 	runSmoke(t, "ablation-encoder", "ablation-decoder", "ablation-cache", "ablation-heuristics")
+}
+
+// TestGroupsNameTheDatasetTrained: a table is labelled with the dataset that
+// was generated, not with the experiment's default. These five used to train
+// on whatever -datasets named under a header that said wikipedia (and
+// ablation-cache trained it twice, as "wikipedia" and "reddit").
+func TestGroupsNameTheDatasetTrained(t *testing.T) {
+	for _, tc := range []struct {
+		exp, dataset string
+		groups       int
+	}{
+		{"ablation-encoder", "reddit", 1}, {"ablation-decoder", "reddit", 1},
+		{"ablation-heuristics", "reddit", 1}, {"fig4", "reddit", 2}, // one per backbone
+		{"ablation-cache", "gdelt", 1},
+	} {
+		var buf bytes.Buffer
+		o := tinyOptions(&buf)
+		o.Datasets = []string{tc.dataset}
+		e, _ := Lookup(tc.exp)
+		_, rows, err := e.Rows(o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.exp, err)
+		}
+		groups := map[string]bool{}
+		for _, r := range rows {
+			groups[r.Group] = true
+			if !strings.Contains(r.Group, tc.dataset) {
+				t.Fatalf("%s on %s has a row in group %q", tc.exp, tc.dataset, r.Group)
+			}
+		}
+		if len(groups) != tc.groups {
+			t.Errorf("%s on %s: groups %v, want %d", tc.exp, tc.dataset, groups, tc.groups)
+		}
+	}
+}
+
+// TestRenderLayout: a table per group in first-appearance order, a line per
+// variant, a column per metric headed with its unit, "-" for an absent cell.
+func TestRenderLayout(t *testing.T) {
+	var buf bytes.Buffer
+	render(&buf, "title", []Row{
+		{"g1", "a", "x", 0.5, "MRR"}, {"g1", "a", "y", 3, ""},
+		{"g2", "c", "x", 1.25, "ms"},
+		{"g1", "b", "y", 12, ""},
+	})
+	want := "title\n\ng1\n   x (MRR)   y\na   0.5000   3\nb        -  12\n\ng2\n   x (ms)\nc    1.25\n"
+	if buf.String() != want {
+		t.Fatalf("rendered:\n%s\nwant:\n%s", buf.String(), want)
+	}
 }
 
 // TestUnknownDatasetIsAnError: a typo in -datasets is a usage error naming

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"taser/internal/adaptive"
 	"taser/internal/cache"
 	"taser/internal/datasets"
 	"taser/internal/device"
@@ -23,30 +22,29 @@ import (
 // comes from thousands of CUDA threads vs 192 CPU threads; on a host-only
 // simulator both finders share the same cores, so expect the same ordering
 // with a smaller ratio.)
-func fig3a(o Options) error {
-	fmt.Fprintf(o.Out, "Fig. 3(a) — 2-hop sampling time per epoch (sec) | scale=%.2f batch=%d\n",
-		o.Scale, o.BatchSize)
-	budgets := []int{5, 10, 15, 20, 25}
+func fig3a(o Options) (string, []Row, error) {
+	title := fmt.Sprintf("Fig. 3(a) — 2-hop sampling time per epoch | scale=%.2f batch=%d", o.Scale, o.BatchSize)
+	var rows []Row
 	for _, ds := range o.loadDatasets(allNames) {
-		fmt.Fprintf(o.Out, "\n%s\n%-10s", ds.Spec.Name, "#nbrs")
-		fmt.Fprintf(o.Out, "%12s %12s %12s %10s\n", "origin-cpu", "tgl-cpu", "taser-gpu", "gpu-vs-tgl")
-		for _, budget := range budgets {
+		for _, budget := range []int{5, 10, 15, 20, 25} {
 			rng := mathx.NewRNG(o.Seed)
-			finders := []sampler.Finder{
-				sampler.NewOriginFinder(ds.TCSR, rng.Split()),
-				sampler.NewTGLFinder(ds.TCSR, rng.Split()),
-				sampler.NewGPUFinder(ds.TCSR, device.New(), o.Seed),
+			v := fmt.Sprintf("n=%d", budget)
+			times := map[string]float64{}
+			for _, f := range []struct {
+				name   string
+				finder sampler.Finder
+			}{
+				{"origin-cpu", sampler.NewOriginFinder(ds.TCSR, rng.Split())},
+				{"tgl-cpu", sampler.NewTGLFinder(ds.TCSR, rng.Split())},
+				{"taser-gpu", sampler.NewGPUFinder(ds.TCSR, device.New(), o.Seed)},
+			} {
+				times[f.name] = sampleEpoch(ds, f.finder, budget, o.BatchSize).Seconds()
+				rows = append(rows, Row{ds.Spec.Name, v, f.name, times[f.name], "s"})
 			}
-			times := make([]time.Duration, len(finders))
-			for fi, f := range finders {
-				times[fi] = sampleEpoch(ds, f, budget, o.BatchSize)
-			}
-			fmt.Fprintf(o.Out, "%-10d %12.4f %12.4f %12.4f %9.1fx\n",
-				budget, times[0].Seconds(), times[1].Seconds(), times[2].Seconds(),
-				float64(times[1])/float64(times[2]))
+			rows = append(rows, Row{ds.Spec.Name, v, "gpu-vs-tgl", times["tgl-cpu"] / times["taser-gpu"], "x"})
 		}
 	}
-	return nil
+	return title, rows, nil
 }
 
 // sampleEpoch drives one chronological epoch of 2-hop TGAT fanout through a
@@ -94,42 +92,30 @@ func sampleEpoch(ds *datasets.Dataset, f sampler.Finder, budget, batchSize int) 
 // cache contents), then each policy's epoch-granular hit rate is simulated
 // from the per-epoch access counts. The shape to reproduce: TASER's curve
 // hugs the oracle's within a few percent after the first epochs.
-func fig3b(o Options) error {
-	fmt.Fprintf(o.Out, "Fig. 3(b) — edge-feature cache hit rate per epoch | scale=%.2f epochs=%d\n",
-		o.Scale, o.Epochs)
-	ratios := []float64{0.10, 0.20, 0.30}
-	def := []string{"wikipedia", "reddit", "movielens", "gdelt"}
-	for _, ds := range o.loadDatasets(def) {
+func fig3b(o Options) (string, []Row, error) {
+	title := fmt.Sprintf("Fig. 3(b) — edge-feature cache hit rate per epoch | scale=%.2f epochs=%d", o.Scale, o.Epochs)
+	var rows []Row
+	for _, ds := range o.loadDatasets([]string{"wikipedia", "reddit", "movielens", "gdelt"}) {
 		counts, err := recordAccessCounts(o, ds)
 		if err != nil {
-			return err
+			return "", nil, err
 		}
-		fmt.Fprintf(o.Out, "\n%s\n%-7s", ds.Spec.Name, "epoch")
-		for _, r := range ratios {
-			fmt.Fprintf(o.Out, "  taser%2.0f%%  oracle%2.0f%%", 100*r, 100*r)
-		}
-		fmt.Fprintln(o.Out)
-		freq := make([]*cache.Frequency, len(ratios))
-		oracle := make([]*cache.Oracle, len(ratios))
-		for ri, r := range ratios {
+		for _, r := range []float64{0.10, 0.20, 0.30} {
 			k := int(r * float64(ds.EdgeFeat.Rows))
-			freq[ri] = cache.NewFrequency(ds.EdgeFeat.Rows, k, 0.7)
-			oracle[ri] = cache.NewOracle(k)
-		}
-		for e, epochCounts := range counts {
-			fmt.Fprintf(o.Out, "%-7d", e+1)
-			for ri := range ratios {
-				oracle[ri].Reveal(epochCounts)
-				fh, ft := freq[ri].ObserveCounts(epochCounts)
-				oh, ot := oracle[ri].ObserveCounts(epochCounts)
-				freq[ri].EndEpoch()
-				fmt.Fprintf(o.Out, "  %7.1f%%  %8.1f%%",
-					100*float64(fh)/float64(ft), 100*float64(oh)/float64(ot))
+			freq, oracle := cache.NewFrequency(ds.EdgeFeat.Rows, k, 0.7), cache.NewOracle(k)
+			for e, epochCounts := range counts {
+				oracle.Reveal(epochCounts)
+				fh, ft := freq.ObserveCounts(epochCounts)
+				oh, ot := oracle.ObserveCounts(epochCounts)
+				freq.EndEpoch()
+				v := fmt.Sprintf("epoch %d", e+1)
+				rows = append(rows,
+					Row{ds.Spec.Name, v, fmt.Sprintf("taser %.0f%%", 100*r), 100 * float64(fh) / float64(ft), "%"},
+					Row{ds.Spec.Name, v, fmt.Sprintf("oracle %.0f%%", 100*r), 100 * float64(oh) / float64(ot), "%"})
 			}
-			fmt.Fprintln(o.Out)
 		}
 	}
-	return nil
+	return title, rows, nil
 }
 
 // recordingPolicy counts edge-feature accesses without caching anything.
@@ -147,11 +133,10 @@ func (r *recordingPolicy) ResetStats()                 {}
 // recordAccessCounts runs o.Epochs epochs of the full TASER pipeline and
 // returns the per-epoch edge-feature access counts.
 func recordAccessCounts(o Options, ds *datasets.Dataset) ([][]int64, error) {
-	cfg := o.baseConfig(train.ModelTGAT)
-	cfg.AdaBatch, cfg.AdaNeighbor = true, true
-	cfg.Decoder = adaptive.DecoderGATv2
-	cfg.CacheRatio = 0
-	tr, err := train.New(cfg, ds)
+	tr, err := o.trainer(ds, train.ModelTGAT, func(c *train.Config) {
+		taser(c)
+		c.CacheRatio = 0
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,10 @@ import (
 // predict latency p50/p99 — the fine-tuned column includes every weight
 // swap, which is the non-blocking-publication claim — and the weight
 // versions published/applied plus the mean in-scheduler swap cost.
-func finetuneExp(o Options) error {
+func finetuneExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	ds, tr := fx.ds, fx.tr
 	for e := 0; e < o.Epochs; e++ {
@@ -54,11 +54,7 @@ func finetuneExp(o Options) error {
 	}
 	driftFeat := ds.EdgeFeat.Clone()
 	driftFeat.ScaleInPlace(-1)
-	drift := make([]event, 0, len(ds.Graph.Events)-ds.TrainEnd)
-	for i := ds.TrainEnd; i < len(ds.Graph.Events); i++ {
-		ev := ds.Graph.Events[i]
-		drift = append(drift, event{src: ev.Src, dst: remap(ev.Dst), t: ev.Time, row: i})
-	}
+	drift := ds.Graph.Events[ds.TrainEnd:] // destinations still to be remapped
 	// Per-event negative candidates, shared by both engines.
 	negSets := make([][]int32, len(drift))
 	for i := range negSets {
@@ -69,35 +65,27 @@ func finetuneExp(o Options) error {
 		negSets[i] = ns
 	}
 
-	mkEngine := func() (*serve.Engine, error) {
+	title := fmt.Sprintf("Online fine-tuning on a drifted stream (%d drifted events, round every %d, %d negatives, lr %g, passes %d)",
+		len(drift), finetuneEvery, finetuneNegs, finetuneLR, finetunePasses)
+	g := group(ds, tr.Cfg.Model)
+	var rows []Row
+	var frozen2nd float64
+	// arm serves the drifted stream on one engine and appends its line.
+	arm := func(name string) error {
 		e, err := fx.engine(func(c *serve.Config) {
 			c.Model, c.Pred = tr.Model.Clone(), tr.Pred.Clone()
 			c.MaxBatch, c.MaxWait = 2*(1+finetuneNegs), 50*time.Microsecond
 			c.SnapshotEvery = finetuneEvery
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer e.Close()
 		if err := fx.bootstrap(e); err != nil {
-			e.Close()
-			return nil, err
-		}
-		return e, nil
-	}
-
-	fmt.Fprintf(o.Out, "Online fine-tuning on a drifted stream (%s, %d drifted events, round every %d, %d negatives, lr %g, passes %d)\n",
-		ds.Spec.Name, len(drift), finetuneEvery, finetuneNegs, finetuneLR, finetunePasses)
-	fmt.Fprintf(o.Out, "%-11s %9s %9s %9s %9s %7s %9s\n",
-		"model", "MRR(1st)", "MRR(2nd)", "p50(ms)", "p99(ms)", "swaps", "swap(us)")
-
-	var frozen2nd, tuned2nd float64
-	for _, arm := range []string{"frozen", "fine-tuned"} {
-		e, err := mkEngine()
-		if err != nil {
 			return err
 		}
 		var tu *finetune.Tuner
-		if arm == "fine-tuned" {
+		if name == "fine-tuned" {
 			tu, err = finetune.New(finetune.Config{
 				Engine: e, Model: tr.Model, Pred: tr.Pred,
 				NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
@@ -107,14 +95,13 @@ func finetuneExp(o Options) error {
 				Seed: o.Seed ^ 0xf1e,
 			})
 			if err != nil {
-				e.Close()
 				return err
 			}
+			defer tu.Close()
 			// The tuner's seed round runs on the bootstrap split so its Adam
 			// state is warm before drift begins (the frozen arm's pretraining
 			// already saw those events; this keeps the arms comparable).
 			if _, err := tu.RunOnce(); err != nil {
-				e.Close()
 				return err
 			}
 		}
@@ -125,17 +112,16 @@ func finetuneExp(o Options) error {
 		for i, ev := range drift {
 			// Test: prequential rank of the true destination among the
 			// negatives, scored strictly before the event is ingested.
-			pos, lat, err := timedPredict(e, ev.src, ev.dst, ev.t)
+			dst := remap(ev.Dst)
+			pos, lat, err := timedPredict(e, ev.Src, dst, ev.Time)
 			if err != nil {
-				e.Close()
 				return err
 			}
 			lats = append(lats, lat)
 			rank := 1
 			for _, nd := range negSets[i] {
-				s, lat, err := timedPredict(e, ev.src, nd, ev.t)
+				s, lat, err := timedPredict(e, ev.Src, nd, ev.Time)
 				if err != nil {
-					e.Close()
 					return err
 				}
 				lats = append(lats, lat)
@@ -151,41 +137,39 @@ func finetuneExp(o Options) error {
 				n2++
 			}
 			// Then train: ingest the event; round the tuner at cadence.
-			if err := e.Ingest(ev.src, ev.dst, ev.t, driftFeat.Row(ev.row)); err != nil {
-				e.Close()
+			if err := e.Ingest(ev.Src, dst, ev.Time, driftFeat.Row(ds.TrainEnd+i)); err != nil {
 				return err
 			}
 			if tu != nil && (i+1)%finetuneEvery == 0 {
 				e.PublishSnapshot()
 				if _, err := tu.RunOnce(); err != nil {
-					e.Close()
 					return err
 				}
 			}
 		}
 		st := e.Stats()
 		mrr1, mrr2 := sum1/float64(mathx.MaxInt(n1, 1)), sum2/float64(mathx.MaxInt(n2, 1))
-		fmt.Fprintf(o.Out, "%-11s %9.4f %9.4f %9.2f %9.2f %7d %9.1f\n",
-			arm, mrr1, mrr2,
-			stats.Quantile(lats, 0.50)*1e3, stats.Quantile(lats, 0.99)*1e3,
-			st.WeightSwaps, float64(st.AvgSwap.Microseconds()))
-		if arm == "frozen" {
+		rows = append(rows,
+			Row{g, name, "1st half", mrr1, "MRR"}, Row{g, name, "2nd half", mrr2, "MRR"},
+			Row{g, name, "p50", stats.Quantile(lats, 0.50) * 1e3, "ms"},
+			Row{g, name, "p99", stats.Quantile(lats, 0.99) * 1e3, "ms"},
+			Row{g, name, "swaps", float64(st.WeightSwaps), ""},
+			Row{g, name, "swap", float64(st.AvgSwap.Microseconds()), "µs"})
+		if name == "frozen" {
 			frozen2nd = mrr2
 		} else {
-			tuned2nd = mrr2
+			// Positive when adaptation pays: the fine-tuned arm pulling away
+			// on the drifted second half.
+			rows = append(rows, Row{"summary", "fine-tuned − frozen", "2nd half", mrr2 - frozen2nd, "ΔMRR"})
 		}
-		if tu != nil {
-			tu.Close()
+		return nil
+	}
+	for _, name := range []string{"frozen", "fine-tuned"} {
+		if err := arm(name); err != nil {
+			return "", nil, err
 		}
-		e.Close()
 	}
-	if tuned2nd > frozen2nd {
-		fmt.Fprintf(o.Out, "fine-tuned beats frozen by %+.4f MRR on the drifted second half\n", tuned2nd-frozen2nd)
-	} else {
-		fmt.Fprintf(o.Out, "WARNING: fine-tuned did not beat frozen (%.4f vs %.4f) — try more rounds or a higher lr\n",
-			tuned2nd, frozen2nd)
-	}
-	return nil
+	return title, rows, nil
 }
 
 // Knobs of the fine-tuning experiment. The stream knobs are variables so the
@@ -199,14 +183,6 @@ const (
 	finetuneLR     = 3e-4 // fine-tuning learning rate
 	finetunePasses = 4    // replay passes per round
 )
-
-// event is one drifted stream entry (row indexes the original edge-feature
-// row, reused unchanged).
-type event struct {
-	src, dst int32
-	t        float64
-	row      int
-}
 
 // timedPredict scores one pair and returns (score, seconds).
 func timedPredict(e *serve.Engine, src, dst int32, t float64) (float64, float64, error) {

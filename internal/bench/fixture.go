@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"time"
 
 	"taser/internal/datasets"
@@ -15,9 +16,10 @@ import (
 // deterministic most-recent policy serving uses, and engines built from that
 // model with one batching profile.
 type servingFixture struct {
-	o  Options
-	ds *datasets.Dataset
-	tr *train.Trainer
+	o   Options
+	ds  *datasets.Dataset
+	tr  *train.Trainer
+	rng *mathx.RNG // feed's stream
 }
 
 // newServingFixture builds the trainer without training it: recovery,
@@ -25,14 +27,13 @@ type servingFixture struct {
 // finetune runs its own epochs.
 func newServingFixture(o Options) (*servingFixture, error) {
 	ds := o.loadDatasets([]string{"wikipedia"})[0]
-	cfg := o.baseConfig(train.ModelTGAT)
-	cfg.FinderPolicy = "recent"
-	cfg.CacheRatio = 0
-	tr, err := train.New(cfg, ds)
+	tr, err := o.trainer(ds, train.ModelTGAT, func(c *train.Config) {
+		c.FinderPolicy, c.CacheRatio = "recent", 0
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &servingFixture{o: o, ds: ds, tr: tr}, nil
+	return &servingFixture{o: o, ds: ds, tr: tr, rng: mathx.NewRNG(o.Seed ^ 0x5ec0fe4)}, nil
 }
 
 // engine builds a serving engine over the fixture's model; tune (optional)
@@ -56,20 +57,35 @@ func (f *servingFixture) durableEngine(dur serve.Durability) (*serve.Engine, err
 	return f.engine(func(c *serve.Config) { c.Durability = dur })
 }
 
+// tempStore is durableEngine over a fresh temporary directory, group commit
+// every 64 events; cleanup closes the engine and removes the directory.
+func (f *servingFixture) tempStore() (*serve.Engine, func(), error) {
+	dir, err := os.MkdirTemp("", "taser-bench-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := f.durableEngine(serve.Durability{Dir: dir, SyncEvery: 64})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return e, func() { e.Close(); os.RemoveAll(dir) }, nil
+}
+
 // bootstrap loads the training split into e, as taser-serve does at start.
 func (f *servingFixture) bootstrap(e *serve.Engine) error {
 	return e.Bootstrap(f.ds.Graph.Events[:f.ds.TrainEnd], f.ds.EdgeFeat.SliceRows(f.ds.TrainEnd))
 }
 
-// feedSynthetic streams n synthetic chronological events (uniform endpoints,
-// zero-filled edge features) into e, stopping at the first rejection.
-func (f *servingFixture) feedSynthetic(e *serve.Engine, n int) error {
-	rng := mathx.NewRNG(f.o.Seed ^ 0x5ec0fe4)
+// feed streams n synthetic chronological events (uniform endpoints,
+// zero-filled edge features) into e from its watermark on, stopping at the
+// first rejection.
+func (f *servingFixture) feed(e *serve.Engine, n int) error {
 	numNodes := f.ds.Spec.NumNodes
-	tm := 0.0
+	tm, _ := e.Watermark()
 	for i := 0; i < n; i++ {
-		tm += rng.Float64()
-		if err := e.Ingest(int32(rng.Intn(numNodes)), int32(rng.Intn(numNodes)), tm, nil); err != nil {
+		tm += f.rng.Float64()
+		if err := e.Ingest(int32(f.rng.Intn(numNodes)), int32(f.rng.Intn(numNodes)), tm, nil); err != nil {
 			return err
 		}
 	}

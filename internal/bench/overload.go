@@ -48,13 +48,14 @@ const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
 // unbounded admission — the burst builds an unbounded queue and
 // recovery-phase latency shows it) and "adaptive" (SLO controller + bounded
 // admission — excess load is shed with 429 + Retry-After and the completed
-// requests' p99 stays near the target). Per-second offered/completed/shed
-// accounting and a machine-greppable OPENLOOP summary line per variant close
-// the loop for scripts/overload_smoke.sh.
-func overloadExp(o Options) error {
+// requests' p99 stays near the target). Each variant is a group of
+// per-second offered/completed/shed/latency lines, plus its line in the
+// "summary" group: calibrated and offered rates, burst and recovery p99,
+// shed/lost accounting and the control plane's final effective batching.
+func overloadExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	weights := make([]float64, fx.ds.Spec.NumNodes)
 	for i := range weights {
@@ -70,10 +71,11 @@ func overloadExp(o Options) error {
 		{"adaptive", overload.Config{TargetP99: overloadSLO, Interval: 50 * time.Millisecond, MaxQueue: OverloadQueue}},
 	}
 	offered := OverloadRate
+	var rows, summary []Row
 	for _, v := range variants {
 		e, err := fx.engine(func(c *serve.Config) { c.CacheSize, c.Overload = 2048, v.ov })
 		if err != nil {
-			return err
+			return "", nil, err
 		}
 		runErr := func() error {
 			defer e.Close()
@@ -95,23 +97,25 @@ func overloadExp(o Options) error {
 			if offered == 0 {
 				offered = 2 * sus
 			}
-			fmt.Fprintf(o.Out, "\n%s engine: sustainable ~%.0f req/s closed-loop, offered burst %.0f req/s (open-loop)\n",
-				v.name, sus, offered)
-			if err := runOpenTimeline(o, srv.URL, v.name, zipf, qt, offered); err != nil {
-				return err
-			}
-			// Surface the control plane's own account of the run when it has one.
+			summary = append(summary,
+				Row{"summary", v.name, "sustainable", sus, "1/s"}, // closed-loop
+				Row{"summary", v.name, "offered", offered, "1/s"}) // open-loop burst
+			timeline, sum := runOpenTimeline(o, srv.URL, v.name, zipf, qt, offered)
+			rows, summary = append(rows, timeline...), append(summary, sum...)
+			// The control plane's own account of the run, when it has one.
 			if ov := e.Stats().Overload; ov != nil {
-				fmt.Fprintf(o.Out, "overload plane: effective_max_batch=%d effective_max_wait_us=%d\n",
-					ov.EffectiveMaxBatch, ov.EffectiveMaxWait.Microseconds())
+				summary = append(summary,
+					Row{"summary", v.name, "effective_max_batch", float64(ov.EffectiveMaxBatch), ""},
+					Row{"summary", v.name, "effective_max_wait", float64(ov.EffectiveMaxWait.Microseconds()), "µs"})
 			}
 			return nil
 		}()
 		if runErr != nil {
-			return runErr
+			return "", nil, runErr
 		}
 	}
-	return nil
+	title := fmt.Sprintf("Open-loop overload: baseline, burst, recovery at %v each | SLO %v", overloadPhase, overloadSLO)
+	return title, append(rows, summary...), nil
 }
 
 // calibrateRate measures the closed-loop saturation throughput: 4 clients
@@ -165,8 +169,8 @@ type openSecond struct {
 }
 
 // runOpenTimeline drives the three-phase constant-arrival-rate timeline and
-// prints the per-second table plus the OPENLOOP summary line.
-func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate float64) error {
+// returns its per-second lines (group label) and its summary cells.
+func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate float64) (timeline, summary []Row) {
 	dur := overloadPhase
 	phases := []struct {
 		name string
@@ -254,8 +258,6 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 
 	mu.Lock()
 	defer mu.Unlock()
-	fmt.Fprintf(o.Out, "%-4s %-9s %8s %9s %6s %5s %9s %9s\n",
-		"sec", "phase", "offered", "completed", "shed", "errs", "p50(ms)", "p99(ms)")
 	var done, shed, errCount int
 	phaseLats := map[string][]float64{}
 	for i, s := range secs {
@@ -266,29 +268,31 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 		shed += s.shed
 		errCount += s.errs
 		phaseLats[s.phase] = append(phaseLats[s.phase], s.lats...)
-		p50, p99 := math.NaN(), math.NaN()
-		if len(s.lats) > 0 {
-			p50 = stats.Quantile(s.lats, 0.50) * 1e3
-			p99 = stats.Quantile(s.lats, 0.99) * 1e3
+		v := fmt.Sprintf("%d %s", i, s.phase)
+		timeline = append(timeline,
+			Row{label, v, "offered", float64(s.offered), ""}, Row{label, v, "completed", float64(s.completed), ""},
+			Row{label, v, "shed", float64(s.shed), ""}, Row{label, v, "errs", float64(s.errs), ""})
+		if len(s.lats) > 0 { // else the cells are absent
+			timeline = append(timeline,
+				Row{label, v, "p50", stats.Quantile(s.lats, 0.50) * 1e3, "ms"},
+				Row{label, v, "p99", stats.Quantile(s.lats, 0.99) * 1e3, "ms"})
 		}
-		fmt.Fprintf(o.Out, "%-4d %-9s %8d %9d %6d %5d %9.2f %9.2f\n",
-			i, s.phase, s.offered, s.completed, s.shed, s.errs, p50, p99)
 	}
-	lost := launched - done - shed - errCount
-	quant := func(phase string, q float64) float64 {
-		l := phaseLats[phase]
-		if len(l) == 0 {
-			return math.NaN()
+	for _, phase := range []string{"burst", "recovery"} {
+		if l := phaseLats[phase]; len(l) > 0 {
+			summary = append(summary, Row{"summary", label, phase + "_p99", stats.Quantile(l, 0.99) * 1e3, "ms"})
 		}
-		return stats.Quantile(l, q) * 1e3
 	}
 	// retry_after_ok: every shed response carried a usable Retry-After
-	// (vacuously true when nothing shed — the static engine never sheds).
-	retryOK := shedMissingRA == 0
-	fmt.Fprintf(o.Out, "OPENLOOP %s burst_p99_ms=%.2f recovery_p99_ms=%.2f shed=%d retry_after_ok=%v lost=%d slo_ms=%.0f\n",
-		label, quant("burst", 0.99), quant("recovery", 0.99), shed, retryOK, lost,
-		float64(overloadSLO.Milliseconds()))
-	return nil
+	// (vacuously 1 when nothing shed — the static engine never sheds).
+	retryOK := 0.0
+	if shedMissingRA == 0 {
+		retryOK = 1
+	}
+	return timeline, append(summary,
+		Row{"summary", label, "shed", float64(shed), ""},
+		Row{"summary", label, "retry_after_ok", retryOK, ""},
+		Row{"summary", label, "lost", float64(launched - done - shed - errCount), ""})
 }
 
 // openHTTPClient builds the open-loop driver's client: enough idle

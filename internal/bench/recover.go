@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"taser/internal/mathx"
 	"taser/internal/serve"
 	"taser/internal/wal"
 )
@@ -27,28 +26,23 @@ import (
 // fsync-per-event (SyncEvery=1). Group commit is the row that must sit within
 // a couple of allocations of the non-durable baseline; SyncEvery=1 shows the
 // fsync floor a caller opts into for zero-loss ingest.
-func recoverExp(o Options) error {
+func recoverExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	fmt.Fprintf(o.Out, "Recovery time vs stream length (%s graph, edge dim %d, sync every %d)\n",
+	title := fmt.Sprintf("Durability (%s graph, edge dim %d, sync every %d)",
 		fx.ds.Spec.Name, fx.ds.Spec.EdgeDim, recoverSyncEvery)
-	fmt.Fprintf(o.Out, "%-8s %-7s | %9s %9s %9s | %12s %12s\n",
-		"events", "path", "recovered", "ckpt", "replayed", "recover(ms)", "µs/event")
+	var rows []Row
 	for _, n := range recoverEvents {
 		for _, crash := range []bool{true, false} {
-			row, err := recoverRow(fx, n, crash)
+			r, err := recoverRows(fx, n, crash)
 			if err != nil {
-				return err
+				return "", nil, err
 			}
-			fmt.Fprint(o.Out, row)
+			rows = append(rows, r...)
 		}
 	}
-
-	fmt.Fprintf(o.Out, "\nDurable ingest overhead (%d events, group commit vs fsync-per-event)\n",
-		overheadEvents)
-	fmt.Fprintf(o.Out, "%-16s | %10s %10s %12s\n", "durability", "ev/s", "µs/event", "allocs/event")
 	for _, mode := range []struct {
 		label     string
 		syncEvery int // 0 = durability off
@@ -57,13 +51,13 @@ func recoverExp(o Options) error {
 		{fmt.Sprintf("sync-every=%d", recoverSyncEvery), recoverSyncEvery},
 		{"sync-every=1", 1},
 	} {
-		row, err := overheadRow(fx, mode.label, mode.syncEvery)
+		r, err := overheadRows(fx, mode.label, mode.syncEvery)
 		if err != nil {
-			return err
+			return "", nil, err
 		}
-		fmt.Fprint(o.Out, row)
+		rows = append(rows, r...)
 	}
-	return nil
+	return title, rows, nil
 }
 
 // overheadEvents is the fixed stream length of Table B: long enough to
@@ -78,15 +72,15 @@ var (
 	recoverSyncEvery = 64                       // WAL group-commit interval
 )
 
-// recoverRow ingests n events into a durable engine, ends the process's life
+// recoverRows ingests n events into a durable engine, ends the process's life
 // either by fault-injected kill (crash: the final checkpoint and any unsynced
 // tail are lost) or by clean Close (final checkpoint covers everything), then
 // times Recover on a fresh engine over the surviving store.
-func recoverRow(fx *servingFixture, n int, crash bool) (string, error) {
+func recoverRows(fx *servingFixture, n int, crash bool) ([]Row, error) {
 	syncEvery := recoverSyncEvery
 	dir, err := os.MkdirTemp("", "taser-recover-*")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -94,11 +88,11 @@ func recoverRow(fx *servingFixture, n int, crash bool) (string, error) {
 	dur := serve.Durability{Dir: dir, SyncEvery: syncEvery, FS: ff}
 	e, err := fx.durableEngine(dur)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if err := fx.feedSynthetic(e, n); err != nil {
+	if err := fx.feed(e, n); err != nil {
 		e.Close()
-		return "", err
+		return nil, err
 	}
 	if crash {
 		// Kill the store first: Close's final checkpoint and WAL sync fail,
@@ -110,38 +104,41 @@ func recoverRow(fx *servingFixture, n int, crash bool) (string, error) {
 
 	rec, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: syncEvery})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer rec.Close()
 	rep, err := rec.Recover()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	recovered := rep.CheckpointEvents + rep.ReplayedEvents
 	perEvent := 0.0
 	if recovered > 0 {
 		perEvent = float64(rep.Duration.Microseconds()) / float64(recovered)
 	}
-	path := "clean"
+	g, v := "recovery time vs stream length", fmt.Sprintf("%d clean", n)
 	if crash {
-		path = "crash"
+		v = fmt.Sprintf("%d crash", n)
 	}
-	return fmt.Sprintf("%-8d %-7s | %9d %9d %9d | %12.2f %12.2f\n",
-		n, path, recovered, rep.CheckpointEvents, rep.ReplayedEvents,
-		float64(rep.Duration.Microseconds())/1000, perEvent), nil
+	return []Row{
+		{g, v, "recovered", float64(recovered), ""},
+		{g, v, "ckpt", float64(rep.CheckpointEvents), ""},
+		{g, v, "replayed", float64(rep.ReplayedEvents), ""},
+		{g, v, "recover", float64(rep.Duration.Microseconds()) / 1000, "ms"},
+		{g, v, "per event", perEvent, "µs"},
+	}, nil
 }
 
-// overheadRow times overheadEvents ingests and counts heap allocations per
+// overheadRows times overheadEvents ingests and counts heap allocations per
 // event (runtime.MemStats.Mallocs delta — unaffected by GC timing) for one
 // durability mode.
-func overheadRow(fx *servingFixture, label string, syncEvery int) (string, error) {
-	numNodes := fx.ds.Spec.NumNodes
+func overheadRows(fx *servingFixture, label string, syncEvery int) ([]Row, error) {
 	var dur serve.Durability
 	var dir string
 	if syncEvery > 0 {
 		d, err := os.MkdirTemp("", "taser-recover-*")
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		dir = d
 		defer os.RemoveAll(dir)
@@ -149,32 +146,29 @@ func overheadRow(fx *servingFixture, label string, syncEvery int) (string, error
 	}
 	e, err := fx.durableEngine(dur)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer e.Close()
 
 	// Warm the append paths so slice growth doesn't bill the measured window.
-	if err := fx.feedSynthetic(e, 256); err != nil {
-		return "", err
+	if err := fx.feed(e, 256); err != nil {
+		return nil, err
 	}
 
-	rng := mathx.NewRNG(fx.o.Seed ^ 0xbadc0de)
-	tm, _ := e.Watermark()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < overheadEvents; i++ {
-		tm += rng.Float64()
-		if err := e.Ingest(int32(rng.Intn(numNodes)), int32(rng.Intn(numNodes)), tm, nil); err != nil {
-			return "", err
-		}
+	if err := fx.feed(e, overheadEvents); err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	perEventUS := float64(elapsed.Microseconds()) / overheadEvents
-	allocs := float64(after.Mallocs-before.Mallocs) / overheadEvents
-	evPerSec := float64(overheadEvents) / elapsed.Seconds()
-	return fmt.Sprintf("%-16s | %10.0f %10.2f %12.2f\n", label, evPerSec, perEventUS, allocs), nil
+	g := fmt.Sprintf("durable ingest overhead (%d events)", overheadEvents)
+	return []Row{
+		{g, label, "ingest", float64(overheadEvents) / elapsed.Seconds(), "1/s"},
+		{g, label, "per event", float64(elapsed.Microseconds()) / overheadEvents, "µs"},
+		{g, label, "allocs", float64(after.Mallocs-before.Mallocs) / overheadEvents, "per event"},
+	}, nil
 }

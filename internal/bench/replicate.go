@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"time"
 
-	"taser/internal/mathx"
 	"taser/internal/replica"
 	"taser/internal/serve"
 )
@@ -28,37 +26,30 @@ import (
 // synced minus follower applied) is sampled throughout. Lag that holds
 // steady means the follower absorbs the rate; lag that climbs means the
 // rate exceeds one replica's apply throughput.
-func replicateExp(o Options) error {
+func replicateExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-
-	fmt.Fprintf(o.Out, "Catch-up time vs stream length (%s graph, sync every 64, poll 1ms)\n", fx.ds.Spec.Name)
-	fmt.Fprintf(o.Out, "%-8s %-7s | %9s %9s | %12s %12s\n",
-		"events", "path", "applied", "polls", "catchup(ms)", "µs/event")
+	title := fmt.Sprintf("Replication (%s graph, sync every 64, poll 1ms)", fx.ds.Spec.Name)
+	var rows []Row
 	for _, n := range replicateEvents {
 		for _, ckpt := range []bool{false, true} {
-			row, err := replicateCatchupRow(fx, n, ckpt)
+			r, err := replicateCatchupRows(fx, n, ckpt)
 			if err != nil {
-				return err
+				return "", nil, err
 			}
-			fmt.Fprint(o.Out, row)
+			rows = append(rows, r...)
 		}
 	}
-
-	fmt.Fprintf(o.Out, "\nSteady-state follower lag vs ingest rate (%.1fs window per rate)\n",
-		lagWindow.Seconds())
-	fmt.Fprintf(o.Out, "%-10s | %10s %10s %10s %10s\n",
-		"target ev/s", "actual", "mean lag", "max lag", "final lag")
 	for _, rate := range replicateRates {
-		row, err := replicateLagRow(fx, rate)
+		r, err := replicateLagRows(fx, rate)
 		if err != nil {
-			return err
+			return "", nil, err
 		}
-		fmt.Fprint(o.Out, row)
+		rows = append(rows, r...)
 	}
-	return nil
+	return title, rows, nil
 }
 
 // replLag reads follower-applied before leader-synced, so the later synced
@@ -85,121 +76,102 @@ var (
 // replicatePair builds a durable leader engine over its own store plus an
 // httptest server shipping its log; cleanup closes everything.
 func replicatePair(fx *servingFixture) (*serve.Engine, *httptest.Server, func(), error) {
-	dir, err := os.MkdirTemp("", "taser-repl-*")
+	e, closeStore, err := fx.tempStore()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	e, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: 64})
-	if err != nil {
-		os.RemoveAll(dir)
 		return nil, nil, nil, err
 	}
 	l, err := replica.NewLeader(e)
 	if err != nil {
-		e.Close()
-		os.RemoveAll(dir)
+		closeStore()
 		return nil, nil, nil, err
 	}
 	ts := httptest.NewServer(l.Handler())
-	cleanup := func() {
-		ts.Close()
-		e.Close()
-		os.RemoveAll(dir)
-	}
-	return e, ts, cleanup, nil
+	return e, ts, func() { ts.Close(); closeStore() }, nil
 }
 
-// startBenchFollower builds a durable follower engine and attaches it to the
-// leader's server with a tight poll interval.
-func startBenchFollower(fx *servingFixture, leaderURL string) (*serve.Engine, *replica.Follower, func(), error) {
-	dir, err := os.MkdirTemp("", "taser-repl-f-*")
+// startBenchFollower attaches a durable follower engine over its own store to
+// the leader's server with a tight poll interval.
+func startBenchFollower(fx *servingFixture, leaderURL string) (*replica.Follower, func(), error) {
+	fe, closeStore, err := fx.tempStore()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	fe, err := fx.durableEngine(serve.Durability{Dir: dir, SyncEvery: 64})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f, err := replica.StartFollower(replica.FollowerConfig{
 		Engine: fe, Leader: leaderURL, PollInterval: time.Millisecond,
 	})
 	if err != nil {
-		fe.Close()
-		os.RemoveAll(dir)
-		return nil, nil, nil, err
+		closeStore()
+		return nil, nil, err
 	}
-	cleanup := func() {
-		f.Close()
-		fe.Close()
-		os.RemoveAll(dir)
-	}
-	return fe, f, cleanup, nil
+	return f, func() { f.Close(); closeStore() }, nil
 }
 
-// replicateCatchupRow ingests n events into a leader, optionally seals them
+// replicateCatchupRows ingests n events into a leader, optionally seals them
 // in a checkpoint, then times a fresh follower from StartFollower to parity
 // with the leader's synced sequence.
-func replicateCatchupRow(fx *servingFixture, n int, ckpt bool) (string, error) {
+func replicateCatchupRows(fx *servingFixture, n int, ckpt bool) ([]Row, error) {
 	e, ts, cleanup, err := replicatePair(fx)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer cleanup()
-	if err := fx.feedSynthetic(e, n); err != nil {
-		return "", err
+	if err := fx.feed(e, n); err != nil {
+		return nil, err
 	}
 	if ckpt {
 		if err := e.Checkpoint(); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 	synced := e.Stats().WALSynced
 
 	start := time.Now()
-	_, f, fCleanup, err := startBenchFollower(fx, ts.URL)
+	f, fCleanup, err := startBenchFollower(fx, ts.URL)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer fCleanup()
 	for f.Status().Applied < synced {
 		if st := f.Status(); st.State == replica.StateFailed {
-			return "", fmt.Errorf("bench: follower failed mid-catch-up: %v", st.Err)
+			return nil, fmt.Errorf("bench: follower failed mid-catch-up: %v", st.Err)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	elapsed := time.Since(start)
 
 	st := f.Status()
-	path := "stream"
+	g, v := "catch-up time vs stream length", fmt.Sprintf("%d stream", n)
 	if ckpt {
-		path = "ckpt"
+		v = fmt.Sprintf("%d ckpt", n)
 	}
 	perEvent := 0.0
 	if st.Applied > 0 {
 		perEvent = float64(elapsed.Microseconds()) / float64(st.Applied)
 	}
-	return fmt.Sprintf("%-8d %-7s | %9d %9d | %12.2f %12.2f\n",
-		n, path, st.Applied, st.Polls, float64(elapsed.Microseconds())/1000, perEvent), nil
+	return []Row{
+		{g, v, "applied", float64(st.Applied), ""},
+		{g, v, "polls", float64(st.Polls), ""},
+		{g, v, "catchup", float64(elapsed.Microseconds()) / 1000, "ms"},
+		{g, v, "per event", perEvent, "µs"},
+	}, nil
 }
 
-// replicateLagRow feeds the leader at the target rate for lagWindow while
+// replicateLagRows feeds the leader at the target rate for lagWindow while
 // sampling the follower's lag every 10ms, then reports the achieved rate and
 // the lag profile.
-func replicateLagRow(fx *servingFixture, rate int) (string, error) {
-	numNodes := fx.ds.Spec.NumNodes
+func replicateLagRows(fx *servingFixture, rate int) ([]Row, error) {
 	e, ts, cleanup, err := replicatePair(fx)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer cleanup()
 	// A warm prefix so neither side measures cold-start slice growth.
-	if err := fx.feedSynthetic(e, 256); err != nil {
-		return "", err
+	if err := fx.feed(e, 256); err != nil {
+		return nil, err
 	}
-	_, f, fCleanup, err := startBenchFollower(fx, ts.URL)
+	f, fCleanup, err := startBenchFollower(fx, ts.URL)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer fCleanup()
 
@@ -209,20 +181,15 @@ func replicateLagRow(fx *servingFixture, rate int) (string, error) {
 	if batch < 1 {
 		batch = 1
 	}
-	rng := mathx.NewRNG(fx.o.Seed ^ 0x1a9)
-	tm, _ := e.Watermark()
 	var fed int
 	var sumLag, maxLag, samples uint64
 	start := time.Now()
 	nextSample := start
 	for time.Since(start) < lagWindow {
-		for i := 0; i < batch; i++ {
-			tm += rng.Float64()
-			if err := e.Ingest(int32(rng.Intn(numNodes)), int32(rng.Intn(numNodes)), tm, nil); err != nil {
-				return "", err
-			}
-			fed++
+		if err := fx.feed(e, batch); err != nil {
+			return nil, err
 		}
+		fed += batch
 		if now := time.Now(); now.After(nextSample) {
 			lag := replLag(e, f)
 			sumLag += lag
@@ -241,6 +208,12 @@ func replicateLagRow(fx *servingFixture, rate int) (string, error) {
 	if samples > 0 {
 		meanLag = float64(sumLag) / float64(samples)
 	}
-	return fmt.Sprintf("%-10d | %10.0f %10.1f %10d %10d\n",
-		rate, actual, meanLag, maxLag, finalLag), nil
+	g := fmt.Sprintf("steady-state follower lag vs ingest rate (%.1fs window per rate)", lagWindow.Seconds())
+	v := fmt.Sprintf("%d ev/s", rate)
+	return []Row{
+		{g, v, "actual", actual, "1/s"},
+		{g, v, "mean lag", meanLag, "events"},
+		{g, v, "max lag", float64(maxLag), ""},
+		{g, v, "final lag", float64(finalLag), ""},
+	}, nil
 }

@@ -1,5 +1,7 @@
 package datasets
 
+import "fmt"
+
 // Scale multiplies the default event counts of every spec; 1.0 is the
 // laptop-friendly default documented in DESIGN.md (~100× below the paper).
 //
@@ -63,10 +65,16 @@ func GDELT(scale float64, seed uint64) *Dataset {
 	})
 }
 
-func sc(base int, scale float64) int {
-	if scale <= 0 {
-		scale = 1
+// CheckScale rejects a scale no run can mean — zero, negative or NaN. The
+// commands call it on their -scale flag before generating anything.
+func CheckScale(scale float64) error {
+	if !(scale > 0) {
+		return fmt.Errorf("datasets: scale must be positive (got %v)", scale)
 	}
+	return nil
+}
+
+func sc(base int, scale float64) int {
 	n := int(float64(base) * scale)
 	if n < 100 {
 		n = 100

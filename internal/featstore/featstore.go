@@ -133,17 +133,8 @@ func (s *Store) EndEpoch() {
 	s.refillLocked(s.policy.EndEpoch())
 }
 
-// Refill loads rows (already marked resident by the policy) into their VRAM
-// slots. Exposed for the Oracle policy, whose residency changes via Reveal.
-func (s *Store) Refill(inserted []int32) {
-	if s.policy == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refillLocked(inserted)
-}
-
+// refillLocked loads rows (already marked resident by the policy) into their
+// VRAM slots; the caller holds s.mu.
 func (s *Store) refillLocked(inserted []int32) {
 	if s.vram == nil {
 		return

@@ -113,7 +113,7 @@ func TestOracleRefillFlow(t *testing.T) {
 	s := New(host, pol, stats)
 	future := make([]int64, 6)
 	future[2], future[4] = 10, 5
-	s.Refill(pol.Reveal(future))
+	s.refillLocked(pol.Reveal(future))
 	dst := tensor.New(2, 2)
 	stats.Reset()
 	s.Slice([]int32{2, 4}, dst)

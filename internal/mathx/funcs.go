@@ -62,17 +62,6 @@ func LogSumExp(xs []float64) float64 {
 	return m + math.Log(s)
 }
 
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // MinInt and MaxInt avoid importing cmp for two call sites.
 func MinInt(a, b int) int {
 	if a < b {

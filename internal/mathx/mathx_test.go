@@ -188,13 +188,10 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp")
-	}
-}
-
+// The three tests below draw through WeightedSampler.SampleInto, the sampler
+// the adaptive neighbor selection runs.
 func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
+	var ws WeightedSampler
 	err := quick.Check(func(seed uint64) bool {
 		r := NewRNG(seed)
 		n := 2 + int(seed%20)
@@ -203,7 +200,7 @@ func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
 			weights[i] = r.Float64() + 0.01
 		}
 		k := 1 + int(seed>>8)%n
-		got := WeightedSampleNoReplace(r, weights, k)
+		got := ws.SampleInto(r, weights, k, nil)
 		if len(got) != k {
 			return false
 		}
@@ -222,10 +219,11 @@ func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
 }
 
 func TestWeightedSampleNoReplaceSkipsZeros(t *testing.T) {
+	var ws WeightedSampler
 	r := NewRNG(8)
 	weights := []float64{0, 1, 0, 1, 0}
 	for trial := 0; trial < 100; trial++ {
-		got := WeightedSampleNoReplace(r, weights, 2)
+		got := ws.SampleInto(r, weights, 2, nil)
 		for _, i := range got {
 			if i != 1 && i != 3 {
 				t.Fatalf("selected zero-weight index %d", i)
@@ -233,21 +231,22 @@ func TestWeightedSampleNoReplaceSkipsZeros(t *testing.T) {
 		}
 	}
 	// Asking for more than available truncates.
-	if got := WeightedSampleNoReplace(r, weights, 4); len(got) != 2 {
+	if got := ws.SampleInto(r, weights, 4, nil); len(got) != 2 {
 		t.Fatalf("want truncation to 2, got %d", len(got))
 	}
 }
 
 func TestWeightedSampleBiasTowardHeavy(t *testing.T) {
+	var ws WeightedSampler
+	var out []int
 	r := NewRNG(9)
 	weights := []float64{1, 1, 1, 1, 16}
 	heavy := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		for _, idx := range WeightedSampleNoReplace(r, weights, 1) {
-			if idx == 4 {
-				heavy++
-			}
+		out = ws.SampleInto(r, weights, 1, out)
+		if out[0] == 4 {
+			heavy++
 		}
 	}
 	frac := float64(heavy) / trials

@@ -5,20 +5,9 @@ import (
 	"sort"
 )
 
-// WeightedSampleNoReplace draws k distinct indices from the unnormalized
-// non-negative weights using the Efraimidis–Spirakis exponential-key method:
-// each item i receives key u_i^(1/w_i) and the k largest keys win. Items with
-// zero weight are never selected unless fewer than k positive-weight items
-// exist, in which case the result is truncated. The returned indices are in
-// descending key order (effectively random order).
-func WeightedSampleNoReplace(r *RNG, weights []float64, k int) []int {
-	var ws WeightedSampler
-	return ws.SampleInto(r, weights, k, nil)
-}
-
-// WeightedSampler holds the key/index scratch of WeightedSampleNoReplace so
-// repeated draws are allocation-free once warm. Not safe for concurrent use;
-// keep one per worker.
+// WeightedSampler draws weighted samples without replacement, holding the
+// key/index scratch so repeated draws are allocation-free once warm. Not safe
+// for concurrent use; keep one per worker.
 type WeightedSampler struct {
 	keys []float64
 	idx  []int
@@ -32,9 +21,14 @@ func (ws *WeightedSampler) Swap(a, b int) {
 	ws.idx[a], ws.idx[b] = ws.idx[b], ws.idx[a]
 }
 
-// SampleInto is WeightedSampleNoReplace drawing into out's backing array
-// (grown as needed). It consumes one uniform variate per positive weight, in
-// index order, so it is stream-compatible with WeightedSampleNoReplace.
+// SampleInto draws k distinct indices from the unnormalized non-negative
+// weights into out's backing array (grown as needed), using the
+// Efraimidis–Spirakis exponential-key method: each item i receives key
+// u_i^(1/w_i) and the k largest keys win. Items with zero weight are never
+// selected; when fewer than k positive-weight items exist the result is
+// truncated. The returned indices are in descending key order (effectively
+// random order). It consumes one uniform variate per positive weight, in
+// index order.
 func (ws *WeightedSampler) SampleInto(r *RNG, weights []float64, k int, out []int) []int {
 	ws.keys = ws.keys[:0]
 	ws.idx = ws.idx[:0]

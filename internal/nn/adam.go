@@ -76,12 +76,3 @@ func (a *Adam) ZeroGrad() {
 		p.Grad.Zero()
 	}
 }
-
-// NumParams reports the total scalar parameter count.
-func (a *Adam) NumParams() int {
-	n := 0
-	for _, p := range a.params {
-		n += len(p.Val.Data)
-	}
-	return n
-}

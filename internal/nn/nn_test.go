@@ -225,9 +225,6 @@ func TestAdamZeroGradAndCount(t *testing.T) {
 	rng := mathx.NewRNG(8)
 	l := NewLinear(3, 2, rng)
 	opt := NewAdam(l.Params(), 0.01)
-	if opt.NumParams() != 3*2+2 {
-		t.Fatalf("param count %d", opt.NumParams())
-	}
 	l.W.Grad.Fill(1)
 	opt.ZeroGrad()
 	if l.W.Grad.MaxAbs() != 0 {

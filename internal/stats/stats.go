@@ -1,5 +1,5 @@
-// Package stats provides streaming summaries (Welford mean/variance),
-// lightweight timers, and histogram helpers used by the benchmark harness.
+// Package stats provides the named-bucket timer behind the NF/AS/FS/PP
+// breakdowns and a quantile helper for latency samples.
 package stats
 
 import (
@@ -9,59 +9,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Welford accumulates a streaming mean and variance.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds a sample into the summary.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for an empty summary).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min and Max return the extrema seen so far.
-func (w *Welford) Min() float64 { return w.min }
-func (w *Welford) Max() float64 { return w.max }
-
-// String formats as "mean±std (n)".
-func (w *Welford) String() string {
-	return fmt.Sprintf("%.4f±%.4f (n=%d)", w.Mean(), w.Std(), w.n)
-}
 
 // Timer accumulates named durations; it powers the NF/AS/FS/PP runtime
 // breakdowns in Table III and Fig. 1. It is safe for concurrent use: the
@@ -102,21 +49,6 @@ func (t *Timer) Get(name string) time.Duration {
 	return t.buckets[name]
 }
 
-// Total sums every bucket.
-func (t *Timer) Total() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.totalLocked()
-}
-
-func (t *Timer) totalLocked() time.Duration {
-	var total time.Duration
-	for _, d := range t.buckets {
-		total += d
-	}
-	return total
-}
-
 // Reset zeroes all buckets while keeping their order.
 func (t *Timer) Reset() {
 	t.mu.Lock()
@@ -137,7 +69,10 @@ func (t *Timer) Names() []string {
 func (t *Timer) Breakdown() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := t.totalLocked()
+	var total time.Duration
+	for _, d := range t.buckets {
+		total += d
+	}
 	s := ""
 	for _, name := range t.order {
 		d := t.buckets[name]
@@ -165,16 +100,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -158,16 +158,6 @@ func ConcatColsInto(dst *Matrix, parts ...*Matrix) {
 	}
 }
 
-// SliceColsInto extracts columns [lo, hi) of src into dst.
-func SliceColsInto(dst, src *Matrix, lo, hi int) {
-	if dst.Rows != src.Rows || dst.Cols != hi-lo || lo < 0 || hi > src.Cols {
-		panic("tensor: SliceCols shape")
-	}
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(i)[lo:hi])
-	}
-}
-
 // GroupMeanInto averages each consecutive group of `group` rows of src into
 // one row of dst: dst row g = mean(src rows [g*group, (g+1)*group)).
 func GroupMeanInto(dst, src *Matrix, group int) {

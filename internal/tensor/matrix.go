@@ -178,18 +178,6 @@ func (m *Matrix) AddRowVecInPlace(b *Matrix) {
 	}
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	var s float64

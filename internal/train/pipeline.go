@@ -150,11 +150,3 @@ func (t *Trainer) trainPipelined(steps int) EpochResult {
 	}
 	return EpochResult{MeanLoss: mean, Steps: n, Duration: time.Since(start)}
 }
-
-// RunPipelined mirrors Run with the pipelined epoch loop.
-func (t *Trainer) RunPipelined() (losses []float64, valMRR, testMRR float64) {
-	for e := 0; e < t.Cfg.Epochs; e++ {
-		losses = append(losses, t.TrainEpochPipelined().MeanLoss)
-	}
-	return losses, t.EvalMRR(SplitVal), t.EvalMRR(SplitTest)
-}

@@ -263,7 +263,10 @@ func TestPipelinedLossDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	losses, _, _ := tr.RunPipelined()
+	var losses []float64
+	for e := 0; e < cfg.Epochs; e++ {
+		losses = append(losses, tr.TrainEpochPipelined().MeanLoss)
+	}
 	if losses[len(losses)-1] >= losses[0] {
 		t.Fatalf("pipelined loss should fall: %v", losses)
 	}

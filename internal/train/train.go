@@ -11,6 +11,8 @@ package train
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -146,8 +148,9 @@ func (c Config) Normalize() Config {
 
 // Validate rejects values no run can mean: a negative (or NaN) size, count or
 // rate — zero is fine, it selects Normalize's default or, for MaxEvalEdges,
-// "all" — and a cache ratio outside [0, 1]. New calls it; the commands call it
-// first, so a bad flag is a usage error and not a panic mid-run.
+// "all" — a cache ratio outside [0, 1], and a model, finder or policy name
+// New has no case for ("" selects the default). New calls it; the commands
+// call it first, so a bad flag is a usage error and not a panic mid-run.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -165,6 +168,19 @@ func (c Config) Validate() error {
 	}
 	if !(c.CacheRatio >= 0 && c.CacheRatio <= 1) {
 		return fmt.Errorf("train: Config.CacheRatio %v is outside [0, 1]", c.CacheRatio)
+	}
+	for _, f := range []struct {
+		name, v string
+		known   []string
+	}{
+		{"Model", string(c.Model), []string{string(ModelTGAT), string(ModelGraphMixer)}},
+		{"Finder", string(c.Finder), []string{string(FinderOrigin), string(FinderTGL), string(FinderGPU)}},
+		{"CachePolicy", c.CachePolicy, []string{"freq", "lru"}},
+		{"FinderPolicy", c.FinderPolicy, []string{"uniform", "recent", "invts"}},
+	} {
+		if f.v != "" && !slices.Contains(f.known, f.v) {
+			return fmt.Errorf("train: Config.%s %q is unknown (known: %s)", f.name, f.v, strings.Join(f.known, ", "))
+		}
 	}
 	return nil
 }

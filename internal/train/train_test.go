@@ -45,6 +45,8 @@ func TestConfigValidateRejects(t *testing.T) {
 		"EvalNegatives": {EvalNegatives: -1}, "MaxEvalEdges": {MaxEvalEdges: -1},
 		"LR": {LR: -1e-3}, "LR (NaN)": {LR: math.NaN()},
 		"CacheRatio": {CacheRatio: 1.5}, "CacheRatio (negative)": {CacheRatio: -0.1},
+		"Model": {Model: "foo"}, "Finder": {Finder: "foo"},
+		"CachePolicy": {CachePolicy: "foo"}, "FinderPolicy": {FinderPolicy: "foo"},
 	} {
 		name, _, _ := strings.Cut(field, " ")
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Config."+name+" ") {
@@ -55,7 +57,8 @@ func TestConfigValidateRejects(t *testing.T) {
 		}
 	}
 	// Zero selects the default; the ratio's bounds themselves are valid.
-	for _, cfg := range []Config{{}, {CacheRatio: 1}, tinyCfg()} {
+	for _, cfg := range []Config{{}, {CacheRatio: 1}, tinyCfg(),
+		{Model: ModelGraphMixer, Finder: FinderTGL, CachePolicy: "lru", FinderPolicy: "invts"}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
 		}
