@@ -108,7 +108,7 @@ func benchmarkCachePolicy(b *testing.B, mk func(rows, k int) cache.Policy) {
 
 func BenchmarkCacheFrequency(b *testing.B) {
 	benchmarkCachePolicy(b, func(rows, k int) cache.Policy {
-		return cache.NewFrequency(rows, k, 0.7)
+		return cache.NewFrequency(rows, k, cache.PaperEpsilon)
 	})
 }
 

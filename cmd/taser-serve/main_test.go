@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
+	"context"
+	"flag"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -15,90 +18,80 @@ import (
 	"taser/internal/train"
 )
 
-// ok is a valid single-engine baseline every case below perturbs.
-func okFlags() flagValues {
-	return flagValues{shards: 1, model: "tgat"}
+// small is a fast profile every case below adds to: one pretraining epoch, so
+// a check that ran late would have printed an epoch line first.
+var small = []string{"-scale", "0.02", "-epochs", "1", "-hidden", "8", "-addr", "127.0.0.1:0"}
+
+// runCancelled runs the command under an already-cancelled context: a valid
+// command line comes all the way up and drains at once.
+func runCancelled(args ...string) (code int, stdout, stderr string) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errb bytes.Buffer
+	code = run(ctx, append(append([]string{}, small...), args...), &out, &errb)
+	return code, out.String(), errb.String()
 }
 
+// TestValidateFlags drives run itself: a valid combination pretrains,
+// bootstraps, listens and drains with status 0; a contradictory one is a usage
+// error — status 2 and one line on stderr before the first pretraining epoch —
+// whichever of options.validate and the configs' own Validate states the rule.
 func TestValidateFlags(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "store")
 	cases := []struct {
-		name     string
-		mutate   func(*flagValues)
-		explicit []string
-		wantErr  string // substring; "" = must pass
+		name    string
+		args    []string
+		wantErr string // substring; "" = must pass
 	}{
-		{name: "defaults pass", mutate: nil},
-		{name: "overload fully on", mutate: func(v *flagValues) {
-			v.sloP99 = 25 * time.Millisecond
-			v.ovInterval = 100 * time.Millisecond
-			v.maxQueue = 64
-			v.ovCap = 32
-		}, explicit: []string{"slo-p99", "overload-interval", "max-queue", "overload-capacity"}},
-		{name: "controller alone", mutate: func(v *flagValues) { v.sloP99 = time.Millisecond }, explicit: []string{"slo-p99"}},
-		{name: "admission alone", mutate: func(v *flagValues) { v.maxQueue = 8 }, explicit: []string{"max-queue"}},
-		{name: "sharded overload", mutate: func(v *flagValues) {
-			v.shards = 4
-			v.model = "graphmixer"
-			v.maxQueue = 8
-		}, explicit: []string{"max-queue"}},
+		{name: "defaults pass"},
+		{name: "overload fully on", args: []string{"-slo-p99", "25ms", "-overload-interval", "100ms", "-max-queue", "64", "-overload-capacity", "32"}},
+		{name: "controller alone", args: []string{"-slo-p99", "1ms"}},
+		{name: "admission alone", args: []string{"-max-queue", "8"}},
+		{name: "sharded overload", args: []string{"-shards", "4", "-model", "graphmixer", "-max-queue", "8"}},
+		{name: "durable finetune", args: []string{"-wal-dir", wal, "-finetune", "-finetune-interval", "50ms"}},
 
-		{name: "explicit zero slo", mutate: nil, explicit: []string{"slo-p99"}, wantErr: "-slo-p99 must be a positive duration"},
-		{name: "negative slo", mutate: func(v *flagValues) { v.sloP99 = -time.Second }, explicit: []string{"slo-p99"}, wantErr: "-slo-p99 must be a positive duration"},
-		{name: "explicit zero queue", mutate: nil, explicit: []string{"max-queue"}, wantErr: "-max-queue must be positive"},
-		{name: "interval without target", mutate: func(v *flagValues) { v.ovInterval = time.Second }, explicit: []string{"overload-interval"}, wantErr: "-overload-interval requires -slo-p99"},
-		{name: "capacity without queue", mutate: func(v *flagValues) { v.ovCap = 16 }, explicit: []string{"overload-capacity"}, wantErr: "-overload-capacity requires -max-queue"},
+		{name: "explicit zero slo", args: []string{"-slo-p99", "0s"}, wantErr: "-slo-p99 must be a positive duration"},
+		{name: "negative slo", args: []string{"-slo-p99", "-1s"}, wantErr: "-slo-p99 must be a positive duration"},
+		{name: "explicit zero queue", args: []string{"-max-queue", "0"}, wantErr: "-max-queue must be positive"},
+		// Stated by overload.Config.Normalize alone, reached through
+		// serve.Config.Validate once the model exists.
+		{name: "interval without target", args: []string{"-overload-interval", "1s"}, wantErr: "-overload-interval requires -slo-p99"},
+		{name: "capacity without queue", args: []string{"-overload-capacity", "16"}, wantErr: "-overload-capacity requires -max-queue"},
+		{name: "negative max-batch", args: []string{"-max-batch", "-1"}, wantErr: "serve: Config.MaxBatch"},
 
-		{name: "zero shards", mutate: func(v *flagValues) { v.shards = 0 }, wantErr: "-shards must be at least 1"},
-		{name: "sharded replica", mutate: func(v *flagValues) {
-			v.shards = 2
-			v.model = "graphmixer"
-			v.replFrom = "http://leader:8080"
-		}, wantErr: "cannot combine with -replicate-from"},
-		{name: "sharded finetune", mutate: func(v *flagValues) {
-			v.shards = 2
-			v.model = "graphmixer"
-			v.ftOn = true
-		}, wantErr: "cannot combine with -finetune"},
-		{name: "sharded tgat", mutate: func(v *flagValues) { v.shards = 2 }, wantErr: "requires -model graphmixer"},
-		{name: "recover without wal", mutate: nil, explicit: []string{"recover"}, wantErr: "-recover requires -wal-dir"},
-		{name: "promote without leader", mutate: func(v *flagValues) { v.promote = true }, wantErr: "-promote requires -replicate-from"},
-		{name: "replica finetune", mutate: func(v *flagValues) {
-			v.replFrom = "http://leader:8080"
-			v.ftOn = true
-		}, wantErr: "-finetune cannot run on a replica"},
-		{name: "replica replay", mutate: func(v *flagValues) {
-			v.replFrom = "http://leader:8080"
-			v.replay = true
-		}, wantErr: "-replay cannot run on a replica"},
+		{name: "zero shards", args: []string{"-shards", "0"}, wantErr: "-shards must be at least 1"},
+		{name: "sharded replica", args: []string{"-shards", "2", "-model", "graphmixer", "-replicate-from", "http://leader:8080"}, wantErr: "cannot combine with -replicate-from"},
+		{name: "sharded finetune", args: []string{"-shards", "2", "-model", "graphmixer", "-finetune"}, wantErr: "cannot combine with -finetune"},
+		{name: "sharded tgat", args: []string{"-shards", "2"}, wantErr: "requires -model graphmixer"},
+		{name: "recover without wal", args: []string{"-recover"}, wantErr: "-recover requires -wal-dir"},
+		{name: "promote without leader", args: []string{"-promote"}, wantErr: "-promote requires -replicate-from"},
+		{name: "replica finetune", args: []string{"-replicate-from", "http://leader:8080", "-finetune"}, wantErr: "-finetune cannot run on a replica"},
+		{name: "replica replay", args: []string{"-replicate-from", "http://leader:8080", "-replay"}, wantErr: "-replay cannot run on a replica"},
+		{name: "retired flag", args: []string{"-max-wait", "2ms"}, wantErr: "flag provided but not defined: -max-wait"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := okFlags()
-			if tc.mutate != nil {
-				tc.mutate(&v)
-			}
-			explicit := map[string]bool{}
-			for _, name := range tc.explicit {
-				explicit[name] = true
-			}
-			err := validateFlags(v, explicit)
+			code, stdout, stderr := runCancelled(tc.args...)
 			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("validateFlags(%+v) = %v, want nil", v, err)
+				if code != 0 || stderr != "" || !strings.HasSuffix(stdout, "bye\n") {
+					t.Fatalf("exit status %d, want a clean run\nstderr: %s\nstdout: %s", code, stderr, stdout)
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validateFlags(%+v) = %v, want error containing %q", v, err, tc.wantErr)
+			if code != 2 || !strings.Contains(stderr, tc.wantErr) {
+				t.Fatalf("exit status %d, want 2 with %q on stderr, got:\n%s", code, tc.wantErr, stderr)
+			}
+			if strings.Contains(stdout, "pretrain epoch") {
+				t.Fatalf("rejected only after pretraining:\n%s%s", stdout, stderr)
 			}
 		})
 	}
 }
 
-// TestServeConfigValidate covers what validateFlags cannot see — values, not
-// flag combinations — through the check main runs as soon as the model
-// exists: a setting New would reject (or, before Validate, silently
-// misbehave on) must fail before pretraining, not after it.
+// TestServeConfigValidate covers what options.validate does not look at —
+// serving values, not flag combinations — through the check run makes as soon
+// as the model exists: a setting New would reject (or, before Validate,
+// silently misbehave on) must fail before pretraining, not after it.
 func TestServeConfigValidate(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 1)
 	tr, err := train.New(train.Config{
@@ -151,33 +144,70 @@ func TestServeConfigValidate(t *testing.T) {
 	}
 }
 
-// TestBadTrainValueExits2 runs the built command: a pretraining value
-// train.Config.Validate or datasets.CheckScale rejects is a usage error — exit
-// status 2 and one line on stderr before the dataset is even generated — not a
-// panic mid-pretraining, an exit 1 out of train.New (-model) or a quiet run at
-// full size (-scale -1).
+// TestBadTrainValueExits2: a pretraining, dataset or fine-tuning value the
+// owning config's Validate (or datasets.CheckScale) rejects is a usage error —
+// exit status 2 and one line on stderr before the dataset is even generated —
+// not a panic mid-pretraining or in time.NewTicker after it, an exit 1 out of
+// train.New (-model), a quiet run at full size (-scale -1) or by gradient
+// ascent (-finetune-lr -0.1).
 func TestBadTrainValueExits2(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "taser-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	for _, tc := range []struct{ flag, value, want string }{
-		{"-n", "-1", "train: Config.N "},
-		{"-model", "foo", "train: Config.Model "},
-		{"-scale", "-1", "datasets: scale must be positive"},
-		{"-scale", "0", "datasets: scale must be positive"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "-1"}, "train: Config.N "},
+		{[]string{"-model", "foo"}, "train: Config.Model "},
+		{[]string{"-scale", "-1"}, "datasets: scale must be positive"},
+		{[]string{"-scale", "0"}, "datasets: scale must be positive"},
+		{[]string{"-finetune", "-finetune-interval", "-1s"}, "finetune: Config.Interval "},
+		{[]string{"-finetune", "-finetune-lr", "-0.1"}, "finetune: Config.LR "},
+		{[]string{"-finetune", "-finetune-lr", "NaN"}, "finetune: Config.LR "},
+		{[]string{"-finetune", "-replay-window", "-5"}, "finetune: Config.ReplayWindow "},
 	} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, tc.flag, tc.value)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
-			t.Fatalf("%s %s: %v, want exit status 2\nstderr: %s", tc.flag, tc.value, err, stderr.String())
+		code, stdout, stderr := runCancelled(tc.args...)
+		if code != 2 {
+			t.Fatalf("%v: exit status %d, want 2\nstderr: %s", tc.args, code, stderr)
 		}
-		msg := strings.TrimSpace(stderr.String())
-		if !strings.HasPrefix(msg, "taser-serve: "+tc.want) || strings.Contains(msg, "\n") || stdout.Len() != 0 {
-			t.Fatalf("%s %s: want one line on stderr and nothing on stdout, got:\n%s%s",
-				tc.flag, tc.value, stdout.String(), stderr.String())
+		msg := strings.TrimSpace(stderr)
+		if !strings.HasPrefix(msg, "taser-serve: "+tc.want) || strings.Contains(msg, "\n") || stdout != "" {
+			t.Fatalf("%v: want one line on stderr and nothing on stdout, got:\n%s%s", tc.args, stdout, stderr)
 		}
+	}
+}
+
+// TestInvocationsUseDefinedFlags: every file that runs taser-serve — a make
+// target, a smoke script, a CI step, the verify skill — passes only flags
+// bind defines, so retiring a flag cannot leave a dead invocation behind.
+func TestInvocationsUseDefinedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("taser-serve", flag.ContinueOnError)
+	new(options).bind(fs)
+	paths, err := filepath.Glob("../../scripts/*.sh")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scripts found: %v", err)
+	}
+	paths = append(paths, "../../Makefile", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md")
+	// An invocation is the rest of a (continued) line after the command, the
+	// scripts' "$BIN" or their shared COMMON= flags, up to a redirect, pipe
+	// or closing backquote; a flag is a dash and a letter after a separator.
+	invocation := regexp.MustCompile("(?:taser-serve|\"\\$BIN\"|COMMON=\")([^\n>|;`]*)")
+	flagName := regexp.MustCompile(`(?:^|[\s,(])-([a-z][a-z0-9-]*)`)
+	seen := 0
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, inv := range invocation.FindAllStringSubmatch(joined, -1) {
+			for _, m := range flagName.FindAllStringSubmatch(inv[1], -1) {
+				seen++
+				if fs.Lookup(m[1]) == nil {
+					t.Errorf("%s runs taser-serve with -%s, which is not a flag it defines:\n\t%s", path, m[1], strings.TrimSpace(inv[0]))
+				}
+			}
+		}
+	}
+	if seen < 20 {
+		t.Fatalf("only %d flags found across %d files: the scan is not seeing the invocations", seen, len(paths))
 	}
 }

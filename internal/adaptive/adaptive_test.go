@@ -10,7 +10,7 @@ import (
 )
 
 func TestSelectorInitUniform(t *testing.T) {
-	s := NewMiniBatchSelector(100, 0.1, mathx.NewRNG(1))
+	s := NewMiniBatchSelector(100, mathx.NewRNG(1))
 	if s.Len() != 100 {
 		t.Fatal("Len")
 	}
@@ -22,7 +22,7 @@ func TestSelectorInitUniform(t *testing.T) {
 }
 
 func TestSelectorBatchDistinct(t *testing.T) {
-	s := NewMiniBatchSelector(50, 0.1, mathx.NewRNG(2))
+	s := NewMiniBatchSelector(50, mathx.NewRNG(2))
 	batch := s.SampleBatchInto(20, nil)
 	if len(batch) != 20 {
 		t.Fatal("batch size")
@@ -38,7 +38,7 @@ func TestSelectorBatchDistinct(t *testing.T) {
 
 func TestSelectorUpdateShiftsDistribution(t *testing.T) {
 	rng := mathx.NewRNG(3)
-	s := NewMiniBatchSelector(100, 0.1, rng)
+	s := NewMiniBatchSelector(100, rng)
 	// Edge 0 gets a confident positive logit, edges 1..9 confident negatives.
 	edges := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	logits := []float64{8, -8, -8, -8, -8, -8, -8, -8, -8, -8}
@@ -69,15 +69,15 @@ func TestSelectorUpdateShiftsDistribution(t *testing.T) {
 
 func TestSelectorGammaFloorKeepsExploration(t *testing.T) {
 	// Even an edge scored with a −∞-ish logit keeps probability ∝ γ.
-	s := NewMiniBatchSelector(10, 0.5, mathx.NewRNG(4))
+	s := NewMiniBatchSelector(10, mathx.NewRNG(4))
 	s.Update([]int{0}, []float64{-50})
-	if s.Score(0) != 0.5 {
+	if s.Score(0) != Gamma {
 		t.Fatalf("γ floor: %v", s.Score(0))
 	}
 }
 
 func TestSelectorUpdatePanicsOnMismatch(t *testing.T) {
-	s := NewMiniBatchSelector(5, 0.1, mathx.NewRNG(5))
+	s := NewMiniBatchSelector(5, mathx.NewRNG(5))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -130,7 +130,6 @@ func defaultConfig(nodeDim, edgeDim, m int, dec Decoder) SamplerConfig {
 		NodeDim: nodeDim, EdgeDim: edgeDim,
 		FeatDim: 6, TimeDim: 6, FreqDim: 6, M: m,
 		Decoder: dec, UseTE: true, UseFE: true, UseIE: true,
-		Alpha: 2, Beta: 1,
 	}
 }
 

@@ -8,6 +8,12 @@ import (
 	"taser/internal/tensor"
 )
 
+// Eq. 25's REINFORCE hyperparameters α and β, at the paper's values.
+const (
+	reinforceAlpha = 2.0
+	reinforceBeta  = 1.0
+)
+
 // SampleLoss constructs L_sample (Algorithm 1 line 12) on the sampler's
 // graph, after the model loss has been back-propagated so that
 // info.Out.Grad = dL_model/dh. The coefficients are frozen constants; only
@@ -59,9 +65,9 @@ func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo
 				vrow := info.Vals.Val.Row(b*n + p)
 				var dot float64
 				for j := 0; j < d; j++ {
-					dot += (vrow[j] + s.cfg.Beta*h[j]) * dh[j]
+					dot += (vrow[j] + reinforceBeta*h[j]) * dh[j]
 				}
-				coef.Set(b, slot, attn*dot/(lambda*s.cfg.Alpha))
+				coef.Set(b, slot, attn*dot/(lambda*reinforceAlpha))
 			}
 		}
 	case info.Tokens != nil: // GraphMixer (Eq. 26, folded)

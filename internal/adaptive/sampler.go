@@ -63,14 +63,10 @@ type SamplerConfig struct {
 	FreqDim int // d_freq: frequency-encoding width (Eq. 12)
 	M       int // candidate-set size (neighbor finder budget m)
 	Decoder Decoder
-	Hidden  int // decoder head width (defaults to FeatDim when 0)
 
 	// Encoder ablation switches (§IV-B's encoder study): all true by default
 	// via NewSampler.
 	UseTE, UseFE, UseIE bool
-
-	// REINFORCE hyperparameters of Eq. 25 (paper: α=2, β=1).
-	Alpha, Beta float64
 }
 
 // NeighborSampler is the parameterized encoder–decoder q_θ(u|v) (§III-B).
@@ -117,15 +113,6 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 	if cfg.FeatDim <= 0 || cfg.TimeDim <= 0 || cfg.FreqDim <= 0 || cfg.M <= 0 {
 		panic("adaptive: sampler dims must be positive")
 	}
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = cfg.FeatDim
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 2
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 1
-	}
 	s := &NeighborSampler{
 		cfg:     cfg,
 		timeEnc: encoding.NewTimeEncoder(cfg.TimeDim, 0, 0),
@@ -143,7 +130,7 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 	// cheaper than the TGNN it serves, matching Table III's small AS share.
 	s.mixer = nn.NewMixerBlock(cfg.M, enc, 0, enc, rng)
 	dv := s.targetDim()
-	h := cfg.Hidden
+	h := cfg.FeatDim // decoder head width
 	switch cfg.Decoder {
 	case DecoderLinear:
 		s.linHead = nn.NewLinear(enc, 1, rng)

@@ -23,21 +23,21 @@ import (
 // updates, so a prefetched batch may have been drawn from scores that are up
 // to PrefetchDepth+1 steps stale (see DESIGN.md on bounded staleness).
 type MiniBatchSelector struct {
-	// Gamma is the uniform-mixture magnitude γ (paper default 0.1).
-	Gamma float64
-
 	mu     sync.Mutex
 	scores []float64
 	rng    *mathx.RNG
 	ws     mathx.WeightedSampler // draw scratch (guarded by mu)
 }
 
+// Gamma is Eq. 11's uniform-mixture magnitude γ, at the paper's value.
+const Gamma = 0.1
+
 // NewMiniBatchSelector builds a selector over numTrain training edges.
-func NewMiniBatchSelector(numTrain int, gamma float64, rng *mathx.RNG) *MiniBatchSelector {
+func NewMiniBatchSelector(numTrain int, rng *mathx.RNG) *MiniBatchSelector {
 	if numTrain <= 0 {
 		panic(fmt.Sprintf("adaptive: selector over %d edges", numTrain))
 	}
-	s := &MiniBatchSelector{Gamma: gamma, scores: make([]float64, numTrain), rng: rng}
+	s := &MiniBatchSelector{scores: make([]float64, numTrain), rng: rng}
 	for i := range s.scores {
 		s.scores[i] = 1 // uniform initialization
 	}
@@ -74,6 +74,6 @@ func (s *MiniBatchSelector) Update(edges []int, logits []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, e := range edges {
-		s.scores[e] = mathx.Sigmoid(logits[i]) + s.Gamma
+		s.scores[e] = mathx.Sigmoid(logits[i]) + Gamma
 	}
 }

@@ -102,7 +102,7 @@ func fig3b(o Options) (string, []Row, error) {
 		}
 		for _, r := range []float64{0.10, 0.20, 0.30} {
 			k := int(r * float64(ds.EdgeFeat.Rows))
-			freq, oracle := cache.NewFrequency(ds.EdgeFeat.Rows, k, 0.7), cache.NewOracle(k)
+			freq, oracle := cache.NewFrequency(ds.EdgeFeat.Rows, k, cache.PaperEpsilon), cache.NewOracle(k)
 			for e, epochCounts := range counts {
 				oracle.Reveal(epochCounts)
 				fh, ft := freq.ObserveCounts(epochCounts)

@@ -6,7 +6,6 @@ import (
 
 	"taser/internal/finetune"
 	"taser/internal/mathx"
-	"taser/internal/sampler"
 	"taser/internal/serve"
 	"taser/internal/stats"
 )
@@ -87,10 +86,7 @@ func finetuneExp(o Options) (string, []Row, error) {
 		var tu *finetune.Tuner
 		if name == "fine-tuned" {
 			tu, err = finetune.New(finetune.Config{
-				Engine: e, Model: tr.Model, Pred: tr.Pred,
-				NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
-				NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc,
-				Budget: tr.Cfg.N, Policy: sampler.MostRecent,
+				Engine: e, Model: tr.Model, Pred: tr.Pred, NumSrc: ds.Spec.NumSrc,
 				ReplayWindow: 4 * finetuneEvery, BatchSize: 64, Passes: finetunePasses, LR: finetuneLR,
 				Seed: o.Seed ^ 0xf1e,
 			})

@@ -96,6 +96,10 @@ func topK(counts []int64, k int) []int32 {
 	return out
 }
 
+// PaperEpsilon is Algorithm 3's swap threshold ε at the value the paper
+// trains with — what every caller outside a test passes to NewFrequency.
+const PaperEpsilon = 0.7
+
 // Frequency is TASER's historical-frequency cache (Algorithm 3).
 type Frequency struct {
 	counters

@@ -20,54 +20,56 @@
 package finetune
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
 
 	"taser/internal/models"
-	"taser/internal/sampler"
 	"taser/internal/serve"
-	"taser/internal/tensor"
 	"taser/internal/tgraph"
 	"taser/internal/train"
 )
 
-// Defaults used when Config leaves a value zero.
-const (
-	DefaultInterval     = 250 * time.Millisecond
-	DefaultReplayWindow = 2048
-	DefaultBatchSize    = 128
-)
-
-// Config wires a Tuner to a serving engine. Model and Pred are the
-// architecture (and starting weights) the engine serves — they are cloned
-// internally and never mutated; publication flows exclusively through
-// immutable WeightSets.
+// Config wires a Tuner to a serving engine. What the engine already knows —
+// node features, edge width, id space, sampling budget and policy — is read
+// from it (serve.Engine.Config), not repeated here. Model and Pred are the
+// architecture the engine serves, and the starting weights while it has
+// published none; they are cloned internally and never mutated (the engine's
+// own pair cannot be cloned instead: its scheduler writes it).
 type Config struct {
 	Engine *serve.Engine
 	Model  models.TGNN
 	Pred   *models.EdgePredictor
 
-	NodeFeat *tensor.Matrix // static node features (nil when the graph has none)
-	EdgeDim  int            // per-event edge-feature width (must match the engine)
+	NumSrc int // bipartite: negatives drawn from [NumSrc, NumNodes); 0 = any node
 
-	NumNodes int // negative-sampling id space
-	NumSrc   int // bipartite: negatives drawn from [NumSrc, NumNodes); 0 = any node
-
-	Budget int // supporting neighbors per hop (default 10)
-	// Policy is the static sampling policy of the fine-tuner's builds. There
-	// is no default: the zero value is sampler.Uniform; set
-	// sampler.MostRecent to train on the neighborhoods serving embeds.
-	Policy sampler.Policy
-
-	Interval     time.Duration // round cadence (default DefaultInterval)
-	ReplayWindow int           // freshest events replayed per round (default DefaultReplayWindow)
+	Interval     time.Duration // round cadence (default 250ms)
+	ReplayWindow int           // freshest events replayed per round (default 2048)
 	BatchSize    int           // events per fine-tune step (default 128)
 	Passes       int           // optimizer passes over each round's window (default 1; >1 = experience replay)
 	LR           float64       // default 1e-4 (train.FineTuner's default)
-	ClipNorm     float64       // default 5
 
 	Seed uint64
+}
+
+// Validate rejects values no run can mean: a negative (or NaN) cadence, count
+// or rate — zero selects the default. New calls it; cmd/taser-serve calls it
+// first, so a bad flag is a usage error and not a panic in time.NewTicker or
+// a quiet gradient ascent after pretraining.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Interval", float64(c.Interval)}, {"ReplayWindow", float64(c.ReplayWindow)},
+		{"BatchSize", float64(c.BatchSize)}, {"Passes", float64(c.Passes)}, {"LR", c.LR},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("finetune: Config.%s must not be negative (got %v)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Report summarizes one fine-tune round.
@@ -118,8 +120,12 @@ type Tuner struct {
 }
 
 // New validates cfg, clones the model pair and binds the build path to the
-// engine's current snapshot. The tuner is idle until Start (background
-// cadence) or RunOnce (caller-driven rounds).
+// engine's current snapshot. The tuner starts where the engine is: from the
+// newest weight set the engine has published (a recovered engine republishes
+// its checkpointed set, so a restarted tuner resumes from the last fine-tuned
+// version instead of discarding it), numbering its first publication past
+// both the applied and the published version. The tuner is idle until Start
+// (background cadence) or RunOnce (caller-driven rounds).
 func New(cfg Config) (*Tuner, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("finetune: Config.Engine is required")
@@ -127,44 +133,38 @@ func New(cfg Config) (*Tuner, error) {
 	if cfg.Model == nil || cfg.Pred == nil {
 		return nil, fmt.Errorf("finetune: Config.Model and Config.Pred are required")
 	}
-	if cfg.NumNodes <= 0 {
-		return nil, fmt.Errorf("finetune: Config.NumNodes must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = DefaultInterval
-	}
-	if cfg.ReplayWindow == 0 {
-		cfg.ReplayWindow = DefaultReplayWindow
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
-	if cfg.Passes == 0 {
-		cfg.Passes = 1
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 10
-	}
+	cfg.Interval = cmp.Or(cfg.Interval, 250*time.Millisecond)
+	cfg.ReplayWindow = cmp.Or(cfg.ReplayWindow, 2048)
+	cfg.BatchSize = cmp.Or(cfg.BatchSize, 128)
+	cfg.Passes = cmp.Or(cfg.Passes, 1)
+	ec := cfg.Engine.Config()
 	snap := cfg.Engine.Pin()
-	if snap.EdgeFeat.Cols != cfg.EdgeDim {
-		return nil, fmt.Errorf("finetune: EdgeDim %d, engine snapshot carries %d", cfg.EdgeDim, snap.EdgeFeat.Cols)
-	}
 	ft, err := train.NewFineTuner(train.FineTuneConfig{
 		Model: cfg.Model, Pred: cfg.Pred,
 		Infer: train.InferConfig{
-			TCSR: snap.TCSR, NodeFeat: cfg.NodeFeat, EdgeFeat: snap.EdgeFeat,
-			Budget: cfg.Budget, Policy: cfg.Policy, Seed: cfg.Seed,
+			TCSR: snap.TCSR, NodeFeat: ec.NodeFeat, EdgeFeat: snap.EdgeFeat,
+			Budget: ec.Budget, Policy: ec.Policy, Seed: cfg.Seed,
 		},
-		LR: cfg.LR, ClipNorm: cfg.ClipNorm,
-		NumNodes: cfg.NumNodes, NumSrc: cfg.NumSrc, Seed: cfg.Seed,
+		LR:       cfg.LR,
+		NumNodes: ec.NumNodes, NumSrc: cfg.NumSrc, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
+	version := cfg.Engine.WeightVersion()
+	if ws := cfg.Engine.PublishedWeights(); ws != nil {
+		if err := ws.LoadInto(ft.Model(), ft.Pred()); err != nil {
+			return nil, fmt.Errorf("finetune: the engine's published weights do not fit Config.Model/Pred: %w", err)
+		}
+		version = max(version, ws.Version)
+	}
 	return &Tuner{
 		cfg: cfg, ft: ft,
 		snapVersion: snap.Version,
-		nextVersion: cfg.Engine.WeightVersion() + 1,
+		nextVersion: version + 1,
 		quit:        make(chan struct{}),
 	}, nil
 }
@@ -237,10 +237,7 @@ func (t *Tuner) RunOnce() (Report, error) {
 	}
 	for pass := 0; pass < t.cfg.Passes; pass++ {
 		for lo := 0; lo < len(events); lo += t.cfg.BatchSize {
-			hi := lo + t.cfg.BatchSize
-			if hi > len(events) {
-				hi = len(events)
-			}
+			hi := min(lo+t.cfg.BatchSize, len(events))
 			rep.Loss = t.ft.Step(events[lo:hi], nil)
 			rep.Steps++
 		}

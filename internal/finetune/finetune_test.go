@@ -1,11 +1,13 @@
 package finetune
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"taser/internal/datasets"
+	"taser/internal/models"
 	"taser/internal/sampler"
 	"taser/internal/serve"
 	"taser/internal/train"
@@ -16,6 +18,14 @@ import (
 // published: the scheduler writes them) and the tuner cloning its own.
 func newStack(t *testing.T, ds *datasets.Dataset, cacheSize int) (*serve.Engine, *Tuner) {
 	t.Helper()
+	tr := pretrained(t, ds)
+	e := newEngine(t, tr, ds, cacheSize, "")
+	return e, newTuner(t, e, tr, ds)
+}
+
+// pretrained is the model pair a process starts with (deterministic in ds).
+func pretrained(t *testing.T, ds *datasets.Dataset) *train.Trainer {
+	t.Helper()
 	tr, err := train.New(train.Config{
 		Model: train.ModelTGAT, Finder: train.FinderGPU, FinderPolicy: "recent",
 		Hidden: 10, TimeDim: 6, Seed: 17,
@@ -23,22 +33,31 @@ func newStack(t *testing.T, ds *datasets.Dataset, cacheSize int) (*serve.Engine,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// newEngine serves clones of tr's pair; walDir != "" makes it durable.
+func newEngine(t *testing.T, tr *train.Trainer, ds *datasets.Dataset, cacheSize int, walDir string) *serve.Engine {
+	t.Helper()
 	e, err := serve.New(serve.Config{
 		Model: tr.Model.Clone(), Pred: tr.Pred.Clone(),
 		NumNodes: ds.Spec.NumNodes, NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
 		Budget: 5, Policy: sampler.MostRecent, CacheSize: cacheSize,
 		MaxBatch: 8, MaxWait: 200 * time.Microsecond, SnapshotEvery: 64,
-		Seed: 3,
+		Durability: serve.Durability{Dir: walDir},
+		Seed:       3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
+	return e
+}
+
+func newTuner(t *testing.T, e *serve.Engine, tr *train.Trainer, ds *datasets.Dataset) *Tuner {
+	t.Helper()
 	tu, err := New(Config{
-		Engine: e, Model: tr.Model, Pred: tr.Pred,
-		NodeFeat: ds.NodeFeat, EdgeDim: ds.Spec.EdgeDim,
-		NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc,
-		Budget: 5, Policy: sampler.MostRecent,
+		Engine: e, Model: tr.Model, Pred: tr.Pred, NumSrc: ds.Spec.NumSrc,
 		Interval: 5 * time.Millisecond, ReplayWindow: 256,
 		BatchSize: 32, Seed: 29,
 	})
@@ -46,7 +65,23 @@ func newStack(t *testing.T, ds *datasets.Dataset, cacheSize int) (*serve.Engine,
 		t.Fatal(err)
 	}
 	t.Cleanup(tu.Close)
-	return e, tu
+	return tu
+}
+
+// ingestTail streams n events of ds's tail, starting at event from, into e
+// (times clamped to the watermark) and publishes a snapshot; it returns the
+// next event to stream.
+func ingestTail(t *testing.T, e *serve.Engine, ds *datasets.Dataset, from, n int) int {
+	t.Helper()
+	wm, _ := e.Watermark()
+	for i := from; i < from+n; i++ {
+		ev := ds.Graph.Events[i]
+		if err := e.Ingest(ev.Src, ev.Dst, max(ev.Time, wm), ds.EdgeFeat.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.PublishSnapshot()
+	return from + n
 }
 
 // TestPredictionsStableWithinWeightVersionUnderFinetune is this PR's -race
@@ -202,18 +237,7 @@ func TestTunerRoundsTailAndPublish(t *testing.T) {
 
 	// Stream a little more, force a snapshot, run a round: only the delta is
 	// consumed and the next version goes out.
-	wm, _ := e.Watermark()
-	for i := 0; i < 40; i++ {
-		ev := ds.Graph.Events[ds.TrainEnd+i]
-		ts := ev.Time
-		if ts < wm {
-			ts = wm
-		}
-		if err := e.Ingest(ev.Src, ev.Dst, ts, ds.EdgeFeat.Row(ds.TrainEnd+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.PublishSnapshot()
+	ingestTail(t, e, ds, ds.TrainEnd, 40)
 	rep, err = tu.RunOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -223,12 +247,79 @@ func TestTunerRoundsTailAndPublish(t *testing.T) {
 	}
 
 	// Serving picks the published weights up on its next flush.
-	wm, _ = e.Watermark()
+	wm, _ := e.Watermark()
 	res, err := e.PredictLink(ds.Graph.Events[0].Src, ds.Graph.Events[0].Dst, wm+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Weights != 3 {
 		t.Fatalf("serving at weight version %d, want 3", res.Weights)
+	}
+}
+
+// TestTunerResumesFromRecoveredWeights restarts a durable engine after three
+// fine-tune publications. Recover republishes checkpointed v4, and the next
+// process pretrains the same v1 pair again: a tuner that numbered from the
+// applied version and started from Config.Model would publish "v2" — rejected
+// as not newer than v4, which stops the loop for good — from parameters that
+// discard v2–v4. It must start from the recovered set and publish v5.
+func TestTunerResumesFromRecoveredWeights(t *testing.T) {
+	ds := datasets.Wikipedia(0.05, 9)
+	tr := pretrained(t, ds)
+	dir := t.TempDir()
+
+	e := newEngine(t, tr, ds, 0, dir)
+	tu := newTuner(t, e, tr, ds)
+	if err := e.Bootstrap(ds.Graph.Events[:ds.TrainEnd], ds.EdgeFeat.SliceRows(ds.TrainEnd)); err != nil {
+		t.Fatal(err)
+	}
+	next := ds.TrainEnd
+	for want := uint64(2); want <= 4; want++ {
+		rep, err := tu.RunOnce()
+		if err != nil || rep.Published != want {
+			t.Fatalf("first process, round for v%d: %+v, %v", want, rep, err)
+		}
+		next = ingestTail(t, e, ds, next, 40)
+	}
+	tu.Close()
+	e.Close()
+
+	e = newEngine(t, tr, ds, 0, dir)
+	if rep, err := e.Recover(); err != nil || rep.WeightVersion != 4 {
+		t.Fatalf("Recover: %+v, %v, want weights v4", rep, err)
+	}
+	tu = newTuner(t, e, tr, ds)
+	start, v4, v1 := tu.ft.Capture(0), e.PublishedWeights(), models.CaptureWeights(0, tr.Model, tr.Pred)
+	differs := false
+	for i, p := range start.Params {
+		if !slices.Equal(p.Data, v4.Params[i].Data) {
+			t.Fatalf("tuner starts from something other than recovered v4 (tensor %d)", i)
+		}
+		differs = differs || !slices.Equal(p.Data, v1.Params[i].Data)
+	}
+	if !differs {
+		t.Fatal("v4 equals the pretrained weights: the test would pass vacuously")
+	}
+
+	rep, err := tu.RunOnce() // the recovered stream is new to this tuner's tail
+	if err != nil || rep.Events == 0 || rep.Published != 5 {
+		t.Fatalf("restarted tuner's first round: %+v, %v, want a non-idle round publishing v5", rep, err)
+	}
+
+	// The background loop's first non-idle tick publishes v6 instead of
+	// failing and stopping.
+	ingestTail(t, e, ds, next, 40)
+	tu.Start()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := tu.Stats()
+		if st.Failed != "" {
+			t.Fatalf("fine-tune loop stopped: %s", st.Failed)
+		}
+		if st.Published >= 6 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no publication from the started loop: %+v", st)
+		}
 	}
 }

@@ -25,18 +25,26 @@ const (
 
 // ControllerConfig parameterizes the AIMD law. Base values are the
 // operator's static MaxBatch/MaxWait — where the controller starts and what
-// it relaxes back to; BatchCap/WaitFloor are how far tightening may go.
+// it relaxes back to; how far tightening may go is batchCap/waitFloor.
 type ControllerConfig struct {
 	TargetP99 time.Duration
 	BaseBatch int
-	BatchCap  int // >= BaseBatch
 	BaseWait  time.Duration
-	WaitFloor time.Duration // in (0, BaseWait]
 
 	// Sample copies the recent request-latency window (seconds) into dst and
 	// returns it — the engine wires latencyRing.sample here. It must never
 	// block the request path: a copy under the ring's lock, no sorting.
 	Sample func(dst []float64) []float64
+}
+
+// batchCap is how far the controller may raise the effective MaxBatch: 4×
+// the configured base.
+func (c ControllerConfig) batchCap() int64 { return 4 * int64(c.BaseBatch) }
+
+// waitFloor is how far it may cut the effective MaxWait: an eighth of the
+// configured base, and never below 1µs.
+func (c ControllerConfig) waitFloor() int64 {
+	return max(int64(c.BaseWait/8), int64(time.Microsecond))
 }
 
 // Controller retunes the scheduler's effective MaxBatch/MaxWait against a
@@ -71,11 +79,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.TargetP99 <= 0 {
 		return nil, fmt.Errorf("overload: controller TargetP99 must be positive, got %v", cfg.TargetP99)
 	}
-	if cfg.BaseBatch <= 0 || cfg.BatchCap < cfg.BaseBatch {
-		return nil, fmt.Errorf("overload: controller needs 0 < BaseBatch <= BatchCap, got %d/%d", cfg.BaseBatch, cfg.BatchCap)
-	}
-	if cfg.BaseWait <= 0 || cfg.WaitFloor <= 0 || cfg.WaitFloor > cfg.BaseWait {
-		return nil, fmt.Errorf("overload: controller needs 0 < WaitFloor <= BaseWait, got %v/%v", cfg.WaitFloor, cfg.BaseWait)
+	if cfg.BaseBatch <= 0 || cfg.BaseWait <= 0 {
+		return nil, fmt.Errorf("overload: controller needs positive BaseBatch and BaseWait, got %d/%v", cfg.BaseBatch, cfg.BaseWait)
 	}
 	if cfg.Sample == nil {
 		return nil, fmt.Errorf("overload: controller Sample is required")
@@ -111,8 +116,8 @@ func (c *Controller) observe(p99 time.Duration) Decision {
 	switch {
 	case p99 > c.cfg.TargetP99:
 		// Multiplicative tighten: halve the wait, double the batch ceiling.
-		nb := min64(b*2, int64(c.cfg.BatchCap))
-		nw := max64(w/2, int64(c.cfg.WaitFloor))
+		nb := min(b*2, c.cfg.batchCap())
+		nw := max(w/2, c.cfg.waitFloor())
 		if nb == b && nw == w {
 			c.held.Add(1) // pinned at the clamps; nothing left to give
 			return DecisionHold
@@ -123,8 +128,8 @@ func (c *Controller) observe(p99 time.Duration) Decision {
 		return DecisionTighten
 	case p99 < c.cfg.TargetP99*3/4:
 		// Additive relax toward the operator's base (never past it).
-		nb := max64(b-max64(1, int64(c.cfg.BaseBatch/4)), int64(c.cfg.BaseBatch))
-		nw := min64(w+max64(1, int64(c.cfg.BaseWait/8)), int64(c.cfg.BaseWait))
+		nb := max(b-max(1, int64(c.cfg.BaseBatch/4)), int64(c.cfg.BaseBatch))
+		nw := min(w+max(1, int64(c.cfg.BaseWait/8)), int64(c.cfg.BaseWait))
 		if nb == b && nw == w {
 			c.held.Add(1) // already at base
 			return DecisionHold
@@ -183,18 +188,4 @@ func (c *Controller) Stats() ControllerStats {
 		st.DecisionsPerSec = float64(st.Tightened+st.Relaxed+st.Held) / el
 	}
 	return st
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,8 +12,7 @@ func testController(t *testing.T, sample func([]float64) []float64) *Controller 
 	}
 	c, err := NewController(ControllerConfig{
 		TargetP99: 10 * time.Millisecond,
-		BaseBatch: 8, BatchCap: 32,
-		BaseWait: 2 * time.Millisecond, WaitFloor: 250 * time.Microsecond,
+		BaseBatch: 8, BaseWait: 2 * time.Millisecond, // cap 32, floor 250µs
 		Sample: sample,
 	})
 	if err != nil {
@@ -120,10 +119,10 @@ func TestControllerTickSamplesWindow(t *testing.T) {
 func TestNewControllerValidates(t *testing.T) {
 	sample := func(dst []float64) []float64 { return dst }
 	bad := []ControllerConfig{
-		{BaseBatch: 8, BatchCap: 32, BaseWait: time.Millisecond, WaitFloor: time.Microsecond, Sample: sample},                                  // no target
-		{TargetP99: time.Millisecond, BaseBatch: 8, BatchCap: 4, BaseWait: time.Millisecond, WaitFloor: time.Microsecond, Sample: sample},      // cap < base
-		{TargetP99: time.Millisecond, BaseBatch: 8, BatchCap: 32, BaseWait: time.Millisecond, WaitFloor: 2 * time.Millisecond, Sample: sample}, // floor > base
-		{TargetP99: time.Millisecond, BaseBatch: 8, BatchCap: 32, BaseWait: time.Millisecond, WaitFloor: time.Microsecond},                     // no sample
+		{BaseBatch: 8, BaseWait: time.Millisecond, Sample: sample},                // no target
+		{TargetP99: time.Millisecond, BaseWait: time.Millisecond, Sample: sample}, // no base batch
+		{TargetP99: time.Millisecond, BaseBatch: 8, Sample: sample},               // no base wait
+		{TargetP99: time.Millisecond, BaseBatch: 8, BaseWait: time.Millisecond},   // no sample
 	}
 	for i, cfg := range bad {
 		if _, err := NewController(cfg); err == nil {

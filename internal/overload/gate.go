@@ -53,8 +53,13 @@ type waiter struct {
 	ch   chan error
 }
 
+// laneWeights are the lanes' shares in the weighted dequeue: prediction 8,
+// ingest 4, background 1. A lane with weight w is guaranteed a slot within
+// ceil(totalWeight/w) consecutive handoffs — starvation-free.
+var laneWeights = [NumLanes]int{LanePredict: 8, LaneIngest: 4, LaneLow: 1}
+
 // NewGate builds a gate from a normalized Config (AdmissionEnabled must
-// hold; Normalize fills Capacity and Weights).
+// hold; Normalize fills Capacity).
 func NewGate(cfg Config) *Gate {
 	return &Gate{cfg: cfg}
 }
@@ -126,25 +131,18 @@ func (g *Gate) dequeueLocked() *waiter {
 	total := 0
 	for l := Lane(0); l < NumLanes; l++ {
 		if len(g.queues[l]) > 0 {
-			total += g.cfg.Weights[l]
+			total += laneWeights[l]
 		}
 	}
 	if total == 0 {
-		// No waiters — or only zero-weight lanes have them; drain those FIFO
-		// so even a weightless lane cannot wedge.
-		for l := Lane(0); l < NumLanes; l++ {
-			if len(g.queues[l]) > 0 {
-				return g.popLocked(l)
-			}
-		}
-		return nil
+		return nil // no waiters
 	}
 	best := Lane(-1)
 	for l := Lane(0); l < NumLanes; l++ {
 		if len(g.queues[l]) == 0 {
 			continue
 		}
-		g.credit[l] += g.cfg.Weights[l]
+		g.credit[l] += laneWeights[l]
 		if best < 0 || g.credit[l] > g.credit[best] {
 			best = l
 		}

@@ -224,7 +224,7 @@ func TestConfigNormalize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Interval != 250*time.Millisecond || c.MaxBatchCap != 4*base || c.MinWait != baseWait/8 {
+		if c.Interval != 250*time.Millisecond {
 			t.Fatalf("controller defaults = %+v", c)
 		}
 		if c.AdmissionEnabled() {
@@ -236,7 +236,7 @@ func TestConfigNormalize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Capacity != 2*base || c.Weights != DefaultWeights {
+		if c.Capacity != 2*base {
 			t.Fatalf("admission defaults = %+v", c)
 		}
 		if c.ControllerEnabled() {
@@ -246,12 +246,12 @@ func TestConfigNormalize(t *testing.T) {
 	bad := []Config{
 		{TargetP99: -time.Second},
 		{MaxQueue: -1},
-		{Capacity: 16},                                       // admission knob without MaxQueue
-		{Interval: time.Second},                              // controller knob without TargetP99
-		{MaxQueue: 4, Interval: time.Second},                 // controller knob without TargetP99
-		{TargetP99: time.Millisecond, MaxBatchCap: base / 2}, // cap below base
-		{TargetP99: time.Millisecond, MinWait: 2 * baseWait}, // floor above base
-		{MaxQueue: 4, Weights: [NumLanes]int{0, -1, 0}},      // negative weight
+		{Capacity: 16}, // admission knob without MaxQueue
+		{TargetP99: time.Millisecond, Capacity: 16}, // admission knob without MaxQueue
+		{Interval: time.Second},                     // controller knob without TargetP99
+		{MaxQueue: 4, Interval: time.Second},        // controller knob without TargetP99
+		{TargetP99: time.Millisecond, Interval: -1}, // negative cadence
+		{MaxQueue: 4, Capacity: -1},                 // negative capacity
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(base, baseWait); err == nil {

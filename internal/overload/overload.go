@@ -90,19 +90,14 @@ func (e *RejectedError) Unwrap() error { return ErrOverload }
 // Config is the user-facing overload surface serve.Config embeds. The zero
 // value disables the subsystem. TargetP99 > 0 enables the SLO controller;
 // MaxQueue > 0 enables admission control — each works alone, together they
-// are the full control plane.
+// are the full control plane. How far the controller may tighten and the
+// lanes' shares are constants (controller.go, gate.go).
 type Config struct {
 	// TargetP99 is the latency SLO the controller steers the scheduler's
 	// effective MaxBatch/MaxWait toward (0 = no controller: static config).
 	TargetP99 time.Duration
 	// Interval is the controller's decision cadence (default 250ms).
 	Interval time.Duration
-	// MaxBatchCap bounds how far the controller may raise the effective
-	// MaxBatch above the configured base (default 4× base).
-	MaxBatchCap int
-	// MinWait bounds how far the controller may cut the effective MaxWait
-	// below the configured base (default base/8, floor 1µs).
-	MinWait time.Duration
 
 	// MaxQueue bounds each lane's admission queue; a request arriving at a
 	// full lane is shed with ErrOverload (0 = no admission control).
@@ -110,15 +105,7 @@ type Config struct {
 	// Capacity is the shared in-service concurrency the gate admits across
 	// all lanes (default 2× the scheduler's base MaxBatch).
 	Capacity int
-	// Weights sets the lanes' shares in the weighted dequeue (zero value =
-	// DefaultWeights). A lane with weight w is guaranteed a slot within
-	// ceil(totalWeight/w) consecutive handoffs — starvation-free.
-	Weights [NumLanes]int
 }
-
-// DefaultWeights is the lane share used when Config.Weights is zero:
-// prediction 8, ingest 4, background 1.
-var DefaultWeights = [NumLanes]int{8, 4, 1}
 
 // ControllerEnabled reports whether the SLO feedback controller is on.
 func (c Config) ControllerEnabled() bool { return c.TargetP99 > 0 }
@@ -129,68 +116,29 @@ func (c Config) AdmissionEnabled() bool { return c.MaxQueue > 0 }
 // Enabled reports whether any part of the control plane is on.
 func (c Config) Enabled() bool { return c.ControllerEnabled() || c.AdmissionEnabled() }
 
-// Normalize validates and fills defaults against the scheduler's static
-// base MaxBatch/MaxWait (the values the controller relaxes back to and the
-// gate sizes its capacity from).
-func (c Config) Normalize(baseBatch int, baseWait time.Duration) (Config, error) {
-	if c.TargetP99 < 0 {
-		return c, fmt.Errorf("overload: TargetP99 must not be negative, got %v", c.TargetP99)
-	}
-	if c.MaxQueue < 0 {
-		return c, fmt.Errorf("overload: MaxQueue must not be negative, got %d", c.MaxQueue)
-	}
-	if c.Interval < 0 || c.MaxBatchCap < 0 || c.MinWait < 0 || c.Capacity < 0 {
-		return c, fmt.Errorf("overload: Interval, MaxBatchCap, MinWait and Capacity must not be negative")
-	}
-	for l, w := range c.Weights {
-		if w < 0 {
-			return c, fmt.Errorf("overload: Weights[%v] must not be negative, got %d", Lane(l), w)
-		}
-	}
-	if !c.Enabled() {
-		if c.Interval != 0 || c.MaxBatchCap != 0 || c.MinWait != 0 || c.Capacity != 0 {
-			return c, fmt.Errorf("overload: Interval/MaxBatchCap/MinWait/Capacity require TargetP99 or MaxQueue")
-		}
-		return c, nil
+// Normalize validates and fills defaults against the scheduler's static base
+// MaxBatch (the gate sizes its capacity from it). The base MaxWait bears on
+// no field — the wait floor is a fixed fraction of it, computed by the
+// controller — and the parameter stays only because benchmark/ passes it
+// (ROADMAP 5(c)).
+func (c Config) Normalize(baseBatch int, _ time.Duration) (Config, error) {
+	if c.TargetP99 < 0 || c.Interval < 0 || c.MaxQueue < 0 || c.Capacity < 0 {
+		return c, fmt.Errorf("overload: TargetP99, Interval, MaxQueue and Capacity must not be negative (got %v, %v, %d, %d)",
+			c.TargetP99, c.Interval, c.MaxQueue, c.Capacity)
 	}
 	if c.ControllerEnabled() {
 		if c.Interval == 0 {
 			c.Interval = 250 * time.Millisecond
 		}
-		if c.MaxBatchCap == 0 {
-			c.MaxBatchCap = 4 * baseBatch
-		}
-		if c.MaxBatchCap < baseBatch {
-			return c, fmt.Errorf("overload: MaxBatchCap %d below the base MaxBatch %d", c.MaxBatchCap, baseBatch)
-		}
-		if c.MinWait == 0 {
-			c.MinWait = baseWait / 8
-			if c.MinWait < time.Microsecond {
-				c.MinWait = time.Microsecond
-			}
-		}
-		if c.MinWait > baseWait {
-			return c, fmt.Errorf("overload: MinWait %v above the base MaxWait %v", c.MinWait, baseWait)
-		}
-	} else if c.Interval != 0 || c.MaxBatchCap != 0 || c.MinWait != 0 {
-		return c, fmt.Errorf("overload: Interval/MaxBatchCap/MinWait require TargetP99")
+	} else if c.Interval != 0 {
+		return c, fmt.Errorf("overload: Interval requires TargetP99 (-overload-interval requires -slo-p99): there is no controller to tick without a target")
 	}
 	if c.AdmissionEnabled() {
 		if c.Capacity == 0 {
 			c.Capacity = 2 * baseBatch
 		}
-		if c.Weights == ([NumLanes]int{}) {
-			c.Weights = DefaultWeights
-		}
-		total := 0
-		for _, w := range c.Weights {
-			total += w
-		}
-		if total == 0 {
-			return c, fmt.Errorf("overload: at least one lane weight must be positive")
-		}
-	} else if c.Capacity != 0 || c.Weights != ([NumLanes]int{}) {
-		return c, fmt.Errorf("overload: Capacity/Weights require MaxQueue")
+	} else if c.Capacity != 0 {
+		return c, fmt.Errorf("overload: Capacity requires MaxQueue (-overload-capacity requires -max-queue): there is no admission gate without a queue bound")
 	}
 	return c, nil
 }

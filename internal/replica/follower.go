@@ -204,9 +204,9 @@ func (f *Follower) catchUpOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if st.EdgeDim != e.EdgeDim() {
+	if st.EdgeDim != e.Config().EdgeDim {
 		return fmt.Errorf("%w: leader streams edge-feature width %d, engine is configured for %d",
-			ErrIncompatible, st.EdgeDim, e.EdgeDim())
+			ErrIncompatible, st.EdgeDim, e.Config().EdgeDim)
 	}
 	if applied > st.Synced {
 		return fmt.Errorf("%w: %d events applied locally, leader synced %d", ErrDiverged, applied, st.Synced)

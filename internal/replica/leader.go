@@ -181,7 +181,7 @@ func (l *Leader) serveStatus(w http.ResponseWriter, r *http.Request) {
 	st := l.e.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"seq":%d,"synced":%d,"segments":%d,"checkpoint_events":%d,"weight_version":%d,"edge_dim":%d,"writable":%t}`+"\n",
-		st.WALAppended, st.WALSynced, st.WALSegments, st.CheckpointEvents, st.WeightVersion, l.e.EdgeDim(), l.e.Writable())
+		st.WALAppended, st.WALSynced, st.WALSegments, st.CheckpointEvents, st.WeightVersion, l.e.Config().EdgeDim, l.e.Writable())
 }
 
 func httpErr(w http.ResponseWriter, code int, err error) {

@@ -15,24 +15,22 @@ import (
 // adjacency element is dominated by CPython bytecode dispatch, which is what
 // makes it three orders of magnitude slower than TASER's GPU finder in the
 // paper. Since this reproduction is compiled Go, the finder emulates that
-// dispatch cost with Overhead synthetic operations per element visited
-// (default 60, the measured CPython-vs-Go ratio for an index-and-compare
-// loop). Set Overhead to 0 to benchmark the compiled scan itself; DESIGN.md
-// documents the substitution.
+// dispatch cost with originOverhead synthetic operations per element visited;
+// DESIGN.md documents the substitution.
 type OriginFinder struct {
-	// Overhead is the number of emulated interpreter operations charged per
-	// adjacency element visited.
-	Overhead int
-
 	tcsr    tgraph.Adjacency
 	rng     *mathx.RNG
 	scratch fillScratch
 }
 
-// NewOriginFinder builds the finder over the given packed adjacency with the
-// default interpreter-emulation overhead.
+// originOverhead is the number of emulated interpreter operations charged per
+// adjacency element visited: the measured CPython-vs-Go ratio for an
+// index-and-compare loop.
+const originOverhead = 60
+
+// NewOriginFinder builds the finder over the given packed adjacency.
 func NewOriginFinder(t tgraph.Adjacency, rng *mathx.RNG) *OriginFinder {
-	return &OriginFinder{Overhead: 60, tcsr: t, rng: rng}
+	return &OriginFinder{tcsr: t, rng: rng}
 }
 
 // Name implements Finder.
@@ -59,15 +57,12 @@ func (f *OriginFinder) Sample(targets []Target, budget int, policy Policy, out *
 	return nil
 }
 
-// interpret burns Overhead synthetic operations per element, emulating
+// interpret burns originOverhead synthetic operations per element, emulating
 // CPython dispatch for `elements` adjacency entries. The LCG chain defeats
 // dead-code elimination.
 func (f *OriginFinder) interpret(elements int) {
-	if f.Overhead <= 0 {
-		return
-	}
 	x := uint64(elements) | 1
-	for i := 0; i < elements*f.Overhead; i++ {
+	for i := 0; i < elements*originOverhead; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 	}
 	if x == 42 { // never true; keeps the loop observable

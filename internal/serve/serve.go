@@ -323,8 +323,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Overload.ControllerEnabled() {
 		e.ctrl, err = overload.NewController(overload.ControllerConfig{
 			TargetP99: cfg.Overload.TargetP99,
-			BaseBatch: cfg.MaxBatch, BatchCap: cfg.Overload.MaxBatchCap,
-			BaseWait: cfg.MaxWait, WaitFloor: cfg.Overload.MinWait,
+			BaseBatch: cfg.MaxBatch, BaseWait: cfg.MaxWait,
 			Sample: e.lat.sample,
 		})
 		if err != nil {
@@ -694,10 +693,12 @@ func (e *Engine) SetWritable(w bool) { e.readOnly.Store(!w) }
 // Writable reports whether the public write API is open.
 func (e *Engine) Writable() bool { return !e.readOnly.Load() }
 
-// EdgeDim reports the per-event edge-feature width the engine was configured
-// with (0 when the graph carries none). A replication pair must agree on it —
-// the follower checks the leader's advertised width before applying anything.
-func (e *Engine) EdgeDim() int { return e.cfg.EdgeDim }
+// Config returns the configuration the engine runs, defaults filled. Whatever
+// attaches to an engine — a fine-tuner's build path, a replication pair
+// agreeing on the edge-feature width — reads it here and is not told again.
+// Model and Pred are the engine's own: once weights are published its
+// scheduler writes them, so a caller may read their shapes, never their values.
+func (e *Engine) Config() Config { return e.cfg }
 
 // Durable exposes the engine's durable store location (and file-op layer)
 // for the replication leader, which serves the WAL and checkpoints over

@@ -20,8 +20,7 @@ type FineTuneConfig struct {
 	Pred  *models.EdgePredictor // pretrained decoder (cloned, not mutated)
 	Infer InferConfig           // graph + build-path binding (Layers filled from Model)
 
-	LR       float64 // Adam learning rate (default 1e-4: gentler than pretraining)
-	ClipNorm float64 // gradient clipping by global norm (default 5, as offline)
+	LR float64 // Adam learning rate (default 1e-4: gentler than pretraining)
 
 	NumNodes int // negative-sampling id space
 	NumSrc   int // bipartite: negatives drawn from [NumSrc, NumNodes); 0 = any node
@@ -60,9 +59,6 @@ func NewFineTuner(cfg FineTuneConfig) (*FineTuner, error) {
 	if cfg.LR == 0 {
 		cfg.LR = 1e-4
 	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
 	cfg.Infer.Layers = cfg.Model.NumLayers()
 	if cfg.Infer.Seed == 0 {
 		cfg.Infer.Seed = cfg.Seed
@@ -75,7 +71,7 @@ func NewFineTuner(cfg FineTuneConfig) (*FineTuner, error) {
 	}
 	ft.builder = b
 	ft.step.OptModel = nn.NewAdam(append(ft.step.Model.Params(), ft.step.Pred.Params()...), cfg.LR)
-	ft.step.OptModel.ClipNorm = cfg.ClipNorm
+	ft.step.OptModel.ClipNorm = clipNorm
 	return ft, nil
 }
 

@@ -48,7 +48,7 @@ func TestFinetuneStepMatchesOfflineTrainStep(t *testing.T) {
 				TCSR: ds.TCSR, NodeFeat: ds.NodeFeat, EdgeFeat: ds.EdgeFeat,
 				Budget: offline.Cfg.N, Policy: sampler.MostRecent, Seed: 1,
 			},
-			LR: offline.Cfg.LR, ClipNorm: 5,
+			LR:       offline.Cfg.LR,
 			NumNodes: ds.Spec.NumNodes, NumSrc: ds.Spec.NumSrc, Seed: 2,
 		})
 		if err != nil {

@@ -9,6 +9,10 @@ import (
 	"taser/internal/tgraph"
 )
 
+// clipNorm is the global gradient-norm clip of every optimizer in the package
+// (backbone + decoder offline and online, and the co-trained sampler).
+const clipNorm = 5
+
 // linkStep is the model update of Algorithm 1 — the self-supervised
 // link-prediction objective, forward–backward and one Adam step — and the one
 // implementation of it: Trainer.consume wraps it with PP timing, sampler

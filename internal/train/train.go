@@ -74,7 +74,6 @@ type Config struct {
 
 	AdaBatch    bool             // temporal adaptive mini-batch selection (§III-A)
 	AdaNeighbor bool             // temporal adaptive neighbor sampling (§III-B)
-	Gamma       float64          // Eq. 11 uniform floor
 	Decoder     adaptive.Decoder // sampler head
 	// AdaAllLayers applies adaptive neighbor sampling at every hop
 	// (Algorithm 1 as written); the default applies it at the outermost hop
@@ -83,7 +82,6 @@ type Config struct {
 	AdaAllLayers bool
 
 	CacheRatio  float64 // fraction of edge-feature rows resident in VRAM
-	CacheEps    float64 // Algorithm 3 swap threshold ε (fraction of k)
 	CachePolicy string  // "freq" (default, Algorithm 3) or "lru" (ablation)
 
 	// FinderPolicy overrides the static sampling policy ("" = the backbone's
@@ -133,12 +131,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.LR == 0 {
 		c.LR = 1e-3
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.1
-	}
-	if c.CacheEps == 0 {
-		c.CacheEps = 0.7
 	}
 	if c.EvalNegatives == 0 {
 		c.EvalNegatives = 49
@@ -319,7 +311,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 		if k > 0 {
 			switch cfg.CachePolicy {
 			case "", "freq":
-				pol = cache.NewFrequency(ds.EdgeFeat.Rows, k, cfg.CacheEps)
+				pol = cache.NewFrequency(ds.EdgeFeat.Rows, k, cache.PaperEpsilon)
 			case "lru":
 				pol = cache.NewLRU(k)
 			default:
@@ -331,7 +323,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	t.NodeStore = featstore.New(ds.NodeFeat, nil, t.Xfer)
 
 	if cfg.AdaBatch {
-		t.Selector = adaptive.NewMiniBatchSelector(ds.TrainEnd, cfg.Gamma, rng.Split())
+		t.Selector = adaptive.NewMiniBatchSelector(ds.TrainEnd, rng.Split())
 	}
 	if cfg.AdaNeighbor {
 		t.Sampler = adaptive.NewSampler(adaptive.SamplerConfig{
@@ -339,15 +331,14 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 			FeatDim: cfg.TimeDim, TimeDim: cfg.TimeDim, FreqDim: cfg.TimeDim,
 			M: cfg.M, Decoder: cfg.Decoder,
 			UseTE: !cfg.DisableTE, UseFE: !cfg.DisableFE, UseIE: !cfg.DisableIE,
-			Alpha: 2, Beta: 1,
 		}, rng.Split())
 		t.OptSampler = nn.NewAdam(t.Sampler.Params(), cfg.LR)
-		t.OptSampler.ClipNorm = 5
+		t.OptSampler.ClipNorm = clipNorm
 	}
 
 	params := append(t.Model.Params(), t.Pred.Params()...)
 	t.OptModel = nn.NewAdam(params, cfg.LR)
-	t.OptModel.ClipNorm = 5
+	t.OptModel.ClipNorm = clipNorm
 	return t, nil
 }
 

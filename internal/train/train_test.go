@@ -28,7 +28,7 @@ func tinyCfg() Config {
 func TestConfigNormalizeDefaults(t *testing.T) {
 	c := Config{}.Normalize()
 	if c.Model != ModelTGAT || c.Finder != FinderGPU || c.N != 10 || c.M != 25 ||
-		c.Gamma != 0.1 || c.EvalNegatives != 49 {
+		c.EvalNegatives != 49 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }
