@@ -20,12 +20,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The dense-matmul tile is assembly on amd64 only; every other platform runs
-# its Go twin behind a build constraint. Cross-compile (and vet the tensor
-# package, asmdecl included) so the twin's side of that constraint cannot rot.
+# The dense-matmul tile and the GELU kernel are assembly on amd64 only; every
+# other platform runs the tile's Go twin and the GELUTanh loop behind a build
+# constraint. Cross-compile (and vet the two packages, asmdecl included) so
+# that side of the constraint cannot rot.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx
 
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).

@@ -116,7 +116,7 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 	s := &NeighborSampler{
 		cfg:     cfg,
 		timeEnc: encoding.NewTimeEncoder(cfg.TimeDim, 0, 0),
-		freqEnc: encoding.NewFreqEncoder(cfg.FreqDim),
+		freqEnc: encoding.NewFreqEncoder(cfg.FreqDim, cfg.M),
 		rng:     rng.Split(),
 	}
 	if cfg.NodeDim > 0 {
@@ -252,9 +252,14 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 	}
 	te := g.Scratch(c.B, s.cfg.TimeDim)
 	fe := g.Scratch(c.B, s.cfg.FreqDim)
-	for i := 0; i < c.B; i++ {
-		s.timeEnc.Encode(te.Row(i), 0)
-		s.freqEnc.Encode(fe.Row(i), 1)
+	if c.B > 0 {
+		// Every target has the same TE(0) ‖ FE(1): encode one row, copy it.
+		s.timeEnc.Encode(te.Row(0), 0)
+		s.freqEnc.Encode(fe.Row(0), 1)
+		for i := 1; i < c.B; i++ {
+			copy(te.Row(i), te.Row(0))
+			copy(fe.Row(i), fe.Row(0))
+		}
 	}
 	parts = append(parts, g.Const(te), g.Const(fe))
 	s.tparts = parts[:0]

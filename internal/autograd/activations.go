@@ -74,13 +74,10 @@ func (g *Graph) GELU(a *Var) *Var {
 // geluRange writes y = GELU(x) over [lo, hi) and, unless t is nil, each
 // element's tanh into t.
 func geluRange(y, t, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var th float64
-		y[i], th = mathx.GELUTanh(x[i])
-		if t != nil {
-			t[i] = th
-		}
+	if t != nil {
+		t = t[lo:hi]
 	}
+	mathx.GELUInto(y[lo:hi], t, x[lo:hi])
 }
 
 // Cos applies cos element-wise; used by the learnable time encoding (Eq. 3).

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"taser/internal/mathx"
@@ -325,5 +326,54 @@ func TestPoisonFlagsUseAfterReset(t *testing.T) {
 	fresh := g.Scale(a, 2)
 	if fresh.Val.Data[0] != 2 {
 		t.Fatalf("post-Reset op = %v, want 2", fresh.Val.Data[0])
+	}
+}
+
+// TestGELUWithoutKernelMatchesWith runs GELU forward and backward twice, on
+// mathx's AVX2 kernel and with the CPU probe's answer overridden to "no
+// kernel", and requires the values, the stashed tanh and the input gradients
+// to agree bit for bit — so which CPU a model trained on is invisible in its
+// weights. Two shapes: an element count that is no multiple of 4 (a scalar
+// tail behind the lanes), and one past geluParallelThreshold with four
+// workers, whose ranges are no multiple of 4 long, so each ends in a scalar
+// tail mid-matrix and the next starts off the four-element grid. Recording
+// and forward-only.
+func TestGELUWithoutKernelMatchesWith(t *testing.T) {
+	defer mathx.ForceScalarGELU(false)
+	if !mathx.ForceScalarGELU(false) {
+		t.Skip("no AVX2 + FMA: GELU already runs the GELUTanh loop")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, shape := range [][2]int{{37, 7}, {geluParallelThreshold/9 + 3, 9}} {
+		if n := shape[0] * shape[1]; n >= geluParallelThreshold && (n+3)/4%4 == 0 {
+			t.Fatalf("%d elements split four ways on the four-element grid: pick another shape", n)
+		}
+		x := tensor.Randn(shape[0], shape[1], 1.5, mathx.NewRNG(7))
+		names := [4]string{"value", "stashed tanh", "input gradient", "forward-only value"}
+		run := func(kernel bool) (out [4]*tensor.Matrix) {
+			mathx.ForceScalarGELU(!kernel)
+			g, xp := NewReusable(), NewParam(x)
+			g.Reset()
+			y := g.GELU(xp)
+			out[1] = g.tape[len(g.tape)-1].aux1.Clone()
+			g.Backward(g.SumAll(g.Mul(y, y)))
+			out[0], out[2] = y.Val.Clone(), xp.Grad.Clone()
+			g.ResetForwardOnly()
+			out[3] = g.GELU(xp).Val.Clone()
+			return out
+		}
+		with, without := run(true), run(false)
+		for k, name := range names {
+			for i := range x.Data {
+				if a, b := with[k].Data[i], without[k].Data[i]; math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%dx%d %s at %d (x = %v): kernel %v, library %v", shape[0], shape[1], name, i, x.Data[i], a, b)
+				}
+			}
+		}
+		for i := range x.Data {
+			if math.Float64bits(with[0].Data[i]) != math.Float64bits(with[3].Data[i]) {
+				t.Fatalf("%dx%d: forward-only value differs from recording at %d", shape[0], shape[1], i)
+			}
+		}
 	}
 }

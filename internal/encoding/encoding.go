@@ -54,18 +54,25 @@ func (e *TimeEncoder) Encode(dst []float64, dt float64) {
 
 // FreqEncoder is the sinusoidal frequency encoding of Eq. 12. Frequencies
 // are small discrete integers, so the transformer positional encoding is the
-// right inductive bias (§III-B).
+// right inductive bias (§III-B) — and so the encodings the sampler asks for
+// (a count within a neighborhood of m) are a table built once.
 type FreqEncoder struct {
-	dim int
-	inv []float64 // precomputed 1/10000^(2i/d)
+	dim   int
+	inv   []float64 // precomputed 1/10000^(2i/d)
+	table []float64 // rows 0…maxFreq of compute's output, dim wide
 }
 
 // NewFreqEncoder builds a d-dimensional encoder (d should be even; an odd
-// final dimension is handled by truncation).
-func NewFreqEncoder(d int) *FreqEncoder {
+// final dimension is handled by truncation) with the encodings of
+// 0…maxFreq precomputed; Encode evaluates any other frequency on demand.
+func NewFreqEncoder(d, maxFreq int) *FreqEncoder {
 	e := &FreqEncoder{dim: d, inv: make([]float64, (d+1)/2)}
 	for i := range e.inv {
 		e.inv[i] = math.Pow(10000, -2*float64(i)/float64(d))
+	}
+	e.table = make([]float64, (maxFreq+1)*d)
+	for f := 0; f <= maxFreq; f++ {
+		e.compute(e.table[f*d:(f+1)*d], f)
 	}
 	return e
 }
@@ -75,6 +82,14 @@ func (e *FreqEncoder) Dim() int { return e.dim }
 
 // Encode writes the sin/cos interleaved encoding of freq into dst (len Dim).
 func (e *FreqEncoder) Encode(dst []float64, freq int) {
+	if lo := freq * e.dim; freq >= 0 && lo < len(e.table) {
+		copy(dst[:e.dim], e.table[lo:lo+e.dim])
+		return
+	}
+	e.compute(dst, freq)
+}
+
+func (e *FreqEncoder) compute(dst []float64, freq int) {
 	f := float64(freq)
 	for i := 0; i < e.dim; i++ {
 		x := f * e.inv[i/2]

@@ -64,7 +64,7 @@ func TestTimeEncoderDistinguishesScales(t *testing.T) {
 }
 
 func TestFreqEncoderDeterministicAndBounded(t *testing.T) {
-	e := NewFreqEncoder(8)
+	e := NewFreqEncoder(8, 4)
 	if e.Dim() != 8 {
 		t.Fatal("dim")
 	}
@@ -83,7 +83,7 @@ func TestFreqEncoderDeterministicAndBounded(t *testing.T) {
 }
 
 func TestFreqEncoderSeparatesSmallCounts(t *testing.T) {
-	e := NewFreqEncoder(16)
+	e := NewFreqEncoder(16, 4)
 	enc := func(f int) []float64 {
 		dst := make([]float64, 16)
 		e.Encode(dst, f)
@@ -105,7 +105,7 @@ func TestFreqEncoderSeparatesSmallCounts(t *testing.T) {
 }
 
 func TestFreqEncoderZeroFreq(t *testing.T) {
-	e := NewFreqEncoder(4)
+	e := NewFreqEncoder(4, 0)
 	dst := make([]float64, 4)
 	e.Encode(dst, 0)
 	want := []float64{0, 1, 0, 1} // sin 0, cos 0 interleaved
@@ -113,6 +113,31 @@ func TestFreqEncoderZeroFreq(t *testing.T) {
 		if dst[i] != w {
 			t.Fatalf("zero-frequency encoding %v", dst)
 		}
+	}
+}
+
+// TestFreqEncoderTableIsTheComputation: a precomputed row is the evaluation
+// it replaces, bit for bit, for every frequency the table holds, and the
+// first one past it (and a negative one) still evaluates.
+func TestFreqEncoderTableIsTheComputation(t *testing.T) {
+	const d, m = 16, 25
+	e := NewFreqEncoder(d, m)
+	got, want := make([]float64, d), make([]float64, d)
+	check := func(f int) {
+		e.Encode(got, f)
+		e.compute(want, f)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("freq %d dim %d: Encode %v, computed %v", f, i, got[i], want[i])
+			}
+		}
+	}
+	for f := -1; f <= m+1; f++ {
+		check(f)
+	}
+	check(1000)
+	if len(e.table) != (m+1)*d {
+		t.Fatalf("table holds %d values, want %d rows of %d", len(e.table), m+1, d)
 	}
 }
 

@@ -27,6 +27,24 @@ func GELUTanh(x float64) (y, t float64) {
 	return 0.5 * x * (1 + t), t
 }
 
+// GELUInto writes GELUTanh(x[i]) into y[i] and, unless t is nil, t[i]; the
+// slices have equal length and y may be x. GELUTanh is the definition: where
+// the CPU allows, whole groups of four go through a kernel that returns the
+// same bits (gelu_amd64.go), and the rest — or everything — through it.
+func GELUInto(y, t, x []float64) {
+	y = y[:len(x)]
+	if t != nil {
+		t = t[:len(x)]
+	}
+	for i := geluLanes(y, t, x); i < len(x); i++ {
+		var th float64
+		y[i], th = GELUTanh(x[i])
+		if t != nil {
+			t[i] = th
+		}
+	}
+}
+
 // GELUGradTanh is d GELU(x)/dx given t, the tanh GELUTanh(x) returned.
 func GELUGradTanh(x, t float64) float64 {
 	sech2 := 1 - t*t

@@ -55,8 +55,8 @@ func tile(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb
 // AVX2 and on every other architecture, and the reference the assembly is
 // tested against. It walks the tile one lane at a time with that lane's
 // eight sums in scalar registers. The float64(…) conversions forbid the
-// compiler from fusing the multiply into the add (it would on arm64 and
-// under GOAMD64=v3), so the twin rounds exactly like the assembly.
+// compiler from fusing the multiply into the add (it would on arm64; amd64
+// never fuses x*y+z, at any GOAMD64), so the twin rounds like the assembly.
 func tileGo(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k int, mode tileMode) {
 	for l := 0; l < 4; l++ {
 		d := (*[8]float64)(dst[l*ldd : l*ldd+8])

@@ -1,9 +1,17 @@
 package tensor
 
+import "taser/internal/mathx"
+
 // haveTileAsm reports whether tile may run tileAVX2: the CPU has AVX2 and
 // the OS saves the YMM state. Probed once at package init; there is no flag,
 // environment variable or build tag that overrides it.
 var haveTileAsm = cpuHasAVX2()
+
+// cpuHasAVX2 asks the tree's one CPUID routine.
+func cpuHasAVX2() bool {
+	avx2, _ := mathx.CPUFeatures()
+	return avx2
+}
 
 // forceGoTile routes every product through the Go twin (on) or back to what
 // the CPU probe chose (off), and reports whether the assembly tile is then
@@ -21,6 +29,3 @@ func forceGoTile(on bool) (asm bool) {
 //
 //go:noescape
 func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, mode int)
-
-// cpuHasAVX2 reads CPUID and XCR0 (tile_amd64.s).
-func cpuHasAVX2() bool

@@ -100,33 +100,3 @@ store:
 	VMOVUPD Y7, 32(DI)(R13*1)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when CPUID.1:ECX reports OSXSAVE and AVX, XCR0 shows the OS
-// saving XMM and YMM state, and CPUID.7:EBX reports AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX     // OSXSAVE (27) | AVX (28)
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX              // XCR0: SSE (1) | AVX (2) state enabled
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX              // AVX2
-	JCC  no
-	MOVB $1, ret+0(FP)
-no:
-	RET
