@@ -104,9 +104,7 @@ func overloadExp(o Options) (string, []Row, error) {
 			rows, summary = append(rows, timeline...), append(summary, sum...)
 			// The control plane's own account of the run, when it has one.
 			if ov := e.Stats().Overload; ov != nil {
-				summary = append(summary,
-					Row{"summary", v.name, "effective_max_batch", float64(ov.EffectiveMaxBatch), ""},
-					Row{"summary", v.name, "effective_max_wait", float64(ov.EffectiveMaxWait.Microseconds()), "µs"})
+				summary = append(summary, Row{"summary", v.name, "effective_max_batch", float64(ov.EffectiveMaxBatch), ""})
 			}
 			return nil
 		}()

@@ -15,21 +15,20 @@ const (
 	// DecisionHold left the effective values unchanged (p99 in the
 	// comfort band, an empty sample window, or already pinned at a clamp).
 	DecisionHold Decision = iota
-	// DecisionTighten reacted to p99 above target: gather bound halved,
-	// batch ceiling doubled (both clamped).
+	// DecisionTighten reacted to p99 above target: batch ceiling doubled
+	// (clamped).
 	DecisionTighten
 	// DecisionRelax stepped additively back toward the configured base
 	// after p99 dropped comfortably under target.
 	DecisionRelax
 )
 
-// ControllerConfig parameterizes the AIMD law. Base values are the
-// operator's static MaxBatch/MaxWait — where the controller starts and what
-// it relaxes back to; how far tightening may go is batchCap/waitFloor.
+// ControllerConfig parameterizes the AIMD law. BaseBatch is the operator's
+// static MaxBatch — where the controller starts and what it relaxes back to;
+// how far tightening may go is batchCap.
 type ControllerConfig struct {
 	TargetP99 time.Duration
 	BaseBatch int
-	BaseWait  time.Duration
 
 	// Sample copies the recent request-latency window (seconds) into dst and
 	// returns it — the engine wires latencyRing.sample here. It must never
@@ -41,31 +40,23 @@ type ControllerConfig struct {
 // the configured base.
 func (c ControllerConfig) batchCap() int64 { return 4 * int64(c.BaseBatch) }
 
-// waitFloor is how far it may cut the effective MaxWait: an eighth of the
-// configured base, and never below 1µs.
-func (c ControllerConfig) waitFloor() int64 {
-	return max(int64(c.BaseWait/8), int64(time.Microsecond))
-}
-
-// Controller retunes the scheduler's effective MaxBatch/MaxWait against a
-// p99 target with an AIMD law. The physics: a larger MaxBatch amortizes the
-// per-flush fixed cost over more roots, raising throughput to drain the
-// backlog. The scheduler's gather is work-conserving (serve's Engine.loop:
-// under overload the batch fills from the requests parked behind the previous
-// flush), so MaxWait is only its upper bound and halving it tightens a bound
-// a loaded engine does not reach; the arm stays until the wire and benchmark/
-// can drop it (ROADMAP). Both revert additively toward the operator's base
-// once p99 is comfortably under target: the steady state is the configured
-// behavior, not the emergency one.
+// Controller retunes the scheduler's effective MaxBatch against a p99 target
+// with an AIMD law. The physics: a larger MaxBatch amortizes the per-flush
+// fixed cost over more roots, raising throughput to drain the backlog. It is
+// the only knob worth turning: the scheduler's gather is work-conserving
+// (serve's Engine.loop — under overload the batch fills from the requests
+// parked behind the previous flush), so no wait bound is reached under load.
+// The ceiling reverts additively toward the operator's base once p99 is
+// comfortably under target: the steady state is the configured behavior, not
+// the emergency one.
 //
-// MaxBatch/MaxWait are lock-free atomic reads — the scheduler loop reads
-// them per request with no coordination. Tick is called by a single owner
-// goroutine (the engine's control loop).
+// MaxBatch is a lock-free atomic read — the scheduler loop reads it per
+// request with no coordination. Tick is called by a single owner goroutine
+// (the engine's control loop).
 type Controller struct {
-	cfg    ControllerConfig
-	start  time.Time
-	batch  atomic.Int64
-	waitNs atomic.Int64
+	cfg   ControllerConfig
+	start time.Time
+	batch atomic.Int64
 
 	tightened atomic.Uint64
 	relaxed   atomic.Uint64
@@ -79,23 +70,19 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.TargetP99 <= 0 {
 		return nil, fmt.Errorf("overload: controller TargetP99 must be positive, got %v", cfg.TargetP99)
 	}
-	if cfg.BaseBatch <= 0 || cfg.BaseWait <= 0 {
-		return nil, fmt.Errorf("overload: controller needs positive BaseBatch and BaseWait, got %d/%v", cfg.BaseBatch, cfg.BaseWait)
+	if cfg.BaseBatch <= 0 {
+		return nil, fmt.Errorf("overload: controller needs a positive BaseBatch, got %d", cfg.BaseBatch)
 	}
 	if cfg.Sample == nil {
 		return nil, fmt.Errorf("overload: controller Sample is required")
 	}
 	c := &Controller{cfg: cfg, start: time.Now()}
 	c.batch.Store(int64(cfg.BaseBatch))
-	c.waitNs.Store(int64(cfg.BaseWait))
 	return c, nil
 }
 
 // MaxBatch returns the effective batch ceiling (lock-free).
 func (c *Controller) MaxBatch() int { return int(c.batch.Load()) }
-
-// MaxWait returns the effective bound on one gather (lock-free).
-func (c *Controller) MaxWait() time.Duration { return time.Duration(c.waitNs.Load()) }
 
 // Tick runs one control step: sample the latency window, compute p99, apply
 // the AIMD law. An empty window holds — no evidence, no move.
@@ -112,30 +99,26 @@ func (c *Controller) Tick() Decision {
 // observe applies the law to one p99 observation (split from Tick so tests
 // can drive synthetic trajectories).
 func (c *Controller) observe(p99 time.Duration) Decision {
-	b, w := c.batch.Load(), c.waitNs.Load()
+	b := c.batch.Load()
 	switch {
 	case p99 > c.cfg.TargetP99:
-		// Multiplicative tighten: halve the wait, double the batch ceiling.
+		// Multiplicative tighten: double the batch ceiling.
 		nb := min(b*2, c.cfg.batchCap())
-		nw := max(w/2, c.cfg.waitFloor())
-		if nb == b && nw == w {
-			c.held.Add(1) // pinned at the clamps; nothing left to give
+		if nb == b {
+			c.held.Add(1) // pinned at the clamp; nothing left to give
 			return DecisionHold
 		}
 		c.batch.Store(nb)
-		c.waitNs.Store(nw)
 		c.tightened.Add(1)
 		return DecisionTighten
 	case p99 < c.cfg.TargetP99*3/4:
 		// Additive relax toward the operator's base (never past it).
 		nb := max(b-max(1, int64(c.cfg.BaseBatch/4)), int64(c.cfg.BaseBatch))
-		nw := min(w+max(1, int64(c.cfg.BaseWait/8)), int64(c.cfg.BaseWait))
-		if nb == b && nw == w {
+		if nb == b {
 			c.held.Add(1) // already at base
 			return DecisionHold
 		}
 		c.batch.Store(nb)
-		c.waitNs.Store(nw)
 		c.relaxed.Add(1)
 		return DecisionRelax
 	default:
@@ -146,13 +129,12 @@ func (c *Controller) observe(p99 time.Duration) Decision {
 }
 
 // ControllerStats is the controller's point-in-time summary and the
-// "controller" block of /v1/stats. MaxBatch/MaxWait stay off the wire: the
-// enclosing overload block reports them as its effective values.
+// "controller" block of /v1/stats. MaxBatch stays off the wire: the
+// enclosing overload block reports it as its effective value.
 type ControllerStats struct {
 	TargetP99       time.Duration `json:"-"`
 	TargetP99US     int64         `json:"target_p99_us"` // TargetP99 on the wire
 	MaxBatch        int           `json:"-"`             // current effective batch ceiling
-	MaxWait         time.Duration `json:"-"`             // current effective gather bound
 	Tightened       uint64        `json:"tightened"`
 	Relaxed         uint64        `json:"relaxed"`
 	Held            uint64        `json:"held"`
@@ -160,13 +142,12 @@ type ControllerStats struct {
 }
 
 // Merge folds another engine's controller into s (the fleet view): decision
-// counters and rates sum, the effective values report the most-tightened
+// counters and rates sum, the effective ceiling reports the most-tightened
 // shard, and the target — one config for every shard — folds by max.
 func (s *ControllerStats) Merge(o ControllerStats) {
 	s.TargetP99 = max(s.TargetP99, o.TargetP99)
 	s.TargetP99US = max(s.TargetP99US, o.TargetP99US)
 	s.MaxBatch = min(s.MaxBatch, o.MaxBatch)
-	s.MaxWait = min(s.MaxWait, o.MaxWait)
 	s.Tightened += o.Tightened
 	s.Relaxed += o.Relaxed
 	s.Held += o.Held
@@ -179,7 +160,6 @@ func (c *Controller) Stats() ControllerStats {
 		TargetP99:   c.cfg.TargetP99,
 		TargetP99US: c.cfg.TargetP99.Microseconds(),
 		MaxBatch:    c.MaxBatch(),
-		MaxWait:     c.MaxWait(),
 		Tightened:   c.tightened.Load(),
 		Relaxed:     c.relaxed.Load(),
 		Held:        c.held.Load(),

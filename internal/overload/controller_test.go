@@ -12,8 +12,8 @@ func testController(t *testing.T, sample func([]float64) []float64) *Controller 
 	}
 	c, err := NewController(ControllerConfig{
 		TargetP99: 10 * time.Millisecond,
-		BaseBatch: 8, BaseWait: 2 * time.Millisecond, // cap 32, floor 250µs
-		Sample: sample,
+		BaseBatch: 8, // cap 32
+		Sample:    sample,
 	})
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
@@ -28,47 +28,45 @@ func TestControllerTightensMultiplicativelyAndClamps(t *testing.T) {
 	if d := c.observe(over); d != DecisionTighten {
 		t.Fatalf("step 1 = %v, want tighten", d)
 	}
-	if c.MaxBatch() != 16 || c.MaxWait() != time.Millisecond {
-		t.Fatalf("after step 1: batch=%d wait=%v", c.MaxBatch(), c.MaxWait())
+	if c.MaxBatch() != 16 {
+		t.Fatalf("after step 1: batch=%d", c.MaxBatch())
 	}
 	if d := c.observe(over); d != DecisionTighten {
 		t.Fatalf("step 2 = %v, want tighten", d)
 	}
-	if c.MaxBatch() != 32 || c.MaxWait() != 500*time.Microsecond {
-		t.Fatalf("after step 2: batch=%d wait=%v", c.MaxBatch(), c.MaxWait())
+	if c.MaxBatch() != 32 {
+		t.Fatalf("after step 2: batch=%d", c.MaxBatch())
 	}
-	// Batch is pinned at the cap; the wait still has room.
-	if d := c.observe(over); d != DecisionTighten {
-		t.Fatalf("step 3 = %v, want tighten", d)
-	}
-	if c.MaxBatch() != 32 || c.MaxWait() != 250*time.Microsecond {
-		t.Fatalf("after step 3: batch=%d wait=%v", c.MaxBatch(), c.MaxWait())
-	}
-	// Fully pinned: further pressure is a hold, not counter churn.
+	// Pinned at the cap: further pressure is a hold, not counter churn.
 	if d := c.observe(over); d != DecisionHold {
 		t.Fatalf("pinned step = %v, want hold", d)
 	}
+	if c.MaxBatch() != 32 {
+		t.Fatalf("pinned step moved the ceiling: batch=%d", c.MaxBatch())
+	}
 	st := c.Stats()
-	if st.Tightened != 3 || st.Held != 1 {
+	if st.Tightened != 2 || st.Held != 1 || st.MaxBatch != 32 {
 		t.Fatalf("decision counters = %+v", st)
 	}
 }
 
 func TestControllerRelaxesAdditivelyToBase(t *testing.T) {
 	c := testController(t, nil)
-	for i := 0; i < 3; i++ {
-		c.observe(time.Second) // drive to the clamps: batch 32, wait 250µs
+	for i := 0; i < 2; i++ {
+		c.observe(time.Second) // drive to the clamp: batch 32
 	}
 	calm := time.Millisecond // < 0.75 × target
-	// Additive steps: batch −2 (base/4) per step, wait +250µs (base/8) per
-	// step — the wait reaches base after 7 steps, the batch after 12.
+	// Additive steps: batch −2 (base/4) per step — base after 12 steps.
 	for i := 0; i < 12; i++ {
 		if d := c.observe(calm); d != DecisionRelax {
-			t.Fatalf("relax step %d = %v (batch=%d wait=%v)", i, d, c.MaxBatch(), c.MaxWait())
+			t.Fatalf("relax step %d = %v (batch=%d)", i, d, c.MaxBatch())
+		}
+		if want := 32 - 2*(i+1); c.MaxBatch() != want {
+			t.Fatalf("relax step %d: batch=%d, want %d", i, c.MaxBatch(), want)
 		}
 	}
-	if c.MaxBatch() != 8 || c.MaxWait() != 2*time.Millisecond {
-		t.Fatalf("after relaxing: batch=%d wait=%v, want base 8/2ms", c.MaxBatch(), c.MaxWait())
+	if c.MaxBatch() != 8 {
+		t.Fatalf("after relaxing: batch=%d, want base 8", c.MaxBatch())
 	}
 	// At base, calm traffic holds — the controller never undershoots the
 	// operator's configuration.
@@ -85,8 +83,8 @@ func TestControllerComfortBandHolds(t *testing.T) {
 			t.Fatalf("observe(%v) = %v, want hold", p99, d)
 		}
 	}
-	if c.MaxBatch() != 8 || c.MaxWait() != 2*time.Millisecond {
-		t.Fatalf("comfort band moved the values: batch=%d wait=%v", c.MaxBatch(), c.MaxWait())
+	if c.MaxBatch() != 8 {
+		t.Fatalf("comfort band moved the ceiling: batch=%d", c.MaxBatch())
 	}
 }
 
@@ -119,10 +117,10 @@ func TestControllerTickSamplesWindow(t *testing.T) {
 func TestNewControllerValidates(t *testing.T) {
 	sample := func(dst []float64) []float64 { return dst }
 	bad := []ControllerConfig{
-		{BaseBatch: 8, BaseWait: time.Millisecond, Sample: sample},                // no target
-		{TargetP99: time.Millisecond, BaseWait: time.Millisecond, Sample: sample}, // no base batch
-		{TargetP99: time.Millisecond, BaseBatch: 8, Sample: sample},               // no base wait
-		{TargetP99: time.Millisecond, BaseBatch: 8, BaseWait: time.Millisecond},   // no sample
+		{BaseBatch: 8, Sample: sample},                               // no target
+		{TargetP99: time.Millisecond, Sample: sample},                // no base batch
+		{TargetP99: time.Millisecond, BaseBatch: -8, Sample: sample}, // negative base batch
+		{TargetP99: time.Millisecond, BaseBatch: 8},                  // no sample
 	}
 	for i, cfg := range bad {
 		if _, err := NewController(cfg); err == nil {

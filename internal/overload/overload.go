@@ -15,11 +15,10 @@
 //     starvation-freedom for every lane.
 //
 //   - A Controller (controller.go) retunes the micro-batching scheduler's
-//     effective MaxBatch/MaxWait against a p99 target using the live
-//     request-latency window: AIMD — tighten multiplicatively when p99
-//     exceeds the target (double the batch ceiling, halve the bound on a
-//     gather, both clamped), relax additively back toward the operator's
-//     configured base when p99 is comfortably under it.
+//     effective MaxBatch against a p99 target using the live request-latency
+//     window: AIMD — double the batch ceiling (clamped) when p99 exceeds the
+//     target, relax it additively back toward the operator's configured base
+//     when p99 is comfortably under it.
 //
 // Both are opt-in per serve.Config; the zero Config disables the subsystem
 // entirely and the engine runs exactly its static-config path.
@@ -94,7 +93,7 @@ func (e *RejectedError) Unwrap() error { return ErrOverload }
 // lanes' shares are constants (controller.go, gate.go).
 type Config struct {
 	// TargetP99 is the latency SLO the controller steers the scheduler's
-	// effective MaxBatch/MaxWait toward (0 = no controller: static config).
+	// effective MaxBatch toward (0 = no controller: static config).
 	TargetP99 time.Duration
 	// Interval is the controller's decision cadence (default 250ms).
 	Interval time.Duration
@@ -117,10 +116,9 @@ func (c Config) AdmissionEnabled() bool { return c.MaxQueue > 0 }
 func (c Config) Enabled() bool { return c.ControllerEnabled() || c.AdmissionEnabled() }
 
 // Normalize validates and fills defaults against the scheduler's static base
-// MaxBatch (the gate sizes its capacity from it). The base MaxWait bears on
-// no field — the wait floor is a fixed fraction of it, computed by the
-// controller — and the parameter stays only because benchmark/ passes it
-// (ROADMAP 5(c)).
+// MaxBatch (the gate sizes its capacity from it). The second parameter, the
+// scheduler's base MaxWait, bears on nothing; it stays only because
+// benchmark/ passes it (ROADMAP 5(c)).
 func (c Config) Normalize(baseBatch int, _ time.Duration) (Config, error) {
 	if c.TargetP99 < 0 || c.Interval < 0 || c.MaxQueue < 0 || c.Capacity < 0 {
 		return c, fmt.Errorf("overload: TargetP99, Interval, MaxQueue and Capacity must not be negative (got %v, %v, %d, %d)",

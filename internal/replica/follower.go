@@ -260,8 +260,33 @@ func (f *Follower) verifyJoin(ctx context.Context, applied uint64) error {
 		n = applied
 	}
 	from := applied - n
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/repl/wal?from=%d&max=%d", f.cfg.Leader, from, n), nil)
+	return f.get(ctx, fmt.Sprintf("/v1/repl/wal?from=%d&max=%d", from, n), func(resp *http.Response) error {
+		snap := f.cfg.Engine.PublishSnapshot()
+		if uint64(snap.NumEvents()) < applied {
+			return fmt.Errorf("replica: snapshot covers %d events, %d applied", snap.NumEvents(), applied)
+		}
+		sr := wal.NewStreamReader(resp.Body)
+		for i := uint64(0); i < n; i++ {
+			rec, rerr := sr.Next()
+			if rerr != nil {
+				return fmt.Errorf("replica: join verification read %d/%d records: %w", i, n, rerr)
+			}
+			seq := from + i
+			ev := snap.Graph.Events[seq]
+			if !recordEqual(rec, ev, snap.EdgeFeat.Row(int(seq))) {
+				return fmt.Errorf("%w: record %d differs from the leader's log (local %d→%d t=%v, leader %d→%d t=%v)",
+					ErrDiverged, seq, ev.Src, ev.Dst, ev.Time, rec.Src, rec.Dst, rec.T)
+			}
+		}
+		return nil
+	})
+}
+
+// get issues one GET of path against the leader and hands a 200 response to
+// read; any other answer is a *statusError. However read returns, the body
+// is drained (so the connection is reused) and closed.
+func (f *Follower) get(ctx context.Context, path string, read func(*http.Response) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Leader+path, nil)
 	if err != nil {
 		return err
 	}
@@ -274,26 +299,20 @@ func (f *Follower) verifyJoin(ctx context.Context, applied uint64) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: leader returned %s for join verification", resp.Status)
+		return &statusError{path: path, status: resp.Status, code: resp.StatusCode}
 	}
-	snap := f.cfg.Engine.PublishSnapshot()
-	if uint64(snap.NumEvents()) < applied {
-		return fmt.Errorf("replica: snapshot covers %d events, %d applied", snap.NumEvents(), applied)
-	}
-	sr := wal.NewStreamReader(resp.Body)
-	for i := uint64(0); i < n; i++ {
-		rec, rerr := sr.Next()
-		if rerr != nil {
-			return fmt.Errorf("replica: join verification read %d/%d records: %w", i, n, rerr)
-		}
-		seq := from + i
-		ev := snap.Graph.Events[seq]
-		if !recordEqual(rec, ev, snap.EdgeFeat.Row(int(seq))) {
-			return fmt.Errorf("%w: record %d differs from the leader's log (local %d→%d t=%v, leader %d→%d t=%v)",
-				ErrDiverged, seq, ev.Src, ev.Dst, ev.Time, rec.Src, rec.Dst, rec.T)
-		}
-	}
-	return nil
+	return read(resp)
+}
+
+// statusError is a leader answer other than 200 OK — which still proves the
+// leader is alive.
+type statusError struct {
+	path, status string
+	code         int
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("replica: leader returned %s for %s", e.status, e.path)
 }
 
 // recordEqual compares a leader log record with a local event bitwise —
@@ -377,81 +396,78 @@ func (f *Follower) pollOnce(ctx context.Context) (appliedN int, contact bool, er
 	e := f.cfg.Engine
 	f.polls.Add(1)
 	from := f.applied.Load()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		f.cfg.Leader+"/v1/repl/wal?from="+strconv.FormatUint(from, 10), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return 0, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusConflict {
-		return 0, true, fmt.Errorf("%w: leader refused seq %d", ErrDiverged, from)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, true, fmt.Errorf("replica: leader returned %s for /v1/repl/wal", resp.Status)
-	}
-	if v, perr := strconv.ParseUint(resp.Header.Get(hdrSeq), 10, 64); perr == nil {
-		if prev := f.leaderSeq.Load(); v < prev {
-			// A synced sequence never regresses on one store (recovery keeps
-			// every synced record), so the log behind this URL was replaced
-			// with a different — potentially conflicting — history.
-			return 0, true, fmt.Errorf("%w: leader synced sequence regressed %d → %d", ErrDiverged, prev, v)
-		}
-		f.leaderSeq.Store(v)
-	}
-	firstSeq := from
-	if v, perr := strconv.ParseUint(resp.Header.Get(hdrFrom), 10, 64); perr == nil {
-		firstSeq = v
-	}
-	sr := wal.NewStreamReader(resp.Body)
-	for i := 0; ; i++ {
-		rec, rerr := sr.Next()
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			// Torn (truncated mid-record) or corrupt (checksum) chunk: the
-			// validated prefix already applied stands; re-poll for the rest.
-			f.faultPolls.Add(1)
-			break
-		}
-		seq := firstSeq + uint64(i)
-		cur := f.applied.Load()
-		if seq < cur {
-			f.dupRecords.Add(1)
-			continue
-		}
-		if seq > cur {
-			f.faultPolls.Add(1) // gap: an expected record was consumed by a fault
-			break
-		}
-		if aerr := e.Apply(rec.Src, rec.Dst, rec.T, rec.Feat); aerr != nil {
-			// Transient by default (a checkpoint write racing the apply), but
-			// the same sequence rejected poll after poll can never heal —
-			// escalate to ErrStalled so the loop fails instead of spinning.
-			if seq == f.stalledSeq {
-				f.stalledFails++
-			} else {
-				f.stalledSeq, f.stalledFails = seq, 1
+	var weights string
+	err = f.get(ctx, "/v1/repl/wal?from="+strconv.FormatUint(from, 10), func(resp *http.Response) error {
+		contact = true
+		if v, perr := strconv.ParseUint(resp.Header.Get(hdrSeq), 10, 64); perr == nil {
+			if prev := f.leaderSeq.Load(); v < prev {
+				// A synced sequence never regresses on one store (recovery
+				// keeps every synced record), so the log behind this URL was
+				// replaced with a different — potentially conflicting — history.
+				return fmt.Errorf("%w: leader synced sequence regressed %d → %d", ErrDiverged, prev, v)
 			}
-			if f.stalledFails >= maxApplyFails {
-				return appliedN, true, fmt.Errorf("%w: record %d rejected %d polls in a row: %w",
-					ErrStalled, seq, f.stalledFails, aerr)
-			}
-			return appliedN, true, fmt.Errorf("replica: applying record %d: %w", seq, aerr)
+			f.leaderSeq.Store(v)
 		}
-		f.stalledFails = 0
-		f.applied.Add(1)
-		appliedN++
+		firstSeq := from
+		if v, perr := strconv.ParseUint(resp.Header.Get(hdrFrom), 10, 64); perr == nil {
+			firstSeq = v
+		}
+		sr := wal.NewStreamReader(resp.Body)
+		for i := 0; ; i++ {
+			rec, rerr := sr.Next()
+			if rerr == io.EOF {
+				break
+			}
+			if rerr != nil {
+				// Torn (truncated mid-record) or corrupt (checksum) chunk: the
+				// validated prefix already applied stands; re-poll for the rest.
+				f.faultPolls.Add(1)
+				break
+			}
+			seq := firstSeq + uint64(i)
+			cur := f.applied.Load()
+			if seq < cur {
+				f.dupRecords.Add(1)
+				continue
+			}
+			if seq > cur {
+				f.faultPolls.Add(1) // gap: an expected record was consumed by a fault
+				break
+			}
+			if aerr := e.Apply(rec.Src, rec.Dst, rec.T, rec.Feat); aerr != nil {
+				// Transient by default (a checkpoint write racing the apply),
+				// but the same sequence rejected poll after poll can never
+				// heal — escalate to ErrStalled so the loop fails instead of
+				// spinning.
+				if seq == f.stalledSeq {
+					f.stalledFails++
+				} else {
+					f.stalledSeq, f.stalledFails = seq, 1
+				}
+				if f.stalledFails >= maxApplyFails {
+					return fmt.Errorf("%w: record %d rejected %d polls in a row: %w",
+						ErrStalled, seq, f.stalledFails, aerr)
+				}
+				return fmt.Errorf("replica: applying record %d: %w", seq, aerr)
+			}
+			f.stalledFails = 0
+			f.applied.Add(1)
+			appliedN++
+		}
+		weights = resp.Header.Get(hdrWeights)
+		return nil
+	})
+	var se *statusError
+	if errors.As(err, &se) {
+		contact = true
+		if se.code == http.StatusConflict {
+			err = fmt.Errorf("%w: leader refused seq %d", ErrDiverged, from)
+		}
 	}
-	f.maybeFetchWeights(ctx, resp.Header.Get(hdrWeights))
-	return appliedN, true, nil
+	if err == nil {
+		f.maybeFetchWeights(ctx, weights)
+	}
+	return appliedN, contact, err
 }
 
 // maybeFetchWeights re-fetches the leader checkpoint when its advertised
@@ -492,52 +508,33 @@ type leaderStatus struct {
 	Writable         bool   `json:"writable"`
 }
 
-func (f *Follower) fetchStatus(ctx context.Context) (leaderStatus, error) {
-	var st leaderStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Leader+"/v1/repl/status", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("replica: leader returned %s for /v1/repl/status", resp.Status)
-	}
-	return st, decodeJSON(resp.Body, &st)
+func (f *Follower) fetchStatus(ctx context.Context) (st leaderStatus, err error) {
+	err = f.get(ctx, "/v1/repl/status", func(resp *http.Response) error {
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
+	return st, err
 }
 
 // fetchCheckpoint downloads and decodes the leader's newest checkpoint
-// (nil when the leader has none yet).
-func (f *Follower) fetchCheckpoint(ctx context.Context) (*wal.Checkpoint, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Leader+"/v1/repl/checkpoint", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
+// (nil when the leader has none yet: 204 No Content).
+func (f *Follower) fetchCheckpoint(ctx context.Context) (ck *wal.Checkpoint, err error) {
+	err = f.get(ctx, "/v1/repl/checkpoint", func(resp *http.Response) error {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return fmt.Errorf("replica: reading shipped checkpoint: %w", err)
+		}
+		// DecodeCheckpoint checksums every section, so a torn or corrupted
+		// shipment is rejected here, never applied.
+		if ck, err = wal.DecodeCheckpoint(data); err != nil {
+			return fmt.Errorf("replica: shipped checkpoint: %w", err)
+		}
+		return nil
+	})
+	var se *statusError
+	if errors.As(err, &se) && se.code == http.StatusNoContent {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("replica: leader returned %s for /v1/repl/checkpoint", resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("replica: reading shipped checkpoint: %w", err)
-	}
-	// DecodeCheckpoint checksums every section, so a torn or corrupted
-	// shipment is rejected here, never applied.
-	ck, err := wal.DecodeCheckpoint(data)
-	if err != nil {
-		return nil, fmt.Errorf("replica: shipped checkpoint: %w", err)
-	}
-	return ck, nil
+	return ck, err
 }
 
 // Promote stops replication and makes the local engine writable: the
@@ -667,8 +664,4 @@ func (f *Follower) ReplicationStats() serve.ReplicationStats {
 		Applied: st.Applied, LeaderSeq: st.LeaderSeq, Lag: st.Lag,
 		Polls: st.Polls, FaultPolls: st.FaultPolls, DupRecords: st.DupRecords,
 	}
-}
-
-func decodeJSON(r io.Reader, dst any) error {
-	return json.NewDecoder(r).Decode(dst)
 }

@@ -105,12 +105,10 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 		return response{}, fmt.Errorf("serve: query time %v is not finite", t)
 	}
 	start := time.Now() // before the gate: measured latency includes admission wait
-	if e.gate != nil {
-		if err := e.gate.Enter(overload.LanePredict); err != nil {
-			return response{}, gateErr(err)
-		}
-		defer e.gate.Leave(overload.LanePredict)
+	if err := e.enter(overload.LanePredict); err != nil {
+		return response{}, err
 	}
+	defer e.leave(overload.LanePredict)
 	r := requestPool.Get().(*request)
 	r.kind, r.src, r.dst, r.t = kind, src, dst, t
 	select {
@@ -135,9 +133,9 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 // after the first arrival, and always in a flush, so an accepted request is
 // never stranded and quit is only looked at between batches. Submitters park
 // on e.reqs while a flush runs: the next batch forms behind it, 1 root when
-// idle, MaxBatch when saturated. curMaxBatch/curMaxWait are the static config
-// or the SLO controller's retuned values (atomic reads, re-read per request
-// so a control decision takes effect mid-stream).
+// idle, MaxBatch when saturated. curMaxBatch is the static config or the SLO
+// controller's retuned value (an atomic read, re-read per request so a
+// control decision takes effect mid-stream).
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	var pending []*request
@@ -157,7 +155,7 @@ func (e *Engine) loop() {
 				roots += r.rootCount()
 				yielded = false
 			default:
-				if yielded || time.Since(first) >= e.curMaxWait() {
+				if yielded || time.Since(first) >= e.cfg.MaxWait {
 					break gather // nobody else is about to submit, or out of time
 				}
 				runtime.Gosched()

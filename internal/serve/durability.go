@@ -107,15 +107,11 @@ func (e *Engine) recoverLocked(rep *RecoveryReport) (*models.WeightSet, error) {
 		return nil, err
 	}
 	var ckWeights *models.WeightSet
+	var ckRow func(int) []float64
 	if ck != nil {
-		if ck.EdgeDim != e.cfg.EdgeDim {
-			return nil, fmt.Errorf("serve: checkpoint edge dim %d, engine configured for %d", ck.EdgeDim, e.cfg.EdgeDim)
-		}
-		for i, ev := range ck.Events {
-			if err := e.gb.Add(ev.Src, ev.Dst, ev.Time); err != nil {
-				return nil, fmt.Errorf("serve: checkpoint event %d: %w", i, err)
-			}
-			e.appendFeatLocked(e.ckptRow(ck, i))
+		ckRow = func(i int) []float64 { return ck.Feats[i*ck.EdgeDim : (i+1)*ck.EdgeDim] }
+		if err := e.admitRunLocked(ck.Events, ckRow, true); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint: %w", err)
 		}
 		rep.CheckpointEvents = len(ck.Events)
 		ckWeights = ck.Weights
@@ -129,7 +125,7 @@ func (e *Engine) recoverLocked(rep *RecoveryReport) (*models.WeightSet, error) {
 	if onLog := e.wlog.Seq(); onLog < from {
 		for i := int(onLog); i < rep.CheckpointEvents; i++ {
 			ev := ck.Events[i]
-			if err := e.wlog.Append(ev.Src, ev.Dst, ev.Time, e.ckptRow(ck, i)); err != nil {
+			if err := e.wlog.Append(ev.Src, ev.Dst, ev.Time, ckRow(i)); err != nil {
 				return nil, fmt.Errorf("%w: healing WAL record %d: %w", ErrDurability, i, err)
 			}
 			rep.HealedEvents++
@@ -141,13 +137,9 @@ func (e *Engine) recoverLocked(rep *RecoveryReport) (*models.WeightSet, error) {
 
 	// Replay the WAL suffix the checkpoint does not cover.
 	replayed, err := wal.Replay(fsys, dir, from, func(seq uint64, r wal.Record) error {
-		if len(r.Feat) != e.cfg.EdgeDim {
-			return fmt.Errorf("serve: WAL record %d has %d feature floats, engine configured for %d", seq, len(r.Feat), e.cfg.EdgeDim)
-		}
-		if err := e.gb.Add(r.Src, r.Dst, r.T); err != nil {
+		if err := e.admitLocked(r.Src, r.Dst, r.T, r.Feat, true); err != nil {
 			return fmt.Errorf("serve: WAL record %d: %w", seq, err)
 		}
-		e.appendFeatLocked(r.Feat)
 		return nil
 	})
 	rep.ReplayedEvents = int(replayed)
@@ -157,27 +149,6 @@ func (e *Engine) recoverLocked(rep *RecoveryReport) (*models.WeightSet, error) {
 	e.publishLocked()
 	rep.Watermark, rep.HasWatermark = e.gb.LastTime()
 	return ckWeights, nil
-}
-
-// ckptRow returns checkpoint event i's edge-feature row (nil when the graph
-// carries none).
-func (e *Engine) ckptRow(ck *wal.Checkpoint, i int) []float64 {
-	if e.cfg.EdgeDim == 0 {
-		return nil
-	}
-	return ck.Feats[i*e.cfg.EdgeDim : (i+1)*e.cfg.EdgeDim]
-}
-
-// walRow returns the feature row Ingest will admit for feat — the row the
-// WAL must log so replay reproduces the feature buffer bitwise.
-func (e *Engine) walRow(feat []float64) []float64 {
-	if e.cfg.EdgeDim == 0 {
-		return nil
-	}
-	if feat == nil {
-		return e.zeroRow
-	}
-	return feat
 }
 
 // checkpointNow captures a consistent (events, features, watermark, weights)

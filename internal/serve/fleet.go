@@ -211,10 +211,11 @@ func (f *Fleet) targets(src, dst int32) (a, b int, teed bool) {
 // Ingest admits one streaming edge event, routed to the shard owning its
 // destination node and teed to the source's owner when that differs. The tee
 // is atomic: both target shards are locked (ascending index order) and both
-// watermarks pre-checked before either shard admits, so an event is either on
-// every shard that needs it or on none. The watermark contract is per-shard —
-// an event must be at-or-after the watermark of each shard it lands on, which
-// for an in-(per-shard-)order stream is exactly the single-engine contract.
+// copies judged — each shard's own rule against its own watermark — before
+// either shard admits, so an event is either on every shard that needs it or
+// on none. The watermark contract is per-shard — an event must be
+// at-or-after the watermark of each shard it lands on, which for an
+// in-(per-shard-)order stream is exactly the single-engine contract.
 //
 // Admission control composes by canonical ownership: the event passes the
 // ingest lane of exactly one gate — the shard owning dst, the copy the fleet
@@ -227,46 +228,30 @@ func (f *Fleet) Ingest(src, dst int32, t float64, feat []float64) error {
 		return err
 	}
 	defer f.leave()
-	if src < 0 || int(src) >= f.cfg.NumNodes || dst < 0 || int(dst) >= f.cfg.NumNodes {
-		return fmt.Errorf("serve: node id out of range [0, %d)", f.cfg.NumNodes)
-	}
-	if f.cfg.EdgeDim > 0 && feat != nil && len(feat) != f.cfg.EdgeDim {
-		return fmt.Errorf("serve: edge feature width %d, want %d", len(feat), f.cfg.EdgeDim)
-	}
 	owner := f.ring.Owner(dst)
-	if g := f.shards[owner].gate; g != nil {
-		if err := g.Enter(overload.LaneIngest); err != nil {
-			return &ShardError{Shard: owner, Err: gateErr(err)}
-		}
-		defer g.Leave(overload.LaneIngest)
+	if err := f.shards[owner].enter(overload.LaneIngest); err != nil {
+		return &ShardError{Shard: owner, Err: err}
 	}
+	defer f.shards[owner].leave(overload.LaneIngest)
 	a, b, teed := f.targets(src, dst)
 	f.shardMu[a].Lock()
 	defer f.shardMu[a].Unlock()
 	if teed {
 		f.shardMu[b].Lock()
 		defer f.shardMu[b].Unlock()
-	}
-	check := func(s int) error {
-		if wm, ok := f.shards[s].Watermark(); ok && t < wm {
-			return &ShardError{Shard: s, Err: fmt.Errorf(
-				"%w: event (%d→%d) at t=%v arrived behind watermark t=%v", ErrStaleEvent, src, dst, t, wm)}
-		}
-		return nil
-	}
-	if err := check(a); err != nil {
-		return err
-	}
-	if teed {
-		if err := check(b); err != nil {
-			return err
+		ev := []tgraph.Event{{Src: src, Dst: dst, Time: t}}
+		row := func(int) []float64 { return feat }
+		for _, s := range [2]int{a, b} {
+			if err := f.shards[s].checkRun(ev, row); err != nil {
+				return &ShardError{Shard: s, Err: err}
+			}
 		}
 	}
-	if err := f.shards[a].applyEvent(src, dst, t, feat); err != nil {
+	if err := f.shards[a].admit(src, dst, t, feat); err != nil {
 		return &ShardError{Shard: a, Err: err}
 	}
 	if teed {
-		if err := f.shards[b].applyEvent(src, dst, t, feat); err != nil {
+		if err := f.shards[b].admit(src, dst, t, feat); err != nil {
 			return &ShardError{Shard: b, Err: err}
 		}
 	}
@@ -281,45 +266,48 @@ func (f *Fleet) Ingest(src, dst int32, t float64, feat []float64) error {
 // into per-shard subsequences (order preserved, teed events in both) and each
 // shard bulk-applies its slice under one writer lock and one snapshot
 // publication — the fleet-shaped analogue of Engine.Bootstrap, durable
-// checkpoints included.
+// checkpoints included. It is all or nothing across the fleet: every shard's
+// ingest gate is entered and every shard's slice judged against that shard's
+// watermark before any shard admits an event (as on one engine, only a WAL
+// failure can still stop it midway).
 func (f *Fleet) Bootstrap(events []tgraph.Event, feats *tensor.Matrix) error {
 	if err := f.enter(); err != nil {
 		return err
 	}
 	defer f.leave()
-	if feats != nil && feats.Cols != f.cfg.EdgeDim {
-		return fmt.Errorf("serve: bootstrap feature width %d, want %d", feats.Cols, f.cfg.EdgeDim)
+	// Gates before write locks, in ascending order — Ingest's one gate is
+	// also taken before its locks, so the two can never wait on each other.
+	for s, e := range f.shards {
+		if err := e.enter(overload.LaneIngest); err != nil {
+			return &ShardError{Shard: s, Err: err}
+		}
+		defer e.leave(overload.LaneIngest)
 	}
 	for i := range f.shardMu {
 		f.shardMu[i].Lock()
 		defer f.shardMu[i].Unlock()
 	}
 	perEv := make([][]tgraph.Event, len(f.shards))
-	perFeat := make([][]float64, len(f.shards))
+	perIdx := make([][]int, len(f.shards)) // shard slice position → index in events
 	var teed uint64
-	add := func(s, i int, ev tgraph.Event) {
-		perEv[s] = append(perEv[s], ev)
-		if feats != nil && f.cfg.EdgeDim > 0 {
-			perFeat[s] = append(perFeat[s], feats.Row(i)...)
-		}
-	}
 	for i, ev := range events {
-		if ev.Src < 0 || int(ev.Src) >= f.cfg.NumNodes || ev.Dst < 0 || int(ev.Dst) >= f.cfg.NumNodes {
-			return fmt.Errorf("serve: bootstrap event %d: node id out of range [0, %d)", i, f.cfg.NumNodes)
-		}
 		a, b, t := f.targets(ev.Src, ev.Dst)
-		add(a, i, ev)
+		perEv[a], perIdx[a] = append(perEv[a], ev), append(perIdx[a], i)
 		if t {
-			add(b, i, ev)
+			perEv[b], perIdx[b] = append(perEv[b], ev), append(perIdx[b], i)
 			teed++
 		}
 	}
+	rows, perRow := rowsOf(feats), make([]func(int) []float64, len(f.shards))
 	for s := range f.shards {
-		var fm *tensor.Matrix
-		if feats != nil && f.cfg.EdgeDim > 0 {
-			fm = tensor.FromSlice(len(perEv[s]), f.cfg.EdgeDim, perFeat[s])
+		idx := perIdx[s]
+		perRow[s] = func(j int) []float64 { return rows(idx[j]) }
+		if err := f.shards[s].checkRun(perEv[s], perRow[s]); err != nil {
+			return &ShardError{Shard: s, Err: err}
 		}
-		if err := f.shards[s].Bootstrap(perEv[s], fm); err != nil {
+	}
+	for s, e := range f.shards {
+		if err := e.admitRun(perEv[s], perRow[s]); err != nil {
 			return &ShardError{Shard: s, Err: err}
 		}
 	}

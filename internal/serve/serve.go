@@ -97,7 +97,7 @@ type Config struct {
 
 	// Overload enables the overload control plane (internal/overload,
 	// DESIGN.md §14): TargetP99 attaches an SLO feedback controller to the
-	// scheduler's effective MaxBatch/MaxWait, MaxQueue bounds admission with
+	// scheduler's effective MaxBatch, MaxQueue bounds admission with
 	// priority lanes (predict over ingest over replication) and typed
 	// ErrOverload shedding. The zero value disables it entirely — the engine
 	// then runs exactly the static-config path, bit for bit.
@@ -257,8 +257,9 @@ type Engine struct {
 	// Overload control plane (internal/overload, DESIGN.md §14). Both nil
 	// when Config.Overload is zero — the anchor guarantee: the disabled
 	// engine runs no overload code on any path. gate bounds admission with
-	// priority lanes; ctrl retunes the scheduler's effective MaxBatch/
-	// MaxWait (read via curMaxBatch/curMaxWait) from the latency ring.
+	// priority lanes (entered through enter/leave); ctrl retunes the
+	// scheduler's effective MaxBatch (read via curMaxBatch) from the latency
+	// ring.
 	gate *overload.Gate
 	ctrl *overload.Controller
 
@@ -323,8 +324,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Overload.ControllerEnabled() {
 		e.ctrl, err = overload.NewController(overload.ControllerConfig{
 			TargetP99: cfg.Overload.TargetP99,
-			BaseBatch: cfg.MaxBatch, BaseWait: cfg.MaxWait,
-			Sample: e.lat.sample,
+			BaseBatch: cfg.MaxBatch,
+			Sample:    e.lat.sample,
 		})
 		if err != nil {
 			if e.wlog != nil {
@@ -367,22 +368,31 @@ func (e *Engine) curMaxBatch() int {
 	return e.cfg.MaxBatch
 }
 
-// curMaxWait returns the effective upper bound on one gather.
-func (e *Engine) curMaxWait() time.Duration {
-	if e.ctrl != nil {
-		return e.ctrl.MaxWait()
+// enter is every public call's way past the engine's admission policy: a
+// public write (LaneIngest — Ingest, Bootstrap, a fleet's canonical copy) is
+// refused on a read-only engine, and with admission control on the call takes
+// a gate slot in its lane. A closed gate is the closed engine (the caller
+// raced Close); the typed overload rejection passes through for the HTTP 429
+// mapping. A nil error must be paired with leave(lane).
+func (e *Engine) enter(lane overload.Lane) error {
+	if lane == overload.LaneIngest && e.readOnly.Load() {
+		return fmt.Errorf("%w: writes must go to the leader", ErrReadOnly)
 	}
-	return e.cfg.MaxWait
-}
-
-// gateErr maps a gate failure onto the serving surface: a closed gate is
-// the closed engine (the caller raced Close), everything else — the typed
-// overload rejection — passes through for the HTTP 429 mapping.
-func gateErr(err error) error {
+	if e.gate == nil {
+		return nil
+	}
+	err := e.gate.Enter(lane)
 	if errors.Is(err, overload.ErrGateClosed) {
 		return ErrClosed
 	}
 	return err
+}
+
+// leave releases the slot enter took.
+func (e *Engine) leave(lane overload.Lane) {
+	if e.gate != nil {
+		e.gate.Leave(lane)
+	}
 }
 
 // Close shuts the scheduler down after serving every request it has already
@@ -422,7 +432,8 @@ func (e *Engine) Close() {
 // so producers can resynchronize. The first event of a fresh engine may
 // carry any timestamp, negative included — there is no watermark yet to be
 // behind. feat is the event's edge-feature row (nil admits a zero row when
-// the graph carries edge features).
+// the graph carries edge features). judge is the whole rule, and it is the
+// same for every way into the engine.
 //
 // Ingest holds only the writer lock: concurrent serving requests keep
 // reading their pinned snapshots untouched. Every SnapshotEvery admitted
@@ -435,93 +446,96 @@ func (e *Engine) Close() {
 // the WAL's group commit, so the durable hot path stays allocation-free and
 // a crash loses at most the unsynced tail (Durability.SyncEvery events).
 func (e *Engine) Ingest(src, dst int32, t float64, feat []float64) error {
-	if e.readOnly.Load() {
-		return fmt.Errorf("%w: ingest (%d→%d) must go to the leader", ErrReadOnly, src, dst)
+	if err := e.enter(overload.LaneIngest); err != nil {
+		return err
 	}
-	if e.gate != nil {
-		if err := e.gate.Enter(overload.LaneIngest); err != nil {
-			return gateErr(err)
-		}
-		defer e.gate.Leave(overload.LaneIngest)
-	}
-	return e.applyEvent(src, dst, t, feat)
+	defer e.leave(overload.LaneIngest)
+	return e.admit(src, dst, t, feat)
 }
 
 // Apply admits one event exactly like Ingest but bypasses the read-only
 // gate. It exists for the replication loop (internal/replica), which is the
-// sole legitimate writer of a follower engine: replicated records flow
-// through the identical validate→WAL→admit path as leader ingest, so a
-// follower's state is bitwise-equal to the leader's at every applied
-// sequence number. Everything else must call Ingest.
+// sole legitimate writer of a follower engine: replicated records go through
+// the same door as leader ingest (admitLocked), so a follower's state is
+// bitwise-equal to the leader's at every applied sequence number. Everything
+// else must call Ingest.
 //
 // With admission control on, Apply rides the low-priority lane: replication
 // catch-up is background work that must never crowd out a follower's read
 // traffic — the read-only lanes stay bounded too (DESIGN.md §14).
 func (e *Engine) Apply(src, dst int32, t float64, feat []float64) error {
-	if e.gate != nil {
-		if err := e.gate.Enter(overload.LaneLow); err != nil {
-			return gateErr(err)
-		}
-		defer e.gate.Leave(overload.LaneLow)
+	if err := e.enter(overload.LaneLow); err != nil {
+		return err
 	}
-	return e.applyEvent(src, dst, t, feat)
+	defer e.leave(overload.LaneLow)
+	return e.admit(src, dst, t, feat)
 }
 
-// applyEvent is the ungated admit path shared by Ingest, Apply and the
-// fleet's router (which runs its own admission at the canonical owner so a
-// teed event is charged exactly once).
-func (e *Engine) applyEvent(src, dst int32, t float64, feat []float64) error {
-	if e.cfg.EdgeDim > 0 && feat != nil && len(feat) != e.cfg.EdgeDim {
-		return fmt.Errorf("serve: edge feature width %d, want %d", len(feat), e.cfg.EdgeDim)
+// admit takes one event through the door under the ingest lock, publishes a
+// snapshot every SnapshotEvery events, and writes the periodic checkpoint —
+// outside the lock — when its cadence is crossed.
+func (e *Engine) admit(src, dst int32, t float64, feat []float64) error {
+	e.ingestMu.Lock()
+	err := e.admitLocked(src, dst, t, feat, false)
+	checkpoint := false
+	if err == nil {
+		e.sinceSnap++
+		if e.sinceSnap >= e.cfg.SnapshotEvery {
+			e.publishLocked()
+		}
+		if e.wlog != nil && e.cfg.Durability.CheckpointEvery > 0 {
+			e.sinceCkpt++
+			if checkpoint = e.sinceCkpt >= e.cfg.Durability.CheckpointEvery; checkpoint {
+				e.sinceCkpt = 0
+			}
+		}
 	}
-	ckpt, err := e.ingestOne(src, dst, t, feat)
+	e.ingestMu.Unlock()
+	if checkpoint {
+		e.checkpointNow()
+	}
+	return err
+}
+
+// judge is the one rule for what enters an engine, checked in this order:
+// endpoints in range and a finite time (tgraph.Builder.Check), an
+// edge-feature row of the configured width, and chronology against the
+// watermark (wm, hasWM) — a stale event wraps ErrStaleEvent and names it. It
+// returns the row to admit: nil from a producer is the zero row. A row read
+// back from the engine's own store (stored) was logged resolved, so there
+// nil is a row of width 0 like any other.
+func (e *Engine) judge(src, dst int32, t float64, feat []float64, wm float64, hasWM, stored bool) ([]float64, error) {
+	if err := e.gb.Check(src, dst, t); err != nil {
+		return nil, fmt.Errorf("serve: event (%d→%d): %w", src, dst, err)
+	}
+	if feat == nil && !stored {
+		feat = e.zeroRow
+	}
+	if len(feat) != e.cfg.EdgeDim {
+		return nil, fmt.Errorf("serve: event (%d→%d): edge feature width %d, want %d", src, dst, len(feat), e.cfg.EdgeDim)
+	}
+	if hasWM && t < wm {
+		return nil, fmt.Errorf("%w: event (%d→%d) at t=%v arrived behind watermark t=%v", ErrStaleEvent, src, dst, t, wm)
+	}
+	return feat, nil
+}
+
+// admitLocked is the door: every event that enters the engine — Ingest,
+// Apply, Bootstrap, ApplyPrefix, Recover's checkpoint load and WAL replay —
+// passes here, under the ingest lock. The event is judged against the
+// watermark, WAL-logged before the builder sees it (so a crash can lose a
+// logged-but-unadmitted suffix but never an admitted-but-unlogged event;
+// skipped for an event read back from this engine's own store), added, and
+// its feature row appended. A WAL failure wraps ErrDurability and admits
+// nothing.
+func (e *Engine) admitLocked(src, dst int32, t float64, feat []float64, stored bool) error {
+	wm, hasWM := e.gb.LastTime()
+	row, err := e.judge(src, dst, t, feat, wm, hasWM, stored)
 	if err != nil {
 		return err
 	}
-	if ckpt {
-		e.checkpointNow() // periodic cadence crossed; write outside the ingest lock
-	}
-	return nil
-}
-
-// ingestOne admits one event under the ingest lock and reports whether the
-// periodic checkpoint cadence was crossed.
-func (e *Engine) ingestOne(src, dst int32, t float64, feat []float64) (checkpoint bool, err error) {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	if wm, ok := e.gb.LastTime(); ok && t < wm {
-		return false, fmt.Errorf("%w: event (%d→%d) at t=%v arrived behind watermark t=%v",
-			ErrStaleEvent, src, dst, t, wm)
-	}
-	if err := e.admitLocked(src, dst, t, feat); err != nil {
-		return false, fmt.Errorf("serve: ingest of event (%d→%d) rejected: %w", src, dst, err)
-	}
-	e.sinceSnap++
-	if e.sinceSnap >= e.cfg.SnapshotEvery {
-		e.publishLocked()
-	}
-	if e.wlog != nil && e.cfg.Durability.CheckpointEvery > 0 {
-		e.sinceCkpt++
-		if e.sinceCkpt >= e.cfg.Durability.CheckpointEvery {
-			e.sinceCkpt = 0
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// admitLocked admits one event under the ingest lock, in the order that is
-// the durability invariant: validate first (Check is Add without the
-// mutation) so the WAL never logs an event the builder would then reject,
-// then log before admitting so a crash can lose a logged-but-unadmitted
-// suffix but never an admitted-but-unlogged one. A WAL failure wraps
-// ErrDurability and admits nothing.
-func (e *Engine) admitLocked(src, dst int32, t float64, row []float64) error {
-	if e.wlog != nil {
-		if err := e.gb.Check(src, dst, t); err != nil {
-			return err
-		}
-		if err := e.wlog.Append(src, dst, t, e.walRow(row)); err != nil {
+	if e.wlog != nil && !stored {
+		if err := e.wlog.Append(src, dst, t, row); err != nil {
 			e.walFailures.Add(1)
 			return fmt.Errorf("%w: not logged: %w", ErrDurability, err)
 		}
@@ -529,30 +543,75 @@ func (e *Engine) admitLocked(src, dst int32, t float64, row []float64) error {
 	if err := e.gb.Add(src, dst, t); err != nil {
 		return err
 	}
-	e.appendFeatLocked(row)
+	e.edgeFeat = append(e.edgeFeat, row...)
 	return nil
+}
+
+// judgeRunLocked judges a bulk run as a whole, each event against the
+// watermark the events before it leave, without admitting any of it.
+func (e *Engine) judgeRunLocked(events []tgraph.Event, row func(int) []float64, stored bool) error {
+	wm, hasWM := e.gb.LastTime()
+	for i, ev := range events {
+		if _, err := e.judge(ev.Src, ev.Dst, ev.Time, row(i), wm, hasWM, stored); err != nil {
+			return fmt.Errorf("serve: bulk event %d: %w", i, err)
+		}
+		wm, hasWM = ev.Time, true
+	}
+	return nil
+}
+
+// admitRunLocked admits a bulk run all or nothing: the run is judged whole
+// before its first event is admitted or logged, so a bad event i leaves
+// events [0, i) out too and a corrected retry cannot admit them twice. Only
+// a WAL failure can still stop a run midway — and the engine admits nothing
+// after one. row(i) is event i's feature row.
+func (e *Engine) admitRunLocked(events []tgraph.Event, row func(int) []float64, stored bool) error {
+	if err := e.judgeRunLocked(events, row, stored); err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if err := e.admitLocked(ev.Src, ev.Dst, ev.Time, row(i), stored); err != nil {
+			return fmt.Errorf("serve: bulk event %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkRun judges a run against the engine's watermark without admitting
+// it: a fleet judges a tee's two copies, and every shard's slice of a
+// bootstrap, before any of them lands.
+func (e *Engine) checkRun(events []tgraph.Event, row func(int) []float64) error {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	return e.judgeRunLocked(events, row, false)
+}
+
+// rowsOf reads a bulk run's feature rows: row i of feats, or nil — the zero
+// row — for every event when there is no matrix.
+func rowsOf(feats *tensor.Matrix) func(int) []float64 {
+	if feats == nil {
+		return func(int) []float64 { return nil }
+	}
+	return feats.Row
 }
 
 // Bootstrap bulk-loads a historical event prefix (e.g. the offline training
 // split) under one writer lock and publishes a single snapshot at the end,
 // avoiding the per-SnapshotEvery repacks of event-by-event Ingest. feats may
-// be nil; otherwise row i is event i's edge-feature row.
+// be nil; otherwise row i is event i's edge-feature row. The prefix is
+// admitted all or nothing: an inadmissible event rejects it before any of it
+// is admitted or logged.
 //
 // With durability configured, the prefix is WAL-logged like any other events
 // (group commit amortizes the fsyncs) and a checkpoint covering it is
 // written, so a restart recovers the bootstrap from the checkpoint instead
 // of replaying it event by event.
 func (e *Engine) Bootstrap(events []tgraph.Event, feats *tensor.Matrix) error {
-	if e.readOnly.Load() {
-		return fmt.Errorf("%w: bootstrap must go to the leader", ErrReadOnly)
+	if err := e.enter(overload.LaneIngest); err != nil {
+		return err
 	}
-	if e.gate != nil {
-		if err := e.gate.Enter(overload.LaneIngest); err != nil {
-			return gateErr(err)
-		}
-		defer e.gate.Leave(overload.LaneIngest)
-	}
-	return e.applyPrefixCore(events, feats)
+	defer e.leave(overload.LaneIngest)
+	return e.admitRun(events, rowsOf(feats))
 }
 
 // ApplyPrefix bulk-applies an event run exactly like Bootstrap but bypasses
@@ -561,43 +620,29 @@ func (e *Engine) Bootstrap(events []tgraph.Event, feats *tensor.Matrix) error {
 // under one writer lock and one snapshot publication. Everything else must
 // call Bootstrap. Like Apply, it rides the low-priority admission lane.
 func (e *Engine) ApplyPrefix(events []tgraph.Event, feats *tensor.Matrix) error {
-	if e.gate != nil {
-		if err := e.gate.Enter(overload.LaneLow); err != nil {
-			return gateErr(err)
-		}
-		defer e.gate.Leave(overload.LaneLow)
+	if err := e.enter(overload.LaneLow); err != nil {
+		return err
 	}
-	return e.applyPrefixCore(events, feats)
+	defer e.leave(overload.LaneLow)
+	return e.admitRun(events, rowsOf(feats))
 }
 
-// applyPrefixCore is the ungated bulk-apply path shared by Bootstrap,
-// ApplyPrefix and the fleet's router.
-func (e *Engine) applyPrefixCore(events []tgraph.Event, feats *tensor.Matrix) error {
-	if feats != nil && feats.Cols != e.cfg.EdgeDim {
-		return fmt.Errorf("serve: bootstrap feature width %d, want %d", feats.Cols, e.cfg.EdgeDim)
+// admitRun is the ungated bulk path of Bootstrap, ApplyPrefix and the
+// fleet's router: one admitted run, one snapshot publication, and on a
+// durable engine a checkpoint covering it.
+func (e *Engine) admitRun(events []tgraph.Event, row func(int) []float64) error {
+	e.ingestMu.Lock()
+	err := e.admitRunLocked(events, row, false)
+	if err == nil {
+		e.publishLocked()
 	}
-	if err := e.bootstrapLocked(events, feats); err != nil {
+	e.ingestMu.Unlock()
+	if err != nil {
 		return err
 	}
 	if e.wlog != nil {
 		e.checkpointNow()
 	}
-	return nil
-}
-
-func (e *Engine) bootstrapLocked(events []tgraph.Event, feats *tensor.Matrix) error {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	for i, ev := range events {
-		var row []float64
-		if feats != nil {
-			row = feats.Row(i)
-		}
-		if err := e.admitLocked(ev.Src, ev.Dst, ev.Time, row); err != nil {
-			return fmt.Errorf("serve: bootstrap event %d: %w", i, err)
-		}
-	}
-	e.publishLocked()
 	return nil
 }
 
@@ -752,16 +797,6 @@ func (e *Engine) NumEvents() int {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	return e.gb.NumEvents()
-}
-
-func (e *Engine) appendFeatLocked(feat []float64) {
-	if e.cfg.EdgeDim == 0 {
-		return
-	}
-	if feat == nil {
-		feat = e.zeroRow
-	}
-	e.edgeFeat = append(e.edgeFeat, feat...)
 }
 
 // publishLocked publishes the current stream as a new immutable snapshot.

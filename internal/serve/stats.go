@@ -132,15 +132,13 @@ type ReplicationStats struct {
 	DupRecords uint64 `json:"repl_dup_records"`
 }
 
-// OverloadStats reports the overload control plane. The effective values are
-// what the scheduler is using right now; with no controller they equal the
-// static config. Controller/Gate are nil for whichever half is disabled.
+// OverloadStats reports the overload control plane. EffectiveMaxBatch is
+// the ceiling the scheduler is using right now; with no controller it equals
+// the static config. Controller/Gate are nil for whichever half is disabled.
 type OverloadStats struct {
-	EffectiveMaxBatch  int                       `json:"effective_max_batch"`
-	EffectiveMaxWait   time.Duration             `json:"-"`
-	EffectiveMaxWaitUS int64                     `json:"effective_max_wait_us"` // wire-only, see Stats.derive
-	Controller         *overload.ControllerStats `json:"controller,omitempty"`
-	Gate               *overload.GateStats       `json:"gate,omitempty"`
+	EffectiveMaxBatch int                       `json:"effective_max_batch"`
+	Controller        *overload.ControllerStats `json:"controller,omitempty"`
+	Gate              *overload.GateStats       `json:"gate,omitempty"`
 }
 
 // Merge folds another engine's Stats into s — how a fleet builds its merged
@@ -198,13 +196,12 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// Merge folds another engine's overload block into s: the effective
-// batch/wait report the minimum across shards (the most-tightened one — the
+// Merge folds another engine's overload block into s: the effective batch
+// ceiling reports the minimum across shards (the most-tightened one — the
 // fleet's weakest link under pressure), controller and gate fold by their own
 // rules — into copies, for the reason Stats.Merge gives.
 func (s *OverloadStats) Merge(o OverloadStats) {
 	s.EffectiveMaxBatch = min(s.EffectiveMaxBatch, o.EffectiveMaxBatch)
-	s.EffectiveMaxWait = min(s.EffectiveMaxWait, o.EffectiveMaxWait)
 	if s.Controller != nil && o.Controller != nil {
 		c := *s.Controller
 		c.Merge(*o.Controller)
@@ -234,9 +231,6 @@ func (s *Stats) derive(now time.Time) {
 		s.CheckpointAgeMS = now.Sub(s.LastCheckpoint).Milliseconds()
 	}
 	s.P50US, s.P99US = s.P50.Microseconds(), s.P99.Microseconds()
-	if s.Overload != nil {
-		s.Overload.EffectiveMaxWaitUS = s.Overload.EffectiveMaxWait.Microseconds()
-	}
 }
 
 // Stats snapshots the engine's counters.
@@ -275,7 +269,7 @@ func (e *Engine) Stats() Stats {
 	}
 	e.ingestMu.Unlock()
 	if e.gate != nil || e.ctrl != nil {
-		ov := &OverloadStats{EffectiveMaxBatch: e.curMaxBatch(), EffectiveMaxWait: e.curMaxWait()}
+		ov := &OverloadStats{EffectiveMaxBatch: e.curMaxBatch()}
 		if e.ctrl != nil {
 			cs := e.ctrl.Stats()
 			ov.Controller = &cs

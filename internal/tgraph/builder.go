@@ -66,6 +66,9 @@ func (b *Builder) Add(src, dst int32, t float64) error {
 	if err := b.Check(src, dst, t); err != nil {
 		return err
 	}
+	if len(b.events) > 0 && t < b.lastT {
+		return fmt.Errorf("tgraph: event at t=%v arrived after t=%v (stream must be chronological)", t, b.lastT)
+	}
 	b.lastT = t
 	id := int32(len(b.events))
 	b.events = append(b.events, Event{Src: src, Dst: dst, Time: t})
@@ -84,20 +87,17 @@ func (b *Builder) Add(src, dst int32, t float64) error {
 	return nil
 }
 
-// Check reports whether Add would admit the event, without mutating the
-// builder: endpoints in range, finite timestamp, chronological order. Callers
-// that must perform a side effect between validation and admission (the
-// serving engine WAL-logs an event before admitting it) use Check first so
-// the side effect never fires for an event Add would then reject.
+// Check reports whether the event is well-formed for this builder, without
+// mutating it: endpoints in range and a finite timestamp. Add also enforces
+// chronology against LastTime; a caller that judges events before admitting
+// them (the serving engine checks a whole bulk run against a running
+// watermark, then WAL-logs each event before adding it) checks that itself.
 func (b *Builder) Check(src, dst int32, t float64) error {
 	if src < 0 || int(src) >= b.numNodes || dst < 0 || int(dst) >= b.numNodes {
 		return fmt.Errorf("tgraph: endpoints (%d, %d) out of range [0, %d)", src, dst, b.numNodes)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("tgraph: event timestamp %v is not finite", t)
-	}
-	if len(b.events) > 0 && t < b.lastT {
-		return fmt.Errorf("tgraph: event at t=%v arrived after t=%v (stream must be chronological)", t, b.lastT)
 	}
 	return nil
 }

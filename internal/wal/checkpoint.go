@@ -129,15 +129,12 @@ func readSection(data []byte, off int) (payload []byte, next int, err error) {
 	return payload, off + 4, nil
 }
 
-// DecodeCheckpoint parses and validates a checkpoint file's bytes — the
-// follower side of checkpoint shipping (internal/replica): the leader sends
-// the newest checkpoint file verbatim and the receiver validates every
-// section checksum before trusting any of it, exactly as local recovery
-// does.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoint(data) }
-
-// decodeCheckpoint parses and validates a checkpoint file's bytes.
-func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+// DecodeCheckpoint parses and validates a checkpoint file's bytes — local
+// recovery reads files through it, and so does the follower side of
+// checkpoint shipping (internal/replica): the leader sends the newest
+// checkpoint file verbatim and the receiver validates every section checksum
+// before trusting any of it.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < 8 || binary.LittleEndian.Uint32(data) != ckptMagic {
 		return nil, fmt.Errorf("wal: not a checkpoint file")
 	}
@@ -212,9 +209,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 // crash mid-write; the one before it is the fallback) and older ones
 // removed.
 func WriteCheckpoint(fsys FS, dir string, ck *Checkpoint) error {
-	if fsys == nil {
-		fsys = OSFS{}
-	}
 	data, err := ck.encode()
 	if err != nil {
 		return err
@@ -281,18 +275,15 @@ func listCheckpoints(fsys FS, dir string) ([]string, error) {
 	return cks, nil
 }
 
-// NewestCheckpointBytes returns the raw bytes of the newest checkpoint in
-// dir that validates, for shipping to a catching-up follower (which
-// re-validates with DecodeCheckpoint). events is the event count the
-// checkpoint covers. Returns (nil, 0, nil) when the directory holds no
-// usable checkpoint.
-func NewestCheckpointBytes(fsys FS, dir string) (data []byte, events int, err error) {
-	if fsys == nil {
-		fsys = OSFS{}
-	}
+// newestCheckpoint is the one scan for the newest checkpoint in dir that
+// validates, returning its raw bytes and its decoded form. Torn or corrupt
+// files are skipped (a crash mid-WriteCheckpoint leaves at worst an
+// ignorable .tmp); both results are nil when the directory holds no usable
+// checkpoint.
+func newestCheckpoint(fsys FS, dir string) ([]byte, *Checkpoint, error) {
 	names, err := listCheckpoints(fsys, dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	for _, name := range names {
 		f, err := fsys.Open(filepath.Join(dir, name))
@@ -304,42 +295,30 @@ func NewestCheckpointBytes(fsys FS, dir string) (data []byte, events int, err er
 		if err != nil {
 			continue
 		}
-		ck, err := decodeCheckpoint(raw)
-		if err != nil {
-			continue // torn or corrupt; fall back to the previous one
+		if ck, err := DecodeCheckpoint(raw); err == nil {
+			return raw, ck, nil
 		}
-		return raw, len(ck.Events), nil
 	}
-	return nil, 0, nil
+	return nil, nil, nil
 }
 
-// LatestCheckpoint loads the newest checkpoint in dir that validates,
-// skipping torn or corrupt files (a crash mid-WriteCheckpoint leaves at
-// worst an ignorable .tmp). Returns (nil, nil) when the directory holds no
-// usable checkpoint — recovery then replays the WAL from the beginning.
+// NewestCheckpointBytes returns the raw bytes of the newest checkpoint in
+// dir that validates, for shipping to a catching-up follower (which
+// re-validates with DecodeCheckpoint). events is the event count the
+// checkpoint covers. Returns (nil, 0, nil) when the directory holds no
+// usable checkpoint.
+func NewestCheckpointBytes(fsys FS, dir string) (data []byte, events int, err error) {
+	data, ck, err := newestCheckpoint(fsys, dir)
+	if ck == nil {
+		return nil, 0, err
+	}
+	return data, len(ck.Events), nil
+}
+
+// LatestCheckpoint loads the newest checkpoint in dir that validates.
+// Returns (nil, nil) when the directory holds no usable checkpoint —
+// recovery then replays the WAL from the beginning.
 func LatestCheckpoint(fsys FS, dir string) (*Checkpoint, error) {
-	if fsys == nil {
-		fsys = OSFS{}
-	}
-	names, err := listCheckpoints(fsys, dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	for _, name := range names {
-		f, err := fsys.Open(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		data, err := io.ReadAll(f)
-		f.Close()
-		if err != nil {
-			continue
-		}
-		ck, err := decodeCheckpoint(data)
-		if err != nil {
-			continue // torn or corrupt; fall back to the previous one
-		}
-		return ck, nil
-	}
-	return nil, nil
+	_, ck, err := newestCheckpoint(fsys, dir)
+	return ck, err
 }

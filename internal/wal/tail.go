@@ -139,9 +139,6 @@ type Tail struct {
 // a tail that should observe later appends is reopened (the iterator is
 // cheap — one open per segment actually read).
 func TailFrom(fsys FS, dir string, from uint64) (*Tail, error) {
-	if fsys == nil {
-		fsys = OSFS{}
-	}
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
 		return nil, err
