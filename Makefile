@@ -26,7 +26,7 @@ vet:
 # that side of the constraint cannot rot.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx ./internal/encoding ./internal/adaptive
 
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).

@@ -210,10 +210,12 @@ func (s *NeighborSampler) encode(g *autograd.Graph, c *CandidateSet) *autograd.V
 		parts = append(parts, g.GELU(s.edgeProj.Apply(g, g.GatherRows(g.Const(c.EdgeFeat), valid))))
 	}
 	if s.cfg.UseTE {
-		te := g.Scratch(len(valid), s.cfg.TimeDim)
+		dts := g.Scratch(len(valid), 1)
 		for i, slot := range valid {
-			s.timeEnc.Encode(te.Row(i), c.DeltaT[slot])
+			dts.Data[i] = c.DeltaT[slot]
 		}
+		te := g.Scratch(len(valid), s.cfg.TimeDim)
+		s.timeEnc.EncodeRows(te.Data, dts.Data)
 		parts = append(parts, g.Const(te))
 	}
 	if s.cfg.UseFE {

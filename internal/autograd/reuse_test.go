@@ -339,8 +339,8 @@ func TestPoisonFlagsUseAfterReset(t *testing.T) {
 // tail mid-matrix and the next starts off the four-element grid. Recording
 // and forward-only.
 func TestGELUWithoutKernelMatchesWith(t *testing.T) {
-	defer mathx.ForceScalarGELU(false)
-	if !mathx.ForceScalarGELU(false) {
+	defer mathx.ForceScalar(false)
+	if gelu, _ := mathx.ForceScalar(false); !gelu {
 		t.Skip("no AVX2 + FMA: GELU already runs the GELUTanh loop")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -351,7 +351,7 @@ func TestGELUWithoutKernelMatchesWith(t *testing.T) {
 		x := tensor.Randn(shape[0], shape[1], 1.5, mathx.NewRNG(7))
 		names := [4]string{"value", "stashed tanh", "input gradient", "forward-only value"}
 		run := func(kernel bool) (out [4]*tensor.Matrix) {
-			mathx.ForceScalarGELU(!kernel)
+			mathx.ForceScalar(!kernel)
 			g, xp := NewReusable(), NewParam(x)
 			g.Reset()
 			y := g.GELU(xp)

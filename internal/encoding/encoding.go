@@ -45,9 +45,21 @@ func (e *TimeEncoder) Dim() int { return len(e.omega) }
 
 // Encode writes cos(dt·ω) into dst (len Dim), bitwise math.Cos of each.
 func (e *TimeEncoder) Encode(dst []float64, dt float64) {
-	dst = dst[:len(e.omega)]
-	for i, w := range e.omega {
-		dst[i] = dt * w
+	e.EncodeRows(dst, []float64{dt})
+}
+
+// EncodeRows writes the encoding of dts[r] into row r of dst, a
+// len(dts)×Dim block: every dt·ω product first, then one cosine over the
+// whole block, so the kernel under CosInto sees one long slice rather than
+// a short row per Δt. Each element is math.Cos(dt·ω), bit for bit.
+func (e *TimeEncoder) EncodeRows(dst []float64, dts []float64) {
+	d := len(e.omega)
+	dst = dst[:len(dts)*d]
+	for r, dt := range dts {
+		row := dst[r*d : (r+1)*d]
+		for i, w := range e.omega {
+			row[i] = dt * w
+		}
 	}
 	mathx.CosInto(dst, dst)
 }

@@ -34,6 +34,28 @@ func TestTimeEncoderRange(t *testing.T) {
 	}
 }
 
+// TestEncodeRowsIsEq8 holds the block form to math.Cos(Δt·ω), bit for bit:
+// row widths that are no multiple of 4 put row boundaries inside the cosine
+// kernel's four-element groups, and a NaN or huge Δt sends its group to the
+// Go path among ordinary neighbours.
+func TestEncodeRowsIsEq8(t *testing.T) {
+	dts := []float64{0, 0.5, -3, 1e6, 7e8, math.NaN(), 2, math.Inf(1), 1e-3, 86400, -1}
+	for _, d := range []int{1, 3, 5, 8, 13} {
+		e := NewTimeEncoder(d, 0, 0)
+		for n := 0; n <= len(dts); n++ {
+			block := make([]float64, n*d)
+			e.EncodeRows(block, dts[:n])
+			for k, got := range block {
+				dt := dts[k/d]
+				want := math.Cos(dt * e.omega[k%d])
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("d=%d n=%d: row %d element %d (Δt=%v) is %v, math.Cos gives %v", d, n, k/d, k%d, dt, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTimeEncoderFrequencySpectrum(t *testing.T) {
 	// ω must be strictly decreasing: early dims oscillate fast (fine time
 	// resolution), later dims slowly (coarse resolution).

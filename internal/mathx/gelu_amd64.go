@@ -3,7 +3,8 @@ package mathx
 // haveGELUAsm reports whether GELUInto may run geluAVX2: the CPU has AVX2
 // and FMA and the OS saves the YMM state — which is also where math.Exp
 // takes the fused path the routine copies. Probed once at package init; no
-// flag, environment variable or build tag overrides it.
+// flag, environment variable or build tag overrides it (ForceScalar is the
+// tests' switch).
 var haveGELUAsm = cpuHasGELU()
 
 func cpuHasGELU() bool {
@@ -11,14 +12,15 @@ func cpuHasGELU() bool {
 	return avx2 && fma
 }
 
-// ForceScalarGELU routes GELUInto through GELUTanh alone (on) or back to
-// what the CPU probe chose (off), and reports whether the kernel is then
-// active. It exists so tests and BenchmarkGELU can compare and time one
-// implementation against the other; nothing else calls it, and it must not
-// be called while GELUInto runs.
-func ForceScalarGELU(on bool) (kernel bool) {
+// ForceScalar routes GELUInto, CosInto and SincosInto through their Go
+// definitions alone (on) or back to what the CPU probe chose (off), and
+// reports which kernels are then active. It exists so tests and benchmarks
+// can compare and time one implementation against the other; nothing else
+// calls it, and it must not be called while those functions run.
+func ForceScalar(on bool) (gelu, trig bool) {
 	haveGELUAsm = !on && cpuHasGELU()
-	return haveGELUAsm
+	haveTrigAsm = !on && cpuHasTrig()
+	return haveGELUAsm, haveTrigAsm
 }
 
 // geluLanes runs the kernel over the longest prefix of x it can take — whole

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestCPUProbe holds the tree's one CPUID routine to the kernel's own
-// reading of the same bits, where there is one to read: /proc/cpuinfo lists
-// avx2 and fma exactly when the CPU has them and the OS saves the YMM state.
+// TestCPUProbe holds the tree's one CPUID routine, and the gates the GELU and
+// trig kernels derive from it, to the operating system's own reading of the
+// same bits, where there is one to read: /proc/cpuinfo lists avx2 and fma
+// exactly when the CPU has them and the OS saves the YMM state.
 func TestCPUProbe(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -29,5 +30,8 @@ func TestCPUProbe(t *testing.T) {
 	}
 	if haveGELUAsm != (avx2 && fma) {
 		t.Fatalf("haveGELUAsm = %v with avx2 %v fma %v", haveGELUAsm, avx2, fma)
+	}
+	if haveTrigAsm != has["avx2"] {
+		t.Fatalf("haveTrigAsm = %v, /proc/cpuinfo says avx2 %v", haveTrigAsm, has["avx2"])
 	}
 }

@@ -162,14 +162,14 @@ func FuzzGELUMatchesLibrary(f *testing.F) {
 func BenchmarkGELU(b *testing.B) {
 	const n = 1 << 18
 	x, y, th := make([]float64, n), make([]float64, n), make([]float64, n)
-	defer ForceScalarGELU(false)
+	defer ForceScalar(false)
 	for _, sigma := range []float64{0.3, 1, 3} {
 		rng := NewRNG(9)
 		for i := range x {
 			x[i] = sigma * rng.NormFloat64()
 		}
 		for _, impl := range []string{"library", "kernel"} {
-			if kernel := ForceScalarGELU(impl == "library"); !kernel && impl == "kernel" {
+			if kernel, _ := ForceScalar(impl == "library"); !kernel && impl == "kernel" {
 				continue // no AVX2 + FMA: there is one implementation
 			}
 			for _, stash := range []struct {

@@ -61,8 +61,25 @@ func trigOctant(x float64) (sinBits, cosBits, q uint64) {
 }
 
 // CosInto writes cos(src[i]) into dst[i]; dst and src have equal length and
-// may be the same slice.
+// may be the same slice. Where the CPU allows, whole groups of four go
+// through a kernel that returns the same bits (cos_amd64.go), and the rest —
+// or everything — through cosGo.
 func CosInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	i := trigLanes(dst, nil, src)
+	cosGo(dst[i:], src[i:])
+}
+
+// SincosInto writes sin(src[i]) into sin[i] and cos(src[i]) into cos[i]; the
+// three slices have equal length.
+func SincosInto(sin, cos, src []float64) {
+	sin, cos = sin[:len(src)], cos[:len(src)]
+	i := trigLanes(cos, sin, src)
+	sincosGo(sin[i:], cos[i:], src[i:])
+}
+
+// cosGo is CosInto's definition, one element at a time.
+func cosGo(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		ax := math.Abs(x)
@@ -77,9 +94,8 @@ func CosInto(dst, src []float64) {
 	}
 }
 
-// SincosInto writes sin(src[i]) into sin[i] and cos(src[i]) into cos[i]; the
-// three slices have equal length.
-func SincosInto(sin, cos, src []float64) {
+// sincosGo is SincosInto's definition, one element at a time.
+func sincosGo(sin, cos, src []float64) {
 	sin, cos = sin[:len(src)], cos[:len(src)]
 	for i, x := range src {
 		ax := math.Abs(x)

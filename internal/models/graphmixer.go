@@ -77,12 +77,14 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	hT, hN := splitTargetsNbrs(g, h, block)
 
 	// Fixed time encoding of each valid neighbor's Δt (Eq. 8), computed
-	// outside the graph since it carries no parameters; the buffer is
+	// outside the graph since it carries no parameters; the buffers are
 	// graph-lifetime arena scratch.
-	phi := g.Scratch(len(valid), m.cfg.TimeDim)
+	dts := g.Scratch(len(valid), 1)
 	for i, s := range valid {
-		m.timeEnc.Encode(phi.Row(i), block.DeltaT.Data[s])
+		dts.Data[i] = block.DeltaT.Data[s]
 	}
+	phi := g.Scratch(len(valid), m.cfg.TimeDim)
+	m.timeEnc.EncodeRows(phi.Data, dts.Data)
 
 	// Tokens exist for valid slots only; scattering them into the T·n layout
 	// is the padding mask (exact zero rows). The mixer's token mixing needs
