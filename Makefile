@@ -22,11 +22,12 @@ vet:
 
 # The dense-matmul tile and the GELU kernel are assembly on amd64 only; every
 # other platform runs the tile's Go twin and the GELUTanh loop behind a build
-# constraint. Cross-compile (and vet the two packages, asmdecl included) so
-# that side of the constraint cannot rot.
+# constraint. Cross-compile (and vet the kernel packages, asmdecl included,
+# and the ones whose linear layers run the tile over column parts) so that
+# side of the constraint cannot rot.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx ./internal/encoding ./internal/adaptive
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx ./internal/encoding ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive
 
 # Tier-1 verification: vet plus the full suite under the race detector
 # (the pipelined training loop is concurrent; -race is the contract).

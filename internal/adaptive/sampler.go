@@ -296,10 +296,10 @@ func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.V
 	case DecoderGAT:
 		u := s.gatU.Apply(g, z)
 		v := g.GatherRows(s.gatV.Apply(g, s.encodeTarget(g, c)), rootOf(g, c))
-		scores = fold(g.LeakyReLU(s.gatA.Apply(g, g.ConcatCols(u, v)), 0.2))
+		scores = fold(g.LeakyReLU(s.gatA.ApplyParts(g, u, v), 0.2))
 	case DecoderGATv2:
 		v := g.GatherRows(s.encodeTarget(g, c), rootOf(g, c))
-		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.Apply(g, g.ConcatCols(z, v)), 0.2)))
+		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.ApplyParts(g, z, v), 0.2)))
 	case DecoderTrans:
 		// The dot product is the grouped kernel's, which reads keys in the
 		// B·M layout.

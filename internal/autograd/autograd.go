@@ -79,8 +79,8 @@ type Graph struct {
 	varChunks [][]Var
 	nvars     int
 
-	// varRefs backs the input lists of variadic ops (ConcatCols): tape
-	// entries reference sub-slices of it by offset.
+	// varRefs backs the input lists of variadic ops (AffineParts,
+	// ConcatCols): tape entries reference sub-slices of it by offset.
 	varRefs []*Var
 
 	// ints backs Ints: chunked so earlier checkouts stay valid while later
@@ -89,8 +89,9 @@ type Graph struct {
 	intCur int
 	intOff int
 
-	// matScratch is transient per-call space for kernels taking []*Matrix.
-	matScratch []*tensor.Matrix
+	// matScratch and gradScratch are transient per-call space for kernels
+	// taking []*Matrix (part values and part gradients).
+	matScratch, gradScratch []*tensor.Matrix
 
 	// forwardOnly is set by ResetForwardOnly for the pass it starts: no op
 	// output carries a gradient, so nothing is recorded.
@@ -233,22 +234,48 @@ func (g *Graph) Backward(loss *Var) {
 // backstep (tape.go).
 
 // Affine returns x @ w + b, the 1×C row vector b broadcast over every row:
-// a linear layer as one op, the bias added onto the product in place.
-func (g *Graph) Affine(x, w, b *Var) *Var {
-	o := g.out(x.Rows(), w.Cols(), x.NeedsGrad() || w.NeedsGrad() || b.NeedsGrad())
-	tensor.MatMulInto(o.Val, x.Val, w.Val)
+// a linear layer as one op, AffineParts with one part.
+func (g *Graph) Affine(x, w, b *Var) *Var { return g.AffineParts(w, b, x) }
+
+// AffineParts returns [x₀ ‖ x₁ ‖ …] @ w + b without forming the
+// concatenation: each part multiplies its own row block of w
+// (tensor.MatMulPartsInto) and the bias is added onto the product in place.
+// The backward adds each part's gradient, and each row block of w's, straight
+// from the output's gradient. Values and gradients are bitwise those of
+// Affine(ConcatCols(parts…), w, b) wherever that concatenation would have
+// had one reader, or parts no other op reads: then every part's gradient
+// accumulates in the same order (DESIGN.md §13).
+func (g *Graph) AffineParts(w, b *Var, parts ...*Var) *Var {
+	needs := w.NeedsGrad() || b.NeedsGrad()
+	vals := g.matScratch[:0]
+	for _, p := range parts {
+		needs = needs || p.NeedsGrad()
+		vals = append(vals, p.Val)
+	}
+	g.matScratch = vals
+	o := g.out(parts[0].Rows(), w.Cols(), needs)
+	tensor.MatMulPartsInto(o.Val, w.Val, vals)
 	o.Val.AddRowVecInPlace(b.Val)
 	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opAffine, out: o, a: x, b: w, c: b})
+		lo, hi := g.refs(parts)
+		g.push(tapeEntry{op: opAffine, out: o, b: w, c: b, refLo: lo, refHi: hi})
 	}
 	return o
+}
+
+// refs copies a variadic part list into the graph-owned ref table and
+// returns its range there: the caller's slice must not be retained (it may
+// live on the caller's stack).
+func (g *Graph) refs(parts []*Var) (lo, hi int) {
+	lo = len(g.varRefs)
+	g.varRefs = append(g.varRefs, parts...)
+	return lo, len(g.varRefs)
 }
 
 // Add returns a + b (same shape).
 func (g *Graph) Add(a, b *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	copy(o.Val.Data, a.Val.Data)
-	o.Val.AddInPlace(b.Val)
+	tensor.AddInto(o.Val, a.Val, b.Val)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opAdd, out: o, a: a, b: b})
 	}
@@ -258,8 +285,7 @@ func (g *Graph) Add(a, b *Var) *Var {
 // Sub returns a - b.
 func (g *Graph) Sub(a, b *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	copy(o.Val.Data, a.Val.Data)
-	o.Val.SubInPlace(b.Val)
+	tensor.SubInto(o.Val, a.Val, b.Val)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opSub, out: o, a: a, b: b})
 	}
@@ -269,8 +295,7 @@ func (g *Graph) Sub(a, b *Var) *Var {
 // Mul returns the Hadamard product a ⊙ b.
 func (g *Graph) Mul(a, b *Var) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	copy(o.Val.Data, a.Val.Data)
-	o.Val.MulInPlace(b.Val)
+	tensor.MulInto(o.Val, a.Val, b.Val)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opMul, out: o, a: a, b: b})
 	}
@@ -280,15 +305,16 @@ func (g *Graph) Mul(a, b *Var) *Var {
 // Scale returns s·a for a constant scalar s.
 func (g *Graph) Scale(a *Var, s float64) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	copy(o.Val.Data, a.Val.Data)
-	o.Val.ScaleInPlace(s)
+	tensor.ScaleInto(o.Val, a.Val, s)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opScale, out: o, a: a, scalar: s})
 	}
 	return o
 }
 
-// ConcatCols concatenates parts along the column axis.
+// ConcatCols concatenates parts along the column axis. A concatenation that
+// only feeds a linear layer is AffineParts' job; this op is for one whose
+// value is read otherwise (scattered, gathered).
 func (g *Graph) ConcatCols(parts ...*Var) *Var {
 	rows := parts[0].Rows()
 	cols := 0
@@ -302,11 +328,8 @@ func (g *Graph) ConcatCols(parts ...*Var) *Var {
 	o := g.out(rows, cols, needs)
 	tensor.ConcatColsInto(o.Val, g.matScratch...)
 	if o.NeedsGrad() {
-		// The variadic slice must not be retained (it may live on the
-		// caller's stack); copy the part list into the graph-owned ref table.
-		lo := len(g.varRefs)
-		g.varRefs = append(g.varRefs, parts...)
-		g.push(tapeEntry{op: opConcatCols, out: o, refLo: lo, refHi: len(g.varRefs)})
+		lo, hi := g.refs(parts)
+		g.push(tapeEntry{op: opConcatCols, out: o, refLo: lo, refHi: hi})
 	}
 	return o
 }

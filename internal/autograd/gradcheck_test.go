@@ -88,6 +88,22 @@ func TestGradConcatCols(t *testing.T) {
 	}, 1e-6)
 }
 
+// TestGradAffineParts checks the parts form of a linear layer: each part's
+// gradient, w's row blocks and the bias, with a constant part and a
+// zero-width part between the differentiated ones.
+func TestGradAffineParts(t *testing.T) {
+	rng := mathx.NewRNG(17)
+	a := NewParam(tensor.Randn(4, 3, 1, rng))
+	none := NewParam(tensor.New(4, 0))
+	c := NewConst(tensor.Randn(4, 2, 1, rng))
+	b := NewParam(tensor.Randn(4, 5, 1, rng))
+	w := NewParam(tensor.Randn(10, 3, 1, rng))
+	bias := NewParam(tensor.Randn(1, 3, 1, rng))
+	gradCheck(t, []*Var{a, b, w, bias}, func(g *Graph) *Var {
+		return g.MeanAll(g.Tanh(g.AffineParts(w, bias, a, none, c, b)))
+	}, 1e-6)
+}
+
 func TestGradGatherRows(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	table := NewParam(tensor.Randn(5, 3, 1, rng))

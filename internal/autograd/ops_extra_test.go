@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"taser/internal/mathx"
@@ -150,7 +151,7 @@ func TestAffineMatchesMatMulThenAddBiasBitwise(t *testing.T) {
 		want := prod.Clone()
 		want.AddRowVecInPlace(b.Val)
 		dProd := tensor.New(r, c)
-		dProd.AddInPlace(dOut)
+		tensor.AddInto(dProd, dProd, dOut)
 		dB := tensor.New(1, c)
 		for i := 0; i < r; i++ {
 			for j, v := range dOut.Row(i) {
@@ -170,6 +171,119 @@ func TestAffineMatchesMatMulThenAddBiasBitwise(t *testing.T) {
 			for i, v := range m[0].Data {
 				if math.Float64bits(v) != math.Float64bits(m[1].Data[i]) {
 					t.Fatalf("%dx%d @ %dx%d: %s[%d] = %v, the pair gives %v", r, k, k, c, name, i, v, m[1].Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAffinePartsMatchesConcatBitwise keeps Affine(ConcatCols(…)) as the
+// reference for AffineParts: every layer's value, the loss and every
+// parameter's gradient agree to the bit, over the shapes that take each
+// kernel path and the two ways the models share parts — one part list
+// feeding two layers (TGAT's message into wk and wv) and a part another op
+// reads again later (hT in wq and in the output FFN).
+func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := mathx.NewRNG(25)
+	param := func(r, c int) *Var { return NewParam(tensor.Randn(r, c, 1, rng)) }
+	type affineCase struct {
+		name   string
+		procs  int
+		params []*Var
+		// build returns the layers' outputs, through AffineParts or through
+		// the concatenation.
+		build func(g *Graph, parts bool) []*Var
+	}
+	// layer is one linear layer over parameter parts of the given widths.
+	layer := func(name string, procs, rows int, widths []int, out int) affineCase {
+		var xs []*Var
+		k := 0
+		for _, wd := range widths {
+			xs = append(xs, param(rows, wd))
+			k += wd
+		}
+		w, b := param(k, out), param(1, out)
+		return affineCase{name, procs, append(xs, w, b), func(g *Graph, parts bool) []*Var {
+			if parts {
+				return []*Var{g.AffineParts(w, b, xs...)}
+			}
+			return []*Var{g.Affine(g.ConcatCols(xs...), w, b)}
+		}}
+	}
+	cases := []affineCase{
+		layer("zero-width part (TGAT layer 0, NodeDim 0)", 1, 6, []int{0, 5, 8}, 9),
+		layer("parts narrower than 8 (dotRows)", 1, 12, []int{3, 5, 7}, 16),
+		layer("rows < 4 (axpyRows)", 1, 3, []int{9, 12}, 10),
+		layer("rows%4, cols%8 remainders (tilePart)", 1, 13, []int{9, 11}, 19),
+		layer("past parallelThreshold at GOMAXPROCS=2", 2, 300, []int{48, 24, 16}, 24),
+	}
+	{
+		table, dt := param(10, 6), param(9, 4)
+		edge := tensor.Randn(9, 8, 1, rng)
+		wk, bk, wv, bv := param(18, 8), param(1, 8), param(18, 8), param(1, 8)
+		idx := []int32{3, 0, 9, 3, 5, 5, 1, 8, 0}
+		cases = append(cases, affineCase{"one part list, two layers (msg → wk, wv)", 1,
+			[]*Var{table, dt, wk, bk, wv, bv}, func(g *Graph, parts bool) []*Var {
+				hN, e, phi := g.GatherRows(table, idx), g.Const(edge), g.Tanh(dt)
+				if parts {
+					return []*Var{g.AffineParts(wk, bk, hN, e, phi), g.AffineParts(wv, bv, hN, e, phi)}
+				}
+				msg := g.ConcatCols(hN, e, phi)
+				return []*Var{g.Affine(msg, wk, bk), g.Affine(msg, wv, bv)}
+			}})
+	}
+	{
+		table, z, attn := param(7, 6), param(5, 4), param(5, 8)
+		wq, bq, wo, bo := param(10, 8), param(1, 8), param(14, 8), param(1, 8)
+		idx := []int32{6, 2, 2, 0, 4}
+		cases = append(cases, affineCase{"a part read again (hT in wq and out)", 1,
+			[]*Var{table, z, attn, wq, bq, wo, bo}, func(g *Graph, parts bool) []*Var {
+				hT, phi0 := g.GatherRows(table, idx), g.Tanh(z)
+				var q, out *Var
+				if parts {
+					q = g.AffineParts(wq, bq, hT, phi0)
+					out = g.AffineParts(wo, bo, g.Mul(g.Tanh(q), attn), hT)
+				} else {
+					q = g.Affine(g.ConcatCols(hT, phi0), wq, bq)
+					out = g.Affine(g.ConcatCols(g.Mul(g.Tanh(q), attn), hT), wo, bo)
+				}
+				return []*Var{q, out}
+			}})
+	}
+
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.procs)
+		run := func(parts bool) (vals, grads []*tensor.Matrix) {
+			for _, p := range c.params {
+				p.Grad.Zero()
+			}
+			g := New()
+			var loss *Var
+			for i, o := range c.build(g, parts) {
+				coef := tensor.Randn(o.Rows(), o.Cols(), 1, mathx.NewRNG(uint64(100+i)))
+				if term := g.WeightedSumConst(o, coef); loss == nil {
+					loss = term
+				} else {
+					loss = g.Add(loss, term)
+				}
+				vals = append(vals, o.Val)
+			}
+			g.Backward(loss)
+			vals = append(vals, loss.Val)
+			for _, p := range c.params {
+				grads = append(grads, p.Grad.Clone())
+			}
+			return vals, grads
+		}
+		gotVals, gotGrads := run(true)
+		wantVals, wantGrads := run(false)
+		for kind, pair := range map[string][2][]*tensor.Matrix{"value": {gotVals, wantVals}, "gradient": {gotGrads, wantGrads}} {
+			for i, m := range pair[0] {
+				for j, v := range m.Data {
+					if w := pair[1][i].Data[j]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%s: %s %d elem %d = %v, the concatenation gives %v", c.name, kind, i, j, v, w)
+					}
 				}
 			}
 		}

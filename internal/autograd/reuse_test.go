@@ -23,7 +23,8 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	x = g.LayerNormRows(x, p["gain"], p["bias"])
 	x = g.GELU(x)
 
-	q := g.Tanh(g.Affine(p["x"], p["w"], p["b"]))
+	// A linear layer over two parts, one of which (x) later ops read again.
+	q := g.Tanh(g.AffineParts(p["wq"], p["b"], p["x"], x))
 	scores := g.Scale(g.GroupedScore(q, p["keys"], k), 1/math.Sqrt(k))
 	attn := g.SoftmaxRows(scores)
 	agg := g.GroupedWeightedSum(attn, p["vals"], k)
@@ -67,6 +68,7 @@ func reuseParams(seed uint64) map[string]*Var {
 	return map[string]*Var{
 		"x":     NewParam(tensor.Randn(groups, d, 1, rng)),
 		"w":     NewParam(tensor.Randn(d, d, 1, rng)),
+		"wq":    NewParam(tensor.Randn(2*d, d, 1, rng)),
 		"b":     NewParam(tensor.Randn(1, d, 1, rng)),
 		"gain":  NewParam(gain),
 		"bias":  NewParam(tensor.Randn(1, d, 0.2, rng)),
@@ -157,7 +159,7 @@ func TestReusedGraphGradcheck(t *testing.T) {
 		g.Reset()
 		runPass(g, p)
 	}
-	params := []*Var{p["x"], p["w"], p["gain"], p["keys"], p["mix"], p["head"]}
+	params := []*Var{p["x"], p["w"], p["wq"], p["gain"], p["keys"], p["mix"], p["head"]}
 	// Analytic pass on the reused graph.
 	for _, v := range p {
 		v.Grad.Zero()

@@ -51,13 +51,13 @@ type tapeEntry struct {
 	scalar float64 // Scale factor, LeakyReLU slope
 
 	out     *Var
-	a, b, c *Var // inputs; c is Affine's and LayerNorm's bias
+	a, b, c *Var // inputs; b is Affine's weight, c Affine's and LayerNorm's bias
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
 	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
 	idx          []int32        // GatherRows/ScatterRows indices (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
-	refLo, refHi int            // ConcatCols part list: g.varRefs[refLo:refHi]
+	refLo, refHi int            // Affine/ConcatCols part list: g.varRefs[refLo:refHi]
 }
 
 // backstep runs one entry's backward body, accumulating into input Grads.
@@ -67,37 +67,33 @@ type tapeEntry struct {
 func (g *Graph) backstep(e *tapeEntry) {
 	switch e.op {
 	case opAffine:
-		x, w, bias := e.a, e.b, e.c
+		w, bias := e.b, e.c
 		if bias.NeedsGrad() {
-			for i := 0; i < e.out.Grad.Rows; i++ {
-				for j, v := range e.out.Grad.Row(i) {
-					bias.Grad.Data[j] += v
-				}
-			}
+			tensor.AddRowSumsInto(bias.Grad, e.out.Grad)
 		}
-		if x.NeedsGrad() {
-			// dX += dO @ Wᵀ
-			tensor.MatMulTransBAddInto(x.Grad, e.out.Grad, w.Val)
+		// dXₚ += dO @ Wₚᵀ and dWₚ += Xₚᵀ @ dO per part; a constant's nil Grad
+		// leaves its half out.
+		vals, grads := g.matScratch[:0], g.gradScratch[:0]
+		for _, p := range g.varRefs[e.refLo:e.refHi] {
+			vals, grads = append(vals, p.Val), append(grads, p.Grad)
 		}
-		if w.NeedsGrad() {
-			// dW += Xᵀ @ dO
-			tensor.MatMulTransAInto(w.Grad, x.Val, e.out.Grad)
-		}
+		g.matScratch, g.gradScratch = vals, grads
+		tensor.MatMulPartsGradInto(w.Grad, grads, e.out.Grad, w.Val, vals)
 
 	case opAdd:
 		if e.a.NeedsGrad() {
-			e.a.Grad.AddInPlace(e.out.Grad)
+			tensor.AddInto(e.a.Grad, e.a.Grad, e.out.Grad)
 		}
 		if e.b.NeedsGrad() {
-			e.b.Grad.AddInPlace(e.out.Grad)
+			tensor.AddInto(e.b.Grad, e.b.Grad, e.out.Grad)
 		}
 
 	case opSub:
 		if e.a.NeedsGrad() {
-			e.a.Grad.AddInPlace(e.out.Grad)
+			tensor.AddInto(e.a.Grad, e.a.Grad, e.out.Grad)
 		}
 		if e.b.NeedsGrad() {
-			e.b.Grad.SubInPlace(e.out.Grad)
+			tensor.SubInto(e.b.Grad, e.b.Grad, e.out.Grad)
 		}
 
 	case opMul:

@@ -89,11 +89,11 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	// Tokens exist for valid slots only; scattering them into the T·n layout
 	// is the padding mask (exact zero rows). The mixer's token mixing needs
 	// that layout, its channel mixing does not and hands back valid rows.
-	tokens := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
-	tokens = g.ScatterRows(m.tokenIn.Apply(g, tokens), valid, t*n)
+	tokens := m.tokenIn.ApplyParts(g, hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
+	tokens = g.ScatterRows(tokens, valid, t*n)
 	mixed := g.ScatterRows(m.mixer.Apply(g, tokens, valid), valid, t*n)
 	mean := g.GroupMean(mixed, n)
-	out := g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
+	out := g.GELU(m.readout.ApplyParts(g, mean, hT))
 
 	info := &CoTrainInfo{Budget: n, Out: out, Tokens: mixed}
 	return out, info

@@ -21,7 +21,7 @@ func NewEdgePredictor(d int, rng *mathx.RNG) *EdgePredictor {
 
 // Score returns B×1 logits for B (src, dst) embedding row pairs.
 func (p *EdgePredictor) Score(g *autograd.Graph, src, dst *autograd.Var) *autograd.Var {
-	return p.mlp.Apply(g, g.ConcatCols(src, dst))
+	return p.mlp.ApplyParts(g, src, dst)
 }
 
 // ScoreGathered scores pairs taken from one embedding matrix by row index:

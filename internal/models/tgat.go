@@ -140,19 +140,20 @@ func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info
 	}
 	hT, hN := g.GatherRows(h, rows[:t]), g.GatherRows(h, rows[t:])
 
-	// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1), built for the valid
-	// slots of live targets only: padding is never encoded, projected or
-	// differentiated.
+	// Messages m_u = { h_u ‖ x_uvt ‖ Φ(Δt) } (Eq. 1), for the valid slots of
+	// live targets only: padding is never encoded, projected or
+	// differentiated. The projections take the message as its three parts;
+	// it is never concatenated.
 	dt := g.GatherRows(g.Const(block.DeltaT), valid)
 	phi := layer.timeEnc.Encode(g, dt.Val)
-	msg := g.ConcatCols(hN, g.GatherRows(g.Const(block.EdgeFeat), valid), phi)
+	edge := g.GatherRows(g.Const(block.EdgeFeat), valid)
 
 	// Query from the target itself with Φ(0) (Eq. 4). Keys and values go
 	// into the t·n layout the grouped kernels read, as exact zero rows at
 	// padding.
-	q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
-	keys := g.ScatterRows(layer.wk.Apply(g, msg), slots, t*n)
-	vals := g.ScatterRows(layer.wv.Apply(g, msg), slots, t*n)
+	q := layer.wq.ApplyParts(g, hT, layer.timeEnc.EncodeZeros(g, t))
+	keys := g.ScatterRows(layer.wk.ApplyParts(g, hN, edge, phi), slots, t*n)
+	vals := g.ScatterRows(layer.wv.ApplyParts(g, hN, edge, phi), slots, t*n)
 
 	// Scaled dot-product attention within each neighborhood (Eq. 7), with
 	// padding masked out before and after the softmax.
@@ -166,7 +167,7 @@ func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info
 		info.Attn, info.Scores, info.Vals = attn, scores, vals
 	}
 	// Post-attention FFN combining with the target's own state.
-	return g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
+	return g.GELU(layer.out.ApplyParts(g, agg, hT))
 }
 
 var _ TGNN = (*TGAT)(nil)

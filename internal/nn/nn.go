@@ -45,6 +45,12 @@ func (l *Linear) Apply(g *autograd.Graph, x *autograd.Var) *autograd.Var {
 	return g.Affine(x, l.W, l.B)
 }
 
+// ApplyParts runs the layer on the column concatenation of parts (widths
+// summing to In) without forming it (Graph.AffineParts).
+func (l *Linear) ApplyParts(g *autograd.Graph, parts ...*autograd.Var) *autograd.Var {
+	return g.AffineParts(l.W, l.B, parts...)
+}
+
 // Params implements Module.
 func (l *Linear) Params() []*autograd.Var { return []*autograd.Var{l.W, l.B} }
 
@@ -84,7 +90,13 @@ func NewMLP(in, hidden, out int, rng *mathx.RNG) *MLP {
 
 // Apply runs the MLP on x.
 func (m *MLP) Apply(g *autograd.Graph, x *autograd.Var) *autograd.Var {
-	return m.L2.Apply(g, g.GELU(m.L1.Apply(g, x)))
+	return m.ApplyParts(g, x)
+}
+
+// ApplyParts runs the MLP on the column concatenation of parts without
+// forming it: the first layer takes the parts (Linear.ApplyParts).
+func (m *MLP) ApplyParts(g *autograd.Graph, parts ...*autograd.Var) *autograd.Var {
+	return m.L2.Apply(g, g.GELU(m.L1.ApplyParts(g, parts...)))
 }
 
 // Params implements Module.

@@ -317,8 +317,8 @@ func GroupedMatMulLeftInto(dst, w, src *Matrix, group int) {
 func groupedMatMulLeftRange(dst, w, src *Matrix, gLo, gHi int) {
 	k2, group := w.Rows, w.Cols
 	for g := gLo; g < gHi; g++ {
-		srcG := src.rowBlock(g, group)
-		productRange(dst.rowBlock(g, k2).Data, w.Data, group, 1, &srcG, tileStore, 0, k2)
+		srcG := src.rowBlock(g*group, group)
+		productRange(dst.rowBlock(g*k2, k2).Data, w.Data, group, 1, &srcG, tileStore, 0, k2)
 	}
 }
 
@@ -337,12 +337,12 @@ func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
 		defer putTrans(st)
 	}
 	for g := 0; g < b; g++ {
-		dOutG := dOut.rowBlock(g, k2)
+		dOutG := dOut.rowBlock(g*k2, k2)
 		if dSrc != nil {
-			productRange(dSrc.rowBlock(g, group).Data, w.Data, 1, group, &dOutG, tileAccum, 0, group)
+			productRange(dSrc.rowBlock(g*group, group).Data, w.Data, 1, group, &dOutG, tileAccum, 0, group)
 		}
 		if dW != nil {
-			srcG := src.rowBlock(g, group)
+			srcG := src.rowBlock(g*group, group)
 			if st != nil {
 				transposeInto(st, &srcG)
 			}
@@ -361,7 +361,7 @@ func tokenMixGroups(w, src, out *Matrix) int {
 	return src.Rows / w.Cols
 }
 
-// rowBlock returns a view (no copy) of the g-th block of n consecutive rows.
-func (m *Matrix) rowBlock(g, n int) Matrix {
-	return Matrix{Rows: n, Cols: m.Cols, Data: m.Data[g*n*m.Cols : (g+1)*n*m.Cols]}
+// rowBlock returns a view (no copy) of the n consecutive rows from row lo.
+func (m *Matrix) rowBlock(lo, n int) Matrix {
+	return Matrix{Rows: n, Cols: m.Cols, Data: m.Data[lo*m.Cols : (lo+n)*m.Cols]}
 }

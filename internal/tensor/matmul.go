@@ -66,7 +66,11 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 		productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, 0, dst.Rows)
 		return
 	}
-	ParallelRows(dst.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, lo, hi) })
+	// The closure escapes to the workers: it captures copies, so the
+	// caller's headers (row-block views, MatMulPartsGradInto) stay on its
+	// stack.
+	d, x, kstep, y := dst.Data, a.Data, a.Cols, *b
+	ParallelRows(dst.Rows, func(lo, hi int) { productRange(d, x, 1, kstep, &y, tileAccum, lo, hi) })
 }
 
 // productRange computes dst rows [lo, hi) of a lane-strided product (the
@@ -165,7 +169,9 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
 		transBRange(dst, a, b, bt, 0, a.Rows)
 	} else {
-		ParallelRows(a.Rows, func(lo, hi int) { transBRange(dst, a, b, bt, lo, hi) })
+		// Copies for the escaping closure, as in MatMulTransAInto.
+		d, x, y := *dst, *a, *b
+		ParallelRows(a.Rows, func(lo, hi int) { transBRange(&d, &x, &y, bt, lo, hi) })
 	}
 	putTrans(bt)
 }
@@ -235,6 +241,84 @@ func dotRows(dst, a, b *Matrix, lo, hi int) {
 			}
 			drow[j] = s + drow[j]
 		}
+	}
+}
+
+// MatMulPartsInto computes dst = [x₀ ‖ x₁ ‖ …] @ w without forming the
+// concatenation: part p multiplies w's row block p, the rows its columns
+// meet in the concatenated product. The first part with columns runs in
+// tileStore form and every later one in tileAccum, so each element is
+// accumulated k-ascending across the parts, one rounded multiply and one
+// rounded add per step: the sequence of one pass over the concatenation,
+// and therefore bitwise MatMulInto(dst, concat, w). Zero-width parts are
+// skipped; if every part has zero width, dst is zeroed.
+func MatMulPartsInto(dst, w *Matrix, parts []*Matrix) {
+	checkParts(dst, w, parts)
+	if w.Rows == 0 {
+		clear(dst.Data)
+		return
+	}
+	if dst.Rows*w.Rows*w.Cols < parallelThreshold || workerLimit() == 1 {
+		partsRange(dst.Data, w, parts, 0, dst.Rows)
+		return
+	}
+	ParallelRows(dst.Rows, func(lo, hi int) { partsRange(dst.Data, w, parts, lo, hi) })
+}
+
+// partsRange computes dst rows [lo, hi) of MatMulPartsInto, part by part.
+func partsRange(dst []float64, w *Matrix, parts []*Matrix, lo, hi int) {
+	mode, off := tileStore, 0
+	for _, x := range parts {
+		if x.Cols == 0 {
+			continue
+		}
+		wp := w.rowBlock(off, x.Cols)
+		productRange(dst, x.Data, x.Cols, 1, &wp, mode, lo, hi)
+		mode, off = tileAccum, off+x.Cols
+	}
+}
+
+// MatMulPartsGradInto accumulates MatMulPartsInto's gradients from dO
+// straight into each part's: dParts[p] += dO @ w_pᵀ and dW's row block p
+// += x_pᵀ @ dO, where w_p is the row block part p multiplies. A nil
+// dParts[p] or dW leaves that gradient out (a constant has none). Every
+// element is the sum MatMulTransBAddInto and MatMulTransAInto form on the
+// concatenation, landed the same way, so no concatenated gradient is
+// zeroed and no split copy follows.
+func MatMulPartsGradInto(dW *Matrix, dParts []*Matrix, dO, w *Matrix, parts []*Matrix) {
+	checkParts(dO, w, parts)
+	if len(dParts) != len(parts) || dW != nil && !dW.SameShape(w) {
+		panic("tensor: MatMulPartsGradInto gradient shapes")
+	}
+	off := 0
+	for p, x := range parts {
+		if x.Cols == 0 {
+			continue
+		}
+		if dx := dParts[p]; dx != nil {
+			wp := w.rowBlock(off, x.Cols)
+			MatMulTransBAddInto(dx, dO, &wp)
+		}
+		if dW != nil {
+			dWp := dW.rowBlock(off, x.Cols)
+			MatMulTransAInto(&dWp, x, dO)
+		}
+		off += x.Cols
+	}
+}
+
+// checkParts validates the parts product's shapes: every part has out's
+// rows, the widths sum to w's rows, and out has w's columns.
+func checkParts(out, w *Matrix, parts []*Matrix) {
+	k := 0
+	for _, x := range parts {
+		if x.Rows != out.Rows {
+			panic(fmt.Sprintf("tensor: MatMulParts part %dx%d for %d rows", x.Rows, x.Cols, out.Rows))
+		}
+		k += x.Cols
+	}
+	if k != w.Rows || out.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: MatMulParts widths sum to %d against %dx%d weight, output %dx%d", k, w.Rows, w.Cols, out.Rows, out.Cols))
 	}
 }
 

@@ -126,28 +126,53 @@ func (m *Matrix) shapeCheck(o *Matrix, op string) {
 // SameShapeOrPanic panics with the operation name if shapes differ.
 func (m *Matrix) SameShapeOrPanic(o *Matrix, op string) { m.shapeCheck(o, op) }
 
-// AddInPlace adds o element-wise into m.
-func (m *Matrix) AddInPlace(o *Matrix) {
-	m.shapeCheck(o, "AddInPlace")
-	for i, v := range o.Data {
-		m.Data[i] += v
+// AddInto, SubInto, MulInto and ScaleInto write a op b (or a·s) into dst in
+// one pass over the operands. dst may alias a or b: AddInto(m, m, o) is the
+// in-place m += o a gradient accumulates with.
+
+// AddInto writes a + b into dst.
+func AddInto(dst, a, b *Matrix) {
+	checkBinary(dst, a, b, "AddInto")
+	av := a.Data
+	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
+	for i, v := range av {
+		out[i] = v + bv[i]
 	}
 }
 
-// SubInPlace subtracts o element-wise from m.
-func (m *Matrix) SubInPlace(o *Matrix) {
-	m.shapeCheck(o, "SubInPlace")
-	for i, v := range o.Data {
-		m.Data[i] -= v
+// SubInto writes a - b into dst.
+func SubInto(dst, a, b *Matrix) {
+	checkBinary(dst, a, b, "SubInto")
+	av := a.Data
+	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
+	for i, v := range av {
+		out[i] = v - bv[i]
 	}
 }
 
-// MulInPlace multiplies m by o element-wise (Hadamard).
-func (m *Matrix) MulInPlace(o *Matrix) {
-	m.shapeCheck(o, "MulInPlace")
-	for i, v := range o.Data {
-		m.Data[i] *= v
+// MulInto writes the Hadamard product a ⊙ b into dst.
+func MulInto(dst, a, b *Matrix) {
+	checkBinary(dst, a, b, "MulInto")
+	av := a.Data
+	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
+	for i, v := range av {
+		out[i] = v * bv[i]
 	}
+}
+
+// ScaleInto writes s·a into dst.
+func ScaleInto(dst, a *Matrix, s float64) {
+	a.shapeCheck(dst, "ScaleInto")
+	out := dst.Data[:len(a.Data)] // hoists the loop's bounds check
+	for i, v := range a.Data {
+		out[i] = v * s
+	}
+}
+
+// checkBinary panics unless dst, a and b share a shape.
+func checkBinary(dst, a, b *Matrix, op string) {
+	a.shapeCheck(b, op)
+	a.shapeCheck(dst, op)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -174,6 +199,21 @@ func (m *Matrix) AddRowVecInPlace(b *Matrix) {
 		row := m.Row(i)[:len(b.Data)] // hoists row[j]'s bounds check out of the loop
 		for j, v := range b.Data {
 			row[j] += v
+		}
+	}
+}
+
+// AddRowSumsInto adds every row of src onto the 1×C row vector dst, rows
+// ascending: AddRowVecInPlace's adjoint, the bias gradient of a linear layer.
+func AddRowSumsInto(dst, src *Matrix) {
+	if dst.Rows != 1 || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: AddRowSumsInto %dx%d sums into %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))
+	}
+	d := dst.Data
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)[:len(d)] // hoists row[j]'s bounds check out of the loop
+		for j := range d {
+			d[j] += row[j]
 		}
 	}
 }

@@ -54,28 +54,29 @@ func TestCloneIndependent(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{10, 20, 30, 40})
-	a.AddInPlace(b)
-	want := []float64{11, 22, 33, 44}
-	for i, w := range want {
-		if a.Data[i] != w {
-			t.Fatalf("AddInPlace[%d]=%v want %v", i, a.Data[i], w)
+	dst := New(2, 2)
+	// In sequence: each case reads a as the cases before it left it.
+	for _, op := range []struct {
+		name string
+		run  func()
+		out  *Matrix
+		want []float64
+	}{
+		{"AddInto", func() { AddInto(dst, a, b) }, dst, []float64{11, 22, 33, 44}},
+		{"AddInto in place", func() { AddInto(a, a, b) }, a, []float64{11, 22, 33, 44}},
+		{"SubInto in place", func() { SubInto(a, a, b) }, a, []float64{1, 2, 3, 4}},
+		{"SubInto", func() { SubInto(dst, b, a) }, dst, []float64{9, 18, 27, 36}},
+		{"MulInto in place", func() { MulInto(a, a, b) }, a, []float64{10, 40, 90, 160}},
+		{"ScaleInto", func() { ScaleInto(dst, a, 0.5) }, dst, []float64{5, 20, 45, 80}},
+		{"ScaleInPlace", func() { a.ScaleInPlace(0.5) }, a, []float64{5, 20, 45, 80}},
+		{"AxpyInPlace", func() { a.AxpyInPlace(2, b) }, a, []float64{25, 60, 105, 160}},
+	} {
+		op.run()
+		for i, w := range op.want {
+			if op.out.Data[i] != w {
+				t.Fatalf("%s[%d] = %v, want %v", op.name, i, op.out.Data[i], w)
+			}
 		}
-	}
-	a.SubInPlace(b)
-	a.MulInPlace(b)
-	wantMul := []float64{10, 40, 90, 160}
-	for i, w := range wantMul {
-		if a.Data[i] != w {
-			t.Fatalf("MulInPlace[%d]=%v want %v", i, a.Data[i], w)
-		}
-	}
-	a.ScaleInPlace(0.5)
-	if a.Data[0] != 5 {
-		t.Fatal("ScaleInPlace")
-	}
-	a.AxpyInPlace(2, b)
-	if a.Data[0] != 25 {
-		t.Fatalf("AxpyInPlace got %v", a.Data[0])
 	}
 }
 
@@ -199,7 +200,7 @@ func TestMatMulTransAAccumulates(t *testing.T) {
 	MatMulInto(want, transpose(a), b)
 	ones := New(3, 4)
 	ones.Fill(1)
-	want.AddInPlace(ones)
+	AddInto(want, want, ones)
 	if !dst.Equal(want, 1e-10) {
 		t.Fatal("MatMulTransAInto must accumulate into dst")
 	}
