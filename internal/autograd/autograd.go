@@ -238,14 +238,17 @@ func (g *Graph) Backward(loss *Var) {
 func (g *Graph) Affine(x, w, b *Var) *Var { return g.AffineParts(w, b, x) }
 
 // AffineParts returns [x₀ ‖ x₁ ‖ …] @ w + b without forming the
-// concatenation: each part multiplies its own row block of w
-// (tensor.MatMulPartsInto) and the bias is added onto the product in place.
-// The backward adds each part's gradient, and each row block of w's, straight
-// from the output's gradient. Values and gradients are bitwise those of
-// Affine(ConcatCols(parts…), w, b) wherever that concatenation would have
-// had one reader, or parts no other op reads: then every part's gradient
-// accumulates in the same order (DESIGN.md §13).
+// concatenation: each part multiplies its own row block of w and the bias
+// lands in the tile's store (tensor.MatMulPartsInto), one add after each
+// element's sum. The backward adds each part's gradient, and each row block
+// of w's, straight from the output's gradient. Values and gradients are
+// bitwise those of Affine(ConcatCols(parts…), w, b) wherever that
+// concatenation would have had one reader, or parts no other op reads: then
+// every part's gradient accumulates in the same order (DESIGN.md §13).
 func (g *Graph) AffineParts(w, b *Var, parts ...*Var) *Var {
+	if b.Rows() != 1 || b.Cols() != w.Cols() {
+		panic(fmt.Sprintf("autograd: Affine bias %dx%d onto %d columns", b.Rows(), b.Cols(), w.Cols()))
+	}
 	needs := w.NeedsGrad() || b.NeedsGrad()
 	vals := g.matScratch[:0]
 	for _, p := range parts {
@@ -254,8 +257,7 @@ func (g *Graph) AffineParts(w, b *Var, parts ...*Var) *Var {
 	}
 	g.matScratch = vals
 	o := g.out(parts[0].Rows(), w.Cols(), needs)
-	tensor.MatMulPartsInto(o.Val, w.Val, vals)
-	o.Val.AddRowVecInPlace(b.Val)
+	tensor.MatMulPartsInto(o.Val, w.Val, vals, b.Val.Data)
 	if o.NeedsGrad() {
 		lo, hi := g.refs(parts)
 		g.push(tapeEntry{op: opAffine, out: o, b: w, c: b, refLo: lo, refHi: hi})

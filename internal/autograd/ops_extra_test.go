@@ -149,7 +149,11 @@ func TestAffineMatchesMatMulThenAddBiasBitwise(t *testing.T) {
 		prod := tensor.New(r, c)
 		tensor.MatMulInto(prod, x.Val, w.Val)
 		want := prod.Clone()
-		want.AddRowVecInPlace(b.Val)
+		for i := 0; i < r; i++ {
+			for j, v := range b.Val.Data {
+				want.Data[i*c+j] += v
+			}
+		}
 		dProd := tensor.New(r, c)
 		tensor.AddInto(dProd, dProd, dOut)
 		dB := tensor.New(1, c)

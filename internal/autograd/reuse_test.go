@@ -64,7 +64,7 @@ func reuseParams(seed uint64) map[string]*Var {
 	rng := mathx.NewRNG(seed)
 	const groups, k, d = 3, 4, 5
 	gain := tensor.Randn(1, d, 0.2, rng)
-	gain.AddRowVecInPlace(onesRow(d))
+	addOne(gain)
 	return map[string]*Var{
 		"x":     NewParam(tensor.Randn(groups, d, 1, rng)),
 		"w":     NewParam(tensor.Randn(d, d, 1, rng)),

@@ -318,7 +318,7 @@ func groupedMatMulLeftRange(dst, w, src *Matrix, gLo, gHi int) {
 	k2, group := w.Rows, w.Cols
 	for g := gLo; g < gHi; g++ {
 		srcG := src.rowBlock(g*group, group)
-		productRange(dst.rowBlock(g*k2, k2).Data, w.Data, group, 1, &srcG, tileStore, 0, k2)
+		productRange(dst.rowBlock(g*k2, k2).Data, w.Data, group, 1, &srcG, nil, tileStore, 0, k2)
 	}
 }
 
@@ -339,7 +339,7 @@ func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
 	for g := 0; g < b; g++ {
 		dOutG := dOut.rowBlock(g*k2, k2)
 		if dSrc != nil {
-			productRange(dSrc.rowBlock(g*group, group).Data, w.Data, 1, group, &dOutG, tileAccum, 0, group)
+			productRange(dSrc.rowBlock(g*group, group).Data, w.Data, 1, group, &dOutG, nil, tileAccum, 0, group)
 		}
 		if dW != nil {
 			srcG := src.rowBlock(g*group, group)

@@ -36,10 +36,10 @@ func MatMulInto(dst, a, b *Matrix) {
 	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || workerLimit() == 1 {
-		productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, 0, a.Rows)
+		productRange(dst.Data, a.Data, a.Cols, 1, b, nil, tileStore, 0, a.Rows)
 		return
 	}
-	ParallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, tileStore, lo, hi) })
+	ParallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, nil, tileStore, lo, hi) })
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
@@ -63,58 +63,71 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || workerLimit() == 1 || dst.Rows == 1 {
-		productRange(dst.Data, a.Data, 1, a.Cols, b, tileAccum, 0, dst.Rows)
+		productRange(dst.Data, a.Data, 1, a.Cols, b, nil, tileAccum, 0, dst.Rows)
 		return
 	}
 	// The closure escapes to the workers: it captures copies, so the
 	// caller's headers (row-block views, MatMulPartsGradInto) stay on its
 	// stack.
 	d, x, kstep, y := dst.Data, a.Data, a.Cols, *b
-	ParallelRows(dst.Rows, func(lo, hi int) { productRange(d, x, 1, kstep, &y, tileAccum, lo, hi) })
+	ParallelRows(dst.Rows, func(lo, hi int) { productRange(d, x, 1, kstep, &y, nil, tileAccum, lo, hi) })
 }
 
 // productRange computes dst rows [lo, hi) of a lane-strided product (the
-// tile's own form, tile.go):
+// tile's own form, tile.go), plus bias on every row when it is non-nil:
 //
-//	dst[i, :]  ⟵  Σ_kk  a[i*lane + kk*kstep] · b[kk, :]
+//	dst[i, :]  ⟵  Σ_kk  a[i*lane + kk*kstep] · b[kk, :]  (+ bias)
 //
 // on the tile where the range holds a whole one, on the scalar loop where
-// it does not. Per-element accumulation is k-ascending either way, so any
-// [lo, hi) split of rows is bitwise-equivalent to serial.
-func productRange(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, hi int) {
-	if !tileRows(dst, b.Cols, a, lane, kstep, b.Data, b.Rows, mode, lo, hi) {
-		axpyRows(dst, a, lane, kstep, b, mode, lo, hi)
+// it does not. Per-element accumulation is k-ascending either way and the
+// bias lands with one add after it, so any [lo, hi) split of rows is
+// bitwise-equivalent to serial.
+func productRange(dst, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode, lo, hi int) {
+	if !tileRows(dst, b.Cols, a, lane, kstep, b.Data, b.Rows, bias, mode, lo, hi) {
+		axpyRows(dst, a, lane, kstep, b, bias, mode, lo, hi)
 	}
 }
 
-// tileRows covers dst rows [lo, hi) × cols [0, p) with 4×8 tiles and
+// tileRows covers dst rows [lo, hi) × cols [0, p) with 4-row panels and
 // reports whether it could: the range must hold one whole tile and the
-// product must have depth. Where the extent is not a multiple of the tile
-// (rows%4, cols%8) the last tile is shifted back to end on the boundary and
-// commits only the part no earlier tile owns (tilePart), so remainders run
-// on the same kernel and every element is still written exactly once.
-func tileRows(dst []float64, p int, a []float64, lane, kstep int, b []float64, k int, mode tileMode, lo, hi int) bool {
+// product must have depth. One tile call covers a panel's p/8 whole 8-wide
+// blocks. Where the extent is not a multiple of the tile (rows%4, cols%8)
+// the last block is shifted back to end on the boundary and commits only
+// the part no earlier block owns (tilePart, one block at a time), so
+// remainders run on the same kernel and every element is still written
+// exactly once.
+func tileRows(dst []float64, p int, a []float64, lane, kstep int, b []float64, k int, bias []float64, mode tileMode, lo, hi int) bool {
 	if !tileFits(hi-lo, p, k) {
 		return false
 	}
+	blocks := p / 8
 	for i := lo; i < hi; i += 4 {
 		l0 := 0
 		if i+4 > hi {
 			l0, i = i+4-hi, hi-4
 		}
-		for j := 0; j < p; j += 8 {
-			c0 := 0
-			if j+8 > p {
-				c0, j = j+8-p, p-8
+		d, ai := dst[i*p:], a[i*lane:]
+		if l0 == 0 {
+			tile(d, p, ai, lane, kstep, b, p, k, blocks, bias, mode)
+		} else {
+			for j := 0; j < 8*blocks; j += 8 {
+				tilePart(d[j:], p, ai, lane, kstep, b[j:], p, k, biasFrom(bias, j), mode, l0, 0)
 			}
-			if l0|c0 == 0 {
-				tile(dst[i*p+j:], p, a[i*lane:], lane, kstep, b[j:], p, k, mode)
-			} else {
-				tilePart(dst[i*p+j:], p, a[i*lane:], lane, kstep, b[j:], p, k, mode, l0, c0)
-			}
+		}
+		if c0 := 8 - p%8; c0 < 8 {
+			j := p - 8
+			tilePart(d[j:], p, ai, lane, kstep, b[j:], p, k, biasFrom(bias, j), mode, l0, c0)
 		}
 	}
 	return true
+}
+
+// biasFrom returns bias from column j on; nil stays nil (no bias).
+func biasFrom(bias []float64, j int) []float64 {
+	if bias == nil {
+		return nil
+	}
+	return bias[j:]
 }
 
 // tileFits reports whether a rows×cols block of depth k holds a whole tile.
@@ -123,9 +136,9 @@ func tileFits(rows, cols, k int) bool { return rows >= 4 && cols >= 8 && k > 0 }
 // axpyRows is productRange's scalar form, for ranges no tile fits (fewer
 // than 4 rows, fewer than 8 columns, k = 0): one dst row at a time,
 // streaming b row-wise. tileStore zeroes the row first; tileAccum
-// accumulates onto it. The float64(…) conversion forbids multiply-add
-// fusion (see tileGo).
-func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, hi int) {
+// accumulates onto it; a non-nil bias is added after the row's k loop. The
+// float64(…) conversion forbids multiply-add fusion (see tileGo).
+func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode, lo, hi int) {
 	k, p := b.Rows, b.Cols
 	for i := lo; i < hi; i++ {
 		drow := dst[i*p : i*p+p]
@@ -140,6 +153,11 @@ func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, mode tileMode, lo, h
 				drow[j] += float64(av * bv)
 			}
 			ai += kstep
+		}
+		if bias != nil {
+			for j, bv := range bias[:len(drow)] {
+				drow[j] += bv
+			}
 		}
 	}
 }
@@ -220,7 +238,7 @@ func transposeInto(bt []float64, b *Matrix) {
 // transBRange adds rows [lo, hi) of a @ bᵀ to dst against bt, b's k-major
 // copy.
 func transBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
-	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, tileAdd, lo, hi) {
+	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, nil, tileAdd, lo, hi) {
 		dotRows(dst, a, b, lo, hi)
 	}
 }
@@ -244,36 +262,52 @@ func dotRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulPartsInto computes dst = [x₀ ‖ x₁ ‖ …] @ w without forming the
-// concatenation: part p multiplies w's row block p, the rows its columns
-// meet in the concatenated product. The first part with columns runs in
-// tileStore form and every later one in tileAccum, so each element is
-// accumulated k-ascending across the parts, one rounded multiply and one
-// rounded add per step: the sequence of one pass over the concatenation,
-// and therefore bitwise MatMulInto(dst, concat, w). Zero-width parts are
-// skipped; if every part has zero width, dst is zeroed.
-func MatMulPartsInto(dst, w *Matrix, parts []*Matrix) {
+// MatMulPartsInto computes dst = [x₀ ‖ x₁ ‖ …] @ w + bias without forming
+// the concatenation, bias (w.Cols long, or nil for none) added to every
+// row: part p multiplies w's row block p, the rows its columns meet in the
+// concatenated product. The first part with columns runs in tileStore form
+// and every later one in tileAccum, so each element is accumulated
+// k-ascending across the parts, one rounded multiply and one rounded add
+// per step: the sequence of one pass over the concatenation, and therefore
+// bitwise MatMulInto(dst, concat, w). The last part with columns adds the
+// bias in the tile's store, one rounded add after its sum: bitwise that
+// product followed by a row-vector add. Zero-width parts are skipped; if
+// every part has zero width, dst = 0 + bias row by row (zero with no bias).
+func MatMulPartsInto(dst, w *Matrix, parts []*Matrix, bias []float64) {
 	checkParts(dst, w, parts)
-	if w.Rows == 0 {
-		clear(dst.Data)
-		return
+	if bias != nil && len(bias) != w.Cols {
+		panic(fmt.Sprintf("tensor: MatMulParts bias of %d for %d columns", len(bias), w.Cols))
 	}
 	if dst.Rows*w.Rows*w.Cols < parallelThreshold || workerLimit() == 1 {
-		partsRange(dst.Data, w, parts, 0, dst.Rows)
+		partsRange(dst.Data, w, parts, bias, 0, dst.Rows)
 		return
 	}
-	ParallelRows(dst.Rows, func(lo, hi int) { partsRange(dst.Data, w, parts, lo, hi) })
+	ParallelRows(dst.Rows, func(lo, hi int) { partsRange(dst.Data, w, parts, bias, lo, hi) })
 }
 
 // partsRange computes dst rows [lo, hi) of MatMulPartsInto, part by part.
-func partsRange(dst []float64, w *Matrix, parts []*Matrix, lo, hi int) {
+func partsRange(dst []float64, w *Matrix, parts []*Matrix, bias []float64, lo, hi int) {
+	last := -1
+	for p, x := range parts {
+		if x.Cols > 0 {
+			last = p
+		}
+	}
+	if last < 0 { // depth 0: axpyRows clears each row and adds the bias
+		productRange(dst, nil, 0, 0, w, bias, tileStore, lo, hi)
+		return
+	}
 	mode, off := tileStore, 0
-	for _, x := range parts {
+	for p, x := range parts {
 		if x.Cols == 0 {
 			continue
 		}
+		var bp []float64
+		if p == last {
+			bp = bias
+		}
 		wp := w.rowBlock(off, x.Cols)
-		productRange(dst, x.Data, x.Cols, 1, &wp, mode, lo, hi)
+		productRange(dst, x.Data, x.Cols, 1, &wp, bp, mode, lo, hi)
 		mode, off = tileAccum, off+x.Cols
 	}
 }

@@ -259,41 +259,58 @@ func TestWorkerLimitTracksGOMAXPROCS(t *testing.T) {
 // (wikipedia, batch 32, Hidden 24, N 10, M 25): x is m×k, w is k×n.
 var stepShapes = [][3]int{{1389, 73, 73}, {5500, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}}
 
+// serveColdShapes are the linear layers of one serve-cold flush (wikipedia,
+// TGAT, Hidden 24, N 10, ≈31 roots per flush; valid-edge rows averaged over a
+// seed-1 run): the key/value projections of the lower layer (k = 48: edge
+// features ‖ Φ(Δt)) and the upper layer (k = 72: h ‖ edge features ‖ Φ(Δt)),
+// and the time encoder Φ = cos(Δt·ω + φ) on the lower layer's edges (k = 1).
+var serveColdShapes = [][3]int{{873, 48, 24}, {193, 72, 24}, {873, 1, 16}}
+
 // BenchmarkMatMul is the raw-speed floor (DESIGN.md §13): every step shape ×
 // the three product forms it runs in — forward x@w (ab), the weight gradient
-// xᵀ@dy (aTb) and the input gradient dy@wᵀ (abT), 2·m·k·n FLOP each — on the
-// AVX2 assembly tile (asm) and on its Go twin (go), the path on CPUs without
-// AVX2. SetBytes carries the FLOP count, so the MB/s column reads MFLOP/s. On
-// a shared host the asm/go ratio is the stable signal.
+// xᵀ@dy (aTb) and the input gradient dy@wᵀ (abT), 2·m·k·n FLOP each — and
+// every serve-cold layer as the forward a linear layer runs, x@w + b with the
+// bias in the tile's store (abBias), on the AVX2 assembly tile (asm) and on
+// its Go twin (go), the path on CPUs without AVX2. SetBytes carries the
+// multiply-add FLOP count, so the MB/s column reads MFLOP/s. On a shared host
+// the asm/go ratio is the stable signal.
 func BenchmarkMatMul(b *testing.B) {
 	defer forceGoTile(false)
-	forms := []struct {
+	type form struct {
 		name string
-		run  func(x, w, y, dw, dx *Matrix)
-	}{
-		{"ab", func(x, w, y, dw, dx *Matrix) { MatMulInto(y, x, w) }},
-		{"aTb", func(x, w, y, dw, dx *Matrix) { MatMulTransAInto(dw, x, y) }},
-		{"abT", func(x, w, y, dw, dx *Matrix) { MatMulTransBAddInto(dx, y, w) }},
+		run  func(x, w, y, dw, dx, bias *Matrix)
 	}
-	for _, s := range stepShapes {
-		m, k, n := s[0], s[1], s[2]
-		rng := mathx.NewRNG(99)
-		x, w := Randn(m, k, 1, rng), Randn(k, n, 1, rng)
-		y, dw, dx := New(m, n), New(k, n), New(m, k)
-		for _, f := range forms {
-			for _, impl := range []string{"asm", "go"} {
-				b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, f.name, impl), func(b *testing.B) {
-					if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
-						b.Skip("no AVX2 on this CPU: every product runs the Go twin")
-					}
-					b.SetBytes(int64(2 * m * k * n))
-					for i := 0; i < b.N; i++ {
-						f.run(x, w, y, dw, dx)
-					}
-				})
+	forms := []form{
+		{"ab", func(x, w, y, dw, dx, bias *Matrix) { MatMulInto(y, x, w) }},
+		{"aTb", func(x, w, y, dw, dx, bias *Matrix) { MatMulTransAInto(dw, x, y) }},
+		{"abT", func(x, w, y, dw, dx, bias *Matrix) { MatMulTransBAddInto(dx, y, w) }},
+	}
+	affine := []form{
+		{"abBias", func(x, w, y, dw, dx, bias *Matrix) { MatMulPartsInto(y, w, []*Matrix{x}, bias.Data) }},
+	}
+	run := func(shapes [][3]int, forms []form) {
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			rng := mathx.NewRNG(99)
+			x, w, bias := Randn(m, k, 1, rng), Randn(k, n, 1, rng), Randn(1, n, 1, rng)
+			y, dw, dx := New(m, n), New(k, n), New(m, k)
+			for _, f := range forms {
+				for _, impl := range []string{"asm", "go"} {
+					b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, f.name, impl), func(b *testing.B) {
+						if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
+							b.Skip("no AVX2 on this CPU: every product runs the Go twin")
+						}
+						b.SetBytes(int64(2 * m * k * n))
+						for i := 0; i < b.N; i++ {
+							f.run(x, w, y, dw, dx, bias)
+						}
+					})
+				}
 			}
 		}
 	}
+	run(stepShapes, forms)
+	run(serveColdShapes, affine)
 }
 
 // BenchmarkMatMulRef is the seed's scalar loop on the same forward products.

@@ -190,21 +190,9 @@ func (m *Matrix) AxpyInPlace(alpha float64, o *Matrix) {
 	}
 }
 
-// AddRowVecInPlace adds the 1×C row vector b to every row of m.
-func (m *Matrix) AddRowVecInPlace(b *Matrix) {
-	if b.Rows != 1 || b.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVecInPlace bias %dx%d onto %dx%d", b.Rows, b.Cols, m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)[:len(b.Data)] // hoists row[j]'s bounds check out of the loop
-		for j, v := range b.Data {
-			row[j] += v
-		}
-	}
-}
-
 // AddRowSumsInto adds every row of src onto the 1×C row vector dst, rows
-// ascending: AddRowVecInPlace's adjoint, the bias gradient of a linear layer.
+// ascending: the adjoint of MatMulPartsInto's bias, the bias gradient of a
+// linear layer.
 func AddRowSumsInto(dst, src *Matrix) {
 	if dst.Rows != 1 || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: AddRowSumsInto %dx%d sums into %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))

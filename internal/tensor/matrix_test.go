@@ -80,15 +80,30 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
+// TestAddRowVec pins the bias a linear layer's product lands in its store:
+// with no part of any width the product is 0 + b on every row (the +0 of
+// 0 + −0 included), and over a product it is the product, then the row add.
 func TestAddRowVec(t *testing.T) {
 	m := New(2, 3)
-	bias := FromSlice(1, 3, []float64{1, 2, 3})
-	m.AddRowVecInPlace(bias)
+	bias := []float64{1, 2, math.Copysign(0, -1)}
+	MatMulPartsInto(m, New(0, 3), nil, bias)
 	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != float64(j+1) {
-				t.Fatalf("bias broadcast at (%d,%d)", i, j)
+		for j, want := range []float64{1, 2, 0} {
+			if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
+				t.Fatalf("bias broadcast at (%d,%d): %v", i, j, m.At(i, j))
 			}
+		}
+	}
+	rng := mathx.NewRNG(7)
+	for _, s := range [][3]int{{2, 5, 3}, {9, 7, 19}, {12, 24, 24}} {
+		r, k, c := s[0], s[1], s[2]
+		x, w, b := Randn(r, k, 1, rng), Randn(k, c, 1, rng), Randn(1, c, 1, rng)
+		got, want := New(r, c), New(r, c)
+		MatMulPartsInto(got, w, []*Matrix{x}, b.Data)
+		MatMulInto(want, x, w)
+		addRowVecRef(want, b.Data)
+		if d := bitwiseDiff(got, want); d >= 0 {
+			t.Fatalf("%dx%dx%d: elem %d = %v, product then row add gives %v", r, k, c, d, got.Data[d], want.Data[d])
 		}
 	}
 }
@@ -171,7 +186,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	got := New(128, 96)
 	MatMulInto(got, a, b)
 	want := New(128, 96)
-	productRange(want.Data, a.Data, a.Cols, 1, b, tileStore, 0, 128)
+	productRange(want.Data, a.Data, a.Cols, 1, b, nil, tileStore, 0, 128)
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("parallel and serial matmul disagree")
 	}

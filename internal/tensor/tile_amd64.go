@@ -23,9 +23,10 @@ func forceGoTile(on bool) (asm bool) {
 	return haveTileAsm
 }
 
-// tileAVX2 is the 4×8 tile of tile.go in AVX2 assembly (tile_amd64.s). It
-// performs no bounds checks: call it only through tile, which has verified
-// the extent of every operand. Strides are in elements.
+// tileAVX2 is the panel of 4×8 tiles of tile.go in AVX2 assembly
+// (tile_amd64.s); a nil bias adds nothing. It performs no bounds checks:
+// call it only through tile, which has verified the extent of every operand
+// and that blocks ≥ 1. Strides are in elements.
 //
 //go:noescape
-func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, mode int)
+func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, blocks int, bias *float64, mode int)

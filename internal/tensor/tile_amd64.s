@@ -1,21 +1,23 @@
 #include "textflag.h"
 
-// func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, mode int)
+// func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, blocks int, bias *float64, mode int)
 //
-// One 4-lane × 8-column tile (contract in tile.go). Y0–Y7 hold the 32 sums,
-// lane l in Y(2l), Y(2l+1); per k step two loads of b feed four broadcast a
-// values. VMULPD then VADDPD, never VFMADD: each sum sees the scalar loop's
-// multiply-round-add-round sequence.
-TEXT ·tileAVX2(SB), NOSPLIT, $0-72
+// One 4-lane panel of `blocks` 4×8 blocks (contract in tile.go). Per block,
+// Y0–Y7 hold the 32 sums, lane l in Y(2l), Y(2l+1); per k step two loads of
+// b feed four broadcast a values. VMULPD then VADDPD, never VFMADD: each sum
+// sees the scalar loop's multiply-round-add-round sequence. After the k loop
+// (and tileAdd's dst add) a non-nil bias's two 4-wide halves are added onto
+// all four lanes before the store. a and k are reloaded for every block;
+// dst, b and bias step 8 columns.
+TEXT ·tileAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
-	MOVQ a+16(FP), SI
 	MOVQ lane+24(FP), R9
 	MOVQ kstep+32(FP), R10
-	MOVQ b+40(FP), DX
+	MOVQ b+40(FP), AX
 	MOVQ ldb+48(FP), R11
-	MOVQ k+56(FP), CX
-	MOVQ mode+64(FP), BX
+	MOVQ blocks+64(FP), R14
+	MOVQ bias+72(FP), BX
 	SHLQ $3, R8              // strides: elements → bytes
 	SHLQ $3, R9
 	SHLQ $3, R10
@@ -23,7 +25,11 @@ TEXT ·tileAVX2(SB), NOSPLIT, $0-72
 	LEAQ (R8)(R8*2), R13     // 3·ldd
 	LEAQ (R9)(R9*2), R12     // 3·lane
 
-	CMPQ BX, $1              // tileAccum: the sums start from dst
+block:
+	MOVQ a+16(FP), SI        // every block reads the panel's four lanes from the top
+	MOVQ k+56(FP), CX
+	MOVQ AX, DX
+	CMPQ mode+80(FP), $1     // tileAccum: the sums start from dst
 	JNE  zero
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
@@ -78,8 +84,8 @@ loop:
 	JNZ  loop
 
 done:
-	CMPQ BX, $2              // tileAdd: dst + (sums from zero)
-	JNE  store
+	CMPQ mode+80(FP), $2     // tileAdd: dst + (sums from zero)
+	JNE  addbias
 	VADDPD (DI), Y0, Y0
 	VADDPD 32(DI), Y1, Y1
 	VADDPD (DI)(R8*1), Y2, Y2
@@ -88,6 +94,21 @@ done:
 	VADDPD 32(DI)(R8*2), Y5, Y5
 	VADDPD (DI)(R13*1), Y6, Y6
 	VADDPD 32(DI)(R13*1), Y7, Y7
+
+addbias:
+	TESTQ BX, BX             // nil bias: store the sums as they are
+	JZ    store
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y9, Y3, Y3
+	VADDPD Y8, Y4, Y4
+	VADDPD Y9, Y5, Y5
+	VADDPD Y8, Y6, Y6
+	VADDPD Y9, Y7, Y7
+	ADDQ $64, BX
 
 store:
 	VMOVUPD Y0, (DI)
@@ -98,5 +119,9 @@ store:
 	VMOVUPD Y5, 32(DI)(R8*2)
 	VMOVUPD Y6, (DI)(R13*1)
 	VMOVUPD Y7, 32(DI)(R13*1)
+	ADDQ $64, DI             // next block: 8 columns on
+	ADDQ $64, AX
+	DECQ R14
+	JNZ  block
 	VZEROUPPER
 	RET

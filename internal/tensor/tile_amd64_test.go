@@ -25,31 +25,36 @@ func spice(s []float64, rng *mathx.RNG) {
 
 // TestTileAsmMatchesGoBitwise calls the assembly tile and its Go twin
 // directly on the same operands — random strides in both lane layouts, all
-// three init modes, depths from 0 up, inputs salted with ±Inf, NaN, −0 and
-// denormals — and requires bitwise-equal output (NaN equal to NaN: which
-// payload survives is the hardware's choice).
+// three init modes, with and without a bias, panels of 1–4 blocks, depths
+// from 0 up, inputs salted with ±Inf, NaN, −0 and denormals — and requires
+// bitwise-equal output (NaN equal to NaN: which payload survives is the
+// hardware's choice).
 func TestTileAsmMatchesGoBitwise(t *testing.T) {
 	if !haveTileAsm {
 		t.Skip("CPU without AVX2: every product already runs tileGo")
 	}
 	rng := mathx.NewRNG(41)
-	for ci, tc := range randomTileCases(rng, 600) {
-		nd, na, nb := tc.lens()
-		// The routine takes pointers; at depth 0 it must not follow them.
-		a, b := make([]float64, max(na, 1)), make([]float64, max(nb, 1))
+	for ci, tc := range randomTileCases(rng, 960) {
+		nd, na, nb, nbias := tc.lens()
+		// The routine takes pointers; at depth 0 it must not follow a or b.
+		a, b, bias := make([]float64, max(na, 1)), make([]float64, max(nb, 1)), make([]float64, nbias)
 		init := make([]float64, nd)
-		for _, s := range [][]float64{a, b, init} {
+		for _, s := range [][]float64{a, b, bias, init} {
 			for i := range s {
 				s[i] = rng.NormFloat64()
 			}
-			if ci%2 == 1 {
+			if ci/24%2 == 1 { // every mode × bias × blocks combination, salted and not
 				spice(s, rng)
 			}
 		}
+		var pb *float64
+		if tc.bias {
+			pb = &bias[0]
+		}
 		viaAsm := append([]float64(nil), init...)
 		viaGo := append([]float64(nil), init...)
-		tileAVX2(&viaAsm[0], tc.ldd, &a[0], tc.lane, tc.kstep, &b[0], tc.ldb, tc.k, int(tc.mode))
-		tileGo(viaGo, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode)
+		tileAVX2(&viaAsm[0], tc.ldd, &a[0], tc.lane, tc.kstep, &b[0], tc.ldb, tc.k, tc.blocks, pb, int(tc.mode))
+		tileGo(viaGo, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
 		if i := sameBits(viaAsm, viaGo); i >= 0 {
 			t.Fatalf("%+v: dst[%d]: asm %v (%#x) vs Go %v (%#x)", tc, i,
 				viaAsm[i], math.Float64bits(viaAsm[i]), viaGo[i], math.Float64bits(viaGo[i]))
@@ -59,7 +64,8 @@ func TestTileAsmMatchesGoBitwise(t *testing.T) {
 
 // TestMatMulWithoutAVX2MatchesWith runs every entry point twice, on the
 // assembly tile and with the CPU probe's answer overridden to "no AVX2", on
-// the shapes a TASER step issues: the products must be bitwise-identical, so
+// the shapes a TASER step and a serve-cold flush issue (the forward also as
+// a linear layer, with its bias): the products must be bitwise-identical, so
 // which CPU a model trained on is invisible in its weights.
 func TestMatMulWithoutAVX2MatchesWith(t *testing.T) {
 	if !haveTileAsm {
@@ -67,22 +73,24 @@ func TestMatMulWithoutAVX2MatchesWith(t *testing.T) {
 	}
 	defer forceGoTile(false)
 	rng := mathx.NewRNG(42)
-	for _, s := range [][3]int{{1389, 73, 73}, {550, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}, {37, 29, 19}} {
+	for _, s := range [][3]int{{1389, 73, 73}, {550, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}, {37, 29, 19}, {873, 1, 16}} {
 		m, k, n := s[0], s[1], s[2]
 		a := Randn(m, k, 1, rng)
 		b := Randn(k, n, 1, rng)
 		bt := Randn(n, k, 1, rng)
 		wide := Randn(m, n, 1, rng)
-		run := func(asm bool) [3]*Matrix {
+		bias := Randn(1, n, 1, rng).Data
+		run := func(asm bool) [4]*Matrix {
 			forceGoTile(!asm)
-			r := [3]*Matrix{New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6))}
+			r := [4]*Matrix{New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6)), New(m, n)}
 			MatMulInto(r[0], a, b)
 			MatMulTransBAddInto(r[1], a, bt)
 			MatMulTransAInto(r[2], a, wide)
+			MatMulPartsInto(r[3], b, []*Matrix{a}, bias)
 			return r
 		}
 		with, without := run(true), run(false)
-		for i, name := range []string{"MatMulInto", "MatMulTransBAddInto", "MatMulTransAInto"} {
+		for i, name := range []string{"MatMulInto", "MatMulTransBAddInto", "MatMulTransAInto", "MatMulPartsInto with a bias"} {
 			if d := bitwiseDiff(with[i], without[i]); d >= 0 {
 				t.Fatalf("%dx%dx%d %s: elem %d differs between the assembly tile and the Go twin", m, k, n, name, d)
 			}

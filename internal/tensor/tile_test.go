@@ -67,9 +67,9 @@ func firstNaN(x []float64) int {
 }
 
 // tileRef is the tile contract (tile.go) as the straight-line scalar loop.
-func tileRef(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k int, mode tileMode) {
+func tileRef(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k, blocks int, bias []float64, mode tileMode) {
 	for l := 0; l < 4; l++ {
-		for c := 0; c < 8; c++ {
+		for c := 0; c < 8*blocks; c++ {
 			var s float64
 			if mode == tileAccum {
 				s = dst[l*ldd+c]
@@ -80,6 +80,9 @@ func tileRef(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, 
 			if mode == tileAdd {
 				s = dst[l*ldd+c] + s
 			}
+			if bias != nil {
+				s += bias[c]
+			}
 			dst[l*ldd+c] = s
 		}
 	}
@@ -88,26 +91,40 @@ func tileRef(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, 
 // tileCase is one tile call's geometry; operand lengths are exactly the
 // extent the contract says the tile touches.
 type tileCase struct {
-	ldd, lane, kstep, ldb, k int
-	mode                     tileMode
+	ldd, lane, kstep, ldb, k, blocks int
+	bias                             bool
+	mode                             tileMode
 }
 
-func (tc tileCase) lens() (dst, a, b int) {
-	if tc.k == 0 {
-		return 3*tc.ldd + 8, 0, 0
+func (tc tileCase) lens() (dst, a, b, bias int) {
+	w := 8 * tc.blocks
+	if tc.bias {
+		bias = w
 	}
-	return 3*tc.ldd + 8, 3*tc.lane + (tc.k-1)*tc.kstep + 1, (tc.k-1)*tc.ldb + 8
+	if tc.k == 0 {
+		return 3*tc.ldd + w, 0, 0, bias
+	}
+	return 3*tc.ldd + w, 3*tc.lane + (tc.k-1)*tc.kstep + 1, (tc.k-1)*tc.ldb + w, bias
 }
+
+// inPanel reports whether dst element i lies in one of the panel's four
+// lanes (dst ends with the last one; the gaps between lanes belong to the
+// caller).
+func (tc tileCase) inPanel(i int) bool { return i%tc.ldd < 8*tc.blocks }
 
 // randomTileCases mixes the two layouts the drivers use (row lanes: lane ≥ k,
 // kstep 1; column lanes: lane 1, kstep ≥ 4) with arbitrary strides, at depths
-// that include 0 and 1.
+// that include 0 and 1, cycling through every mode × bias nil/non-nil ×
+// panels of 1–4 blocks.
 func randomTileCases(rng *mathx.RNG, n int) []tileCase {
 	depths := []int{0, 1, 2, 3, 7, 16, 24, 73, 105}
 	var out []tileCase
 	for i := 0; i < n; i++ {
-		k := depths[rng.Intn(len(depths))]
-		tc := tileCase{ldd: 8 + rng.Intn(70), ldb: 8 + rng.Intn(70), k: k, mode: tileMode(i % 3)}
+		k, blocks := depths[rng.Intn(len(depths))], 1+i/6%4
+		tc := tileCase{
+			ldd: 8*blocks + rng.Intn(70), ldb: 8*blocks + rng.Intn(70), k: k, blocks: blocks,
+			bias: i/3%2 == 1, mode: tileMode(i % 3),
+		}
 		switch rng.Intn(3) {
 		case 0:
 			tc.lane, tc.kstep = k+rng.Intn(5), 1
@@ -121,54 +138,76 @@ func randomTileCases(rng *mathx.RNG, n int) []tileCase {
 	return out
 }
 
+// orNil returns s, or nil when the case has no bias.
+func orNil(s []float64, ok bool) []float64 {
+	if !ok {
+		return nil
+	}
+	return s
+}
+
 // TestTileStaysInsideItsOperands is the canary test for the unchecked
 // routine behind tile: with every operand cut to the exact extent the
-// contract names and NaN canaries on both sides, neither implementation may
-// read a canary (the result would turn NaN) or write one, and both must
-// equal the scalar reference.
+// contract names, NaN canaries on both sides of each (the bias's included),
+// and canaries in every column of b and dst past the panel's last one,
+// neither implementation may read a canary (the result would turn NaN) or
+// write one, and both must equal the scalar reference.
 func TestTileStaysInsideItsOperands(t *testing.T) {
 	rng := mathx.NewRNG(31)
-	impls := map[string]func([]float64, int, []float64, int, int, []float64, int, int, tileMode){
+	impls := map[string]func([]float64, int, []float64, int, int, []float64, int, int, int, []float64, tileMode){
 		"tile": tile, "tileGo": tileGo,
 	}
-	for _, tc := range randomTileCases(rng, 300) {
-		nd, na, nb := tc.lens()
+	canary := math.Float64frombits(canaryBits)
+	for _, tc := range randomTileCases(rng, 480) {
+		nd, na, nb, nbias := tc.lens()
 		a, aOK := guarded(na)
 		b, bOK := guarded(nb)
+		bias, biasOK := guarded(nbias)
 		init := make([]float64, nd)
-		for _, s := range [][]float64{a, b, init} {
+		for _, s := range [][]float64{a, b, bias, init} {
 			for i := range s {
 				s[i] = rng.NormFloat64()
 			}
 		}
+		for i := range b {
+			if i%tc.ldb >= 8*tc.blocks {
+				b[i] = canary
+			}
+		}
+		for i := range init {
+			if !tc.inPanel(i) {
+				init[i] = canary
+			}
+		}
 		want := append([]float64(nil), init...)
-		tileRef(want, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode)
+		tileRef(want, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
 		for name, impl := range impls {
 			dst, dOK := guarded(nd)
 			copy(dst, init)
-			impl(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode)
-			if !aOK() || !bOK() || !dOK() {
+			impl(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
+			if !aOK() || !bOK() || !biasOK() || !dOK() {
 				t.Fatalf("%s %+v: wrote outside an operand", name, tc)
 			}
-			if i := firstNaN(dst); i >= 0 {
-				t.Fatalf("%s %+v: dst[%d] is NaN — read outside an operand", name, tc, i)
+			for i, v := range dst {
+				if !tc.inPanel(i) {
+					if math.Float64bits(v) != canaryBits {
+						t.Fatalf("%s %+v: dst[%d] outside the panel changed", name, tc, i)
+					}
+				} else if math.IsNaN(v) {
+					t.Fatalf("%s %+v: dst[%d] is NaN — read outside an operand", name, tc, i)
+				}
 			}
 			if i := sameBits(dst, want); i >= 0 {
 				t.Fatalf("%s %+v: dst[%d] = %v, reference %v", name, tc, i, dst[i], want[i])
-			}
-			// Everything between the four 8-wide lanes belongs to the caller.
-			for i, v := range dst {
-				if i%tc.ldd >= 8 && i/tc.ldd < 3 && math.Float64bits(v) != math.Float64bits(init[i]) {
-					t.Fatalf("%s %+v: dst[%d] outside the tile changed", name, tc, i)
-				}
 			}
 		}
 	}
 }
 
 // TestTilePanicsOnShortOperand pins where memory safety lives: an operand
-// one element short of the extent the tile will touch, or a negative stride,
-// must panic in the Go wrapper before the unchecked routine runs.
+// one element short of the extent the panel will touch — dst or b short of
+// its last block, a bias one element short — a negative stride or an empty
+// panel must panic in the Go wrapper before the unchecked routine runs.
 func TestTilePanicsOnShortOperand(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -180,21 +219,34 @@ func TestTilePanicsOnShortOperand(t *testing.T) {
 		f()
 	}
 	for _, tc := range []tileCase{
-		{ldd: 8, lane: 5, kstep: 1, ldb: 8, k: 5},
-		{ldd: 73, lane: 1, kstep: 73, ldb: 16, k: 24, mode: tileAccum},
-		{ldd: 9, lane: 3, kstep: 2, ldb: 11, k: 1, mode: tileAdd},
+		{ldd: 8, lane: 5, kstep: 1, ldb: 8, k: 5, blocks: 1},
+		{ldd: 73, lane: 1, kstep: 73, ldb: 16, k: 24, blocks: 2, mode: tileAccum},
+		{ldd: 9, lane: 3, kstep: 2, ldb: 11, k: 1, blocks: 1, mode: tileAdd},
+		{ldd: 24, lane: 48, kstep: 1, ldb: 24, k: 48, blocks: 3, bias: true},
+		{ldd: 40, lane: 1, kstep: 40, ldb: 33, k: 7, blocks: 4, bias: true, mode: tileAccum},
 	} {
-		nd, na, nb := tc.lens()
-		dst, a, b := make([]float64, nd), make([]float64, na), make([]float64, nb)
-		tile(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) // exact lengths are fine
-		mustPanic("short dst", func() { tile(dst[:nd-1], tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) })
-		mustPanic("short a", func() { tile(dst, tc.ldd, a[:na-1], tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.mode) })
-		mustPanic("short b", func() { tile(dst, tc.ldd, a, tc.lane, tc.kstep, b[:nb-1], tc.ldb, tc.k, tc.mode) })
-		mustPanic("negative ldb", func() { tile(dst, tc.ldd, a, tc.lane, tc.kstep, b, -tc.ldb, tc.k, tc.mode) })
-		mustPanic("negative kstep", func() { tile(dst, tc.ldd, a, tc.lane, -tc.kstep, b, tc.ldb, tc.k, tc.mode) })
+		nd, na, nb, nbias := tc.lens()
+		dst, a, b, bias := make([]float64, nd), make([]float64, na), make([]float64, nb), orNil(make([]float64, nbias), tc.bias)
+		run := func(dst, a, b, bias []float64, ldb, kstep, blocks int) func() {
+			return func() { tile(dst, tc.ldd, a, tc.lane, kstep, b, ldb, tc.k, blocks, bias, tc.mode) }
+		}
+		run(dst, a, b, bias, tc.ldb, tc.kstep, tc.blocks)() // exact lengths are fine
+		mustPanic("short dst", run(dst[:nd-1], a, b, bias, tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("short a", run(dst, a[:na-1], b, bias, tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("short b", run(dst, a, b[:nb-1], bias, tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("dst short of the last block", run(dst[:nd-8], a, b, bias, tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("b short of the last block", run(dst, a, b[:nb-8], bias, tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("one block too many", run(dst, a, b, bias, tc.ldb, tc.kstep, tc.blocks+1))
+		mustPanic("no block", run(dst, a, b, bias, tc.ldb, tc.kstep, 0))
+		mustPanic("negative ldb", run(dst, a, b, bias, -tc.ldb, tc.kstep, tc.blocks))
+		mustPanic("negative kstep", run(dst, a, b, bias, tc.ldb, -tc.kstep, tc.blocks))
+		if tc.bias {
+			mustPanic("short bias", run(dst, a, b, bias[:nbias-1], tc.ldb, tc.kstep, tc.blocks))
+		}
 	}
-	// Depth 0 touches neither a nor b.
-	tile(make([]float64, 32), 8, nil, 3, 1, nil, 8, 0, tileStore)
+	// Depth 0 touches neither a nor b; the bias is still checked.
+	tile(make([]float64, 32), 8, nil, 3, 1, nil, 8, 0, 1, nil, tileStore)
+	mustPanic("short bias at depth 0", func() { tile(make([]float64, 32), 8, nil, 3, 1, nil, 8, 0, 1, make([]float64, 7), tileStore) })
 }
 
 // TestMatMulDriversStayInBounds runs the three entry points on matrices whose

@@ -3,9 +3,9 @@
 #
 # Compiles internal/tensor with -d=ssa/check_bce and diffs the emitted check
 # sites against scripts/bce_allowlist.txt. Every allowlisted site is setup
-# code — per row, per tile call, per k step — and the loops that run once per
-# multiply-add carry none. A new site in a hot loop therefore shows up as a
-# diff and fails CI.
+# code — per row, per panel call, per block or k step of the Go twin — and
+# the loops that run once per multiply-add carry none. A new site in a hot
+# loop therefore shows up as a diff and fails CI.
 #
 # What guards the matmul path (tile.go, matmul.go):
 #   - The Go twin of the 4×8 tile (tileGo) must keep its multiply-add body
@@ -15,9 +15,10 @@
 #     dotRows) hoist theirs out of the innermost loop with reslice hints.
 #   - The AVX2 routine (tile_amd64.s) is invisible to this check: it performs
 #     none. Its safety is the Go wrapper (tile), which indexes the last
-#     element each operand will touch before the call — those sites are in
-#     the allowlist and must stay, and TestTileStaysInsideItsOperands /
-#     TestTilePanicsOnShortOperand pin the behaviour.
+#     element each operand will touch in the whole panel, bias included,
+#     before the call — those sites are in the allowlist and must stay, and
+#     TestTileStaysInsideItsOperands / TestTilePanicsOnShortOperand pin the
+#     behaviour.
 #
 # If the diff is legitimate (a kernel changed shape and its setup checks
 # moved), regenerate the allowlist with:  scripts/bce_check.sh -update
