@@ -43,9 +43,12 @@ func NewCandidateSet(b, m, nodeDim, edgeDim int) *CandidateSet {
 	}
 }
 
-// Reset reshapes the set in place for reuse, zeroing all content so the
-// result is indistinguishable from a fresh NewCandidateSet(b, m, nodeDim,
-// edgeDim). Backing storage is reused when capacity allows.
+// Reset reshapes the set in place for reuse. Backing storage is reused when
+// capacity allows. Everything but the feature matrices is zeroed as in a
+// fresh NewCandidateSet(b, m, nodeDim, edgeDim); NodeFeat, EdgeFeat and
+// TargetFeat are not cleared (NaN under TASER_ARENA_POISON,
+// tensor.Matrix.ResizeUninit), because the build slices every one of their
+// rows right after the fill.
 func (c *CandidateSet) Reset(b, m, nodeDim, edgeDim int) {
 	c.B, c.M = b, m
 	n := b * m
@@ -60,12 +63,12 @@ func (c *CandidateSet) Reset(b, m, nodeDim, edgeDim int) {
 			c.DeltaT[i] = 0
 		}
 	}
-	c.NodeFeat.Resize(n, nodeDim)
-	c.EdgeFeat.Resize(n, edgeDim)
+	c.NodeFeat.ResizeUninit(n, nodeDim)
+	c.EdgeFeat.ResizeUninit(n, edgeDim)
 	c.Mask.Resize(b, m)
 	c.MaskBias.Resize(b, m)
 	c.Valid = c.Valid[:0]
-	c.TargetFeat.Resize(b, nodeDim)
+	c.TargetFeat.ResizeUninit(b, nodeDim)
 }
 
 // SetEntry marks candidate slot (i, j) valid.

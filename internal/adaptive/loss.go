@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"fmt"
 	"math"
 
 	"taser/internal/autograd"
@@ -30,12 +31,18 @@ const (
 // equally, which α absorbs). For GraphMixer the folded form of Eq. 26 is
 // used: c_bp = (1/n)·⟨ token_bp , dL/dh_b ⟩ (see DESIGN.md, substitution 5).
 //
+// The p-th selected neighbor of root b sits in slot b·n+p of the model's
+// block, so its value or token row is the one info.Slots numbers b·n+p; a
+// chosen slot without a row is a selection the block was not built from, and
+// panics.
+//
 // The returned scalar is Σ c_bp · log q_θ(u_bp); minimizing it moves θ along
 // the REINFORCE estimate of ∇_θ L_model.
 func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo, sel *Selection, c *CandidateSet) *autograd.Var {
 	coef := g.Scratch(c.B, c.M) // graph-lifetime: the tape borrows it until Reset
 	n := info.Budget
 	d := info.Out.Cols()
+	rows := slotCursor{slots: info.Slots}
 	switch {
 	case info.Attn != nil: // TGAT (Eq. 25)
 		for b := 0; b < c.B; b++ {
@@ -62,7 +69,7 @@ func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo
 			}
 			for p, slot := range chosen {
 				attn := info.Attn.Val.At(b, p)
-				vrow := info.Vals.Val.Row(b*n + p)
+				vrow := info.Vals.Val.Row(rows.row(b*n + p))
 				var dot float64
 				for j := 0; j < d; j++ {
 					dot += (vrow[j] + reinforceBeta*h[j]) * dh[j]
@@ -74,7 +81,7 @@ func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo
 		for b := 0; b < c.B; b++ {
 			dh := info.Out.Grad.Row(b)
 			for p, slot := range sel.Chosen[b] {
-				trow := info.Tokens.Val.Row(b*n + p)
+				trow := info.Tokens.Val.Row(rows.row(b*n + p))
 				var dot float64
 				for j := 0; j < d; j++ {
 					dot += trow[j] * dh[j]
@@ -87,6 +94,25 @@ func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo
 	}
 	clampCoef(coef)
 	return g.WeightedSumConst(sel.LogQ, coef)
+}
+
+// slotCursor looks slots up in a strictly ascending slot index, moving
+// forward only: SampleLoss asks for slots b·n+p in increasing order.
+type slotCursor struct {
+	slots []int32
+	r     int
+}
+
+// row returns the index of slot in slots; slot must not be below one asked
+// for before. It panics if slot has no row.
+func (c *slotCursor) row(slot int) int {
+	for c.r < len(c.slots) && int(c.slots[c.r]) < slot {
+		c.r++
+	}
+	if c.r == len(c.slots) || int(c.slots[c.r]) != slot {
+		panic(fmt.Sprintf("adaptive: chosen slot %d has no value or token row (a padded slot of the model's block)", slot))
+	}
+	return c.r
 }
 
 // clampCoef bounds coefficient magnitudes; REINFORCE estimates are heavy-

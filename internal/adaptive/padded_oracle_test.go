@@ -82,7 +82,7 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		scores = g.Reshape(e, c.B, c.M)
 	case DecoderTrans:
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
-		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), c.M), 1/math.Sqrt(float64(c.M)))
+		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), all, c.M), 1/math.Sqrt(float64(c.M)))
 	}
 	return g.Add(scores, g.Const(c.MaskBias))
 }

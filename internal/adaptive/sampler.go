@@ -271,7 +271,8 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 // Scores computes the unnormalized per-root candidate scores (before the
 // softmax σ of Eqs. 17–20), with padding masked to −1e9. Only valid
 // candidates are encoded, channel-mixed and decoded; their logits are
-// scattered into the B×M layout, so a padding slot scores exactly −1e9.
+// scattered into the B×M layout — the trans head's grouped dot product
+// writes that layout itself — so a padding slot scores exactly −1e9.
 func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.Var {
 	if c.M != s.cfg.M {
 		panic(fmt.Sprintf("adaptive: candidate set has m=%d, sampler built for m=%d", c.M, s.cfg.M))
@@ -301,11 +302,10 @@ func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.V
 		v := g.GatherRows(s.encodeTarget(g, c), rootOf(g, c))
 		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.ApplyParts(g, z, v), 0.2)))
 	case DecoderTrans:
-		// The dot product is the grouped kernel's, which reads keys in the
-		// B·M layout.
+		// The dot product is the grouped kernel's, which reads the valid
+		// candidates' keys against their slots; a padding slot scores +0.
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
-		k := g.ScatterRows(s.transK.Apply(g, z), valid, slots)
-		scores = g.Scale(g.GroupedScore(q, k, c.M), 1/math.Sqrt(float64(c.M)))
+		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), valid, c.M), 1/math.Sqrt(float64(c.M)))
 	}
 	return g.Add(scores, g.Const(c.MaskBias))
 }

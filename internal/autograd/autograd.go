@@ -167,8 +167,8 @@ func (g *Graph) newVar(val, grad *tensor.Matrix) *Var {
 // out allocates a result Var; it carries a gradient buffer iff any input
 // requires gradients and the pass records. The gradient is zeroed (backward
 // bodies accumulate into it); Val is not — every op overwrites every element
-// of its output, and one that writes only some (ScatterRows) zeroes it first.
-// TestReusedGraphBitwiseEqualsFresh holds every op to that.
+// of its output, padding included (ScatterRows' unnamed rows, GroupedScore's
+// unnamed slots). TestReusedGraphBitwiseEqualsFresh holds every op to that.
 func (g *Graph) out(rows, cols int, needsGrad bool) *Var {
 	var grad *tensor.Matrix
 	if needsGrad && !g.forwardOnly {
@@ -362,15 +362,15 @@ func (g *Graph) GatherRows(src *Var, idx []int32) *Var {
 	return o
 }
 
-// ScatterRows is GatherRows' adjoint: a zero rows×C matrix whose row idx[i]
-// is src row i. idx must be duplicate-free (two sources for one row would
-// make the value depend on order) and, like GatherRows' index, is borrowed
-// until Backward/Reset. The models use it to put rows computed on valid
-// neighbor slots only back into the padded T·n layout the grouped kernels
-// read, with exact zeros at padding.
+// ScatterRows is GatherRows' adjoint: a rows×C matrix whose row idx[i] is src
+// row i and whose other rows are exact zeros, each row written once. idx must
+// be strictly ascending and, like GatherRows' index, is borrowed until
+// Backward/Reset. The models use it where a product along the slot axis —
+// token mixing — needs rows computed on valid neighbor slots only back in the
+// padded layout, with exact zeros at padding; the neighborhood reductions
+// read the compact rows themselves (grouped.go).
 func (g *Graph) ScatterRows(src *Var, idx []int32, rows int) *Var {
 	o := g.out(rows, src.Cols(), src.NeedsGrad())
-	o.Val.Zero()
 	tensor.ScatterRowsInto(o.Val, src.Val, idx)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opScatterRows, out: o, a: src, idx: idx})

@@ -155,12 +155,29 @@ func TestGradLogSoftmaxRows(t *testing.T) {
 	}, 1e-6)
 }
 
+// The neighborhood reductions' gradchecks run on every slot (the dense form)
+// and on a proper subset of 3 groups of k: group 0 partial, group 1 empty,
+// group 2 full.
+func groupedSlotSets(k int) [][]int32 {
+	subset := []int32{1, 2}
+	for s := 2 * k; s < 3*k; s++ {
+		subset = append(subset, int32(s))
+	}
+	every := make([]int32, 3*k)
+	for i := range every {
+		every[i] = int32(i)
+	}
+	return [][]int32{every, subset}
+}
+
 func TestGradGroupMean(t *testing.T) {
 	rng := mathx.NewRNG(9)
-	a := NewParam(tensor.Randn(6, 3, 1, rng))
-	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-		return g.MeanAll(g.Sigmoid(g.GroupMean(a, 3)))
-	}, 1e-6)
+	for _, slots := range groupedSlotSets(3) {
+		a := NewParam(tensor.Randn(len(slots), 3, 1, rng))
+		gradCheck(t, []*Var{a}, func(g *Graph) *Var {
+			return g.MeanAll(g.Sigmoid(g.GroupMean(a, slots, 3, 3)))
+		}, 1e-6)
+	}
 }
 
 func TestGradBCEWithLogits(t *testing.T) {
@@ -194,23 +211,27 @@ func addOne(m *tensor.Matrix) {
 func TestGradGroupedScore(t *testing.T) {
 	rng := mathx.NewRNG(12)
 	const b, k, d = 3, 4, 5
-	q := NewParam(tensor.Randn(b, d, 1, rng))
-	keys := NewParam(tensor.Randn(b*k, d, 1, rng))
-	coef := tensor.Randn(b, k, 1, rng)
-	gradCheck(t, []*Var{q, keys}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.GroupedScore(q, keys, k), coef)
-	}, 1e-6)
+	for _, slots := range groupedSlotSets(k) {
+		q := NewParam(tensor.Randn(b, d, 1, rng))
+		keys := NewParam(tensor.Randn(len(slots), d, 1, rng))
+		coef := tensor.Randn(b, k, 1, rng)
+		gradCheck(t, []*Var{q, keys}, func(g *Graph) *Var {
+			return g.WeightedSumConst(g.GroupedScore(q, keys, slots, k), coef)
+		}, 1e-6)
+	}
 }
 
 func TestGradGroupedWeightedSum(t *testing.T) {
 	rng := mathx.NewRNG(13)
-	const b, k, d = 2, 3, 4
-	w := NewParam(tensor.Randn(b, k, 1, rng))
-	vals := NewParam(tensor.Randn(b*k, d, 1, rng))
-	coef := tensor.Randn(b, d, 1, rng)
-	gradCheck(t, []*Var{w, vals}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.GroupedWeightedSum(w, vals, k), coef)
-	}, 1e-6)
+	const b, k, d = 3, 3, 4
+	for _, slots := range groupedSlotSets(k) {
+		w := NewParam(tensor.Randn(b, k, 1, rng))
+		vals := NewParam(tensor.Randn(len(slots), d, 1, rng))
+		coef := tensor.Randn(b, d, 1, rng)
+		gradCheck(t, []*Var{w, vals}, func(g *Graph) *Var {
+			return g.WeightedSumConst(g.GroupedWeightedSum(w, vals, slots, k), coef)
+		}, 1e-6)
+	}
 }
 
 func TestGradGroupedMatMulLeft(t *testing.T) {
@@ -229,17 +250,19 @@ func TestGradFullAttentionStack(t *testing.T) {
 	// combiner, checked against finite differences through softmax, scoring
 	// and the weighted sum simultaneously.
 	rng := mathx.NewRNG(16)
-	const b, k, d = 2, 3, 4
-	q := NewParam(tensor.Randn(b, d, 0.5, rng))
-	keys := NewParam(tensor.Randn(b*k, d, 0.5, rng))
-	vals := NewParam(tensor.Randn(b*k, d, 0.5, rng))
-	coef := tensor.Randn(b, d, 1, rng)
-	gradCheck(t, []*Var{q, keys, vals}, func(g *Graph) *Var {
-		scores := g.Scale(g.GroupedScore(q, keys, k), 1/math.Sqrt(d))
-		attn := g.SoftmaxRows(scores)
-		out := g.GroupedWeightedSum(attn, vals, k)
-		return g.WeightedSumConst(out, coef)
-	}, 1e-5)
+	const b, k, d = 3, 3, 4
+	for _, slots := range groupedSlotSets(k) {
+		q := NewParam(tensor.Randn(b, d, 0.5, rng))
+		keys := NewParam(tensor.Randn(len(slots), d, 0.5, rng))
+		vals := NewParam(tensor.Randn(len(slots), d, 0.5, rng))
+		coef := tensor.Randn(b, d, 1, rng)
+		gradCheck(t, []*Var{q, keys, vals}, func(g *Graph) *Var {
+			scores := g.Scale(g.GroupedScore(q, keys, slots, k), 1/math.Sqrt(d))
+			attn := g.SoftmaxRows(scores)
+			out := g.GroupedWeightedSum(attn, vals, slots, k)
+			return g.WeightedSumConst(out, coef)
+		}, 1e-5)
+	}
 }
 
 func TestBackwardPanicsOnNonScalar(t *testing.T) {

@@ -32,7 +32,7 @@ func TestReshapePanicsOnCountMismatch(t *testing.T) {
 func TestGradScatterRows(t *testing.T) {
 	rng := mathx.NewRNG(21)
 	a := NewParam(tensor.Randn(3, 4, 1, rng))
-	idx := []int32{4, 0, 2} // duplicate-free, unordered, rows > max idx + 1
+	idx := []int32{0, 2, 4} // strictly ascending, with gaps and rows past the last
 	coef := tensor.Randn(7, 4, 1, rng)
 	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
 		return g.WeightedSumConst(g.ScatterRows(a, idx, 7), coef)
@@ -42,8 +42,8 @@ func TestGradScatterRows(t *testing.T) {
 func TestScatterRowsIsGatherRowsAdjoint(t *testing.T) {
 	g := New()
 	a := NewParam(tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}))
-	o := g.ScatterRows(a, []int32{2, 0}, 4)
-	want := []float64{3, 4, 0, 0, 1, 2, 0, 0}
+	o := g.ScatterRows(a, []int32{0, 2}, 4)
+	want := []float64{1, 2, 0, 0, 3, 4, 0, 0}
 	for i, w := range want {
 		if o.Val.Data[i] != w {
 			t.Fatalf("scattered %v, want %v", o.Val.Data, want)
@@ -52,7 +52,7 @@ func TestScatterRowsIsGatherRowsAdjoint(t *testing.T) {
 	// Only the named rows feed gradient back, each to its own source row.
 	coef := tensor.FromSlice(4, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	g.Backward(g.WeightedSumConst(o, coef))
-	for i, w := range []float64{5, 6, 1, 2} {
+	for i, w := range []float64{1, 2, 5, 6} {
 		if a.Grad.Data[i] != w {
 			t.Fatalf("scatter gradient %v", a.Grad.Data)
 		}

@@ -26,17 +26,6 @@ func (g *Graph) SumAll(a *Var) *Var {
 	return o
 }
 
-// GroupMean averages each consecutive block of `group` rows (GraphMixer's
-// neighborhood mean, Eq. 9).
-func (g *Graph) GroupMean(a *Var, group int) *Var {
-	o := g.out(a.Rows()/group, a.Cols(), a.NeedsGrad())
-	tensor.GroupMeanInto(o.Val, a.Val, group)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opGroupMean, out: o, a: a, group: group})
-	}
-	return o
-}
-
 // WeightedSumConst returns the scalar Σ_ij coef[i][j]·a[i][j] where coef is a
 // constant. This is the building block of the REINFORCE sample loss
 // (Eqs. 25–26): coefficients are frozen, only log-probabilities carry grad.

@@ -25,12 +25,22 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 
 	// A linear layer over two parts, one of which (x) later ops read again.
 	q := g.Tanh(g.AffineParts(p["wq"], p["b"], p["x"], x))
-	scores := g.Scale(g.GroupedScore(q, p["keys"], k), 1/math.Sqrt(k))
+	// The neighborhood reductions over a proper subset of the slots, their
+	// rows gathered from the padded parameters: every third slot is padding.
+	slots := g.Ints(groups * k * 2 / 3)[:0]
+	for s := int32(0); s < groups*k; s++ {
+		if s%3 != 1 {
+			slots = append(slots, s)
+		}
+	}
+	scores := g.Scale(g.GroupedScore(q, g.GatherRows(p["keys"], slots), slots, k), 1/math.Sqrt(k))
 	attn := g.SoftmaxRows(scores)
-	agg := g.GroupedWeightedSum(attn, p["vals"], k)
+	agg := g.GroupedWeightedSum(attn, g.GatherRows(p["vals"], slots), slots, k)
 
 	mix := g.GroupedMatMulLeft(p["mix"], p["keys"], k)
-	mean := g.GroupMean(mix, p["mix"].Rows())
+	mixSlots := g.Ints(3) // the mixed rows of groups 0 and 2 only
+	mixSlots[0], mixSlots[1], mixSlots[2] = 0, 1, 5
+	mean := g.GroupMean(g.GatherRows(mix, mixSlots), mixSlots, groups, p["mix"].Rows())
 
 	idx := g.Ints(2 * groups)
 	for i := range idx {

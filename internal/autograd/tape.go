@@ -47,7 +47,7 @@ const (
 // union over the ops' needs; unused fields stay zero.
 type tapeEntry struct {
 	op     opKind
-	group  int     // GroupMean/Grouped* group size
+	group  int     // GroupMean/Grouped* neighborhood size
 	scalar float64 // Scale factor, LeakyReLU slope
 
 	out     *Var
@@ -55,7 +55,7 @@ type tapeEntry struct {
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
 	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
-	idx          []int32        // GatherRows/ScatterRows indices (borrowed)
+	idx          []int32        // GatherRows/ScatterRows indices, GroupMean/GroupedScore/GroupedWeightedSum slots (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // Affine/ConcatCols part list: g.varRefs[refLo:refHi]
 }
@@ -211,15 +211,12 @@ func (g *Graph) backstep(e *tapeEntry) {
 		}
 
 	case opGroupMean:
-		group := e.group
-		inv := 1 / float64(group)
-		for gi := 0; gi < e.out.Rows(); gi++ {
-			src := e.out.Grad.Row(gi)
-			for r := gi * group; r < (gi+1)*group; r++ {
-				dst := e.a.Grad.Row(r)
-				for j, v := range src {
-					dst[j] += v * inv
-				}
+		inv := 1 / float64(e.group)
+		for r, s := range e.idx {
+			src := e.out.Grad.Row(int(s) / e.group)
+			dst := e.a.Grad.Row(r)
+			for j, v := range src {
+				dst[j] += v * inv
 			}
 		}
 
@@ -268,53 +265,47 @@ func (g *Graph) backstep(e *tapeEntry) {
 		}
 
 	case opGroupedScore:
-		q, keys, group := e.a, e.b, e.group
-		b := keys.Rows() / group
-		for gi := 0; gi < b; gi++ {
-			dS := e.out.Grad.Row(gi)
-			qrow := q.Val.Row(gi)
-			for k := 0; k < group; k++ {
-				ds := dS[k]
-				if ds == 0 {
-					continue
+		// The named slots ascending; slot s's score gradient is out.Grad
+		// element s.
+		q, keys := e.a, e.b
+		for r, s := range e.idx {
+			ds := e.out.Grad.Data[s]
+			if ds == 0 {
+				continue
+			}
+			gi := int(s) / e.group
+			if q.NeedsGrad() {
+				dq := q.Grad.Row(gi)
+				for d, kv := range keys.Val.Row(r) {
+					dq[d] += ds * kv
 				}
-				krow := keys.Val.Row(gi*group + k)
-				if q.NeedsGrad() {
-					dq := q.Grad.Row(gi)
-					for d, kv := range krow {
-						dq[d] += ds * kv
-					}
-				}
-				if keys.NeedsGrad() {
-					dk := keys.Grad.Row(gi*group + k)
-					for d, qv := range qrow {
-						dk[d] += ds * qv
-					}
+			}
+			if keys.NeedsGrad() {
+				dk := keys.Grad.Row(r)
+				for d, qv := range q.Val.Row(gi) {
+					dk[d] += ds * qv
 				}
 			}
 		}
 
 	case opGroupedWeightedSum:
-		w, vals, group := e.a, e.b, e.group
-		b := vals.Rows() / group
-		for gi := 0; gi < b; gi++ {
-			dOut := e.out.Grad.Row(gi)
-			wrow := w.Val.Row(gi)
-			for k := 0; k < group; k++ {
-				vrow := vals.Val.Row(gi*group + k)
-				if w.NeedsGrad() {
-					var dot float64
-					for j, v := range vrow {
-						dot += dOut[j] * v
-					}
-					w.Grad.Row(gi)[k] += dot
+		// Padding has no value row: its weight gradient stays +0, the dot
+		// product with a zero row.
+		w, vals := e.a, e.b
+		for r, s := range e.idx {
+			dOut := e.out.Grad.Row(int(s) / e.group)
+			if w.NeedsGrad() {
+				var dot float64
+				for j, v := range vals.Val.Row(r) {
+					dot += dOut[j] * v
 				}
-				if vals.NeedsGrad() {
-					dv := vals.Grad.Row(gi*group + k)
-					wv := wrow[k]
-					for j, dv2 := range dOut {
-						dv[j] += wv * dv2
-					}
+				w.Grad.Data[s] += dot
+			}
+			if vals.NeedsGrad() {
+				dv := vals.Grad.Row(r)
+				wv := w.Val.Data[s]
+				for j, d := range dOut {
+					dv[j] += wv * d
 				}
 			}
 		}

@@ -88,14 +88,15 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 
 	// Tokens exist for valid slots only; scattering them into the T·n layout
 	// is the padding mask (exact zero rows). The mixer's token mixing needs
-	// that layout, its channel mixing does not and hands back valid rows.
+	// that layout, its channel mixing does not and hands back valid rows,
+	// which the mean reads against their slots.
 	tokens := m.tokenIn.ApplyParts(g, hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
 	tokens = g.ScatterRows(tokens, valid, t*n)
-	mixed := g.ScatterRows(m.mixer.Apply(g, tokens, valid), valid, t*n)
-	mean := g.GroupMean(mixed, n)
+	mixed := m.mixer.Apply(g, tokens, valid)
+	mean := g.GroupMean(mixed, valid, t, n)
 	out := g.GELU(m.readout.ApplyParts(g, mean, hT))
 
-	info := &CoTrainInfo{Budget: n, Out: out, Tokens: mixed}
+	info := &CoTrainInfo{Budget: n, Out: out, Tokens: mixed, Slots: valid}
 	return out, info
 }
 

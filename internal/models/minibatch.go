@@ -55,10 +55,13 @@ func NewLayerBlock(t, budget, edgeDim int) *LayerBlock {
 	}
 }
 
-// Reset reshapes the block in place for reuse, zeroing all content so the
-// result is indistinguishable from a fresh NewLayerBlock(t, budget, edgeDim).
-// Backing storage is reused when capacity allows; buffer pools call this to
-// make the steady-state minibatch build path allocation-free.
+// Reset reshapes the block in place for reuse. Backing storage is reused when
+// capacity allows; buffer pools call this to make the steady-state minibatch
+// build path allocation-free. Everything but EdgeFeat is zeroed as in a fresh
+// NewLayerBlock(t, budget, edgeDim); EdgeFeat is not cleared (NaN under
+// TASER_ARENA_POISON, tensor.Matrix.ResizeUninit), because the build slices
+// every one of its rows right after the fill — a copy for a real edge, a zero
+// row for padding.
 func (b *LayerBlock) Reset(t, budget, edgeDim int) {
 	b.NumTargets, b.Budget = t, budget
 	n := t * budget
@@ -70,7 +73,7 @@ func (b *LayerBlock) Reset(t, budget, edgeDim int) {
 			b.NbrNodes[i] = 0
 		}
 	}
-	b.EdgeFeat.Resize(n, edgeDim)
+	b.EdgeFeat.ResizeUninit(n, edgeDim)
 	b.DeltaT.Resize(n, 1)
 	b.Mask.Resize(t, budget)
 	b.MaskBias.Resize(t, budget)
@@ -174,13 +177,21 @@ type CoTrainInfo struct {
 	Budget int
 	Out    *autograd.Var // roots×d final embeddings
 
-	// TGAT (Eq. 25): normalized attention, raw scores, and value rows.
+	// TGAT (Eq. 25): normalized attention and raw scores over every slot,
+	// and the value rows of the valid slots only.
 	Attn   *autograd.Var // roots×n
 	Scores *autograd.Var // roots×n (unnormalized a_ij)
-	Vals   *autograd.Var // (roots·n)×d
+	Vals   *autograd.Var // len(Slots)×d
 
-	// GraphMixer (Eq. 26, folded form): masked output tokens.
-	Tokens *autograd.Var // (roots·n)×d
+	// GraphMixer (Eq. 26, folded form): the mixed tokens of the valid slots
+	// only.
+	Tokens *autograd.Var // len(Slots)×d
+
+	// Slots numbers the rows of Vals (TGAT) or Tokens (GraphMixer): row r
+	// belongs to slot Slots[r] = b·n+p of the roots·n layout, ascending. A
+	// slot it does not name is padding and has no row. Borrowed, like the
+	// Vars: read it before the graph's Reset and the minibatch's release.
+	Slots []int32
 }
 
 // TGNN is the interface shared by both backbones.

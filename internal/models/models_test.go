@@ -147,6 +147,9 @@ func TestTGATForwardShapes(t *testing.T) {
 	if info.Attn.Rows() != 6 || info.Attn.Cols() != 3 {
 		t.Fatal("attention shape")
 	}
+	if v := len(mb.Layers[1].Valid); info.Vals.Rows() != v || len(info.Slots) != v {
+		t.Fatalf("%d value rows for %d slots, want one per valid root slot (%d)", info.Vals.Rows(), len(info.Slots), v)
+	}
 	if m.NumLayers() != 2 || m.HiddenDim() != 8 {
 		t.Fatal("accessors")
 	}
@@ -242,8 +245,8 @@ func TestGraphMixerForwardShapes(t *testing.T) {
 	if out.Rows() != 7 || out.Cols() != 8 {
 		t.Fatalf("output %dx%d", out.Rows(), out.Cols())
 	}
-	if info.Tokens == nil || info.Tokens.Rows() != 35 {
-		t.Fatal("co-train tokens missing")
+	if v := len(mb.Layers[0].Valid); info.Tokens == nil || info.Tokens.Rows() != v || len(info.Slots) != v {
+		t.Fatal("co-train tokens missing: want one row per valid slot")
 	}
 	if m.NumLayers() != 1 {
 		t.Fatal("GraphMixer is single layer")

@@ -64,10 +64,10 @@ func paddedTGATLayers(m *TGAT, g *autograd.Graph, mb *MiniBatch) (hs []*autograd
 		q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
 		keys := layer.wk.Apply(g, msg)
 		vals := layer.wv.Apply(g, msg)
-		scores := g.Scale(g.GroupedScore(q, keys, n), 1/math.Sqrt(float64(n)))
+		scores := g.Scale(g.GroupedScore(q, keys, allRows(t*n), n), 1/math.Sqrt(float64(n)))
 		scores = g.Add(scores, g.Const(block.MaskBias))
 		attn := g.Mul(g.SoftmaxRows(scores), g.Const(block.Mask))
-		agg := g.GroupedWeightedSum(attn, vals, n)
+		agg := g.GroupedWeightedSum(attn, vals, allRows(t*n), n)
 		h = g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
 		hs = append(hs, h)
 	}
@@ -87,7 +87,7 @@ func paddedGraphMixerForward(m *GraphMixer, g *autograd.Graph, mb *MiniBatch) *a
 	// With every row listed as valid the mixer's channel mixing runs on the
 	// full layout too.
 	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), block.Mask)
-	mean := g.GroupMean(mixed, n)
+	mean := g.GroupMean(mixed, allRows(t*n), t, n)
 	return g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
 }
 

@@ -100,7 +100,8 @@ func rowRange(g *autograd.Graph, n int) []int32 {
 
 // liveSlots walks block.Valid against live (both ascending) and returns the
 // valid slots of live targets three ways: valid, as the block numbers them;
-// slots, as the len(live)·n layout of live targets only numbers them; and
+// slots, as the len(live)·n layout of live targets only numbers them (the
+// neighborhood reductions' slot index); and
 // below, live followed by T+s for each slot s — the live targets of the
 // layer underneath, which at the innermost layer are rows of LeafFeat.
 // Storage is the graph's (the tape borrows index lists until Reset).
@@ -148,23 +149,24 @@ func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info
 	phi := layer.timeEnc.Encode(g, dt.Val)
 	edge := g.GatherRows(g.Const(block.EdgeFeat), valid)
 
-	// Query from the target itself with Φ(0) (Eq. 4). Keys and values go
-	// into the t·n layout the grouped kernels read, as exact zero rows at
-	// padding.
+	// Query from the target itself with Φ(0) (Eq. 4); keys and values for
+	// the valid slots only, one row each.
 	q := layer.wq.ApplyParts(g, hT, layer.timeEnc.EncodeZeros(g, t))
-	keys := g.ScatterRows(layer.wk.ApplyParts(g, hN, edge, phi), slots, t*n)
-	vals := g.ScatterRows(layer.wv.ApplyParts(g, hN, edge, phi), slots, t*n)
+	keys := layer.wk.ApplyParts(g, hN, edge, phi)
+	vals := layer.wv.ApplyParts(g, hN, edge, phi)
 
-	// Scaled dot-product attention within each neighborhood (Eq. 7), with
-	// padding masked out before and after the softmax.
-	scores := g.Scale(g.GroupedScore(q, keys, n), 1/math.Sqrt(float64(n)))
+	// Scaled dot-product attention within each neighborhood (Eq. 7). The
+	// reductions read the key and value rows against their slots of the t·n
+	// layout; a padded slot scores +0 and is masked out before and after
+	// the softmax.
+	scores := g.Scale(g.GroupedScore(q, keys, slots, n), 1/math.Sqrt(float64(n)))
 	scores = g.Add(scores, g.GatherRows(g.Const(block.MaskBias), live))
 	attn := g.SoftmaxRows(scores)
 	attn = g.Mul(attn, g.GatherRows(g.Const(block.Mask), live))
-	agg := g.GroupedWeightedSum(attn, vals, n)
+	agg := g.GroupedWeightedSum(attn, vals, slots, n)
 
 	if k == len(mb.Layers)-1 {
-		info.Attn, info.Scores, info.Vals = attn, scores, vals
+		info.Attn, info.Scores, info.Vals, info.Slots = attn, scores, vals, slots
 	}
 	// Post-attention FFN combining with the target's own state.
 	return g.GELU(layer.out.ApplyParts(g, agg, hT))

@@ -48,15 +48,19 @@ type arenaChunk struct {
 // pass fits in a handful.
 const arenaMinChunk = 4096
 
-// arenaPoisonEnv force-enables poisoning for every arena in the process; use
-// it to flush use-after-Reset bugs out of any binary without a rebuild.
+// arenaPoisonEnv force-enables poisoning for every arena in the process, and
+// for every matrix ResizeUninit reshapes; use it to flush use-after-Reset and
+// unwritten-element bugs out of any binary without a rebuild.
 const arenaPoisonEnv = "TASER_ARENA_POISON"
 
 // NewArena returns an empty arena. Poison debugging is off unless the
 // TASER_ARENA_POISON environment variable is non-empty.
 func NewArena() *Arena {
-	return &Arena{poison: os.Getenv(arenaPoisonEnv) != ""}
+	return &Arena{poison: poisonRequested()}
 }
+
+// poisonRequested reports whether TASER_ARENA_POISON is set.
+func poisonRequested() bool { return os.Getenv(arenaPoisonEnv) != "" }
 
 // SetPoison toggles the debug mode: on Reset every region handed out is
 // filled with NaN, so any stale reference that outlives its checkout reads

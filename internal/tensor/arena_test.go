@@ -186,3 +186,29 @@ func TestResizeZeroFillsGrownRegion(t *testing.T) {
 		}
 	}
 }
+
+// TestResizeUninitSkipsTheZeroFill: ResizeUninit reshapes over the same
+// backing array and leaves the elements as they were — NaN-filled when
+// TASER_ARENA_POISON is set, like an un-zeroed arena checkout.
+func TestResizeUninitSkipsTheZeroFill(t *testing.T) {
+	t.Setenv(arenaPoisonEnv, "")
+	m := New(4, 4)
+	m.Fill(9)
+	data := &m.Data[0]
+	m.ResizeUninit(3, 5)
+	if m.Rows != 3 || m.Cols != 5 || len(m.Data) != 15 || &m.Data[0] != data {
+		t.Fatalf("ResizeUninit(3, 5) = %dx%d len %d, new backing array %v", m.Rows, m.Cols, len(m.Data), &m.Data[0] != data)
+	}
+	for i, v := range m.Data {
+		if v != 9 {
+			t.Fatalf("element %d = %v: the buffer was rewritten, want the previous use's 9", i, v)
+		}
+	}
+	t.Setenv(arenaPoisonEnv, "1")
+	m.ResizeUninit(2, 2)
+	for i, v := range m.Data {
+		if !math.IsNaN(v) {
+			t.Fatalf("under poison element %d = %v, want NaN", i, v)
+		}
+	}
+}

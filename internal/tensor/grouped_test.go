@@ -193,3 +193,50 @@ func BenchmarkGroupedMatMulLeft(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGroupedSlots times the three neighborhood reductions at
+// serve-cold's shapes — n = 10 slots per neighborhood, d = 24, 0.54 of the
+// slots valid (sampler.filled_share), 200 neighborhoods (about a flush's
+// inner layer of live targets) — reading the valid slots' rows ("valid")
+// against naming every slot of the zero-padded layout ("every"), the walk the
+// dense kernels made. "ScatterRows" is what the dense form paid first, once
+// per padded operand: laying the valid rows out over zero rows.
+func BenchmarkGroupedSlots(b *testing.B) {
+	const t, n, d, fill = 200, 10, 24, 0.54
+	rng := mathx.NewRNG(29)
+	var valid []int32
+	for s := 0; s < t*n; s++ {
+		if rng.Float64() < fill {
+			valid = append(valid, int32(s))
+		}
+	}
+	q, w := Randn(t, d, 1, rng), Randn(t, n, 1, rng)
+	compact, padded := Randn(len(valid), d, 1, rng), New(t*n, d)
+	ScatterRowsInto(padded, compact, valid)
+	scores, sum := New(t, n), New(t, d)
+	b.Run("ScatterRows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ScatterRowsInto(padded, compact, valid)
+		}
+	})
+	for _, form := range []struct {
+		name  string
+		slots []int32
+		rows  *Matrix
+	}{{"valid", valid, compact}, {"every", everySlot(t * n), padded}} {
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"GroupedScore", func() { GroupedScoreInto(scores, q, form.rows, form.slots, n) }},
+			{"GroupedWeightedSum", func() { GroupedWeightedSumInto(sum, w, form.rows, form.slots, n) }},
+			{"GroupMean", func() { GroupMeanInto(sum, form.rows, form.slots, n) }},
+		} {
+			b.Run(op.name+"/"+form.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+			})
+		}
+	}
+}

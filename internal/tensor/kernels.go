@@ -91,6 +91,13 @@ func GatherRowsInto(dst, src *Matrix, idx []int32) {
 		panic(fmt.Sprintf("tensor: GatherRows dst %dx%d for %d idx of width %d",
 			dst.Rows, dst.Cols, len(idx), src.Cols))
 	}
+	if src.Cols == 1 { // a column (TGAT's Δt): one load per row, not a copy call
+		out := dst.Data[:len(idx)]
+		for i, id := range idx {
+			out[i] = src.Data[id]
+		}
+		return
+	}
 	for i, id := range idx {
 		copy(dst.Row(i), src.Row(int(id)))
 	}
@@ -112,15 +119,39 @@ func ScatterAddRows(dst, src *Matrix, idx []int32) {
 }
 
 // ScatterRowsInto copies src row i into dst row idx[i] — GatherRowsInto's
-// inverse. Rows of dst that idx does not name are left as they are; idx must
-// be duplicate-free for the result to be independent of order.
+// inverse — and zeroes every row idx does not name, writing each row of dst
+// once: walking the strictly ascending idx, it clears the gap before each
+// named row and the tail after the last.
 func ScatterRowsInto(dst, src *Matrix, idx []int32) {
 	if src.Rows != len(idx) || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: ScatterRows src %dx%d for %d idx into width %d",
 			src.Rows, src.Cols, len(idx), dst.Cols))
 	}
+	checkSlots("ScatterRows", idx, dst.Rows)
+	c := src.Cols
+	next := 0 // first row of dst not yet written
 	for i, id := range idx {
-		copy(dst.Row(int(id)), src.Row(i))
+		row := int(id) * c
+		clear(dst.Data[next*c : row])
+		copy(dst.Data[row:row+c], src.Data[i*c:i*c+c])
+		next = int(id) + 1
+	}
+	clear(dst.Data[next*c:])
+}
+
+// checkSlots panics unless slots is strictly ascending within [0, n): the
+// contract of every kernel that walks a slot index against a layout of n
+// slots (a row each, or a neighbor slot each).
+func checkSlots(op string, slots []int32, n int) {
+	prev := int32(-1)
+	for i, s := range slots {
+		if s <= prev {
+			panic(fmt.Sprintf("tensor: %s slot %d (entry %d) is negative or not above the one before: the index must be strictly ascending", op, s, i))
+		}
+		prev = s
+	}
+	if int(prev) >= n {
+		panic(fmt.Sprintf("tensor: %s slot %d outside %d slots", op, prev, n))
 	}
 }
 
@@ -158,23 +189,62 @@ func ConcatColsInto(dst *Matrix, parts ...*Matrix) {
 	}
 }
 
-// GroupMeanInto averages each consecutive group of `group` rows of src into
-// one row of dst: dst row g = mean(src rows [g*group, (g+1)*group)).
-func GroupMeanInto(dst, src *Matrix, group int) {
+// The neighborhood reductions read a compact operand against the padded
+// layout of `group` slots per group: operand row r is slot slots[r], which is
+// slot slots[r] % group of group slots[r] / group. slots is strictly
+// ascending (checkSlots), so the sums walk the groups in order with one
+// cursor (groupEnd). A slot the index does not name contributes nothing — it
+// scores exactly +0, and the sums skip it. With every slot named they
+// perform the adds of a dense loop over the padded layout, in its order; over
+// a zero-padded layout the terms they skip are products with, or sums of, +0
+// rows, which change no accumulator that started at +0 (an accumulator that
+// starts at +0 is never −0), so the slot form is bitwise the dense one for
+// finite inputs.
+
+// groupEnd returns the end of the run of slots, from r on, that lie in group
+// g (slots [g·group, (g+1)·group)): rows [r, groupEnd) are group g's.
+func groupEnd(slots []int32, r, g, group int) int {
+	limit := (g + 1) * group
+	for r < len(slots) && int(slots[r]) < limit {
+		r++
+	}
+	return r
+}
+
+// GroupMeanInto averages each group's rows: dst row g = (Σ src rows in
+// group g) / group, a slot without a row in src counting as a zero row. dst
+// has one row per group.
+func GroupMeanInto(dst, src *Matrix, slots []int32, group int) {
 	if group <= 0 {
 		panic(fmt.Sprintf("tensor: GroupMean group %d must be positive", group))
 	}
-	if src.Rows%group != 0 || dst.Rows != src.Rows/group || dst.Cols != src.Cols {
-		panic("tensor: GroupMean shape")
+	if src.Rows != len(slots) || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: GroupMean %dx%d for %d slots into %dx%d",
+			src.Rows, src.Cols, len(slots), dst.Rows, dst.Cols))
 	}
+	checkSlots("GroupMean", slots, dst.Rows*group)
 	c := src.Cols
 	inv := 1 / float64(group)
+	r := 0
 	for g := 0; g < dst.Rows; g++ {
 		out := dst.Data[g*c : g*c+c]
-		for j := range out {
-			out[j] = 0
+		clear(out)
+		end := groupEnd(slots, r, g, group)
+		for ; r+4 <= end; r += 4 {
+			v0 := src.Data[r*c : r*c+c][:len(out)]
+			v1 := src.Data[r*c+c : r*c+2*c][:len(out)]
+			v2 := src.Data[r*c+2*c : r*c+3*c][:len(out)]
+			v3 := src.Data[r*c+3*c : r*c+4*c][:len(out)]
+			for j := range out {
+				t := out[j] // four sequential adds, rows ascending
+				t += v0[j]
+				t += v1[j]
+				t += v2[j]
+				t += v3[j]
+				out[j] = t
+			}
 		}
-		for r := g * group; r < (g+1)*group; r++ {
+		for ; r < end; r++ {
 			row := src.Data[r*c : r*c+c][:len(out)]
 			for j, v := range row {
 				out[j] += v
@@ -186,88 +256,94 @@ func GroupMeanInto(dst, src *Matrix, group int) {
 	}
 }
 
-// GroupedScoreInto computes per-group dot products: for each group g of
-// `group` consecutive rows of keys, scores[g][k] = q.Row(g) · keys.Row(g*group+k).
-// scores must be (keys.Rows/group)×group; q must be (keys.Rows/group)×d.
-// Zero-width embeddings (d == 0) score 0 everywhere.
-func GroupedScoreInto(scores, q, keys *Matrix, group int) {
+// GroupedScoreInto computes per-group dot products over the named slots:
+// scores[g][k] = q.Row(g) · keys.Row(r) for the key row r whose slot is
+// g·group+k, and exactly +0 for a slot no key row names. scores is
+// q.Rows×group; keys has one row per slot. Zero-width embeddings (d == 0)
+// score 0 everywhere.
+func GroupedScoreInto(scores, q, keys *Matrix, slots []int32, group int) {
 	if group <= 0 {
 		panic(fmt.Sprintf("tensor: GroupedScore group %d must be positive", group))
 	}
-	b := keys.Rows / group
-	if keys.Rows%group != 0 || q.Rows != b || q.Cols != keys.Cols ||
-		scores.Rows != b || scores.Cols != group {
-		panic("tensor: GroupedScore shape")
+	if keys.Rows != len(slots) || q.Cols != keys.Cols || scores.Rows != q.Rows || scores.Cols != group {
+		panic(fmt.Sprintf("tensor: GroupedScore %dx%d keys for %d slots, %dx%d queries into %dx%d",
+			keys.Rows, keys.Cols, len(slots), q.Rows, q.Cols, scores.Rows, scores.Cols))
 	}
+	checkSlots("GroupedScore", slots, q.Rows*group)
+	clear(scores.Data)
 	d := keys.Cols
-	for g := 0; g < b; g++ {
-		qrow := q.Data[g*d : g*d+d]
-		out := scores.Data[g*group : g*group+group]
-		base := g * group
-		k := 0
-		// Four keys per pass share each loaded query element.
-		for ; k+4 <= group; k += 4 {
-			r := (base + k) * d
-			k0 := keys.Data[r : r+d][:len(qrow)]
-			k1 := keys.Data[r+d : r+2*d][:len(qrow)]
-			k2 := keys.Data[r+2*d : r+3*d][:len(qrow)]
-			k3 := keys.Data[r+3*d : r+4*d][:len(qrow)]
-			var s0, s1, s2, s3 float64
-			for j, qv := range qrow {
-				s0 += qv * k0[j]
-				s1 += qv * k1[j]
-				s2 += qv * k2[j]
-				s3 += qv * k3[j]
-			}
-			out[k] = s0
-			out[k+1] = s1
-			out[k+2] = s2
-			out[k+3] = s3
+	g := int32(group)
+	r := 0
+	// Four keys per pass, each against its own neighborhood's query row
+	// (neighborhoods hold a few valid slots each, so a pass would rarely
+	// fill from one): four independent sums in flight.
+	for ; r+4 <= len(slots); r += 4 {
+		sl := slots[r : r+4]
+		q0 := q.Data[int(sl[0]/g)*d : int(sl[0]/g)*d+d]
+		q1 := q.Data[int(sl[1]/g)*d : int(sl[1]/g)*d+d][:len(q0)]
+		q2 := q.Data[int(sl[2]/g)*d : int(sl[2]/g)*d+d][:len(q0)]
+		q3 := q.Data[int(sl[3]/g)*d : int(sl[3]/g)*d+d][:len(q0)]
+		k0 := keys.Data[r*d : r*d+d][:len(q0)]
+		k1 := keys.Data[r*d+d : r*d+2*d][:len(q0)]
+		k2 := keys.Data[r*d+2*d : r*d+3*d][:len(q0)]
+		k3 := keys.Data[r*d+3*d : r*d+4*d][:len(q0)]
+		var s0, s1, s2, s3 float64
+		for j, qv := range q0 {
+			s0 += qv * k0[j]
+			s1 += q1[j] * k1[j]
+			s2 += q2[j] * k2[j]
+			s3 += q3[j] * k3[j]
 		}
-		for ; k < group; k++ {
-			krow := keys.Data[(base+k)*d : (base+k)*d+d][:len(qrow)]
-			var s float64
-			for j, qv := range qrow {
-				s += qv * krow[j]
-			}
-			out[k] = s
+		scores.Data[sl[0]] = s0
+		scores.Data[sl[1]] = s1
+		scores.Data[sl[2]] = s2
+		scores.Data[sl[3]] = s3
+	}
+	for ; r < len(slots); r++ {
+		s := slots[r]
+		qrow := q.Data[int(s/g)*d : int(s/g)*d+d]
+		krow := keys.Data[r*d : r*d+d][:len(qrow)]
+		var sum float64
+		for j, qv := range qrow {
+			sum += qv * krow[j]
 		}
+		scores.Data[s] = sum
 	}
 }
 
 // GroupedWeightedSumInto computes, for each group g,
-// dst.Row(g) = Σ_k w[g][k] · vals.Row(g*group+k). The sum is dense — exact
-// zeros in w (rare for softmax weights) are multiplied through rather than
-// branched around — and accumulates k-ascending per element, so results are
-// bitwise-stable against the historical skip-based loop for finite inputs.
-func GroupedWeightedSumInto(dst, w, vals *Matrix, group int) {
+// dst.Row(g) = Σ w[g][k] · vals.Row(r) over the value rows r whose slot
+// g·group+k the index names, k ascending per element. Over the named slots
+// the sum is dense — exact zeros in w (rare for softmax weights) are
+// multiplied through rather than branched around. dst is w.Rows×vals.Cols.
+func GroupedWeightedSumInto(dst, w, vals *Matrix, slots []int32, group int) {
 	if group <= 0 {
 		panic(fmt.Sprintf("tensor: GroupedWeightedSum group %d must be positive", group))
 	}
-	b := vals.Rows / group
-	if vals.Rows%group != 0 || w.Rows != b || w.Cols != group ||
-		dst.Rows != b || dst.Cols != vals.Cols {
-		panic("tensor: GroupedWeightedSum shape")
+	b := w.Rows
+	if w.Cols != group || vals.Rows != len(slots) || dst.Rows != b || dst.Cols != vals.Cols {
+		panic(fmt.Sprintf("tensor: GroupedWeightedSum %dx%d weights, %dx%d values for %d slots into %dx%d",
+			w.Rows, w.Cols, vals.Rows, vals.Cols, len(slots), dst.Rows, dst.Cols))
 	}
+	checkSlots("GroupedWeightedSum", slots, b*group)
 	c := vals.Cols
 	if c == 0 {
 		return
 	}
+	r := 0
 	for g := 0; g < b; g++ {
 		wrow := w.Data[g*group : g*group+group]
 		out := dst.Data[g*c : g*c+c]
-		for j := range out {
-			out[j] = 0
-		}
-		base := g * group
-		k := 0
-		for ; k+4 <= group; k += 4 {
-			wv0, wv1, wv2, wv3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
-			r := (base + k) * c
-			v0 := vals.Data[r : r+c][:len(out)]
-			v1 := vals.Data[r+c : r+2*c][:len(out)]
-			v2 := vals.Data[r+2*c : r+3*c][:len(out)]
-			v3 := vals.Data[r+3*c : r+4*c][:len(out)]
+		clear(out)
+		end := groupEnd(slots, r, g, group)
+		base := int32(g * group)
+		for ; r+4 <= end; r += 4 {
+			sl := slots[r : r+4]
+			wv0, wv1, wv2, wv3 := wrow[sl[0]-base], wrow[sl[1]-base], wrow[sl[2]-base], wrow[sl[3]-base]
+			v0 := vals.Data[r*c : r*c+c][:len(out)]
+			v1 := vals.Data[r*c+c : r*c+2*c][:len(out)]
+			v2 := vals.Data[r*c+2*c : r*c+3*c][:len(out)]
+			v3 := vals.Data[r*c+3*c : r*c+4*c][:len(out)]
 			for j := range out {
 				// Four sequential adds per element (not one fused sum):
 				// accumulation order stays k-ascending, bitwise-equal to the
@@ -280,9 +356,9 @@ func GroupedWeightedSumInto(dst, w, vals *Matrix, group int) {
 				out[j] = t
 			}
 		}
-		for ; k < group; k++ {
-			wv := wrow[k]
-			vrow := vals.Data[(base+k)*c : (base+k)*c+c][:len(out)]
+		for ; r < end; r++ {
+			wv := wrow[slots[r]-base]
+			vrow := vals.Data[r*c : r*c+c][:len(out)]
 			for j, v := range vrow {
 				out[j] += wv * v
 			}

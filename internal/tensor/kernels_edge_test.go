@@ -29,19 +29,19 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 	LayerNormRowsInto(New(0, 5), New(0, 5), New(1, 5), New(1, 5), nil, nil, 1e-5)
 
 	// Zero-width grouped kernels.
-	GroupedWeightedSumInto(New(2, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), 2)
+	GroupedWeightedSumInto(New(2, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), everySlot(4), 2)
 	GroupedMatMulLeftInto(New(4, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), 2)
 	scores := FromSlice(2, 2, []float64{9, 9, 9, 9})
-	GroupedScoreInto(scores, New(2, 0), New(4, 0), 2)
+	GroupedScoreInto(scores, New(2, 0), New(4, 0), everySlot(4), 2)
 	for _, v := range scores.Data {
 		if v != 0 {
 			t.Fatal("zero-width embeddings must score 0")
 		}
 	}
 	// Zero groups (empty batch).
-	GroupedScoreInto(New(0, 2), New(0, 3), New(0, 3), 2)
-	GroupedWeightedSumInto(New(0, 3), New(0, 2), New(0, 3), 2)
-	GroupMeanInto(New(0, 3), New(0, 3), 2)
+	GroupedScoreInto(New(0, 2), New(0, 3), New(0, 3), nil, 2)
+	GroupedWeightedSumInto(New(0, 3), New(0, 2), New(0, 3), nil, 2)
+	GroupMeanInto(New(0, 3), New(0, 3), nil, 2)
 }
 
 // TestGroupedKernelsPanicOnNonPositiveGroup pins the other half of the
@@ -49,9 +49,9 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 // with an explicit message rather than dividing by zero downstream.
 func TestGroupedKernelsPanicOnNonPositiveGroup(t *testing.T) {
 	cases := map[string]func(group int){
-		"GroupMeanInto":          func(g int) { GroupMeanInto(New(2, 2), New(4, 2), g) },
-		"GroupedScoreInto":       func(g int) { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 3), g) },
-		"GroupedWeightedSumInto": func(g int) { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(4, 3), g) },
+		"GroupMeanInto":          func(g int) { GroupMeanInto(New(2, 2), New(4, 2), everySlot(4), g) },
+		"GroupedScoreInto":       func(g int) { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 3), everySlot(4), g) },
+		"GroupedWeightedSumInto": func(g int) { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(4, 3), everySlot(4), g) },
 		"GroupedMatMulLeftInto":  func(g int) { GroupedMatMulLeftInto(New(4, 3), New(2, 2), New(4, 3), g) },
 	}
 	for name, f := range cases {
@@ -135,7 +135,7 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 		b := rows / group
 		q := Randn(b, d, 1, rng)
 		scores := New(b, group)
-		GroupedScoreInto(scores, q, keys, group)
+		GroupedScoreInto(scores, q, keys, everySlot(rows), group)
 		wantScores := New(b, group)
 		groupedScoreNaive(wantScores, q, keys, group)
 		if !scores.Equal(wantScores, 1e-12) {
@@ -144,7 +144,7 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 
 		w := Randn(b, group, 1, rng)
 		sum := New(b, d)
-		GroupedWeightedSumInto(sum, w, vals, group)
+		GroupedWeightedSumInto(sum, w, vals, everySlot(rows), group)
 		wantSum := New(b, d)
 		groupedWeightedSumNaive(wantSum, w, vals, group)
 		if !sum.Equal(wantSum, 1e-12) {
@@ -162,7 +162,7 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 		}
 
 		m := New(b, d)
-		GroupMeanInto(m, vals, group)
+		GroupMeanInto(m, vals, everySlot(rows), group)
 		for g := 0; g < b; g++ {
 			for j := 0; j < d; j++ {
 				var s float64

@@ -1,12 +1,23 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"taser/internal/mathx"
 )
+
+// everySlot names all n slots of a padded layout: the neighborhood
+// reductions' dense form.
+func everySlot(n int) []int32 {
+	slots := make([]int32, n)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	return slots
+}
 
 func TestSoftmaxRows(t *testing.T) {
 	src := FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
@@ -108,6 +119,46 @@ func TestGatherScatterRoundtrip(t *testing.T) {
 	}
 }
 
+// TestGatherRowsOneColumn covers the column path (TGAT's Δt gather): one
+// element per row, repeats and any order allowed.
+func TestGatherRowsOneColumn(t *testing.T) {
+	src := FromSlice(4, 1, []float64{1, 2, 3, 4})
+	dst := New(5, 1)
+	GatherRowsInto(dst, src, []int32{3, 0, 3, 1, 2})
+	if want := []float64{4, 1, 4, 2, 3}; fmt.Sprint(dst.Data) != fmt.Sprint(want) {
+		t.Fatalf("gathered %v, want %v", dst.Data, want)
+	}
+}
+
+// TestScatterRowsWritesEveryRowOnce: the named rows are copies, every other
+// row is zeroed over whatever dst held, and an index that is not strictly
+// ascending (or leaves the layout) panics.
+func TestScatterRowsWritesEveryRowOnce(t *testing.T) {
+	src := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	for _, idx := range [][]int32{{1, 3}, {0, 4}, {2, 3}, {}} {
+		dst := New(5, 2)
+		dst.Fill(math.NaN())
+		ScatterRowsInto(dst, src.SliceRows(len(idx)), idx)
+		want := New(5, 2)
+		for i, id := range idx {
+			copy(want.Row(int(id)), src.Row(i))
+		}
+		if bitwiseDiff(dst, want) >= 0 {
+			t.Fatalf("idx %v: scattered %v, want %v", idx, dst.Data, want.Data)
+		}
+	}
+	for _, idx := range [][]int32{{3, 1}, {2, 2}, {-1, 0}, {4, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("idx %v into 5 rows: expected panic", idx)
+				}
+			}()
+			ScatterRowsInto(New(5, 2), src, idx)
+		}()
+	}
+}
+
 func TestConcatAndSliceCols(t *testing.T) {
 	a := FromSlice(2, 1, []float64{1, 2})
 	b := FromSlice(2, 2, []float64{3, 4, 5, 6})
@@ -127,7 +178,7 @@ func TestConcatAndSliceCols(t *testing.T) {
 func TestGroupMean(t *testing.T) {
 	src := FromSlice(4, 2, []float64{1, 2, 3, 4, 10, 20, 30, 40})
 	dst := New(2, 2)
-	GroupMeanInto(dst, src, 2)
+	GroupMeanInto(dst, src, everySlot(4), 2)
 	want := FromSlice(2, 2, []float64{2, 3, 20, 30})
 	if !dst.Equal(want, 1e-12) {
 		t.Fatalf("group mean: %v", dst)
@@ -139,7 +190,7 @@ func TestGroupedScore(t *testing.T) {
 	q := FromSlice(2, 2, []float64{1, 0, 0, 1})
 	keys := FromSlice(4, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	scores := New(2, 2)
-	GroupedScoreInto(scores, q, keys, 2)
+	GroupedScoreInto(scores, q, keys, everySlot(4), 2)
 	want := FromSlice(2, 2, []float64{1, 3, 6, 8})
 	if !scores.Equal(want, 1e-12) {
 		t.Fatalf("grouped score: %v", scores)
@@ -150,7 +201,7 @@ func TestGroupedWeightedSum(t *testing.T) {
 	w := FromSlice(2, 2, []float64{0.5, 0.5, 1, 0})
 	vals := FromSlice(4, 2, []float64{2, 4, 6, 8, 1, 1, 9, 9})
 	dst := New(2, 2)
-	GroupedWeightedSumInto(dst, w, vals, 2)
+	GroupedWeightedSumInto(dst, w, vals, everySlot(4), 2)
 	want := FromSlice(2, 2, []float64{4, 6, 1, 1})
 	if !dst.Equal(want, 1e-12) {
 		t.Fatalf("grouped weighted sum: %v", dst)
@@ -177,9 +228,14 @@ func TestGroupedMatMulLeftMatchesPerGroupMatMul(t *testing.T) {
 
 func TestGroupedShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { GroupMeanInto(New(2, 2), New(5, 2), 2) },
-		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 2), 2) },
-		func() { GroupedWeightedSumInto(New(2, 2), New(2, 3), New(4, 2), 2) },
+		func() { GroupMeanInto(New(2, 2), New(5, 2), everySlot(4), 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 2), everySlot(4), 2) },
+		func() { GroupedWeightedSumInto(New(2, 2), New(2, 3), New(4, 2), everySlot(4), 2) },
+		// Slots out of order, repeated, negative or past the layout.
+		func() { GroupMeanInto(New(2, 2), New(2, 2), []int32{3, 1}, 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{1, 1}, 2) },
+		func() { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(2, 3), []int32{-1, 2}, 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{0, 4}, 2) },
 		func() { GroupedMatMulLeftInto(New(4, 2), New(2, 3), New(4, 2), 2) },
 	}
 	for i, f := range cases {

@@ -71,31 +71,47 @@ func (m *Matrix) Clone() *Matrix {
 
 // Resize reshapes m to r×c in place and zeroes every element, reusing the
 // backing array when its capacity suffices. After Resize the matrix is
-// indistinguishable from a fresh New(r, c); buffer pools and the Arena use it
-// to recycle matrices across training steps without reallocating.
+// indistinguishable from a fresh New(r, c); buffer pools use it to recycle
+// matrices across training steps without reallocating.
 //
-// The zero-fill is a contract, not an optimization detail: recycled slabs
-// (pool.go, Arena) hold a previous checkout's data, and every consumer of a
-// resized matrix — gradient accumulators that +=, masks finished by
-// FinishMask, kernels like ScatterRows that only write selected rows — assumes a
-// fresh-New state. This includes the region beyond the previous length when a
+// The zero-fill is a contract, not an optimization detail: recycled buffers
+// hold a previous use's data, and every consumer of a resized matrix — a mask
+// SetEntry marks slot by slot before FinishMask reads every slot of it —
+// assumes a fresh-New state. This includes the region beyond the previous length when a
 // matrix grows within its capacity: Go reslicing does NOT clear it, so Resize
 // must (TestResizeZeroFillsGrownRegion pins this).
 func (m *Matrix) Resize(r, c int) *Matrix {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("tensor: Resize(%d, %d) with negative dimension", r, c))
+	m.reshape("Resize", r, c)
+	clear(m.Data)
+	return m
+}
+
+// ResizeUninit is Resize without the zero-fill, for a pooled buffer whose
+// every element its next user writes before anything reads one (a feature
+// matrix a slice overwrites row by row): the contents are whatever the
+// previous use left. Under TASER_ARENA_POISON they are NaN, as
+// Arena.GetUninit hands its regions out, so an element the writer misses
+// surfaces as NaN instead of as stale data.
+func (m *Matrix) ResizeUninit(r, c int) *Matrix {
+	m.reshape("ResizeUninit", r, c)
+	if poisonRequested() {
+		fillNaN(m.Data)
 	}
-	n := r * c
-	if cap(m.Data) < n {
+	return m
+}
+
+// reshape makes m r×c over its backing array when the capacity suffices, a
+// new one otherwise, without touching the elements.
+func (m *Matrix) reshape(op string, r, c int) {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("tensor: %s(%d, %d) with negative dimension", op, r, c))
+	}
+	if n := r * c; cap(m.Data) < n {
 		m.Data = make([]float64, n)
 	} else {
 		m.Data = m.Data[:n]
-		for i := range m.Data {
-			m.Data[i] = 0
-		}
 	}
 	m.Rows, m.Cols = r, c
-	return m
 }
 
 // Zero sets every element to 0.

@@ -1,11 +1,14 @@
 package train
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"taser/internal/datasets"
 	"taser/internal/models"
 	"taser/internal/sampler"
+	"taser/internal/tensor"
 	"taser/internal/tgraph"
 )
 
@@ -41,19 +44,26 @@ func requireBlocksEqual(t *testing.T, got, want *models.LayerBlock, layer int) {
 			t.Fatalf("layer %d Valid[%d]: %d vs %d", layer, i, got.Valid[i], want.Valid[i])
 		}
 	}
-	for name, pair := range map[string][2][]float64{
-		"DeltaT":   {got.DeltaT.Data, want.DeltaT.Data},
-		"Mask":     {got.Mask.Data, want.Mask.Data},
-		"MaskBias": {got.MaskBias.Data, want.MaskBias.Data},
-		"EdgeFeat": {got.EdgeFeat.Data, want.EdgeFeat.Data},
+	for name, pair := range map[string][2]*tensor.Matrix{
+		"DeltaT":   {got.DeltaT, want.DeltaT},
+		"Mask":     {got.Mask, want.Mask},
+		"MaskBias": {got.MaskBias, want.MaskBias},
+		"EdgeFeat": {got.EdgeFeat, want.EdgeFeat},
 	} {
-		if len(pair[0]) != len(pair[1]) {
-			t.Fatalf("layer %d %s length %d vs %d", layer, name, len(pair[0]), len(pair[1]))
-		}
-		for i := range pair[1] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("layer %d %s[%d]: %v vs %v", layer, name, i, pair[0][i], pair[1][i])
-			}
+		requireSameBits(t, fmt.Sprintf("layer %d %s", layer, name), pair[0], pair[1])
+	}
+}
+
+// requireSameBits asserts that two matrices have one shape and the same
+// bit pattern in every element (NaN and −0 included).
+func requireSameBits(t *testing.T, name string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s is %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("%s[%d]: %v vs %v", name, i, got.Data[i], w)
 		}
 	}
 }
@@ -66,15 +76,7 @@ func requireMiniBatchesEqual(t *testing.T, got, want *models.MiniBatch) {
 	for l := range want.Layers {
 		requireBlocksEqual(t, got.Layers[l], want.Layers[l], l)
 	}
-	if got.LeafFeat.Rows != want.LeafFeat.Rows || got.LeafFeat.Cols != want.LeafFeat.Cols {
-		t.Fatalf("leaf shape %dx%d vs %dx%d",
-			got.LeafFeat.Rows, got.LeafFeat.Cols, want.LeafFeat.Rows, want.LeafFeat.Cols)
-	}
-	for i := range want.LeafFeat.Data {
-		if got.LeafFeat.Data[i] != want.LeafFeat.Data[i] {
-			t.Fatalf("LeafFeat[%d]: %v vs %v", i, got.LeafFeat.Data[i], want.LeafFeat.Data[i])
-		}
-	}
+	requireSameBits(t, "LeafFeat", got.LeafFeat, want.LeafFeat)
 }
 
 // TestInferenceBuilderMatchesTrainerBuild is the reuse contract: a detached

@@ -33,10 +33,10 @@ func paddedTGAT(g *autograd.Graph, params []*autograd.Var, mb *models.MiniBatch)
 		msg := g.ConcatCols(hN, g.Const(block.EdgeFeat), timeEnc(block.DeltaT))
 		q := g.Affine(g.ConcatCols(hT, timeEnc(tensor.New(t, 1))), p[2], p[3])
 		keys, vals := g.Affine(msg, p[4], p[5]), g.Affine(msg, p[6], p[7])
-		scores := g.Scale(g.GroupedScore(q, keys, n), 1/math.Sqrt(float64(n)))
+		scores := g.Scale(g.GroupedScore(q, keys, rowsFrom(0, t*n), n), 1/math.Sqrt(float64(n)))
 		scores = g.Add(scores, g.Const(block.MaskBias))
 		attn := g.Mul(g.SoftmaxRows(scores), g.Const(block.Mask))
-		agg := g.GroupedWeightedSum(attn, vals, n)
+		agg := g.GroupedWeightedSum(attn, vals, rowsFrom(0, t*n), n)
 		h = g.GELU(g.Affine(g.ConcatCols(agg, hT), p[8], p[9]))
 	}
 	return h

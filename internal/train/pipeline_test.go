@@ -272,8 +272,9 @@ func TestPipelinedLossDecreases(t *testing.T) {
 	}
 }
 
-// TestPoolRoundTrip checks that recycled buffers come back indistinguishable
-// from fresh ones (the property the equivalence test relies on).
+// TestPoolRoundTrip checks that recycled buffers come back with what the fill
+// reads cleared — masks, ids — and reshaped (the property the equivalence test
+// relies on). Feature rows are the slice's to write: TestPooledBuildEqualsFresh.
 func TestPoolRoundTrip(t *testing.T) {
 	p := newBuildPool()
 	blk := p.getBlock(3, 2, 4)

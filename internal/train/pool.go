@@ -102,7 +102,9 @@ func (l *sliceList[T]) put(s []T) {
 	l.free = append(l.free, s)
 }
 
-// getBlock returns a zeroed t×budget layer block with edge width edgeDim.
+// getBlock returns a t×budget layer block with edge width edgeDim, zeroed
+// but for a reused block's edge features, which the caller must slice
+// (LayerBlock.Reset).
 func (p *buildPool) getBlock(t, budget, edgeDim int) *models.LayerBlock {
 	if blk := p.blocks.get(blockKey{t, budget, edgeDim}); blk != nil {
 		blk.Reset(t, budget, edgeDim)
@@ -115,7 +117,8 @@ func (p *buildPool) putBlock(blk *models.LayerBlock) {
 	p.blocks.put(blockKey{blk.NumTargets, blk.Budget, blk.EdgeFeat.Cols}, blk)
 }
 
-// getSet returns a zeroed b×m candidate set.
+// getSet returns a b×m candidate set, zeroed but for a reused set's feature
+// matrices, which the caller must slice (CandidateSet.Reset).
 func (p *buildPool) getSet(b, m, nodeDim, edgeDim int) *adaptive.CandidateSet {
 	if cs := p.sets.get(csKey{b, m, nodeDim, edgeDim}); cs != nil {
 		cs.Reset(b, m, nodeDim, edgeDim)
@@ -140,10 +143,11 @@ func (p *buildPool) getResult() *sampler.Result {
 
 func (p *buildPool) putResult(res *sampler.Result) { p.results.put(struct{}{}, res) }
 
-// getMat returns a zeroed rows×cols matrix.
+// getMat returns a rows×cols matrix for the caller to slice into: a reused
+// one is not cleared (tensor.Matrix.ResizeUninit).
 func (p *buildPool) getMat(rows, cols int) *tensor.Matrix {
 	if m := p.mats.get(cols); m != nil {
-		return m.Resize(rows, cols)
+		return m.ResizeUninit(rows, cols)
 	}
 	return tensor.New(rows, cols)
 }

@@ -20,6 +20,11 @@
 #     TestTileStaysInsideItsOperands / TestTilePanicsOnShortOperand pin the
 #     behaviour.
 #
+# The neighborhood reductions (GroupedScoreInto, GroupedWeightedSumInto,
+# GroupMeanInto) and ScatterRowsInto read a slot index: the slot lookup and
+# the score or weight position it names are data-dependent and keep their
+# checks, once per slot (per row), never inside a per-element loop.
+#
 # If the diff is legitimate (a kernel changed shape and its setup checks
 # moved), regenerate the allowlist with:  scripts/bce_check.sh -update
 set -eu
