@@ -150,17 +150,28 @@ func TestSamplerScoresShapesAllDecoders(t *testing.T) {
 	}
 }
 
+// TestSamplerMaskedScoresAreTiny: a padded candidate has probability exactly
+// 0 and log-probability +0 (the softmax reads valid slots only), and no draw
+// ever picks it.
 func TestSamplerMaskedScoresAreTiny(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	s := NewSampler(defaultConfig(0, 2, 6, DecoderLinear), rng)
 	c := fillCandidates(rng, 2, 6, 0, 2, 3) // half the slots padded
-	scores := s.Scores(autograd.New(), c)
-	for b := 0; b < 2; b++ {
-		for j := 3; j < 6; j++ {
-			if scores.Val.At(b, j) > -1e8 {
-				t.Fatal("padded candidates must carry −1e9 bias")
+	for draw := 0; draw < 50; draw++ {
+		sel := s.Select(autograd.New(), c, 2)
+		for b := 0; b < 2; b++ {
+			for j := 3; j < 6; j++ {
+				if p, lq := sel.Probs.At(b, j), sel.LogQ.Val.At(b, j); math.Float64bits(p) != 0 || math.Float64bits(lq) != 0 {
+					t.Fatalf("padded candidate (%d, %d): probability %v, log-probability %v; want +0 and +0", b, j, p, lq)
+				}
+			}
+			for _, slot := range sel.Chosen[b] {
+				if slot >= 3 {
+					t.Fatalf("root %d drew padded slot %d", b, slot)
+				}
 			}
 		}
+		s.Recycle(sel)
 	}
 }
 
@@ -254,7 +265,7 @@ func TestSamplerGradFlowsThroughAllDecoders(t *testing.T) {
 		c := fillCandidates(rng, 3, 4, 3, 2, 4)
 		g := autograd.New()
 		scores := s.Scores(g, c)
-		g.Backward(g.MeanAll(g.SoftmaxRows(scores)))
+		g.Backward(g.MeanAll(g.SoftmaxSlots(scores, c.Valid)))
 		any := false
 		for _, p := range s.Params() {
 			if p.Grad.MaxAbs() > 0 {
@@ -335,17 +346,11 @@ func TestDecoderString(t *testing.T) {
 
 func TestCandidateSetHelpers(t *testing.T) {
 	c := NewCandidateSet(2, 3, 0, 2)
-	c.SetEntry(0, 0, 5, 1)
 	c.SetEntry(1, 1, 6, 2)
+	c.SetEntry(0, 0, 5, 1) // out of order
 	c.FinishMask()
-	if c.ValidCount(0) != 1 || c.ValidCount(1) != 1 {
-		t.Fatal("ValidCount")
-	}
-	if c.Nodes[1] != -1 || c.MaskBias.Data[1] != -1e9 {
-		t.Fatal("padding")
-	}
-	if c.MaskBias.Data[0] != 0 {
-		t.Fatal("valid slot bias")
+	if c.Nodes[0] != 5 || c.Nodes[1] != -1 || c.Nodes[4] != 6 {
+		t.Fatalf("nodes %v: padding must be -1", c.Nodes)
 	}
 	if len(c.Valid) != 2 || c.Valid[0] != 0 || c.Valid[1] != 4 {
 		t.Fatalf("valid-slot index %v, want [0 4]", c.Valid)

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"taser/internal/models"
 	"taser/internal/tensor"
 )
 
@@ -16,11 +17,10 @@ type CandidateSet struct {
 	DeltaT   []float64      // (B·M) timespan to the root's timestamp
 	NodeFeat *tensor.Matrix // (B·M)×dN (dN may be 0)
 	EdgeFeat *tensor.Matrix // (B·M)×dE (dE may be 0)
-	Mask     *tensor.Matrix // B×M validity mask
-	MaskBias *tensor.Matrix // B×M, (mask−1)·1e9 for masked softmax
 	// Valid lists the flat slot indices (i·M+j) of the valid candidates,
-	// ascending. FinishMask builds it from Mask; the sampler encodes, mixes
-	// channels and decodes these rows only.
+	// strictly ascending, and is the one record of them: SetEntry alone
+	// writes it (models.AddSlot). The sampler encodes, mixes channels,
+	// decodes and normalizes these slots only.
 	Valid []int32
 
 	// TargetFeat holds the roots' own node features, B×dN (Eq. 21).
@@ -36,8 +36,6 @@ func NewCandidateSet(b, m, nodeDim, edgeDim int) *CandidateSet {
 		DeltaT:     make([]float64, b*m),
 		NodeFeat:   tensor.New(b*m, nodeDim),
 		EdgeFeat:   tensor.New(b*m, edgeDim),
-		Mask:       tensor.New(b, m),
-		MaskBias:   tensor.New(b, m),
 		Valid:      make([]int32, 0, b*m),
 		TargetFeat: tensor.New(b, nodeDim),
 	}
@@ -65,8 +63,6 @@ func (c *CandidateSet) Reset(b, m, nodeDim, edgeDim int) {
 	}
 	c.NodeFeat.ResizeUninit(n, nodeDim)
 	c.EdgeFeat.ResizeUninit(n, edgeDim)
-	c.Mask.Resize(b, m)
-	c.MaskBias.Resize(b, m)
 	c.Valid = c.Valid[:0]
 	c.TargetFeat.ResizeUninit(b, nodeDim)
 }
@@ -76,31 +72,9 @@ func (c *CandidateSet) SetEntry(i, j int, node int32, deltaT float64) {
 	s := i*c.M + j
 	c.Nodes[s] = node
 	c.DeltaT[s] = deltaT
-	c.Mask.Data[s] = 1
+	c.Valid = models.AddSlot(c.Valid, int32(s))
 }
 
-// FinishMask writes padding markers for untouched slots and indexes the
-// others in Valid.
-func (c *CandidateSet) FinishMask() {
-	c.Valid = c.Valid[:0]
-	for s, v := range c.Mask.Data {
-		if v == 0 {
-			c.Nodes[s] = -1
-			c.MaskBias.Data[s] = -1e9
-		} else {
-			c.MaskBias.Data[s] = 0
-			c.Valid = append(c.Valid, int32(s))
-		}
-	}
-}
-
-// ValidCount returns the number of valid candidates of root i.
-func (c *CandidateSet) ValidCount(i int) int {
-	n := 0
-	for j := 0; j < c.M; j++ {
-		if c.Mask.Data[i*c.M+j] == 1 {
-			n++
-		}
-	}
-	return n
-}
+// FinishMask marks every slot Valid does not name as padding (Nodes −1);
+// call it after the SetEntry calls that fill the set.
+func (c *CandidateSet) FinishMask() { models.MarkPadding(c.Nodes, c.Valid) }

@@ -59,8 +59,9 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		parts = append(parts, g.Const(ie))
 	}
 	z := g.ConcatCols(parts...)
+	mask, bias := paddingMask(c)
 	wide := tensor.New(rows, z.Cols())
-	for i, v := range c.Mask.Data {
+	for i, v := range mask.Data {
 		for j := range wide.Row(i) {
 			wide.Row(i)[j] = v
 		}
@@ -84,7 +85,18 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
 		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), all, c.M), 1/math.Sqrt(float64(c.M)))
 	}
-	return g.Add(scores, g.Const(c.MaskBias))
+	return g.Add(scores, g.Const(bias))
+}
+
+// paddingMask is what the padded path masks with, built from the set's
+// valid-slot index: the 0/1 mask and the (mask−1)·1e9 logit bias, B×M each.
+func paddingMask(c *CandidateSet) (mask, bias *tensor.Matrix) {
+	mask, bias = tensor.New(c.B, c.M), tensor.New(c.B, c.M)
+	bias.Fill(-1e9)
+	for _, s := range c.Valid {
+		mask.Data[s], bias.Data[s] = 1, 0
+	}
+	return mask, bias
 }
 
 // oracleCandidates builds a set whose slot (i, j) is valid iff keep says so.
@@ -134,30 +146,40 @@ func TestScoresCompactMatchesPaddedBitwise(t *testing.T) {
 			// REINFORCE coefficients only ever sit on chosen, hence valid,
 			// slots; a coefficient on padding would reach the parameters
 			// through the padded path alone.
+			mask, _ := paddingMask(c)
 			coef := tensor.New(b, m)
-			for i, v := range c.Mask.Data {
+			for i, v := range mask.Data {
 				coef.Data[i] = v * math.Sin(float64(i+1))
 			}
-			run := func(scoresOf func(g *autograd.Graph) *autograd.Var) (scores []float64, grads [][]float64) {
+			// The padded path normalizes over every slot of its biased
+			// scores, the compact one over the valid slots, as Select does.
+			run := func(scoresOf func(g *autograd.Graph) *autograd.Var, slots []int32) (scores, logq []float64, grads [][]float64) {
 				for _, p := range s.Params() {
 					p.Grad.Zero()
 				}
 				g := autograd.New()
 				sc := scoresOf(g)
-				g.Backward(g.WeightedSumConst(g.LogSoftmaxRows(sc), coef))
+				lq := g.LogSoftmaxSlots(sc, slots)
+				g.Backward(g.WeightedSumConst(lq, coef))
 				for _, p := range s.Params() {
 					grads = append(grads, append([]float64(nil), p.Grad.Data...))
 				}
-				return sc.Val.Data, grads
+				return sc.Val.Data, lq.Val.Data, grads
 			}
-			want, wantGrads := run(func(g *autograd.Graph) *autograd.Var { return paddedScores(s, g, c) })
-			got, gotGrads := run(func(g *autograd.Graph) *autograd.Var { return s.Scores(g, c) })
-			for i, v := range c.Mask.Data {
+			every := make([]int32, b*m)
+			for i := range every {
+				every[i] = int32(i)
+			}
+			want, wantLogQ, wantGrads := run(func(g *autograd.Graph) *autograd.Var { return paddedScores(s, g, c) }, every)
+			got, gotLogQ, gotGrads := run(func(g *autograd.Graph) *autograd.Var { return s.Scores(g, c) }, c.Valid)
+			for i, v := range mask.Data {
 				switch {
-				case v == 0 && (got[i] != -1e9 || want[i] > -1e8):
-					t.Fatalf("%s: padding slot %d scores %v (padded path %v)", name, i, got[i], want[i])
+				case v == 0 && (math.Float64bits(got[i]) != 0 || math.Float64bits(gotLogQ[i]) != 0 || want[i] > -1e8):
+					t.Fatalf("%s: padding slot %d scores %v, log q %v (padded path %v)", name, i, got[i], gotLogQ[i], want[i])
 				case v != 0 && math.Float64bits(got[i]) != math.Float64bits(want[i]):
 					t.Fatalf("%s: slot %d scores %v, padded path %v", name, i, got[i], want[i])
+				case v != 0 && math.Float64bits(gotLogQ[i]) != math.Float64bits(wantLogQ[i]):
+					t.Fatalf("%s: slot %d log q %v, padded path %v", name, i, gotLogQ[i], wantLogQ[i])
 				}
 			}
 			for pi := range wantGrads {
@@ -170,19 +192,4 @@ func TestScoresCompactMatchesPaddedBitwise(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestScoresPanicsOnStaleValidIndex: a mask edited after FinishMask must not
-// silently score (or skip) the wrong candidates.
-func TestScoresPanicsOnStaleValidIndex(t *testing.T) {
-	rng := mathx.NewRNG(52)
-	s := NewSampler(defaultConfig(0, 2, 4, DecoderLinear), rng)
-	c := fillCandidates(rng, 2, 4, 0, 2, 3)
-	c.Mask.Data[1] = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Scores(autograd.New(), c)
 }

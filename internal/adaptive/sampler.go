@@ -8,7 +8,6 @@ import (
 	"taser/internal/autograd"
 	"taser/internal/encoding"
 	"taser/internal/mathx"
-	"taser/internal/models"
 	"taser/internal/nn"
 	"taser/internal/tensor"
 )
@@ -268,20 +267,17 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 	return g.ConcatCols(parts...)
 }
 
-// Scores computes the unnormalized per-root candidate scores (before the
-// softmax σ of Eqs. 17–20), with padding masked to −1e9. Only valid
-// candidates are encoded, channel-mixed and decoded; their logits are
-// scattered into the B×M layout — the trans head's grouped dot product
-// writes that layout itself — so a padding slot scores exactly −1e9.
+// Scores computes the unnormalized per-root candidate scores in the B×M
+// layout (before the softmax σ of Eqs. 17–20, which normalizes over c.Valid
+// only). Only valid candidates are encoded, channel-mixed and decoded; their
+// logits are scattered into the B×M layout — the trans head's grouped dot
+// product writes that layout itself — so a padding slot scores exactly +0.
 func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.Var {
 	if c.M != s.cfg.M {
 		panic(fmt.Sprintf("adaptive: candidate set has m=%d, sampler built for m=%d", c.M, s.cfg.M))
 	}
-	if err := models.CheckValid(c.Mask, c.Valid); err != nil {
-		panic(fmt.Sprintf("adaptive: candidate set: %v", err))
-	}
 	valid, slots := c.Valid, c.B*c.M
-	// Scattering is the padding mask: token mixing sees zero rows there.
+	// Token mixing sees the scatter's zero rows at padding.
 	z := g.ScatterRows(s.encode(g, c), valid, slots)
 	z = s.mixer.Apply(g, z, valid) // Z_Ns(v) (Eq. 16), valid rows
 
@@ -307,7 +303,7 @@ func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.V
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
 		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), valid, c.M), 1/math.Sqrt(float64(c.M)))
 	}
-	return g.Add(scores, g.Const(c.MaskBias))
+	return scores
 }
 
 // rootOf maps each valid candidate to its root's row: slot / M.
@@ -325,7 +321,8 @@ type Selection struct {
 	// at most n of them.
 	Chosen [][]int
 	// LogQ is the (differentiable) log-probability matrix B×M used by the
-	// sample loss; only entries at chosen slots receive coefficients.
+	// sample loss, +0 at padded slots; only entries at chosen slots receive
+	// coefficients.
 	LogQ *autograd.Var
 	// Probs is the materialized q_θ(u|v) distribution (B×M), for tests.
 	Probs *tensor.Matrix
@@ -376,28 +373,29 @@ func (s *NeighborSampler) Recycle(sel *Selection) {
 // released (callers that never Recycle simply fall back to fresh
 // allocations).
 func (s *NeighborSampler) Select(g *autograd.Graph, c *CandidateSet, n int) *Selection {
-	scores := s.Scores(g, c)
-	logq := g.LogSoftmaxRows(scores)
-	sel := s.getSelection(c.B, c.M)
+	logq := g.LogSoftmaxSlots(s.Scores(g, c), c.Valid)
+	sel := s.getSelection(c.B, c.M) // Probs comes back zeroed
 	sel.LogQ = logq
 	if cap(s.wts) < c.M {
 		s.wts = make([]float64, c.M)
 	}
 	weights := s.wts[:c.M]
+	rest := c.Valid
 	for b := 0; b < c.B; b++ {
-		row := logq.Val.Row(b)
-		for j := range weights {
-			p := math.Exp(row[j]) * c.Mask.Data[b*c.M+j]
-			weights[j] = p
-			sel.Probs.Set(b, j, p)
+		clear(weights)
+		valid := 0 // root b's candidates
+		for ; len(rest) > 0 && int(rest[0]) < (b+1)*c.M; rest = rest[1:] {
+			slot := rest[0]
+			p := math.Exp(logq.Val.Data[slot])
+			weights[int(slot)-b*c.M] = p
+			sel.Probs.Data[slot] = p
+			valid++
 		}
-		valid := c.ValidCount(b)
 		if valid == 0 {
 			sel.Chosen[b] = sel.Chosen[b][:0]
 			continue
 		}
-		k := mathx.MinInt(n, valid)
-		sel.Chosen[b] = s.ws.SampleInto(s.rng, weights, k, sel.Chosen[b])
+		sel.Chosen[b] = s.ws.SampleInto(s.rng, weights, min(n, valid), sel.Chosen[b])
 	}
 	return sel
 }

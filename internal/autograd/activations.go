@@ -96,30 +96,28 @@ func (g *Graph) Cos(a *Var) *Var {
 	return o
 }
 
-// SoftmaxRows applies softmax along each row.
-func (g *Graph) SoftmaxRows(a *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	tensor.SoftmaxRowsInto(o.Val, a.Val)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opSoftmaxRows, out: o, a: a})
-	}
-	return o
+// SoftmaxSlots applies softmax along each row of a over the row's named
+// slots: slot s is element s of a's row-major data (row s / a.Cols()), and
+// slots is strictly ascending — the valid-slot index of a neighborhood
+// layout with a.Cols() slots per row. A slot the index does not name is +0,
+// so is every element of a row with no named slot, and neither receives a
+// gradient. Naming every slot is the plain row softmax. slots is borrowed
+// until Backward/Reset, like GatherRows' index.
+func (g *Graph) SoftmaxSlots(a *Var, slots []int32) *Var {
+	return g.softmaxSlots(a, slots, opSoftmaxSlots)
 }
 
-// LogSoftmaxRows returns log(softmax) per row; the numerically preferred
-// input to the REINFORCE sample loss.
-func (g *Graph) LogSoftmaxRows(a *Var) *Var {
+// LogSoftmaxSlots is SoftmaxSlots' log(softmax), the numerically preferred
+// input to the REINFORCE sample loss; an unnamed slot is +0 here too.
+func (g *Graph) LogSoftmaxSlots(a *Var, slots []int32) *Var {
+	return g.softmaxSlots(a, slots, opLogSoftmaxSlots)
+}
+
+func (g *Graph) softmaxSlots(a *Var, slots []int32, op opKind) *Var {
 	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	for i := 0; i < a.Rows(); i++ {
-		row := a.Val.Row(i)
-		lse := mathx.LogSumExp(row)
-		out := o.Val.Row(i)
-		for j, v := range row {
-			out[j] = v - lse
-		}
-	}
+	tensor.SoftmaxSlotsInto(o.Val, a.Val, slots, op == opLogSoftmaxSlots)
 	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opLogSoftmaxRows, out: o, a: a})
+		g.push(tapeEntry{op: op, out: o, a: a, idx: slots})
 	}
 	return o
 }

@@ -167,8 +167,9 @@ func (g *Graph) newVar(val, grad *tensor.Matrix) *Var {
 // out allocates a result Var; it carries a gradient buffer iff any input
 // requires gradients and the pass records. The gradient is zeroed (backward
 // bodies accumulate into it); Val is not — every op overwrites every element
-// of its output, padding included (ScatterRows' unnamed rows, GroupedScore's
-// unnamed slots). TestReusedGraphBitwiseEqualsFresh holds every op to that.
+// of its output, padding included (ScatterRows' unnamed rows, the unnamed
+// slots of GroupedScore and the slot softmaxes).
+// TestReusedGraphBitwiseEqualsFresh holds every op to that.
 func (g *Graph) out(rows, cols int, needsGrad bool) *Var {
 	var grad *tensor.Matrix
 	if needsGrad && !g.forwardOnly {
@@ -179,13 +180,13 @@ func (g *Graph) out(rows, cols int, needsGrad bool) *Var {
 
 // Const wraps m as a constant whose Var header is recycled on Reset — the
 // graph-lifetime counterpart of NewConst for matrices threaded into a forward
-// pass (sliced features, masks, time columns). m itself is borrowed, never
+// pass (sliced features, time columns). m itself is borrowed, never
 // owned: Reset does not touch it.
 func (g *Graph) Const(m *tensor.Matrix) *Var { return g.newVar(m, nil) }
 
 // Scratch checks out a zeroed r×c matrix with graph lifetime that is NOT a
-// tape node: callers fill it (time encodings, coefficient tables, mask
-// columns) and typically wrap it with Const or pass it to a *Const op. It is
+// tape node: callers fill it (time encodings, coefficient tables) and
+// typically wrap it with Const or pass it to a *Const op. It is
 // recycled at Reset like every other intermediate.
 func (g *Graph) Scratch(r, c int) *tensor.Matrix { return g.arena.Get(r, c) }
 

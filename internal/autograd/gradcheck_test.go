@@ -137,27 +137,33 @@ func TestGradActivations(t *testing.T) {
 	}
 }
 
+// The softmaxes' gradchecks run on the row softmax (every slot named) and on
+// the groupedSlotSets subset, whose unnamed slots are constant +0 outputs.
 func TestGradSoftmaxRows(t *testing.T) {
 	rng := mathx.NewRNG(7)
-	a := NewParam(tensor.Randn(3, 5, 1, rng))
-	coef := tensor.Randn(3, 5, 1, rng)
-	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.SoftmaxRows(a), coef)
-	}, 1e-6)
+	for _, slots := range groupedSlotSets(5) {
+		a := NewParam(tensor.Randn(3, 5, 1, rng))
+		coef := tensor.Randn(3, 5, 1, rng)
+		gradCheck(t, []*Var{a}, func(g *Graph) *Var {
+			return g.WeightedSumConst(g.SoftmaxSlots(a, slots), coef)
+		}, 1e-6)
+	}
 }
 
 func TestGradLogSoftmaxRows(t *testing.T) {
 	rng := mathx.NewRNG(8)
-	a := NewParam(tensor.Randn(2, 6, 1, rng))
-	coef := tensor.Randn(2, 6, 1, rng)
-	gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.LogSoftmaxRows(a), coef)
-	}, 1e-6)
+	for _, slots := range groupedSlotSets(6) {
+		a := NewParam(tensor.Randn(3, 6, 1, rng))
+		coef := tensor.Randn(3, 6, 1, rng)
+		gradCheck(t, []*Var{a}, func(g *Graph) *Var {
+			return g.WeightedSumConst(g.LogSoftmaxSlots(a, slots), coef)
+		}, 1e-6)
+	}
 }
 
-// The neighborhood reductions' gradchecks run on every slot (the dense form)
-// and on a proper subset of 3 groups of k: group 0 partial, group 1 empty,
-// group 2 full.
+// The neighborhood reductions' and softmaxes' gradchecks run on every slot
+// (the dense form) and on a proper subset of 3 groups of k: group 0 partial,
+// group 1 empty, group 2 full.
 func groupedSlotSets(k int) [][]int32 {
 	subset := []int32{1, 2}
 	for s := 2 * k; s < 3*k; s++ {
@@ -258,7 +264,7 @@ func TestGradFullAttentionStack(t *testing.T) {
 		coef := tensor.Randn(b, d, 1, rng)
 		gradCheck(t, []*Var{q, keys, vals}, func(g *Graph) *Var {
 			scores := g.Scale(g.GroupedScore(q, keys, slots, k), 1/math.Sqrt(d))
-			attn := g.SoftmaxRows(scores)
+			attn := g.SoftmaxSlots(scores, slots)
 			out := g.GroupedWeightedSum(attn, vals, slots, k)
 			return g.WeightedSumConst(out, coef)
 		}, 1e-5)

@@ -8,16 +8,19 @@ import (
 	"taser/internal/tensor"
 )
 
-// FuzzGroupedSlots holds the neighborhood reductions' slot form to their
-// dense form. For b neighborhoods of k slots, width d and an ascending subset
-// of named slots, GroupedScore, GroupedWeightedSum and GroupMean on the
-// compact operand (one row per named slot) must equal, by Float64bits, the
-// call naming every slot on the zero-padded layout (those rows at their
-// slots, +0 rows elsewhere): values, the dense operands' gradients, and the
-// compact rows' gradients against the padded gradient's rows at their slots.
-// fill/255 is the share of slots named (0: V = 0; 255: every slot; anything
-// else leaves neighborhood 0 empty), zeros/256 the share of values that are
-// ±0. The seeds run with go test; on demand
+// FuzzGroupedSlots holds every slot op to its dense form. For b
+// neighborhoods of k slots, width d and an ascending subset of named slots,
+// GroupedScore, GroupedWeightedSum and GroupMean on the compact operand (one
+// row per named slot) must equal, by Float64bits, the call naming every slot
+// on the zero-padded layout (those rows at their slots, +0 rows elsewhere):
+// values, the dense operands' gradients, and the compact rows' gradients
+// against the padded gradient's rows at their slots. SoftmaxSlots and
+// LogSoftmaxSlots on b×k logits must equal, value and input gradient, the
+// call naming every slot on the logits with −1e9 at the unnamed slots
+// (followed, for the softmax, by the ×mask step) at the named slots, and
+// be +0 at the others. fill/255 is the share of slots named (0: V = 0; 255:
+// every slot; anything else leaves neighborhood 0 empty), zeros/256 the
+// share of values that are ±0. The seeds run with go test; on demand
 // go test -run '^$' -fuzz FuzzGroupedSlots -fuzztime 30s ./internal/autograd.
 func FuzzGroupedSlots(f *testing.F) {
 	for _, s := range []struct{ b, k, d, fill, zeros uint8 }{
@@ -30,6 +33,7 @@ func FuzzGroupedSlots(f *testing.F) {
 		{2, 7, 0, 128, 0},   // zero-width rows
 		{6, 5, 4, 60, 200},  // sparse, mostly ±0
 		{4, 9, 7, 230, 30},  // nearly full, some ±0
+		{7, 6, 2, 45, 128},  // rows of six with one named slot or none, half the values ±0
 	} {
 		f.Add(s.b, s.k, s.d, s.fill, s.zeros, uint64(s.b)*97+uint64(s.k)*13+uint64(s.fill))
 	}
@@ -64,6 +68,13 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 			slots = append(slots, int32(s))
 		}
 	}
+	// Op outputs come out of a poisoned arena: an element an op leaves
+	// unwritten reads NaN.
+	poisoned := func() *Graph {
+		g := NewReusable()
+		g.Arena().SetPoison(true)
+		return g
+	}
 	// pad lays compact rows out at their slots over +0 rows.
 	pad := func(m *tensor.Matrix) *tensor.Matrix {
 		p := tensor.New(b*k, m.Cols)
@@ -87,7 +98,7 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 				p.Val, p.Grad = pad(p.Val), tensor.New(b*k, p.Val.Cols)
 			}
 		}
-		g := New()
+		g := poisoned()
 		score := g.GroupedScore(ps[0], ps[2], idx, k)
 		sum := g.GroupedWeightedSum(ps[1], ps[3], idx, k)
 		mean := g.GroupMean(ps[4], idx, b, k)
@@ -114,6 +125,50 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 			if wv := want[i].Data[j]; math.Float64bits(gv) != math.Float64bits(wv) {
 				t.Fatalf("b=%d k=%d d=%d slots %v: %s[%d] = %v (%#x), every-slot call %v (%#x)",
 					b, k, d, slots, name, j, gv, math.Float64bits(gv), wv, math.Float64bits(wv))
+			}
+		}
+	}
+
+	// The softmaxes: the slot form's unnamed logits are junk it must not
+	// read. The padded call holds −1e9 there, and its log-softmax
+	// coefficients there are 0, as REINFORCE's are on padded slots.
+	logits, dSoft, dLog := matrix(b, k), matrix(b, k), matrix(b, k)
+	named := make([]bool, b*k)
+	for _, s := range slots {
+		named[s] = true
+	}
+	mask, biased, dLogNamed := tensor.New(b, k), logits.Clone(), dLog.Clone()
+	for s, ok := range named {
+		if ok {
+			mask.Data[s] = 1
+		} else {
+			biased.Data[s], dLogNamed.Data[s] = -1e9, 0
+		}
+	}
+	softmaxes := func(padded bool) []*tensor.Matrix {
+		in, idx, dl := logits, slots, dLog
+		if padded {
+			in, idx, dl = biased, every, dLogNamed
+		}
+		a, la := NewParam(in.Clone()), NewParam(in.Clone())
+		g := poisoned()
+		soft, logSoft := g.SoftmaxSlots(a, idx), g.LogSoftmaxSlots(la, idx)
+		if padded {
+			soft = g.Mul(soft, g.Const(mask))
+		}
+		g.Backward(g.Add(g.WeightedSumConst(soft, dSoft), g.WeightedSumConst(logSoft, dl)))
+		return []*tensor.Matrix{soft.Val, logSoft.Val, a.Grad, la.Grad}
+	}
+	want, got = softmaxes(true), softmaxes(false)
+	for i, name := range []string{"SoftmaxSlots", "LogSoftmaxSlots", "softmax input gradient", "log-softmax input gradient"} {
+		for s, gv := range got[i].Data {
+			wv := want[i].Data[s]
+			if !named[s] {
+				wv = 0 // written +0, and never sent a gradient
+			}
+			if math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Fatalf("b=%d k=%d slots %v: %s[%d] = %v (%#x), want %v (%#x)",
+					b, k, slots, name, s, gv, math.Float64bits(gv), wv, math.Float64bits(wv))
 			}
 		}
 	}

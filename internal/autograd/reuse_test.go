@@ -15,8 +15,8 @@ import (
 var reuseLabels = []float64{1, 0, 1, 1, 0, 0}
 
 // reuseLoss exercises every op family on one graph: dense primitives, shape
-// ops, activations, grouped kernels, reductions and both masked-softmax
-// paths. It is deterministic given the params.
+// ops, activations, grouped kernels, reductions and both slot softmaxes. It
+// is deterministic given the params.
 func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	const groups, k = 3, 4 // p["keys"] is (groups·k)×d
 	x := g.Affine(p["x"], p["w"], p["b"])
@@ -34,7 +34,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 		}
 	}
 	scores := g.Scale(g.GroupedScore(q, g.GatherRows(p["keys"], slots), slots, k), 1/math.Sqrt(k))
-	attn := g.SoftmaxRows(scores)
+	attn := g.SoftmaxSlots(scores, slots)
 	agg := g.GroupedWeightedSum(attn, g.GatherRows(p["vals"], slots), slots, k)
 
 	mix := g.GroupedMatMulLeft(p["mix"], p["keys"], k)
@@ -62,11 +62,15 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	logits := g.Reshape(g.Affine(g.LeakyReLU(masked, 0.2), p["head"], p["headB"]), 2*groups, 1)
 	bce := g.BCEWithLogits(g.Sigmoid(logits), reuseLabels)
 
-	coef := g.Scratch(2*groups, 1)
+	// Log-probabilities over a proper subset of a 2×groups layout: slot 1 is
+	// not named.
+	coef := g.Scratch(2, groups)
 	for i := range coef.Data {
 		coef.Data[i] = 0.1 * float64(i+1)
 	}
-	aux := g.WeightedSumConst(g.LogSoftmaxRows(g.Cos(logits)), coef)
+	logSlots := g.Ints(5)
+	logSlots[0], logSlots[1], logSlots[2], logSlots[3], logSlots[4] = 0, 2, 3, 4, 5
+	aux := g.WeightedSumConst(g.LogSoftmaxSlots(g.Cos(g.Reshape(logits, 2, groups)), logSlots), coef)
 	return g.Add(g.MeanAll(g.Tanh(bce)), g.SumAll(aux))
 }
 

@@ -26,8 +26,8 @@ const (
 	opLeakyReLU
 	opGELU
 	opCos
-	opSoftmaxRows
-	opLogSoftmaxRows
+	opSoftmaxSlots
+	opLogSoftmaxSlots
 
 	opMeanAll
 	opSumAll
@@ -55,7 +55,7 @@ type tapeEntry struct {
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
 	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
-	idx          []int32        // GatherRows/ScatterRows indices, GroupMean/GroupedScore/GroupedWeightedSum slots (borrowed)
+	idx          []int32        // GatherRows/ScatterRows indices; the slot softmaxes' and neighborhood reductions' slots (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // Affine/ConcatCols part list: g.varRefs[refLo:refHi]
 }
@@ -168,33 +168,33 @@ func (g *Graph) backstep(e *tapeEntry) {
 			e.a.Grad.Data[i] -= e.out.Grad.Data[i] * sin
 		}
 
-	case opSoftmaxRows:
-		// dx_j = s_j (dy_j - Σ_k dy_k s_k)
-		for i := 0; i < e.a.Rows(); i++ {
-			s := e.out.Val.Row(i)
-			dy := e.out.Grad.Row(i)
+	case opSoftmaxSlots:
+		// dx_j = s_j (dy_j - Σ_k dy_k s_k) over each row's named slots.
+		s, dy, dx := e.out.Val.Data, e.out.Grad.Data, e.a.Grad.Data
+		for lo, hi := 0, 0; lo < len(e.idx); lo = hi {
+			hi = rowEnd(e.idx, lo, e.a.Cols())
+			named := e.idx[lo:hi]
 			var dot float64
-			for k, sv := range s {
-				dot += dy[k] * sv
+			for _, k := range named {
+				dot += dy[k] * s[k]
 			}
-			dx := e.a.Grad.Row(i)
-			for j, sv := range s {
-				dx[j] += sv * (dy[j] - dot)
+			for _, j := range named {
+				dx[j] += s[j] * (dy[j] - dot)
 			}
 		}
 
-	case opLogSoftmaxRows:
-		// dx_j = dy_j - softmax_j Σ_k dy_k
-		for i := 0; i < e.a.Rows(); i++ {
-			dy := e.out.Grad.Row(i)
+	case opLogSoftmaxSlots:
+		// dx_j = dy_j - softmax_j Σ_k dy_k over each row's named slots.
+		logp, dy, dx := e.out.Val.Data, e.out.Grad.Data, e.a.Grad.Data
+		for lo, hi := 0, 0; lo < len(e.idx); lo = hi {
+			hi = rowEnd(e.idx, lo, e.a.Cols())
+			named := e.idx[lo:hi]
 			var sum float64
-			for _, v := range dy {
-				sum += v
+			for _, k := range named {
+				sum += dy[k]
 			}
-			logp := e.out.Val.Row(i)
-			dx := e.a.Grad.Row(i)
-			for j, lp := range logp {
-				dx[j] += dy[j] - math.Exp(lp)*sum
+			for _, j := range named {
+				dx[j] += dy[j] - math.Exp(logp[j])*sum
 			}
 		}
 
@@ -318,4 +318,15 @@ func (g *Graph) backstep(e *tapeEntry) {
 	default:
 		panic("autograd: unknown tape op")
 	}
+}
+
+// rowEnd returns the end of the run of ascending slots, from lo on, that lie
+// in slot slots[lo]'s row of a layout with cols slots per row.
+func rowEnd(slots []int32, lo, cols int) int {
+	row := int(slots[lo]) / cols
+	hi := lo + 1
+	for hi < len(slots) && int(slots[hi])/cols == row {
+		hi++
+	}
+	return hi
 }

@@ -53,7 +53,7 @@ func sampleEpoch(ds *datasets.Dataset, f sampler.Finder, budget, batchSize int) 
 	var out sampler.Result
 	var total time.Duration
 	for lo := 0; lo < ds.TrainEnd; lo += batchSize {
-		hi := mathx.MinInt(lo+batchSize, ds.TrainEnd)
+		hi := min(lo+batchSize, ds.TrainEnd)
 		roots := make([]sampler.Target, 0, 2*(hi-lo))
 		for e := lo; e < hi; e++ {
 			ev := ds.Graph.Events[e]

@@ -144,7 +144,7 @@ func finetuneExp(o Options) (string, []Row, error) {
 			}
 		}
 		st := e.Stats()
-		mrr1, mrr2 := sum1/float64(mathx.MaxInt(n1, 1)), sum2/float64(mathx.MaxInt(n2, 1))
+		mrr1, mrr2 := sum1/float64(max(n1, 1)), sum2/float64(max(n2, 1))
 		rows = append(rows,
 			Row{g, name, "1st half", mrr1, "MRR"}, Row{g, name, "2nd half", mrr2, "MRR"},
 			Row{g, name, "p50", stats.Quantile(lats, 0.50) * 1e3, "ms"},

@@ -100,20 +100,98 @@ func topK(counts []int64, k int) []int32 {
 // trains with — what every caller outside a test passes to NewFrequency.
 const PaperEpsilon = 0.7
 
-// Frequency is TASER's historical-frequency cache (Algorithm 3).
-type Frequency struct {
+// residency is the slot table of an epoch-granularity policy: which rows are
+// resident, in which slot, and the hit/miss tally of reads against it.
+type residency struct {
 	counters
 	capacity int
+	slots    map[int32]int
+	free     []int
+}
+
+func newResidency(capacity int) residency {
+	r := residency{capacity: capacity, slots: make(map[int32]int, capacity)}
+	for s := capacity - 1; s >= 0; s-- {
+		r.free = append(r.free, s)
+	}
+	return r
+}
+
+// Capacity implements Policy.
+func (r *residency) Capacity() int { return r.capacity }
+
+// Lookup implements Policy.
+func (r *residency) Lookup(id int32) (int, bool) {
+	s, ok := r.slots[id]
+	return s, ok
+}
+
+// Access implements Policy for a policy that learns nothing from a read: it
+// only tallies the hit or miss.
+func (r *residency) Access(id int32) (int, bool) {
+	s, ok := r.slots[id]
+	r.count(ok)
+	return s, ok
+}
+
+// ObserveCounts tallies one epoch's access counts against the current
+// residency in bulk and reports how many of those accesses hit. Because
+// residency is constant within an epoch, this is exactly equivalent to
+// replaying the accesses one by one — the Fig. 3(b) harness uses it to
+// simulate hit-rate curves from recorded per-epoch counts.
+func (r *residency) ObserveCounts(counts []int64) (hits, total int64) {
+	for id, c := range counts {
+		if c == 0 {
+			continue
+		}
+		total += c
+		if _, ok := r.slots[int32(id)]; ok {
+			hits += c
+		}
+	}
+	r.hits += hits
+	r.misses += total - hits
+	return hits, total
+}
+
+// install makes top resident: it evicts every resident row not in top, then
+// fills the freed slots with top's missing rows in top's order, and returns
+// those rows, whose features must be (re)loaded.
+func (r *residency) install(top []int32) []int32 {
+	inTop := make(map[int32]bool, len(top))
+	for _, id := range top {
+		inTop[id] = true
+	}
+	for id, slot := range r.slots {
+		if !inTop[id] {
+			delete(r.slots, id)
+			r.free = append(r.free, slot)
+		}
+	}
+	var inserted []int32
+	for _, id := range top {
+		if _, ok := r.slots[id]; ok {
+			continue
+		}
+		if len(r.free) == 0 {
+			break
+		}
+		slot := r.free[len(r.free)-1]
+		r.free = r.free[:len(r.free)-1]
+		r.slots[id] = slot
+		inserted = append(inserted, id)
+	}
+	return inserted
+}
+
+// Frequency is TASER's historical-frequency cache (Algorithm 3).
+type Frequency struct {
+	residency
 	// Epsilon is the swap threshold as a fraction of capacity: the cache is
 	// rebuilt when |cached ∩ topk| < ε·k.
 	Epsilon float64
-	// Decay scales the access counts at each epoch boundary: 0 keeps only
-	// the previous epoch's pattern (Algorithm 3), 1 accumulates history.
-	Decay float64
 
-	counts []int64
-	slots  map[int32]int
-	free   []int
+	counts []int64 // this epoch's accesses per row
 }
 
 // NewFrequency builds a frequency cache over numRows feature rows with the
@@ -124,110 +202,41 @@ func NewFrequency(numRows, capacity int, epsilon float64) *Frequency {
 	if capacity < 0 || capacity > numRows {
 		panic(fmt.Sprintf("cache: capacity %d out of range [0, %d]", capacity, numRows))
 	}
-	f := &Frequency{
-		capacity: capacity,
-		Epsilon:  epsilon,
-		counts:   make([]int64, numRows),
-		slots:    make(map[int32]int, capacity),
-	}
-	for s := capacity - 1; s >= 0; s-- {
-		f.free = append(f.free, s)
-	}
-	return f
-}
-
-// Capacity implements Policy.
-func (f *Frequency) Capacity() int { return f.capacity }
-
-// Lookup implements Policy.
-func (f *Frequency) Lookup(id int32) (int, bool) {
-	s, ok := f.slots[id]
-	return s, ok
+	return &Frequency{residency: newResidency(capacity), Epsilon: epsilon, counts: make([]int64, numRows)}
 }
 
 // Access implements Policy: frequency is updated on every read (Algorithm 3
 // line 6), residency is only changed at epoch boundaries.
 func (f *Frequency) Access(id int32) (int, bool) {
 	f.counts[id]++
-	s, ok := f.slots[id]
-	f.count(ok)
-	return s, ok
+	return f.residency.Access(id)
 }
 
-// EndEpoch implements Policy (Algorithm 3 lines 8–10).
+// ObserveCounts is residency.ObserveCounts that also counts the accesses
+// toward the next EndEpoch, as Access does.
+func (f *Frequency) ObserveCounts(counts []int64) (hits, total int64) {
+	for id, c := range counts {
+		f.counts[id] += c
+	}
+	return f.residency.ObserveCounts(counts)
+}
+
+// EndEpoch implements Policy (Algorithm 3 lines 8–10). Only the ending
+// epoch's accesses count: they are cleared afterwards.
 func (f *Frequency) EndEpoch() []int32 {
+	defer clear(f.counts)
 	if f.capacity == 0 {
-		f.decayCounts()
 		return nil
 	}
 	top := topK(f.counts, f.capacity)
 	overlap := 0
-	inTop := make(map[int32]bool, len(top))
 	for _, id := range top {
-		inTop[id] = true
 		if _, ok := f.slots[id]; ok {
 			overlap++
 		}
 	}
-	defer f.decayCounts()
 	if float64(overlap) >= f.Epsilon*float64(len(top)) && len(f.slots) > 0 {
 		return nil // cached set is still fresh enough; skip the swap
 	}
-	// Swap: evict rows not in the top-k, then fill freed slots with the rest.
-	var inserted []int32
-	for id, slot := range f.slots {
-		if !inTop[id] {
-			delete(f.slots, id)
-			f.free = append(f.free, slot)
-		}
-	}
-	for _, id := range top {
-		if _, ok := f.slots[id]; ok {
-			continue
-		}
-		if len(f.free) == 0 {
-			break
-		}
-		slot := f.free[len(f.free)-1]
-		f.free = f.free[:len(f.free)-1]
-		f.slots[id] = slot
-		inserted = append(inserted, id)
-	}
-	return inserted
-}
-
-// ObserveCounts folds one epoch's access counts into the policy in bulk and
-// reports how many of those accesses hit the current residency. Because
-// residency is constant within an epoch, this is exactly equivalent to
-// replaying the accesses one by one — the Fig. 3(b) harness uses it to
-// simulate hit-rate curves from recorded per-epoch counts.
-func (f *Frequency) ObserveCounts(counts []int64) (hits, total int64) {
-	for id, c := range counts {
-		if c == 0 {
-			continue
-		}
-		f.counts[id] += c
-		total += c
-		if _, ok := f.slots[int32(id)]; ok {
-			hits += c
-		}
-	}
-	f.hits += hits
-	f.misses += total - hits
-	return hits, total
-}
-
-func (f *Frequency) decayCounts() {
-	if f.Decay == 1 {
-		return
-	}
-	if f.Decay == 0 {
-		for i := range f.counts {
-			f.counts[i] = 0
-		}
-		return
-	}
-	for i := range f.counts {
-		f.counts[i] = int64(float64(f.counts[i]) * f.Decay)
-	}
+	return f.install(top)
 }

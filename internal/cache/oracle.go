@@ -3,89 +3,19 @@ package cache
 // Oracle is the clairvoyant cache of Fig. 3(b): before each epoch it is told
 // the exact access counts the epoch will produce and caches the top-k. It
 // upper-bounds any epoch-granularity replacement policy and is used to show
-// the Frequency policy is near-optimal.
+// the Frequency policy is near-optimal. Reads only tally hits.
 type Oracle struct {
-	counters
-	capacity int
-	slots    map[int32]int
-	free     []int
+	residency
 }
 
 // NewOracle builds an oracle cache with the given capacity.
-func NewOracle(capacity int) *Oracle {
-	o := &Oracle{capacity: capacity, slots: make(map[int32]int, capacity)}
-	for s := capacity - 1; s >= 0; s-- {
-		o.free = append(o.free, s)
-	}
-	return o
-}
-
-// Capacity implements Policy.
-func (o *Oracle) Capacity() int { return o.capacity }
-
-// Lookup implements Policy.
-func (o *Oracle) Lookup(id int32) (int, bool) {
-	s, ok := o.slots[id]
-	return s, ok
-}
-
-// Access implements Policy. The oracle learns nothing from accesses; it only
-// tallies hits.
-func (o *Oracle) Access(id int32) (int, bool) {
-	s, ok := o.slots[id]
-	o.count(ok)
-	return s, ok
-}
+func NewOracle(capacity int) *Oracle { return &Oracle{newResidency(capacity)} }
 
 // EndEpoch implements Policy; the oracle changes residency only via Reveal.
 func (o *Oracle) EndEpoch() []int32 { return nil }
 
-// ObserveCounts tallies one epoch's access counts against the current
-// residency in bulk (see Frequency.ObserveCounts).
-func (o *Oracle) ObserveCounts(counts []int64) (hits, total int64) {
-	for id, c := range counts {
-		if c == 0 {
-			continue
-		}
-		total += c
-		if _, ok := o.slots[int32(id)]; ok {
-			hits += c
-		}
-	}
-	o.hits += hits
-	o.misses += total - hits
-	return hits, total
-}
-
 // Reveal installs the top-k of the upcoming epoch's access counts and
 // returns the newly inserted ids (whose rows must be loaded).
 func (o *Oracle) Reveal(futureCounts []int64) []int32 {
-	if o.capacity == 0 {
-		return nil
-	}
-	top := topK(futureCounts, o.capacity)
-	inTop := make(map[int32]bool, len(top))
-	for _, id := range top {
-		inTop[id] = true
-	}
-	for id, slot := range o.slots {
-		if !inTop[id] {
-			delete(o.slots, id)
-			o.free = append(o.free, slot)
-		}
-	}
-	var inserted []int32
-	for _, id := range top {
-		if _, ok := o.slots[id]; ok {
-			continue
-		}
-		if len(o.free) == 0 {
-			break
-		}
-		slot := o.free[len(o.free)-1]
-		o.free = o.free[:len(o.free)-1]
-		o.slots[id] = slot
-		inserted = append(inserted, id)
-	}
-	return inserted
+	return o.install(topK(futureCounts, o.capacity))
 }

@@ -58,39 +58,3 @@ func LeakyReLU(x, slope float64) float64 {
 	}
 	return slope * x
 }
-
-// LogSumExp returns log(sum(exp(xs))) stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(x - m)
-	}
-	return m + math.Log(s)
-}
-
-// MinInt and MaxInt avoid importing cmp for two call sites.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -176,18 +176,6 @@ func TestLeakyReLU(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Fatalf("LogSumExp got %v", got)
-	}
-	// Large inputs must not overflow.
-	got = LogSumExp([]float64{1000, 1000})
-	if math.Abs(got-(1000+math.Log(2))) > 1e-9 {
-		t.Fatalf("LogSumExp overflow handling: %v", got)
-	}
-}
-
 // The three tests below draw through WeightedSampler.SampleInto, the sampler
 // the adaptive neighbor selection runs.
 func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
@@ -282,11 +270,5 @@ func TestAliasPanics(t *testing.T) {
 			}()
 			NewAlias(weights)
 		}()
-	}
-}
-
-func TestMinMaxInt(t *testing.T) {
-	if MinInt(1, 2) != 1 || MaxInt(1, 2) != 2 {
-		t.Fatal("MinInt/MaxInt")
 	}
 }

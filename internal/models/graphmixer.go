@@ -87,7 +87,7 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	m.timeEnc.EncodeRows(phi.Data, dts.Data)
 
 	// Tokens exist for valid slots only; scattering them into the T·n layout
-	// is the padding mask (exact zero rows). The mixer's token mixing needs
+	// leaves exact zero rows at padding. The mixer's token mixing needs
 	// that layout, its channel mixing does not and hands back valid rows,
 	// which the mean reads against their slots.
 	tokens := m.tokenIn.ApplyParts(g, hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))

@@ -8,6 +8,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"taser/internal/autograd"
 	"taser/internal/tensor"
@@ -28,15 +29,11 @@ type LayerBlock struct {
 	EdgeFeat *tensor.Matrix
 	// DeltaT is the per-entry timespan t_target − t_edge, (T·Budget)×1.
 	DeltaT *tensor.Matrix
-	// Mask is 1 for valid entries, 0 for padding, T×Budget.
-	Mask *tensor.Matrix
-	// MaskBias is (Mask−1)·1e9, added to attention logits so padded entries
-	// vanish under softmax.
-	MaskBias *tensor.Matrix
 	// Valid lists the flat slot indices (i·Budget+j) of the valid entries,
-	// ascending. FinishMask builds it from Mask; the models run every
-	// per-neighbor stage on these rows only, so a Mask edited afterwards
-	// without another FinishMask fails Validate.
+	// strictly ascending: the one record of which slots are real. SetEntry
+	// alone writes it, so it cannot go stale; the models run every
+	// per-neighbor stage, the attention softmax included, on these slots
+	// only.
 	Valid []int32
 }
 
@@ -49,8 +46,6 @@ func NewLayerBlock(t, budget, edgeDim int) *LayerBlock {
 		NbrNodes:   make([]int32, t*budget),
 		EdgeFeat:   tensor.New(t*budget, edgeDim),
 		DeltaT:     tensor.New(t*budget, 1),
-		Mask:       tensor.New(t, budget),
-		MaskBias:   tensor.New(t, budget),
 		Valid:      make([]int32, 0, t*budget),
 	}
 }
@@ -75,8 +70,6 @@ func (b *LayerBlock) Reset(t, budget, edgeDim int) {
 	}
 	b.EdgeFeat.ResizeUninit(n, edgeDim)
 	b.DeltaT.Resize(n, 1)
-	b.Mask.Resize(t, budget)
-	b.MaskBias.Resize(t, budget)
 	b.Valid = b.Valid[:0]
 }
 
@@ -85,44 +78,39 @@ func (b *LayerBlock) SetEntry(i, j int, node int32, deltaT float64) {
 	s := i*b.Budget + j
 	b.NbrNodes[s] = node
 	b.DeltaT.Data[s] = deltaT
-	b.Mask.Data[s] = 1
-	b.MaskBias.Data[s] = 0
+	b.Valid = AddSlot(b.Valid, int32(s))
 }
 
-// FinishMask must be called after all SetEntry calls: it writes the −1e9
-// bias for every slot that remained padding and indexes the others in Valid.
-func (b *LayerBlock) FinishMask() {
-	b.Valid = b.Valid[:0]
-	for s, v := range b.Mask.Data {
-		if v == 0 {
-			b.MaskBias.Data[s] = -1e9
-			b.NbrNodes[s] = -1
-		} else {
-			b.Valid = append(b.Valid, int32(s))
-		}
+// FinishMask marks every slot Valid does not name as padding (NbrNodes −1);
+// call it after the SetEntry calls that fill the block.
+func (b *LayerBlock) FinishMask() { MarkPadding(b.NbrNodes, b.Valid) }
+
+// AddSlot adds slot s to the strictly ascending slot index valid, unless it
+// is already there, and returns the index — an append when s is above every
+// slot named so far, as when a producer fills its slots in order. It is how
+// LayerBlock.SetEntry and the adaptive sampler's CandidateSet.SetEntry keep
+// their Valid, in any call order.
+func AddSlot(valid []int32, s int32) []int32 {
+	if n := len(valid); n == 0 || valid[n-1] < s {
+		return append(valid, s)
 	}
+	i, found := slices.BinarySearch(valid, s)
+	if found {
+		return valid
+	}
+	return slices.Insert(valid, i, s)
 }
 
-// CheckValid reports whether valid is exactly the ascending list of mask's
-// nonzero slots — the invariant FinishMask establishes, here and on the
-// adaptive sampler's CandidateSet. The compact forward reads only the rows
-// valid names, so a mask edited behind FinishMask's back must fail loudly
-// instead of silently dropping (or admitting) a slot.
-func CheckValid(mask *tensor.Matrix, valid []int32) error {
-	n := 0
-	for s, v := range mask.Data {
-		if v == 0 {
+// MarkPadding writes −1 into ids at every slot the ascending index valid
+// does not name.
+func MarkPadding(ids, valid []int32) {
+	for s := range ids {
+		if len(valid) > 0 && valid[0] == int32(s) {
+			valid = valid[1:]
 			continue
 		}
-		if n >= len(valid) || valid[n] != int32(s) {
-			return fmt.Errorf("models: valid-slot index is stale at mask slot %d (FinishMask not called after the last mask edit?)", s)
-		}
-		n++
+		ids[s] = -1
 	}
-	if n != len(valid) {
-		return fmt.Errorf("models: valid-slot index lists %d slots, mask has %d", len(valid), n)
-	}
-	return nil
 }
 
 // MiniBatch is the fully materialized input of one TGNN forward pass.
@@ -139,8 +127,7 @@ type MiniBatch struct {
 	LeafFeat *tensor.Matrix
 }
 
-// Validate checks the layout invariant and every block's valid-slot index;
-// models call it before forward.
+// Validate checks the layout invariant; models call it before forward.
 func (mb *MiniBatch) Validate() error {
 	if len(mb.Layers) == 0 {
 		return fmt.Errorf("models: minibatch has no layers")
@@ -151,11 +138,6 @@ func (mb *MiniBatch) Validate() error {
 		if inner.NumTargets != want {
 			return fmt.Errorf("models: layer %d has %d targets, want %d (outer targets+neighbors)",
 				k-1, inner.NumTargets, want)
-		}
-	}
-	for k, blk := range mb.Layers {
-		if err := CheckValid(blk.Mask, blk.Valid); err != nil {
-			return fmt.Errorf("layer %d: %w", k, err)
 		}
 	}
 	leaf := mb.Layers[0]
@@ -177,8 +159,9 @@ type CoTrainInfo struct {
 	Budget int
 	Out    *autograd.Var // roots×d final embeddings
 
-	// TGAT (Eq. 25): normalized attention and raw scores over every slot,
-	// and the value rows of the valid slots only.
+	// TGAT (Eq. 25): normalized attention and raw scores in the roots×n
+	// layout, +0 at padded slots, and the value rows of the valid slots
+	// only.
 	Attn   *autograd.Var // roots×n
 	Scores *autograd.Var // roots×n (unnormalized a_ij)
 	Vals   *autograd.Var // len(Slots)×d

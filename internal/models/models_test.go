@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,65 +70,34 @@ func TestMiniBatchValidate(t *testing.T) {
 	}
 }
 
+// TestLayerBlockMasking: SetEntry alone writes Valid, and keeps it strictly
+// ascending and free of repeats in any call order — out of order, repeated,
+// and after FinishMask — with −1 in NbrNodes on exactly the slots it does
+// not name once FinishMask has run. A recycled block starts empty.
 func TestLayerBlockMasking(t *testing.T) {
 	b := NewLayerBlock(2, 3, 0)
-	b.SetEntry(0, 0, 7, 1.5)
 	b.SetEntry(1, 2, 9, 0.5)
+	b.SetEntry(0, 0, 7, 1.5)
+	b.SetEntry(1, 2, 8, 0.25) // a repeat overwrites, and indexes nothing new
+	b.SetEntry(0, 1, 6, 2)
 	b.FinishMask()
-	if b.Mask.At(0, 0) != 1 || b.Mask.At(0, 1) != 0 {
-		t.Fatal("mask")
+	b.SetEntry(1, 0, 5, 3) // after FinishMask
+	want := map[int32]int32{0: 7, 1: 6, 3: 5, 5: 8}
+	if fmt.Sprint(b.Valid) != "[0 1 3 5]" {
+		t.Fatalf("valid-slot index %v, want [0 1 3 5]", b.Valid)
 	}
-	if b.MaskBias.At(0, 0) != 0 || b.MaskBias.At(0, 1) != -1e9 {
-		t.Fatal("mask bias")
+	for s, node := range b.NbrNodes {
+		if w, ok := want[int32(s)]; !ok && node != -1 || ok && node != w {
+			t.Fatalf("NbrNodes %v: want %v at the named slots and -1 elsewhere", b.NbrNodes, want)
+		}
 	}
-	if b.NbrNodes[0] != 7 || b.NbrNodes[1] != -1 {
-		t.Fatal("padding node ids must be -1")
+	if b.DeltaT.Data[5] != 0.25 {
+		t.Fatalf("repeated entry's Δt %v, want the last write", b.DeltaT.Data[5])
 	}
-	if len(b.Valid) != 2 || b.Valid[0] != 0 || b.Valid[1] != 5 {
-		t.Fatalf("valid-slot index %v, want [0 5]", b.Valid)
-	}
-	// A finished block may take more entries; FinishMask re-indexes.
-	b.SetEntry(0, 2, 3, 2.5)
-	b.FinishMask()
-	if len(b.Valid) != 3 || b.Valid[1] != 2 || b.MaskBias.At(0, 2) != 0 {
-		t.Fatalf("re-finished index %v", b.Valid)
-	}
-	// And a recycled block starts empty.
 	b.Reset(1, 2, 0)
 	b.FinishMask()
-	if len(b.Valid) != 0 {
-		t.Fatalf("reset block indexes %v", b.Valid)
-	}
-}
-
-// TestStaleValidIndexFailsValidate: the compact forward reads only the rows
-// Valid names, so a mask edited behind FinishMask's back must be refused,
-// whichever way it drifted.
-func TestStaleValidIndexFailsValidate(t *testing.T) {
-	rng := mathx.NewRNG(31)
-	for name, edit := range map[string]func(b *LayerBlock){
-		"cleared": func(b *LayerBlock) { b.Mask.Data[b.Valid[1]] = 0 },
-		"set":     func(b *LayerBlock) { b.Mask.Data[1] = 1 },
-		"moved":   func(b *LayerBlock) { b.Mask.Data[b.Valid[0]] = 0; b.Mask.Data[1] = 1 },
-		"short":   func(b *LayerBlock) { b.Valid = b.Valid[:len(b.Valid)-1] },
-	} {
-		mb := buildMiniBatchWhere(rng, 2, 1, 3, 2, 2, func(k, i, j int) bool { return j != 1 })
-		if err := mb.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		edit(mb.Layers[0])
-		if err := mb.Validate(); err == nil {
-			t.Fatalf("%s: a mask that disagrees with Valid must fail validation", name)
-		}
-		m := NewGraphMixer(GraphMixerConfig{NodeDim: 2, EdgeDim: 2, HiddenDim: 4, TimeDim: 3, Budget: 3}, rng)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Forward must panic on a stale index", name)
-				}
-			}()
-			m.Forward(autograd.New(), mb)
-		}()
+	if len(b.Valid) != 0 || b.NbrNodes[0] != -1 || b.NbrNodes[1] != -1 {
+		t.Fatalf("reset block indexes %v with nodes %v", b.Valid, b.NbrNodes)
 	}
 }
 
@@ -177,7 +147,7 @@ func TestTGATZeroWidthFeatures(t *testing.T) {
 
 func TestTGATPaddingDoesNotAffectOutput(t *testing.T) {
 	// Changing the edge features / Δt of a PADDED slot must not change the
-	// output at all (mask correctness).
+	// output at all (only the slots Valid names are read).
 	rng := mathx.NewRNG(4)
 	cfg := TGATConfig{NodeDim: 2, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: 1, Budget: 3}
 	m := NewTGAT(cfg, rng)

@@ -37,6 +37,17 @@ func maskRows(g *autograd.Graph, x *autograd.Var, mask *tensor.Matrix) *autograd
 	return g.Mul(x, g.Const(wide))
 }
 
+// paddingMask is what the padded forwards mask with, built from the block's
+// valid-slot index: the 0/1 mask and the (mask−1)·1e9 logit bias, T×n each.
+func paddingMask(block *LayerBlock) (mask, bias *tensor.Matrix) {
+	mask, bias = tensor.New(block.NumTargets, block.Budget), tensor.New(block.NumTargets, block.Budget)
+	bias.Fill(-1e9)
+	for _, s := range block.Valid {
+		mask.Data[s], bias.Data[s] = 1, 0
+	}
+	return mask, bias
+}
+
 // paddedSplit is splitTargetsNbrs over every slot.
 func paddedSplit(g *autograd.Graph, h *autograd.Var, t, n int) (hT, hN *autograd.Var) {
 	idxN := allRows(t * n)
@@ -65,8 +76,9 @@ func paddedTGATLayers(m *TGAT, g *autograd.Graph, mb *MiniBatch) (hs []*autograd
 		keys := layer.wk.Apply(g, msg)
 		vals := layer.wv.Apply(g, msg)
 		scores := g.Scale(g.GroupedScore(q, keys, allRows(t*n), n), 1/math.Sqrt(float64(n)))
-		scores = g.Add(scores, g.Const(block.MaskBias))
-		attn := g.Mul(g.SoftmaxRows(scores), g.Const(block.Mask))
+		mask, bias := paddingMask(block)
+		scores = g.Add(scores, g.Const(bias))
+		attn := g.Mul(g.SoftmaxSlots(scores, allRows(t*n)), g.Const(mask))
 		agg := g.GroupedWeightedSum(attn, vals, allRows(t*n), n)
 		h = g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
 		hs = append(hs, h)
@@ -83,10 +95,11 @@ func paddedGraphMixerForward(m *GraphMixer, g *autograd.Graph, mb *MiniBatch) *a
 		m.timeEnc.Encode(phi.Row(i), block.DeltaT.Data[i])
 	}
 	tokens := g.ConcatCols(hN, g.Const(block.EdgeFeat), g.Const(phi))
-	tokens = maskRows(g, m.tokenIn.Apply(g, tokens), block.Mask)
+	mask, _ := paddingMask(block)
+	tokens = maskRows(g, m.tokenIn.Apply(g, tokens), mask)
 	// With every row listed as valid the mixer's channel mixing runs on the
 	// full layout too.
-	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), block.Mask)
+	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), mask)
 	mean := g.GroupMean(mixed, allRows(t*n), t, n)
 	return g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
 }
@@ -105,8 +118,8 @@ func oracleBatches(rng *mathx.RNG, roots, layers, budget, nodeDim, edgeDim int) 
 	}
 	for _, mb := range out {
 		for _, block := range mb.Layers {
-			for s, v := range block.Mask.Data {
-				if v == 0 {
+			for s, node := range block.NbrNodes {
+				if node < 0 {
 					block.DeltaT.Data[s] = 100 * rng.Float64()
 					for c := range block.EdgeFeat.Row(s) {
 						block.EdgeFeat.Row(s)[c] = rng.NormFloat64()

@@ -157,12 +157,10 @@ func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info
 
 	// Scaled dot-product attention within each neighborhood (Eq. 7). The
 	// reductions read the key and value rows against their slots of the t·n
-	// layout; a padded slot scores +0 and is masked out before and after
-	// the softmax.
+	// layout, and the softmax normalizes over those slots only: a padded
+	// slot scores +0 and gets weight +0.
 	scores := g.Scale(g.GroupedScore(q, keys, slots, n), 1/math.Sqrt(float64(n)))
-	scores = g.Add(scores, g.GatherRows(g.Const(block.MaskBias), live))
-	attn := g.SoftmaxRows(scores)
-	attn = g.Mul(attn, g.GatherRows(g.Const(block.Mask), live))
+	attn := g.SoftmaxSlots(scores, slots)
 	agg := g.GroupedWeightedSum(attn, vals, slots, n)
 
 	if k == len(mb.Layers)-1 {

@@ -121,7 +121,7 @@ type MixerBlock struct {
 // matching the ratios in the MLP-Mixer paper at this scale.
 func NewMixerBlock(k, c, tokenHidden, channelHidden int, rng *mathx.RNG) *MixerBlock {
 	if tokenHidden <= 0 {
-		tokenHidden = mathx.MaxInt(1, k/2)
+		tokenHidden = max(1, k/2)
 	}
 	if channelHidden <= 0 {
 		channelHidden = 4 * c

@@ -159,7 +159,7 @@ func (sc *fillScratch) floats(n int) []float64 {
 
 // fillMostRecent writes the newest min(budget, pivot) entries, newest first.
 func fillMostRecent(out *Result, i int, nbr []int32, ts []float64, eid []int32, pivot, budget int) {
-	k := mathx.MinInt(budget, pivot)
+	k := min(budget, pivot)
 	for j := 0; j < k; j++ {
 		s := out.Slot(i, j)
 		idx := pivot - 1 - j
@@ -176,7 +176,7 @@ func fillMostRecent(out *Result, i int, nbr []int32, ts []float64, eid []int32, 
 // line 13) and a partial Fisher–Yates when it is not, so the cost stays
 // bounded near k ≈ pivot.
 func fillUniform(out *Result, i int, nbr []int32, ts []float64, eid []int32, pivot, budget int, rng *mathx.RNG, sc *fillScratch) {
-	k := mathx.MinInt(budget, pivot)
+	k := min(budget, pivot)
 	switch {
 	case k == pivot:
 		for j := 0; j < k; j++ {
@@ -226,7 +226,7 @@ func fillUniform(out *Result, i int, nbr []int32, ts []float64, eid []int32, piv
 // fillInverseTimespan draws min(budget, pivot) distinct entries with
 // probability ∝ 1/(Δt + 1), the TGAT heuristic for deprecated links.
 func fillInverseTimespan(out *Result, i int, nbr []int32, ts []float64, eid []int32, pivot, budget int, tTarget float64, rng *mathx.RNG, sc *fillScratch) {
-	k := mathx.MinInt(budget, pivot)
+	k := min(budget, pivot)
 	weights := sc.floats(pivot)
 	for j := 0; j < pivot; j++ {
 		weights[j] = 1 / (tTarget - ts[j] + 1)

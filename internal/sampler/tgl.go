@@ -107,7 +107,7 @@ func (f *TGLFinder) parallelTargets(n int, body func(worker, i int)) {
 		if lo >= n {
 			break
 		}
-		hi := mathx.MinInt(lo+chunk, n)
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()

@@ -7,38 +7,79 @@ import (
 
 // Row kernels. Degenerate shapes are uniform across the package: a kernel
 // whose input has zero rows or zero columns is a no-op (there is nothing to
-// read or write — SoftmaxRowsInto in particular must not index in[0] of an
-// empty row), while an invalid grouping parameter (group ≤ 0) panics with an
-// explicit message. Inner loops hoist their bounds: every slice indexed by
-// the loop variable is pre-sliced to the range length, so the compiler
-// eliminates the per-element checks (scripts/bce_check.sh guards this).
+// read or write — SoftmaxSlotsInto in particular must not index the first
+// named element of an empty row), while an invalid grouping parameter
+// (group ≤ 0) panics with an explicit message. Inner loops hoist their
+// bounds: every slice indexed by the loop variable is pre-sliced to the range
+// length, so the compiler eliminates the per-element checks
+// (scripts/bce_check.sh guards this).
 
-// SoftmaxRowsInto writes the row-wise softmax of src into dst (may alias).
-// Zero-column input is a no-op.
-func SoftmaxRowsInto(dst, src *Matrix) {
-	src.shapeCheck(dst, "SoftmaxRows")
-	if src.Cols == 0 {
-		return
-	}
+// SoftmaxSlotsInto writes into each row of dst the softmax of src's row over
+// the row's named slots, or with log its log-softmax: slot s is element s of
+// the row-major data, in row s / src.Cols, and slots is strictly ascending.
+// On the named slots it computes the plain row softmax's arithmetic — their
+// max, exp(x − max) summed in ascending slot order, then ×(1/sum), or
+// x − (max + log(sum)) — and writes +0 everywhere else, so a row without a
+// named slot is all +0. dst must not alias src.
+//
+// Each row walks its positions against its run of named slots with one
+// cursor, so no element access goes through the index. On a layout holding
+// −1e9 where the index names nothing, naming every slot instead (the padded
+// oracles' call) only adds exp terms that underflow to +0, which change no
+// sum that started at +0.
+func SoftmaxSlotsInto(dst, src *Matrix, slots []int32, log bool) {
+	src.shapeCheck(dst, "SoftmaxSlots")
+	checkSlots("SoftmaxSlots", slots, len(src.Data))
 	c := src.Cols
+	r := 0
 	for i := 0; i < src.Rows; i++ {
+		end := groupEnd(slots, r, i, c)
+		named := slots[r:end]
+		r = end
 		in := src.Data[i*c : i*c+c]
 		out := dst.Data[i*c : i*c+c][:len(in)]
-		m := in[0]
-		for _, v := range in[1:] {
-			if v > m {
-				m = v
+		if len(named) == 0 {
+			clear(out)
+			continue
+		}
+		base := int32(i * c)
+		m := in[named[0]-base]
+		rest := named
+		for j, v := range in {
+			if len(rest) > 0 && rest[0]-base == int32(j) {
+				if v > m {
+					m = v
+				}
+				rest = rest[1:]
 			}
 		}
 		var sum float64
+		rest = named
 		for j, v := range in {
-			e := math.Exp(v - m)
-			out[j] = e
-			sum += e
+			out[j] = 0
+			if len(rest) > 0 && rest[0]-base == int32(j) {
+				e := math.Exp(v - m)
+				if !log {
+					out[j] = e
+				}
+				sum += e
+				rest = rest[1:]
+			}
 		}
-		inv := 1 / sum
-		for j := range out {
-			out[j] *= inv
+		if !log {
+			inv := 1 / sum
+			for j := range out {
+				out[j] *= inv // +0 stays +0
+			}
+			continue
+		}
+		lse := m + math.Log(sum)
+		rest = named
+		for j, v := range in {
+			if len(rest) > 0 && rest[0]-base == int32(j) {
+				out[j] = v - lse
+				rest = rest[1:]
+			}
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // TestRowKernelsDegenerateShapes pins the uniform degenerate-shape policy:
-// zero rows or zero columns are a no-op (SoftmaxRowsInto used to panic
+// zero rows or zero columns are a no-op (the softmax kernel used to panic
 // indexing in[0] of an empty row), and LayerNorm writes no statistics for
 // zero-width rows.
 func TestRowKernelsDegenerateShapes(t *testing.T) {
 	// Zero columns.
-	SoftmaxRowsInto(New(3, 0), New(3, 0))
+	SoftmaxSlotsInto(New(3, 0), New(3, 0), nil, false)
 	mean := []float64{-7, -7, -7}
 	invStd := []float64{-7, -7, -7}
 	LayerNormRowsInto(New(3, 0), New(3, 0), New(1, 0), New(1, 0), mean, invStd, 1e-5)
@@ -25,7 +25,7 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 		}
 	}
 	// Zero rows.
-	SoftmaxRowsInto(New(0, 5), New(0, 5))
+	SoftmaxSlotsInto(New(0, 5), New(0, 5), nil, true)
 	LayerNormRowsInto(New(0, 5), New(0, 5), New(1, 5), New(1, 5), nil, nil, 1e-5)
 
 	// Zero-width grouped kernels.

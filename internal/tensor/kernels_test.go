@@ -19,44 +19,72 @@ func everySlot(n int) []int32 {
 	return slots
 }
 
+// TestSoftmaxRows: with every slot named SoftmaxSlotsInto is the row
+// softmax (log: log-softmax); row 2 names its middle slot alone.
 func TestSoftmaxRows(t *testing.T) {
-	src := FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
-	dst := New(2, 3)
-	SoftmaxRowsInto(dst, src)
+	src := FromSlice(3, 3, []float64{1, 2, 3, 1000, 1000, 1000, 7, -4, 9})
+	slots := []int32{0, 1, 2, 3, 4, 5, 7}
+	dst, logDst := New(3, 3), New(3, 3)
+	SoftmaxSlotsInto(dst, src, slots, false)
+	SoftmaxSlotsInto(logDst, src, slots, true)
 	// Row 0: known values.
 	e1, e2, e3 := math.Exp(1.0), math.Exp(2.0), math.Exp(3.0)
 	sum := e1 + e2 + e3
 	want := []float64{e1 / sum, e2 / sum, e3 / sum}
 	for j, w := range want {
-		if math.Abs(dst.At(0, j)-w) > 1e-12 {
-			t.Fatalf("softmax[0][%d]=%v want %v", j, dst.At(0, j), w)
+		if math.Abs(dst.At(0, j)-w) > 1e-12 || math.Abs(logDst.At(0, j)-math.Log(w)) > 1e-12 {
+			t.Fatalf("softmax[0][%d]=%v, log %v, want %v", j, dst.At(0, j), logDst.At(0, j), w)
 		}
 	}
 	// Row 1: overflow-safe uniform.
 	for j := 0; j < 3; j++ {
-		if math.Abs(dst.At(1, j)-1.0/3) > 1e-12 {
+		if math.Abs(dst.At(1, j)-1.0/3) > 1e-12 || math.Abs(logDst.At(1, j)+math.Log(3)) > 1e-12 {
 			t.Fatal("softmax must be stable for large inputs")
+		}
+	}
+	// Row 2: one named slot takes all the mass; the others are +0.
+	for j, w := range []float64{0, 1, 0} {
+		if math.Float64bits(dst.At(2, j)) != math.Float64bits(w) || math.Float64bits(logDst.At(2, j)) != 0 {
+			t.Fatalf("softmax[2][%d]=%v, log %v, want %v and +0", j, dst.At(2, j), logDst.At(2, j), w)
 		}
 	}
 }
 
+// TestSoftmaxRowsSumToOneProperty: over a random subset of slots, each row's
+// named slots sum to one and every other element is exactly +0.
 func TestSoftmaxRowsSumToOneProperty(t *testing.T) {
 	rng := mathx.NewRNG(11)
 	err := quick.Check(func(seed uint64) bool {
 		r := 1 + int(seed%6)
 		c := 1 + int((seed>>8)%8)
 		src := Randn(r, c, 3, rng)
+		var slots []int32
+		named := make([]bool, r*c)
+		for s := range named {
+			if named[s] = rng.Float64() < 0.6; named[s] {
+				slots = append(slots, int32(s))
+			}
+		}
 		dst := New(r, c)
-		SoftmaxRowsInto(dst, src)
+		dst.Fill(7) // the kernel writes every element
+		SoftmaxSlotsInto(dst, src, slots, false)
 		for i := 0; i < r; i++ {
 			var s float64
-			for _, v := range dst.Row(i) {
+			any := false
+			for j, v := range dst.Row(i) {
+				if !named[i*c+j] {
+					if math.Float64bits(v) != 0 {
+						return false
+					}
+					continue
+				}
 				if v < 0 || v > 1 {
 					return false
 				}
 				s += v
+				any = true
 			}
-			if math.Abs(s-1) > 1e-9 {
+			if any && math.Abs(s-1) > 1e-9 {
 				return false
 			}
 		}

@@ -75,9 +75,9 @@ func (m *Matrix) Clone() *Matrix {
 // matrices across training steps without reallocating.
 //
 // The zero-fill is a contract, not an optimization detail: recycled buffers
-// hold a previous use's data, and every consumer of a resized matrix — a mask
-// SetEntry marks slot by slot before FinishMask reads every slot of it —
-// assumes a fresh-New state. This includes the region beyond the previous length when a
+// hold a previous use's data, and every consumer of a resized matrix — a
+// timespan column SetEntry writes slot by slot, whose padding must read
+// zero — assumes a fresh-New state. This includes the region beyond the previous length when a
 // matrix grows within its capacity: Go reslicing does NOT clear it, so Resize
 // must (TestResizeZeroFillsGrownRegion pins this).
 func (m *Matrix) Resize(r, c int) *Matrix {

@@ -46,8 +46,6 @@ func requireBlocksEqual(t *testing.T, got, want *models.LayerBlock, layer int) {
 	}
 	for name, pair := range map[string][2]*tensor.Matrix{
 		"DeltaT":   {got.DeltaT, want.DeltaT},
-		"Mask":     {got.Mask, want.Mask},
-		"MaskBias": {got.MaskBias, want.MaskBias},
 		"EdgeFeat": {got.EdgeFeat, want.EdgeFeat},
 	} {
 		requireSameBits(t, fmt.Sprintf("layer %d %s", layer, name), pair[0], pair[1])
@@ -159,7 +157,7 @@ func TestInferenceBuilderSwapGraph(t *testing.T) {
 	}
 	roots := []sampler.Target{{Node: late.Src, Time: late.Time + 1}}
 	mb := ib.Build(roots)
-	if mb.Layers[0].Mask.Data[0] != 0 {
+	if len(mb.Layers[0].Valid) != 0 {
 		t.Fatal("node must have an empty neighborhood in the half snapshot")
 	}
 	ib.Release(mb)
@@ -174,7 +172,7 @@ func TestInferenceBuilderSwapGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	mb = ib.Build(roots)
-	if mb.Layers[0].Mask.Data[0] != 1 {
+	if len(mb.Layers[0].Valid) == 0 || mb.Layers[0].Valid[0] != 0 {
 		t.Fatal("after SwapGraph the new events must be sampleable")
 	}
 	ib.Release(mb)

@@ -36,7 +36,7 @@ func TestNoTemporalLeakage(t *testing.T) {
 			for i := range targets {
 				for j := 0; j < block.Budget; j++ {
 					s := i*block.Budget + j
-					if block.Mask.Data[s] == 0 {
+					if block.NbrNodes[s] < 0 {
 						continue
 					}
 					dt := block.DeltaT.Data[s]

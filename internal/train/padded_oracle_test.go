@@ -34,8 +34,13 @@ func paddedTGAT(g *autograd.Graph, params []*autograd.Var, mb *models.MiniBatch)
 		q := g.Affine(g.ConcatCols(hT, timeEnc(tensor.New(t, 1))), p[2], p[3])
 		keys, vals := g.Affine(msg, p[4], p[5]), g.Affine(msg, p[6], p[7])
 		scores := g.Scale(g.GroupedScore(q, keys, rowsFrom(0, t*n), n), 1/math.Sqrt(float64(n)))
-		scores = g.Add(scores, g.Const(block.MaskBias))
-		attn := g.Mul(g.SoftmaxRows(scores), g.Const(block.Mask))
+		mask, bias := tensor.New(t, n), tensor.New(t, n) // from the valid-slot index
+		bias.Fill(-1e9)
+		for _, s := range block.Valid {
+			mask.Data[s], bias.Data[s] = 1, 0
+		}
+		scores = g.Add(scores, g.Const(bias))
+		attn := g.Mul(g.SoftmaxSlots(scores, rowsFrom(0, t*n)), g.Const(mask))
 		agg := g.GroupedWeightedSum(attn, vals, rowsFrom(0, t*n), n)
 		h = g.GELU(g.Affine(g.ConcatCols(agg, hT), p[8], p[9]))
 	}

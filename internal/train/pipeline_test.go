@@ -273,8 +273,9 @@ func TestPipelinedLossDecreases(t *testing.T) {
 }
 
 // TestPoolRoundTrip checks that recycled buffers come back with what the fill
-// reads cleared — masks, ids — and reshaped (the property the equivalence test
-// relies on). Feature rows are the slice's to write: TestPooledBuildEqualsFresh.
+// reads cleared — valid-slot indexes, ids — and reshaped (the property the
+// equivalence test relies on). Feature rows are the slice's to write:
+// TestPooledBuildEqualsFresh.
 func TestPoolRoundTrip(t *testing.T) {
 	p := newBuildPool()
 	blk := p.getBlock(3, 2, 4)
@@ -285,15 +286,8 @@ func TestPoolRoundTrip(t *testing.T) {
 	if blk2 != blk {
 		t.Fatal("expected the pooled block back")
 	}
-	for s, v := range blk2.Mask.Data {
-		if v != 0 {
-			t.Fatalf("recycled mask slot %d not zeroed: %v", s, v)
-		}
-	}
-	for s, v := range blk2.MaskBias.Data {
-		if v != 0 {
-			t.Fatalf("recycled mask bias slot %d not zeroed: %v", s, v)
-		}
+	if len(blk2.Valid) != 0 {
+		t.Fatalf("recycled block indexes %v", blk2.Valid)
 	}
 	for s, v := range blk2.NbrNodes {
 		if v != 0 {
@@ -315,9 +309,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	if cs2 != cs {
 		t.Fatal("expected the pooled candidate set back")
 	}
-	for s, v := range cs2.Mask.Data {
-		if v != 0 {
-			t.Fatalf("recycled candidate mask slot %d not zeroed: %v", s, v)
-		}
+	if len(cs2.Valid) != 0 {
+		t.Fatalf("recycled candidate set indexes %v", cs2.Valid)
 	}
 }

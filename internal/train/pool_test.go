@@ -66,8 +66,6 @@ func TestPooledBuildEqualsFresh(t *testing.T) {
 		"NodeFeat":   {gotSet.NodeFeat, wantSet.NodeFeat},
 		"EdgeFeat":   {gotSet.EdgeFeat, wantSet.EdgeFeat},
 		"TargetFeat": {gotSet.TargetFeat, wantSet.TargetFeat},
-		"Mask":       {gotSet.Mask, wantSet.Mask},
-		"MaskBias":   {gotSet.MaskBias, wantSet.MaskBias},
 	} {
 		requireSameBits(t, "candidate "+name, pair[0], pair[1])
 	}

@@ -24,6 +24,8 @@
 # GroupMeanInto) and ScatterRowsInto read a slot index: the slot lookup and
 # the score or weight position it names are data-dependent and keep their
 # checks, once per slot (per row), never inside a per-element loop.
+# SoftmaxSlotsInto walks each row's positions against its run of named slots
+# with a cursor, so its checks are per row and its element loops carry none.
 #
 # If the diff is legitimate (a kernel changed shape and its setup checks
 # moved), regenerate the allowlist with:  scripts/bce_check.sh -update
