@@ -6,9 +6,7 @@ GO ?= go
 
 all: build test
 
-# Non-test Go lines per package and in total — the number ROADMAP aim 2 and
-# the CHANGES.md entries of simplification PRs report before/after.
-# benchmark/ is a module of its own and is not counted.
+# Non-test Go lines per package and in total (benchmark/, a module of its own, is not counted).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' \
 		| xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
@@ -20,111 +18,70 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The dense-matmul tile and the GELU kernel are assembly on amd64 only; every
-# other platform runs the tile's Go twin and the GELUTanh loop behind a build
-# constraint. Cross-compile (and vet the kernel packages, asmdecl included,
-# and the ones whose linear layers run the tile over column parts) so that
-# side of the constraint cannot rot.
+# Builds and vets the pure-Go side of the kernels' build constraint, which amd64 never compiles.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/mathx ./internal/encoding ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive
 
-# Tier-1 verification: vet plus the full suite under the race detector
-# (the pipelined training loop is concurrent; -race is the contract).
-# The tests that train real models — internal/bench's one smoke per
-# registered experiment (~15 s without -race) and its default-profile claim
-# test (~25 s), internal/train's trajectory pins and pipeline-equivalence
-# tests (~10 s) — slow severalfold under -race on few-core machines; hence
-# the generous timeout.
+# Vet plus the full suite under -race; the model-training tests need the long timeout on few cores.
 test: vet
 	$(GO) test -race -timeout=45m ./...
 
-# The execution stack with every arena poisoned (DESIGN.md §7): op outputs
-# are checked out un-zeroed, so an op that forgets to write an element reads
-# NaN there and fails a loss, trajectory pin or oracle comparison.
+# The execution stack on NaN-poisoned arenas, so an unwritten output element fails a pin (DESIGN.md §6).
 test-poison:
 	TASER_ARENA_POISON=1 $(GO) test -count=1 ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive ./internal/train
 
-# Smoke-check every step benchmark with allocation accounting. The output is
-# benchstat-compatible: save it per commit and compare with
-#   benchstat old.txt new.txt
+# One iteration of every step benchmark with allocations; the output is benchstat-compatible.
 bench:
 	$(GO) test -run='^$$' -bench=Step -benchmem -benchtime=1x
 
-# Steady-state numbers for the step and build-path benchmarks (slower).
+# Steady-state step, finder and build-path numbers (slower).
 bench-full:
 	$(GO) test -run='^$$' -bench='Step|Finder' -benchmem -benchtime=20x
 	$(GO) test ./internal/train -run='^$$' -bench=Build -benchmem -benchtime=200x
 
-# Online inference: pretrain briefly, then serve the HTTP/JSON API
-# (see cmd/taser-serve for endpoints and DESIGN.md §5 for the architecture).
-# Set WAL_DIR=/path to serve durably: every ingested event is write-ahead
-# logged and the engine recovers the stream on restart (DESIGN.md §9).
+# Pretrains briefly and serves the HTTP API on :8080; WAL_DIR=/path serves durably (DESIGN.md §9, §11).
 serve:
 	$(GO) run ./cmd/taser-serve -dataset wikipedia -scale 0.1 -epochs 2 -addr :8080 $(if $(WAL_DIR),-wal-dir $(WAL_DIR))
 
-# Bounds-check-elimination guard: rebuild internal/tensor with
-# -d=ssa/check_bce and fail if the residual check sites drift from
-# scripts/bce_allowlist.txt (run with -update after intentional changes).
+# Fails when internal/tensor's bounds-check sites drift from scripts/bce_allowlist.txt (DESIGN.md §6).
 bce-check:
 	bash scripts/bce_check.sh
 
-# The benchmark (BENCHMARK.json, benchmark/) is a module of its own that
-# compiles against this tree's models/adaptive/autograd/train/serve API and is
-# outside `go build ./...`: vet it and run its self-test (toy sizes, ~5 s) so
-# an API change that breaks it fails here, not in the benchmark driver.
+# Vets and self-tests benchmark/, a module outside `go build ./...`, so an API change that breaks it fails here.
 benchmark-selftest:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Compare two run-sets made by `bash benchmark/run.sh set LABEL ...` (which
-# also builds .bench_build/taser-benchmark): medians, quartiles, how much
-# worse CHANGE is than BASE per metric and workload, against BENCHMARK.json's
-# bounds; exit 1 on a breach.
-#   make bench-compare BASE=benchmark/out/base CHANGE=benchmark/out/change
+# Compares two run-sets of `bash benchmark/run.sh set` against BENCHMARK.json's bounds; exits 1 on a breach.
 bench-compare:
 	@test -n "$(BASE)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare BASE=<dir> CHANGE=<dir>" >&2; exit 2; }
 	.bench_build/taser-benchmark -compare $(BASE) $(CHANGE)
 
-# Online fine-tuning on a drifted stream: frozen vs fine-tuned prequential
-# MRR, with weight publication measured as non-blocking (see DESIGN.md §8).
+# Frozen vs fine-tuned prequential MRR on a drifted stream (DESIGN.md §10).
 bench-finetune:
 	$(GO) run ./cmd/taser-bench -exp finetune
 
-# Durability: recovery time vs stream length (crash = pure WAL replay,
-# clean = checkpoint load) and durable-ingest overhead (group commit vs
-# fsync-per-event) — see DESIGN.md §9 and EXPERIMENTS.md.
+# Recovery time vs stream length and durable-ingest overhead (DESIGN.md §11).
 bench-recover:
 	$(GO) run ./cmd/taser-bench -exp recover
 
-# Replication: follower catch-up time vs stream length (WAL tail vs shipped
-# checkpoint) and steady-state lag vs leader ingest rate — see DESIGN.md §11
-# and EXPERIMENTS.md.
+# Follower catch-up time vs stream length and steady-state lag vs ingest rate (DESIGN.md §12).
 bench-replicate:
 	$(GO) run ./cmd/taser-bench -exp replicate
 
-# Overload: open-loop (constant-arrival-rate) burst against a static engine
-# vs one running the SLO controller + admission gate (DESIGN.md §14). The
-# first run offers 2× the calibrated sustainable rate (the collapse-vs-SLO
-# comparison); the second forces the shed path with a far-offered rate and a
-# tiny queue so 429 + Retry-After accounting is exercised (EXPERIMENTS.md).
+# Open-loop bursts, static vs overload plane: at 2× the calibrated rate, then forced onto the shed path (DESIGN.md §14).
 bench-overload:
 	$(GO) run ./cmd/taser-bench -exp overload
 	$(GO) run ./cmd/taser-bench -exp overload -open-rate 10000 -open-queue 4
 
-# Overload smoke test over localhost: flag validation, a taser-serve with
-# tiny admission queues, a parallel burst that must shed with 429 +
-# Retry-After (mirrored in /v1/stats), post-burst recovery, and a SIGTERM
-# mid-burst that must drain cleanly (DESIGN.md §14).
+# Tiny-gate drill over localhost: a burst must shed with 429 + Retry-After, recover, and drain on SIGTERM.
 overload-smoke:
 	bash scripts/overload_smoke.sh
 
-# Two-process replication smoke test over localhost: leader + follower,
-# hard leader kill, promotion, demoted store re-joining (DESIGN.md §11).
+# Two-process hand-off drill over localhost: kill -9 the leader, promote, re-join (DESIGN.md §12).
 repl-smoke:
 	bash scripts/repl_smoke.sh
 
-# Sharded-serving smoke test over localhost: a 4-shard fleet, mixed
-# ingest/predict, kill -9, -recover restart, watermark + prediction
-# continuity (DESIGN.md §12).
+# Four-shard fleet drill over localhost: mixed traffic, kill -9, -recover, continuity (DESIGN.md §13).
 shard-smoke:
 	bash scripts/shard_smoke.sh

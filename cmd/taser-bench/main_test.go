@@ -2,31 +2,162 @@ package main
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"taser/internal/bench"
 )
 
-// TestDocumentedExperimentsAreRegistered: every `-exp NAME` a Makefile
-// target, a CI step or the verify skill drives must be in the registry, so
-// retiring or renaming an experiment cannot leave a dead entry point behind.
+// docFiles are the files whose citations tier-1 holds to the tree: the ones
+// that drive experiments, make targets and tests by name, and the two design
+// documents. benchmark/ is a module of its own and is not scanned.
+var docFiles = []string{"Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// TestDocumentedExperimentsAreRegistered: every name the docs cite exists —
+// an `-exp NAME` in the registry, a `make X` in code (not in prose or a
+// comment) among the Makefile's targets, a Test…/Fuzz…/Benchmark…/Example… name as a prefix of a function
+// in some _test.go, and a §N as a section of DESIGN.md — so retiring or
+// renaming one cannot leave a dead citation behind. The paper's sections are
+// roman (§III-B), so an arabic §N is DESIGN.md's wherever it appears; Go
+// comments and scripts are checked for those too.
 func TestDocumentedExperimentsAreRegistered(t *testing.T) {
-	expFlag := regexp.MustCompile(`-exp[ =]([a-z0-9-]+)`)
-	for _, path := range []string{"../../Makefile", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile(path)
+	const root = "../.."
+	targets := submatches(t, root+"/Makefile", `(?m)^([a-z][a-z0-9-]*):`)
+	sections := submatches(t, root+"/DESIGN.md", `(?m)^## (\d+)\. `)
+	tests := testFunctions(t, root)
+	checks := []struct {
+		what     string
+		cite     *regexp.Regexp
+		inCode   bool // in markdown, only code spans and blocks are scanned
+		anywhere bool // Go files and scripts are scanned too, not only docFiles
+		exists   func(string) bool
+	}{
+		{"an experiment", regexp.MustCompile(`-exp[ =]([a-z0-9-]+)`), false, false, func(name string) bool {
+			_, ok := bench.Lookup(name)
+			return ok || name == "all"
+		}},
+		{"a make target", regexp.MustCompile(`(?:^|\s)make[ \t]+([a-z][a-z0-9-]*)\b`), true, false, func(name string) bool { return targets[name] }},
+		{"a test", regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark|Example)[A-Z][A-Za-z0-9_]*)`), false, false, func(name string) bool {
+			for fn := range tests {
+				if strings.HasPrefix(fn, name) {
+					return true
+				}
+			}
+			return false
+		}},
+		{"a DESIGN.md section", regexp.MustCompile(`§(\d+)`), false, true, func(n string) bool { return sections[n] }},
+	}
+	comment := regexp.MustCompile(`(?m)(^|\s)#.*$`)
+	paths := append([]string(nil), docFiles...)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() && (hidden(d) || rel == "benchmark") {
+			return filepath.SkipDir
+		}
+		if ext := filepath.Ext(path); ext == ".go" || ext == ".sh" {
+			paths = append(paths, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(filepath.Join(root, path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range expFlag.FindAllSubmatch(text, -1) {
-			name := string(m[1])
-			if _, ok := bench.Lookup(name); !ok && name != "all" {
-				t.Errorf("%s drives -exp %s, which is not a registered experiment (%s)", path, name, bench.Names())
+		text := string(raw)
+		code := comment.ReplaceAllString(text, "$1") // Makefile, YAML and shell comments are prose
+		if strings.HasSuffix(path, ".md") {
+			code = markdownCode(text)
+		}
+		for _, c := range checks {
+			if !c.anywhere && !slices.Contains(docFiles, path) {
+				continue
+			}
+			scan := text
+			if c.inCode {
+				scan = code
+			}
+			for _, m := range c.cite.FindAllStringSubmatch(scan, -1) {
+				if !c.exists(m[1]) {
+					t.Errorf("%s cites %q, which is not %s", path, strings.TrimSpace(m[0]), c.what)
+				}
 			}
 		}
 	}
+}
+
+// submatches returns the set of first submatches of pattern in a file.
+func submatches(t *testing.T, path, pattern string) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := map[string]bool{}
+	for _, m := range regexp.MustCompile(pattern).FindAllSubmatch(text, -1) {
+		set[string(m[1])] = true
+	}
+	if len(set) == 0 {
+		t.Fatalf("%s: nothing matches %s", path, pattern)
+	}
+	return set
+}
+
+// testFunctions returns the names of every Test, Fuzz, Benchmark and Example
+// function in the repository's _test.go files, benchmark/ included.
+func testFunctions(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	names := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			if err == nil && d.IsDir() && hidden(d) {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		text, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(text, -1) {
+			names[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no test functions found under %s: %v", root, err)
+	}
+	return names
+}
+
+// hidden reports a dot directory (.git, build caches); none holds sources.
+func hidden(d fs.DirEntry) bool {
+	return d.Name() != "." && d.Name() != ".." && strings.HasPrefix(d.Name(), ".")
+}
+
+// markdownCode returns the fenced blocks of a markdown text, and its inline
+// code spans one per line with their line breaks folded into spaces.
+func markdownCode(text string) string {
+	var b strings.Builder
+	for i, part := range strings.Split(text, "```") {
+		if i%2 == 1 {
+			b.WriteString(part)
+			continue
+		}
+		for _, span := range regexp.MustCompile("`[^`]+`").FindAllString(part, -1) {
+			b.WriteString(strings.Join(strings.Fields(strings.Trim(span, "`")), " ") + "\n")
+		}
+	}
+	return b.String()
 }
 
 func TestUsageErrorsExit2(t *testing.T) {

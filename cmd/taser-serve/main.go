@@ -35,7 +35,7 @@
 // hash apart, and -wal-dir gives every shard its own store directory
 // (<dir>/shard-0..K-1) with independent recovery. /v1/stats reports merged
 // totals plus a per-shard block each. Sharding excludes -replicate-from,
-// -repl-listen, -promote and -finetune (single-engine features; DESIGN.md §12
+// -repl-listen, -promote and -finetune (single-engine features; DESIGN.md §13
 // explains how they compose per-shard later).
 //
 // Replication (internal/replica): a durable node serves its WAL to read
@@ -167,7 +167,7 @@ func (o *options) validate(explicit map[string]bool) error {
 	if o.shards > 1 {
 		// The sharded plane composes with durability (per-shard WALs) but not
 		// yet with replication or online fine-tuning — those wrap a single
-		// engine; DESIGN.md §12 explains why they will compose per-shard.
+		// engine; DESIGN.md §13 explains why they will compose per-shard.
 		switch {
 		case leader != "":
 			return fail("-shards %d cannot combine with -replicate-from: replication wraps a single engine (per-shard replication is future work)", o.shards)

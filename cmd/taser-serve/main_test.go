@@ -176,8 +176,9 @@ func TestBadTrainValueExits2(t *testing.T) {
 }
 
 // TestInvocationsUseDefinedFlags: every file that runs taser-serve — a make
-// target, a smoke script, a CI step, the verify skill — passes only flags
-// bind defines, so retiring a flag cannot leave a dead invocation behind.
+// target, a smoke script, a CI step, the verify skill, the design documents —
+// passes only flags bind defines, so retiring a flag cannot leave a dead
+// invocation behind.
 func TestInvocationsUseDefinedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("taser-serve", flag.ContinueOnError)
 	new(options).bind(fs)
@@ -185,7 +186,8 @@ func TestInvocationsUseDefinedFlags(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no scripts found: %v", err)
 	}
-	paths = append(paths, "../../Makefile", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md")
+	paths = append(paths, "../../Makefile", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md",
+		"../../DESIGN.md", "../../EXPERIMENTS.md")
 	// An invocation is the rest of a (continued) line after the command, the
 	// scripts' "$BIN" or their shared COMMON= flags, up to a redirect, pipe
 	// or closing backquote; a flag is a dash and a letter after a separator.

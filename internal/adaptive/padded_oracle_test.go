@@ -16,7 +16,7 @@ import (
 // full B·M layout, the target row is tiled across its M slots, and padding
 // is masked afterwards. It survives only here, as the oracle the compact
 // Scores must match bit for bit on valid slots and on every parameter
-// gradient (DESIGN.md §15).
+// gradient (DESIGN.md §6).
 func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autograd.Var {
 	rows := c.B * c.M
 	all := make([]int32, rows)  // identity: every slot "valid"

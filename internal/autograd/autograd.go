@@ -15,7 +15,7 @@
 // recording allocates nothing once the slice is warm), and a Graph built with
 // NewWithArena draws every intermediate Val/Grad — plus caller scratch via
 // Scratch and Ints — from an attached tensor.Arena that Reset returns in one
-// stroke. The ownership contract is DESIGN.md §7: everything produced by a
+// stroke. The ownership contract is DESIGN.md §5: everything produced by a
 // graph op or Scratch call dies at Reset; copy out anything that must
 // survive. A pass that will never call Backward checks the graph out with
 // ResetForwardOnly instead and pays for neither gradients nor a tape.
@@ -245,7 +245,7 @@ func (g *Graph) Affine(x, w, b *Var) *Var { return g.AffineParts(w, b, x) }
 // of w's, straight from the output's gradient. Values and gradients are
 // bitwise those of Affine(ConcatCols(parts…), w, b) wherever that
 // concatenation would have had one reader, or parts no other op reads: then
-// every part's gradient accumulates in the same order (DESIGN.md §13).
+// every part's gradient accumulates in the same order (DESIGN.md §6).
 func (g *Graph) AffineParts(w, b *Var, parts ...*Var) *Var {
 	if b.Rows() != 1 || b.Cols() != w.Cols() {
 		panic(fmt.Sprintf("autograd: Affine bias %dx%d onto %d columns", b.Rows(), b.Cols(), w.Cols()))

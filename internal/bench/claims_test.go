@@ -20,7 +20,7 @@ package bench
 // Table III's NF and FS falling as the GPU finder and the cache are switched
 // on, Fig. 1's Prep share. On a shared 1–2 vCPU host they are not robust
 // enough for tier-1, and on this CPU substrate PP dominates a step (DESIGN.md
-// §2), so only directions, never the paper's shares, could be asserted anyway.
+// §1), so only directions, never the paper's shares, could be asserted anyway.
 
 import (
 	"fmt"

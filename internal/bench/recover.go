@@ -10,7 +10,7 @@ import (
 	"taser/internal/wal"
 )
 
-// recoverExp measures the durability subsystem (DESIGN.md §9) along both axes
+// recoverExp measures the durability subsystem (DESIGN.md §11) along both axes
 // the design trades between:
 //
 // Table A — recovery time vs stream length, for the two recovery shapes. The

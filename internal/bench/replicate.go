@@ -9,7 +9,7 @@ import (
 	"taser/internal/serve"
 )
 
-// replicateExp measures the log-shipping replication subsystem (DESIGN.md §11)
+// replicateExp measures the log-shipping replication subsystem (DESIGN.md §12)
 // along the two axes operators size replicas by:
 //
 // Table A — catch-up time vs stream length, for the two catch-up shapes. The

@@ -58,61 +58,44 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 		panic(fmt.Sprintf("featstore: Slice dst %dx%d want %dx%d",
 			dst.Rows, dst.Cols, len(ids), s.host.Cols))
 	}
-	var pcieBytes, pcieReqs, vramBytes int64
-	if s.policy == nil {
-		// Uncached store (e.g. the node features): host is read-only, dst is
-		// caller-owned and accounting is atomic, so concurrent slices need no
-		// lock — the pipeline overlaps these on both sides.
-		for i, id := range ids {
-			out := dst.Row(i)
-			if id < 0 {
-				for j := range out {
-					out[j] = 0
-				}
-				continue
-			}
-			copy(out, s.host.Row(int(id)))
-			if s.stats != nil {
-				s.stats.Record(device.XferPCIe, s.rowBytes())
-			}
-			pcieBytes += s.rowBytes()
-			pcieReqs++
-		}
-		if s.stats == nil {
-			return 0
-		}
-		return s.stats.Model.Time(pcieBytes, pcieReqs, 0)
+	if s.policy != nil {
+		// The policy learns from the access stream and is not safe for
+		// concurrent use. An uncached store (e.g. the node features) reads a
+		// read-only host matrix into caller-owned rows with atomic accounting,
+		// so it takes no lock: the pipeline overlaps those slices on both sides.
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	rowBytes := s.rowBytes()
+	var pcieBytes, pcieReqs, vramBytes int64
 	for i, id := range ids {
 		out := dst.Row(i)
 		if id < 0 {
-			for j := range out {
-				out[j] = 0
-			}
+			clear(out)
 			continue
 		}
-		if slot, hit := s.policy.Access(id); hit {
-			copy(out, s.vram.Row(slot))
-			if s.stats != nil {
-				s.stats.Record(device.XferVRAM, s.rowBytes())
+		src, kind := s.host.Row(int(id)), device.XferPCIe
+		if s.policy != nil {
+			if slot, hit := s.policy.Access(id); hit {
+				// LRU-style policies may have rotated residency on a miss;
+				// Frequency never does mid-epoch, so a hit is always valid.
+				src, kind = s.vram.Row(slot), device.XferVRAM
+			} else if slot, ok := s.policy.Lookup(id); ok {
+				// Per-access policy (LRU) inserted id on the miss: load the
+				// row into its new slot. Maintenance traffic is PCIe.
+				copy(s.vram.Row(slot), src)
 			}
-			vramBytes += s.rowBytes()
-			// LRU-style policies may have rotated residency on a miss;
-			// Frequency never does mid-epoch, so a hit is always valid.
-			continue
-		} else if slot, ok := s.policy.Lookup(id); ok {
-			// Per-access policy (LRU) inserted id on the miss: load the
-			// row into its new slot. Maintenance traffic is PCIe.
-			copy(s.vram.Row(slot), s.host.Row(int(id)))
 		}
-		copy(out, s.host.Row(int(id)))
+		copy(out, src)
 		if s.stats != nil {
-			s.stats.Record(device.XferPCIe, s.rowBytes())
+			s.stats.Record(kind, rowBytes)
 		}
-		pcieBytes += s.rowBytes()
-		pcieReqs++
+		if kind == device.XferVRAM {
+			vramBytes += rowBytes
+		} else {
+			pcieBytes += rowBytes
+			pcieReqs++
+		}
 	}
 	if s.stats == nil {
 		return 0

@@ -9,9 +9,9 @@
 // as an immutable versioned models.WeightSet swapped in by atomic pointer
 // (serve.Engine.PublishWeights) — so fine-tuning never blocks prediction and
 // every served micro-batch runs under exactly one weight version. See
-// DESIGN.md §8 for the lifecycle and consistency bounds.
+// DESIGN.md §10 for the lifecycle and consistency bounds.
 //
-// When the engine is durable (serve.Durability, DESIGN.md §9), each accepted
+// When the engine is durable (serve.Durability, DESIGN.md §11), each accepted
 // publication also writes a checkpoint pairing the fine-tuned weights with
 // the stream prefix they serve, so a restarted engine recovers straight to
 // the latest fine-tuned version instead of the pretrained weights; the Tuner

@@ -14,7 +14,7 @@ import (
 // went padding-free: every per-neighbor stage runs on the full T·n layout and
 // padding is masked away afterwards. They survive only here, as the oracle
 // the compact forwards must match bit for bit — outputs and every parameter
-// gradient (DESIGN.md §15 has the argument for why they do).
+// gradient (DESIGN.md §6 has the argument for why they do).
 
 // allRows is the identity index over n rows.
 func allRows(n int) []int32 {

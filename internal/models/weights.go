@@ -14,7 +14,7 @@ import (
 // after CaptureWeights returns, so any number of goroutines may share one;
 // the online fine-tuner publishes them into the serving engine through an
 // atomic pointer, and the serving scheduler applies them between
-// micro-batches (serve.Engine.PublishWeights, DESIGN.md §8).
+// micro-batches (serve.Engine.PublishWeights, DESIGN.md §10).
 type WeightSet struct {
 	Version uint64
 	Params  []*tensor.Matrix

@@ -11,7 +11,7 @@ import (
 
 // Binary weight-set format (little-endian), the payload checkpoint files
 // carry so a recovered engine serves exactly the weight version it crashed
-// with (internal/wal, DESIGN.md §9):
+// with (internal/wal, DESIGN.md §11):
 //
 //	uint32  magic "TWST"
 //	uint64  version

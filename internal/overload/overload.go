@@ -118,7 +118,7 @@ func (c Config) Enabled() bool { return c.ControllerEnabled() || c.AdmissionEnab
 // Normalize validates and fills defaults against the scheduler's static base
 // MaxBatch (the gate sizes its capacity from it). The second parameter, the
 // scheduler's base MaxWait, bears on nothing; it stays only because
-// benchmark/ passes it (ROADMAP 5(c)).
+// benchmark/ passes it.
 func (c Config) Normalize(baseBatch int, _ time.Duration) (Config, error) {
 	if c.TargetP99 < 0 || c.Interval < 0 || c.MaxQueue < 0 || c.Capacity < 0 {
 		return c, fmt.Errorf("overload: TargetP99, Interval, MaxQueue and Capacity must not be negative (got %v, %v, %d, %d)",

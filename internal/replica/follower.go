@@ -391,7 +391,7 @@ func (f *Follower) loop(ctx context.Context) {
 // HTTP intermediaries actually produce. A hypothetical intermediary that
 // duplicated or reordered an individual frame *inside* one response body
 // would pass the CRC at the wrong position and be applied at the wrong
-// sequence; that failure is outside the model (DESIGN.md §11).
+// sequence; that failure is outside the model (DESIGN.md §12).
 func (f *Follower) pollOnce(ctx context.Context) (appliedN int, contact bool, err error) {
 	e := f.cfg.Engine
 	f.polls.Add(1)
@@ -472,7 +472,7 @@ func (f *Follower) pollOnce(ctx context.Context) (appliedN int, contact bool, er
 
 // maybeFetchWeights re-fetches the leader checkpoint when its advertised
 // weight version is ahead of anything this follower has published. Weights
-// ride checkpoints (every accepted publication writes one, DESIGN.md §9),
+// ride checkpoints (every accepted publication writes one, DESIGN.md §11),
 // so the newest checkpoint always carries the advertised version or newer.
 func (f *Follower) maybeFetchWeights(ctx context.Context, hdr string) {
 	v, err := strconv.ParseUint(hdr, 10, 64)

@@ -1,7 +1,7 @@
 // Package replica is TASER's log-shipping replication subsystem: read
 // replicas that tail a leader's write-ahead log over HTTP and rebuild the
 // leader's serving state bitwise, plus the promotion machinery that turns a
-// follower into a writable leader when the old one dies (DESIGN.md §11).
+// follower into a writable leader when the old one dies (DESIGN.md §12).
 //
 // The design leans entirely on the PR 6 durability contract. The leader's
 // WAL already is the replication stream — record i is event i — so the

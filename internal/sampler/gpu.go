@@ -58,7 +58,7 @@ func (f *GPUFinder) Sample(targets []Target, budget int, policy Policy, out *Res
 		tgt := targets[block]
 		nbr, ts, eid := f.tcsr.Adj(tgt.Node)
 		// Line 5: single-thread binary search for the pivot.
-		pivot := f.tcsr.Pivot(tgt.Node, tgt.Time)
+		pivot := tgraph.Pivot(ts, tgt.Time)
 		if pivot == 0 {
 			return
 		}

@@ -47,7 +47,7 @@ func (f *OriginFinder) Sample(targets []Target, budget int, policy Policy, out *
 	}
 	for i, tgt := range targets {
 		nbr, ts, eid := f.tcsr.Adj(tgt.Node)
-		pivot := f.tcsr.PivotLinear(tgt.Node, tgt.Time)
+		pivot := tgraph.PivotLinear(ts, tgt.Time)
 		f.interpret(pivot + budget)
 		if pivot == 0 {
 			continue

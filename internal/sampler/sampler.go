@@ -19,6 +19,7 @@ package sampler
 
 import (
 	"fmt"
+	"math"
 
 	"taser/internal/mathx"
 )
@@ -56,6 +57,12 @@ type Target struct {
 	Node int32
 	Time float64
 }
+
+// Padding is the target that stands in for a padded neighbor slot or a padded
+// root: node 0 at time −Inf. Its temporal neighborhood is empty under every
+// finder — every pivot search maps −Inf to 0, and a graph holds no event
+// before it — whatever node 0's events and however early they start.
+var Padding = Target{Node: 0, Time: math.Inf(-1)}
 
 // Result holds sampled neighborhoods in flat, padded layout: target i owns
 // entries [i·Budget, (i+1)·Budget). Entries beyond Counts[i] are padding with

@@ -125,7 +125,7 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 }
 
 // loop is the micro-batching scheduler, a work-conserving gather (DESIGN.md
-// §5): block for the first request, take every request parked on the
+// §9): block for the first request, take every request parked on the
 // unbuffered e.reqs, and when it runs dry yield the processor once — callers
 // that are runnable but have not reached their send yet (at GOMAXPROCS=1, all
 // but the one that woke this goroutine) get there — and take again. The
@@ -207,7 +207,7 @@ type flushScratch struct {
 // build + forward the misses in one pooled minibatch, then score and respond.
 // All model compute runs on the builder's reusable arena-backed graph;
 // embeddings are copied out of it (into fs.embBuf, the cache, and per-caller
-// response copies) before the next checkout, per the §7 ownership contract —
+// response copies) before the next checkout, per the §5 ownership contract —
 // arena slabs never alias the pinned snapshot, whose views the builder only
 // reads.
 func (e *Engine) flush(pending []*request) {
@@ -310,7 +310,7 @@ func (e *Engine) flush(pending []*request) {
 			fs.roots = append(fs.roots, sampler.Target{Node: fs.states[si].node, Time: fs.states[si].t})
 		}
 		for len(fs.roots) < padBatch(len(fs.miss)) {
-			fs.roots = append(fs.roots, sampler.Target{})
+			fs.roots = append(fs.roots, sampler.Padding)
 		}
 		mb := e.builder.Build(fs.roots)
 		g := e.builder.ForwardGraph()

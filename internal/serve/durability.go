@@ -22,7 +22,7 @@ import (
 var ErrDurability = errors.New("serve: durable store failed")
 
 // Durability configures the write-ahead log and checkpointing
-// (DESIGN.md §9). The zero value disables durability entirely; setting Dir
+// (DESIGN.md §11). The zero value disables durability entirely; setting Dir
 // enables it with defaults for the rest.
 //
 // With durability on, Ingest appends each event to a group-committed WAL

@@ -17,7 +17,7 @@ import (
 
 // Fleet shards the serving plane: K independent Engines, each owning a
 // consistent-hash partition of the node id space, behind the Engine-shaped
-// surface the HTTP layer and load generators already speak. DESIGN.md §12.
+// surface the HTTP layer and load generators already speak. DESIGN.md §13.
 //
 // The partition rule is ownership by destination with an endpoint tee: an
 // event (src→dst, t) is stored on Owner(dst) and, when the endpoints hash to
@@ -38,7 +38,7 @@ import (
 // gather retries briefly when the two shards report different weight
 // versions, so a prediction is always scored under one version.
 //
-// Concurrency composes by ownership exactly as §7 promises: each engine's
+// Concurrency composes by ownership exactly as §5 promises: each engine's
 // scheduler privately owns its builder, graph and arena, so the fleet adds
 // routing, not locking — its only synchronization is per-shard ingest
 // ordering (tee atomicity) and a close gate that drains in-flight
@@ -336,7 +336,7 @@ func (f *Fleet) Embed(node int32, t float64) (EmbedResult, error) {
 // with the router's predictor replica for the served weight version —
 // bitwise the engine's own decoder pass over the same two embeddings. The
 // result's Version is the src owner's snapshot version; staleness is bounded
-// per shard by each owner's watermark (DESIGN.md §12).
+// per shard by each owner's watermark (DESIGN.md §13).
 func (f *Fleet) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 	if err := f.enter(); err != nil {
 		return PredictResult{}, err
@@ -522,7 +522,7 @@ func (f *Fleet) Shard(i int) *Engine { return f.shards[i] }
 func (f *Fleet) Owner(node int32) int { return f.ring.Owner(node) }
 
 // Writable reports whether the public write API is open — always true: fleets
-// do not participate in replication (DESIGN.md §12 explains the composition
+// do not participate in replication (DESIGN.md §13 explains the composition
 // order: replication will wrap each shard, not the fleet).
 func (f *Fleet) Writable() bool { return true }
 

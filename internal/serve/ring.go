@@ -8,7 +8,7 @@ import (
 // Ring is a consistent-hash ring over the node-id space: each of K shards
 // projects VNodes virtual points onto a 64-bit circle, and a node id is owned
 // by the shard whose next clockwise point follows the node's hash. Two
-// properties make it the fleet's partition function (DESIGN.md §12):
+// properties make it the fleet's partition function (DESIGN.md §13):
 //
 //   - Balance. With enough virtual points per shard (default 64) the owned
 //     key mass per shard concentrates around 1/K — the max/min load ratio is

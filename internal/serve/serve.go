@@ -91,7 +91,7 @@ type Config struct {
 	SnapshotEvery int // publish a snapshot every k ingested events (default 256)
 
 	// Durability enables the write-ahead log and checkpointing when its Dir
-	// is set (durability.go, DESIGN.md §9); the zero value serves purely
+	// is set (durability.go, DESIGN.md §11); the zero value serves purely
 	// in-memory.
 	Durability Durability
 
@@ -225,7 +225,7 @@ type Engine struct {
 	cache          *embCache
 	fs             flushScratch // per-flush working set, reused across flushes
 
-	// Weight publication (DESIGN.md §8): a fine-tuner stores immutable
+	// Weight publication (DESIGN.md §10): a fine-tuner stores immutable
 	// versioned WeightSets into weights; the scheduler notices the pointer
 	// change at the top of a flush and copies the values into the serving
 	// model/predictor parameters — which only the scheduler goroutine ever

@@ -20,7 +20,7 @@ import (
 // its peak total plus the growth headroom. Chunks are never freed, moved or
 // merged, so growing leaves no garbage behind.
 //
-// Lifetime contract (DESIGN.md §7): a checked-out matrix is owned by the
+// Lifetime contract (DESIGN.md §5): a checked-out matrix is owned by the
 // caller until the next Reset; anything that must survive Reset has to be
 // copied out. Chunks are always allocated by the arena itself — they can
 // never alias caller-provided storage (e.g. pinned snapshot views), so

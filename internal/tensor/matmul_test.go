@@ -266,7 +266,7 @@ var stepShapes = [][3]int{{1389, 73, 73}, {5500, 48, 24}, {733, 72, 24}, {1389, 
 // and the time encoder Φ = cos(Δt·ω + φ) on the lower layer's edges (k = 1).
 var serveColdShapes = [][3]int{{873, 48, 24}, {193, 72, 24}, {873, 1, 16}}
 
-// BenchmarkMatMul is the raw-speed floor (DESIGN.md §13): every step shape ×
+// BenchmarkMatMul is the raw-speed floor (DESIGN.md §6): every step shape ×
 // the three product forms it runs in — forward x@w (ab), the weight gradient
 // xᵀ@dy (aTb) and the input gradient dy@wᵀ (abT), 2·m·k·n FLOP each — and
 // every serve-cold layer as the forward a linear layer runs, x@w + b with the

@@ -23,7 +23,7 @@ import "fmt"
 // Readers therefore need no synchronization beyond receiving the snapshot
 // pointer (serve.Engine publishes it through an atomic pointer swap), and the
 // writer's per-publication cost is O(chunk table + touched chunks), not
-// O(events) — see DESIGN.md §6 for the full argument.
+// O(events) — see DESIGN.md §2 for the full argument.
 type AppendableTCSR struct {
 	numNodes   int
 	numEntries int64       // total adjacency entries across all nodes
@@ -65,25 +65,6 @@ func (t *AppendableTCSR) Adj(v int32) (nbr []int32, ts []float64, eid []int32) {
 // Degree implements Adjacency.
 func (t *AppendableTCSR) Degree(v int32) int {
 	return len(t.chunks[v>>adjChunkBits][v&adjChunkMask].nbr)
-}
-
-// Pivot implements Adjacency (binary search).
-func (t *AppendableTCSR) Pivot(v int32, tm float64) int {
-	_, ts, _ := t.Adj(v)
-	return searchPivot(ts, tm)
-}
-
-// PivotLinear implements Adjacency (forward scan).
-func (t *AppendableTCSR) PivotLinear(v int32, tm float64) int {
-	_, ts, _ := t.Adj(v)
-	return scanPivot(ts, tm)
-}
-
-// Neighborhood materializes N(v, t) (copies), mirroring TCSR.Neighborhood.
-func (t *AppendableTCSR) Neighborhood(v int32, tm float64) (nbr []int32, ts []float64, eid []int32) {
-	n, s, e := t.Adj(v)
-	p := t.Pivot(v, tm)
-	return append([]int32(nil), n[:p]...), append([]float64(nil), s[:p]...), append([]int32(nil), e[:p]...)
 }
 
 // AdjacencyDiff compares two packed layouts entry-by-entry and describes the

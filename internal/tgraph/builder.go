@@ -124,13 +124,6 @@ func (b *Builder) LastTime() (t float64, ok bool) {
 	return b.lastT, len(b.events) > 0
 }
 
-// Neighborhood returns N(v, t) views over the live adjacency (valid until
-// the next Add touching v).
-func (b *Builder) Neighborhood(v int32, t float64) (nbr []int32, ts []float64, eid []int32) {
-	lo := searchPivot(b.ts[v], t)
-	return b.nbr[v][:lo], b.ts[v][:lo], b.eid[v][:lo]
-}
-
 // Snapshot publishes the current stream as an immutable Graph + packed
 // adjacency pair; the builder remains usable afterwards. The cost is
 // proportional to the delta since the previous Snapshot, not the stream

@@ -7,6 +7,12 @@ import (
 	"taser/internal/mathx"
 )
 
+// live returns N(v, tm) as views of the builder's growing adjacency.
+func live(b *Builder, v int32, tm float64) (nbr []int32, ts []float64, eid []int32) {
+	p := Pivot(b.ts[v], tm)
+	return b.nbr[v][:p], b.ts[v][:p], b.eid[v][:p]
+}
+
 func TestBuilderBasicFlow(t *testing.T) {
 	b := NewBuilder(4)
 	must := func(err error) {
@@ -20,7 +26,7 @@ func TestBuilderBasicFlow(t *testing.T) {
 	if b.NumEvents() != 3 {
 		t.Fatal("NumEvents")
 	}
-	nbr, ts, eid := b.Neighborhood(1, 2.5)
+	nbr, ts, eid := live(b, 1, 2.5)
 	if len(nbr) != 2 || nbr[0] != 0 || nbr[1] != 2 {
 		t.Fatalf("live neighborhood: %v", nbr)
 	}
@@ -236,8 +242,9 @@ func TestIncrementalSnapshotMatchesFullRepack(t *testing.T) {
 		// Pivots agree between the layouts at a few probe times.
 		for _, v := range []int32{0, adjChunkSize - 1, adjChunkSize, numNodes - 1} {
 			for _, q := range []float64{-10, -2.5, 0, tm / 2, tm + 1} {
-				if s.tc.Pivot(v, q) != s.want.Pivot(v, q) ||
-					s.tc.PivotLinear(v, q) != s.want.PivotLinear(v, q) {
+				gotSearch, gotScan := pivots(s.tc, v, q)
+				wantSearch, wantScan := pivots(s.want, v, q)
+				if gotSearch != wantSearch || gotScan != wantScan {
 					t.Fatalf("snapshot at %d: pivot mismatch node %d t=%v", s.at, v, q)
 				}
 			}
@@ -288,8 +295,8 @@ func TestBuilderLiveMatchesSnapshotNeighborhood(t *testing.T) {
 	_, tc := b.Snapshot()
 	for v := int32(0); v < 10; v++ {
 		for _, q := range []float64{0, tm / 2, tm + 1} {
-			ln, _, _ := b.Neighborhood(v, q)
-			if len(ln) != tc.Pivot(v, q) {
+			ln, _, _ := live(b, v, q)
+			if p, _ := pivots(tc, v, q); len(ln) != p {
 				t.Fatalf("live vs snapshot pivot mismatch node %d t=%v", v, q)
 			}
 		}
@@ -305,7 +312,7 @@ func TestBuilderSelfLoop(t *testing.T) {
 	if err := b.Add(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	nbr, _, _ := b.Neighborhood(1, 2)
+	nbr, _, _ := live(b, 1, 2)
 	if len(nbr) != 1 || nbr[0] != 1 {
 		t.Fatal("self loop must appear once")
 	}

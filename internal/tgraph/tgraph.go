@@ -43,13 +43,14 @@ func NewGraph(numNodes int, events []Event) (*Graph, error) {
 // NumEvents returns the interaction count.
 func (g *Graph) NumEvents() int { return len(g.Events) }
 
-// Adjacency is the read contract every packed temporal-adjacency layout
-// satisfies: the flat TCSR built in one batch pass, and the chunked
-// AppendableTCSR that Builder.Snapshot publishes incrementally. Neighbor
-// finders, serving snapshots and evaluation access packed graphs exclusively
-// through this interface, so they are oblivious to how a snapshot was built —
-// the correctness bar for incremental publication is that both layouts return
-// bitwise-identical slices for the same event stream.
+// Adjacency is what differs between the packed temporal-adjacency layouts:
+// the flat TCSR built in one batch pass, and the chunked AppendableTCSR that
+// Builder.Snapshot publishes incrementally. Neighbor finders, serving
+// snapshots and evaluation access packed graphs exclusively through it, and
+// search a node's timestamps with Pivot or PivotLinear, so they are oblivious
+// to how a snapshot was built — the correctness bar for incremental
+// publication is that both layouts return bitwise-identical slices for the
+// same event stream.
 type Adjacency interface {
 	// NumNodes returns the node count.
 	NumNodes() int
@@ -58,10 +59,6 @@ type Adjacency interface {
 	// Adj returns node v's full adjacency as three parallel slices (views),
 	// sorted by timestamp. Callers must not mutate them.
 	Adj(v int32) (nbr []int32, ts []float64, eid []int32)
-	// Pivot returns |N(v, t)| via binary search.
-	Pivot(v int32, tm float64) int
-	// PivotLinear returns |N(v, t)| via a forward linear scan.
-	PivotLinear(v int32, tm float64) int
 }
 
 // TCSR is the temporal CSR layout: for each node, its incident events
@@ -75,10 +72,10 @@ type TCSR struct {
 
 var _ Adjacency = (*TCSR)(nil)
 
-// searchPivot counts the entries of ts with timestamp strictly before tm by
-// binary search — the per-block step of the GPU neighbor finder (Algorithm 2,
-// line 5). Shared by every Adjacency implementation.
-func searchPivot(ts []float64, tm float64) int {
+// Pivot returns |N(v, tm)| for a node whose adjacency timestamps are ts: the
+// number of entries strictly before tm, by binary search — the per-block step
+// of the GPU neighbor finder (Algorithm 2, line 5). At tm = −Inf it is 0.
+func Pivot(ts []float64, tm float64) int {
 	lo, hi := 0, len(ts)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -91,9 +88,9 @@ func searchPivot(ts []float64, tm float64) int {
 	return lo
 }
 
-// scanPivot counts the entries of ts before tm by forward linear scan — the
-// access pattern of the original Python neighbor finder in TGAT.
-func scanPivot(ts []float64, tm float64) int {
+// PivotLinear is Pivot by forward linear scan — the access pattern of the
+// original Python neighbor finder in TGAT.
+func PivotLinear(ts []float64, tm float64) int {
 	p := 0
 	for p < len(ts) && ts[p] < tm {
 		p++
@@ -151,27 +148,4 @@ func (t *TCSR) NumNodes() int { return len(t.Indptr) - 1 }
 func (t *TCSR) Adj(v int32) (nbr []int32, ts []float64, eid []int32) {
 	lo, hi := t.Indptr[v], t.Indptr[v+1]
 	return t.Nbr[lo:hi], t.Ts[lo:hi], t.Eid[lo:hi]
-}
-
-// PivotLinear returns |N(v, t)|: the number of adjacency entries of v with
-// timestamp strictly less than t, found by a forward linear scan. This is the
-// access pattern of the original Python neighbor finder in TGAT.
-func (t *TCSR) PivotLinear(v int32, tm float64) int {
-	_, ts, _ := t.Adj(v)
-	return scanPivot(ts, tm)
-}
-
-// Pivot returns |N(v, t)| via binary search — the per-block step of the GPU
-// neighbor finder (Algorithm 2, line 5).
-func (t *TCSR) Pivot(v int32, tm float64) int {
-	_, ts, _ := t.Adj(v)
-	return searchPivot(ts, tm)
-}
-
-// Neighborhood materializes N(v, t) (copies). Intended for tests and small
-// tools; the samplers use Adj+Pivot views to stay allocation-free.
-func (t *TCSR) Neighborhood(v int32, tm float64) (nbr []int32, ts []float64, eid []int32) {
-	n, s, e := t.Adj(v)
-	p := t.Pivot(v, tm)
-	return append([]int32(nil), n[:p]...), append([]float64(nil), s[:p]...), append([]int32(nil), e[:p]...)
 }

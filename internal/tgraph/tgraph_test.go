@@ -23,6 +23,19 @@ func smallGraph(t *testing.T) *Graph {
 	return g
 }
 
+// pivots returns |N(v, tm)| in a by binary search and by linear scan.
+func pivots(a Adjacency, v int32, tm float64) (search, scan int) {
+	_, ts, _ := a.Adj(v)
+	return Pivot(ts, tm), PivotLinear(ts, tm)
+}
+
+// neighborhood returns N(v, tm) in a as views of v's adjacency.
+func neighborhood(a Adjacency, v int32, tm float64) (nbr []int32, ts []float64, eid []int32) {
+	nbr, ts, eid = a.Adj(v)
+	p := Pivot(ts, tm)
+	return nbr[:p], ts[:p], eid[:p]
+}
+
 func TestNewGraphValidates(t *testing.T) {
 	if _, err := NewGraph(2, []Event{{0, 5, 1}}); err == nil {
 		t.Fatal("out-of-range endpoint must error")
@@ -82,7 +95,7 @@ func TestPivotMatchesLinear(t *testing.T) {
 	tc := BuildTCSR(g)
 	for v := int32(0); v < 3; v++ {
 		for _, tm := range []float64{0, 0.5, 1.0, 2.5, 4.0, 99} {
-			if tc.Pivot(v, tm) != tc.PivotLinear(v, tm) {
+			if search, scan := pivots(tc, v, tm); search != scan {
 				t.Fatalf("pivot mismatch node %d t=%v", v, tm)
 			}
 		}
@@ -93,10 +106,10 @@ func TestPivotStrictness(t *testing.T) {
 	// N(v, t) uses t_u < t strictly: an event AT time t is excluded.
 	g := smallGraph(t)
 	tc := BuildTCSR(g)
-	if p := tc.Pivot(0, 1.0); p != 0 {
+	if p, _ := pivots(tc, 0, 1.0); p != 0 {
 		t.Fatalf("event at exactly t must be excluded, pivot=%d", p)
 	}
-	if p := tc.Pivot(0, 1.0001); p != 1 {
+	if p, _ := pivots(tc, 0, 1.0001); p != 1 {
 		t.Fatalf("pivot=%d", p)
 	}
 }
@@ -104,7 +117,7 @@ func TestPivotStrictness(t *testing.T) {
 func TestNeighborhoodContents(t *testing.T) {
 	g := smallGraph(t)
 	tc := BuildTCSR(g)
-	nbr, ts, eid := tc.Neighborhood(0, 3.5)
+	nbr, ts, eid := neighborhood(tc, 0, 3.5)
 	if len(nbr) != 2 || nbr[0] != 1 || nbr[1] != 2 {
 		t.Fatalf("nbr=%v", nbr)
 	}
@@ -189,7 +202,7 @@ func TestTCSRInvariantsProperty(t *testing.T) {
 			}
 			for trial := 0; trial < 5; trial++ {
 				tm := float64(trial) * 25
-				if tc.Pivot(v, tm) != tc.PivotLinear(v, tm) {
+				if search, scan := pivots(tc, v, tm); search != scan {
 					return false
 				}
 			}
@@ -210,7 +223,7 @@ func TestEmptyGraph(t *testing.T) {
 	if tc.Degree(3) != 0 || len(tc.Nbr) != 0 {
 		t.Fatal("empty graph")
 	}
-	if tc.Pivot(0, 100) != 0 {
+	if p, _ := pivots(tc, 0, 100); p != 0 {
 		t.Fatal("pivot on empty adjacency")
 	}
 }

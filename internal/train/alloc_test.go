@@ -78,7 +78,7 @@ func TestPipelinedStepAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTrainStepGraphReuseMatchesFresh pins the §7 equivalence contract at the
+// TestTrainStepGraphReuseMatchesFresh pins the §5 equivalence contract at the
 // training level: a trainer running on reused arena-backed graphs produces
 // bitwise-identical losses, evaluation metrics and parameters to one that
 // builds a fresh unpooled graph every step.

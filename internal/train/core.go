@@ -148,10 +148,9 @@ func (c *buildCore) sliceTargetNodes(targets []sampler.Target, dst *tensor.Matri
 
 // appendExtendedTargets appends targets and then the block's selected
 // neighbors, the next hop's targets, to next. A neighbor (u, t_u) is
-// embedded at its interaction time t_u. Padded slots become the sentinel
-// target (node 0, time 0), whose temporal neighborhood is empty; nothing
-// reads its (meaningless) embedding, because the outer layer's Valid does
-// not name its slot.
+// embedded at its interaction time t_u. Padded slots become sampler.Padding,
+// whose temporal neighborhood is empty; nothing reads its (meaningless)
+// embedding, because the outer layer's Valid does not name its slot.
 func appendExtendedTargets(next, targets []sampler.Target, block *models.LayerBlock) []sampler.Target {
 	next = append(next, targets...)
 	for i := 0; i < block.NumTargets; i++ {
@@ -159,7 +158,7 @@ func appendExtendedTargets(next, targets []sampler.Target, block *models.LayerBl
 			s := i*block.Budget + j
 			node := block.NbrNodes[s]
 			if node < 0 {
-				next = append(next, sampler.Target{Node: 0, Time: 0})
+				next = append(next, sampler.Padding)
 				continue
 			}
 			// Δt = t_target − t_edge ⇒ t_edge = t_target − Δt.

@@ -182,6 +182,32 @@ func TestInferenceBuilderSwapGraph(t *testing.T) {
 	}
 }
 
+// TestPaddedSlotsSampleNothingOnStreamsBeforeTimeZero: a padded slot's
+// inner target is sampler.Padding, whose neighborhood is empty even when node
+// 0 has events before t=0. The sentinel used to be (node 0, t=0), and each of
+// the three padded slots below sampled node 0's two events at t=−5 and −3.
+func TestPaddedSlotsSampleNothingOnStreamsBeforeTimeZero(t *testing.T) {
+	g, err := tgraph.NewGraph(4, []tgraph.Event{{Src: 0, Dst: 1, Time: -5}, {Src: 0, Dst: 2, Time: -3}, {Src: 3, Dst: 1, Time: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := NewInferenceBuilder(InferConfig{
+		TCSR: tgraph.BuildTCSR(g), Layers: 2, Budget: 4, Policy: sampler.MostRecent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := ib.Build([]sampler.Target{{Node: 3, Time: 10}})
+	defer ib.Release(mb)
+	// Outer: root 3 has one neighbor (1 at t=2). Inner targets: the root, that
+	// neighbor (whose one earlier neighbor is 0 at t=−5), then three paddings.
+	for l, want := range [][]int32{{0, 4}, {0}} {
+		if got := mb.Layers[l].Valid; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("layer %d Valid = %v, want %v", l, got, want)
+		}
+	}
+}
+
 // BenchmarkInferBuild measures the pooled serving-side build path (compare
 // with the BenchmarkBuild* trainer-side numbers in build_bench_test.go).
 func BenchmarkInferBuild(b *testing.B) {

@@ -63,7 +63,7 @@ func (t *Trainer) consume(pb *prepared) float64 {
 
 	// Forward + model loss (Eq. 10) + backward + step: the PP bucket.
 	// Everything read after the step (positive logits here, dL/dh below) is
-	// copied out or consumed before gM's next checkout, per the §7 contract.
+	// copied out or consumed before gM's next checkout, per the §5 contract.
 	var loss float64
 	var info *models.CoTrainInfo
 	t.time("PP", func() {

@@ -78,7 +78,7 @@ func negativeDst(rng *mathx.RNG, numSrc, numNodes int) int32 {
 }
 
 // graphHolder lazily creates one reusable arena-backed autograd graph and
-// checks it out pass by pass (DESIGN.md §7). A checkout ends the previous
+// checks it out pass by pass (DESIGN.md §5). A checkout ends the previous
 // pass: its tape is reset and its intermediates recycled, so whatever must
 // survive (losses, logits, importance scores) is copied out before the next
 // one. Holders are single-goroutine state, like the loops that own them.

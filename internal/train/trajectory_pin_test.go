@@ -24,7 +24,7 @@ type pinnedRun struct {
 
 // pinnedRuns were recorded at commit 6435808, the last one whose models and
 // sampler ran every stage on the full padded T·n / B·m layout. Executing on
-// valid slots only is bitwise-neutral (DESIGN.md §15), so the trajectories
+// valid slots only is bitwise-neutral (DESIGN.md §6), so the trajectories
 // must never move; a failure prints the observed table in Go syntax.
 //
 // The last three rows were recorded at commit f584484, the last one with two

@@ -5,7 +5,7 @@
 // replay log — record i of the WAL is event i of the stream — so crash
 // recovery is: load the latest valid checkpoint, replay the WAL suffix, and
 // the rebuilt engine is bitwise-equivalent to one that never crashed (see
-// DESIGN.md §9 and the fault-injection tests in internal/serve).
+// DESIGN.md §11 and the fault-injection tests in internal/serve).
 //
 // Record format (little-endian, CRC32C per record so corruption is localized):
 //

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Two-process replication smoke test (DESIGN.md §11): a real leader and a
+# Two-process replication smoke test (DESIGN.md §12): a real leader and a
 # real follower over localhost HTTP, a hard leader kill, a promotion, and
 # the demoted leader's store re-joining the new leader — the full hand-off
 # drill the in-process tests cover only single-process.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sharded-serving smoke test (DESIGN.md §12): one real taser-serve process
+# Sharded-serving smoke test (DESIGN.md §13): one real taser-serve process
 # running a 4-shard fleet over localhost HTTP, mixed ingest/predict traffic,
 # a hard kill, and a -recover restart over the same per-shard WAL directories
 # — asserting watermark and prediction continuity across the crash.
