@@ -447,8 +447,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		var st serve.Stats
 		if fleet != nil {
 			fs := fleet.Stats()
-			fmt.Fprintf(stdout, "fleet: %d distinct events (+%d teed), %d requests (%d cross-shard, %d gather retries)\n",
-				fs.Events, fs.Teed, fs.Requests, fs.CrossShard, fs.GatherRetries)
+			fmt.Fprintf(stdout, "fleet: %d distinct events (+%d teed), %d requests (%d cross-shard)\n",
+				fs.Events, fs.Teed, fs.Requests, fs.CrossShard)
 			for _, ss := range fs.Shards {
 				fmt.Fprintf(stdout, "  shard %d: %d events, %d requests, snapshot v%d\n", ss.Shard, ss.Events, ss.Requests, ss.SnapshotVersion)
 			}

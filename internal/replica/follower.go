@@ -93,10 +93,9 @@ type FollowerConfig struct {
 	Engine *serve.Engine // local engine; made read-only until promotion
 	Leader string        // leader base URL, e.g. "http://10.0.0.1:8191"
 
-	Client         *http.Client  // default: http.Client{Timeout: 30s}
-	PollInterval   time.Duration // pause between empty polls (default 200ms)
-	LagThreshold   uint64        // Healthy() bound on synced-minus-applied (default 4096)
-	CatchupRetries int           // attempts for the initial checkpoint catch-up (default 3)
+	Client       *http.Client  // default: http.Client{Timeout: 30s}
+	PollInterval time.Duration // pause between empty polls (default 200ms)
+	LagThreshold uint64        // Healthy() bound on synced-minus-applied (default 4096)
 	// FailoverAfter > 0 arms automatic promotion: if every poll fails to
 	// reach the leader for this long, the follower seals and takes over.
 	// 0 leaves promotion manual (Promote).
@@ -154,9 +153,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.LagThreshold == 0 {
 		cfg.LagThreshold = 4096
 	}
-	if cfg.CatchupRetries <= 0 {
-		cfg.CatchupRetries = 3
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{cfg: cfg, cancel: cancel, done: make(chan struct{})}
 	f.state.Store(int32(StateCatchup))
@@ -174,6 +170,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
+// catchupAttempts bounds the initial checkpoint catch-up; attempts are one
+// PollInterval apart.
+const catchupAttempts = 3
+
 // catchUp bootstraps from the leader's newest checkpoint: one bulk
 // ApplyPrefix replaces what would be thousands of per-record polls, exactly
 // as local recovery bulk-loads a checkpoint before replaying the WAL
@@ -181,7 +181,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 // are retried; divergence and incompatibility are not.
 func (f *Follower) catchUp(ctx context.Context) error {
 	var err error
-	for attempt := 0; attempt < f.cfg.CatchupRetries; attempt++ {
+	for attempt := 0; attempt < catchupAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -194,7 +194,7 @@ func (f *Follower) catchUp(ctx context.Context) error {
 			return err
 		}
 	}
-	return fmt.Errorf("replica: checkpoint catch-up failed after %d attempts: %w", f.cfg.CatchupRetries, err)
+	return fmt.Errorf("replica: checkpoint catch-up failed after %d attempts: %w", catchupAttempts, err)
 }
 
 func (f *Follower) catchUpOnce(ctx context.Context) error {

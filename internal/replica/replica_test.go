@@ -631,9 +631,8 @@ func TestCatchupFailureRestoresWritable(t *testing.T) {
 	node := newTestNode(t, ds, 8)
 	cfg := FollowerConfig{
 		Engine: node.e, Leader: "http://127.0.0.1:1",
-		Client:         &http.Client{Timeout: 100 * time.Millisecond},
-		PollInterval:   time.Millisecond,
-		CatchupRetries: 1,
+		Client:       &http.Client{Timeout: 100 * time.Millisecond},
+		PollInterval: time.Millisecond,
 	}
 
 	if _, err := StartFollower(cfg); err == nil {

@@ -166,9 +166,8 @@ func (f *Fleet) wireStats(repl *ReplicationStats) any {
 // POST handler answers from. A bad id, timestamp or feature width is the
 // client's (400); a stale event conflicts with the watermark (409) and the
 // producer resynchronizes; a read-only replica redirects (421); a shed is
-// retryable after backoff (429); and a closed engine (the SIGTERM drain), a
-// failed durable store or a cross-shard gather that could not settle on one
-// weight version are the server's, not the request's (503).
+// retryable after backoff (429); and a closed engine (the SIGTERM drain) or a
+// failed durable store is the server's, not the request's (503).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrStaleEvent):
@@ -177,7 +176,7 @@ func statusFor(err error) int {
 		return http.StatusMisdirectedRequest
 	case errors.Is(err, overload.ErrOverload):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurability), errors.Is(err, ErrGather):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurability):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest

@@ -150,7 +150,6 @@ func TestHandlerEndpoints(t *testing.T) {
 		{&overload.RejectedError{Lane: overload.LaneIngest, Depth: 4}, http.StatusTooManyRequests},
 		{ErrClosed, http.StatusServiceUnavailable},
 		{fmt.Errorf("%w: disk full", ErrDurability), http.StatusServiceUnavailable},
-		{fmt.Errorf("%w: shard 0 at v2, shard 1 at v3", ErrGather), http.StatusServiceUnavailable},
 	} {
 		fsrv := httptest.NewServer(NewHandler(failingServer{Engine: e, err: tc.err}))
 		for _, path := range []string{"/v1/ingest", "/v1/predict", "/v1/embed"} {

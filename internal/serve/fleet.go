@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -33,10 +32,10 @@ import (
 // Prediction routes by endpoint ownership: (src, dst) on one shard is
 // answered locally (one micro-batched engine call, the K=1 fast path);
 // endpoints on different shards scatter one Embed to each owner and the
-// router scores the gathered pair with its own predictor replica — bitwise
-// the same decoder pass the engine's flush runs, just two rows wide. The
-// gather retries briefly when the two shards report different weight
-// versions, so a prediction is always scored under one version.
+// router scores the gathered pair with its own predictor clone — bitwise the
+// same decoder pass the engine's flush runs, just two rows wide. A fleet
+// serves the weights it was built with for its whole life, so the shards and
+// the router's clone always agree on them.
 //
 // Concurrency composes by ownership exactly as §5 promises: each engine's
 // scheduler privately owns its builder, graph and arena, so the fleet adds
@@ -62,23 +61,15 @@ type Fleet struct {
 	opMu   sync.RWMutex
 	closed bool
 
-	// Router-side scoring state: wModel/wPred are LoadInto sinks (a WeightSet
-	// is captured over the full (Model, Pred) module list, so loading just the
-	// predictor is impossible), preds holds an immutable predictor replica per
-	// published weight version so a cross-shard pair gathered at version v is
-	// scored with exactly the v parameters.
-	predMu        sync.RWMutex
-	wModel        models.TGNN
-	wPred         *models.EdgePredictor
-	preds         map[uint64]*models.EdgePredictor
-	routerVersion uint64
+	// pred is the router's predictor clone for cross-shard pairs, made in
+	// NewFleet and never written afterwards — so scoring takes no lock.
+	pred *models.EdgePredictor
 
-	ingested      atomic.Uint64 // distinct events admitted fleet-wide
-	teed          atomic.Uint64 // cross-shard duplicates stored for neighborhood completeness
-	requests      atomic.Uint64 // fleet-level serving calls
-	crossShard    atomic.Uint64 // predictions that scattered across two shards
-	gatherRetries atomic.Uint64 // embed re-requests spent converging weight versions
-	lat           latencyRing   // fleet-level latency (includes scatter/gather overhead)
+	ingested   atomic.Uint64 // distinct events admitted fleet-wide
+	teed       atomic.Uint64 // cross-shard duplicates stored for neighborhood completeness
+	requests   atomic.Uint64 // fleet-level serving calls
+	crossShard atomic.Uint64 // predictions that scattered across two shards
+	lat        latencyRing   // fleet-level latency (includes scatter/gather overhead)
 
 	// testEntered, when non-nil, runs after an op passes the closed gate —
 	// the drain-ordering regression test uses it to hold requests in flight
@@ -132,13 +123,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:           base,
-		ring:          ring,
-		shardMu:       make([]sync.Mutex, cfg.Shards),
-		wModel:        base.Model.Clone(),
-		wPred:         base.Pred.Clone(),
-		preds:         map[uint64]*models.EdgePredictor{1: base.Pred.Clone()},
-		routerVersion: 1,
+		cfg:     base,
+		ring:    ring,
+		shardMu: make([]sync.Mutex, cfg.Shards),
+		pred:    base.Pred.Clone(),
 	}
 	f.lat.init(latencyWindow)
 	for i := 0; i < cfg.Shards; i++ {
@@ -333,10 +321,10 @@ func (f *Fleet) Embed(node int32, t float64) (EmbedResult, error) {
 // PredictLink returns the link logit for (src, dst) at query time t. When
 // both endpoints hash to one shard the request is answered locally; otherwise
 // the fleet scatters one Embed to each owner and scores the gathered pair
-// with the router's predictor replica for the served weight version —
-// bitwise the engine's own decoder pass over the same two embeddings. The
-// result's Version is the src owner's snapshot version; staleness is bounded
-// per shard by each owner's watermark (DESIGN.md §13).
+// with the router's predictor clone — bitwise the engine's own decoder pass
+// over the same two embeddings. The result's Version is the src owner's
+// snapshot version; staleness is bounded per shard by each owner's watermark
+// (DESIGN.md §13).
 func (f *Fleet) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 	if err := f.enter(); err != nil {
 		return PredictResult{}, err
@@ -349,136 +337,48 @@ func (f *Fleet) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 	return res, err
 }
 
-// ErrGather wraps a cross-shard prediction the router could not score: the two
-// owners kept reporting different weight versions (a publisher racing every
-// attempt), or the version they agreed on has no router replica. It is the
-// server's failure, not the request's — the HTTP layer answers 503.
-var ErrGather = errors.New("serve: cross-shard gather failed")
-
-// gatherAttempts bounds the weight-version convergence loop of a cross-shard
-// prediction. Each retry is itself a request to the lagging shard, whose
-// flush applies the pending weight set before serving it — so one retry
-// usually converges; the bound only guards a publisher racing every attempt.
-const gatherAttempts = 4
-
 func (f *Fleet) predictLink(src, dst int32, t float64) (PredictResult, error) {
 	ss, sd := f.ring.Owner(src), f.ring.Owner(dst)
 	if ss == sd {
 		return f.shards[ss].PredictLink(src, dst, t)
 	}
 	f.crossShard.Add(1)
-	for attempt := 0; ; attempt++ {
-		var (
-			ra, rb EmbedResult
-			ea, eb error
-			wg     sync.WaitGroup
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rb, eb = f.shards[sd].Embed(dst, t)
-		}()
-		ra, ea = f.shards[ss].Embed(src, t)
-		wg.Wait()
-		if ea != nil {
-			return PredictResult{}, &ShardError{Shard: ss, Err: ea}
-		}
-		if eb != nil {
-			return PredictResult{}, &ShardError{Shard: sd, Err: eb}
-		}
-		if ra.Weights == rb.Weights {
-			score, err := f.scorePair(ra.Embedding, rb.Embedding, ra.Weights)
-			if err != nil {
-				return PredictResult{}, err
-			}
-			return PredictResult{
-				Score: score, Version: ra.Version, Weights: ra.Weights,
-				Cached: ra.Cached && rb.Cached,
-			}, nil
-		}
-		f.gatherRetries.Add(1)
-		if attempt >= gatherAttempts {
-			return PredictResult{}, fmt.Errorf(
-				"%w: did not converge on one weight version (shard %d at v%d, shard %d at v%d)",
-				ErrGather, ss, ra.Weights, sd, rb.Weights)
-		}
+	var (
+		rb EmbedResult
+		eb error
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rb, eb = f.shards[sd].Embed(dst, t)
+	}()
+	ra, ea := f.shards[ss].Embed(src, t)
+	wg.Wait()
+	if ea != nil {
+		return PredictResult{}, &ShardError{Shard: ss, Err: ea}
 	}
+	if eb != nil {
+		return PredictResult{}, &ShardError{Shard: sd, Err: eb}
+	}
+	return PredictResult{
+		Score: f.scorePair(ra.Embedding, rb.Embedding), Version: ra.Version, Weights: ra.Weights,
+		Cached: ra.Cached && rb.Cached,
+	}, nil
 }
 
-// scorePair runs the router's predictor replica for the given weight version
-// over one gathered (src, dst) embedding pair — the same ScoreGathered pass
-// the engine's flush uses, so the logit is bitwise what a single engine
-// holding both embeddings would serve.
-func (f *Fleet) scorePair(srcEmb, dstEmb []float64, version uint64) (float64, error) {
-	f.predMu.RLock()
-	pred := f.preds[version]
-	f.predMu.RUnlock()
-	if pred == nil {
-		return 0, fmt.Errorf("%w: no router predictor for weight version %d", ErrGather, version)
-	}
+// scorePair runs the router's predictor clone over one gathered (src, dst)
+// embedding pair — the same ScoreGathered pass the engine's flush uses, so
+// the logit is bitwise what a single engine holding both embeddings would
+// serve.
+func (f *Fleet) scorePair(srcEmb, dstEmb []float64) float64 {
 	d := f.cfg.Model.HiddenDim()
 	m := tensor.New(2, d)
 	copy(m.Row(0), srcEmb)
 	copy(m.Row(1), dstEmb)
 	g := autograd.New()
-	logit := pred.ScoreGathered(g, autograd.NewConst(m), []int32{0}, []int32{1})
-	return logit.Val.Data[0], nil
-}
-
-// routerPredHistory bounds how many weight versions the router keeps scoring
-// replicas for: enough to cover every version a shard can still report during
-// a publication, without growing with the fleet's lifetime.
-const routerPredHistory = 4
-
-// PublishWeights offers an immutable parameter snapshot to every shard (each
-// applies it at its next flush and, when durable, checkpoints it) after
-// installing a router-side predictor replica for the version — the replica
-// must exist before any shard can serve embeddings at it, so a cross-shard
-// gather never observes a version the router cannot score.
-func (f *Fleet) PublishWeights(w *models.WeightSet) error {
-	if err := f.enter(); err != nil {
-		return err
-	}
-	defer f.leave()
-	if w == nil {
-		return fmt.Errorf("serve: PublishWeights(nil)")
-	}
-	if err := f.installRouterPred(w); err != nil {
-		return err
-	}
-	var firstErr error
-	for i, s := range f.shards {
-		if err := s.PublishWeights(w); err != nil && firstErr == nil {
-			firstErr = &ShardError{Shard: i, Err: err}
-		}
-	}
-	return firstErr
-}
-
-// installRouterPred validates w against the fleet's architecture and stores a
-// scoring replica for its version, pruning the oldest beyond the history
-// bound. WeightSets are immutable, so sharing w across shards is safe.
-func (f *Fleet) installRouterPred(w *models.WeightSet) error {
-	f.predMu.Lock()
-	defer f.predMu.Unlock()
-	if w.Version <= f.routerVersion {
-		return fmt.Errorf("serve: weight version %d not newer than version %d", w.Version, f.routerVersion)
-	}
-	if err := w.LoadInto(f.wModel, f.wPred); err != nil {
-		return fmt.Errorf("serve: published weights do not fit the serving model: %w", err)
-	}
-	f.preds[w.Version] = f.wPred.Clone()
-	f.routerVersion = w.Version
-	for len(f.preds) > routerPredHistory {
-		oldest := w.Version
-		for v := range f.preds {
-			if v < oldest {
-				oldest = v
-			}
-		}
-		delete(f.preds, oldest)
-	}
-	return nil
+	logit := f.pred.ScoreGathered(g, autograd.NewConst(m), []int32{0}, []int32{1})
+	return logit.Val.Data[0]
 }
 
 // PublishSnapshot forces an immediate snapshot publication on every shard
@@ -549,7 +449,6 @@ type FleetStats struct {
 	ShardCount     int    `json:"shard_count"`
 	Teed           uint64 `json:"events_teed"` // cross-shard duplicates (Events counts each event once)
 	CrossShard     uint64 `json:"cross_shard_predicts"`
-	GatherRetries  uint64 `json:"gather_retries"`        // embeds re-requested to converge weight versions
 	SnapshotEvents int    `json:"snapshot_events_total"` // events across the shards' published snapshots
 	Stats
 	Shards []ShardStats `json:"shards"`
@@ -566,10 +465,9 @@ type ShardStats struct {
 // Stats snapshots the fleet's counters and every shard's.
 func (f *Fleet) Stats() FleetStats {
 	st := FleetStats{
-		ShardCount:    len(f.shards),
-		Teed:          f.teed.Load(),
-		CrossShard:    f.crossShard.Load(),
-		GatherRetries: f.gatherRetries.Load(),
+		ShardCount: len(f.shards),
+		Teed:       f.teed.Load(),
+		CrossShard: f.crossShard.Load(),
 	}
 	for i, s := range f.shards {
 		st.Shards = append(st.Shards, ShardStats{Shard: i, Stats: s.Stats()})
@@ -588,12 +486,11 @@ func (f *Fleet) Stats() FleetStats {
 
 // Recover restores every shard independently from its own WAL directory
 // (each to bitwise equivalence with its pre-crash stream prefix, per the
-// Engine.Recover contract), then reconciles the fleet:
+// Engine.Recover contract), then validates and recounts the fleet:
 //
-//   - Weight leveling. A crash between the per-shard checkpoint writes of a
-//     PublishWeights fan-out can leave shards on different weight versions;
-//     the newest recovered set is re-published to the laggards (and installed
-//     in the router) so cross-shard gathers converge again.
+//   - Weights. A fleet serves the weights it was built with, so a shard that
+//     recovers any other weight version was not written by a fleet; Recover
+//     refuses it.
 //
 //   - Layout validation + dedup accounting. Every recovered event must be
 //     owned by the shard holding it under the current ring — a mismatch means
@@ -603,9 +500,9 @@ func (f *Fleet) Stats() FleetStats {
 //     is the one on Owner(dst)).
 //
 // The report carries every shard's own under Shards; its event counts are
-// their sums (teed copies included, Teed of them), its watermark the fleet's
-// and its weight version the one every shard serves after leveling. Like
-// Engine.Recover, it must run on a freshly built Fleet before any traffic.
+// their sums (teed copies included, Teed of them) and its watermark the
+// fleet's. Like Engine.Recover, it must run on a freshly built Fleet before
+// any traffic.
 func (f *Fleet) Recover() (RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := f.enter(); err != nil {
@@ -618,32 +515,18 @@ func (f *Fleet) Recover() (RecoveryReport, error) {
 		if err != nil {
 			return rep, &ShardError{Shard: i, Err: err}
 		}
+		if r.WeightVersion != 1 {
+			return rep, &ShardError{Shard: i, Err: fmt.Errorf(
+				"serve: recovered weight version %d, but a fleet serves only the weights it was built with "+
+					"(version 1) — the store at %q was not written by a fleet", r.WeightVersion, f.cfg.Durability.Dir)}
+		}
 		rep.Shards = append(rep.Shards, r)
 		rep.CheckpointEvents += r.CheckpointEvents
 		rep.ReplayedEvents += r.ReplayedEvents
 		rep.HealedEvents += r.HealedEvents
 	}
 
-	var maxW *models.WeightSet
-	for _, s := range f.shards {
-		if w := s.PublishedWeights(); w != nil && (maxW == nil || w.Version > maxW.Version) {
-			maxW = w
-		}
-	}
 	rep.WeightVersion = 1
-	if maxW != nil {
-		for i, s := range f.shards {
-			if cur := s.PublishedWeights(); cur == nil || cur.Version < maxW.Version {
-				if err := s.PublishWeights(maxW); err != nil {
-					return rep, &ShardError{Shard: i, Err: err}
-				}
-			}
-		}
-		if err := f.installRouterPred(maxW); err != nil {
-			return rep, err
-		}
-		rep.WeightVersion = maxW.Version
-	}
 
 	var distinct, total int
 	for i, s := range f.shards {

@@ -77,8 +77,7 @@ func newRefEngine(t testing.TB, tr *train.Trainer, ds *datasets.Dataset) *Engine
 
 // TestFleetK1MatchesEngine: the anchor invariant's base case — a K=1 Fleet is
 // bitwise-equivalent to a bare Engine on the same stream: watermark, event
-// count, every served embedding and every served score, across a weight
-// publication.
+// count, every served embedding and every served score.
 func TestFleetK1MatchesEngine(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 5)
 	tr := newMixerTrainer(t, ds)
@@ -110,15 +109,6 @@ func TestFleetK1MatchesEngine(t *testing.T) {
 	ewm, eok := eng.Watermark()
 	if fwm != ewm || fok != eok {
 		t.Fatalf("fleet watermark %v (ok=%v), engine %v (ok=%v)", fwm, fok, ewm, eok)
-	}
-
-	// A published weight set must keep the pair in lockstep (identical sets:
-	// both sides still hold the same parameter values).
-	if err := eng.PublishWeights(perturbed(eng, 2, 1.01)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.PublishWeights(perturbed(fl.Shard(0), 2, 1.01)); err != nil {
-		t.Fatal(err)
 	}
 
 	eng.PublishSnapshot()
@@ -695,10 +685,10 @@ func TestFleetCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetRecoverLevelsWeights: a fleet that checkpointed a published weight
-// version must serve it again after recovery — on every shard and on the
-// router's cross-shard scoring path.
-func TestFleetRecoverLevelsWeights(t *testing.T) {
+// TestFleetRecoverRefusesPublishedWeights: a fleet serves the weights it was
+// built with, so a shard store that checkpointed another weight version was
+// not written by a fleet — Recover refuses it instead of serving it.
+func TestFleetRecoverRefusesPublishedWeights(t *testing.T) {
 	const K = 2
 	ds := datasets.Wikipedia(0.02, 5)
 	tr := newMixerTrainer(t, ds)
@@ -713,47 +703,14 @@ func TestFleetRecoverLevelsWeights(t *testing.T) {
 	if err := fl.Bootstrap(ds.Graph.Events[:half], ds.EdgeFeat.SliceRows(half)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.PublishWeights(perturbed(fl.Shard(0), 2, 1.02)); err != nil {
+	if err := fl.Shard(1).PublishWeights(perturbed(fl.Shard(1), 2, 1.02)); err != nil {
 		t.Fatal(err)
-	}
-	var crossEv *tgraph.Event
-	for i := range ds.Graph.Events[:half] {
-		ev := &ds.Graph.Events[i]
-		if fl.Owner(ev.Src) != fl.Owner(ev.Dst) {
-			crossEv = ev
-			break
-		}
-	}
-	if crossEv == nil {
-		t.Fatal("no cross-shard pair in the prefix")
-	}
-	wm, _ := fl.Watermark()
-	want, err := fl.PredictLink(crossEv.Src, crossEv.Dst, wm+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Weights != 2 {
-		t.Fatalf("pre-crash predict at weight v%d, want 2", want.Weights)
 	}
 	fl.Close()
 
-	rec := mk()
-	rep, err := rec.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WeightVersion != 2 {
-		t.Fatalf("recovered weight version %d, want 2", rep.WeightVersion)
-	}
-	got, err := rec.PredictLink(crossEv.Src, crossEv.Dst, wm+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Weights != 2 {
-		t.Fatalf("post-recovery predict at weight v%d, want 2", got.Weights)
-	}
-	if got.Score != want.Score {
-		t.Fatalf("post-recovery cross-shard score %v, want %v", got.Score, want.Score)
+	_, err := mk().Recover()
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("recovering a shard store with published weights: want an error naming version 2, got %v", err)
 	}
 }
 

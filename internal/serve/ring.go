@@ -10,7 +10,7 @@ import (
 // by the shard whose next clockwise point follows the node's hash. Two
 // properties make it the fleet's partition function (DESIGN.md §13):
 //
-//   - Balance. With enough virtual points per shard (default 64) the owned
+//   - Balance. With enough virtual points per shard (default 256) the owned
 //     key mass per shard concentrates around 1/K — the max/min load ratio is
 //     bounded regardless of how adversarially node ids are assigned, because
 //     ownership is decided by a hash, not by the ids themselves.
@@ -30,7 +30,6 @@ import (
 type Ring struct {
 	points []uint64 // sorted virtual-point hashes
 	owner  []int32  // owner[i] = shard owning points[i]
-	shards int
 	seed   uint64
 }
 
@@ -53,7 +52,7 @@ func NewRing(shards, vnodes int, seed uint64) (*Ring, error) {
 	if vnodes < 1 {
 		return nil, fmt.Errorf("serve: ring needs at least one vnode per shard, got %d", vnodes)
 	}
-	r := &Ring{shards: shards, seed: seed}
+	r := &Ring{seed: seed}
 	r.points = make([]uint64, 0, shards*vnodes)
 	r.owner = make([]int32, 0, shards*vnodes)
 	type pt struct {
@@ -82,9 +81,6 @@ func NewRing(shards, vnodes int, seed uint64) (*Ring, error) {
 	}
 	return r, nil
 }
-
-// Shards reports the partition count K.
-func (r *Ring) Shards() int { return r.shards }
 
 // Owner maps a node id to the shard that owns it: the shard of the first
 // virtual point at or clockwise-after the node's hash.

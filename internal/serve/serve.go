@@ -724,9 +724,8 @@ func (e *Engine) WeightVersion() uint64 { return e.weightVersion.Load() }
 
 // PublishedWeights returns the newest weight set offered to the serving path
 // (which the scheduler may not have applied yet), or nil while the engine
-// still serves its constructor weights. The fleet uses it after per-shard
-// recovery to level shards that checkpointed different weight versions
-// (a crash can split a publication fan-out); the returned set is immutable.
+// still serves its constructor weights. The fine-tuner starts from it; the
+// returned set is immutable.
 func (e *Engine) PublishedWeights() *models.WeightSet { return e.weights.Load() }
 
 // SetWritable flips the engine between writable (the default) and read-only.

@@ -17,26 +17,15 @@ type Tailer struct {
 // Consumed reports how many events the tailer has read so far.
 func (t *Tailer) Consumed() int { return t.next }
 
-// Next returns the events appended since the previous call as an immutable
-// capped view into g's event list, and marks them consumed. Successive
-// snapshots must be prefixes of one another (the Builder contract); a
-// shorter graph than already consumed is a stream restart and an error.
-func (t *Tailer) Next(g *Graph) ([]Event, error) {
-	n := len(g.Events)
-	if n < t.next {
-		return nil, fmt.Errorf("tgraph: tailer consumed %d events but snapshot has %d (stream restarted?)", t.next, n)
-	}
-	ev := g.Events[t.next:n:n]
-	t.next = n
-	return ev, nil
-}
-
-// NextWindow is Next with a recency cap: if more than window events arrived
-// since the last call, the oldest are skipped and only the most recent
-// window events are returned (skipped reports how many were dropped). This
-// is the fine-tuner's replay policy — when the tuner falls behind the
-// stream, it trains on the freshest window instead of replaying an
-// unbounded backlog. window <= 0 means no cap.
+// NextWindow returns the events appended since the previous call as an
+// immutable capped view into g's event list, and marks them consumed.
+// Successive snapshots must be prefixes of one another (the Builder
+// contract); a shorter graph than already consumed is a stream restart and an
+// error. If more than window events arrived since the last call, the oldest
+// are skipped and only the most recent window events are returned (skipped
+// reports how many were dropped). This is the fine-tuner's replay policy —
+// when the tuner falls behind the stream, it trains on the freshest window
+// instead of replaying an unbounded backlog. window <= 0 means no cap.
 func (t *Tailer) NextWindow(g *Graph, window int) (events []Event, skipped int, err error) {
 	n := len(g.Events)
 	if n < t.next {

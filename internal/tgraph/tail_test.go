@@ -18,7 +18,7 @@ func TestTailerFollowsIncrementalSnapshots(t *testing.T) {
 		}
 		total += add
 		g, _ := b.Snapshot()
-		ev, err := tl.Next(g)
+		ev, _, err := tl.NextWindow(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestTailerFollowsIncrementalSnapshots(t *testing.T) {
 	}
 	// Idle round: nothing new.
 	g, _ := b.Snapshot()
-	if ev, err := tl.Next(g); err != nil || len(ev) != 0 {
+	if ev, _, err := tl.NextWindow(g, 0); err != nil || len(ev) != 0 {
 		t.Fatalf("idle round returned %d events, err %v", len(ev), err)
 	}
 }
@@ -64,7 +64,7 @@ func TestTailerWindowSkipsBacklog(t *testing.T) {
 		t.Fatalf("consumed %d, want 100", tl.Consumed())
 	}
 	// A shrunken stream is an error, not silent corruption.
-	if _, err := tl.Next(&Graph{NumNodes: 8}); err == nil {
+	if _, _, err := tl.NextWindow(&Graph{NumNodes: 8}, 0); err == nil {
 		t.Fatal("expected error on shrunken stream")
 	}
 }

@@ -35,7 +35,6 @@ type FaultFS struct {
 	killed    bool
 	failSync  bool
 	shortRead int
-	written   int64 // bytes that reached the inner FS
 }
 
 var _ FS = (*FaultFS)(nil)
@@ -87,13 +86,6 @@ func (f *FaultFS) Killed() bool {
 	return f.killed
 }
 
-// BytesWritten reports the bytes that reached the inner FS.
-func (f *FaultFS) BytesWritten() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
-}
-
 // admitWrite decides how much of an n-byte write to name proceeds; it tears
 // the crossing write and kills the FS when the budget runs out.
 func (f *FaultFS) admitWrite(name string, n int) (allowed int, err error) {
@@ -103,18 +95,15 @@ func (f *FaultFS) admitWrite(name string, n int) (allowed int, err error) {
 		return 0, ErrKilled
 	}
 	if f.budget < 0 || (f.pattern != "" && !strings.Contains(filepath.Base(name), f.pattern)) {
-		f.written += int64(n)
 		return n, nil
 	}
 	if int64(n) <= f.budget {
 		f.budget -= int64(n)
-		f.written += int64(n)
 		return n, nil
 	}
 	allowed = int(f.budget)
 	f.budget = 0
 	f.killed = true
-	f.written += int64(allowed)
 	return allowed, ErrKilled
 }
 
