@@ -7,6 +7,7 @@ import (
 	"taser/internal/autograd"
 	"taser/internal/mathx"
 	"taser/internal/nn"
+	"taser/internal/tensor"
 )
 
 func TestSelectorInitUniform(t *testing.T) {
@@ -265,7 +266,13 @@ func TestSamplerGradFlowsThroughAllDecoders(t *testing.T) {
 		c := fillCandidates(rng, 3, 4, 3, 2, 4)
 		g := autograd.New()
 		scores := s.Scores(g, c)
-		g.Backward(g.MeanAll(g.SoftmaxSlots(scores, c.Valid)))
+		// Softmax rows sum to 1: a loss that weighs every slot alike
+		// carries no gradient.
+		coef := tensor.New(scores.Rows(), scores.Cols())
+		for i := range coef.Data {
+			coef.Data[i] = float64(i % 3)
+		}
+		g.Backward(g.WeightedSumConst(g.SoftmaxSlots(scores, c.Valid), coef))
 		any := false
 		for _, p := range s.Params() {
 			if p.Grad.MaxAbs() > 0 {

@@ -59,14 +59,7 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		parts = append(parts, g.Const(ie))
 	}
 	z := g.ConcatCols(parts...)
-	mask, bias := paddingMask(c)
-	wide := tensor.New(rows, z.Cols())
-	for i, v := range mask.Data {
-		for j := range wide.Row(i) {
-			wide.Row(i)[j] = v
-		}
-	}
-	z = g.Mul(z, g.Const(wide)) // zero padding tokens before mixing
+	z = g.ScatterRows(g.GatherRows(z, c.Valid), c.Valid, rows) // zero padding tokens before mixing
 	z = s.mixer.Apply(g, z, all)
 
 	var scores *autograd.Var
@@ -85,6 +78,7 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		q := s.transQ.Apply(g, s.encodeTarget(g, c))
 		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), all, c.M), 1/math.Sqrt(float64(c.M)))
 	}
+	_, bias := paddingMask(c)
 	return g.Add(scores, g.Const(bias))
 }
 

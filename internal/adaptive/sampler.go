@@ -125,8 +125,9 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 		s.edgeProj = nn.NewLinear(cfg.EdgeDim, cfg.FeatDim, rng)
 	}
 	enc := s.encDim()
-	// Channel hidden = d_enc (1×) keeps the sampler an order of magnitude
-	// cheaper than the TGNN it serves, matching Table III's small AS share.
+	// Channel hidden = d_enc (1×), the narrowest mixer over the encoding.
+	// Even so the sampler is no cheaper than the TGNN it serves on a CPU: AS
+	// is more of a training epoch than PP (DESIGN.md §1 has the shares).
 	s.mixer = nn.NewMixerBlock(cfg.M, enc, 0, enc, rng)
 	dv := s.targetDim()
 	h := cfg.FeatDim // decoder head width

@@ -1,36 +1,11 @@
 package autograd
 
 import (
-	"math"
 	"runtime"
 
 	"taser/internal/mathx"
 	"taser/internal/tensor"
 )
-
-// Sigmoid applies the logistic function element-wise.
-func (g *Graph) Sigmoid(a *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	for i, v := range a.Val.Data {
-		o.Val.Data[i] = mathx.Sigmoid(v)
-	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opSigmoid, out: o, a: a})
-	}
-	return o
-}
-
-// Tanh applies tanh element-wise.
-func (g *Graph) Tanh(a *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	for i, v := range a.Val.Data {
-		o.Val.Data[i] = math.Tanh(v)
-	}
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opTanh, out: o, a: a})
-	}
-	return o
-}
 
 // LeakyReLU applies x>=0 ? x : slope·x element-wise (GAT uses slope 0.2).
 func (g *Graph) LeakyReLU(a *Var, slope float64) *Var {

@@ -140,15 +140,12 @@ func (g *Graph) Reset() {
 // evaluation, drawing a Selection that is never co-trained): until the next
 // Reset every op output is a constant — no Grad matrix is checked out and
 // zero-filled for it, nothing is stashed for a backward body, no tape entry
-// is pushed, Ops stays 0 — and Backward panics. Values are bitwise those of a
-// recording pass.
+// is pushed — and Backward panics. Values are bitwise those of a recording
+// pass.
 func (g *Graph) ResetForwardOnly() {
 	g.Reset()
 	g.forwardOnly = true
 }
-
-// Ops reports the number of recorded backward steps (for tests/metrics).
-func (g *Graph) Ops() int { return len(g.tape) }
 
 func (g *Graph) push(e tapeEntry) { g.tape = append(g.tape, e) }
 
@@ -281,26 +278,6 @@ func (g *Graph) Add(a, b *Var) *Var {
 	tensor.AddInto(o.Val, a.Val, b.Val)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opAdd, out: o, a: a, b: b})
-	}
-	return o
-}
-
-// Sub returns a - b.
-func (g *Graph) Sub(a, b *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	tensor.SubInto(o.Val, a.Val, b.Val)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opSub, out: o, a: a, b: b})
-	}
-	return o
-}
-
-// Mul returns the Hadamard product a ⊙ b.
-func (g *Graph) Mul(a, b *Var) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad() || b.NeedsGrad())
-	tensor.MulInto(o.Val, a.Val, b.Val)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opMul, out: o, a: a, b: b})
 	}
 	return o
 }

@@ -49,21 +49,37 @@ func TestGradMatMul(t *testing.T) {
 		w := NewParam(tensor.Randn(shape[1], shape[2], 1, rng))
 		bias := NewConst(tensor.Randn(1, shape[2], 1, rng))
 		gradCheck(t, []*Var{x, w}, func(g *Graph) *Var {
-			return g.MeanAll(g.Tanh(g.Affine(x, w, bias)))
+			return weightedSum(g, g.Affine(x, w, bias))
 		}, 1e-6)
 	}
 }
 
-func TestGradAddSubMulScale(t *testing.T) {
+func TestGradAddScale(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	a := NewParam(tensor.Randn(2, 3, 1, rng))
 	b := NewParam(tensor.Randn(2, 3, 1, rng))
 	gradCheck(t, []*Var{a, b}, func(g *Graph) *Var {
-		x := g.Add(a, b)
-		y := g.Sub(x, g.Scale(b, 0.5))
-		z := g.Mul(y, a)
-		return g.SumAll(z)
+		return weightedSum(g, g.Add(g.Add(a, b), g.Scale(b, 0.5)))
 	}, 1e-6)
+}
+
+// weightedSum is the gradchecks' loss head: Σ c_i·v_i with fixed
+// coefficients that differ between neighboring elements, so a gradient sent
+// to the wrong element shows.
+func weightedSum(g *Graph, v *Var) *Var {
+	coef := g.Scratch(v.Rows(), v.Cols())
+	for i := range coef.Data {
+		coef.Data[i] = 1 + 0.25*float64(i%5)
+	}
+	return g.WeightedSumConst(v, coef)
+}
+
+// sumAll is Σ v_i: WeightedSumConst with every coefficient 1, whose value and
+// input gradient are bitwise a plain sum's.
+func sumAll(g *Graph, v *Var) *Var {
+	ones := g.Scratch(v.Rows(), v.Cols())
+	ones.Fill(1)
+	return g.WeightedSumConst(v, ones)
 }
 
 // TestGradAddBias checks the bias half of Affine: dB is dOut's column sum.
@@ -73,7 +89,7 @@ func TestGradAddBias(t *testing.T) {
 	w := NewConst(tensor.Randn(3, 3, 1, rng))
 	bias := NewParam(tensor.Randn(1, 3, 1, rng))
 	gradCheck(t, []*Var{bias}, func(g *Graph) *Var {
-		return g.MeanAll(g.Sigmoid(g.Affine(x, w, bias)))
+		return weightedSum(g, g.GELU(g.Affine(x, w, bias)))
 	}, 1e-6)
 }
 
@@ -84,7 +100,7 @@ func TestGradConcatCols(t *testing.T) {
 	w := NewParam(tensor.Randn(6, 1, 1, rng))
 	bias := NewParam(tensor.Randn(1, 1, 1, rng))
 	gradCheck(t, []*Var{a, b, w, bias}, func(g *Graph) *Var {
-		return g.MeanAll(g.Affine(g.ConcatCols(a, b), w, bias))
+		return weightedSum(g, g.Affine(g.ConcatCols(a, b), w, bias))
 	}, 1e-6)
 }
 
@@ -100,7 +116,7 @@ func TestGradAffineParts(t *testing.T) {
 	w := NewParam(tensor.Randn(10, 3, 1, rng))
 	bias := NewParam(tensor.Randn(1, 3, 1, rng))
 	gradCheck(t, []*Var{a, b, w, bias}, func(g *Graph) *Var {
-		return g.MeanAll(g.Tanh(g.AffineParts(w, bias, a, none, c, b)))
+		return weightedSum(g, g.AffineParts(w, bias, a, none, c, b))
 	}, 1e-6)
 }
 
@@ -109,15 +125,13 @@ func TestGradGatherRows(t *testing.T) {
 	table := NewParam(tensor.Randn(5, 3, 1, rng))
 	idx := []int32{4, 0, 0, 2}
 	gradCheck(t, []*Var{table}, func(g *Graph) *Var {
-		return g.SumAll(g.Tanh(g.GatherRows(table, idx)))
+		return weightedSum(g, g.GatherRows(table, idx))
 	}, 1e-6)
 }
 
 func TestGradActivations(t *testing.T) {
 	rng := mathx.NewRNG(6)
 	for name, f := range map[string]func(g *Graph, v *Var) *Var{
-		"sigmoid":   func(g *Graph, v *Var) *Var { return g.Sigmoid(v) },
-		"tanh":      func(g *Graph, v *Var) *Var { return g.Tanh(v) },
 		"gelu":      func(g *Graph, v *Var) *Var { return g.GELU(v) },
 		"leakyrelu": func(g *Graph, v *Var) *Var { return g.LeakyReLU(v, 0.2) },
 		"cos":       func(g *Graph, v *Var) *Var { return g.Cos(v) },
@@ -131,7 +145,7 @@ func TestGradActivations(t *testing.T) {
 		}
 		act := f
 		gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-			return g.MeanAll(act(g, a))
+			return weightedSum(g, act(g, a))
 		}, 1e-5)
 		_ = name
 	}
@@ -181,7 +195,7 @@ func TestGradGroupMean(t *testing.T) {
 	for _, slots := range groupedSlotSets(3) {
 		a := NewParam(tensor.Randn(len(slots), 3, 1, rng))
 		gradCheck(t, []*Var{a}, func(g *Graph) *Var {
-			return g.MeanAll(g.Sigmoid(g.GroupMean(a, slots, 3, 3)))
+			return weightedSum(g, g.GroupMean(a, slots, 3, 3))
 		}, 1e-6)
 	}
 }
@@ -286,7 +300,7 @@ func TestConstHasNoGrad(t *testing.T) {
 	g := New()
 	c := NewConst(tensor.FromSlice(1, 2, []float64{1, 2}))
 	p := NewParam(tensor.FromSlice(2, 1, []float64{3, 4}))
-	loss := g.MeanAll(g.Affine(c, p, NewConst(tensor.New(1, 1))))
+	loss := sumAll(g, g.Affine(c, p, NewConst(tensor.New(1, 1))))
 	g.Backward(loss)
 	if c.Grad != nil {
 		t.Fatal("const must not accumulate grad")
@@ -300,8 +314,9 @@ func TestParamReuseAccumulates(t *testing.T) {
 	// Using the same parameter twice must sum both contribution paths.
 	p := NewParam(tensor.FromSlice(1, 1, []float64{3}))
 	g := New()
-	// loss = p*p → dp = 2p = 6
-	loss := g.SumAll(g.Mul(p, p))
+	// loss = p·p (the row-wise dot product of one neighborhood of one slot)
+	// → dp = 2p = 6
+	loss := g.GroupedScore(p, p, []int32{0}, 1)
 	g.Backward(loss)
 	if math.Abs(p.Grad.Data[0]-6) > 1e-12 {
 		t.Fatalf("grad %v want 6", p.Grad.Data[0])
@@ -312,7 +327,7 @@ func TestGradAccumulatesAcrossGraphs(t *testing.T) {
 	p := NewParam(tensor.FromSlice(1, 1, []float64{2}))
 	for i := 0; i < 3; i++ {
 		g := New()
-		g.Backward(g.SumAll(g.Scale(p, 1)))
+		g.Backward(sumAll(g, g.Scale(p, 1)))
 	}
 	if p.Grad.Data[0] != 3 {
 		t.Fatalf("grads must accumulate across graphs until zeroed: %v", p.Grad.Data[0])

@@ -137,11 +137,9 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 	for _, s := range slots {
 		named[s] = true
 	}
-	mask, biased, dLogNamed := tensor.New(b, k), logits.Clone(), dLog.Clone()
+	biased, dLogNamed := logits.Clone(), dLog.Clone()
 	for s, ok := range named {
-		if ok {
-			mask.Data[s] = 1
-		} else {
+		if !ok {
 			biased.Data[s], dLogNamed.Data[s] = -1e9, 0
 		}
 	}
@@ -154,7 +152,8 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 		g := poisoned()
 		soft, logSoft := g.SoftmaxSlots(a, idx), g.LogSoftmaxSlots(la, idx)
 		if padded {
-			soft = g.Mul(soft, g.Const(mask))
+			col := g.Reshape(soft, b*k, 1)
+			soft = g.Reshape(g.ScatterRows(g.GatherRows(col, slots), slots, b*k), b, k)
 		}
 		g.Backward(g.Add(g.WeightedSumConst(soft, dSoft), g.WeightedSumConst(logSoft, dl)))
 		return []*tensor.Matrix{soft.Val, logSoft.Val, a.Grad, la.Grad}

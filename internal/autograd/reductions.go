@@ -6,26 +6,6 @@ import (
 	"taser/internal/tensor"
 )
 
-// MeanAll reduces a to its scalar mean.
-func (g *Graph) MeanAll(a *Var) *Var {
-	o := g.out(1, 1, a.NeedsGrad())
-	o.Val.Data[0] = a.Val.Sum() / float64(len(a.Val.Data))
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opMeanAll, out: o, a: a})
-	}
-	return o
-}
-
-// SumAll reduces a to its scalar sum.
-func (g *Graph) SumAll(a *Var) *Var {
-	o := g.out(1, 1, a.NeedsGrad())
-	o.Val.Data[0] = a.Val.Sum()
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opSumAll, out: o, a: a})
-	}
-	return o
-}
-
 // WeightedSumConst returns the scalar Σ_ij coef[i][j]·a[i][j] where coef is a
 // constant. This is the building block of the REINFORCE sample loss
 // (Eqs. 25–26): coefficients are frozen, only log-probabilities carry grad.

@@ -13,24 +13,18 @@ type opKind uint8
 const (
 	opAffine opKind = iota
 	opAdd
-	opSub
-	opMul
 	opScale
 	opConcatCols
 	opReshape
 	opGatherRows
 	opScatterRows
 
-	opSigmoid
-	opTanh
 	opLeakyReLU
 	opGELU
 	opCos
 	opSoftmaxSlots
 	opLogSoftmaxSlots
 
-	opMeanAll
-	opSumAll
 	opGroupMean
 	opWeightedSumConst
 	opBCEWithLogits
@@ -88,26 +82,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 			tensor.AddInto(e.b.Grad, e.b.Grad, e.out.Grad)
 		}
 
-	case opSub:
-		if e.a.NeedsGrad() {
-			tensor.AddInto(e.a.Grad, e.a.Grad, e.out.Grad)
-		}
-		if e.b.NeedsGrad() {
-			tensor.SubInto(e.b.Grad, e.b.Grad, e.out.Grad)
-		}
-
-	case opMul:
-		if e.a.NeedsGrad() {
-			for i, gv := range e.out.Grad.Data {
-				e.a.Grad.Data[i] += gv * e.b.Val.Data[i]
-			}
-		}
-		if e.b.NeedsGrad() {
-			for i, gv := range e.out.Grad.Data {
-				e.b.Grad.Data[i] += gv * e.a.Val.Data[i]
-			}
-		}
-
 	case opScale:
 		e.a.Grad.AxpyInPlace(e.scalar, e.out.Grad)
 
@@ -138,16 +112,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 
 	case opScatterRows:
 		tensor.GatherAddRows(e.a.Grad, e.out.Grad, e.idx)
-
-	case opSigmoid:
-		for i, s := range e.out.Val.Data {
-			e.a.Grad.Data[i] += e.out.Grad.Data[i] * s * (1 - s)
-		}
-
-	case opTanh:
-		for i, t := range e.out.Val.Data {
-			e.a.Grad.Data[i] += e.out.Grad.Data[i] * (1 - t*t)
-		}
 
 	case opLeakyReLU:
 		for i, v := range e.a.Val.Data {
@@ -196,18 +160,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 			for _, j := range named {
 				dx[j] += dy[j] - math.Exp(logp[j])*sum
 			}
-		}
-
-	case opMeanAll:
-		d := e.out.Grad.Data[0] / float64(len(e.a.Grad.Data))
-		for i := range e.a.Grad.Data {
-			e.a.Grad.Data[i] += d
-		}
-
-	case opSumAll:
-		d := e.out.Grad.Data[0]
-		for i := range e.a.Grad.Data {
-			e.a.Grad.Data[i] += d
 		}
 
 	case opGroupMean:

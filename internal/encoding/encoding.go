@@ -40,16 +40,13 @@ func NewTimeEncoder(d int, alpha, beta float64) *TimeEncoder {
 	return e
 }
 
-// Dim returns the encoding width.
-func (e *TimeEncoder) Dim() int { return len(e.omega) }
-
-// Encode writes cos(dt·ω) into dst (len Dim), bitwise math.Cos of each.
+// Encode writes cos(dt·ω) into dst (len d), bitwise math.Cos of each.
 func (e *TimeEncoder) Encode(dst []float64, dt float64) {
 	e.EncodeRows(dst, []float64{dt})
 }
 
 // EncodeRows writes the encoding of dts[r] into row r of dst, a
-// len(dts)×Dim block: every dt·ω product first, then one cosine over the
+// len(dts)×d block: every dt·ω product first, then one cosine over the
 // whole block, so the kernel under CosInto sees one long slice rather than
 // a short row per Δt. Each element is math.Cos(dt·ω), bit for bit.
 func (e *TimeEncoder) EncodeRows(dst []float64, dts []float64) {
@@ -89,10 +86,7 @@ func NewFreqEncoder(d, maxFreq int) *FreqEncoder {
 	return e
 }
 
-// Dim returns the encoding width.
-func (e *FreqEncoder) Dim() int { return e.dim }
-
-// Encode writes the sin/cos interleaved encoding of freq into dst (len Dim).
+// Encode writes the sin/cos interleaved encoding of freq into dst (len d).
 func (e *FreqEncoder) Encode(dst []float64, freq int) {
 	if lo := freq * e.dim; freq >= 0 && lo < len(e.table) {
 		copy(dst[:e.dim], e.table[lo:lo+e.dim])

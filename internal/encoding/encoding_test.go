@@ -87,7 +87,7 @@ func TestTimeEncoderDistinguishesScales(t *testing.T) {
 
 func TestFreqEncoderDeterministicAndBounded(t *testing.T) {
 	e := NewFreqEncoder(8, 4)
-	if e.Dim() != 8 {
+	if e.dim != 8 {
 		t.Fatal("dim")
 	}
 	a := make([]float64, 8)

@@ -38,9 +38,6 @@ func New(host *tensor.Matrix, policy cache.Policy, stats *device.XferStats) *Sto
 	return s
 }
 
-// Dim returns the feature width.
-func (s *Store) Dim() int { return s.host.Cols }
-
 // rowBytes is the transfer size of one feature row.
 func (s *Store) rowBytes() int64 { return int64(s.host.Cols) * 8 }
 

@@ -25,27 +25,22 @@ func allRows(n int) []int32 {
 	return idx
 }
 
-// maskRows zeroes the rows of x whose mask entry is 0 by multiplying with
-// the mask broadcast across columns.
-func maskRows(g *autograd.Graph, x *autograd.Var, mask *tensor.Matrix) *autograd.Var {
-	wide := tensor.New(x.Rows(), x.Cols())
-	for i, v := range mask.Data {
-		for j := range wide.Row(i) {
-			wide.Row(i)[j] = v
-		}
-	}
-	return g.Mul(x, g.Const(wide))
+// maskRows zeroes the rows of x that valid does not name: it gathers the
+// named rows and scatters them back, so every other row is +0.
+func maskRows(g *autograd.Graph, x *autograd.Var, valid []int32) *autograd.Var {
+	return g.ScatterRows(g.GatherRows(x, valid), valid, x.Rows())
 }
 
-// paddingMask is what the padded forwards mask with, built from the block's
-// valid-slot index: the 0/1 mask and the (mask−1)·1e9 logit bias, T×n each.
-func paddingMask(block *LayerBlock) (mask, bias *tensor.Matrix) {
-	mask, bias = tensor.New(block.NumTargets, block.Budget), tensor.New(block.NumTargets, block.Budget)
+// paddingBias is the logit bias the padded TGAT forward masks attention
+// with, built from the block's valid-slot index: 0 at valid slots, −1e9 at
+// padding, T×n.
+func paddingBias(block *LayerBlock) *tensor.Matrix {
+	bias := tensor.New(block.NumTargets, block.Budget)
 	bias.Fill(-1e9)
 	for _, s := range block.Valid {
-		mask.Data[s], bias.Data[s] = 1, 0
+		bias.Data[s] = 0
 	}
-	return mask, bias
+	return bias
 }
 
 // paddedSplit is splitTargetsNbrs over every slot.
@@ -76,9 +71,9 @@ func paddedTGATLayers(m *TGAT, g *autograd.Graph, mb *MiniBatch) (hs []*autograd
 		keys := layer.wk.Apply(g, msg)
 		vals := layer.wv.Apply(g, msg)
 		scores := g.Scale(g.GroupedScore(q, keys, allRows(t*n), n), 1/math.Sqrt(float64(n)))
-		mask, bias := paddingMask(block)
-		scores = g.Add(scores, g.Const(bias))
-		attn := g.Mul(g.SoftmaxSlots(scores, allRows(t*n)), g.Const(mask))
+		scores = g.Add(scores, g.Const(paddingBias(block)))
+		attn := g.Reshape(g.SoftmaxSlots(scores, allRows(t*n)), t*n, 1)
+		attn = g.Reshape(maskRows(g, attn, block.Valid), t, n)
 		agg := g.GroupedWeightedSum(attn, vals, allRows(t*n), n)
 		h = g.GELU(layer.out.Apply(g, g.ConcatCols(agg, hT)))
 		hs = append(hs, h)
@@ -95,11 +90,10 @@ func paddedGraphMixerForward(m *GraphMixer, g *autograd.Graph, mb *MiniBatch) *a
 		m.timeEnc.Encode(phi.Row(i), block.DeltaT.Data[i])
 	}
 	tokens := g.ConcatCols(hN, g.Const(block.EdgeFeat), g.Const(phi))
-	mask, _ := paddingMask(block)
-	tokens = maskRows(g, m.tokenIn.Apply(g, tokens), mask)
+	tokens = maskRows(g, m.tokenIn.Apply(g, tokens), block.Valid)
 	// With every row listed as valid the mixer's channel mixing runs on the
 	// full layout too.
-	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), mask)
+	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), block.Valid)
 	mean := g.GroupMean(mixed, allRows(t*n), t, n)
 	return g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
 }

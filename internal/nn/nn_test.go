@@ -32,20 +32,20 @@ func TestLinearLearnsIdentity(t *testing.T) {
 	for iter := 0; iter < 400; iter++ {
 		g := autograd.New()
 		xs := tensor.Randn(16, 1, 1, rng)
-		labels := make([]float64, 16)
 		x := autograd.NewConst(xs)
 		pred := l.Apply(g, x)
-		target := tensor.New(16, 1)
+		negTarget, mean := tensor.New(16, 1), tensor.New(16, 1)
 		for i := 0; i < 16; i++ {
-			target.Data[i] = 2*xs.Data[i] + 1
+			negTarget.Data[i] = -(2*xs.Data[i] + 1)
 		}
-		diff := g.Sub(pred, autograd.NewConst(target))
-		lossVar := g.MeanAll(g.Mul(diff, diff))
+		mean.Fill(1.0 / 16)
+		diff := g.Add(pred, autograd.NewConst(negTarget))
+		// Each row's diff·diff, the dot product of a one-slot neighborhood.
+		lossVar := g.WeightedSumConst(g.GroupedScore(diff, diff, everyRow(16), 1), mean)
 		loss = lossVar.Val.Data[0]
 		g.Backward(lossVar)
 		opt.Step()
 		opt.ZeroGrad()
-		_ = labels
 	}
 	if loss > 1e-3 {
 		t.Fatalf("linear failed to fit affine map, loss %v", loss)
@@ -177,8 +177,11 @@ func TestMixerGradFlowsToAllParams(t *testing.T) {
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	g := autograd.New()
 	x := autograd.NewConst(tensor.Randn(b*k, c, 1, rng))
-	loss := g.MeanAll(g.Mul(mix.Apply(g, x, everyRow(b*k)), mix.Apply(g, x, everyRow(b*k))))
-	g.Backward(loss)
+	coef := tensor.New(b*k, c)
+	for i := range coef.Data {
+		coef.Data[i] = math.Sin(float64(i + 1))
+	}
+	g.Backward(g.WeightedSumConst(mix.Apply(g, x, everyRow(b*k)), coef))
 	for i, p := range mix.Params() {
 		if p.Grad.MaxAbs() == 0 {
 			t.Fatalf("param %d received no gradient", i)
@@ -192,8 +195,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam([]*autograd.Var{p}, 0.1)
 	for i := 0; i < 500; i++ {
 		g := autograd.New()
-		diff := g.Sub(p, autograd.NewConst(tensor.FromSlice(1, 1, []float64{3})))
-		g.Backward(g.SumAll(g.Mul(diff, diff)))
+		diff := g.Add(p, autograd.NewConst(tensor.FromSlice(1, 1, []float64{-3})))
+		g.Backward(g.GroupedScore(diff, diff, []int32{0}, 1))
 		opt.Step()
 		opt.ZeroGrad()
 	}

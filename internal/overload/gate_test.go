@@ -215,8 +215,8 @@ func TestConfigNormalize(t *testing.T) {
 	base, baseWait := 32, 2*time.Millisecond
 	t.Run("zero stays disabled", func(t *testing.T) {
 		c, err := Config{}.Normalize(base, baseWait)
-		if err != nil || c.Enabled() {
-			t.Fatalf("zero config: err=%v enabled=%v", err, c.Enabled())
+		if on := c.ControllerEnabled() || c.AdmissionEnabled(); err != nil || on {
+			t.Fatalf("zero config: err=%v enabled=%v", err, on)
 		}
 	})
 	t.Run("controller defaults", func(t *testing.T) {

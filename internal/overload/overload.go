@@ -112,9 +112,6 @@ func (c Config) ControllerEnabled() bool { return c.TargetP99 > 0 }
 // AdmissionEnabled reports whether bounded admission (the gate) is on.
 func (c Config) AdmissionEnabled() bool { return c.MaxQueue > 0 }
 
-// Enabled reports whether any part of the control plane is on.
-func (c Config) Enabled() bool { return c.ControllerEnabled() || c.AdmissionEnabled() }
-
 // Normalize validates and fills defaults against the scheduler's static base
 // MaxBatch (the gate sizes its capacity from it). The second parameter, the
 // scheduler's base MaxWait, bears on nothing; it stays only because

@@ -101,14 +101,6 @@ func (r *Result) Reset(n, budget int) {
 	}
 }
 
-// NumTargets reports how many targets the result currently holds.
-func (r *Result) NumTargets() int {
-	if r.Budget == 0 {
-		return 0
-	}
-	return len(r.Nodes) / r.Budget
-}
-
 // Slot returns the flat index of target i's j-th neighbor entry.
 func (r *Result) Slot(i, j int) int { return i*r.Budget + j }
 

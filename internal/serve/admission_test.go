@@ -63,7 +63,7 @@ func TestFleetBootstrapIsAllOrNothing(t *testing.T) {
 	// started: shard 0's slice stays admissible, shard 1's does not.
 	bad := -1
 	for i := n - 1; i >= 0 && bad < 0; i-- {
-		if fl.Owner(events[i].Src) == 1 && fl.Owner(events[i].Dst) == 1 {
+		if fl.ring.Owner(events[i].Src) == 1 && fl.ring.Owner(events[i].Dst) == 1 {
 			bad = i
 		}
 	}
@@ -76,8 +76,8 @@ func TestFleetBootstrapIsAllOrNothing(t *testing.T) {
 	if err == nil {
 		t.Fatal("bootstrap with shard 1's slice out of order was accepted")
 	}
-	for s := 0; s < fl.NumShards(); s++ {
-		if got := fl.Shard(s).NumEvents(); got != 0 {
+	for s := 0; s < len(fl.shards); s++ {
+		if got := fl.shards[s].NumEvents(); got != 0 {
 			t.Fatalf("rejected bootstrap left %d events on shard %d", got, s)
 		}
 	}
@@ -93,7 +93,7 @@ func TestFleetBootstrapIsAllOrNothing(t *testing.T) {
 	if err := fl.Bootstrap(events, feats); err != nil {
 		t.Fatal(err)
 	}
-	total := fl.Shard(0).NumEvents() + fl.Shard(1).NumEvents()
+	total := fl.shards[0].NumEvents() + fl.shards[1].NumEvents()
 	if st := fl.Stats(); fl.NumEvents() != n || total != n+int(st.Teed) {
 		t.Fatalf("corrected bootstrap: %d distinct, %d stored, %d teed; want %d distinct, stored = distinct + teed",
 			fl.NumEvents(), total, st.Teed, n)

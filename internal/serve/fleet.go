@@ -410,17 +410,6 @@ func (f *Fleet) Watermark() (t float64, ok bool) {
 // engine fed the same stream would report.
 func (f *Fleet) NumEvents() int { return int(f.ingested.Load()) }
 
-// NumShards reports the partition count K.
-func (f *Fleet) NumShards() int { return len(f.shards) }
-
-// Shard exposes shard i's engine — for tests and operators that need the
-// per-shard view (e.g. per-shard recovery equivalence checks). Writing to it
-// directly bypasses the fleet's routing and tee accounting.
-func (f *Fleet) Shard(i int) *Engine { return f.shards[i] }
-
-// Owner reports which shard owns a node id.
-func (f *Fleet) Owner(node int32) int { return f.ring.Owner(node) }
-
 // Writable reports whether the public write API is open — always true: fleets
 // do not participate in replication (DESIGN.md §13 explains the composition
 // order: replication will wrap each shard, not the fleet).

@@ -155,7 +155,7 @@ func TestFleetK1MatchesEngine(t *testing.T) {
 // across shards is scrambled. This is exactly the freedom the per-shard
 // watermark contract grants a multi-producer deployment.
 func shardShuffle(f *Fleet, events []tgraph.Event, lo, hi int, seed uint64) []int {
-	K := f.NumShards()
+	K := len(f.shards)
 	queues := make([][]int, K)
 	for i := lo; i < hi; i++ {
 		a, b, teed := f.targets(events[i].Src, events[i].Dst)
@@ -269,7 +269,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	st := fl.Stats()
 	wantTeed := 0
 	for _, ev := range events {
-		if fl.Owner(ev.Src) != fl.Owner(ev.Dst) {
+		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
 			wantTeed++
 		}
 	}
@@ -286,7 +286,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	var cross, local int
 	for i := 0; i < len(events) && (cross < 15 || local < 15); i++ {
 		ev := events[i*7919%len(events)]
-		isCross := fl.Owner(ev.Src) != fl.Owner(ev.Dst)
+		isCross := fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst)
 		if isCross && cross >= 15 || !isCross && local >= 15 {
 			continue
 		}
@@ -397,7 +397,7 @@ func TestFleetDrainOrdering(t *testing.T) {
 	}
 	var crossSrc, crossDst int32 = -1, -1
 	for _, ev := range ds.Graph.Events {
-		if fl.Owner(ev.Src) != fl.Owner(ev.Dst) {
+		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
 			crossSrc, crossDst = ev.Src, ev.Dst
 			break
 		}
@@ -485,7 +485,7 @@ func TestFleetStatsHTTP(t *testing.T) {
 	var crossEv, localEv *tgraph.Event
 	for i := range ds.Graph.Events {
 		ev := &ds.Graph.Events[i]
-		if fl.Owner(ev.Src) != fl.Owner(ev.Dst) {
+		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
 			crossEv = ev
 		} else {
 			localEv = ev
@@ -643,7 +643,7 @@ func TestFleetCrashRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("recovered %d shard reports, want %d", len(rep.Shards), K)
 	}
 	for s := 0; s < K; s++ {
-		shard := rec.Shard(s)
+		shard := rec.shards[s]
 		n := shard.NumEvents()
 		admitted := perShard[s]
 		definite := len(admitted)
@@ -674,8 +674,8 @@ func TestFleetCrashRecoveryEquivalence(t *testing.T) {
 	// shards under the ownership rule.
 	wantDistinct := 0
 	for s := 0; s < K; s++ {
-		for _, i := range perShard[s][:rec.Shard(s).NumEvents()] {
-			if fl.Owner(ds.Graph.Events[i].Dst) == s {
+		for _, i := range perShard[s][:rec.shards[s].NumEvents()] {
+			if fl.ring.Owner(ds.Graph.Events[i].Dst) == s {
 				wantDistinct++
 			}
 		}
@@ -703,7 +703,7 @@ func TestFleetRecoverRefusesPublishedWeights(t *testing.T) {
 	if err := fl.Bootstrap(ds.Graph.Events[:half], ds.EdgeFeat.SliceRows(half)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Shard(1).PublishWeights(perturbed(fl.Shard(1), 2, 1.02)); err != nil {
+	if err := fl.shards[1].PublishWeights(perturbed(fl.shards[1], 2, 1.02)); err != nil {
 		t.Fatal(err)
 	}
 	fl.Close()
@@ -726,7 +726,7 @@ func TestFleetIngestStaleAcrossTee(t *testing.T) {
 	var crossEv *tgraph.Event
 	for i := range ds.Graph.Events {
 		ev := &ds.Graph.Events[i]
-		if fl.Owner(ev.Src) != fl.Owner(ev.Dst) {
+		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
 			crossEv = ev
 			break
 		}
@@ -749,8 +749,8 @@ func TestFleetIngestStaleAcrossTee(t *testing.T) {
 		t.Fatal("a rejected tee moved the dedup counters")
 	}
 	total := 0
-	for s := 0; s < fl.NumShards(); s++ {
-		total += fl.Shard(s).NumEvents()
+	for s := 0; s < len(fl.shards); s++ {
+		total += fl.shards[s].NumEvents()
 	}
 	if want := len(ds.Graph.Events) + int(before.Teed); total != want {
 		t.Fatalf("a rejected tee changed physical shard event counts: %d, want %d", total, want)
@@ -768,7 +768,7 @@ func TestFleetNonFiniteQueryDoesNotPoisonCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := int32(0), int32(1)
-	for fl.Owner(dst) == fl.Owner(src) {
+	for fl.ring.Owner(dst) == fl.ring.Owner(src) {
 		dst++
 	}
 	if _, err := fl.PredictLink(src, dst, math.Inf(1)); err == nil || statusFor(err) != http.StatusBadRequest {

@@ -35,13 +35,6 @@ func (t *Timer) Add(name string, d time.Duration) {
 	t.buckets[name] += d
 }
 
-// Time runs f and charges its wall time to bucket name.
-func (t *Timer) Time(name string, f func()) {
-	start := time.Now()
-	f()
-	t.Add(name, time.Since(start))
-}
-
 // Get returns the accumulated duration for name.
 func (t *Timer) Get(name string) time.Duration {
 	t.mu.Lock()
@@ -56,13 +49,6 @@ func (t *Timer) Reset() {
 	for k := range t.buckets {
 		t.buckets[k] = 0
 	}
-}
-
-// Names returns bucket names in first-use order.
-func (t *Timer) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
 }
 
 // Breakdown formats each bucket as seconds with its share of the total.

@@ -142,13 +142,11 @@ func (m *Matrix) shapeCheck(o *Matrix, op string) {
 // SameShapeOrPanic panics with the operation name if shapes differ.
 func (m *Matrix) SameShapeOrPanic(o *Matrix, op string) { m.shapeCheck(o, op) }
 
-// AddInto, SubInto, MulInto and ScaleInto write a op b (or a·s) into dst in
-// one pass over the operands. dst may alias a or b: AddInto(m, m, o) is the
-// in-place m += o a gradient accumulates with.
-
-// AddInto writes a + b into dst.
+// AddInto writes a + b into dst in one pass over the operands. dst may alias
+// a or b: AddInto(m, m, o) is the in-place m += o a gradient accumulates with.
 func AddInto(dst, a, b *Matrix) {
-	checkBinary(dst, a, b, "AddInto")
+	a.shapeCheck(b, "AddInto")
+	a.shapeCheck(dst, "AddInto")
 	av := a.Data
 	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
 	for i, v := range av {
@@ -156,39 +154,13 @@ func AddInto(dst, a, b *Matrix) {
 	}
 }
 
-// SubInto writes a - b into dst.
-func SubInto(dst, a, b *Matrix) {
-	checkBinary(dst, a, b, "SubInto")
-	av := a.Data
-	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
-	for i, v := range av {
-		out[i] = v - bv[i]
-	}
-}
-
-// MulInto writes the Hadamard product a ⊙ b into dst.
-func MulInto(dst, a, b *Matrix) {
-	checkBinary(dst, a, b, "MulInto")
-	av := a.Data
-	bv, out := b.Data[:len(av)], dst.Data[:len(av)] // hoists the loop's bounds checks
-	for i, v := range av {
-		out[i] = v * bv[i]
-	}
-}
-
-// ScaleInto writes s·a into dst.
+// ScaleInto writes s·a into dst in one pass; dst may alias a.
 func ScaleInto(dst, a *Matrix, s float64) {
 	a.shapeCheck(dst, "ScaleInto")
 	out := dst.Data[:len(a.Data)] // hoists the loop's bounds check
 	for i, v := range a.Data {
 		out[i] = v * s
 	}
-}
-
-// checkBinary panics unless dst, a and b share a shape.
-func checkBinary(dst, a, b *Matrix, op string) {
-	a.shapeCheck(b, op)
-	a.shapeCheck(dst, op)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -220,15 +192,6 @@ func AddRowSumsInto(dst, src *Matrix) {
 			d[j] += row[j]
 		}
 	}
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
 }
 
 // MaxAbs returns max |element|; useful in tests.

@@ -25,9 +25,8 @@ import "fmt"
 // writer's per-publication cost is O(chunk table + touched chunks), not
 // O(events) — see DESIGN.md §2 for the full argument.
 type AppendableTCSR struct {
-	numNodes   int
-	numEntries int64       // total adjacency entries across all nodes
-	chunks     [][]nodeAdj // chunk c covers nodes [c<<adjChunkBits, ...)
+	numNodes int
+	chunks   [][]nodeAdj // chunk c covers nodes [c<<adjChunkBits, ...)
 }
 
 // adjChunkBits sets the chunk granularity: 256 nodes per chunk balances the
@@ -51,10 +50,6 @@ var _ Adjacency = (*AppendableTCSR)(nil)
 
 // NumNodes implements Adjacency.
 func (t *AppendableTCSR) NumNodes() int { return t.numNodes }
-
-// NumEntries returns the total adjacency entry count (the analogue of
-// len(TCSR.Nbr): every event contributes two entries, self-loops one).
-func (t *AppendableTCSR) NumEntries() int64 { return t.numEntries }
 
 // Adj implements Adjacency: node v's full adjacency as immutable views.
 func (t *AppendableTCSR) Adj(v int32) (nbr []int32, ts []float64, eid []int32) {

@@ -30,7 +30,6 @@ type Builder struct {
 
 	// Incremental snapshot state: the previous publication's chunk table
 	// (shared into the next one) and the chunks dirtied since.
-	entries   int64
 	snapped   [][]nodeAdj
 	dirty     []bool  // per chunk
 	dirtyList []int32 // dirty chunk ids, for O(touched) iteration
@@ -75,13 +74,11 @@ func (b *Builder) Add(src, dst int32, t float64) error {
 	b.nbr[src] = append(b.nbr[src], dst)
 	b.ts[src] = append(b.ts[src], t)
 	b.eid[src] = append(b.eid[src], id)
-	b.entries++
 	b.markDirty(src)
 	if src != dst {
 		b.nbr[dst] = append(b.nbr[dst], src)
 		b.ts[dst] = append(b.ts[dst], t)
 		b.eid[dst] = append(b.eid[dst], id)
-		b.entries++
 		b.markDirty(dst)
 	}
 	return nil
@@ -147,7 +144,7 @@ func (b *Builder) Snapshot() (*Graph, *AppendableTCSR) {
 	// The full slice expression caps the view so a (misbehaving) reader
 	// appending to Events cannot reach the builder's backing array.
 	g := &Graph{NumNodes: b.numNodes, Events: b.events[:len(b.events):len(b.events)]}
-	return g, &AppendableTCSR{numNodes: b.numNodes, numEntries: b.entries, chunks: chunks}
+	return g, &AppendableTCSR{numNodes: b.numNodes, chunks: chunks}
 }
 
 // freezeChunk packs the current adjacency headers of chunk c's nodes into a

@@ -14,9 +14,6 @@ type Tailer struct {
 	next int // index of the first unconsumed event
 }
 
-// Consumed reports how many events the tailer has read so far.
-func (t *Tailer) Consumed() int { return t.next }
-
 // NextWindow returns the events appended since the previous call as an
 // immutable capped view into g's event list, and marks them consumed.
 // Successive snapshots must be prefixes of one another (the Builder

@@ -28,8 +28,8 @@ func TestTailerFollowsIncrementalSnapshots(t *testing.T) {
 		if ev[0].Time != float64(total-add) || ev[len(ev)-1].Time != float64(total-1) {
 			t.Fatalf("round %d: wrong suffix [%v, %v]", round, ev[0].Time, ev[len(ev)-1].Time)
 		}
-		if tl.Consumed() != total {
-			t.Fatalf("round %d: consumed %d, want %d", round, tl.Consumed(), total)
+		if tl.next != total {
+			t.Fatalf("round %d: consumed %d, want %d", round, tl.next, total)
 		}
 	}
 	// Idle round: nothing new.
@@ -60,8 +60,8 @@ func TestTailerWindowSkipsBacklog(t *testing.T) {
 	if ev[0].Time != 84 || ev[15].Time != 99 {
 		t.Fatalf("window is [%v, %v], want [84, 99]", ev[0].Time, ev[15].Time)
 	}
-	if tl.Consumed() != 100 {
-		t.Fatalf("consumed %d, want 100", tl.Consumed())
+	if tl.next != 100 {
+		t.Fatalf("consumed %d, want 100", tl.next)
 	}
 	// A shrunken stream is an error, not silent corruption.
 	if _, _, err := tl.NextWindow(&Graph{NumNodes: 8}, 0); err == nil {
