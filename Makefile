@@ -27,9 +27,9 @@ cross-build:
 test: vet
 	$(GO) test -race -timeout=45m ./...
 
-# The execution stack on NaN-poisoned arenas, so an unwritten output element fails a pin (DESIGN.md §6).
+# The execution stack on NaN-poisoned arenas, so an unwritten output element fails a pin (DESIGN.md §6); serve, because its memo copies rows out of them.
 test-poison:
-	TASER_ARENA_POISON=1 $(GO) test -count=1 ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive ./internal/train
+	TASER_ARENA_POISON=1 $(GO) test -count=1 ./internal/autograd ./internal/nn ./internal/models ./internal/adaptive ./internal/train ./internal/serve
 
 # One iteration of every step benchmark with allocations; the output is benchstat-compatible.
 bench:

@@ -179,15 +179,16 @@ type XferStats struct {
 // NewXferStats returns stats with the default cost model.
 func NewXferStats() *XferStats { return &XferStats{Model: DefaultCostModel()} }
 
-// Record charges one request of n bytes to the given path.
-func (s *XferStats) Record(kind XferKind, n int64) {
+// Record charges reqs requests of bytes in all to the given path: a caller
+// that moves many rows totals them and records once, not once per row.
+func (s *XferStats) Record(kind XferKind, reqs, bytes int64) {
 	switch kind {
 	case XferPCIe:
-		s.pcieBytes.Add(n)
-		s.pcieReqs.Add(1)
+		s.pcieBytes.Add(bytes)
+		s.pcieReqs.Add(reqs)
 	case XferVRAM:
-		s.vramBytes.Add(n)
-		s.vramReqs.Add(1)
+		s.vramBytes.Add(bytes)
+		s.vramReqs.Add(reqs)
 	}
 }
 

@@ -99,9 +99,9 @@ func TestLaunchBlocksMoreWorkersThanBlocks(t *testing.T) {
 
 func TestXferStatsAccounting(t *testing.T) {
 	s := NewXferStats()
-	s.Record(XferPCIe, 1000)
-	s.Record(XferPCIe, 2000)
-	s.Record(XferVRAM, 500)
+	s.Record(XferPCIe, 1, 1000)
+	s.Record(XferPCIe, 1, 2000)
+	s.Record(XferVRAM, 1, 500)
 	if s.PCIeBytes() != 3000 || s.PCIeRequests() != 2 {
 		t.Fatal("pcie counters")
 	}
@@ -117,14 +117,14 @@ func TestXferStatsAccounting(t *testing.T) {
 func TestModeledTimeShape(t *testing.T) {
 	s := NewXferStats()
 	// 16 GB over PCIe at 16 GB/s ≈ 1s (+2 latencies).
-	s.Record(XferPCIe, 16_000_000_000)
+	s.Record(XferPCIe, 1, 16_000_000_000)
 	got := s.ModeledTime()
 	if got < 900*time.Millisecond || got > 1100*time.Millisecond {
 		t.Fatalf("pcie modeled time %v", got)
 	}
 	// The same bytes over VRAM must be dramatically cheaper.
 	v := NewXferStats()
-	v.Record(XferVRAM, 16_000_000_000)
+	v.Record(XferVRAM, 1, 16_000_000_000)
 	if v.ModeledTime() >= got/10 {
 		t.Fatalf("vram (%v) must be ≫ faster than pcie (%v)", v.ModeledTime(), got)
 	}
@@ -133,7 +133,7 @@ func TestModeledTimeShape(t *testing.T) {
 func TestModeledTimeLatencyDominatesSmallTransfers(t *testing.T) {
 	s := NewXferStats()
 	for i := 0; i < 1000; i++ {
-		s.Record(XferPCIe, 4) // 4-byte reads: latency-bound
+		s.Record(XferPCIe, 1, 4) // 4-byte reads: latency-bound
 	}
 	// 1000 requests × 1.2µs = 1.2ms ≫ 4KB/16GBps ≈ 0.25µs.
 	if s.ModeledTime() < time.Millisecond {

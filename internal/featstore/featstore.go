@@ -63,14 +63,21 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	rowBytes := s.rowBytes()
-	var pcieBytes, pcieReqs, vramBytes int64
-	for i, id := range ids {
-		out := dst.Row(i)
+	var pcieReqs, vramReqs int64
+	for i := 0; i < len(ids); i++ {
+		id := ids[i]
 		if id < 0 {
-			clear(out)
+			// A run of padding rows — a short neighborhood's tail, or every
+			// slot of a target nothing is built under — is one clear.
+			j := i + 1
+			for j < len(ids) && ids[j] < 0 {
+				j++
+			}
+			clear(dst.Data[i*dst.Cols : j*dst.Cols])
+			i = j - 1
 			continue
 		}
+		out := dst.Row(i)
 		src, kind := s.host.Row(int(id)), device.XferPCIe
 		if s.policy != nil {
 			if slot, hit := s.policy.Access(id); hit {
@@ -84,19 +91,20 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 			}
 		}
 		copy(out, src)
-		if s.stats != nil {
-			s.stats.Record(kind, rowBytes)
-		}
 		if kind == device.XferVRAM {
-			vramBytes += rowBytes
+			vramReqs++
 		} else {
-			pcieBytes += rowBytes
 			pcieReqs++
 		}
 	}
 	if s.stats == nil {
 		return 0
 	}
+	// One charge per path for the whole call: the counters are atomics
+	// shared with the other side of the pipeline.
+	pcieBytes, vramBytes := pcieReqs*s.rowBytes(), vramReqs*s.rowBytes()
+	s.stats.Record(device.XferPCIe, pcieReqs, pcieBytes)
+	s.stats.Record(device.XferVRAM, vramReqs, vramBytes)
 	return s.stats.Model.Time(pcieBytes, pcieReqs, vramBytes)
 }
 
@@ -125,9 +133,10 @@ func (s *Store) refillLocked(inserted []int32) {
 			panic(fmt.Sprintf("featstore: refill id %d not resident", id))
 		}
 		copy(s.vram.Row(slot), s.host.Row(int(id)))
-		if s.stats != nil {
-			s.stats.Record(device.XferPCIe, s.rowBytes())
-		}
+	}
+	if s.stats != nil {
+		n := int64(len(inserted))
+		s.stats.Record(device.XferPCIe, n, n*s.rowBytes())
 	}
 }
 

@@ -157,3 +157,53 @@ func TestCacheReducesModeledTime(t *testing.T) {
 			cachedStats.ModeledTime(), noCacheStats.ModeledTime())
 	}
 }
+
+// TestSliceRecordsPerCallTotals: Slice charges a call's rows to the shared
+// counters once per path, and the totals, the accumulated modeled time and
+// every call's own modeled time equal charging the same stream one request
+// per row — replayed here against a second LRU of the same capacity, which
+// sees the same access sequence and so hits and misses on the same rows.
+func TestSliceRecordsPerCallTotals(t *testing.T) {
+	const rows, cols, capacity = 40, 3, 8
+	rng := mathx.NewRNG(5)
+	stats, perRow := device.NewXferStats(), device.NewXferStats()
+	s := New(hostMatrix(rows, cols), cache.NewLRU(capacity), stats)
+	shadow := cache.NewLRU(capacity)
+	rowBytes := int64(cols * 8)
+	for call := 0; call < 50; call++ {
+		ids := make([]int32, 1+rng.Intn(12))
+		for i := range ids {
+			ids[i] = int32(rng.Intn(rows+4)) - 4 // a few padding rows
+		}
+		got := s.Slice(ids, tensor.New(len(ids), cols))
+		var pcieBytes, pcieReqs, vramBytes int64
+		for _, id := range ids {
+			if id < 0 {
+				continue
+			}
+			if _, hit := shadow.Access(id); hit {
+				perRow.Record(device.XferVRAM, 1, rowBytes)
+				vramBytes += rowBytes
+			} else {
+				perRow.Record(device.XferPCIe, 1, rowBytes)
+				pcieBytes += rowBytes
+				pcieReqs++
+			}
+		}
+		if want := perRow.Model.Time(pcieBytes, pcieReqs, vramBytes); got != want {
+			t.Fatalf("call %d: modeled %v, per-row %v", call, got, want)
+		}
+	}
+	if stats.PCIeBytes() != perRow.PCIeBytes() || stats.PCIeRequests() != perRow.PCIeRequests() ||
+		stats.VRAMBytes() != perRow.VRAMBytes() || stats.VRAMRequests() != perRow.VRAMRequests() {
+		t.Fatalf("totals pcie %d B / %d req, vram %d B / %d req; per-row pcie %d B / %d req, vram %d B / %d req",
+			stats.PCIeBytes(), stats.PCIeRequests(), stats.VRAMBytes(), stats.VRAMRequests(),
+			perRow.PCIeBytes(), perRow.PCIeRequests(), perRow.VRAMBytes(), perRow.VRAMRequests())
+	}
+	if stats.VRAMRequests() == 0 || stats.PCIeRequests() == 0 {
+		t.Fatal("the stream must both hit and miss")
+	}
+	if stats.ModeledTime() != perRow.ModeledTime() {
+		t.Fatalf("modeled %v, per-row %v", stats.ModeledTime(), perRow.ModeledTime())
+	}
+}

@@ -35,6 +35,15 @@ type LayerBlock struct {
 	// per-neighbor stage, the attention softmax included, on these slots
 	// only.
 	Valid []int32
+
+	// Known names targets (strictly ascending) whose embedding — this
+	// layer's output — the caller already holds, row j of KnownRows for
+	// Known[j]; AddKnown alone writes them. The build gave such a target no
+	// neighbors, and the model copies its row instead of computing it. Only
+	// a memoizing serving build (train.InferenceBuilder.Memo) fills them, for
+	// the layer under the top; every other block leaves them empty.
+	Known     []int32
+	KnownRows *tensor.Matrix
 }
 
 // NewLayerBlock allocates a block for t targets with the given budget and
@@ -47,6 +56,7 @@ func NewLayerBlock(t, budget, edgeDim int) *LayerBlock {
 		EdgeFeat:   tensor.New(t*budget, edgeDim),
 		DeltaT:     tensor.New(t*budget, 1),
 		Valid:      make([]int32, 0, t*budget),
+		KnownRows:  tensor.New(0, 0),
 	}
 }
 
@@ -71,6 +81,17 @@ func (b *LayerBlock) Reset(t, budget, edgeDim int) {
 	b.EdgeFeat.ResizeUninit(n, edgeDim)
 	b.DeltaT.Resize(n, 1)
 	b.Valid = b.Valid[:0]
+	b.Known = b.Known[:0]
+	b.KnownRows.ResizeUninit(0, 0)
+}
+
+// AddKnown records that the caller holds row as target i's embedding.
+// Targets are added in ascending order; the row is copied.
+func (b *LayerBlock) AddKnown(i int32, row []float64) {
+	k := b.KnownRows
+	b.Known = append(b.Known, i)
+	k.Data = append(k.Data[:k.Rows*k.Cols], row...)
+	k.Rows, k.Cols = len(b.Known), len(row)
 }
 
 // SetEntry fills neighbor slot (i, j) as valid with the given timespan.
@@ -169,6 +190,15 @@ type CoTrainInfo struct {
 	// GraphMixer (Eq. 26, folded form): the mixed tokens of the valid slots
 	// only.
 	Tokens *autograd.Var // len(Slots)×d
+
+	// Inner and InnerTargets hand back the layer under the outermost (TGAT
+	// with two or more layers): InnerTargets names, ascending, the targets
+	// of that layer the forward computed — the live ones its block did not
+	// already hold (LayerBlock.Known) — and Inner holds their embeddings in
+	// that order. A caller memoizing inner embeddings copies them out before
+	// the graph's Reset.
+	Inner        *autograd.Var
+	InnerTargets []int32
 
 	// Slots numbers the rows of Vals (TGAT) or Tokens (GraphMixer): row r
 	// belongs to slot Slots[r] = b·n+p of the roots·n layout, ascending. A

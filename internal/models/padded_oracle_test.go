@@ -265,3 +265,94 @@ func TestGraphMixerCompactMatchesPaddedBitwise(t *testing.T) {
 			func(g *autograd.Graph) *autograd.Var { return paddedGraphMixerForward(m, g, mb) })
 	}
 }
+
+// poisonSubtree writes NaN into everything under target i of layer k: its
+// slots' Δt and edge features, and recursively its own row and its slots'
+// rows in the layer underneath, down to the leaf features.
+func poisonSubtree(mb *MiniBatch, k int, i int32) {
+	block := mb.Layers[k]
+	n := int32(block.Budget)
+	children := []int32{i}
+	for s := i * n; s < (i+1)*n; s++ {
+		block.DeltaT.Data[s] = math.NaN()
+		for c := range block.EdgeFeat.Row(int(s)) {
+			block.EdgeFeat.Row(int(s))[c] = math.NaN()
+		}
+		children = append(children, int32(block.NumTargets)+s)
+	}
+	for _, c := range children {
+		if k > 0 {
+			poisonSubtree(mb, k-1, c)
+		} else {
+			for j := range mb.LeafFeat.Row(int(c)) {
+				mb.LeafFeat.Row(int(c))[j] = math.NaN()
+			}
+		}
+	}
+}
+
+// TestTGATKnownRowsStandInForTheirSubtree: a target of the layer under the
+// top that its block already holds (LayerBlock.Known, with that layer's own
+// output row) is neither computed nor anything under it — its subtree is NaN
+// here — yet the root embeddings are bitwise the plain forward's, on a
+// recording graph and a forward-only one, and the gradients stay finite. The
+// hand-back (CoTrainInfo.Inner) names exactly the live targets not held.
+func TestTGATKnownRowsStandInForTheirSubtree(t *testing.T) {
+	for _, layers := range []int{2, 3} {
+		for _, fill := range []string{"fill=0.3", "fill=1"} {
+			for _, every := range []int{2, 1} { // hold every second live target, then all of them
+				name := fmt.Sprintf("layers=%d %s every=%d", layers, fill, every)
+				rng := mathx.NewRNG(44)
+				m := NewTGAT(TGATConfig{NodeDim: 3, EdgeDim: 2, HiddenDim: 6, TimeDim: 4, Layers: layers, Budget: 3}, rng)
+				mb := oracleBatches(rng, 4, layers, 3, 3, 2)[fill]
+				top := layers - 1
+
+				g := autograd.New()
+				want, info := m.Forward(g, mb)
+				inner := info.Inner.Val
+				computed := info.InnerTargets
+				block := mb.Layers[top-1]
+				var rest []int32
+				for j, i := range computed {
+					if j%every == 0 {
+						block.AddKnown(i, inner.Row(j))
+						poisonSubtree(mb, top-1, i)
+					} else {
+						rest = append(rest, i)
+					}
+				}
+
+				for _, forwardOnly := range []bool{false, true} {
+					g := autograd.New()
+					if forwardOnly {
+						g = autograd.NewReusable()
+						g.ResetForwardOnly()
+					}
+					got, info := m.Forward(g, mb)
+					if err := sameBits(got.Val.Data, want.Val.Data); err != nil {
+						t.Fatalf("%s, forward-only %v: output %v", name, forwardOnly, err)
+					}
+					if fmt.Sprint(info.InnerTargets) != fmt.Sprint(rest) {
+						t.Fatalf("%s: computed %v under the top, want %v", name, info.InnerTargets, rest)
+					}
+					if forwardOnly {
+						continue
+					}
+					for _, p := range m.Params() {
+						p.Grad.Zero()
+					}
+					coef := tensor.New(got.Rows(), got.Cols())
+					coef.Fill(1)
+					g.Backward(g.WeightedSumConst(got, coef))
+					for pi, p := range m.Params() {
+						for _, v := range p.Grad.Data {
+							if math.IsNaN(v) || math.IsInf(v, 0) {
+								t.Fatalf("%s: gradient of param %d reached a held target's subtree", name, pi)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -126,8 +126,65 @@ func liveSlots(g *autograd.Graph, block *LayerBlock, live []int32) (valid, slots
 }
 
 // embed returns layer k's embeddings of the targets live names, one row each
-// in that order.
+// in that order. A target the block already holds (LayerBlock.Known) costs a
+// row copy: neither it nor anything under it is computed. With none held
+// among live, the layer's output is returned as computed.
 func (m *TGAT) embed(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info *CoTrainInfo) *autograd.Var {
+	block := mb.Layers[k]
+	compute, at := splitKnown(g, block, live)
+	h := m.aggregate(g, mb, k, compute, info)
+	if k == len(mb.Layers)-2 {
+		info.Inner, info.InnerTargets = h, compute
+	}
+	if at == nil {
+		return h
+	}
+	// The computed rows go to their places among live, and the held rows,
+	// constants, into the others: ScatterRows' backward reads only the rows
+	// it scattered, so what the gaps hold is no input of it.
+	out := g.ScatterRows(h, at, len(live))
+	j := 0 // block.Known[j] is the next held target
+	for p, i := range live {
+		if len(at) > 0 && at[0] == int32(p) {
+			at = at[1:]
+			continue
+		}
+		for block.Known[j] < i {
+			j++
+		}
+		copy(out.Val.Row(p), block.KnownRows.Row(j))
+	}
+	return out
+}
+
+// splitKnown divides live (ascending) into the targets the block's layer
+// computes and those whose row block.Known holds: compute keeps live's order and at[j] is
+// compute[j]'s position in live. When live holds none, compute is live and at
+// is nil. Storage is the graph's, like liveSlots'.
+func splitKnown(g *autograd.Graph, block *LayerBlock, live []int32) (compute, at []int32) {
+	known := block.Known
+	if len(known) == 0 {
+		return live, nil
+	}
+	compute, at = g.Ints(len(live))[:0], g.Ints(len(live))[:0]
+	for p, i := range live {
+		for len(known) > 0 && known[0] < i {
+			known = known[1:]
+		}
+		if len(known) > 0 && known[0] == i {
+			continue
+		}
+		compute, at = append(compute, i), append(at, int32(p))
+	}
+	if len(compute) == len(live) {
+		return live, nil
+	}
+	return compute, at
+}
+
+// aggregate computes layer k's embeddings of the targets live names, one row
+// each in that order (Eqs. 1–7), from the layer underneath.
+func (m *TGAT) aggregate(g *autograd.Graph, mb *MiniBatch, k int, live []int32, info *CoTrainInfo) *autograd.Var {
 	layer, block := m.layers[k], mb.Layers[k]
 	t, n := len(live), block.Budget
 	valid, slots, below := liveSlots(g, block, live)

@@ -204,7 +204,9 @@ type flushScratch struct {
 
 // flush serves one micro-batch: pin the latest snapshot, retarget the builder
 // if the snapshot advanced, resolve roots through the embedding cache,
-// build + forward the misses in one pooled minibatch, then score and respond.
+// build + forward the misses in one pooled minibatch — the inner-embedding
+// memo answering for the layer under the top, and storing what the forward
+// computed there — then score and respond.
 // All model compute runs on the builder's reusable arena-backed graph;
 // embeddings are copied out of it (into fs.embBuf, the cache, and per-caller
 // response copies) before the next checkout, per the §5 ownership contract —
@@ -312,11 +314,17 @@ func (e *Engine) flush(pending []*request) {
 		for len(fs.roots) < padBatch(len(fs.miss)) {
 			fs.roots = append(fs.roots, sampler.Padding)
 		}
+		if e.memo != nil {
+			e.memo.pin(snap, wv)
+		}
 		mb := e.builder.Build(fs.roots)
 		g := e.builder.ForwardGraph()
-		out, _ := e.cfg.Model.Forward(g, mb)
+		out, info := e.cfg.Model.Forward(g, mb)
 		for i, si := range fs.miss {
 			copy(fs.states[si].emb, out.Val.Row(i))
+		}
+		if e.memo != nil {
+			e.memo.store(info.InnerTargets, info.Inner.Val)
 		}
 		e.builder.Release(mb)
 		for _, si := range fs.miss {

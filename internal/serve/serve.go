@@ -4,7 +4,7 @@
 // detection, recommendation), where events stream in continuously and
 // predictions cannot wait for a retraining cycle.
 //
-// Three mechanisms compose:
+// Four mechanisms compose:
 //
 //   - Concurrent ingest (this file). A guarded tgraph.Builder accepts edge
 //     events from any number of writers and periodically publishes immutable
@@ -27,6 +27,13 @@
 //     internal/cache's LRU; ingesting an event that touches a node changes
 //     its key, so hot nodes are served from cache until the stream
 //     invalidates them. See DESIGN.md for the staleness bound.
+//
+//   - An inner-embedding memo (memo.go). A multi-layer model's embedding of
+//     a neighbor (u, t_u) at the layer under the top is stored once t_u is at
+//     or behind the watermark, when nothing can change it any more; the
+//     build and the forward then copy its row instead of computing its
+//     subtree. Unlike the cache it is exact: served scores are bitwise the
+//     memo-free forward's on the same snapshot and weights.
 package serve
 
 import (
@@ -223,6 +230,7 @@ type Engine struct {
 	builder        *train.InferenceBuilder
 	builderVersion uint64
 	cache          *embCache
+	memo           *innerMemo   // nil for a one-layer model
 	fs             flushScratch // per-flush working set, reused across flushes
 
 	// Weight publication (DESIGN.md §10): a fine-tuner stores immutable
@@ -315,6 +323,10 @@ func New(cfg Config) (*Engine, error) {
 	e.builderVersion = snap.Version
 	if cfg.CacheSize > 0 {
 		e.cache = newEmbCache(cfg.CacheSize, cfg.Model.HiddenDim())
+	}
+	if cfg.Model.NumLayers() > 1 {
+		e.memo = newInnerMemo(cfg.NumNodes, cfg.Budget, cfg.Model.HiddenDim())
+		e.builder.Memo = e.memo
 	}
 	e.weightVersion.Store(1) // version 1: the weights the engine was built with
 	e.lat.init(latencyWindow)

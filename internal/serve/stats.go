@@ -74,6 +74,14 @@ type Stats struct {
 	CacheStale  uint64 `json:"cache_stale"` // resident entries invalidated by ingest (subset of misses)
 	CacheMisses uint64 `json:"cache_misses"`
 
+	// Inner-embedding memo (memo.go; zero for a one-layer model): lookups of
+	// targets under the top that hit and missed, rows held, and times the
+	// table was emptied (a weight swap, or the NumNodes·Budget bound).
+	MemoHits    uint64 `json:"memo_hits"`
+	MemoMisses  uint64 `json:"memo_misses"`
+	MemoEntries int64  `json:"memo_entries"`
+	MemoResets  uint64 `json:"memo_resets"`
+
 	SnapshotVersion uint64  `json:"snapshot_version"`
 	Watermark       float64 `json:"watermark"`     // latest published snapshot's watermark (see HasWatermark)
 	HasWatermark    bool    `json:"has_watermark"` // false until the first event reaches a published snapshot
@@ -145,7 +153,7 @@ type OverloadStats struct {
 // view from its shards, starting from a (by-value) copy of the first. One line per field
 // is that field's fold rule:
 //
-//	sum   throughput, cache, WAL and checkpoint counters, event counts
+//	sum   throughput, cache, memo, WAL and checkpoint counters, event counts
 //	max   watermarks (among shards that have one), snapshot version, latency
 //	      and swap-time bounds, the node id space (one config for all shards)
 //	min   the weight version (the one guaranteed applied everywhere), the
@@ -165,6 +173,10 @@ func (s *Stats) Merge(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.CacheStale += o.CacheStale
 	s.CacheMisses += o.CacheMisses
+	s.MemoHits += o.MemoHits
+	s.MemoMisses += o.MemoMisses
+	s.MemoEntries += o.MemoEntries
+	s.MemoResets += o.MemoResets
 	s.SnapshotVersion = max(s.SnapshotVersion, o.SnapshotVersion)
 	if o.HasWatermark && (!s.HasWatermark || o.Watermark > s.Watermark) {
 		s.Watermark, s.HasWatermark = o.Watermark, true
@@ -252,6 +264,10 @@ func (e *Engine) Stats() Stats {
 	}
 	if e.cache != nil {
 		s.CacheHits, s.CacheStale, s.CacheMisses = e.cache.counts()
+	}
+	if m := e.memo; m != nil {
+		s.MemoHits, s.MemoMisses = m.hits.Load(), m.misses.Load()
+		s.MemoEntries, s.MemoResets = m.entries.Load(), m.resets.Load()
 	}
 	e.ingestMu.Lock() // guards the builder and the WAL's own counters
 	s.LiveWatermark, s.HasLiveWatermark = e.gb.LastTime()

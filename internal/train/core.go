@@ -35,8 +35,10 @@ type buildCore struct {
 }
 
 // hopFunc may supply hop l's block in place of the static hop; a nil block
-// selects the static one. build only ever calls it, so a caller's closure
-// (and what it captures) stays on that caller's stack.
+// selects the static one. It may also turn targets into sampler.Padding,
+// which the hops under them then see (the memoizing InferenceBuilder). build
+// only ever calls it, so a caller's closure (and what it captures) stays on
+// that caller's stack.
 type hopFunc func(l int, targets []sampler.Target) *models.LayerBlock
 
 // build materializes the minibatch for roots, sampling static hops from f
@@ -52,7 +54,7 @@ func (c *buildCore) build(roots []sampler.Target, f sampler.Finder, mu *sync.Mut
 			block = hop(l, targets)
 		}
 		if block == nil {
-			block = c.staticHop(targets, f, mu)
+			block = c.staticHop(c.pool.getBlock(len(targets), c.budget, c.edgeDim), targets, f, mu)
 		}
 		blocks[l] = block
 		next := c.pool.targets.get(len(targets) + len(block.NbrNodes))
@@ -76,12 +78,11 @@ func (c *buildCore) release(mb *models.MiniBatch) {
 	c.pool.putMat(mb.LeafFeat)
 }
 
-// staticHop converts an n-budget finder result directly into a layer block
-// and slices its edge features (the non-adaptive hop).
-func (c *buildCore) staticHop(targets []sampler.Target, f sampler.Finder, mu *sync.Mutex) *models.LayerBlock {
+// staticHop fills block, a pooled len(targets)×n block, from an n-budget
+// finder result and slices its edge features (the non-adaptive hop).
+func (c *buildCore) staticHop(block *models.LayerBlock, targets []sampler.Target, f sampler.Finder, mu *sync.Mutex) *models.LayerBlock {
 	res := c.pool.getResult()
 	c.sample(f, mu, targets, c.budget, res)
-	block := c.pool.getBlock(len(targets), res.Budget, c.edgeDim)
 	for i, tg := range targets {
 		for j := 0; j < int(res.Counts[i]); j++ {
 			s := res.Slot(i, j)

@@ -48,6 +48,10 @@ type InferConfig struct {
 // SwapGraph; the serving scheduler owns the builder from a single goroutine,
 // which is also what keeps the finder's sampling stream well-defined.
 type InferenceBuilder struct {
+	// Memo, when set, is asked about every target of the hop under the top
+	// (Build); nil builds every target.
+	Memo Memo
+
 	core     buildCore
 	seed     uint64
 	gpu      *device.GPU // one worker pool shared by every snapshot's finder
@@ -122,12 +126,46 @@ func (b *InferenceBuilder) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Mat
 	return nil
 }
 
+// Memo is what a memoizing InferenceBuilder asks about the targets of the
+// hop under the top: the caller's store of embeddings at that layer's
+// output (internal/serve's inner-embedding memo).
+type Memo interface {
+	// Lookup returns the embedding of tg, target i of the hop under the top,
+	// or nil when the caller holds none. It is asked once per target that is
+	// not sampler.Padding, in ascending i, and the row is copied before the
+	// next call.
+	Lookup(i int, tg sampler.Target) []float64
+}
+
 // Build materializes the minibatch for roots (buildCore.build, every hop
 // static). The returned minibatch is owned by the pool — hand it back with
 // Release after the forward pass; do not retain references across the
 // Release.
+//
+// With a Memo, a target of the hop under the top that it holds is built as
+// sampler.Padding — nothing is found, sliced or built under it — and
+// recorded on that hop's block with its row (LayerBlock.Known), which the
+// model copies instead of computing it.
 func (b *InferenceBuilder) Build(roots []sampler.Target) *models.MiniBatch {
-	return b.core.build(roots, b.finder, &b.finderMu, nil)
+	if b.Memo == nil {
+		return b.core.build(roots, b.finder, &b.finderMu, nil)
+	}
+	return b.core.build(roots, b.finder, &b.finderMu, func(l int, targets []sampler.Target) *models.LayerBlock {
+		if l != b.core.layers-2 {
+			return nil
+		}
+		block := b.core.pool.getBlock(len(targets), b.core.budget, b.core.edgeDim)
+		for i, tg := range targets {
+			if tg == sampler.Padding {
+				continue
+			}
+			if row := b.Memo.Lookup(i, tg); row != nil {
+				block.AddKnown(int32(i), row)
+				targets[i] = sampler.Padding
+			}
+		}
+		return b.core.staticHop(block, targets, b.finder, &b.finderMu)
+	})
 }
 
 // Release returns a minibatch built by Build to the pool.

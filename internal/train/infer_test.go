@@ -114,6 +114,97 @@ func TestInferenceBuilderMatchesTrainerBuild(t *testing.T) {
 	}
 }
 
+// heldEverySecond is a Memo that holds every second target it is asked
+// about, with a row naming the target, and records what it was asked.
+type heldEverySecond struct {
+	asked []sampler.Target
+	held  []int32
+}
+
+func (m *heldEverySecond) Lookup(i int, tg sampler.Target) []float64 {
+	m.asked = append(m.asked, tg)
+	if len(m.asked)%2 == 1 {
+		return nil
+	}
+	m.held = append(m.held, int32(i))
+	return []float64{float64(i), -1, 0.5}
+}
+
+// TestInferenceBuilderMemoSkipsHeldSubtrees: with a Memo, Build asks it about
+// every non-padding target of the hop under the top, in order and with the
+// times the memo-free build gives them; a held target is recorded on that
+// hop's block with its row and has no neighbor there, and every other
+// target, the top hop and the leaf rows of the unheld are built as without
+// a Memo.
+func TestInferenceBuilderMemoSkipsHeldSubtrees(t *testing.T) {
+	ds := datasets.GDELT(0.03, 3)
+	cfg := InferConfig{
+		TCSR: ds.TCSR, NodeFeat: ds.NodeFeat, EdgeFeat: ds.EdgeFeat,
+		Layers: 2, Budget: 10, Policy: sampler.MostRecent, Seed: 17,
+	}
+	plainB, err := NewInferenceBuilder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoB, err := NewInferenceBuilder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &heldEverySecond{}
+	memoB.Memo = memo
+	roots := inferRoots(ds, 6)
+	plain, got := plainB.Build(roots), memoB.Build(roots)
+
+	top, inner := plain.Layers[1], plain.Layers[0]
+	requireBlocksEqual(t, got.Layers[1], top, 1)
+	n := inner.Budget
+	var want []sampler.Target // the inner hop's non-padding targets
+	for i := 0; i < inner.NumTargets; i++ {
+		if i < len(roots) {
+			want = append(want, roots[i])
+		} else if s := i - len(roots); top.NbrNodes[s] >= 0 {
+			want = append(want, sampler.Target{Node: top.NbrNodes[s], Time: roots[s/n].Time - top.DeltaT.Data[s]})
+		}
+	}
+	if fmt.Sprint(memo.asked) != fmt.Sprint(want) {
+		t.Fatalf("asked about %v, want %v", memo.asked, want)
+	}
+	block := got.Layers[0]
+	if fmt.Sprint(block.Known) != fmt.Sprint(memo.held) || len(block.Known) == 0 {
+		t.Fatalf("block holds %v, the memo held %v", block.Known, memo.held)
+	}
+	held := map[int]bool{}
+	for j, i := range block.Known {
+		held[int(i)] = true
+		if row := block.KnownRows.Row(j); row[0] != float64(i) || row[1] != -1 || row[2] != 0.5 {
+			t.Fatalf("held target %d has row %v", i, row)
+		}
+	}
+	for i := 0; i < inner.NumTargets; i++ {
+		for s := i * n; s < (i+1)*n; s++ {
+			if held[i] {
+				if block.NbrNodes[s] != -1 {
+					t.Fatalf("held target %d has neighbor %d in slot %d", i, block.NbrNodes[s], s)
+				}
+				continue
+			}
+			if block.NbrNodes[s] != inner.NbrNodes[s] ||
+				math.Float64bits(block.DeltaT.Data[s]) != math.Float64bits(inner.DeltaT.Data[s]) {
+				t.Fatalf("unheld target %d, slot %d: built differently", i, s)
+			}
+			requireSameBits(t, fmt.Sprintf("edge row %d", s),
+				tensor.FromSlice(1, block.EdgeFeat.Cols, block.EdgeFeat.Row(s)),
+				tensor.FromSlice(1, inner.EdgeFeat.Cols, inner.EdgeFeat.Row(s)))
+			if inner.NbrNodes[s] >= 0 {
+				leaf := inner.NumTargets + s
+				requireSameBits(t, fmt.Sprintf("leaf row %d", leaf),
+					tensor.FromSlice(1, got.LeafFeat.Cols, got.LeafFeat.Row(leaf)),
+					tensor.FromSlice(1, plain.LeafFeat.Cols, plain.LeafFeat.Row(leaf)))
+			}
+		}
+	}
+}
+
 // TestInferenceBuilderSwapGraph verifies that retargeting at a grown snapshot
 // changes what is sampled (new events become visible) while keeping the pool,
 // and that a width-mismatched edge matrix is rejected.
