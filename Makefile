@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test test-poison bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check bench-overload overload-smoke benchmark-selftest bench-compare loc
+.PHONY: all build cross-build test test-poison bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check unreached-check bench-overload overload-smoke benchmark-selftest bench-compare loc
 
 all: build test
 
@@ -47,6 +47,10 @@ serve:
 # Fails when internal/tensor's bounds-check sites drift from scripts/bce_allowlist.txt (DESIGN.md §6).
 bce-check:
 	bash scripts/bce_check.sh
+
+# Fails when the functions no binary reaches drift from scripts/unreached_allowlist.txt: a function only tests call entered the non-test tree.
+unreached-check:
+	bash scripts/unreached.sh
 
 # Vets and self-tests benchmark/, a module outside `go build ./...`, so an API change that breaks it fails here.
 benchmark-selftest:

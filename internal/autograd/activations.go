@@ -1,8 +1,6 @@
 package autograd
 
 import (
-	"runtime"
-
 	"taser/internal/mathx"
 	"taser/internal/tensor"
 )
@@ -19,12 +17,6 @@ func (g *Graph) LeakyReLU(a *Var, slope float64) *Var {
 	return o
 }
 
-// geluParallelThreshold is the element count above which GELU's forward fans
-// out when there is more than one worker to fan out to: one tanh per element
-// makes it the hottest element-wise op in training. The backward reads that
-// tanh back from the tape and stays serial.
-const geluParallelThreshold = 1 << 14
-
 // GELU applies the Gaussian error linear unit element-wise. A recording pass
 // keeps each element's tanh on the tape entry for the backward body.
 func (g *Graph) GELU(a *Var) *Var {
@@ -35,24 +27,8 @@ func (g *Graph) GELU(a *Var) *Var {
 		t = tanh.Data
 		g.push(tapeEntry{op: opGELU, out: o, a: a, aux1: tanh})
 	}
-	x, y := a.Val.Data, o.Val.Data
-	// The serial path is a plain call (not a conditionally-run closure) so it
-	// allocates nothing.
-	if n := len(x); n < geluParallelThreshold || runtime.GOMAXPROCS(0) == 1 {
-		geluRange(y, t, x, 0, n)
-	} else {
-		tensor.ParallelRows(n, func(lo, hi int) { geluRange(y, t, x, lo, hi) })
-	}
+	mathx.GELUInto(o.Val.Data, t, a.Val.Data)
 	return o
-}
-
-// geluRange writes y = GELU(x) over [lo, hi) and, unless t is nil, each
-// element's tanh into t.
-func geluRange(y, t, x []float64, lo, hi int) {
-	if t != nil {
-		t = t[lo:hi]
-	}
-	mathx.GELUInto(y[lo:hi], t, x[lo:hi])
 }
 
 // Cos applies cos element-wise; used by the learnable time encoding (Eq. 3).

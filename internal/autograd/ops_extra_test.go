@@ -2,7 +2,6 @@ package autograd
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"taser/internal/mathx"
@@ -111,21 +110,21 @@ func TestOpsCount(t *testing.T) {
 }
 
 func TestGELULargeInputParallelPath(t *testing.T) {
-	// Exercise the parallel chunked path (> 2^14 elements) and verify it
-	// agrees with the scalar definition.
+	// A large input (20,000 elements) agrees with the scalar definition,
+	// forward and backward.
 	rng := mathx.NewRNG(22)
 	a := NewParam(tensor.Randn(200, 100, 1, rng))
 	g := New()
 	o := g.GELU(a)
 	for i, v := range a.Val.Data {
 		if y, _ := mathx.GELUTanh(v); o.Val.Data[i] != y {
-			t.Fatal("parallel GELU mismatch")
+			t.Fatal("large GELU mismatch")
 		}
 	}
 	g.Backward(sumAll(g, o))
 	for i, v := range a.Val.Data {
 		if _, th := mathx.GELUTanh(v); a.Grad.Data[i] != mathx.GELUGradTanh(v, th) {
-			t.Fatal("parallel GELU backward mismatch")
+			t.Fatal("large GELU backward mismatch")
 		}
 	}
 }
@@ -188,19 +187,17 @@ func TestAffineMatchesMatMulThenAddBiasBitwise(t *testing.T) {
 // feeding two layers (TGAT's message into wk and wv) and a part another op
 // reads again later (hT in wq and in the output FFN).
 func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := mathx.NewRNG(25)
 	param := func(r, c int) *Var { return NewParam(tensor.Randn(r, c, 1, rng)) }
 	type affineCase struct {
 		name   string
-		procs  int
 		params []*Var
 		// build returns the layers' outputs, through AffineParts or through
 		// the concatenation.
 		build func(g *Graph, parts bool) []*Var
 	}
 	// layer is one linear layer over parameter parts of the given widths.
-	layer := func(name string, procs, rows int, widths []int, out int) affineCase {
+	layer := func(name string, rows int, widths []int, out int) affineCase {
 		var xs []*Var
 		k := 0
 		for _, wd := range widths {
@@ -208,7 +205,7 @@ func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
 			k += wd
 		}
 		w, b := param(k, out), param(1, out)
-		return affineCase{name, procs, append(xs, w, b), func(g *Graph, parts bool) []*Var {
+		return affineCase{name, append(xs, w, b), func(g *Graph, parts bool) []*Var {
 			if parts {
 				return []*Var{g.AffineParts(w, b, xs...)}
 			}
@@ -216,18 +213,18 @@ func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
 		}}
 	}
 	cases := []affineCase{
-		layer("zero-width part (TGAT layer 0, NodeDim 0)", 1, 6, []int{0, 5, 8}, 9),
-		layer("parts narrower than 8 (dotRows)", 1, 12, []int{3, 5, 7}, 16),
-		layer("rows < 4 (axpyRows)", 1, 3, []int{9, 12}, 10),
-		layer("rows%4, cols%8 remainders (tilePart)", 1, 13, []int{9, 11}, 19),
-		layer("past parallelThreshold at GOMAXPROCS=2", 2, 300, []int{48, 24, 16}, 24),
+		layer("zero-width part (TGAT layer 0, NodeDim 0)", 6, []int{0, 5, 8}, 9),
+		layer("parts narrower than 8 (dotRows)", 12, []int{3, 5, 7}, 16),
+		layer("rows < 4 (axpyRows)", 3, []int{9, 12}, 10),
+		layer("rows%4, cols%8 remainders (tilePart)", 13, []int{9, 11}, 19),
+		layer("300 rows, three wide parts", 300, []int{48, 24, 16}, 24),
 	}
 	{
 		table, dt := param(10, 6), param(9, 4)
 		edge := tensor.Randn(9, 8, 1, rng)
 		wk, bk, wv, bv := param(18, 8), param(1, 8), param(18, 8), param(1, 8)
 		idx := []int32{3, 0, 9, 3, 5, 5, 1, 8, 0}
-		cases = append(cases, affineCase{"one part list, two layers (msg → wk, wv)", 1,
+		cases = append(cases, affineCase{"one part list, two layers (msg → wk, wv)",
 			[]*Var{table, dt, wk, bk, wv, bv}, func(g *Graph, parts bool) []*Var {
 				hN, e, phi := g.GatherRows(table, idx), g.Const(edge), g.GELU(dt)
 				if parts {
@@ -241,7 +238,7 @@ func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
 		table, z, attn := param(7, 6), param(5, 4), param(5, 8)
 		wq, bq, wo, bo := param(10, 8), param(1, 8), param(14, 8), param(1, 8)
 		idx := []int32{6, 2, 2, 0, 4}
-		cases = append(cases, affineCase{"a part read again (hT in wq and out)", 1,
+		cases = append(cases, affineCase{"a part read again (hT in wq and out)",
 			[]*Var{table, z, attn, wq, bq, wo, bo}, func(g *Graph, parts bool) []*Var {
 				hT, phi0 := g.GatherRows(table, idx), g.GELU(z)
 				var q, out *Var
@@ -257,7 +254,6 @@ func TestAffinePartsMatchesConcatBitwise(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		runtime.GOMAXPROCS(c.procs)
 		run := func(parts bool) (vals, grads []*tensor.Matrix) {
 			for _, p := range c.params {
 				p.Grad.Zero()

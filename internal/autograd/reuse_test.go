@@ -207,19 +207,66 @@ func TestReusedGraphGradcheck(t *testing.T) {
 // performs zero heap allocations (everything — outputs, gradients, tape,
 // scratch, index slabs — is recycled).
 func TestReusedGraphSteadyStateAllocFree(t *testing.T) {
-	p := reuseParams(11)
-	g := NewReusable()
-	pass := func() {
-		g.Reset()
-		l := reuseLoss(g, p)
-		g.Backward(l)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name  string
+		procs int // 0: as the test runs
+		p     map[string]*Var
+		loss  func(*Graph, map[string]*Var) *Var
+	}{
+		{"every op", 0, reuseParams(11), reuseLoss},
+		{"large shapes at GOMAXPROCS=4", 4, largeParams(), largeLoss},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		g := NewReusable()
+		pass := func() {
+			g.Reset()
+			l := c.loss(g, c.p)
+			g.Backward(l)
+		}
+		for i := 0; i < 3; i++ {
+			pass()
+		}
+		if allocs := allocsAtGOMAXPROCS(50, pass); allocs > 0 {
+			t.Fatalf("%s: warm forward-backward allocates %d times, want 0", c.name, allocs)
+		}
 	}
-	for i := 0; i < 3; i++ {
-		pass()
+}
+
+// allocsAtGOMAXPROCS is testing.AllocsPerRun without its GOMAXPROCS(1) pin:
+// the average number of heap allocations per call of f, counted over runs
+// calls after one warm-up call, at whatever GOMAXPROCS the caller set — so a
+// goroutine started per call shows.
+func allocsAtGOMAXPROCS(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
-	if allocs := testing.AllocsPerRun(50, pass); allocs > 0 {
-		t.Fatalf("warm forward-backward allocates %.1f times, want 0", allocs)
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// largeParams and largeLoss are a graph of few ops on large shapes: a linear
+// layer over two parts (400 rows, 48 × 48 weight: 921,600 multiply-adds in
+// the forward and in each gradient product), GELU over its 19,200 outputs,
+// and token mixing over 25 groups of 16 rows (307,200 multiply-adds).
+func largeParams() map[string]*Var {
+	rng := mathx.NewRNG(12)
+	return map[string]*Var{
+		"x":    NewParam(tensor.Randn(400, 32, 1, rng)),
+		"y":    NewParam(tensor.Randn(400, 16, 1, rng)),
+		"w":    NewParam(tensor.Randn(48, 48, 1, rng)),
+		"b":    NewParam(tensor.Randn(1, 48, 1, rng)),
+		"mix":  NewParam(tensor.Randn(16, 16, 1, rng)),
+		"coef": NewConst(tensor.Randn(400, 48, 1, rng)),
 	}
+}
+
+func largeLoss(g *Graph, p map[string]*Var) *Var {
+	h := g.GELU(g.AffineParts(p["w"], p["b"], p["x"], p["y"]))
+	return g.WeightedSumConst(g.GroupedMatMulLeft(p["mix"], h, 16), p["coef"].Val)
 }
 
 // TestForwardOnlyPassMatchesRecording pins the forward-only checkout: the same
@@ -349,21 +396,15 @@ func TestPoisonFlagsUseAfterReset(t *testing.T) {
 // mathx's AVX2 kernel and with the CPU probe's answer overridden to "no
 // kernel", and requires the values, the stashed tanh and the input gradients
 // to agree bit for bit — so which CPU a model trained on is invisible in its
-// weights. Two shapes: an element count that is no multiple of 4 (a scalar
-// tail behind the lanes), and one past geluParallelThreshold with four
-// workers, whose ranges are no multiple of 4 long, so each ends in a scalar
-// tail mid-matrix and the next starts off the four-element grid. Recording
-// and forward-only.
+// weights. Two shapes, each an element count that is no multiple of 4 (a
+// scalar tail behind the lanes): 259 elements and 16,407. Recording and
+// forward-only.
 func TestGELUWithoutKernelMatchesWith(t *testing.T) {
 	defer mathx.ForceScalar(false)
 	if gelu, _ := mathx.ForceScalar(false); !gelu {
 		t.Skip("no AVX2 + FMA: GELU already runs the GELUTanh loop")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, shape := range [][2]int{{37, 7}, {geluParallelThreshold/9 + 3, 9}} {
-		if n := shape[0] * shape[1]; n >= geluParallelThreshold && (n+3)/4%4 == 0 {
-			t.Fatalf("%d elements split four ways on the four-element grid: pick another shape", n)
-		}
+	for _, shape := range [][2]int{{37, 7}, {1823, 9}} {
 		x := tensor.Randn(shape[0], shape[1], 1.5, mathx.NewRNG(7))
 		names := [4]string{"value", "stashed tanh", "input gradient", "forward-only value"}
 		run := func(kernel bool) (out [4]*tensor.Matrix) {

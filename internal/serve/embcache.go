@@ -60,8 +60,10 @@ func (c *embCache) get(node int32, lastTs float64, wv uint64, dst []float64) boo
 		copy(dst, c.emb.Row(slot))
 		return true
 	}
-	if resident {
-		c.stale++ // resident but invalidated by ingest or a weight swap
+	if resident && !math.IsNaN(c.lastTs[slot]) {
+		// A filled entry invalidated by ingest or a weight swap. A slot an
+		// earlier miss of this flush reserved (NaN, put pending) is not.
+		c.stale++
 	}
 	c.misses++
 	c.lastTs[slot] = math.NaN()

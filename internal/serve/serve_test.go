@@ -282,15 +282,31 @@ func TestCacheKeyDistinguishesEmptyFromTimeZero(t *testing.T) {
 
 // TestCacheInvalidationByIngest: an event touching a node changes its
 // (node, last-event-time) key in the next snapshot, so the cached embedding
-// stops being served.
+// stops being served, and the lookup is counted stale. Nothing else is: a
+// cold flush that resolves the node at two query times (one cache key, two
+// roots) misses twice — the second lookup finds the slot the first reserved,
+// still unfilled — and counts no stale entry.
 func TestCacheInvalidationByIngest(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 5)
 	e, _ := newTestEngine(t, ds, func(c *Config) { c.CacheSize = 32 })
 
 	v := ds.Graph.Events[0].Src
 	queryT := e.Pin().Watermark + 1
-	if _, err := e.Embed(v, queryT); err != nil { // cold: fills the cache
-		t.Fatal(err)
+	// One flush, driven directly: the scheduler is parked between flushes,
+	// and concurrent callers would not be guaranteed to share one.
+	cold := []*request{
+		{kind: reqEmbed, src: v, t: queryT, out: make(chan response, 1)},
+		{kind: reqEmbed, src: v, t: queryT + 0.5, out: make(chan response, 1)},
+	}
+	e.flush(cold) // cold: fills the cache
+	for _, r := range cold {
+		if resp := <-r.out; resp.err != nil || resp.cached {
+			t.Fatalf("cold embed at t=%v: err %v, cached %v", r.t, resp.err, resp.cached)
+		}
+	}
+	if st := e.Stats(); st.CacheHits != 0 || st.CacheStale != 0 || st.CacheMisses != 2 {
+		t.Fatalf("cold flush at two query times: hits=%d stale=%d misses=%d, want 0, 0, 2",
+			st.CacheHits, st.CacheStale, st.CacheMisses)
 	}
 	warm, err := e.Embed(v, queryT)
 	if err != nil {

@@ -422,20 +422,10 @@ func GroupedMatMulLeftInto(dst, w, src *Matrix, group int) {
 	if w.Cols != group {
 		panic("tensor: GroupedMatMulLeft shape")
 	}
-	if b*w.Rows*group*src.Cols < parallelThreshold || workerLimit() == 1 {
-		groupedMatMulLeftRange(dst, w, src, 0, b)
-		return
-	}
-	ParallelRows(b, func(gLo, gHi int) { groupedMatMulLeftRange(dst, w, src, gLo, gHi) })
-}
-
-// groupedMatMulLeftRange computes groups [gLo, gHi) of GroupedMatMulLeftInto;
-// a named function so the serial path allocates no closure.
-func groupedMatMulLeftRange(dst, w, src *Matrix, gLo, gHi int) {
-	k2, group := w.Rows, w.Cols
-	for g := gLo; g < gHi; g++ {
+	k2 := w.Rows
+	for g := 0; g < b; g++ {
 		srcG := src.rowBlock(g*group, group)
-		productRange(dst.rowBlock(g*k2, k2).Data, w.Data, group, 1, &srcG, nil, tileStore, 0, k2)
+		product(dst.rowBlock(g*k2, k2).Data, k2, w.Data, group, 1, &srcG, nil, tileStore)
 	}
 }
 
@@ -456,14 +446,14 @@ func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
 	for g := 0; g < b; g++ {
 		dOutG := dOut.rowBlock(g*k2, k2)
 		if dSrc != nil {
-			productRange(dSrc.rowBlock(g*group, group).Data, w.Data, 1, group, &dOutG, nil, tileAccum, 0, group)
+			product(dSrc.rowBlock(g*group, group).Data, group, w.Data, 1, group, &dOutG, nil, tileAccum)
 		}
 		if dW != nil {
 			srcG := src.rowBlock(g*group, group)
 			if st != nil {
 				transposeInto(st, &srcG)
 			}
-			transBRange(dW, &dOutG, &srcG, st, 0, k2)
+			transB(dW, &dOutG, &srcG, st)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -173,30 +172,6 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 					t.Fatalf("GroupMean group=%d mismatch", group)
 				}
 			}
-		}
-	}
-}
-
-// TestGroupedMatMulLeftParallelSerialAtCrossover forces multiple workers and
-// pins bitwise parallel-vs-serial equivalence for the one parallelized
-// grouped kernel, exactly at the parallelThreshold work crossover.
-func TestGroupedMatMulLeftParallelSerialAtCrossover(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	rng := mathx.NewRNG(22)
-	const k2, group, c = 16, 16, 16
-	// work = b·k2·group·c: b=15 below 1<<16, 16 exactly at, 17 above.
-	for _, b := range []int{15, 16, 17} {
-		w := Randn(k2, group, 1, rng)
-		src := Randn(b*group, c, 1, rng)
-		runtime.GOMAXPROCS(1)
-		serial := New(b*k2, c)
-		GroupedMatMulLeftInto(serial, w, src, group)
-		runtime.GOMAXPROCS(4)
-		parallel := New(b*k2, c)
-		GroupedMatMulLeftInto(parallel, w, src, group)
-		if d := bitwiseDiff(serial, parallel); d >= 0 {
-			t.Fatalf("b=%d: parallel differs from serial at elem %d", b, d)
 		}
 	}
 }

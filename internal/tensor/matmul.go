@@ -2,25 +2,12 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
-// parallelThreshold is the number of multiply-adds below which MatMul stays
-// single-threaded; goroutine fan-out costs more than it saves on tiny inputs.
-const parallelThreshold = 1 << 16
-
-// workerLimit reports the scheduler width for parallel kernels. It is read
-// at call time — not frozen at package init — so runtime.GOMAXPROCS changes
-// (tests pinning to 1, operators resizing a cgroup) take effect on the next
-// kernel invocation. GOMAXPROCS(0) is a cheap read; callers on a hot path
-// read it once per kernel call, never per row.
-func workerLimit() int { return runtime.GOMAXPROCS(0) }
-
 // MatMulInto computes dst = a @ b. dst must be pre-shaped a.Rows×b.Cols and
-// must not alias a or b. It runs on the 4×8 register tile (tile.go) and, past
-// parallelThreshold, is split across worker goroutines by row block; each
-// worker owns a disjoint range of dst rows.
+// must not alias a or b. It runs on the 4×8 register tile (tile.go), on the
+// calling goroutine.
 //
 // There is no zero-skip branch: every a element is multiplied through, which
 // keeps the inner loop branch-free and lets products with exact-zero
@@ -34,20 +21,13 @@ func MatMulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || workerLimit() == 1 {
-		productRange(dst.Data, a.Data, a.Cols, 1, b, nil, tileStore, 0, a.Rows)
-		return
-	}
-	ParallelRows(a.Rows, func(lo, hi int) { productRange(dst.Data, a.Data, a.Cols, 1, b, nil, tileStore, lo, hi) })
+	product(dst.Data, a.Rows, a.Data, a.Cols, 1, b, nil, tileStore)
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, accumulating into dst (dst is NOT
 // zeroed first — this is the gradient-accumulation form used by autograd).
 // It is the same tile as MatMulInto with a's strides swapped: a lane is a
-// column of a and the depth runs down its rows. Large products are
-// parallelized across dst row blocks: each worker owns a disjoint set of dst
-// rows, so no synchronization is needed.
+// column of a and the depth runs down its rows.
 //
 // Like the forward product it carries no zero-skip: its left operand is
 // forward activations, and those no longer hold mask-zeroed token rows (the
@@ -61,50 +41,40 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: MatMulTransAInto dst shape")
 	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || workerLimit() == 1 || dst.Rows == 1 {
-		productRange(dst.Data, a.Data, 1, a.Cols, b, nil, tileAccum, 0, dst.Rows)
-		return
-	}
-	// The closure escapes to the workers: it captures copies, so the
-	// caller's headers (row-block views, MatMulPartsGradInto) stay on its
-	// stack.
-	d, x, kstep, y := dst.Data, a.Data, a.Cols, *b
-	ParallelRows(dst.Rows, func(lo, hi int) { productRange(d, x, 1, kstep, &y, nil, tileAccum, lo, hi) })
+	product(dst.Data, dst.Rows, a.Data, 1, a.Cols, b, nil, tileAccum)
 }
 
-// productRange computes dst rows [lo, hi) of a lane-strided product (the
-// tile's own form, tile.go), plus bias on every row when it is non-nil:
+// product computes the rows of dst of a lane-strided product (the tile's
+// own form, tile.go), plus bias on every row when it is non-nil:
 //
-//	dst[i, :]  ⟵  Σ_kk  a[i*lane + kk*kstep] · b[kk, :]  (+ bias)
+//	dst[i, :]  ⟵  Σ_kk  a[i*lane + kk*kstep] · b[kk, :]  (+ bias),  i < rows
 //
-// on the tile where the range holds a whole one, on the scalar loop where
-// it does not. Per-element accumulation is k-ascending either way and the
-// bias lands with one add after it, so any [lo, hi) split of rows is
-// bitwise-equivalent to serial.
-func productRange(dst, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode, lo, hi int) {
-	if !tileRows(dst, b.Cols, a, lane, kstep, b.Data, b.Rows, bias, mode, lo, hi) {
-		axpyRows(dst, a, lane, kstep, b, bias, mode, lo, hi)
+// on the tile where the rows hold a whole one, on the scalar loop where
+// they do not. Per-element accumulation is k-ascending either way and the
+// bias lands with one add after it.
+func product(dst []float64, rows int, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode) {
+	if !tileRows(dst, rows, b.Cols, a, lane, kstep, b.Data, b.Rows, bias, mode) {
+		axpyRows(dst, rows, a, lane, kstep, b, bias, mode)
 	}
 }
 
-// tileRows covers dst rows [lo, hi) × cols [0, p) with 4-row panels and
-// reports whether it could: the range must hold one whole tile and the
-// product must have depth. One tile call covers a panel's p/8 whole 8-wide
+// tileRows covers dst rows [0, rows) × cols [0, p) with 4-row panels and
+// reports whether it could: there must be one whole tile and the product
+// must have depth. One tile call covers a panel's p/8 whole 8-wide
 // blocks. Where the extent is not a multiple of the tile (rows%4, cols%8)
 // the last block is shifted back to end on the boundary and commits only
 // the part no earlier block owns (tilePart, one block at a time), so
 // remainders run on the same kernel and every element is still written
 // exactly once.
-func tileRows(dst []float64, p int, a []float64, lane, kstep int, b []float64, k int, bias []float64, mode tileMode, lo, hi int) bool {
-	if !tileFits(hi-lo, p, k) {
+func tileRows(dst []float64, rows, p int, a []float64, lane, kstep int, b []float64, k int, bias []float64, mode tileMode) bool {
+	if !tileFits(rows, p, k) {
 		return false
 	}
 	blocks := p / 8
-	for i := lo; i < hi; i += 4 {
+	for i := 0; i < rows; i += 4 {
 		l0 := 0
-		if i+4 > hi {
-			l0, i = i+4-hi, hi-4
+		if i+4 > rows {
+			l0, i = i+4-rows, rows-4
 		}
 		d, ai := dst[i*p:], a[i*lane:]
 		if l0 == 0 {
@@ -133,14 +103,14 @@ func biasFrom(bias []float64, j int) []float64 {
 // tileFits reports whether a rows×cols block of depth k holds a whole tile.
 func tileFits(rows, cols, k int) bool { return rows >= 4 && cols >= 8 && k > 0 }
 
-// axpyRows is productRange's scalar form, for ranges no tile fits (fewer
+// axpyRows is product's scalar form, for products no tile fits (fewer
 // than 4 rows, fewer than 8 columns, k = 0): one dst row at a time,
 // streaming b row-wise. tileStore zeroes the row first; tileAccum
 // accumulates onto it; a non-nil bias is added after the row's k loop. The
 // float64(…) conversion forbids multiply-add fusion (see tileGo).
-func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode, lo, hi int) {
+func axpyRows(dst []float64, rows int, a []float64, lane, kstep int, b *Matrix, bias []float64, mode tileMode) {
 	k, p := b.Rows, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < rows; i++ {
 		drow := dst[i*p : i*p+p]
 		if mode == tileStore {
 			clear(drow)
@@ -165,7 +135,7 @@ func axpyRows(dst, a []float64, lane, kstep int, b *Matrix, bias []float64, mode
 // MatMulTransBAddInto accumulates dst += a @ bᵀ without a temporary product
 // (the gradient-accumulation form autograd's MatMul backward uses:
 // dA += dO @ Bᵀ). Each element's sum is formed from zero and added to dst
-// once, at the end. Workers own disjoint dst row blocks.
+// once, at the end.
 func MatMulTransBAddInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransBAdd %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -175,7 +145,7 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	}
 	n, m2 := a.Cols, b.Rows
 	if !tileFits(a.Rows, m2, n) { // no tile will run: skip the copy
-		dotRows(dst, a, b, 0, a.Rows)
+		dotRows(dst, a, b)
 		return
 	}
 	// Run it as the forward tile against bᵀ: b is the small operand on every
@@ -184,13 +154,7 @@ func MatMulTransBAddInto(dst, a, b *Matrix) {
 	// same contiguous 8-wide rows the other two products read.
 	bt := getTrans(n * m2)
 	transposeInto(bt, b)
-	if a.Rows*n*m2 < parallelThreshold || workerLimit() == 1 {
-		transBRange(dst, a, b, bt, 0, a.Rows)
-	} else {
-		// Copies for the escaping closure, as in MatMulTransAInto.
-		d, x, y := *dst, *a, *b
-		ParallelRows(a.Rows, func(lo, hi int) { transBRange(&d, &x, &y, bt, lo, hi) })
-	}
+	transB(dst, a, b, bt)
 	putTrans(bt)
 }
 
@@ -235,20 +199,19 @@ func transposeInto(bt []float64, b *Matrix) {
 	}
 }
 
-// transBRange adds rows [lo, hi) of a @ bᵀ to dst against bt, b's k-major
-// copy.
-func transBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
-	if !tileRows(dst.Data, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, nil, tileAdd, lo, hi) {
-		dotRows(dst, a, b, lo, hi)
+// transB adds a @ bᵀ to dst against bt, b's k-major copy.
+func transB(dst, a, b *Matrix, bt []float64) {
+	if !tileRows(dst.Data, a.Rows, b.Rows, a.Data, a.Cols, 1, bt, a.Cols, nil, tileAdd) {
+		dotRows(dst, a, b)
 	}
 }
 
-// dotRows is dst += a @ bᵀ's scalar form for ranges no tile fits: one dot
+// dotRows is dst += a @ bᵀ's scalar form for products no tile fits: one dot
 // product per element, both operands contiguous along k, summed k-ascending
 // from zero and then added to dst.
-func dotRows(dst, a, b *Matrix, lo, hi int) {
+func dotRows(dst, a, b *Matrix) {
 	n, m2 := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*n : i*n+n]
 		drow := dst.Data[i*m2 : i*m2+m2]
 		for j := range drow {
@@ -278,15 +241,6 @@ func MatMulPartsInto(dst, w *Matrix, parts []*Matrix, bias []float64) {
 	if bias != nil && len(bias) != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulParts bias of %d for %d columns", len(bias), w.Cols))
 	}
-	if dst.Rows*w.Rows*w.Cols < parallelThreshold || workerLimit() == 1 {
-		partsRange(dst.Data, w, parts, bias, 0, dst.Rows)
-		return
-	}
-	ParallelRows(dst.Rows, func(lo, hi int) { partsRange(dst.Data, w, parts, bias, lo, hi) })
-}
-
-// partsRange computes dst rows [lo, hi) of MatMulPartsInto, part by part.
-func partsRange(dst []float64, w *Matrix, parts []*Matrix, bias []float64, lo, hi int) {
 	last := -1
 	for p, x := range parts {
 		if x.Cols > 0 {
@@ -294,7 +248,7 @@ func partsRange(dst []float64, w *Matrix, parts []*Matrix, bias []float64, lo, h
 		}
 	}
 	if last < 0 { // depth 0: axpyRows clears each row and adds the bias
-		productRange(dst, nil, 0, 0, w, bias, tileStore, lo, hi)
+		product(dst.Data, dst.Rows, nil, 0, 0, w, bias, tileStore)
 		return
 	}
 	mode, off := tileStore, 0
@@ -307,7 +261,7 @@ func partsRange(dst []float64, w *Matrix, parts []*Matrix, bias []float64, lo, h
 			bp = bias
 		}
 		wp := w.rowBlock(off, x.Cols)
-		productRange(dst, x.Data, x.Cols, 1, &wp, bp, mode, lo, hi)
+		product(dst.Data, dst.Rows, x.Data, x.Cols, 1, &wp, bp, mode)
 		mode, off = tileAccum, off+x.Cols
 	}
 }
@@ -354,35 +308,4 @@ func checkParts(out, w *Matrix, parts []*Matrix) {
 	if k != w.Rows || out.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulParts widths sum to %d against %dx%d weight, output %dx%d", k, w.Rows, w.Cols, out.Rows, out.Cols))
 	}
-}
-
-// ParallelRows splits [0, rows) across the worker pool and blocks until all
-// chunks complete (exported for other packages' row kernels). The pool width
-// is re-read from GOMAXPROCS on every call (workerLimit), so resizing the
-// process takes effect immediately.
-func ParallelRows(rows int, body func(lo, hi int)) {
-	workers := workerLimit()
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		// No parallelism to win: skip the goroutine + WaitGroup traffic (and
-		// their allocations) instead of fanning out to a single worker.
-		body(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

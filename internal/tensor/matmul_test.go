@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"testing"
 
 	"taser/internal/mathx"
@@ -12,8 +10,8 @@ import (
 
 // matMulRef is the seed repo's skip-based ikj loop, kept verbatim as the
 // equivalence reference for the tiled kernels: per-element accumulation is
-// k-ascending from zero, which is the order the dense, blocked (single
-// panel), and parallel paths all contractually preserve.
+// k-ascending from zero, which is the order the tile and its scalar
+// fallbacks both contractually preserve.
 func matMulRef(dst, a, b *Matrix) {
 	n, p := a.Cols, b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -162,96 +160,6 @@ func TestMatMulTransABitwiseMatchesRef(t *testing.T) {
 		if d := bitwiseDiff(got, want); d >= 0 {
 			t.Fatalf("(%dx%d)ᵀ@%dx%d: elem %d differs", m, k, m, n, d)
 		}
-	}
-}
-
-// TestMatMulParallelSerialBitwiseAtCrossover forces multiple workers and
-// checks, for every parallelized matmul entry point, that results exactly at
-// and around the parallelThreshold crossover are bitwise-identical to the
-// single-worker run — the row-block ownership contract.
-func TestMatMulParallelSerialBitwiseAtCrossover(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	// m*k*n: 63·32·32 = 64512 (below 1<<16), 64·32·32 = 65536 (at), 65: above.
-	for _, m := range []int{63, 64, 65} {
-		k, n := 32, 32
-		rng := mathx.NewRNG(uint64(17 + m))
-		a := withZeros(Randn(m, k, 1, rng), 0.2, rng)
-		b := Randn(k, n, 1, rng)
-		bt := Randn(n, k, 1, rng)
-		wide := Randn(m, n, 1, rng)
-
-		type result struct{ mm, tba, ta *Matrix }
-		run := func(procs int) result {
-			runtime.GOMAXPROCS(procs)
-			r := result{New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6))}
-			MatMulInto(r.mm, a, b)
-			MatMulTransBAddInto(r.tba, a, bt)
-			MatMulTransAInto(r.ta, a, wide)
-			return r
-		}
-		serial := run(1)
-		parallel := run(4)
-		for _, pair := range []struct {
-			name string
-			s, p *Matrix
-		}{
-			{"MatMulInto", serial.mm, parallel.mm},
-			{"MatMulTransBAddInto", serial.tba, parallel.tba},
-			{"MatMulTransAInto", serial.ta, parallel.ta},
-		} {
-			if d := bitwiseDiff(pair.s, pair.p); d >= 0 {
-				t.Fatalf("m=%d %s: parallel differs from serial at elem %d", m, pair.name, d)
-			}
-		}
-	}
-}
-
-// TestWorkerLimitTracksGOMAXPROCS is the regression test for the frozen
-// worker count: the kernels must see GOMAXPROCS changes made after package
-// init, on the very next call.
-func TestWorkerLimitTracksGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 3, 2} {
-		runtime.GOMAXPROCS(procs)
-		if got := workerLimit(); got != procs {
-			t.Fatalf("workerLimit() = %d after GOMAXPROCS(%d)", got, procs)
-		}
-	}
-	// ParallelRows must fan out to the current width, not the init-time one.
-	runtime.GOMAXPROCS(2)
-	var mu sync.Mutex
-	var chunks [][2]int
-	ParallelRows(10, func(lo, hi int) {
-		mu.Lock()
-		chunks = append(chunks, [2]int{lo, hi})
-		mu.Unlock()
-	})
-	if len(chunks) != 2 {
-		t.Fatalf("ParallelRows split into %d chunks with GOMAXPROCS=2: %v", len(chunks), chunks)
-	}
-	covered := make([]bool, 10)
-	for _, ch := range chunks {
-		for i := ch[0]; i < ch[1]; i++ {
-			if covered[i] {
-				t.Fatalf("row %d covered twice: %v", i, chunks)
-			}
-			covered[i] = true
-		}
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("row %d never covered: %v", i, chunks)
-		}
-	}
-	runtime.GOMAXPROCS(1)
-	chunks = chunks[:0]
-	ParallelRows(10, func(lo, hi int) {
-		chunks = append(chunks, [2]int{lo, hi})
-	})
-	if len(chunks) != 1 || chunks[0] != [2]int{0, 10} {
-		t.Fatalf("ParallelRows with GOMAXPROCS=1 must run one serial chunk, got %v", chunks)
 	}
 }
 

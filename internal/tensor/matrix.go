@@ -1,5 +1,5 @@
 // Package tensor implements dense float64 matrices and the compute kernels
-// the TGNN stack is built on: parallel matrix multiply, row softmax, layer
+// the TGNN stack is built on: tiled matrix multiply, row softmax, layer
 // normalization, and grouped (per-neighborhood) operations.
 //
 // Matrices are row-major. Kernels never retain their arguments and always

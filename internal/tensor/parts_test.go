@@ -176,34 +176,52 @@ func FuzzMatMulPartsMatchesConcat(f *testing.F) {
 }
 
 // TestMatMulPartsParallelMatchesConcat is the fuzz target's check on shapes
-// past parallelThreshold, where the forward and every gradient product fan
-// out across workers: the train-taser-tgat message projection and its
-// remainder-heavy neighbours, with a bias, at two and four workers.
+// the fuzzer's ranges do not reach: the train-taser-tgat message projection
+// and its remainder-heavy neighbours, with a bias.
 func TestMatMulPartsParallelMatchesConcat(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{2, 4} {
-		runtime.GOMAXPROCS(procs)
-		checkPartsMatchConcat(t, 733, 24, []int{24, 32, 16}, 0, randomBias, 1)
-		checkPartsMatchConcat(t, 1001, 27, []int{0, 45, 3, 19}, 0x04, randomBias, 2)
-		checkPartsMatchConcat(t, 550, 24, []int{0, 32, 16}, 0, negZeroBias, 3)
-	}
+	checkPartsMatchConcat(t, 733, 24, []int{24, 32, 16}, 0, randomBias, 1)
+	checkPartsMatchConcat(t, 1001, 27, []int{0, 45, 3, 19}, 0x04, randomBias, 2)
+	checkPartsMatchConcat(t, 550, 24, []int{0, 32, 16}, 0, negZeroBias, 3)
 }
 
 // TestMatMulPartsSteadyStateAllocFree pins that the row-block views the parts
-// products multiply against stay on the stack: a warm forward with a bias
-// and backward over three parts allocates nothing.
+// products multiply against stay on the stack and that no product starts a
+// goroutine: a warm forward with a bias and backward over three parts
+// allocates nothing, at any GOMAXPROCS — also on the train-taser-tgat
+// message projection (733 rows, 1.27M multiply-adds per product) at four.
 func TestMatMulPartsSteadyStateAllocFree(t *testing.T) {
-	rng := mathx.NewRNG(34)
-	parts := []*Matrix{Randn(40, 24, 1, rng), Randn(40, 5, 1, rng), Randn(40, 16, 1, rng)}
-	dParts := []*Matrix{New(40, 24), nil, New(40, 16)}
-	w, dW, bias := Randn(45, 24, 1, rng), New(45, 24), Randn(1, 24, 1, rng).Data
-	out, dO := New(40, 24), Randn(40, 24, 1, rng)
-	pass := func() {
-		MatMulPartsInto(out, w, parts, bias)
-		MatMulPartsGradInto(dW, dParts, dO, w, parts)
-	}
-	pass() // warm the transpose free list
-	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
-		t.Fatalf("warm parts forward and backward allocate %.1f times per call, want 0", allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		rows   int
+		widths []int
+		cols   int
+		procs  int // 0: as the test runs
+	}{
+		{40, []int{24, 5, 16}, 24, 0},
+		{733, []int{24, 32, 16}, 24, 4},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		rng := mathx.NewRNG(34)
+		parts := make([]*Matrix, len(c.widths))
+		dParts := make([]*Matrix, len(c.widths))
+		k := 0
+		for i, wd := range c.widths {
+			parts[i] = Randn(c.rows, wd, 1, rng)
+			if i != 1 { // one part is a constant, with no gradient
+				dParts[i] = New(c.rows, wd)
+			}
+			k += wd
+		}
+		w, dW, bias := Randn(k, c.cols, 1, rng), New(k, c.cols), Randn(1, c.cols, 1, rng).Data
+		out, dO := New(c.rows, c.cols), Randn(c.rows, c.cols, 1, rng)
+		pass := func() {
+			MatMulPartsInto(out, w, parts, bias)
+			MatMulPartsGradInto(dW, dParts, dO, w, parts)
+		}
+		pass() // warm the transpose free list
+		if allocs := allocsAtGOMAXPROCS(50, pass); allocs != 0 {
+			t.Fatalf("%d rows, widths %v, GOMAXPROCS=%d: warm parts forward and backward allocate %d times per call, want 0",
+				c.rows, c.widths, runtime.GOMAXPROCS(0), allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"taser/internal/mathx"
@@ -300,17 +301,44 @@ func TestMatMulDriversStayInBounds(t *testing.T) {
 }
 
 // TestMatMulTransBSteadyStateAllocFree pins the a @ bᵀ scratch discipline:
-// the k-major copy of b comes from a free list, so a warm call allocates
-// nothing — with or without the race detector.
+// the k-major copy of b comes from a free list and the product runs on the
+// calling goroutine, so a warm call allocates nothing — with or without the
+// race detector, at any GOMAXPROCS.
 func TestMatMulTransBSteadyStateAllocFree(t *testing.T) {
-	rng := mathx.NewRNG(33)
-	a := Randn(40, 24, 1, rng)
-	b := Randn(48, 24, 1, rng)
-	dst := New(40, 48)
-	MatMulTransBAddInto(dst, a, b) // warm the free list
-	if allocs := testing.AllocsPerRun(50, func() {
-		MatMulTransBAddInto(dst, a, b)
-	}); allocs != 0 {
-		t.Fatalf("warm MatMulTransBAddInto allocates %.1f times per call, want 0", allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		m, k, n int
+		procs   int // 0: as the test runs
+	}{
+		{40, 24, 48, 0},
+		{733, 72, 24, 4}, // the train-taser-tgat message projection, 1.27M multiply-adds
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		rng := mathx.NewRNG(33)
+		a := Randn(c.m, c.k, 1, rng)
+		b := Randn(c.n, c.k, 1, rng)
+		dst := New(c.m, c.n)
+		MatMulTransBAddInto(dst, a, b) // warm the free list
+		if allocs := allocsAtGOMAXPROCS(50, func() {
+			MatMulTransBAddInto(dst, a, b)
+		}); allocs != 0 {
+			t.Fatalf("%dx%d @ (%dx%d)ᵀ, GOMAXPROCS=%d: warm MatMulTransBAddInto allocates %d times per call, want 0",
+				c.m, c.k, c.n, c.k, runtime.GOMAXPROCS(0), allocs)
+		}
 	}
+}
+
+// allocsAtGOMAXPROCS is testing.AllocsPerRun without its GOMAXPROCS(1) pin:
+// the average number of heap allocations per call of f, counted over runs
+// calls after one warm-up call, at whatever GOMAXPROCS the caller set — so a
+// goroutine started per call shows.
+func allocsAtGOMAXPROCS(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }

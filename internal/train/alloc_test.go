@@ -26,10 +26,13 @@ func allocBudgetConfig() Config {
 // made per a @ bᵀ product is +14 per TASER step and the pre-arena execution
 // stack made ~1,430.
 //
-// They pin GOMAXPROCS to 1 for their duration: with more, the parallel
-// kernels (MatMul row fan-out, large GELU) legitimately allocate goroutine
-// closures per call, and a budget loose enough for those would let a
-// per-call allocation through.
+// They pin GOMAXPROCS to 1 for their duration, the trainer's construction
+// included. testing.AllocsPerRun pins the measured runs itself, but New
+// sizes the GPU finder's device pool from GOMAXPROCS, and with more than one
+// worker every launch hands the pool a heap-allocated launch header
+// (device.GPU.LaunchBlocksIndexed): +2 on a TASER step and +1 on a pipelined
+// GraphMixer step at two workers. The kernels allocate nothing at any
+// GOMAXPROCS (the steady-state tests of internal/tensor and autograd).
 
 // TestStepAllocBudget: a full TASER training step (build + adaptive selection
 // + forward/backward + both optimizer steps).
