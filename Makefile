@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross-build test test-poison bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check unreached-check bench-overload overload-smoke benchmark-selftest bench-compare loc
+.PHONY: all build cross-build test test-poison bench bench-full bench-finetune bench-recover bench-replicate vet serve repl-smoke shard-smoke bce-check unreached-check bench-overload overload-smoke benchmark-selftest bench-compare bench-record loc
 
 all: build test
 
@@ -34,6 +34,11 @@ test-poison:
 # One iteration of every step benchmark with allocations; the output is benchstat-compatible.
 bench:
 	$(GO) test -run='^$$' -bench=Step -benchmem -benchtime=1x
+
+# The training stage record BENCH_$(PR).json: Table III on wikipedia at GOMAXPROCS=1, median and IQR over laps (~70 s).
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>" >&2; exit 2; }
+	bash scripts/bench_record.sh $(PR)
 
 # Steady-state step, finder and build-path numbers (slower).
 bench-full:

@@ -250,7 +250,7 @@ func BenchmarkExperiment(b *testing.B) {
 		b.Run(e.Name, func(b *testing.B) {
 			o := miniOptions()
 			for i := 0; i < b.N; i++ {
-				if err := e.Run(o); err != nil {
+				if _, _, err := e.Run(o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,12 +9,18 @@
 //
 //	taser-bench -exp table1 [-scale 0.25] [-epochs 6] [-datasets wikipedia,reddit]
 //	taser-bench -exp all
+//	taser-bench -exp table3 -json rows.json
+//
+// -json also writes every experiment's rows to a file, as a JSON list of
+// {experiment, title, rows}: the numbers the text tables print, unrounded.
+// `make bench-record` builds BENCH_<n>.json from such files.
 //
 // The experiment names are internal/bench's registry; `taser-bench -h` lists
 // them.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,6 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 42, "random seed")
 		evalEdges = fs.Int("eval-edges", 300, "max edges per MRR evaluation")
 		dsNames   = fs.String("datasets", "", "comma-separated dataset subset (default: experiment's own)")
+		jsonPath  = fs.String("json", "", "also write the rows to this file as JSON")
 	)
 	fs.Float64Var(&bench.OverloadRate, "open-rate", bench.OverloadRate, "overload: offered burst rate, req/sec (default 2× the calibrated sustainable rate)")
 	fs.IntVar(&bench.OverloadQueue, "open-queue", bench.OverloadQueue, "overload: adaptive engine's per-lane admission bound")
@@ -76,13 +83,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "taser-bench: unknown experiment %q\nknown: %s, all\n", *exp, bench.Names())
 		return 2
 	}
+	var results []result
 	for _, e := range todo {
 		fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
-		if err := e.Run(opts); err != nil {
+		title, rows, err := e.Run(opts)
+		if err != nil {
 			fmt.Fprintf(stderr, "taser-bench: %s: %v\n", e.Name, err)
 			return 1
 		}
+		results = append(results, result{e.Name, title, rows})
 		fmt.Fprintln(stdout)
 	}
+	if *jsonPath != "" {
+		if err := writeJSON(*jsonPath, results); err != nil {
+			fmt.Fprintf(stderr, "taser-bench: %v\n", err)
+			return 1
+		}
+	}
 	return 0
+}
+
+// result is one experiment's run as -json writes it.
+type result struct {
+	Experiment string      `json:"experiment"`
+	Title      string      `json:"title"`
+	Rows       []bench.Row `json:"rows"`
+}
+
+func writeJSON(path string, results []result) error {
+	b, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,7 +23,8 @@ var docFiles = []string{"Makefile", ".github/workflows/ci.yml", ".claude/skills/
 // TestDocumentedExperimentsAreRegistered: every name the docs cite exists —
 // an `-exp NAME` in the registry, a `make X` in code (not in prose or a
 // comment) among the Makefile's targets, a Test…/Fuzz…/Benchmark…/Example… name as a prefix of a function
-// in some _test.go, and a §N as a section of DESIGN.md — so retiring or
+// in some _test.go, a §N as a section of DESIGN.md and a BENCH_<n>.json
+// stage record (`make bench-record`) at the repository root — so retiring or
 // renaming one cannot leave a dead citation behind. The paper's sections are
 // roman (§III-B), so an arabic §N is DESIGN.md's wherever it appears; Go
 // comments and scripts are checked for those too.
@@ -51,6 +54,10 @@ func TestDocumentedExperimentsAreRegistered(t *testing.T) {
 			return false
 		}},
 		{"a DESIGN.md section", regexp.MustCompile(`§(\d+)`), false, true, func(n string) bool { return sections[n] }},
+		{"a committed stage record", regexp.MustCompile(`\b(BENCH_\d+\.json)`), false, false, func(name string) bool {
+			_, err := os.Stat(filepath.Join(root, name))
+			return err == nil
+		}},
 	}
 	comment := regexp.MustCompile(`(?m)(^|\s)#.*$`)
 	paths := append([]string(nil), docFiles...)
@@ -205,5 +212,35 @@ func TestRunsAnExperiment(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Fatalf("stdout missing %q:\n%s", want, stdout.String())
 		}
+	}
+}
+
+// TestJSONRowsMatchText: -json writes the rows the text tables print:
+// rendering the file's rows again reproduces stdout byte for byte.
+func TestJSONRowsMatchText(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rows.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "table2", "-scale", "0.02", "-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d\nstderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []result
+	if err := json.Unmarshal(raw, &results); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Experiment != "table2" || len(results[0].Rows) == 0 {
+		t.Fatalf("-json wrote %d results: %s", len(results), raw)
+	}
+	var again bytes.Buffer
+	for _, r := range results {
+		fmt.Fprintf(&again, "=== %s ===\n", r.Experiment)
+		bench.Render(&again, r.Title, r.Rows)
+		fmt.Fprintln(&again)
+	}
+	if again.String() != stdout.String() {
+		t.Fatalf("rows rendered from the file:\n%s\nstdout:\n%s", again.String(), stdout.String())
 	}
 }

@@ -8,7 +8,7 @@
 // Experiments is the one list of what exists: cmd/taser-bench, the package
 // tests and the root bench_test.go all read it. Each experiment takes Options
 // and returns a title and typed rows; Run prints them through the one
-// renderer (render.go), Rows hands them to tests, which is where the paper's
+// renderer (Render), Rows hands them to tests, which is where the paper's
 // claims are asserted (claims_test.go).
 package bench
 
@@ -25,11 +25,13 @@ import (
 
 // Row is one measured cell: Group names the table it belongs to (dataset and
 // model, taken from what was actually generated and trained), Variant its
-// line, Metric its column.
+// line, Metric its column. `taser-bench -json` writes rows as they are.
 type Row struct {
-	Group, Variant, Metric string
-	Value                  float64
-	Unit                   string
+	Group   string  `json:"group"`
+	Variant string  `json:"variant"`
+	Metric  string  `json:"metric"`
+	Value   float64 `json:"value"`
+	Unit    string  `json:"unit"`
 }
 
 // Experiment is one registry row.
@@ -67,14 +69,14 @@ func (e Experiment) Rows(o Options) (title string, rows []Row, err error) {
 	return e.run(o)
 }
 
-// Run is Rows rendered to o.Out.
-func (e Experiment) Run(o Options) error {
-	title, rows, err := e.Rows(o)
+// Run is Rows rendered to o.Out; it returns what it rendered.
+func (e Experiment) Run(o Options) (title string, rows []Row, err error) {
+	title, rows, err = e.Rows(o)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	render(o.Out, title, rows)
-	return nil
+	Render(o.Out, title, rows)
+	return title, rows, nil
 }
 
 // Lookup finds a registered experiment by name.

@@ -240,7 +240,7 @@ func tinyRows(t *testing.T, name string) []Row {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	render(&buf, title, rows)
+	Render(&buf, title, rows)
 	if title == "" || len(rows) == 0 || !strings.HasPrefix(buf.String(), title+"\n") {
 		t.Fatalf("%s: title %q, %d rows, rendered:\n%s", name, title, len(rows), buf.String())
 	}
@@ -316,7 +316,7 @@ func TestGroupsNameTheDatasetTrained(t *testing.T) {
 // variant, a column per metric headed with its unit, "-" for an absent cell.
 func TestRenderLayout(t *testing.T) {
 	var buf bytes.Buffer
-	render(&buf, "title", []Row{
+	Render(&buf, "title", []Row{
 		{"g1", "a", "x", 0.5, "MRR"}, {"g1", "a", "y", 3, ""},
 		{"g2", "c", "x", 1.25, "ms"},
 		{"g1", "b", "y", 12, ""},
@@ -334,7 +334,7 @@ func TestUnknownDatasetIsAnError(t *testing.T) {
 	o := tinyOptions(&buf)
 	o.Datasets = []string{"wikipedai"}
 	e, _ := Lookup("table2")
-	err := e.Run(o)
+	_, _, err := e.Run(o)
 	if err == nil {
 		t.Fatal("an unknown dataset name must be an error")
 	}

@@ -64,10 +64,12 @@ func (o Options) accuracyGrid(def []string, models []train.ModelKind, variants [
 	return rows, nil
 }
 
-// epochStats is one measured epoch: Table III's phases and, when an edge
-// cache is configured, its hit rate over that epoch.
+// epochStats is one measured epoch: Table III's phases, the modeled
+// PCIe/VRAM transfer time inside fs and, when an edge cache is configured,
+// its hit rate over that epoch.
 type epochStats struct {
 	nf, as, fs, pp time.Duration
+	fsModeled      time.Duration
 	hitRate        float64
 }
 
@@ -89,10 +91,12 @@ func (o Options) measuredEpoch(ds *datasets.Dataset, model train.ModelKind, warm
 	if pol != nil {
 		pol.ResetStats()
 	}
+	modeled := tr.ModeledFS()
 	tr.TrainEpoch()
 	s := epochStats{
 		nf: tr.Timer.Get("NF"), as: tr.Timer.Get("AS"),
 		fs: tr.Timer.Get("FS"), pp: tr.Timer.Get("PP"),
+		fsModeled: tr.ModeledFS() - modeled,
 	}
 	if pol != nil {
 		s.hitRate = pol.HitRate()

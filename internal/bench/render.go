@@ -7,10 +7,10 @@ import (
 	"unicode/utf8"
 )
 
-// render prints rows as text: the title, then one table per Group in
+// Render prints rows as text: the title, then one table per Group in
 // first-appearance order — a line per Variant, a column per Metric (headed
 // "metric (unit)"), "-" where the grid has no cell.
-func render(w io.Writer, title string, rows []Row) {
+func Render(w io.Writer, title string, rows []Row) {
 	fmt.Fprintln(w, title)
 	var groups []string
 	for _, r := range rows {

@@ -2,6 +2,7 @@ package train
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"taser/internal/featstore"
@@ -26,7 +27,8 @@ import (
 type buildCore struct {
 	EdgeStore *featstore.Store // unused (and possibly nil) when edgeDim is 0
 	NodeStore *featstore.Store
-	Timer     *stats.Timer // NF/FS accounting; nil leaves the build untimed
+	Timer     *stats.Timer  // NF/FS accounting; nil leaves the build untimed
+	modeled   *atomic.Int64 // FS's modeled transfer time in ns, also in Timer's FS; set with Timer
 
 	pool             *buildPool
 	policy           sampler.Policy // static sampling policy of every finder call
@@ -110,10 +112,13 @@ func (c *buildCore) sample(f sampler.Finder, mu *sync.Mutex, targets []sampler.T
 	c.charge("NF", start, 0)
 }
 
-// charge adds the wall time since start plus a modeled extra to a bucket.
-func (c *buildCore) charge(bucket string, start time.Time, extra time.Duration) {
+// charge adds the wall time since start plus a modeled transfer time to a
+// bucket, and counts the modeled part on its own too (Trainer.ModeledFS), so
+// a breakdown can tell the copy from the cost model's PCIe/VRAM time.
+func (c *buildCore) charge(bucket string, start time.Time, modeled time.Duration) {
 	if c.Timer != nil {
-		c.Timer.Add(bucket, time.Since(start)+extra)
+		c.Timer.Add(bucket, time.Since(start)+modeled)
+		c.modeled.Add(int64(modeled))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"taser/internal/adaptive"
@@ -245,7 +246,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	edgeDim := ds.Spec.EdgeDim
 	t := &Trainer{Cfg: cfg, DS: ds, rng: rng, Xfer: device.NewXferStats()}
 	t.buildCore = buildCore{
-		Timer: stats.NewTimer(), pool: newBuildPool(),
+		Timer: stats.NewTimer(), modeled: new(atomic.Int64), pool: newBuildPool(),
 		budget: cfg.N, nodeDim: nodeDim, edgeDim: edgeDim,
 	}
 
@@ -346,6 +347,11 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 func (t *Trainer) negativeDst() int32 {
 	return negativeDst(t.rng, t.DS.Spec.NumSrc, t.DS.Spec.NumNodes)
 }
+
+// ModeledFS is the part of Timer's FS bucket that is the cost model's
+// PCIe/VRAM transfer time rather than the copy's wall time, accumulated since
+// New (Timer.Reset does not clear it; read it as a difference).
+func (t *Trainer) ModeledFS() time.Duration { return time.Duration(t.modeled.Load()) }
 
 // time runs f and charges its wall time to bucket.
 func (t *Trainer) time(bucket string, f func()) {
