@@ -60,7 +60,7 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 	}
 	z := g.ConcatCols(parts...)
 	z = g.ScatterRows(g.GatherRows(z, c.Valid), c.Valid, rows) // zero padding tokens before mixing
-	z = s.mixer.Apply(g, z, all)
+	z = s.mixer.Apply(g, z, all, rows)
 
 	var scores *autograd.Var
 	switch s.cfg.Decoder {

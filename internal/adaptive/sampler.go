@@ -278,9 +278,7 @@ func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.V
 		panic(fmt.Sprintf("adaptive: candidate set has m=%d, sampler built for m=%d", c.M, s.cfg.M))
 	}
 	valid, slots := c.Valid, c.B*c.M
-	// Token mixing sees the scatter's zero rows at padding.
-	z := g.ScatterRows(s.encode(g, c), valid, slots)
-	z = s.mixer.Apply(g, z, valid) // Z_Ns(v) (Eq. 16), valid rows
+	z := s.mixer.Apply(g, s.encode(g, c), valid, slots) // Z_Ns(v) (Eq. 16), valid rows
 
 	// A head's V×1 logits fold back into the B×M layout; where it needs the
 	// root's target row next to a candidate it gathers through slot→root.

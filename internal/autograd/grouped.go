@@ -62,3 +62,19 @@ func (g *Graph) GroupedMatMulLeft(w, src *Var, group int) *Var {
 	}
 	return o
 }
+
+// GroupedMatMulLeftSlots is GroupedMatMulLeft at the named output rows only:
+// row i is row slots[i] (strictly ascending) of GroupedMatMulLeft(w, src,
+// w.Cols), i.e. w row s % K @ src's w.Cols-row group s / K for s =
+// slots[i], K = w.Rows. The mixer's second token-mixing product runs here:
+// only the valid tokens' rows are read downstream. Values are bitwise the
+// full product's rows; gradients are bitwise its gradients wherever the
+// unnamed rows' output gradient would have been zero (DESIGN.md §6).
+func (g *Graph) GroupedMatMulLeftSlots(w, src *Var, slots []int32) *Var {
+	o := g.out(len(slots), src.Cols(), w.NeedsGrad() || src.NeedsGrad())
+	tensor.GroupedMatMulLeftSlotsInto(o.Val, w.Val, src.Val, slots)
+	if o.NeedsGrad() {
+		g.push(tapeEntry{op: opGroupedMatMulLeftSlots, out: o, a: w, b: src, idx: slots})
+	}
+	return o
+}

@@ -63,3 +63,24 @@ func (g *Graph) LayerNormRows(a, gain, bias *Var) *Var {
 	g.push(tapeEntry{op: opLayerNormRows, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds})
 	return o
 }
+
+// LayerNormSlots is LayerNormRows over the rows×C layout that holds a's row
+// i at row slots[i] (strictly ascending) and a zero row everywhere else,
+// without forming that layout: the output's named rows normalize a's rows,
+// every other row is the normalization of a zero row. Values and gradients
+// are bitwise LayerNormRows(ScatterRows(a, slots, rows), gain, bias)'s
+// (DESIGN.md §6). slots is borrowed until Backward/Reset.
+func (g *Graph) LayerNormSlots(a, gain, bias *Var, slots []int32, rows int) *Var {
+	const eps = 1e-5
+	needs := a.NeedsGrad() || gain.NeedsGrad() || bias.NeedsGrad()
+	o := g.out(rows, a.Cols(), needs)
+	if !o.NeedsGrad() {
+		tensor.LayerNormSlotsInto(o.Val, a.Val, gain.Val, bias.Val, slots, nil, nil, eps)
+		return o
+	}
+	means := g.arena.GetUninit(1, len(slots))
+	invStds := g.arena.GetUninit(1, len(slots))
+	tensor.LayerNormSlotsInto(o.Val, a.Val, gain.Val, bias.Val, slots, means.Data, invStds.Data, eps)
+	g.push(tapeEntry{op: opLayerNormSlots, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds, idx: slots})
+	return o
+}

@@ -15,7 +15,8 @@ import (
 var reuseLabels = []float64{1, 0, 1, 1, 0, 0}
 
 // reuseLoss exercises every op family on one graph: dense primitives, shape
-// ops, activations, grouped kernels, reductions and both slot softmaxes. It
+// ops, activations, grouped kernels, reductions, both slot softmaxes and the
+// mixer's slot forms of LayerNorm and token mixing. It
 // is deterministic given the params.
 func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	const groups, k = 3, 4 // p["keys"] is (groups·k)×d
@@ -41,6 +42,15 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	mixSlots := g.Ints(3) // the mixed rows of groups 0 and 2 only
 	mixSlots[0], mixSlots[1], mixSlots[2] = 0, 1, 5
 	mean := g.GroupMean(g.GatherRows(mix, mixSlots), mixSlots, groups, p["mix"].Rows())
+
+	// The mixer's token mixing at valid rows: a prefix run, a run that
+	// starts mid-group, and two runs in one group.
+	tokSlots := g.Ints(7)
+	copy(tokSlots, []int32{0, 1, 2, 5, 6, 8, 11})
+	tok := g.GatherRows(p["keys"], tokSlots)
+	up := g.GroupedMatMulLeft(p["mix"], g.LayerNormSlots(tok, p["gain"], p["bias"], tokSlots, groups*k), k)
+	tok = g.Add(tok, g.GroupedMatMulLeftSlots(p["mixDown"], g.GELU(up), tokSlots))
+	mean = g.Add(mean, g.GroupMean(tok, tokSlots, groups, k))
 
 	idx := g.Ints(2 * groups)
 	for i := range idx {
@@ -80,17 +90,18 @@ func reuseParams(seed uint64) map[string]*Var {
 	gain := tensor.Randn(1, d, 0.2, rng)
 	addOne(gain)
 	return map[string]*Var{
-		"x":     NewParam(tensor.Randn(groups, d, 1, rng)),
-		"w":     NewParam(tensor.Randn(d, d, 1, rng)),
-		"wq":    NewParam(tensor.Randn(2*d, d, 1, rng)),
-		"b":     NewParam(tensor.Randn(1, d, 1, rng)),
-		"gain":  NewParam(gain),
-		"bias":  NewParam(tensor.Randn(1, d, 0.2, rng)),
-		"keys":  NewParam(tensor.Randn(groups*k, d, 1, rng)),
-		"vals":  NewParam(tensor.Randn(groups*k, d, 1, rng)),
-		"mix":   NewParam(tensor.Randn(2, k, 1, rng)),
-		"head":  NewParam(tensor.Randn(3*d, 1, 1, rng)),
-		"headB": NewParam(tensor.Randn(1, 1, 1, rng)),
+		"x":       NewParam(tensor.Randn(groups, d, 1, rng)),
+		"w":       NewParam(tensor.Randn(d, d, 1, rng)),
+		"wq":      NewParam(tensor.Randn(2*d, d, 1, rng)),
+		"b":       NewParam(tensor.Randn(1, d, 1, rng)),
+		"gain":    NewParam(gain),
+		"bias":    NewParam(tensor.Randn(1, d, 0.2, rng)),
+		"keys":    NewParam(tensor.Randn(groups*k, d, 1, rng)),
+		"vals":    NewParam(tensor.Randn(groups*k, d, 1, rng)),
+		"mix":     NewParam(tensor.Randn(2, k, 1, rng)),
+		"head":    NewParam(tensor.Randn(3*d, 1, 1, rng)),
+		"headB":   NewParam(tensor.Randn(1, 1, 1, rng)),
+		"mixDown": NewParam(tensor.Randn(k, 2, 1, rng)),
 	}
 }
 
@@ -291,10 +302,11 @@ func TestForwardOnlyPassMatchesRecording(t *testing.T) {
 	if len(g.tape) != 0 || l.NeedsGrad() {
 		t.Fatalf("forward-only pass recorded %d ops (loss carries grad: %v)", len(g.tape), l.NeedsGrad())
 	}
-	// A recording pass checks out a value and a gradient per op, LayerNorm's
-	// two statistics rows, GELU's tanh, Cos's sine, and reuseLoss's one
-	// Scratch; a forward-only pass the values and the Scratch, nothing else.
-	if want := 2*recorded + 5; checkouts != want {
+	// A recording pass checks out a value and a gradient per op, the two
+	// statistics rows of each of the two LayerNorms, each of the two GELUs'
+	// tanh, Cos's sine, and reuseLoss's one Scratch; a forward-only pass the
+	// values and the Scratch, nothing else.
+	if want := 2*recorded + 8; checkouts != want {
 		t.Fatalf("recording pass checked out %d matrices, want %d", checkouts, want)
 	}
 	if fwd, want := g.Arena().InUse(), recorded+1; fwd != want {

@@ -29,10 +29,12 @@ const (
 	opWeightedSumConst
 	opBCEWithLogits
 	opLayerNormRows
+	opLayerNormSlots
 
 	opGroupedScore
 	opGroupedWeightedSum
 	opGroupedMatMulLeft
+	opGroupedMatMulLeftSlots
 	opKinds // count, for the test that must run every op
 )
 
@@ -48,8 +50,8 @@ type tapeEntry struct {
 	a, b, c *Var // inputs; b is Affine's weight, c Affine's and LayerNorm's bias
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
-	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R); aux1: GELU's tanh, Cos's sin
-	idx          []int32        // GatherRows/ScatterRows indices; the slot softmaxes' and neighborhood reductions' slots (borrowed)
+	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R, the named rows for LayerNormSlots); aux1: GELU's tanh, Cos's sin
+	idx          []int32        // GatherRows/ScatterRows indices; the slot ops' and neighborhood reductions' slots (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // Affine/ConcatCols part list: g.varRefs[refLo:refHi]
 }
@@ -185,33 +187,26 @@ func (g *Graph) backstep(e *tapeEntry) {
 		}
 
 	case opLayerNormRows:
-		a, gain, bias := e.a, e.b, e.c
-		means, invStds := e.aux1.Data, e.aux2.Data
-		c := float64(a.Cols())
+		a, dGain, dBias := e.a, gradData(e.b), gradData(e.c)
 		for i := 0; i < a.Rows(); i++ {
-			x := a.Val.Row(i)
-			dy := e.out.Grad.Row(i)
-			mean, invStd := means[i], invStds[i]
-			// xhat_j = (x_j - mean)·invStd
-			var sumDyG, sumDyGXhat float64
-			for j, v := range x {
-				xhat := (v - mean) * invStd
-				dg := dy[j] * gain.Val.Data[j]
-				sumDyG += dg
-				sumDyGXhat += dg * xhat
-				if gain.NeedsGrad() {
-					gain.Grad.Data[j] += dy[j] * xhat
-				}
-				if bias.NeedsGrad() {
-					bias.Grad.Data[j] += dy[j]
-				}
-			}
-			if a.NeedsGrad() {
-				dx := a.Grad.Row(i)
-				for j, v := range x {
-					xhat := (v - mean) * invStd
-					dg := dy[j] * gain.Val.Data[j]
-					dx[j] += invStd * (dg - sumDyG/c - xhat*sumDyGXhat/c)
+			layerNormRowGrad(gradRow(a, i), a.Val.Row(i), e.out.Grad.Row(i), e.b.Val.Data, dGain, dBias, e.aux1.Data[i], e.aux2.Data[i])
+		}
+
+	case opLayerNormSlots:
+		// Rows ascending, as LayerNormRows over the padded layout. An unnamed
+		// row normalized a zero row: its x̂ is +0, so its gain term dy·(+0)
+		// is ±0, which leaves a gradient that started at +0 as it is
+		// (DESIGN.md §6); its input gradient has no row to go to.
+		a, dGain, dBias := e.a, gradData(e.b), gradData(e.c)
+		r := 0
+		for row := 0; row < e.out.Rows(); row++ {
+			dy := e.out.Grad.Row(row)
+			if r < len(e.idx) && int(e.idx[r]) == row {
+				layerNormRowGrad(gradRow(a, r), a.Val.Row(r), dy, e.b.Val.Data, dGain, dBias, e.aux1.Data[r], e.aux2.Data[r])
+				r++
+			} else if dBias != nil {
+				for j, d := range dy[:len(dBias)] {
+					dBias[j] += d
 				}
 			}
 		}
@@ -267,9 +262,60 @@ func (g *Graph) backstep(e *tapeEntry) {
 		// to leave that half out.
 		tensor.GroupedMatMulLeftGradInto(e.a.Grad, e.b.Grad, e.out.Grad, e.a.Val, e.b.Val)
 
+	case opGroupedMatMulLeftSlots:
+		tensor.GroupedMatMulLeftSlotsGradInto(e.a.Grad, e.b.Grad, e.out.Grad, e.a.Val, e.b.Val, e.idx)
+
 	default:
 		panic("autograd: unknown tape op")
 	}
+}
+
+// layerNormRowGrad is one row of LayerNorm's backward, the one body both
+// LayerNorm ops run: x the row's input, dy its output gradient, gain the
+// gain's values, mean and invStd the row's statistics. It adds the row's
+// terms to dGain and dBias and its input gradient to dx; a nil one (a
+// constant's) is left out.
+func layerNormRowGrad(dx, x, dy, gain, dGain, dBias []float64, mean, invStd float64) {
+	c := float64(len(x))
+	dy, gain = dy[:len(x)], gain[:len(x)]
+	// x̂_j = (x_j - mean)·invStd
+	var sumDyG, sumDyGXhat float64
+	for j, v := range x {
+		xhat := (v - mean) * invStd
+		dg := dy[j] * gain[j]
+		sumDyG += dg
+		sumDyGXhat += dg * xhat
+		if dGain != nil {
+			dGain[j] += dy[j] * xhat
+		}
+		if dBias != nil {
+			dBias[j] += dy[j]
+		}
+	}
+	if dx == nil {
+		return
+	}
+	for j, v := range x {
+		xhat := (v - mean) * invStd
+		dg := dy[j] * gain[j]
+		dx[j] += invStd * (dg - sumDyG/c - xhat*sumDyGXhat/c)
+	}
+}
+
+// gradData is v's gradient as a slice, nil for a constant.
+func gradData(v *Var) []float64 {
+	if !v.NeedsGrad() {
+		return nil
+	}
+	return v.Grad.Data
+}
+
+// gradRow is row i of v's gradient, nil for a constant.
+func gradRow(v *Var, i int) []float64 {
+	if !v.NeedsGrad() {
+		return nil
+	}
+	return v.Grad.Row(i)
 }
 
 // rowEnd returns the end of the run of ascending slots, from lo on, that lie

@@ -2,6 +2,8 @@ package mathx
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -270,5 +272,93 @@ func TestAliasPanics(t *testing.T) {
 			}()
 			NewAlias(weights)
 		}()
+	}
+}
+
+// sortedDraw is SampleInto as it was before the top-k heap: every positive
+// weight's key drawn in index order, then all of them sorted by descending
+// key (equal keys by ascending index) and the first k kept.
+func sortedDraw(r *RNG, weights []float64, k int) []int {
+	var keys []float64
+	var idx []int
+	for i, w := range weights {
+		if w > 0 {
+			keys, idx = append(keys, math.Log(r.Float64())/w), append(idx, i)
+		}
+	}
+	order := make([]int, len(idx))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] > keys[order[b]] })
+	out := []int{}
+	for _, o := range order[:min(k, len(order))] {
+		out = append(out, idx[o])
+	}
+	return out
+}
+
+// TestTopKDrawMatchesFullSort: the heap draw returns the indices a full sort
+// of every key returns, in the same order, and leaves the RNG where the full
+// draw leaves it — for k ≪ n (the mini-batch draw), k = n, fewer positive
+// weights than k, zero weights among them, and k = 0. Equal keys come out
+// in ascending index order: +Inf weights give every key −0.
+func TestTopKDrawMatchesFullSort(t *testing.T) {
+	var ws WeightedSampler
+	var out []int
+	gen := NewRNG(31)
+	weights := func(n int, zeros float64) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			if gen.Float64() >= zeros {
+				w[i] = gen.Float64() * 3
+			}
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name string
+		w    []float64
+		k    int
+	}{
+		{"k much less than n", weights(6300, 0), 32},
+		{"k much less than n, zeros", weights(6300, 0.3), 32},
+		{"k = n", weights(25, 0), 25},
+		{"k = n, zeros", weights(25, 0.4), 25},
+		{"fewer positive weights than k", weights(25, 0.8), 10},
+		{"all zero", make([]float64, 12), 4},
+		{"k = 0", weights(25, 0), 0},
+		{"one item", []float64{0.5}, 1},
+		{"ties", []float64{math.Inf(1), 0, math.Inf(1), math.Inf(1), math.Inf(1)}, 3},
+	} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			r, ref := NewRNG(seed), NewRNG(seed)
+			out = ws.SampleInto(r, tc.w, tc.k, out)
+			want := sortedDraw(ref, tc.w, tc.k)
+			if !slices.Equal(out, want) {
+				t.Fatalf("%s, seed %d: heap draw %v, full sort %v", tc.name, seed, out, want)
+			}
+			if a, b := r.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("%s, seed %d: the RNG moved differently (%x after the heap draw, %x after the sort)", tc.name, seed, a, b)
+			}
+		}
+	}
+	if got := ws.SampleInto(NewRNG(1), []float64{math.Inf(1), 0, math.Inf(1), math.Inf(1)}, 2, nil); !slices.Equal(got, []int{0, 2}) {
+		t.Fatalf("equal keys: got %v, want ascending indices [0 2]", got)
+	}
+}
+
+// TestTopKDrawSteadyStateAllocFree: a warm sampler drawing into a warm out
+// slice allocates nothing.
+func TestTopKDrawSteadyStateAllocFree(t *testing.T) {
+	var ws WeightedSampler
+	r := NewRNG(5)
+	w := make([]float64, 6300)
+	for i := range w {
+		w[i] = r.Float64()
+	}
+	out := ws.SampleInto(r, w, 32, nil)
+	if n := testing.AllocsPerRun(50, func() { out = ws.SampleInto(r, w, 32, out) }); n != 0 {
+		t.Fatalf("%v allocations per warm draw", n)
 	}
 }

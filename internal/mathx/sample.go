@@ -1,24 +1,13 @@
 package mathx
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // WeightedSampler draws weighted samples without replacement, holding the
-// key/index scratch so repeated draws are allocation-free once warm. Not safe
-// for concurrent use; keep one per worker.
+// kept keys and their indices so repeated draws are allocation-free once
+// warm. Not safe for concurrent use; keep one per worker.
 type WeightedSampler struct {
 	keys []float64
 	idx  []int
-}
-
-// Len, Less, Swap implement sort.Interface (descending key order).
-func (ws *WeightedSampler) Len() int           { return len(ws.keys) }
-func (ws *WeightedSampler) Less(a, b int) bool { return ws.keys[a] > ws.keys[b] }
-func (ws *WeightedSampler) Swap(a, b int) {
-	ws.keys[a], ws.keys[b] = ws.keys[b], ws.keys[a]
-	ws.idx[a], ws.idx[b] = ws.idx[b], ws.idx[a]
 }
 
 // SampleInto draws k distinct indices from the unnormalized non-negative
@@ -27,25 +16,80 @@ func (ws *WeightedSampler) Swap(a, b int) {
 // u_i^(1/w_i) and the k largest keys win. Items with zero weight are never
 // selected; when fewer than k positive-weight items exist the result is
 // truncated. The returned indices are in descending key order (effectively
-// random order). It consumes one uniform variate per positive weight, in
-// index order.
+// random order), equal keys in ascending index order. It consumes one
+// uniform variate per positive weight, in index order.
+//
+// The k largest keys are kept in a heap of size k while the keys are drawn
+// and only those k are ordered at the end: O(n log k), where sorting every
+// key was O(n log n) — the mini-batch draw keeps 32 of ~6,300 (DESIGN.md §7).
 func (ws *WeightedSampler) SampleInto(r *RNG, weights []float64, k int, out []int) []int {
-	ws.keys = ws.keys[:0]
-	ws.idx = ws.idx[:0]
+	ws.keys, ws.idx = ws.keys[:0], ws.idx[:0]
 	for i, w := range weights {
 		if w <= 0 {
 			continue
 		}
 		// log(u)/w is a monotone transform of u^(1/w); avoids pow.
-		ws.keys = append(ws.keys, math.Log(r.Float64())/w)
-		ws.idx = append(ws.idx, i)
+		key := math.Log(r.Float64()) / w
+		switch {
+		case len(ws.idx) < k:
+			ws.keys, ws.idx = append(ws.keys, key), append(ws.idx, i)
+			ws.up(len(ws.idx) - 1)
+		case k > 0 && key > ws.keys[0]:
+			// i is past every kept index, so it displaces the weakest kept
+			// entry only with a larger key, never an equal one.
+			ws.keys[0], ws.idx[0] = key, i
+			ws.down(0, k)
+		}
 	}
-	if k > len(ws.idx) {
-		k = len(ws.idx)
+	// Heapsort: the weakest kept entry moves to the back, one at a time.
+	for n := len(ws.idx) - 1; n > 0; n-- {
+		ws.swap(0, n)
+		ws.down(0, n)
 	}
-	sort.Sort(ws)
-	out = out[:0]
-	return append(out, ws.idx[:k]...)
+	return append(out[:0], ws.idx...)
+}
+
+// weaker reports whether kept entry a loses to b: a smaller key, or an equal
+// key at a larger index. The heap over the kept entries has the weakest at
+// its root.
+func (ws *WeightedSampler) weaker(a, b int) bool {
+	ka, kb := ws.keys[a], ws.keys[b]
+	return ka < kb || ka == kb && ws.idx[a] > ws.idx[b]
+}
+
+func (ws *WeightedSampler) swap(a, b int) {
+	ws.keys[a], ws.keys[b] = ws.keys[b], ws.keys[a]
+	ws.idx[a], ws.idx[b] = ws.idx[b], ws.idx[a]
+}
+
+// up restores the heap after entry j was appended.
+func (ws *WeightedSampler) up(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !ws.weaker(j, p) {
+			return
+		}
+		ws.swap(j, p)
+		j = p
+	}
+}
+
+// down restores the heap over the first n entries after entry j changed.
+func (ws *WeightedSampler) down(j, n int) {
+	for {
+		c := 2*j + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && ws.weaker(c+1, c) {
+			c++
+		}
+		if !ws.weaker(c, j) {
+			return
+		}
+		ws.swap(j, c)
+		j = c
+	}
 }
 
 // Alias is Walker's alias method for O(1) draws from a fixed discrete

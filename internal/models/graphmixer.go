@@ -86,13 +86,11 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	phi := g.Scratch(len(valid), m.cfg.TimeDim)
 	m.timeEnc.EncodeRows(phi.Data, dts.Data)
 
-	// Tokens exist for valid slots only; scattering them into the T·n layout
-	// leaves exact zero rows at padding. The mixer's token mixing needs
-	// that layout, its channel mixing does not and hands back valid rows,
-	// which the mean reads against their slots.
+	// Tokens exist for valid slots only; the mixer reads them against their
+	// slots of the T·n layout (padding is a zero token) and hands back the
+	// valid rows, which the mean reads the same way.
 	tokens := m.tokenIn.ApplyParts(g, hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
-	tokens = g.ScatterRows(tokens, valid, t*n)
-	mixed := m.mixer.Apply(g, tokens, valid)
+	mixed := m.mixer.Apply(g, tokens, valid, t*n)
 	mean := g.GroupMean(mixed, valid, t, n)
 	out := g.GELU(m.readout.ApplyParts(g, mean, hT))
 

@@ -93,7 +93,7 @@ func paddedGraphMixerForward(m *GraphMixer, g *autograd.Graph, mb *MiniBatch) *a
 	tokens = maskRows(g, m.tokenIn.Apply(g, tokens), block.Valid)
 	// With every row listed as valid the mixer's channel mixing runs on the
 	// full layout too.
-	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n)), block.Valid)
+	mixed := maskRows(g, m.mixer.Apply(g, tokens, allRows(t*n), t*n), block.Valid)
 	mean := g.GroupMean(mixed, allRows(t*n), t, n)
 	return g.GELU(m.readout.Apply(g, g.ConcatCols(mean, hT)))
 }

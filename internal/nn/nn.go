@@ -138,19 +138,24 @@ func NewMixerBlock(k, c, tokenHidden, channelHidden int, rng *mathx.RNG) *MixerB
 	}
 }
 
-// Apply mixes tokens then channels, each with a residual connection. x is
-// (B·K)×C with exact zero rows at padding tokens; valid lists the real
-// tokens' row indices, ascending. Token mixing runs on the full K-token
-// layout — a padding token's LayerNorm output is the bias, not zero, and
-// that legitimately mixes into its group — while channel mixing is row-wise,
-// so it runs on (and Apply returns) the len(valid)×C valid rows only.
-func (m *MixerBlock) Apply(g *autograd.Graph, x *autograd.Var, valid []int32) *autograd.Var {
+// Apply mixes tokens then channels, each with a residual connection. x holds
+// the valid tokens' rows only, one per entry of valid: their row indices,
+// strictly ascending, in the slots×C layout of K tokens per group, where
+// every other row is a padding token. Apply returns the valid tokens' rows.
+//
+// Token mixing runs on that layout without forming it. A padding token's
+// LayerNorm output is the bias, not zero, and legitimately mixes into its
+// group, so tokenUp reads every row; tokenDown is computed at the valid
+// rows only, which are all that the residual and channel mixing (row-wise)
+// read. Values and gradients are bitwise those of the padded composition —
+// LayerNorm over x scattered into the layout with zero rows at padding,
+// both products over every row, the residual, then the valid rows gathered
+// (DESIGN.md §6).
+func (m *MixerBlock) Apply(g *autograd.Graph, x *autograd.Var, valid []int32, slots int) *autograd.Var {
 	// Token mixing: for each group, tokenDown @ GELU(tokenUp @ norm(x)).
-	h := m.normToken.Apply(g, x)
-	h = g.GroupedMatMulLeft(m.tokenUp, h, m.K)
-	h = g.GELU(h)
-	h = g.GroupedMatMulLeft(m.tokenDown, h, m.tokenUp.Rows())
-	x = g.GatherRows(g.Add(x, h), valid)
+	h := g.LayerNormSlots(x, m.normToken.Gain, m.normToken.Bias, valid, slots)
+	h = g.GELU(g.GroupedMatMulLeft(m.tokenUp, h, m.K))
+	x = g.Add(x, g.GroupedMatMulLeftSlots(m.tokenDown, h, valid))
 	// Channel mixing: row-wise MLP.
 	h2 := m.channelMLP.Apply(g, m.normChannel.Apply(g, x))
 	return g.Add(x, h2)

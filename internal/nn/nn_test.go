@@ -101,15 +101,15 @@ func TestMixerBlockShapePreserved(t *testing.T) {
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	g := autograd.New()
 	x := autograd.NewConst(tensor.Randn(b*k, c, 1, rng))
-	y := mix.Apply(g, x, everyRow(b*k))
+	y := mix.Apply(g, x, everyRow(b*k), b*k)
 	if y.Rows() != b*k || y.Cols() != c {
 		t.Fatalf("mixer output %dx%d want %dx%d", y.Rows(), y.Cols(), b*k, c)
 	}
 }
 
-// TestMixerBlockReturnsValidRowsOnly: with padding tokens (zero rows left out
-// of valid) Apply hands back exactly the valid rows of the full-layout
-// result, in order.
+// TestMixerBlockReturnsValidRowsOnly: given only the valid tokens' rows
+// (padding tokens are zero rows of the layout) Apply hands back exactly the
+// valid rows of the full-layout result, in order.
 func TestMixerBlockReturnsValidRowsOnly(t *testing.T) {
 	rng := mathx.NewRNG(8)
 	const b, k, c = 2, 4, 6
@@ -127,8 +127,10 @@ func TestMixerBlockReturnsValidRowsOnly(t *testing.T) {
 			}
 		}
 	}
-	full := mix.Apply(autograd.New(), autograd.NewConst(x), everyRow(b*k)).Val
-	got := mix.Apply(autograd.New(), autograd.NewConst(x), valid).Val
+	full := mix.Apply(autograd.New(), autograd.NewConst(x), everyRow(b*k), b*k).Val
+	compact := tensor.New(len(valid), c)
+	tensor.GatherRowsInto(compact, x, valid)
+	got := mix.Apply(autograd.New(), autograd.NewConst(compact), valid, b*k).Val
 	if got.Rows != len(valid) {
 		t.Fatalf("%d rows for %d valid tokens", got.Rows, len(valid))
 	}
@@ -148,10 +150,10 @@ func TestMixerBlockMixesAcrossTokens(t *testing.T) {
 	const b, k, c = 2, 4, 6
 	mix := NewMixerBlock(k, c, 0, 0, rng)
 	base := tensor.Randn(b*k, c, 1, rng)
-	y0 := mix.Apply(autograd.New(), autograd.NewConst(base.Clone()), everyRow(b*k)).Val.Clone()
+	y0 := mix.Apply(autograd.New(), autograd.NewConst(base.Clone()), everyRow(b*k), b*k).Val.Clone()
 	perturbed := base.Clone()
 	perturbed.Set(0, 0, perturbed.At(0, 0)+1) // token 0 of group 0
-	y1 := mix.Apply(autograd.New(), autograd.NewConst(perturbed), everyRow(b*k)).Val
+	y1 := mix.Apply(autograd.New(), autograd.NewConst(perturbed), everyRow(b*k), b*k).Val
 
 	groupChanged := false
 	for j := 0; j < c; j++ {
@@ -181,11 +183,118 @@ func TestMixerGradFlowsToAllParams(t *testing.T) {
 	for i := range coef.Data {
 		coef.Data[i] = math.Sin(float64(i + 1))
 	}
-	g.Backward(g.WeightedSumConst(mix.Apply(g, x, everyRow(b*k)), coef))
+	g.Backward(g.WeightedSumConst(mix.Apply(g, x, everyRow(b*k), b*k), coef))
 	for i, p := range mix.Params() {
 		if p.Grad.MaxAbs() == 0 {
 			t.Fatalf("param %d received no gradient", i)
 		}
+	}
+}
+
+// paddedMixerApply is MixerBlock.Apply as the padded composition it
+// replaces: x scattered into the slots×C layout with zero rows at padding,
+// token LayerNorm and both token products over every row, the residual over
+// every row, then the valid rows gathered for channel mixing.
+func paddedMixerApply(m *MixerBlock, g *autograd.Graph, x *autograd.Var, valid []int32, slots int) *autograd.Var {
+	xp := g.ScatterRows(x, valid, slots)
+	h := m.normToken.Apply(g, xp)
+	h = g.GELU(g.GroupedMatMulLeft(m.tokenUp, h, m.K))
+	h = g.GroupedMatMulLeft(m.tokenDown, h, m.tokenUp.Rows())
+	x = g.GatherRows(g.Add(xp, h), valid)
+	return g.Add(x, m.channelMLP.Apply(g, m.normChannel.Apply(g, x)))
+}
+
+// TestMixerBlockValidRowsMatchPaddedComposition: Apply's token mixing at
+// valid rows (one LayerNorm over the named rows, tokenDown at the valid rows
+// only, the residual over them) gives bitwise the padded composition's
+// output rows, input gradient and every parameter gradient — on the
+// sampler's shape (K = 25, tokenDown a tile product) and the backbone's
+// (K = 10, a scalar one), with valid sets that are prefixes, not prefixes,
+// split into several runs, an empty group and a full group.
+func TestMixerBlockValidRowsMatchPaddedComposition(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		k, c, ch int
+		valid    []int32
+	}{
+		{"prefixes", 10, 8, 16, []int32{0, 1, 2, 3, 10, 20, 21, 22, 23, 24, 25, 26}},
+		{"not prefixes, empty group, full group", 10, 8, 16,
+			[]int32{2, 3, 5, 6, 7, 9, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 31, 39}},
+		{"sampler shape", 25, 12, 12, []int32{0, 1, 2, 3, 4, 5, 30, 31, 32, 33, 34, 35, 36, 37, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 60, 74}},
+		{"sampler shape, full and empty", 25, 12, 12, everyRow(25)},
+		{"nothing valid", 10, 8, 16, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const b = 4
+			slots := b * tc.k
+			rng := mathx.NewRNG(uint64(len(tc.valid)) + 3)
+			mix := NewMixerBlock(tc.k, tc.c, 0, tc.ch, rng)
+			x := autograd.NewParam(tensor.Randn(len(tc.valid), tc.c, 1, rng))
+			for _, p := range mix.Params() {
+				for i := range p.Val.Data { // gain and bias away from 1 and 0
+					p.Val.Data[i] += 0.1 * rng.NormFloat64()
+				}
+			}
+			coef := tensor.Randn(len(tc.valid), tc.c, 1, rng)
+			run := func(apply func(*MixerBlock, *autograd.Graph, *autograd.Var, []int32, int) *autograd.Var) (*tensor.Matrix, [][]float64) {
+				params := append(mix.Params(), x)
+				for _, p := range params {
+					p.Grad.Zero()
+				}
+				g := autograd.New()
+				y := apply(mix, g, x, tc.valid, slots)
+				g.Backward(g.WeightedSumConst(y, coef))
+				grads := make([][]float64, len(params))
+				for i, p := range params {
+					grads[i] = append([]float64(nil), p.Grad.Data...)
+				}
+				return y.Val, grads
+			}
+			got, gotGrads := run((*MixerBlock).Apply)
+			want, wantGrads := run(paddedMixerApply)
+			if got.Rows != len(tc.valid) {
+				t.Fatalf("%d rows for %d valid tokens", got.Rows, len(tc.valid))
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("output element %d: %v, padded composition %v", i, got.Data[i], v)
+				}
+			}
+			for p, w := range wantGrads {
+				for i, v := range w {
+					if math.Float64bits(gotGrads[p][i]) != math.Float64bits(v) {
+						t.Fatalf("gradient of parameter %d (the last is the input), element %d: %v, padded composition %v", p, i, gotGrads[p][i], v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMixerBlockSteadyStateAllocFree: on a reused arena graph a warm
+// valid-row mixer pass, forward and backward, allocates nothing (the
+// sampler's shape: 32 groups of 25 tokens, 12 channels, about half valid in
+// runs that do and do not start a group).
+func TestMixerBlockSteadyStateAllocFree(t *testing.T) {
+	const b, k, c = 32, 25, 12
+	rng := mathx.NewRNG(12)
+	mix := NewMixerBlock(k, c, 0, c, rng)
+	var valid []int32
+	for s := int32(0); s < b*k; s++ {
+		if j := s % k; j < 9 || j > 14 && j < 19 && s%2 == 0 {
+			valid = append(valid, s)
+		}
+	}
+	x := autograd.NewParam(tensor.Randn(len(valid), c, 1, rng))
+	coef := tensor.Randn(len(valid), c, 1, rng)
+	g := autograd.NewReusable()
+	pass := func() {
+		g.Reset()
+		g.Backward(g.WeightedSumConst(mix.Apply(g, x, valid, b*k), coef))
+	}
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Fatalf("%v allocations per warm mixer pass", n)
 	}
 }
 

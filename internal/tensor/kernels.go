@@ -91,38 +91,93 @@ func SoftmaxSlotsInto(dst, src *Matrix, slots []int32, log bool) {
 // written either: a zero-width row has no mean).
 func LayerNormRowsInto(dst, src, g, b *Matrix, meanOut, invStdOut []float64, eps float64) {
 	src.shapeCheck(dst, "LayerNormRows")
-	if g.Cols != src.Cols || b.Cols != src.Cols {
-		panic("tensor: LayerNormRows gain/bias width")
-	}
+	checkNormParams(src, g, b)
 	if src.Cols == 0 {
 		return
 	}
-	cols := src.Cols
-	c := float64(cols)
+	c := src.Cols
 	for i := 0; i < src.Rows; i++ {
-		in := src.Data[i*cols : i*cols+cols]
-		out := dst.Data[i*cols : i*cols+cols][:len(in)]
-		gd := g.Data[:len(in)]
-		bd := b.Data[:len(in)]
-		var mean float64
-		for _, v := range in {
-			mean += v
-		}
-		mean /= c
-		var variance float64
-		for _, v := range in {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= c
-		invStd := 1 / math.Sqrt(variance+eps)
+		mean, invStd := layerNormRow(dst.Data[i*c:i*c+c], src.Data[i*c:i*c+c], g.Data, b.Data, eps)
 		if meanOut != nil {
-			meanOut[i] = mean
-			invStdOut[i] = invStd
+			meanOut[i], invStdOut[i] = mean, invStd
 		}
-		for j, v := range in {
-			out[j] = (v-mean)*invStd*gd[j] + bd[j]
+	}
+}
+
+// LayerNormSlotsInto is LayerNormRowsInto over the dst.Rows×C layout that
+// holds src row i at row slots[i] (strictly ascending) and a zero row
+// everywhere else, without forming it: a named row is normalized from src,
+// every other row is the normalization of a zero row, computed at the first
+// such row and copied to the rest. meanOut/invStdOut (len len(slots), or nil)
+// receive the named rows' statistics. Every row of dst is written.
+func LayerNormSlotsInto(dst, src, g, b *Matrix, slots []int32, meanOut, invStdOut []float64, eps float64) {
+	if src.Rows != len(slots) || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: LayerNormSlots src %dx%d for %d slots into width %d",
+			src.Rows, src.Cols, len(slots), dst.Cols))
+	}
+	checkNormParams(src, g, b)
+	checkSlots("LayerNormSlots", slots, dst.Rows)
+	if src.Cols == 0 {
+		return
+	}
+	c := src.Cols
+	next, pad := 0, -1 // first row not yet written; the normalized zero row
+	for i, s := range slots {
+		pad = normPadding(dst, next, int(s), pad, g.Data, b.Data, eps)
+		mean, invStd := layerNormRow(dst.Data[int(s)*c:int(s)*c+c], src.Data[i*c:i*c+c], g.Data, b.Data, eps)
+		if meanOut != nil {
+			meanOut[i], invStdOut[i] = mean, invStd
 		}
+		next = int(s) + 1
+	}
+	normPadding(dst, next, dst.Rows, pad, g.Data, b.Data, eps)
+}
+
+// normPadding writes the normalization of a zero row into dst rows
+// [lo, hi): at the first of them when no earlier row holds it (pad < 0),
+// copied from row pad otherwise. It returns the row that holds it.
+func normPadding(dst *Matrix, lo, hi, pad int, g, b []float64, eps float64) int {
+	c := dst.Cols
+	for r := lo; r < hi; r++ {
+		row := dst.Data[r*c : r*c+c]
+		if pad >= 0 {
+			copy(row, dst.Data[pad*c:pad*c+c])
+			continue
+		}
+		clear(row)
+		layerNormRow(row, row, g, b, eps)
+		pad = r
+	}
+	return pad
+}
+
+// layerNormRow normalizes in into out (which may be in itself: each element
+// is read before it is written) with gain g and bias b, and returns the
+// row's mean and inverse standard deviation.
+func layerNormRow(out, in, g, b []float64, eps float64) (mean, invStd float64) {
+	out, g, b = out[:len(in)], g[:len(in)], b[:len(in)]
+	c := float64(len(in))
+	for _, v := range in {
+		mean += v
+	}
+	mean /= c
+	var variance float64
+	for _, v := range in {
+		d := v - mean
+		variance += d * d
+	}
+	variance /= c
+	invStd = 1 / math.Sqrt(variance+eps)
+	for j, v := range in {
+		out[j] = (v-mean)*invStd*g[j] + b[j]
+	}
+	return mean, invStd
+}
+
+// checkNormParams panics unless the gain and bias span src's columns.
+func checkNormParams(src, g, b *Matrix) {
+	if g.Cols != src.Cols || b.Cols != src.Cols {
+		panic("tensor: LayerNormRows gain/bias width")
 	}
 }
 
@@ -456,6 +511,88 @@ func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
 			transB(dW, &dOutG, &srcG, st)
 		}
 	}
+}
+
+// GroupedMatMulLeftSlotsInto is GroupedMatMulLeftInto at the named output
+// rows only. w is K×H and src holds b groups of H rows; dst row i is row
+// slots[i] of the (b·K)×C product, w row s % K @ src group s / K for
+// s = slots[i], slots strictly ascending. Each run of consecutive slots
+// within a group is one product of w's rows [k0, k0+n) against the group,
+// so every row computed is the full product's row, summed the same way, and
+// bitwise equal to it. No run is assumed to start at a group's first slot.
+func GroupedMatMulLeftSlotsInto(dst, w, src *Matrix, slots []int32) {
+	slotMixShapes(w, src, dst, slots)
+	k, h, c := w.Rows, w.Cols, src.Cols
+	for lo := 0; lo < len(slots); {
+		hi := slotRun(slots, lo, k)
+		g, k0 := int(slots[lo])/k, int(slots[lo])%k
+		srcG := src.rowBlock(g*h, h)
+		product(dst.Data[lo*c:hi*c], hi-lo, w.Data[k0*h:], h, 1, &srcG, nil, tileStore)
+		lo = hi
+	}
+}
+
+// GroupedMatMulLeftSlotsGradInto accumulates GroupedMatMulLeftSlotsInto's
+// gradients from dOut (one row per slot), either of which may be nil: per
+// run of consecutive slots [k0, k0+n) of group g, runs ascending,
+// dSrc group g += w[k0:k0+n]ᵀ @ dOut[run] (each element on top of what dSrc
+// holds, run rows ascending: MatMulTransAInto's form) and
+// dW[k0:k0+n] += dOut[run] @ (src group g)ᵀ (each element summed from zero
+// and added once: MatMulTransBAddInto's form). That is
+// GroupedMatMulLeftGradInto's sequence with the unnamed rows left out; where
+// their output gradient is a zero row, leaving them out is bitwise
+// (DESIGN.md §6).
+func GroupedMatMulLeftSlotsGradInto(dW, dSrc, dOut, w, src *Matrix, slots []int32) {
+	slotMixShapes(w, src, dOut, slots)
+	k, h, c := w.Rows, w.Cols, src.Cols
+	var st []float64 // group stG's k-major copy, for runs a tile fits
+	stG := -1
+	if dW != nil && tileFits(4, h, c) {
+		st = getTrans(c * h)
+		defer putTrans(st)
+	}
+	for lo := 0; lo < len(slots); {
+		hi := slotRun(slots, lo, k)
+		g, k0, n := int(slots[lo])/k, int(slots[lo])%k, hi-lo
+		dOutR, srcG := dOut.rowBlock(lo, n), src.rowBlock(g*h, h)
+		if dSrc != nil {
+			product(dSrc.rowBlock(g*h, h).Data, h, w.Data[k0*h:], 1, h, &dOutR, nil, tileAccum)
+		}
+		if dW != nil {
+			var bt []float64
+			if st != nil && tileFits(n, h, c) {
+				if stG != g {
+					transposeInto(st, &srcG)
+					stG = g
+				}
+				bt = st
+			}
+			dWR := dW.rowBlock(k0, n)
+			transB(&dWR, &dOutR, &srcG, bt)
+		}
+		lo = hi
+	}
+}
+
+// slotMixShapes validates the slot form of token mixing: a K×H weight
+// (both positive), src of whole H-row groups, out with one row per slot and
+// src's width, and slots strictly ascending within the groups' b·K rows.
+func slotMixShapes(w, src, out *Matrix, slots []int32) {
+	if w.Rows <= 0 || w.Cols <= 0 || src.Rows%w.Cols != 0 || out.Rows != len(slots) || out.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: GroupedMatMulLeftSlots %dx%d weight, %dx%d source, %d slots into %dx%d",
+			w.Rows, w.Cols, src.Rows, src.Cols, len(slots), out.Rows, out.Cols))
+	}
+	checkSlots("GroupedMatMulLeftSlots", slots, src.Rows/w.Cols*w.Rows)
+}
+
+// slotRun returns the end of the run of consecutive slots from lo on that
+// lie in slot slots[lo]'s group of k.
+func slotRun(slots []int32, lo, k int) int {
+	hi := lo + 1
+	for hi < len(slots) && slots[hi] == slots[hi-1]+1 && int(slots[hi])%k != 0 {
+		hi++
+	}
+	return hi
 }
 
 // tokenMixGroups validates src (b·K)×C against out (b·K2)×C for a K2×K

@@ -167,6 +167,11 @@ func TestMatMulTransABitwiseMatchesRef(t *testing.T) {
 // (wikipedia, batch 32, Hidden 24, N 10, M 25): x is m×k, w is k×n.
 var stepShapes = [][3]int{{1389, 73, 73}, {5500, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}}
 
+// tallShapes are weight gradients deeper than the step shapes: TGAT's leaf
+// projection at train-taser-tgat's profile (9,600 leaf rows × 56 features, 24
+// outputs), where MatMulTransAInto's depth runs over many chunks.
+var tallShapes = [][3]int{{9600, 56, 24}}
+
 // serveColdShapes are the linear layers of one serve-cold flush (wikipedia,
 // TGAT, Hidden 24, N 10, ≈31 roots per flush; valid-edge rows averaged over a
 // seed-1 run): the key/value projections of the lower layer (k = 48: edge
@@ -218,6 +223,7 @@ func BenchmarkMatMul(b *testing.B) {
 		}
 	}
 	run(stepShapes, forms)
+	run(tallShapes, forms[1:2])
 	run(serveColdShapes, affine)
 }
 
@@ -234,5 +240,38 @@ func BenchmarkMatMulRef(b *testing.B) {
 				matMulRef(y, x, w)
 			}
 		})
+	}
+}
+
+// TestMatMulTransAChunksMatchOnePass: MatMulTransAInto walks the depth
+// transAChunk rows at a time, and the result is bitwise one pass of the same
+// product over the whole depth, on the tile and on its Go twin — for a depth
+// of one row, less than a chunk, exactly one chunk, whole chunks plus a
+// remainder, and on the scalar fallback (fewer than 4 output rows, fewer
+// than 8 columns).
+func TestMatMulTransAChunksMatchOnePass(t *testing.T) {
+	defer forceGoTile(false)
+	rng := mathx.NewRNG(23)
+	for _, s := range [][3]int{
+		{1, 9, 16}, {transAChunk - 3, 9, 16}, {transAChunk, 12, 24}, {2*transAChunk + 37, 9, 16},
+		{2*transAChunk + 37, 3, 16}, {2*transAChunk + 37, 9, 5}, {transAChunk + 1, 2, 3},
+	} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := Randn(m, k, 1, rng), Randn(m, n, 1, rng)
+		start := Randn(k, n, 1, rng)
+		for _, goTile := range []bool{false, true} {
+			forceGoTile(goTile)
+			got, want := start.Clone(), start.Clone()
+			MatMulTransAInto(got, a, b)
+			product(want.Data, k, a.Data, 1, k, b, nil, tileAccum)
+			if d := bitwiseDiff(got, want); d >= 0 {
+				t.Fatalf("(%dx%d)ᵀ@%dx%d, Go tile %v: elem %d is %v chunked, %v in one pass", m, k, m, n, goTile, d, got.Data[d], want.Data[d])
+			}
+			ref := start.Clone()
+			matMulTransARef(ref, a, b)
+			if d := bitwiseDiff(got, ref); d >= 0 {
+				t.Fatalf("(%dx%d)ᵀ@%dx%d, Go tile %v: elem %d differs from the reference loop", m, k, m, n, goTile, d)
+			}
+		}
 	}
 }

@@ -73,12 +73,69 @@ func TestPipelinedStepAllocBudget(t *testing.T) {
 	// ahead it happens to be; opening and closing a pipeline is amortized
 	// over its steps, as in a TrainEpochPipelined lap.
 	const steps = 20
-	tr.trainPipelined(8) // warm the arena, pools and tape
+	warmPipelined(t, tr, steps)
 	allocs := testing.AllocsPerRun(5, func() { tr.trainPipelined(steps) }) / steps
 	t.Logf("allocs/pipelined-step = %.2f (budget %v)", allocs, stepAllocBudget)
 	if allocs > stepAllocBudget {
 		t.Fatalf("a pipelined step allocates %.2f times, budget %v", allocs, stepAllocBudget)
 	}
+}
+
+// warmPipelined warms the arena, the pools and the tape for pipelined laps
+// of the given length: it runs laps in which the producer is as far ahead
+// as it can ever get until the build pool stops growing. A lap that merely
+// runs the loop leaves the pool short whenever the producer happened not to
+// reach its furthest lead; a measured lap that then does (a loaded host
+// preempts the consumer mid-step) builds one more LayerBlock inside the
+// measurement.
+func warmPipelined(t *testing.T, tr *Trainer, steps int) {
+	t.Helper()
+	prev := -1
+	for lap := 0; lap < 10; lap++ {
+		atFurthestLead(tr, steps)
+		if n := pooledBlocks(tr.pool); n != prev {
+			prev = n
+			continue
+		}
+		t.Logf("build pool steady at %d blocks after %d warm laps", prev, lap+1)
+		return
+	}
+	t.Fatalf("the build pool still grows after 10 warm laps (%d blocks)", prev)
+}
+
+// atFurthestLead consumes steps batches through a pipeline whose producer
+// holds its furthest lead whenever the consumer trains: before each batch
+// is consumed the producer refills the buffer and prepares one more, so the
+// consumer's batch, PrefetchDepth buffered ones and the producer's are all
+// in flight at once.
+func atFurthestLead(tr *Trainer, steps int) {
+	p := tr.NewPipeline(steps)
+	defer p.Close()
+	for i := 0; i < steps; i++ {
+		pb, ok := <-p.out
+		if !ok {
+			return
+		}
+		for len(p.out) < min(cap(p.out), steps-i-1) {
+			runtime.Gosched()
+		}
+		for j := 0; j < 10; j++ { // the producer prepares one more, then blocks on the send
+			runtime.Gosched()
+		}
+		tr.consume(pb)
+	}
+}
+
+// pooledBlocks counts the LayerBlocks the build pool holds; with no batch in
+// flight that is every block it has built.
+func pooledBlocks(p *buildPool) int {
+	p.blocks.mu.Lock()
+	defer p.blocks.mu.Unlock()
+	n := 0
+	for _, list := range p.blocks.free {
+		n += len(list)
+	}
+	return n
 }
 
 // TestTrainStepGraphReuseMatchesFresh pins the §5 equivalence contract at the
