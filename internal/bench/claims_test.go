@@ -19,8 +19,10 @@ package bench
 // Not covered: every timing-direction claim — Fig. 3(a)'s finder ordering,
 // Table III's NF and FS falling as the GPU finder and the cache are switched
 // on, Fig. 1's Prep share. On a shared 1–2 vCPU host they are not robust
-// enough for tier-1, and on this CPU substrate PP dominates a step (DESIGN.md
-// §1), so only directions, never the paper's shares, could be asserted anyway.
+// enough for tier-1, and on this CPU substrate the adaptive sampler (AS), not
+// mini-batch generation, is the largest stage of a step (DESIGN.md §1), so
+// only directions, never the paper's shares, could be asserted anyway. The
+// measured shares are committed as BENCH_<n>.json (`make bench-record`).
 
 import (
 	"fmt"
