@@ -278,6 +278,12 @@ func (g *Graph) backstep(e *tapeEntry) {
 func layerNormRowGrad(dx, x, dy, gain, dGain, dBias []float64, mean, invStd float64) {
 	c := float64(len(x))
 	dy, gain = dy[:len(x)], gain[:len(x)]
+	if dGain != nil {
+		dGain = dGain[:len(x)]
+	}
+	if dBias != nil {
+		dBias = dBias[:len(x)]
+	}
 	// x̂_j = (x_j - mean)·invStd
 	var sumDyG, sumDyGXhat float64
 	for j, v := range x {
@@ -295,6 +301,7 @@ func layerNormRowGrad(dx, x, dy, gain, dGain, dBias []float64, mean, invStd floa
 	if dx == nil {
 		return
 	}
+	dx = dx[:len(x)]
 	for j, v := range x {
 		xhat := (v - mean) * invStd
 		dg := dy[j] * gain[j]

@@ -83,11 +83,11 @@ func TestPipelinedStepAllocBudget(t *testing.T) {
 
 // warmPipelined warms the arena, the pools and the tape for pipelined laps
 // of the given length: it runs laps in which the producer is as far ahead
-// as it can ever get until the build pool stops growing. A lap that merely
-// runs the loop leaves the pool short whenever the producer happened not to
-// reach its furthest lead; a measured lap that then does (a loaded host
-// preempts the consumer mid-step) builds one more LayerBlock inside the
-// measurement.
+// as it can ever get until the build pool stops growing. How far ahead the
+// producer gets in a lap that merely runs the loop depends on the schedule
+// (a loaded host preempts the consumer mid-step), so such a warm-up can
+// leave the pool short of a peak a measured lap then reaches, allocating
+// inside the measurement.
 func warmPipelined(t *testing.T, tr *Trainer, steps int) {
 	t.Helper()
 	prev := -1
