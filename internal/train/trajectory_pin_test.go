@@ -27,10 +27,14 @@ type pinnedRun struct {
 // valid slots only is bitwise-neutral (DESIGN.md §6), so the trajectories
 // must never move; a failure prints the observed table in Go syntax.
 //
-// The last three rows were recorded at commit f584484, the last one with two
-// build paths and two link-prediction steps in this package: adaptive inner
-// hops, a non-GPU finder under a randomized policy, and the pipelined loop
-// all run through the shared descent and must not have moved with it.
+// The all-layers, origin-invts and pipelined rows were recorded at commit
+// f584484, the last one with two build paths and two link-prediction steps in
+// this package: adaptive inner hops, a non-GPU finder under a randomized
+// policy, and the pipelined loop all run through the shared descent and must
+// not have moved with it.
+//
+// taser-tgat-n5-m10 was recorded at commit 04fcb7c: the only row at a
+// non-default n and m, adaptive at the outermost hop.
 var pinnedRuns = []pinnedRun{
 	{
 		name: "taser-tgat-gatv2",
@@ -94,6 +98,22 @@ var pinnedRuns = []pinnedRun{
 			0x3fe6e0c0a6e6d414,
 		},
 		mrr: 0x3fb45b43a7cf3280,
+	},
+	{
+		name: "taser-tgat-n5-m10",
+		cfg: Config{Model: ModelTGAT, Finder: FinderGPU, CacheRatio: 0.2,
+			AdaBatch: true, AdaNeighbor: true, Decoder: adaptive.DecoderGATv2,
+			Hidden: 12, TimeDim: 6, N: 5, M: 10, BatchSize: 32, MaxEvalEdges: 8, Seed: 14},
+		losses: [25]uint64{
+			0x3ff173807486ed94, 0x3fec0a7174c76e42, 0x3feee1766edccd61, 0x3fef53e7d379ffe4,
+			0x3fe9dfb5bc5f3140, 0x3feb321b02002c71, 0x3febd2b1e8abd5ed, 0x3fea2a95fb149d7c,
+			0x3fe8f1bfe6941a29, 0x3fe8f525f5c4457d, 0x3fe7c89eea9995bd, 0x3feb16c370a9eb5f,
+			0x3fe8972aeedcf3ca, 0x3fe582b898266031, 0x3fe912b9f41961fe, 0x3fe77591f877533f,
+			0x3fe788f7c6f47db4, 0x3fe66d98a239a70e, 0x3fe6bc634bdcae84, 0x3fe9214bdc701ec8,
+			0x3fe60052f7bba0aa, 0x3fe7bfa7ef35f484, 0x3fe8a3bfb11fb253, 0x3fe6838f6e032552,
+			0x3fe696fbd8748ae4,
+		},
+		mrr: 0x3fb4fc8ded1c25d9,
 	},
 	{
 		name: "base-tgat-origin-invts",
