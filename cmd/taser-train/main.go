@@ -38,7 +38,6 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "random seed")
 		evalEdges = flag.Int("eval-edges", 300, "max edges per MRR evaluation")
 		pipeline  = flag.Bool("pipeline", false, "overlap batch construction with compute (async prefetch loop)")
-		prefetch  = flag.Int("prefetch", 2, "prefetch depth of the pipelined loop")
 	)
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 		AdaBatch: *adaBatch || *taser, AdaNeighbor: *adaNbr || *taser,
 		Decoder: dec, CacheRatio: *cache,
 		MaxEvalEdges: *evalEdges, Seed: *seed,
-		PrefetchDepth: *prefetch,
 	}
 	if err = cfg.Validate(); err == nil {
 		err = datasets.CheckScale(*scale)

@@ -128,8 +128,7 @@ func fillCandidates(rng *mathx.RNG, b, m, nodeDim, edgeDim, valid int) *Candidat
 
 func defaultConfig(nodeDim, edgeDim, m int, dec Decoder) SamplerConfig {
 	return SamplerConfig{
-		NodeDim: nodeDim, EdgeDim: edgeDim,
-		FeatDim: 6, TimeDim: 6, FreqDim: 6, M: m,
+		NodeDim: nodeDim, EdgeDim: edgeDim, Dim: 6, M: m,
 		Decoder: dec, UseTE: true, UseFE: true, UseIE: true,
 	}
 }

@@ -33,14 +33,14 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		parts = append(parts, g.GELU(s.edgeProj.Apply(g, g.Const(c.EdgeFeat))))
 	}
 	if s.cfg.UseTE {
-		te := tensor.New(rows, s.cfg.TimeDim)
+		te := tensor.New(rows, s.cfg.Dim)
 		for i := 0; i < rows; i++ {
 			s.timeEnc.Encode(te.Row(i), c.DeltaT[i])
 		}
 		parts = append(parts, g.Const(te))
 	}
 	if s.cfg.UseFE {
-		fe := tensor.New(rows, s.cfg.FreqDim)
+		fe := tensor.New(rows, s.cfg.Dim)
 		freqs := make([]int, c.M)
 		for b := 0; b < c.B; b++ {
 			encoding.Frequencies(c.Nodes[b*c.M:(b+1)*c.M], freqs)

@@ -57,9 +57,10 @@ func ParseDecoder(name string) (Decoder, error) {
 type SamplerConfig struct {
 	NodeDim int // raw node-feature width (0 if absent)
 	EdgeDim int // raw edge-feature width (0 if absent)
-	FeatDim int // d_feat: projected width of node/edge features (Eq. 14)
-	TimeDim int // d_time: fixed time-encoding width (Eq. 8)
-	FreqDim int // d_freq: frequency-encoding width (Eq. 12)
+	// Dim is d_feat = d_time = d_freq: the projected width of node/edge
+	// features (Eq. 14), the fixed time encoding's (Eq. 8) and the frequency
+	// encoding's (Eq. 12). It is also the decoder heads' width.
+	Dim     int
 	M       int // candidate-set size (neighbor finder budget m)
 	Decoder Decoder
 
@@ -109,20 +110,20 @@ type NeighborSampler struct {
 
 // NewSampler builds the sampler with all encoder components enabled.
 func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
-	if cfg.FeatDim <= 0 || cfg.TimeDim <= 0 || cfg.FreqDim <= 0 || cfg.M <= 0 {
+	if cfg.Dim <= 0 || cfg.M <= 0 {
 		panic("adaptive: sampler dims must be positive")
 	}
 	s := &NeighborSampler{
 		cfg:     cfg,
-		timeEnc: encoding.NewTimeEncoder(cfg.TimeDim, 0, 0),
-		freqEnc: encoding.NewFreqEncoder(cfg.FreqDim, cfg.M),
+		timeEnc: encoding.NewTimeEncoder(cfg.Dim, 0, 0),
+		freqEnc: encoding.NewFreqEncoder(cfg.Dim, cfg.M),
 		rng:     rng.Split(),
 	}
 	if cfg.NodeDim > 0 {
-		s.nodeProj = nn.NewLinear(cfg.NodeDim, cfg.FeatDim, rng)
+		s.nodeProj = nn.NewLinear(cfg.NodeDim, cfg.Dim, rng)
 	}
 	if cfg.EdgeDim > 0 {
-		s.edgeProj = nn.NewLinear(cfg.EdgeDim, cfg.FeatDim, rng)
+		s.edgeProj = nn.NewLinear(cfg.EdgeDim, cfg.Dim, rng)
 	}
 	enc := s.encDim()
 	// Channel hidden = d_enc (1×), the narrowest mixer over the encoding.
@@ -130,7 +131,7 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 	// is more of a training epoch than PP (DESIGN.md §1 has the shares).
 	s.mixer = nn.NewMixerBlock(cfg.M, enc, 0, enc, rng)
 	dv := s.targetDim()
-	h := cfg.FeatDim // decoder head width
+	h := cfg.Dim // decoder head width
 	switch cfg.Decoder {
 	case DecoderLinear:
 		s.linHead = nn.NewLinear(enc, 1, rng)
@@ -155,16 +156,16 @@ func NewSampler(cfg SamplerConfig, rng *mathx.RNG) *NeighborSampler {
 func (s *NeighborSampler) encDim() int {
 	d := 0
 	if s.cfg.NodeDim > 0 {
-		d += s.cfg.FeatDim
+		d += s.cfg.Dim
 	}
 	if s.cfg.EdgeDim > 0 {
-		d += s.cfg.FeatDim
+		d += s.cfg.Dim
 	}
 	if s.cfg.UseTE {
-		d += s.cfg.TimeDim
+		d += s.cfg.Dim
 	}
 	if s.cfg.UseFE {
-		d += s.cfg.FreqDim
+		d += s.cfg.Dim
 	}
 	if s.cfg.UseIE {
 		d += s.cfg.M
@@ -177,9 +178,9 @@ func (s *NeighborSampler) encDim() int {
 
 // targetDim is the width of the target embedding z_v (Eq. 21).
 func (s *NeighborSampler) targetDim() int {
-	d := s.cfg.TimeDim + s.cfg.FreqDim
+	d := 2 * s.cfg.Dim // time and frequency encodings
 	if s.cfg.NodeDim > 0 {
-		d += s.cfg.FeatDim
+		d += s.cfg.Dim
 	}
 	return d
 }
@@ -214,12 +215,12 @@ func (s *NeighborSampler) encode(g *autograd.Graph, c *CandidateSet) *autograd.V
 		for i, slot := range valid {
 			dts.Data[i] = c.DeltaT[slot]
 		}
-		te := g.Scratch(len(valid), s.cfg.TimeDim)
+		te := g.Scratch(len(valid), s.cfg.Dim)
 		s.timeEnc.EncodeRows(te.Data, dts.Data)
 		parts = append(parts, g.Const(te))
 	}
 	if s.cfg.UseFE {
-		fe := g.Scratch(len(valid), s.cfg.FreqDim)
+		fe := g.Scratch(len(valid), s.cfg.Dim)
 		if cap(s.freqs) < c.M {
 			s.freqs = make([]int, c.M)
 		}
@@ -252,8 +253,8 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 	if s.nodeProj != nil {
 		parts = append(parts, g.GELU(s.nodeProj.Apply(g, g.Const(c.TargetFeat))))
 	}
-	te := g.Scratch(c.B, s.cfg.TimeDim)
-	fe := g.Scratch(c.B, s.cfg.FreqDim)
+	te := g.Scratch(c.B, s.cfg.Dim)
+	fe := g.Scratch(c.B, s.cfg.Dim)
 	if c.B > 0 {
 		// Every target has the same TE(0) ‖ FE(1): encode one row, copy it.
 		s.timeEnc.Encode(te.Row(0), 0)

@@ -21,7 +21,7 @@ import (
 // The selector is safe for concurrent use: in the pipelined training loop the
 // prefetch goroutine draws upcoming batches while the consumer posts score
 // updates, so a prefetched batch may have been drawn from scores that are up
-// to PrefetchDepth+1 steps stale (see DESIGN.md on bounded staleness).
+// to 3 steps stale (the pipeline's depth plus one; DESIGN.md §8).
 type MiniBatchSelector struct {
 	mu     sync.Mutex
 	scores []float64

@@ -106,7 +106,7 @@ func warmPipelined(t *testing.T, tr *Trainer, steps int) {
 // atFurthestLead consumes steps batches through a pipeline whose producer
 // holds its furthest lead whenever the consumer trains: before each batch
 // is consumed the producer refills the buffer and prepares one more, so the
-// consumer's batch, PrefetchDepth buffered ones and the producer's are all
+// consumer's batch, prefetchDepth buffered ones and the producer's are all
 // in flight at once.
 func atFurthestLead(tr *Trainer, steps int) {
 	p := tr.NewPipeline(steps)

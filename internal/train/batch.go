@@ -14,12 +14,6 @@ type builtBatch struct {
 	sel *adaptive.Selection
 	cs  *adaptive.CandidateSet
 	gS  *autograd.Graph // sampler graph (separate from the model graph)
-
-	// innerCS holds the candidate sets of hops below the outermost when
-	// AdaAllLayers is on. gS's tape references their matrices (Select wraps
-	// them via autograd.NewConst), so they must stay out of the pool until
-	// after gS.Backward — i.e. until releasePrepared.
-	innerCS []*adaptive.CandidateSet
 }
 
 // prepared carries one mini-batch through the two-stage construction split
@@ -27,7 +21,8 @@ type builtBatch struct {
 // everything that does not read current model/sampler parameters: batch-edge
 // choice, root assembly, neighbor finding and feature slicing — the NF and FS
 // columns of Table III. The finish stage (consumer side) resolves whatever
-// depends on live parameters: the adaptive Selection and the hops below it.
+// depends on live parameters: the adaptive Selection at the outermost hop and
+// the static hops below it.
 // When adaptive neighbor sampling is off the prepare stage completes the
 // whole build and the finish stage is a no-op.
 //
@@ -107,39 +102,29 @@ func (t *Trainer) finishBatch(pb *prepared) *builtBatch {
 		// edges) draw their Selection on a forward-only pass.
 		out.gS = t.samplerGraph(pb.edges == nil)
 		// This stage runs while the producer prepares future batches: every
-		// hop below the staged one samples the dedicated consumer finder.
+		// static hop below the staged one samples the dedicated consumer
+		// finder.
 		outer := t.layers - 1
 		out.mb = t.build(pb.roots, t.finderC, &t.finderMuC, func(l int, targets []sampler.Target) *models.LayerBlock {
-			if l != outer && !t.Cfg.AdaAllLayers {
+			if l != outer {
 				return nil // adaptive at the outermost hop only: static below it
 			}
-			return t.adaptiveHop(pb, out, l == outer, targets)
+			return t.adaptiveHop(pb, out, targets)
 		})
 	}
 	pb.built = out
 	return out
 }
 
-// adaptiveHop resolves one hop through the adaptive sampler: m candidates
-// (staged ahead by prepareRoots for the outermost hop, found here for inner
-// hops) → Selection of n of them → layer block.
-func (t *Trainer) adaptiveHop(pb *prepared, out *builtBatch, isOuter bool, targets []sampler.Target) *models.LayerBlock {
-	res, cs := pb.outer, pb.cs
+// adaptiveHop resolves the outermost hop through the adaptive sampler: the m
+// candidates prepareRoots staged → Selection of n of them → layer block. The
+// Selection and its candidate set are retained for co-training.
+func (t *Trainer) adaptiveHop(pb *prepared, out *builtBatch, targets []sampler.Target) *models.LayerBlock {
+	res := pb.outer
+	out.cs = pb.cs
 	pb.outer, pb.cs = nil, nil
-	if res == nil {
-		res = t.pool.getResult()
-		t.sample(t.finderC, &t.finderMuC, targets, t.Cfg.M, res)
-		cs = t.buildCandidateSet(targets, res)
-	}
-	var sel *adaptive.Selection
-	t.time("AS", func() { sel = t.Sampler.Select(out.gS, cs, t.Cfg.N) })
-	block := t.blockFromSelection(targets, res, sel)
-	if isOuter {
-		out.sel, out.cs = sel, cs // retained for co-training
-	} else {
-		out.innerCS = append(out.innerCS, cs) // gS still references it
-		t.Sampler.Recycle(sel)                // inner selections end here
-	}
+	t.time("AS", func() { out.sel = t.Sampler.Select(out.gS, out.cs, t.Cfg.N) })
+	block := t.blockFromSelection(targets, res, out.sel)
 	t.pool.putResult(res)
 	return block
 }
@@ -150,9 +135,6 @@ func (t *Trainer) releasePrepared(pb *prepared) {
 	if pb.built != nil {
 		t.release(pb.built.mb)
 		t.pool.putSet(pb.built.cs)
-		for _, cs := range pb.built.innerCS {
-			t.pool.putSet(cs)
-		}
 		if pb.built.sel != nil {
 			t.Sampler.Recycle(pb.built.sel)
 			pb.built.sel = nil

@@ -151,22 +151,6 @@ func TestBuildMiniBatchExported(t *testing.T) {
 	}
 }
 
-// TestAdaAllLayersRuns exercises Algorithm 1's every-hop adaptive sampling.
-func TestAdaAllLayersRuns(t *testing.T) {
-	ds := tinyDS(25)
-	cfg := tinyCfg()
-	cfg.AdaNeighbor = true
-	cfg.AdaAllLayers = true
-	cfg.Decoder = adaptive.DecoderTrans
-	tr, err := New(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss := tr.TrainStep(); math.IsNaN(loss) {
-		t.Fatal("all-layers adaptive step")
-	}
-}
-
 // TestLRUCachePolicyConfig covers the ablation knob.
 func TestLRUCachePolicyConfig(t *testing.T) {
 	ds := tinyDS(26)

@@ -5,7 +5,7 @@
 // batches while the current batch's forward/backward/step runs. The Pipeline
 // below does exactly that: a single prefetch goroutine runs the prepare stage
 // (prepareBatch) for future batches in training order, a channel of capacity
-// PrefetchDepth buffers them, and the consumer resolves the parameter-
+// prefetchDepth buffers them, and the consumer resolves the parameter-
 // dependent remainder (finishBatch + PP) one batch at a time. Steady-state
 // wall time per step approaches max(prepare, consume) instead of their sum.
 //
@@ -13,18 +13,18 @@
 // identical losses to TrainStep. Producer-side draws (negative sampling,
 // outer-hop finder streams) happen on the single prefetch goroutine in
 // training order; consumer-side draws (the adaptive Selection, finder
-// streams for the hops below it) happen on a *dedicated* finder instance
-// (Trainer.finderC) and the sampler's own RNG, in consume order — which is
-// also training order. Every stream is therefore a function of its own call
+// streams for the static hops below it) happen on a *dedicated* finder
+// instance (Trainer.finderC) and the sampler's own RNG, in consume order —
+// which is also training order. Every stream is therefore a function of its own call
 // sequence, never of how the goroutines interleave.
 // TestPipelinedMatchesSynchronous and
-// TestPipelinedAdaNeighborMatchesSynchronous assert the equivalence at
-// depths 1 and 2; TestPipelinedRunsAreReproducible asserts fixed-seed
-// repeatability under concurrency.
+// TestPipelinedAdaNeighborMatchesSynchronous assert the equivalence;
+// TestPipelinedRunsAreReproducible asserts fixed-seed repeatability under
+// concurrency.
 //
 // Bounded staleness: with AdaBatch on, a prefetched batch was drawn from
-// importance scores that miss the updates of the ≤ PrefetchDepth+1 steps
-// still in flight (the channel holds PrefetchDepth batches and one more may
+// importance scores that miss the updates of the ≤ prefetchDepth+1 = 3 steps
+// still in flight (the channel holds prefetchDepth batches and one more may
 // be under construction). With AdaNeighbor on, the Selection is resolved on
 // the consumer side against current sampler parameters, keeping the
 // co-training gradient path exact; only the m-candidate staging is early.
@@ -34,6 +34,10 @@ import (
 	"sync"
 	"time"
 )
+
+// prefetchDepth is the capacity of the channel between the prefetch goroutine
+// and the consumer: double buffering.
+const prefetchDepth = 2
 
 // Pipeline overlaps mini-batch construction with model compute. Create one
 // with Trainer.NewPipeline, drive it with Step, and Close it before touching
@@ -50,15 +54,11 @@ type Pipeline struct {
 
 // NewPipeline starts a prefetching producer that prepares up to limit
 // batches (0 = unbounded) ahead of the consumer, keeping at most
-// Cfg.PrefetchDepth of them buffered.
+// prefetchDepth of them buffered.
 func (t *Trainer) NewPipeline(limit int) *Pipeline {
-	depth := t.Cfg.PrefetchDepth
-	if depth < 1 {
-		depth = 1
-	}
 	p := &Pipeline{
 		t:    t,
-		out:  make(chan *prepared, depth),
+		out:  make(chan *prepared, prefetchDepth),
 		stop: make(chan struct{}),
 	}
 	p.wg.Add(1)

@@ -54,8 +54,8 @@ func stepLossesPipelined(t *testing.T, cfg Config, seed uint64, epochs int) []fl
 // TestPipelinedMatchesSynchronous is the seeded equivalence property the
 // pipeline is designed around: with AdaBatch off, every random draw happens
 // in the same order as the synchronous loop, so per-step losses must be
-// bitwise identical — at any prefetch depth, across epoch boundaries, for
-// every finder and both backbones.
+// bitwise identical — across epoch boundaries, for every finder and both
+// backbones.
 func TestPipelinedMatchesSynchronous(t *testing.T) {
 	cases := []struct {
 		name string
@@ -68,20 +68,16 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 		{"graphmixer", func(c *Config) { c.Model = ModelGraphMixer }},
 	}
 	for _, tc := range cases {
-		for _, depth := range []int{1, 2} {
-			cfg := tinyCfg()
-			cfg.PrefetchDepth = depth
-			tc.mut(&cfg)
-			want := stepLossesSync(t, cfg, 30, 2)
-			got := stepLossesPipelined(t, cfg, 30, 2)
-			if len(got) != len(want) {
-				t.Fatalf("%s depth %d: %d pipelined steps, want %d", tc.name, depth, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s depth %d: step %d loss %v != synchronous %v",
-						tc.name, depth, i, got[i], want[i])
-				}
+		cfg := tinyCfg()
+		tc.mut(&cfg)
+		want := stepLossesSync(t, cfg, 30, 2)
+		got := stepLossesPipelined(t, cfg, 30, 2)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pipelined steps, want %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: step %d loss %v != synchronous %v", tc.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -89,10 +85,10 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 
 // TestPipelinedAdaNeighborMatchesSynchronous extends the equivalence to
 // adaptive neighbor sampling: the producer's finder (outer-hop candidates)
-// and the consumer's finder (hops below the Selection) are independent
-// instances, so each side's sampling stream depends only on its own call
-// order — which is training order in both loops, however the goroutines
-// interleave.
+// and the consumer's finder (the static hops below the Selection) are
+// independent instances, so each side's sampling stream depends only on its
+// own call order — which is training order in both loops, however the
+// goroutines interleave.
 func TestPipelinedAdaNeighborMatchesSynchronous(t *testing.T) {
 	cases := []struct {
 		name string
@@ -105,15 +101,13 @@ func TestPipelinedAdaNeighborMatchesSynchronous(t *testing.T) {
 		{"tgat-2layer", func(c *Config) {
 			c.Decoder = adaptive.DecoderGATv2
 		}},
-		{"tgat-all-layers", func(c *Config) {
+		{"tgat-trans", func(c *Config) {
 			c.Decoder = adaptive.DecoderTrans
-			c.AdaAllLayers = true
 		}},
 	}
 	for _, tc := range cases {
 		cfg := tinyCfg()
 		cfg.AdaNeighbor = true
-		cfg.PrefetchDepth = 2
 		tc.mut(&cfg)
 		want := stepLossesSync(t, cfg, 31, 2)
 		got := stepLossesPipelined(t, cfg, 31, 2)
@@ -234,23 +228,6 @@ func TestPipelinedAdaptiveVariants(t *testing.T) {
 				t.Fatalf("%s: epoch %d: %+v", v.name, e, res)
 			}
 		}
-	}
-}
-
-// TestPipelinedAllLayersAdaptive covers Algorithm 1's every-hop adaptive
-// sampling through the pipeline (consumer-side inner-hop NF under finderMu).
-func TestPipelinedAllLayersAdaptive(t *testing.T) {
-	ds := tinyDS(35)
-	cfg := tinyCfg()
-	cfg.AdaNeighbor = true
-	cfg.AdaAllLayers = true
-	cfg.Decoder = adaptive.DecoderTrans
-	tr, err := New(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := tr.TrainEpochPipelined(); math.IsNaN(res.MeanLoss) {
-		t.Fatalf("all-layers pipelined epoch: %+v", res)
 	}
 }
 

@@ -65,22 +65,12 @@ type Config struct {
 	Epochs    int
 	LR        float64
 
-	// PrefetchDepth bounds how many upcoming mini-batches the pipelined
-	// training loop (Pipeline, TrainEpochPipelined) stages ahead of the
-	// consumer: prepared batches wait in a channel of this capacity while one
-	// more may be under construction, so with AdaBatch the importance
-	// selector's draws are at most PrefetchDepth+1 steps stale (DESIGN.md).
-	// Default 2 (double buffering). The synchronous TrainStep ignores it.
-	PrefetchDepth int
-
-	AdaBatch    bool             // temporal adaptive mini-batch selection (§III-A)
-	AdaNeighbor bool             // temporal adaptive neighbor sampling (§III-B)
+	AdaBatch bool // temporal adaptive mini-batch selection (§III-A)
+	// AdaNeighbor turns on temporal adaptive neighbor sampling (§III-B) at
+	// the outermost hop, the one hop the sample loss co-trains; the hops
+	// below it stay static (DESIGN.md §1).
+	AdaNeighbor bool
 	Decoder     adaptive.Decoder // sampler head
-	// AdaAllLayers applies adaptive neighbor sampling at every hop
-	// (Algorithm 1 as written); the default applies it at the outermost hop
-	// only, which preserves the accuracy mechanism at a fraction of the
-	// cost (see DESIGN.md).
-	AdaAllLayers bool
 
 	CacheRatio  float64 // fraction of edge-feature rows resident in VRAM
 	CachePolicy string  // "freq" (default, Algorithm 3) or "lru" (ablation)
@@ -124,9 +114,6 @@ func (c Config) Normalize() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 200
 	}
-	if c.PrefetchDepth == 0 {
-		c.PrefetchDepth = 2
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 5
 	}
@@ -141,8 +128,8 @@ func (c Config) Normalize() Config {
 
 // Validate rejects values no run can mean: a negative (or NaN) size, count or
 // rate — zero is fine, it selects Normalize's default or, for MaxEvalEdges,
-// "all" — a cache ratio outside [0, 1], and a model, finder or policy name
-// New has no case for ("" selects the default). New calls it; the commands
+// "all" — a cache ratio outside [0, 1], and a model, finder, policy or
+// decoder name New has no case for ("" selects the default). New calls it; the commands
 // call it first, so a bad flag is a usage error and not a panic mid-run.
 func (c Config) Validate() error {
 	for _, f := range []struct {
@@ -152,8 +139,8 @@ func (c Config) Validate() error {
 		{"Hidden", float64(c.Hidden)}, {"TimeDim", float64(c.TimeDim)},
 		{"N", float64(c.N)}, {"M", float64(c.M)},
 		{"BatchSize", float64(c.BatchSize)}, {"Epochs", float64(c.Epochs)},
-		{"PrefetchDepth", float64(c.PrefetchDepth)}, {"EvalNegatives", float64(c.EvalNegatives)},
-		{"MaxEvalEdges", float64(c.MaxEvalEdges)}, {"LR", c.LR},
+		{"EvalNegatives", float64(c.EvalNegatives)}, {"MaxEvalEdges", float64(c.MaxEvalEdges)},
+		{"LR", c.LR},
 	} {
 		if !(f.v >= 0) {
 			return fmt.Errorf("train: Config.%s must not be negative (got %v)", f.name, f.v)
@@ -170,6 +157,8 @@ func (c Config) Validate() error {
 		{"Finder", string(c.Finder), []string{string(FinderOrigin), string(FinderTGL), string(FinderGPU)}},
 		{"CachePolicy", c.CachePolicy, []string{"freq", "lru"}},
 		{"FinderPolicy", c.FinderPolicy, []string{"uniform", "recent", "invts"}},
+		{"Decoder", c.Decoder.String(), []string{adaptive.DecoderLinear.String(),
+			adaptive.DecoderGAT.String(), adaptive.DecoderGATv2.String(), adaptive.DecoderTrans.String()}},
 	} {
 		if f.v != "" && !slices.Contains(f.known, f.v) {
 			return fmt.Errorf("train: Config.%s %q is unknown (known: %s)", f.name, f.v, strings.Join(f.known, ", "))
@@ -192,8 +181,9 @@ type Trainer struct {
 
 	// Finder serves the producer side of the pipeline; finderC is an
 	// independent instance (own RNG streams / call counter / TGL pointer
-	// array) for the hops resolved consumer-side when adaptive neighbor
-	// sampling is on. Dedicating an instance — and a mutex, see
+	// array) for the static hops below the adaptive one, which are resolved
+	// consumer-side (after the Selection they depend on) when adaptive
+	// neighbor sampling is on. Dedicating an instance — and a mutex, see
 	// buildCore.sample — to each side keeps every finder's sampling stream a
 	// function of its own call order, so pipelined adaptive training is
 	// deterministic for a fixed seed and bitwise-equal to the synchronous
@@ -329,8 +319,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	if cfg.AdaNeighbor {
 		t.Sampler = adaptive.NewSampler(adaptive.SamplerConfig{
 			NodeDim: nodeDim, EdgeDim: edgeDim,
-			FeatDim: cfg.TimeDim, TimeDim: cfg.TimeDim, FreqDim: cfg.TimeDim,
-			M: cfg.M, Decoder: cfg.Decoder,
+			Dim: cfg.TimeDim, M: cfg.M, Decoder: cfg.Decoder,
 			UseTE: !cfg.DisableTE, UseFE: !cfg.DisableFE, UseIE: !cfg.DisableIE,
 		}, rng.Split())
 		t.OptSampler = nn.NewAdam(t.Sampler.Params(), cfg.LR)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"taser/internal/adaptive"
 	"taser/internal/datasets"
 )
 
@@ -41,12 +42,13 @@ func TestConfigValidateRejects(t *testing.T) {
 	ds := tinyDS(1)
 	for field, cfg := range map[string]Config{
 		"Hidden": {Hidden: -1}, "TimeDim": {TimeDim: -1}, "N": {N: -1}, "M": {M: -1},
-		"BatchSize": {BatchSize: -5}, "Epochs": {Epochs: -1}, "PrefetchDepth": {PrefetchDepth: -1},
+		"BatchSize": {BatchSize: -5}, "Epochs": {Epochs: -1},
 		"EvalNegatives": {EvalNegatives: -1}, "MaxEvalEdges": {MaxEvalEdges: -1},
 		"LR": {LR: -1e-3}, "LR (NaN)": {LR: math.NaN()},
 		"CacheRatio": {CacheRatio: 1.5}, "CacheRatio (negative)": {CacheRatio: -0.1},
 		"Model": {Model: "foo"}, "Finder": {Finder: "foo"},
 		"CachePolicy": {CachePolicy: "foo"}, "FinderPolicy": {FinderPolicy: "foo"},
+		"Decoder": {AdaNeighbor: true, Decoder: adaptive.Decoder(9)},
 	} {
 		name, _, _ := strings.Cut(field, " ")
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Config."+name+" ") {
