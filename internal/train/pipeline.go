@@ -36,7 +36,9 @@ import (
 )
 
 // prefetchDepth is the capacity of the channel between the prefetch goroutine
-// and the consumer: double buffering.
+// and the consumer. Two (double buffering) lets two prepared batches wait
+// while a third is built, so one slow build does not stall the consumer; with
+// AdaBatch it bounds the selector's staleness at prefetchDepth+1 = 3 steps.
 const prefetchDepth = 2
 
 // Pipeline overlaps mini-batch construction with model compute. Create one
