@@ -68,15 +68,15 @@ func paddedScores(s *NeighborSampler, g *autograd.Graph, c *CandidateSet) *autog
 		scores = g.Reshape(s.linHead.Apply(g, z), c.B, c.M)
 	case DecoderGAT:
 		u := s.gatU.Apply(g, z)
-		v := g.GatherRows(s.gatV.Apply(g, s.encodeTarget(g, c)), tile)
+		v := g.GatherRows(s.gatV.Apply(g, g.ConcatCols(s.encodeTarget(g, c)...)), tile)
 		scores = g.Reshape(g.LeakyReLU(s.gatA.Apply(g, g.ConcatCols(u, v)), 0.2), c.B, c.M)
 	case DecoderGATv2:
-		v := g.GatherRows(s.encodeTarget(g, c), tile)
+		v := g.GatherRows(g.ConcatCols(s.encodeTarget(g, c)...), tile)
 		e := s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.Apply(g, g.ConcatCols(z, v)), 0.2))
 		scores = g.Reshape(e, c.B, c.M)
 	case DecoderTrans:
-		q := s.transQ.Apply(g, s.encodeTarget(g, c))
-		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), all, c.M), 1/math.Sqrt(float64(c.M)))
+		q := s.transQ.Apply(g, g.ConcatCols(s.encodeTarget(g, c)...))
+		scores = g.GroupedScore(q, s.transK.Apply(g, z), all, c.M, 1/math.Sqrt(float64(c.M)))
 	}
 	_, bias := paddingMask(c)
 	return g.Add(scores, g.Const(bias))

@@ -9,7 +9,6 @@ import (
 	"taser/internal/encoding"
 	"taser/internal/mathx"
 	"taser/internal/nn"
-	"taser/internal/tensor"
 )
 
 // Decoder selects the predictor family that turns neighbor embeddings into
@@ -101,7 +100,7 @@ type NeighborSampler struct {
 	parts, tparts []*autograd.Var // encode/encodeTarget part-list scratch
 	freqs         []int           // frequency-encoder scratch
 
-	// selFree recycles Selection headers (with their Chosen/Probs backing
+	// selFree recycles Selection headers (with their Chosen backing
 	// storage) between Select and Recycle; a mutex because release may happen
 	// on a different goroutine than the next Select (pipeline shutdown).
 	selMu   sync.Mutex
@@ -247,8 +246,11 @@ func (s *NeighborSampler) encode(g *autograd.Graph, c *CandidateSet) *autograd.V
 	return g.ConcatCols(parts...)
 }
 
-// encodeTarget builds z_v = {h(v) ‖ TE(0) ‖ FE(1)} (Eq. 21).
-func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *autograd.Var {
+// encodeTarget builds z_v = {h(v) ‖ TE(0) ‖ FE(1)} (Eq. 21) as its column
+// parts, never concatenated: every head reads z_v through a linear layer,
+// which takes the parts (DESIGN.md §6 "Affine over column parts"). The list
+// is the sampler's own scratch, valid until the next encodeTarget.
+func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) []*autograd.Var {
 	parts := s.tparts[:0]
 	if s.nodeProj != nil {
 		parts = append(parts, g.GELU(s.nodeProj.Apply(g, g.Const(c.TargetFeat))))
@@ -266,7 +268,7 @@ func (s *NeighborSampler) encodeTarget(g *autograd.Graph, c *CandidateSet) *auto
 	}
 	parts = append(parts, g.Const(te), g.Const(fe))
 	s.tparts = parts[:0]
-	return g.ConcatCols(parts...)
+	return parts
 }
 
 // Scores computes the unnormalized per-root candidate scores in the B×M
@@ -292,16 +294,24 @@ func (s *NeighborSampler) Scores(g *autograd.Graph, c *CandidateSet) *autograd.V
 		scores = fold(s.linHead.Apply(g, z))
 	case DecoderGAT:
 		u := s.gatU.Apply(g, z)
-		v := g.GatherRows(s.gatV.Apply(g, s.encodeTarget(g, c)), rootOf(g, c))
+		v := g.GatherRows(s.gatV.ApplyParts(g, s.encodeTarget(g, c)...), rootOf(g, c))
 		scores = fold(g.LeakyReLU(s.gatA.ApplyParts(g, u, v), 0.2))
 	case DecoderGATv2:
-		v := g.GatherRows(s.encodeTarget(g, c), rootOf(g, c))
-		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.ApplyParts(g, z, v), 0.2)))
+		// [z_u ‖ z_v] as parts: z, then each part of z_v gathered to its
+		// candidates (encode is done with the part scratch).
+		root := rootOf(g, c)
+		parts := append(s.parts[:0], z)
+		for _, p := range s.encodeTarget(g, c) {
+			parts = append(parts, g.GatherRows(p, root))
+		}
+		s.parts = parts[:0]
+		scores = fold(s.gatv2A.Apply(g, g.LeakyReLU(s.gatv2W.ApplyParts(g, parts...), 0.2)))
 	case DecoderTrans:
-		// The dot product is the grouped kernel's, which reads the valid
-		// candidates' keys against their slots; a padding slot scores +0.
-		q := s.transQ.Apply(g, s.encodeTarget(g, c))
-		scores = g.Scale(g.GroupedScore(q, s.transK.Apply(g, z), valid, c.M), 1/math.Sqrt(float64(c.M)))
+		// The scaled dot product is the grouped kernel's, which reads the
+		// valid candidates' keys against their slots; a padding slot scores
+		// +0.
+		q := s.transQ.ApplyParts(g, s.encodeTarget(g, c)...)
+		scores = g.GroupedScore(q, s.transK.Apply(g, z), valid, c.M, 1/math.Sqrt(float64(c.M)))
 	}
 	return scores
 }
@@ -324,14 +334,12 @@ type Selection struct {
 	// sample loss, +0 at padded slots; only entries at chosen slots receive
 	// coefficients.
 	LogQ *autograd.Var
-	// Probs is the materialized q_θ(u|v) distribution (B×M), for tests.
-	Probs *tensor.Matrix
 }
 
 // getSelection checks a Selection out of the free list (or allocates one),
-// shaped for b roots with m candidates. Per-root Chosen slices keep their
-// capacity across recycles, so warm draws are allocation-free.
-func (s *NeighborSampler) getSelection(b, m int) *Selection {
+// shaped for b roots. Per-root Chosen slices keep their capacity across
+// recycles, so warm draws are allocation-free.
+func (s *NeighborSampler) getSelection(b int) *Selection {
 	s.selMu.Lock()
 	var sel *Selection
 	if n := len(s.selFree); n > 0 {
@@ -341,7 +349,7 @@ func (s *NeighborSampler) getSelection(b, m int) *Selection {
 	}
 	s.selMu.Unlock()
 	if sel == nil {
-		return &Selection{Chosen: make([][]int, b), Probs: tensor.New(b, m)}
+		return &Selection{Chosen: make([][]int, b)}
 	}
 	if cap(sel.Chosen) < b {
 		chosen := make([][]int, b)
@@ -350,7 +358,6 @@ func (s *NeighborSampler) getSelection(b, m int) *Selection {
 	} else {
 		sel.Chosen = sel.Chosen[:b]
 	}
-	sel.Probs.Resize(b, m)
 	return sel
 }
 
@@ -374,7 +381,7 @@ func (s *NeighborSampler) Recycle(sel *Selection) {
 // allocations).
 func (s *NeighborSampler) Select(g *autograd.Graph, c *CandidateSet, n int) *Selection {
 	logq := g.LogSoftmaxSlots(s.Scores(g, c), c.Valid)
-	sel := s.getSelection(c.B, c.M) // Probs comes back zeroed
+	sel := s.getSelection(c.B)
 	sel.LogQ = logq
 	if cap(s.wts) < c.M {
 		s.wts = make([]float64, c.M)
@@ -386,9 +393,7 @@ func (s *NeighborSampler) Select(g *autograd.Graph, c *CandidateSet, n int) *Sel
 		valid := 0 // root b's candidates
 		for ; len(rest) > 0 && int(rest[0]) < (b+1)*c.M; rest = rest[1:] {
 			slot := rest[0]
-			p := math.Exp(logq.Val.Data[slot])
-			weights[int(slot)-b*c.M] = p
-			sel.Probs.Data[slot] = p
+			weights[int(slot)-b*c.M] = math.Exp(logq.Val.Data[slot])
 			valid++
 		}
 		if valid == 0 {

@@ -187,6 +187,16 @@ func (g *Graph) Const(m *tensor.Matrix) *Var { return g.newVar(m, nil) }
 // recycled at Reset like every other intermediate.
 func (g *Graph) Scratch(r, c int) *tensor.Matrix { return g.arena.Get(r, c) }
 
+// RowRange is the identity index 0..n−1, in graph-lifetime storage: every
+// row named, for the slot ops.
+func (g *Graph) RowRange(n int) []int32 {
+	idx := g.Ints(n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
 // Ints checks out an int32 slice of length n with graph lifetime (gather
 // index vectors live as long as the tape that references them). Contents are
 // unspecified — callers must fully overwrite. Recycled at Reset.
@@ -278,16 +288,6 @@ func (g *Graph) Add(a, b *Var) *Var {
 	tensor.AddInto(o.Val, a.Val, b.Val)
 	if o.NeedsGrad() {
 		g.push(tapeEntry{op: opAdd, out: o, a: a, b: b})
-	}
-	return o
-}
-
-// Scale returns s·a for a constant scalar s.
-func (g *Graph) Scale(a *Var, s float64) *Var {
-	o := g.out(a.Rows(), a.Cols(), a.NeedsGrad())
-	tensor.ScaleInto(o.Val, a.Val, s)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opScale, out: o, a: a, scalar: s})
 	}
 	return o
 }

@@ -54,12 +54,12 @@ func TestGradMatMul(t *testing.T) {
 	}
 }
 
-func TestGradAddScale(t *testing.T) {
+func TestGradAdd(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	a := NewParam(tensor.Randn(2, 3, 1, rng))
 	b := NewParam(tensor.Randn(2, 3, 1, rng))
 	gradCheck(t, []*Var{a, b}, func(g *Graph) *Var {
-		return weightedSum(g, g.Add(g.Add(a, b), g.Scale(b, 0.5)))
+		return weightedSum(g, g.Add(g.Add(a, b), b))
 	}, 1e-6)
 }
 
@@ -209,16 +209,22 @@ func TestGradBCEWithLogits(t *testing.T) {
 	}, 1e-6)
 }
 
+// TestGradLayerNorm gradchecks the one LayerNorm op over a 4-row layout with
+// every row named (plain row normalization), a proper subset (an unnamed row
+// normalizes a zero row, which only the bias's gradient sees) and none.
 func TestGradLayerNorm(t *testing.T) {
 	rng := mathx.NewRNG(11)
-	a := NewParam(tensor.Randn(4, 5, 1, rng))
-	gain := NewParam(tensor.Randn(1, 5, 0.5, rng))
-	addOne(gain.Val) // keep gains near 1
-	bias := NewParam(tensor.Randn(1, 5, 0.5, rng))
-	coef := tensor.Randn(4, 5, 1, rng)
-	gradCheck(t, []*Var{a, gain, bias}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.LayerNormRows(a, gain, bias), coef)
-	}, 1e-4)
+	const rows, c = 4, 5
+	for _, slots := range [][]int32{{0, 1, 2, 3}, {1, 3}, {}} {
+		a := NewParam(tensor.Randn(len(slots), c, 1, rng))
+		gain := NewParam(tensor.Randn(1, c, 0.5, rng))
+		addOne(gain.Val) // keep gains near 1
+		bias := NewParam(tensor.Randn(1, c, 0.5, rng))
+		coef := tensor.Randn(rows, c, 1, rng)
+		gradCheck(t, []*Var{a, gain, bias}, func(g *Graph) *Var {
+			return g.WeightedSumConst(g.LayerNormSlots(a, gain, bias, slots, rows), coef)
+		}, 1e-4)
+	}
 }
 
 // addOne adds 1 to every element of m in place.
@@ -236,7 +242,7 @@ func TestGradGroupedScore(t *testing.T) {
 		keys := NewParam(tensor.Randn(len(slots), d, 1, rng))
 		coef := tensor.Randn(b, k, 1, rng)
 		gradCheck(t, []*Var{q, keys}, func(g *Graph) *Var {
-			return g.WeightedSumConst(g.GroupedScore(q, keys, slots, k), coef)
+			return g.WeightedSumConst(g.GroupedScore(q, keys, slots, k, 0.375), coef)
 		}, 1e-6)
 	}
 }
@@ -277,7 +283,7 @@ func TestGradFullAttentionStack(t *testing.T) {
 		vals := NewParam(tensor.Randn(len(slots), d, 0.5, rng))
 		coef := tensor.Randn(b, d, 1, rng)
 		gradCheck(t, []*Var{q, keys, vals}, func(g *Graph) *Var {
-			scores := g.Scale(g.GroupedScore(q, keys, slots, k), 1/math.Sqrt(d))
+			scores := g.GroupedScore(q, keys, slots, k, 1/math.Sqrt(d))
 			attn := g.SoftmaxSlots(scores, slots)
 			out := g.GroupedWeightedSum(attn, vals, slots, k)
 			return g.WeightedSumConst(out, coef)
@@ -316,7 +322,7 @@ func TestParamReuseAccumulates(t *testing.T) {
 	g := New()
 	// loss = p·p (the row-wise dot product of one neighborhood of one slot)
 	// → dp = 2p = 6
-	loss := g.GroupedScore(p, p, []int32{0}, 1)
+	loss := g.GroupedScore(p, p, []int32{0}, 1, 1)
 	g.Backward(loss)
 	if math.Abs(p.Grad.Data[0]-6) > 1e-12 {
 		t.Fatalf("grad %v want 6", p.Grad.Data[0])
@@ -327,7 +333,7 @@ func TestGradAccumulatesAcrossGraphs(t *testing.T) {
 	p := NewParam(tensor.FromSlice(1, 1, []float64{2}))
 	for i := 0; i < 3; i++ {
 		g := New()
-		g.Backward(sumAll(g, g.Scale(p, 1)))
+		g.Backward(sumAll(g, p))
 	}
 	if p.Grad.Data[0] != 3 {
 		t.Fatalf("grads must accumulate across graphs until zeroed: %v", p.Grad.Data[0])

@@ -11,15 +11,16 @@ import "taser/internal/tensor"
 // that is bitwise). slots is borrowed until Backward/Reset; Graph.Ints
 // provides index storage with exactly that lifetime.
 
-// GroupedScore computes per-neighborhood attention logits over the named
-// slots: out[g][k] = q.Row(g)·keys.Row(r) for the key row r of slot g·group+k,
-// and +0 where no key row names the slot. This is q·Kᵀ restricted to each
-// root's own neighborhood (TGAT, Eq. 7). out is q.Rows×group.
-func (g *Graph) GroupedScore(q, keys *Var, slots []int32, group int) *Var {
+// GroupedScore computes per-neighborhood scaled attention logits over the
+// named slots: out[g][k] = (q.Row(g)·keys.Row(r))·scale for the key row r of
+// slot g·group+k, and +0 where no key row names the slot. This is q·Kᵀ/√d
+// restricted to each root's own neighborhood with scale = 1/√d (TGAT, Eq. 7;
+// the sampler's trans head, Eq. 20). out is q.Rows×group.
+func (g *Graph) GroupedScore(q, keys *Var, slots []int32, group int, scale float64) *Var {
 	o := g.out(q.Rows(), group, q.NeedsGrad() || keys.NeedsGrad())
-	tensor.GroupedScoreInto(o.Val, q.Val, keys.Val, slots, group)
+	tensor.GroupedScoreInto(o.Val, q.Val, keys.Val, slots, group, scale)
 	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opGroupedScore, out: o, a: q, b: keys, idx: slots, group: group})
+		g.push(tapeEntry{op: opGroupedScore, out: o, a: q, b: keys, idx: slots, group: group, scalar: scale})
 	}
 	return o
 }

@@ -99,7 +99,7 @@ func checkGroupedSlots(t *testing.T, b, k, d int, fill, zeros uint8, seed uint64
 			}
 		}
 		g := poisoned()
-		score := g.GroupedScore(ps[0], ps[2], idx, k)
+		score := g.GroupedScore(ps[0], ps[2], idx, k, 0.75)
 		sum := g.GroupedWeightedSum(ps[1], ps[3], idx, k)
 		mean := g.GroupMean(ps[4], idx, b, k)
 		g.Backward(g.Add(g.Add(g.WeightedSumConst(score, dScore), g.WeightedSumConst(sum, dSum)), g.WeightedSumConst(mean, dMean)))

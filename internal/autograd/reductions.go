@@ -46,30 +46,14 @@ func (g *Graph) BCEWithLogits(logits *Var, labels []float64) *Var {
 	return o
 }
 
-// LayerNormRows normalizes each row, then applies gain and bias (both 1×C
-// parameters).
-func (g *Graph) LayerNormRows(a, gain, bias *Var) *Var {
-	const eps = 1e-5
-	needs := a.NeedsGrad() || gain.NeedsGrad() || bias.NeedsGrad()
-	o := g.out(a.Rows(), a.Cols(), needs)
-	if !o.NeedsGrad() {
-		tensor.LayerNormRowsInto(o.Val, a.Val, gain.Val, bias.Val, nil, nil, eps)
-		return o
-	}
-	// Per-row statistics for the backward pass, with graph lifetime.
-	means := g.arena.Get(1, a.Rows())
-	invStds := g.arena.Get(1, a.Rows())
-	tensor.LayerNormRowsInto(o.Val, a.Val, gain.Val, bias.Val, means.Data, invStds.Data, eps)
-	g.push(tapeEntry{op: opLayerNormRows, out: o, a: a, b: gain, c: bias, aux1: means, aux2: invStds})
-	return o
-}
-
-// LayerNormSlots is LayerNormRows over the rows×C layout that holds a's row
-// i at row slots[i] (strictly ascending) and a zero row everywhere else,
-// without forming that layout: the output's named rows normalize a's rows,
-// every other row is the normalization of a zero row. Values and gradients
-// are bitwise LayerNormRows(ScatterRows(a, slots, rows), gain, bias)'s
-// (DESIGN.md §6). slots is borrowed until Backward/Reset.
+// LayerNormSlots normalizes each row of the rows×C layout that holds a's row
+// i at row slots[i] (strictly ascending) and a zero row everywhere else, then
+// applies gain and bias (both 1×C parameters), without forming that layout:
+// the output's named rows normalize a's rows, every other row is the
+// normalization of a zero row. Values and gradients are bitwise those of
+// normalizing ScatterRows(a, slots, rows) row by row (DESIGN.md §6); with
+// every row named (slots = RowRange(a.Rows())) it is plain row
+// normalization. slots is borrowed until Backward/Reset.
 func (g *Graph) LayerNormSlots(a, gain, bias *Var, slots []int32, rows int) *Var {
 	const eps = 1e-5
 	needs := a.NeedsGrad() || gain.NeedsGrad() || bias.NeedsGrad()

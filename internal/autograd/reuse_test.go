@@ -16,12 +16,12 @@ var reuseLabels = []float64{1, 0, 1, 1, 0, 0}
 
 // reuseLoss exercises every op family on one graph: dense primitives, shape
 // ops, activations, grouped kernels, reductions, both slot softmaxes and the
-// mixer's slot forms of LayerNorm and token mixing. It
-// is deterministic given the params.
+// mixer's slot forms of LayerNorm (every row named, and a proper subset)
+// and token mixing. It is deterministic given the params.
 func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	const groups, k = 3, 4 // p["keys"] is (groups·k)×d
 	x := g.Affine(p["x"], p["w"], p["b"])
-	x = g.LayerNormRows(x, p["gain"], p["bias"])
+	x = g.LayerNormSlots(x, p["gain"], p["bias"], g.RowRange(x.Rows()), x.Rows())
 	x = g.GELU(x)
 
 	// A linear layer over two parts, one of which (x) later ops read again.
@@ -34,7 +34,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 			slots = append(slots, s)
 		}
 	}
-	scores := g.Scale(g.GroupedScore(q, g.GatherRows(p["keys"], slots), slots, k), 1/math.Sqrt(k))
+	scores := g.GroupedScore(q, g.GatherRows(p["keys"], slots), slots, k, 1/math.Sqrt(k))
 	attn := g.SoftmaxSlots(scores, slots)
 	agg := g.GroupedWeightedSum(attn, g.GatherRows(p["vals"], slots), slots, k)
 
@@ -57,7 +57,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 		idx[i] = int32(i % groups)
 	}
 	gathered := g.GatherRows(g.ConcatCols(x, agg, mean), idx)
-	rep := g.GatherRows(g.Add(g.LeakyReLU(x, 0.2), g.Scale(x, -0.5)), idx)
+	rep := g.GatherRows(g.Add(g.LeakyReLU(x, 0.2), x), idx)
 	rep = g.ConcatCols(rep, rep, rep) // widen to match gathered
 
 	// Compute on a subset of the rows and scatter back, as the models do
@@ -67,7 +67,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 		keep[i] = int32(2*i + i%2)
 	}
 	kept := g.GatherRows(g.Add(gathered, rep), keep)
-	masked := g.ScatterRows(g.Scale(kept, 1.5), keep, 2*groups)
+	masked := g.ScatterRows(kept, keep, 2*groups)
 
 	logits := g.Reshape(g.Affine(g.LeakyReLU(masked, 0.2), p["head"], p["headB"]), 2*groups, 1)
 	bce := g.BCEWithLogits(logits, reuseLabels)
@@ -392,13 +392,13 @@ func TestPoisonFlagsUseAfterReset(t *testing.T) {
 	g := NewReusable()
 	g.Arena().SetPoison(true)
 	a := NewParam(tensor.FromSlice(1, 2, []float64{1, 2}))
-	stale := g.Scale(a, 2)
+	stale := g.Add(a, a)
 	g.Reset()
 	if !math.IsNaN(stale.Val.Data[0]) {
 		t.Fatalf("stale intermediate reads %v after Reset, want NaN under poison", stale.Val.Data[0])
 	}
 	// The graph itself keeps working.
-	fresh := g.Scale(a, 2)
+	fresh := g.Add(a, a)
 	if fresh.Val.Data[0] != 2 {
 		t.Fatalf("post-Reset op = %v, want 2", fresh.Val.Data[0])
 	}

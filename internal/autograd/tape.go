@@ -13,7 +13,6 @@ type opKind uint8
 const (
 	opAffine opKind = iota
 	opAdd
-	opScale
 	opConcatCols
 	opReshape
 	opGatherRows
@@ -28,7 +27,6 @@ const (
 	opGroupMean
 	opWeightedSumConst
 	opBCEWithLogits
-	opLayerNormRows
 	opLayerNormSlots
 
 	opGroupedScore
@@ -44,13 +42,13 @@ const (
 type tapeEntry struct {
 	op     opKind
 	group  int     // GroupMean/Grouped* neighborhood size
-	scalar float64 // Scale factor, LeakyReLU slope
+	scalar float64 // GroupedScore scale, LeakyReLU slope
 
 	out     *Var
 	a, b, c *Var // inputs; b is Affine's weight, c Affine's and LayerNorm's bias
 
 	coef         *tensor.Matrix // WeightedSumConst coefficients
-	aux1, aux2   *tensor.Matrix // LayerNorm per-row means / inverse stddevs (1×R, the named rows for LayerNormSlots); aux1: GELU's tanh, Cos's sin
+	aux1, aux2   *tensor.Matrix // LayerNormSlots' per-row means / inverse stddevs (1×R, the named rows); aux1: GELU's tanh, Cos's sin
 	idx          []int32        // GatherRows/ScatterRows indices; the slot ops' and neighborhood reductions' slots (borrowed)
 	labels       []float64      // BCEWithLogits labels (borrowed)
 	refLo, refHi int            // Affine/ConcatCols part list: g.varRefs[refLo:refHi]
@@ -83,9 +81,6 @@ func (g *Graph) backstep(e *tapeEntry) {
 		if e.b.NeedsGrad() {
 			tensor.AddInto(e.b.Grad, e.b.Grad, e.out.Grad)
 		}
-
-	case opScale:
-		e.a.Grad.AxpyInPlace(e.scalar, e.out.Grad)
 
 	case opConcatCols:
 		rows := e.out.Rows()
@@ -186,17 +181,11 @@ func (g *Graph) backstep(e *tapeEntry) {
 			e.a.Grad.Data[i] += d * (mathx.Sigmoid(e.a.Val.Data[i]) - y)
 		}
 
-	case opLayerNormRows:
-		a, dGain, dBias := e.a, gradData(e.b), gradData(e.c)
-		for i := 0; i < a.Rows(); i++ {
-			layerNormRowGrad(gradRow(a, i), a.Val.Row(i), e.out.Grad.Row(i), e.b.Val.Data, dGain, dBias, e.aux1.Data[i], e.aux2.Data[i])
-		}
-
 	case opLayerNormSlots:
-		// Rows ascending, as LayerNormRows over the padded layout. An unnamed
-		// row normalized a zero row: its x̂ is +0, so its gain term dy·(+0)
-		// is ±0, which leaves a gradient that started at +0 as it is
-		// (DESIGN.md §6); its input gradient has no row to go to.
+		// Rows ascending. An unnamed row normalized a zero row: its x̂ is
+		// +0, so its gain term dy·(+0) is ±0, which leaves a gradient that
+		// started at +0 as it is (DESIGN.md §6); its input gradient has no
+		// row to go to.
 		a, dGain, dBias := e.a, gradData(e.b), gradData(e.c)
 		r := 0
 		for row := 0; row < e.out.Rows(); row++ {
@@ -213,10 +202,10 @@ func (g *Graph) backstep(e *tapeEntry) {
 
 	case opGroupedScore:
 		// The named slots ascending; slot s's score gradient is out.Grad
-		// element s.
+		// element s times the scale.
 		q, keys := e.a, e.b
 		for r, s := range e.idx {
-			ds := e.out.Grad.Data[s]
+			ds := e.scalar * e.out.Grad.Data[s]
 			if ds == 0 {
 				continue
 			}
@@ -270,11 +259,10 @@ func (g *Graph) backstep(e *tapeEntry) {
 	}
 }
 
-// layerNormRowGrad is one row of LayerNorm's backward, the one body both
-// LayerNorm ops run: x the row's input, dy its output gradient, gain the
-// gain's values, mean and invStd the row's statistics. It adds the row's
-// terms to dGain and dBias and its input gradient to dx; a nil one (a
-// constant's) is left out.
+// layerNormRowGrad is one row of LayerNorm's backward: x the row's input, dy
+// its output gradient, gain the gain's values, mean and invStd the row's
+// statistics. It adds the row's terms to dGain and dBias and its input
+// gradient to dx; a nil one (a constant's) is left out.
 func layerNormRowGrad(dx, x, dy, gain, dGain, dBias []float64, mean, invStd float64) {
 	c := float64(len(x))
 	dy, gain = dy[:len(x)], gain[:len(x)]

@@ -59,7 +59,7 @@ func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, block *LayerBlock) (hT
 	for i, s := range block.Valid {
 		idxN[i] = int32(t) + s
 	}
-	return g.GatherRows(h, rowRange(g, t)), g.GatherRows(h, idxN)
+	return g.GatherRows(h, g.RowRange(t)), g.GatherRows(h, idxN)
 }
 
 // Forward implements TGNN (Eqs. 8–9).

@@ -70,7 +70,7 @@ func paddedTGATLayers(m *TGAT, g *autograd.Graph, mb *MiniBatch) (hs []*autograd
 		q := layer.wq.Apply(g, g.ConcatCols(hT, layer.timeEnc.EncodeZeros(g, t)))
 		keys := layer.wk.Apply(g, msg)
 		vals := layer.wv.Apply(g, msg)
-		scores := g.Scale(g.GroupedScore(q, keys, allRows(t*n), n), 1/math.Sqrt(float64(n)))
+		scores := g.GroupedScore(q, keys, allRows(t*n), n, 1/math.Sqrt(float64(n)))
 		scores = g.Add(scores, g.Const(paddingBias(block)))
 		attn := g.Reshape(g.SoftmaxSlots(scores, allRows(t*n)), t*n, 1)
 		attn = g.Reshape(maskRows(g, attn, block.Valid), t, n)
@@ -213,7 +213,7 @@ func TestTGATEmbedsLiveTargetsOnly(t *testing.T) {
 	g := autograd.New()
 	padded := paddedTGATLayers(m, g, mb)
 
-	live := rowRange(g, roots)
+	live := g.RowRange(roots)
 	for k := layers - 1; k >= 0; k-- {
 		block := mb.Layers[k]
 		h := m.embed(g, mb, k, live, &CoTrainInfo{})

@@ -85,17 +85,8 @@ func (m *TGAT) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrai
 	}
 	top := len(mb.Layers) - 1
 	info := &CoTrainInfo{Budget: mb.Layers[top].Budget}
-	info.Out = m.embed(g, mb, top, rowRange(g, mb.Roots()), info)
+	info.Out = m.embed(g, mb, top, g.RowRange(mb.Roots()), info)
 	return info.Out, info
-}
-
-// rowRange is the identity index 0..n−1, in graph-lifetime storage.
-func rowRange(g *autograd.Graph, n int) []int32 {
-	idx := g.Ints(n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return idx
 }
 
 // liveSlots walks block.Valid against live (both ascending) and returns the
@@ -194,7 +185,7 @@ func (m *TGAT) aggregate(g *autograd.Graph, mb *MiniBatch, k int, live []int32, 
 	// of it.
 	h, rows := g.Const(mb.LeafFeat), below
 	if k > 0 {
-		h, rows = m.embed(g, mb, k-1, below, info), rowRange(g, len(below))
+		h, rows = m.embed(g, mb, k-1, below, info), g.RowRange(len(below))
 	}
 	hT, hN := g.GatherRows(h, rows[:t]), g.GatherRows(h, rows[t:])
 
@@ -216,7 +207,7 @@ func (m *TGAT) aggregate(g *autograd.Graph, mb *MiniBatch, k int, live []int32, 
 	// reductions read the key and value rows against their slots of the t·n
 	// layout, and the softmax normalizes over those slots only: a padded
 	// slot scores +0 and gets weight +0.
-	scores := g.Scale(g.GroupedScore(q, keys, slots, n), 1/math.Sqrt(float64(n)))
+	scores := g.GroupedScore(q, keys, slots, n, 1/math.Sqrt(float64(n)))
 	attn := g.SoftmaxSlots(scores, slots)
 	agg := g.GroupedWeightedSum(attn, vals, slots, n)
 

@@ -70,9 +70,9 @@ func NewLayerNorm(dim int) *LayerNorm {
 	}
 }
 
-// Apply normalizes each row of x.
+// Apply normalizes each row of x: LayerNormSlots with every row named.
 func (l *LayerNorm) Apply(g *autograd.Graph, x *autograd.Var) *autograd.Var {
-	return g.LayerNormRows(x, l.Gain, l.Bias)
+	return g.LayerNormSlots(x, l.Gain, l.Bias, g.RowRange(x.Rows()), x.Rows())
 }
 
 // Params implements Module.

@@ -41,7 +41,7 @@ func TestLinearLearnsIdentity(t *testing.T) {
 		mean.Fill(1.0 / 16)
 		diff := g.Add(pred, autograd.NewConst(negTarget))
 		// Each row's diff·diff, the dot product of a one-slot neighborhood.
-		lossVar := g.WeightedSumConst(g.GroupedScore(diff, diff, everyRow(16), 1), mean)
+		lossVar := g.WeightedSumConst(g.GroupedScore(diff, diff, everyRow(16), 1, 1), mean)
 		loss = lossVar.Val.Data[0]
 		g.Backward(lossVar)
 		opt.Step()
@@ -305,7 +305,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		g := autograd.New()
 		diff := g.Add(p, autograd.NewConst(tensor.FromSlice(1, 1, []float64{-3})))
-		g.Backward(g.GroupedScore(diff, diff, []int32{0}, 1))
+		g.Backward(g.GroupedScore(diff, diff, []int32{0}, 1, 1))
 		opt.Step()
 		opt.ZeroGrad()
 	}

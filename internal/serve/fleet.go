@@ -468,7 +468,7 @@ func (f *Fleet) Stats() FleetStats {
 	st.SnapshotEvents = st.Events
 	st.Events = int(f.ingested.Load())
 	st.Requests = f.requests.Load()
-	st.P50, st.P99 = f.lat.quantile(0.50), f.lat.quantile(0.99)
+	st.P50, st.P99 = f.lat.percentiles()
 	st.derive(time.Now())
 	return st
 }

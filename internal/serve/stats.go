@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -44,14 +45,21 @@ func (r *latencyRing) sample(dst []float64) []float64 {
 	return append(dst[:0], r.buf...)
 }
 
-// quantile returns the q-quantile of the retained window (0 when empty).
-func (r *latencyRing) quantile(q float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
+// percentiles returns P50 and P99 of the retained window (0 when empty),
+// both from one sample() copy sorted after the lock is released, so a stats
+// read never stalls add() either.
+func (r *latencyRing) percentiles() (p50, p99 time.Duration) {
+	w := r.sample(nil)
+	sort.Float64s(w)
+	return windowQuantile(w, 0.50), windowQuantile(w, 0.99)
+}
+
+// windowQuantile is the q-quantile of a sorted latency window (0 when empty).
+func windowQuantile(sorted []float64, q float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	return time.Duration(stats.Quantile(r.buf, q) * float64(time.Second))
+	return time.Duration(stats.SortedQuantile(sorted, q) * float64(time.Second))
 }
 
 // Stats is a point-in-time summary of an engine and, marshalled as is, its
@@ -254,11 +262,10 @@ func (e *Engine) Stats() Stats {
 		Roots:         e.roots.Load(),
 		WeightVersion: e.weightVersion.Load(),
 		WeightSwaps:   e.weightSwaps.Load(),
-		P50:           e.lat.quantile(0.50),
-		P99:           e.lat.quantile(0.99),
 		Durable:       e.wlog != nil,
 		ReadOnly:      e.readOnly.Load(),
 	}
+	s.P50, s.P99 = e.lat.percentiles()
 	if s.WeightSwaps > 0 {
 		s.AvgSwap = time.Duration(e.swapNanos.Load() / int64(s.WeightSwaps))
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -10,12 +11,18 @@ import (
 
 // TestLatencyRingWrapAround pins the ring semantics: once full, new samples
 // overwrite the oldest, so quantiles cover exactly the last `capacity`
-// samples.
+// samples. It reads the window the way percentiles does: one sample() copy,
+// sorted.
 func TestLatencyRingWrapAround(t *testing.T) {
 	var r latencyRing
 	r.init(4)
-	if got := r.quantile(0.5); got != 0 {
-		t.Fatalf("empty ring quantile = %v, want 0", got)
+	quantile := func(q float64) time.Duration {
+		w := r.sample(nil)
+		sort.Float64s(w)
+		return windowQuantile(w, q)
+	}
+	if p50, p99 := r.percentiles(); p50 != 0 || p99 != 0 {
+		t.Fatalf("empty ring percentiles = %v, %v, want 0", p50, p99)
 	}
 	for _, ms := range []int{10, 20, 30, 40} {
 		r.add(time.Duration(ms) * time.Millisecond)
@@ -23,7 +30,7 @@ func TestLatencyRingWrapAround(t *testing.T) {
 	if r.n != 4 || len(r.buf) != 4 {
 		t.Fatalf("fill: n=%d len=%d", r.n, len(r.buf))
 	}
-	if got, want := r.quantile(1), 40*time.Millisecond; !near(got, want) {
+	if got, want := quantile(1), 40*time.Millisecond; !near(got, want) {
 		t.Fatalf("max = %v, want %v", got, want)
 	}
 	// Two more samples evict 10ms and 20ms: the window is {30,40,50,60}.
@@ -32,21 +39,26 @@ func TestLatencyRingWrapAround(t *testing.T) {
 	if r.n != 6 || len(r.buf) != 4 {
 		t.Fatalf("wrap: n=%d len=%d", r.n, len(r.buf))
 	}
-	if got := r.quantile(0); !near(got, 30*time.Millisecond) {
+	if got := quantile(0); !near(got, 30*time.Millisecond) {
 		t.Fatalf("min after wrap = %v, want 30ms (oldest samples evicted)", got)
 	}
-	if got := r.quantile(1); !near(got, 60*time.Millisecond) {
+	if got := quantile(1); !near(got, 60*time.Millisecond) {
 		t.Fatalf("max after wrap = %v, want 60ms", got)
 	}
-	// The median must fall inside the retained window, not the evicted one.
-	if got := r.quantile(0.5); got < 30*time.Millisecond || got > 60*time.Millisecond {
-		t.Fatalf("median %v outside retained window", got)
+	// The median must fall inside the retained window, not the evicted one,
+	// and percentiles reads the same window.
+	p50, p99 := r.percentiles()
+	if p50 < 30*time.Millisecond || p50 > 60*time.Millisecond {
+		t.Fatalf("median %v outside retained window", p50)
+	}
+	if p50 != quantile(0.5) || p99 != quantile(0.99) {
+		t.Fatalf("percentiles = %v, %v, window quantiles %v, %v", p50, p99, quantile(0.5), quantile(0.99))
 	}
 	// Wrap all the way around: only the newest `capacity` samples remain.
 	for i := 0; i < 8; i++ {
 		r.add(time.Duration(100+i) * time.Millisecond)
 	}
-	if got := r.quantile(0); !near(got, 104*time.Millisecond) {
+	if got := quantile(0); !near(got, 104*time.Millisecond) {
 		t.Fatalf("min after full wrap = %v, want 104ms", got)
 	}
 }

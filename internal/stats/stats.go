@@ -73,17 +73,23 @@ func (t *Timer) Breakdown() string {
 
 // Quantile returns the q-quantile (0≤q≤1) of xs by sorting a copy.
 func Quantile(xs []float64, q float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return SortedQuantile(cp, q)
+}
+
+// SortedQuantile is Quantile of xs already sorted ascending, read in place
+// (NaN when empty).
+func SortedQuantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	pos := q * float64(len(cp)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"taser/internal/mathx"
@@ -204,6 +205,7 @@ func BenchmarkGroupedMatMulLeft(b *testing.B) {
 // operand: laying the valid rows out over zero rows.
 func BenchmarkGroupedSlots(b *testing.B) {
 	const t, n, d, fill = 200, 10, 24, 0.54
+	scale := 1 / math.Sqrt(n) // TGAT's attention scale
 	rng := mathx.NewRNG(29)
 	var valid []int32
 	for s := 0; s < t*n; s++ {
@@ -235,7 +237,7 @@ func BenchmarkGroupedSlots(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"GroupedScore", func() { GroupedScoreInto(scores, q, form.rows, form.slots, n) }},
+			{"GroupedScore", func() { GroupedScoreInto(scores, q, form.rows, form.slots, n, scale) }},
 			{"GroupedWeightedSum", func() { GroupedWeightedSumInto(sum, w, form.rows, form.slots, n) }},
 			{"GroupMean", func() { GroupMeanInto(sum, form.rows, form.slots, n) }},
 			{"SoftmaxSlots", func() { SoftmaxSlotsInto(scores, form.logits, form.slots, false) }},

@@ -84,32 +84,15 @@ func SoftmaxSlotsInto(dst, src *Matrix, slots []int32, log bool) {
 	}
 }
 
-// LayerNormRowsInto normalizes each row of src to zero mean / unit variance,
-// then applies the per-column gain g and bias b (both 1×C). meanOut/invStdOut
-// (len Rows) receive the per-row statistics needed for the backward pass; they
-// may be nil for inference. Zero-column input is a no-op (no statistics are
-// written either: a zero-width row has no mean).
-func LayerNormRowsInto(dst, src, g, b *Matrix, meanOut, invStdOut []float64, eps float64) {
-	src.shapeCheck(dst, "LayerNormRows")
-	checkNormParams(src, g, b)
-	if src.Cols == 0 {
-		return
-	}
-	c := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		mean, invStd := layerNormRow(dst.Data[i*c:i*c+c], src.Data[i*c:i*c+c], g.Data, b.Data, eps)
-		if meanOut != nil {
-			meanOut[i], invStdOut[i] = mean, invStd
-		}
-	}
-}
-
-// LayerNormSlotsInto is LayerNormRowsInto over the dst.Rows×C layout that
-// holds src row i at row slots[i] (strictly ascending) and a zero row
-// everywhere else, without forming it: a named row is normalized from src,
-// every other row is the normalization of a zero row, computed at the first
-// such row and copied to the rest. meanOut/invStdOut (len len(slots), or nil)
-// receive the named rows' statistics. Every row of dst is written.
+// LayerNormSlotsInto normalizes each row of the dst.Rows×C layout that holds
+// src row i at row slots[i] (strictly ascending) and a zero row everywhere
+// else, without forming it, to zero mean / unit variance, then applies the
+// per-column gain g and bias b (both 1×C): a named row is normalized from
+// src, every other row is the normalization of a zero row, computed at the
+// first such row and copied to the rest. With every row named it is plain
+// row normalization. meanOut/invStdOut (len len(slots), or nil) receive the
+// named rows' statistics. Every row of dst is written; zero-column input is a
+// no-op (a zero-width row has no mean).
 func LayerNormSlotsInto(dst, src, g, b *Matrix, slots []int32, meanOut, invStdOut []float64, eps float64) {
 	if src.Rows != len(slots) || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: LayerNormSlots src %dx%d for %d slots into width %d",
@@ -177,7 +160,7 @@ func layerNormRow(out, in, g, b []float64, eps float64) (mean, invStd float64) {
 // checkNormParams panics unless the gain and bias span src's columns.
 func checkNormParams(src, g, b *Matrix) {
 	if g.Cols != src.Cols || b.Cols != src.Cols {
-		panic("tensor: LayerNormRows gain/bias width")
+		panic("tensor: LayerNorm gain/bias width")
 	}
 }
 
@@ -352,12 +335,12 @@ func GroupMeanInto(dst, src *Matrix, slots []int32, group int) {
 	}
 }
 
-// GroupedScoreInto computes per-group dot products over the named slots:
-// scores[g][k] = q.Row(g) · keys.Row(r) for the key row r whose slot is
-// g·group+k, and exactly +0 for a slot no key row names. scores is
+// GroupedScoreInto computes per-group scaled dot products over the named
+// slots: scores[g][k] = (q.Row(g) · keys.Row(r))·scale for the key row r whose
+// slot is g·group+k, and exactly +0 for a slot no key row names. scores is
 // q.Rows×group; keys has one row per slot. Zero-width embeddings (d == 0)
 // score 0 everywhere.
-func GroupedScoreInto(scores, q, keys *Matrix, slots []int32, group int) {
+func GroupedScoreInto(scores, q, keys *Matrix, slots []int32, group int, scale float64) {
 	if group <= 0 {
 		panic(fmt.Sprintf("tensor: GroupedScore group %d must be positive", group))
 	}
@@ -390,10 +373,10 @@ func GroupedScoreInto(scores, q, keys *Matrix, slots []int32, group int) {
 			s2 += q2[j] * k2[j]
 			s3 += q3[j] * k3[j]
 		}
-		scores.Data[sl[0]] = s0
-		scores.Data[sl[1]] = s1
-		scores.Data[sl[2]] = s2
-		scores.Data[sl[3]] = s3
+		scores.Data[sl[0]] = s0 * scale
+		scores.Data[sl[1]] = s1 * scale
+		scores.Data[sl[2]] = s2 * scale
+		scores.Data[sl[3]] = s3 * scale
 	}
 	for ; r < len(slots); r++ {
 		s := slots[r]
@@ -403,7 +386,7 @@ func GroupedScoreInto(scores, q, keys *Matrix, slots []int32, group int) {
 		for j, qv := range qrow {
 			sum += qv * krow[j]
 		}
-		scores.Data[s] = sum
+		scores.Data[s] = sum * scale
 	}
 }
 

@@ -17,7 +17,7 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 	SoftmaxSlotsInto(New(3, 0), New(3, 0), nil, false)
 	mean := []float64{-7, -7, -7}
 	invStd := []float64{-7, -7, -7}
-	LayerNormRowsInto(New(3, 0), New(3, 0), New(1, 0), New(1, 0), mean, invStd, 1e-5)
+	LayerNormSlotsInto(New(3, 0), New(3, 0), New(1, 0), New(1, 0), everySlot(3), mean, invStd, 1e-5)
 	for i := range mean {
 		if mean[i] != -7 || invStd[i] != -7 {
 			t.Fatal("LayerNorm wrote statistics for zero-width rows")
@@ -25,20 +25,20 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 	}
 	// Zero rows.
 	SoftmaxSlotsInto(New(0, 5), New(0, 5), nil, true)
-	LayerNormRowsInto(New(0, 5), New(0, 5), New(1, 5), New(1, 5), nil, nil, 1e-5)
+	LayerNormSlotsInto(New(0, 5), New(0, 5), New(1, 5), New(1, 5), everySlot(0), nil, nil, 1e-5)
 
 	// Zero-width grouped kernels.
 	GroupedWeightedSumInto(New(2, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), everySlot(4), 2)
 	GroupedMatMulLeftInto(New(4, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), 2)
 	scores := FromSlice(2, 2, []float64{9, 9, 9, 9})
-	GroupedScoreInto(scores, New(2, 0), New(4, 0), everySlot(4), 2)
+	GroupedScoreInto(scores, New(2, 0), New(4, 0), everySlot(4), 2, 1)
 	for _, v := range scores.Data {
 		if v != 0 {
 			t.Fatal("zero-width embeddings must score 0")
 		}
 	}
 	// Zero groups (empty batch).
-	GroupedScoreInto(New(0, 2), New(0, 3), New(0, 3), nil, 2)
+	GroupedScoreInto(New(0, 2), New(0, 3), New(0, 3), nil, 2, 1)
 	GroupedWeightedSumInto(New(0, 3), New(0, 2), New(0, 3), nil, 2)
 	GroupMeanInto(New(0, 3), New(0, 3), nil, 2)
 }
@@ -49,7 +49,7 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 func TestGroupedKernelsPanicOnNonPositiveGroup(t *testing.T) {
 	cases := map[string]func(group int){
 		"GroupMeanInto":          func(g int) { GroupMeanInto(New(2, 2), New(4, 2), everySlot(4), g) },
-		"GroupedScoreInto":       func(g int) { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 3), everySlot(4), g) },
+		"GroupedScoreInto":       func(g int) { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 3), everySlot(4), g, 1) },
 		"GroupedWeightedSumInto": func(g int) { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(4, 3), everySlot(4), g) },
 		"GroupedMatMulLeftInto":  func(g int) { GroupedMatMulLeftInto(New(4, 3), New(2, 2), New(4, 3), g) },
 	}
@@ -134,7 +134,7 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 		b := rows / group
 		q := Randn(b, d, 1, rng)
 		scores := New(b, group)
-		GroupedScoreInto(scores, q, keys, everySlot(rows), group)
+		GroupedScoreInto(scores, q, keys, everySlot(rows), group, 1)
 		wantScores := New(b, group)
 		groupedScoreNaive(wantScores, q, keys, group)
 		if !scores.Equal(wantScores, 1e-12) {

@@ -103,7 +103,7 @@ func TestLayerNormRows(t *testing.T) {
 	dst := New(1, 4)
 	mean := make([]float64, 1)
 	invStd := make([]float64, 1)
-	LayerNormRowsInto(dst, src, g, b, mean, invStd, 1e-5)
+	LayerNormSlotsInto(dst, src, g, b, everySlot(1), mean, invStd, 1e-5)
 	var s, ss float64
 	for _, v := range dst.Row(0) {
 		s += v
@@ -125,7 +125,7 @@ func TestLayerNormGainBias(t *testing.T) {
 	g := FromSlice(1, 2, []float64{2, 2})
 	b := FromSlice(1, 2, []float64{5, 5})
 	dst := New(1, 2)
-	LayerNormRowsInto(dst, src, g, b, nil, nil, 0)
+	LayerNormSlotsInto(dst, src, g, b, everySlot(1), nil, nil, 0)
 	if math.Abs(dst.At(0, 0)-3) > 1e-9 || math.Abs(dst.At(0, 1)-7) > 1e-9 {
 		t.Fatalf("gain/bias application: %v", dst.Row(0))
 	}
@@ -218,8 +218,8 @@ func TestGroupedScore(t *testing.T) {
 	q := FromSlice(2, 2, []float64{1, 0, 0, 1})
 	keys := FromSlice(4, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	scores := New(2, 2)
-	GroupedScoreInto(scores, q, keys, everySlot(4), 2)
-	want := FromSlice(2, 2, []float64{1, 3, 6, 8})
+	GroupedScoreInto(scores, q, keys, everySlot(4), 2, 0.5)
+	want := FromSlice(2, 2, []float64{0.5, 1.5, 3, 4})
 	if !scores.Equal(want, 1e-12) {
 		t.Fatalf("grouped score: %v", scores)
 	}
@@ -257,13 +257,13 @@ func TestGroupedMatMulLeftMatchesPerGroupMatMul(t *testing.T) {
 func TestGroupedShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { GroupMeanInto(New(2, 2), New(5, 2), everySlot(4), 2) },
-		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 2), everySlot(4), 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 2), everySlot(4), 2, 1) },
 		func() { GroupedWeightedSumInto(New(2, 2), New(2, 3), New(4, 2), everySlot(4), 2) },
 		// Slots out of order, repeated, negative or past the layout.
 		func() { GroupMeanInto(New(2, 2), New(2, 2), []int32{3, 1}, 2) },
-		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{1, 1}, 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{1, 1}, 2, 1) },
 		func() { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(2, 3), []int32{-1, 2}, 2) },
-		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{0, 4}, 2) },
+		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{0, 4}, 2, 1) },
 		func() { GroupedMatMulLeftInto(New(4, 2), New(2, 3), New(4, 2), 2) },
 	}
 	for i, f := range cases {

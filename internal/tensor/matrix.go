@@ -154,27 +154,10 @@ func AddInto(dst, a, b *Matrix) {
 	}
 }
 
-// ScaleInto writes s·a into dst in one pass; dst may alias a.
-func ScaleInto(dst, a *Matrix, s float64) {
-	a.shapeCheck(dst, "ScaleInto")
-	out := dst.Data[:len(a.Data)] // hoists the loop's bounds check
-	for i, v := range a.Data {
-		out[i] = v * s
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// AxpyInPlace computes m += alpha*o.
-func (m *Matrix) AxpyInPlace(alpha float64, o *Matrix) {
-	m.shapeCheck(o, "AxpyInPlace")
-	for i, v := range o.Data {
-		m.Data[i] += alpha * v
 	}
 }
 

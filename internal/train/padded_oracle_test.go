@@ -33,7 +33,7 @@ func paddedTGAT(g *autograd.Graph, params []*autograd.Var, mb *models.MiniBatch)
 		msg := g.ConcatCols(hN, g.Const(block.EdgeFeat), timeEnc(block.DeltaT))
 		q := g.Affine(g.ConcatCols(hT, timeEnc(tensor.New(t, 1))), p[2], p[3])
 		keys, vals := g.Affine(msg, p[4], p[5]), g.Affine(msg, p[6], p[7])
-		scores := g.Scale(g.GroupedScore(q, keys, rowsFrom(0, t*n), n), 1/math.Sqrt(float64(n)))
+		scores := g.GroupedScore(q, keys, rowsFrom(0, t*n), n, 1/math.Sqrt(float64(n)))
 		bias := tensor.New(t, n) // from the valid-slot index
 		bias.Fill(-1e9)
 		for _, s := range block.Valid {
