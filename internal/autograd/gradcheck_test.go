@@ -267,7 +267,7 @@ func TestGradGroupedMatMulLeft(t *testing.T) {
 	src := NewParam(tensor.Randn(b*k, c, 1, rng))
 	coef := tensor.Randn(b*k2, c, 1, rng)
 	gradCheck(t, []*Var{w, src}, func(g *Graph) *Var {
-		return g.WeightedSumConst(g.GroupedMatMulLeft(w, src, k), coef)
+		return g.WeightedSumConst(g.GroupedMatMulLeftSlots(w, src, g.RowRange(b*k2)), coef)
 	}, 1e-6)
 }
 

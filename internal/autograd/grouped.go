@@ -50,27 +50,16 @@ func (g *Graph) GroupMean(a *Var, slots []int32, rows, group int) *Var {
 	return o
 }
 
-// GroupedMatMulLeft applies a shared K2×K weight on the left of every K×C
-// group of src: out group g = w @ src group g. This is MLP-Mixer token mixing
-// (Eq. 16) batched over neighborhoods.
-func (g *Graph) GroupedMatMulLeft(w, src *Var, group int) *Var {
-	k2 := w.Rows()
-	b := src.Rows() / group
-	o := g.out(b*k2, src.Cols(), w.NeedsGrad() || src.NeedsGrad())
-	tensor.GroupedMatMulLeftInto(o.Val, w.Val, src.Val, group)
-	if o.NeedsGrad() {
-		g.push(tapeEntry{op: opGroupedMatMulLeft, out: o, a: w, b: src, group: group})
-	}
-	return o
-}
-
-// GroupedMatMulLeftSlots is GroupedMatMulLeft at the named output rows only:
-// row i is row slots[i] (strictly ascending) of GroupedMatMulLeft(w, src,
-// w.Cols), i.e. w row s % K @ src's w.Cols-row group s / K for s =
-// slots[i], K = w.Rows. The mixer's second token-mixing product runs here:
-// only the valid tokens' rows are read downstream. Values are bitwise the
-// full product's rows; gradients are bitwise its gradients wherever the
-// unnamed rows' output gradient would have been zero (DESIGN.md §6).
+// GroupedMatMulLeftSlots is MLP-Mixer token mixing (Eq. 16) batched over
+// neighborhoods, at the named output rows: a shared K×H weight w on the left
+// of every H-row group of src, row i of out being row s = slots[i]
+// (strictly ascending) of the stacked per-group products, w row s % K @ src
+// group s / K. The mixer names every row of its tokenUp product
+// (RowRange) and only the valid tokens' rows of its tokenDown product, all
+// that is read downstream. A named row is bitwise the same row however many
+// of its neighbors are named; gradients are bitwise those of naming every
+// row wherever the unnamed rows' output gradient would have been zero
+// (DESIGN.md §6).
 func (g *Graph) GroupedMatMulLeftSlots(w, src *Var, slots []int32) *Var {
 	o := g.out(len(slots), src.Cols(), w.NeedsGrad() || src.NeedsGrad())
 	tensor.GroupedMatMulLeftSlotsInto(o.Val, w.Val, src.Val, slots)

@@ -38,7 +38,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	attn := g.SoftmaxSlots(scores, slots)
 	agg := g.GroupedWeightedSum(attn, g.GatherRows(p["vals"], slots), slots, k)
 
-	mix := g.GroupedMatMulLeft(p["mix"], p["keys"], k)
+	mix := g.GroupedMatMulLeftSlots(p["mix"], p["keys"], g.RowRange(groups*p["mix"].Rows()))
 	mixSlots := g.Ints(3) // the mixed rows of groups 0 and 2 only
 	mixSlots[0], mixSlots[1], mixSlots[2] = 0, 1, 5
 	mean := g.GroupMean(g.GatherRows(mix, mixSlots), mixSlots, groups, p["mix"].Rows())
@@ -48,7 +48,7 @@ func reuseLoss(g *Graph, p map[string]*Var) *Var {
 	tokSlots := g.Ints(7)
 	copy(tokSlots, []int32{0, 1, 2, 5, 6, 8, 11})
 	tok := g.GatherRows(p["keys"], tokSlots)
-	up := g.GroupedMatMulLeft(p["mix"], g.LayerNormSlots(tok, p["gain"], p["bias"], tokSlots, groups*k), k)
+	up := g.GroupedMatMulLeftSlots(p["mix"], g.LayerNormSlots(tok, p["gain"], p["bias"], tokSlots, groups*k), g.RowRange(groups*p["mix"].Rows()))
 	tok = g.Add(tok, g.GroupedMatMulLeftSlots(p["mixDown"], g.GELU(up), tokSlots))
 	mean = g.Add(mean, g.GroupMean(tok, tokSlots, groups, k))
 
@@ -277,7 +277,7 @@ func largeParams() map[string]*Var {
 
 func largeLoss(g *Graph, p map[string]*Var) *Var {
 	h := g.GELU(g.AffineParts(p["w"], p["b"], p["x"], p["y"]))
-	return g.WeightedSumConst(g.GroupedMatMulLeft(p["mix"], h, 16), p["coef"].Val)
+	return g.WeightedSumConst(g.GroupedMatMulLeftSlots(p["mix"], h, g.RowRange(h.Rows())), p["coef"].Val)
 }
 
 // TestForwardOnlyPassMatchesRecording pins the forward-only checkout: the same

@@ -31,7 +31,6 @@ const (
 
 	opGroupedScore
 	opGroupedWeightedSum
-	opGroupedMatMulLeft
 	opGroupedMatMulLeftSlots
 	opKinds // count, for the test that must run every op
 )
@@ -246,12 +245,9 @@ func (g *Graph) backstep(e *tapeEntry) {
 			}
 		}
 
-	case opGroupedMatMulLeft:
+	case opGroupedMatMulLeftSlots:
 		// A constant input's Grad is nil, which is how the kernel is told
 		// to leave that half out.
-		tensor.GroupedMatMulLeftGradInto(e.a.Grad, e.b.Grad, e.out.Grad, e.a.Val, e.b.Val)
-
-	case opGroupedMatMulLeftSlots:
 		tensor.GroupedMatMulLeftSlotsGradInto(e.a.Grad, e.b.Grad, e.out.Grad, e.a.Val, e.b.Val, e.idx)
 
 	default:

@@ -107,8 +107,6 @@ func (m *MLP) Params() []*autograd.Var { return CollectParams(m.L1, m.L2) }
 // and the adaptive sampler's decoder (Eq. 16). Input is (B·K)×C with each
 // root's K neighbor tokens stored consecutively.
 type MixerBlock struct {
-	K int // tokens per group
-
 	normToken   *LayerNorm
 	tokenUp     *autograd.Var // Kh×K token-mixing weights (shared across groups)
 	tokenDown   *autograd.Var // K×Kh
@@ -129,7 +127,6 @@ func NewMixerBlock(k, c, tokenHidden, channelHidden int, rng *mathx.RNG) *MixerB
 	stdUp := math.Sqrt(2.0 / float64(k+tokenHidden))
 	stdDown := math.Sqrt(2.0 / float64(k+tokenHidden))
 	return &MixerBlock{
-		K:           k,
 		normToken:   NewLayerNorm(c),
 		tokenUp:     autograd.NewParam(tensor.Randn(tokenHidden, k, stdUp, rng)),
 		tokenDown:   autograd.NewParam(tensor.Randn(k, tokenHidden, stdDown, rng)),
@@ -143,18 +140,20 @@ func NewMixerBlock(k, c, tokenHidden, channelHidden int, rng *mathx.RNG) *MixerB
 // strictly ascending, in the slots×C layout of K tokens per group, where
 // every other row is a padding token. Apply returns the valid tokens' rows.
 //
-// Token mixing runs on that layout without forming it. A padding token's
-// LayerNorm output is the bias, not zero, and legitimately mixes into its
-// group, so tokenUp reads every row; tokenDown is computed at the valid
-// rows only, which are all that the residual and channel mixing (row-wise)
-// read. Values and gradients are bitwise those of the padded composition —
-// LayerNorm over x scattered into the layout with zero rows at padding,
-// both products over every row, the residual, then the valid rows gathered
+// Token mixing runs on that layout without forming it, both products in
+// one slot op. A padding token's LayerNorm output is the bias, not zero,
+// and legitimately mixes into its group, so tokenUp reads every row and
+// names every row of its output; tokenDown names the valid rows only, which
+// are all that the residual and channel mixing (row-wise) read. Values
+// and gradients are bitwise those of the padded composition — LayerNorm
+// over x scattered into the layout with zero rows at padding, both
+// products over every row, the residual, then the valid rows gathered
 // (DESIGN.md §6).
 func (m *MixerBlock) Apply(g *autograd.Graph, x *autograd.Var, valid []int32, slots int) *autograd.Var {
 	// Token mixing: for each group, tokenDown @ GELU(tokenUp @ norm(x)).
 	h := g.LayerNormSlots(x, m.normToken.Gain, m.normToken.Bias, valid, slots)
-	h = g.GELU(g.GroupedMatMulLeft(m.tokenUp, h, m.K))
+	hidden := slots / m.tokenUp.Cols() * m.tokenUp.Rows() // Kh hidden tokens per group
+	h = g.GELU(g.GroupedMatMulLeftSlots(m.tokenUp, h, g.RowRange(hidden)))
 	x = g.Add(x, g.GroupedMatMulLeftSlots(m.tokenDown, h, valid))
 	// Channel mixing: row-wise MLP.
 	h2 := m.channelMLP.Apply(g, m.normChannel.Apply(g, x))

@@ -193,13 +193,14 @@ func TestMixerGradFlowsToAllParams(t *testing.T) {
 
 // paddedMixerApply is MixerBlock.Apply as the padded composition it
 // replaces: x scattered into the slots×C layout with zero rows at padding,
-// token LayerNorm and both token products over every row, the residual over
-// every row, then the valid rows gathered for channel mixing.
+// token LayerNorm and both token products over every row (every output row
+// named), the residual over every row, then the valid rows gathered for
+// channel mixing.
 func paddedMixerApply(m *MixerBlock, g *autograd.Graph, x *autograd.Var, valid []int32, slots int) *autograd.Var {
 	xp := g.ScatterRows(x, valid, slots)
 	h := m.normToken.Apply(g, xp)
-	h = g.GELU(g.GroupedMatMulLeft(m.tokenUp, h, m.K))
-	h = g.GroupedMatMulLeft(m.tokenDown, h, m.tokenUp.Rows())
+	h = g.GELU(g.GroupedMatMulLeftSlots(m.tokenUp, h, g.RowRange(slots/m.tokenUp.Cols()*m.tokenUp.Rows())))
+	h = g.GroupedMatMulLeftSlots(m.tokenDown, h, g.RowRange(slots))
 	x = g.GatherRows(g.Add(xp, h), valid)
 	return g.Add(x, m.channelMLP.Apply(g, m.normChannel.Apply(g, x)))
 }

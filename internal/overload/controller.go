@@ -2,6 +2,7 @@ package overload
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -85,14 +86,17 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 func (c *Controller) MaxBatch() int { return int(c.batch.Load()) }
 
 // Tick runs one control step: sample the latency window, compute p99, apply
-// the AIMD law. An empty window holds — no evidence, no move.
+// the AIMD law. An empty window holds — no evidence, no move. The window is
+// sorted in place in the controller's own buffer, so a warm Tick allocates
+// nothing.
 func (c *Controller) Tick() Decision {
 	c.buf = c.cfg.Sample(c.buf[:0])
 	if len(c.buf) == 0 {
 		c.held.Add(1)
 		return DecisionHold
 	}
-	p99 := time.Duration(stats.Quantile(c.buf, 0.99) * float64(time.Second))
+	sort.Float64s(c.buf)
+	p99 := time.Duration(stats.SortedQuantile(c.buf, 0.99) * float64(time.Second))
 	return c.observe(p99)
 }
 

@@ -128,3 +128,20 @@ func TestNewControllerValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestControllerTickAllocFree: a warm Tick over a full 4,096-sample window
+// allocates nothing — the window is sorted in the controller's own buffer,
+// not copied for the quantile.
+func TestControllerTickAllocFree(t *testing.T) {
+	window := make([]float64, 4096) // seconds
+	for i := range window {
+		window[i] = float64((i*7919)%4096) * 1e-5
+	}
+	c := testController(t, func(dst []float64) []float64 {
+		return append(dst[:0], window...)
+	})
+	c.Tick() // warm: the buffer grows to the window once
+	if n := testing.AllocsPerRun(50, func() { c.Tick() }); n != 0 {
+		t.Fatalf("warm Tick allocates %v times, want 0", n)
+	}
+}

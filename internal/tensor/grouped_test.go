@@ -8,11 +8,12 @@ import (
 	"taser/internal/mathx"
 )
 
-// The straight-line scalar definitions of token mixing and its two
-// gradients: the oracle the tile drivers must match bit for bit. Every
-// element is accumulated in the order the kernels document — forward and
-// dSrc k-ascending on top of the destination (zero, resp. what dSrc holds),
-// dW per group from zero and added once.
+// The straight-line scalar definitions of token mixing over every row and
+// its two gradients: the oracle GroupedMatMulLeftSlotsInto and its gradient
+// must match bit for bit at the rows they name. Every element is
+// accumulated in the order the kernels document — forward and dSrc
+// k-ascending on top of the destination (zero, resp. what dSrc holds), dW
+// per group from zero and added once.
 
 func groupedForwardOracle(dst, w, src *Matrix) {
 	k2, group, c := w.Rows, w.Cols, src.Cols
@@ -73,10 +74,12 @@ var tokenMixShapes = [][4]int{
 	{3, 25, 73, 2}, {12, 25, 5, 2}, {12, 7, 16, 3}, {12, 3, 16, 3}, {1, 1, 1, 4}, {4, 8, 0, 2},
 }
 
-// TestGroupedMatMulLeftBitwiseMatchesScalar holds the forward product and
-// both halves of the backward kernel to the scalar oracle, Float64bits-equal, on the
-// assembly tile and on its Go twin, accumulating the gradients onto non-zero
-// destinations.
+// TestGroupedMatMulLeftBitwiseMatchesScalar holds the slot kernels to the
+// scalar oracles at the named rows, Float64bits-equal, on the assembly tile
+// and on its Go twin, for every slot set of tokenMixSlotSets: the forward
+// rows are the full product's rows, and both halves of the backward,
+// accumulated onto non-zero destinations, are the full product's gradients
+// under an output gradient that is zero at every unnamed row.
 func TestGroupedMatMulLeftBitwiseMatchesScalar(t *testing.T) {
 	defer forceGoTile(false)
 	for _, impl := range []string{"asm", "go"} {
@@ -86,37 +89,74 @@ func TestGroupedMatMulLeftBitwiseMatchesScalar(t *testing.T) {
 		rng := mathx.NewRNG(77)
 		for _, s := range tokenMixShapes {
 			k2, group, c, b := s[0], s[1], s[2], s[3]
-			name := fmt.Sprintf("%s %dx%d weight, %d groups of %d channels", impl, k2, group, b, c)
-			w, src, dOut := Randn(k2, group, 1, rng), Randn(b*group, c, 1, rng), Randn(b*k2, c, 1, rng)
+			w, src := Randn(k2, group, 1, rng), Randn(b*group, c, 1, rng)
+			full := New(b*k2, c)
+			groupedForwardOracle(full, w, src)
+			for _, set := range tokenMixSlotSets(k2, b) {
+				name := fmt.Sprintf("%s %dx%d weight, %d groups of %d channels, %s", impl, k2, group, b, c, set.name)
+				slots := set.slots
 
-			got, want := New(b*k2, c), New(b*k2, c)
-			got.Fill(7) // the forward form overwrites
-			GroupedMatMulLeftInto(got, w, src, group)
-			groupedForwardOracle(want, w, src)
-			if d := bitwiseDiff(got, want); d >= 0 {
-				t.Fatalf("%s: forward elem %d: got %v want %v", name, d, got.Data[d], want.Data[d])
-			}
-
-			dW, dSrc := Randn(k2, group, 1, rng), Randn(b*group, c, 1, rng)
-			wantW, wantSrc := dW.Clone(), dSrc.Clone()
-			groupedGradWOracle(wantW, dOut, src)
-			groupedGradSrcOracle(wantSrc, w, dOut, false)
-			// Each half alone (the other input a constant), then both.
-			onlyW, onlySrc := dW.Clone(), dSrc.Clone()
-			GroupedMatMulLeftGradInto(onlyW, nil, dOut, w, src)
-			GroupedMatMulLeftGradInto(nil, onlySrc, dOut, w, src)
-			GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src)
-			for _, m := range [][2]*Matrix{{onlyW, wantW}, {dW, wantW}} {
-				if d := bitwiseDiff(m[0], m[1]); d >= 0 {
-					t.Fatalf("%s: dW elem %d: got %v want %v", name, d, m[0].Data[d], m[1].Data[d])
+				got, want := New(len(slots), c), New(len(slots), c)
+				got.Fill(7) // the forward form overwrites
+				GroupedMatMulLeftSlotsInto(got, w, src, slots)
+				GatherRowsInto(want, full, slots)
+				if d := bitwiseDiff(got, want); d >= 0 {
+					t.Fatalf("%s: forward elem %d: got %v want %v", name, d, got.Data[d], want.Data[d])
 				}
-			}
-			for _, m := range [][2]*Matrix{{onlySrc, wantSrc}, {dSrc, wantSrc}} {
-				if d := bitwiseDiff(m[0], m[1]); d >= 0 {
-					t.Fatalf("%s: dSrc elem %d: got %v want %v", name, d, m[0].Data[d], m[1].Data[d])
+
+				dOut, padded := Randn(len(slots), c, 1, rng), New(b*k2, c)
+				ScatterRowsInto(padded, dOut, slots)
+				dW, dSrc := Randn(k2, group, 1, rng), Randn(b*group, c, 1, rng)
+				wantW, wantSrc := dW.Clone(), dSrc.Clone()
+				groupedGradWOracle(wantW, padded, src)
+				groupedGradSrcOracle(wantSrc, w, padded, false)
+				// Each half alone (the other input a constant), then both.
+				onlyW, onlySrc := dW.Clone(), dSrc.Clone()
+				GroupedMatMulLeftSlotsGradInto(onlyW, nil, dOut, w, src, slots)
+				GroupedMatMulLeftSlotsGradInto(nil, onlySrc, dOut, w, src, slots)
+				GroupedMatMulLeftSlotsGradInto(dW, dSrc, dOut, w, src, slots)
+				for _, m := range [][2]*Matrix{{onlyW, wantW}, {dW, wantW}} {
+					if d := bitwiseDiff(m[0], m[1]); d >= 0 {
+						t.Fatalf("%s: dW elem %d: got %v want %v", name, d, m[0].Data[d], m[1].Data[d])
+					}
+				}
+				for _, m := range [][2]*Matrix{{onlySrc, wantSrc}, {dSrc, wantSrc}} {
+					if d := bitwiseDiff(m[0], m[1]); d >= 0 {
+						t.Fatalf("%s: dSrc elem %d: got %v want %v", name, d, m[0].Data[d], m[1].Data[d])
+					}
 				}
 			}
 		}
+	}
+}
+
+type slotSet struct {
+	name  string
+	slots []int32
+}
+
+// tokenMixSlotSets are the slot sets the slot kernels are held to over b
+// groups of k2 output rows: every row (one run per group), runs that start
+// mid-group, several runs of different lengths in one group, single-slot
+// runs beside empty groups, and nothing named.
+func tokenMixSlotSets(k2, b int) []slotSet {
+	pick := func(keep func(g, i int) bool) []int32 {
+		var slots []int32
+		for g := 0; g < b; g++ {
+			for i := 0; i < k2; i++ {
+				if keep(g, i) {
+					slots = append(slots, int32(g*k2+i))
+				}
+			}
+		}
+		return slots
+	}
+	return []slotSet{
+		{"every row", pick(func(g, i int) bool { return true })},
+		{"mid-group runs", pick(func(g, i int) bool { return i >= k2/2 })},
+		{"several runs per group", pick(func(g, i int) bool { return i%6 != 4 })},
+		{"single slots, empty groups", pick(func(g, i int) bool { return g%2 == 1 && i%2 == 0 })},
+		{"nothing", nil},
 	}
 }
 
@@ -131,7 +171,7 @@ func TestGroupedGradSrcWithoutZeroSkip(t *testing.T) {
 	const k2, group, c, b = 12, 25, 73, 3
 	w, dOut := withZeros(Randn(k2, group, 1, rng), 0.3, rng), withZeros(Randn(b*k2, c, 1, rng), 0.3, rng)
 	dense, skipped := New(b*group, c), New(b*group, c)
-	GroupedMatMulLeftGradInto(nil, dense, dOut, w, New(b*group, c))
+	GroupedMatMulLeftSlotsGradInto(nil, dense, dOut, w, New(b*group, c), everySlot(b*k2))
 	groupedGradSrcOracle(skipped, w, dOut, true)
 	for i, v := range dense.Data {
 		if v != skipped.Data[i] {
@@ -140,29 +180,48 @@ func TestGroupedGradSrcWithoutZeroSkip(t *testing.T) {
 	}
 }
 
+// TestGroupedMatMulLeftGradShapePanics: both slot kernels refuse a weight
+// with no rows or columns, a source that is not whole groups, an output
+// without one row per slot or of another width, and slots out of order,
+// repeated, negative or past the groups' rows.
 func TestGroupedMatMulLeftGradShapePanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"src rows not a multiple of group": func() { GroupedMatMulLeftGradInto(nil, nil, New(4, 2), New(2, 2), New(5, 2)) },
-		"dOut rows":                        func() { GroupedMatMulLeftGradInto(nil, nil, New(4, 2), New(3, 2), New(4, 2)) },
-		"dOut cols":                        func() { GroupedMatMulLeftGradInto(nil, nil, New(4, 3), New(2, 2), New(4, 2)) },
-		"zero-width weight":                func() { GroupedMatMulLeftGradInto(nil, nil, New(4, 2), New(2, 0), New(4, 2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected a panic", name)
-				}
+	cases := map[string]struct {
+		out, w, src *Matrix
+		slots       []int32
+	}{
+		"src rows not a multiple of group": {New(4, 2), New(2, 2), New(5, 2), everySlot(4)},
+		"out rows":                         {New(3, 2), New(2, 2), New(4, 2), everySlot(4)},
+		"out cols":                         {New(4, 3), New(2, 2), New(4, 2), everySlot(4)},
+		"zero-width weight":                {New(4, 2), New(2, 0), New(4, 2), everySlot(4)},
+		"zero-height weight":               {New(0, 2), New(0, 2), New(4, 2), nil},
+		"slots out of order":               {New(2, 2), New(2, 2), New(4, 2), []int32{2, 1}},
+		"slot repeated":                    {New(2, 2), New(2, 2), New(4, 2), []int32{1, 1}},
+		"negative slot":                    {New(2, 2), New(2, 2), New(4, 2), []int32{-1, 1}},
+		"slot past the layout":             {New(2, 2), New(2, 2), New(4, 2), []int32{1, 4}},
+	}
+	for name, c := range cases {
+		for form, f := range map[string]func(){
+			"forward":  func() { GroupedMatMulLeftSlotsInto(c.out, c.w, c.src, c.slots) },
+			"backward": func() { GroupedMatMulLeftSlotsGradInto(nil, nil, c.out, c.w, c.src, c.slots) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s, %s: expected a panic", name, form)
+					}
+				}()
+				f()
 			}()
-			f()
-		}()
+		}
 	}
 }
 
 // BenchmarkGroupedMatMulLeft times the two token-mixing products of a
 // train-taser-tgat step (tokenUp 12×25 and tokenDown 25×12 over 56
-// neighborhoods of 73 channels) in the three forms the step runs them —
-// forward, dSrc and dW — on the assembly tile and on its Go twin, next to
-// BenchmarkMatMul's dense shapes. SetBytes carries the FLOP count.
+// neighborhoods of 73 channels) with every output row named, in the three
+// forms the step runs them — forward, dSrc and dW — on the assembly tile
+// and on its Go twin, next to BenchmarkMatMul's dense shapes. SetBytes
+// carries the FLOP count.
 func BenchmarkGroupedMatMulLeft(b *testing.B) {
 	defer forceGoTile(false)
 	const groups, c = 56, 73
@@ -171,13 +230,14 @@ func BenchmarkGroupedMatMulLeft(b *testing.B) {
 		rng := mathx.NewRNG(99)
 		w, src := Randn(k2, group, 1, rng), Randn(groups*group, c, 1, rng)
 		out, dW, dSrc := New(groups*k2, c), New(k2, group), New(groups*group, c)
+		every := everySlot(groups * k2)
 		forms := []struct {
 			name string
 			run  func()
 		}{
-			{"fwd", func() { GroupedMatMulLeftInto(out, w, src, group) }},
-			{"dSrc", func() { GroupedMatMulLeftGradInto(nil, dSrc, out, w, src) }},
-			{"dW", func() { GroupedMatMulLeftGradInto(dW, nil, out, w, src) }},
+			{"fwd", func() { GroupedMatMulLeftSlotsInto(out, w, src, every) }},
+			{"dSrc", func() { GroupedMatMulLeftSlotsGradInto(nil, dSrc, out, w, src, every) }},
+			{"dW", func() { GroupedMatMulLeftSlotsGradInto(dW, nil, out, w, src, every) }},
 		}
 		for _, f := range forms {
 			for _, impl := range []string{"asm", "go"} {

@@ -445,64 +445,16 @@ func GroupedWeightedSumInto(dst, w, vals *Matrix, slots []int32, group int) {
 	}
 }
 
-// GroupedMatMulLeftInto applies the shared K2×K matrix w on the left of each
-// K×C group of src: for group g, dst rows [g*K2,(g+1)*K2) = w @ src rows
-// [g*K,(g+1)*K). This is MLP-Mixer token mixing over per-root neighborhoods.
-// Like its gradient below it is a driver over the dense products' 4×8 tile
-// (matmul.go), one call per group, and shares their contract: dense (no
+// GroupedMatMulLeftSlotsInto is MLP-Mixer token mixing over per-root
+// neighborhoods, at the named output rows. w is K×H and src holds b groups
+// of H rows; the full product is (b·K)×C, group g's rows w @ src group g,
+// and dst row i is its row s = slots[i]: w row s % K @ src group s / K,
+// slots strictly ascending. Each run of consecutive slots within a group is
+// one call of the dense products' 4×8 tile driver (matmul.go), w's rows
+// [k0, k0+n) against the group, and shares its contract: dense (no
 // zero-skip on w), k-ascending per element, bitwise-equal to the
-// straight-line scalar loop.
-func GroupedMatMulLeftInto(dst, w, src *Matrix, group int) {
-	if group <= 0 {
-		panic(fmt.Sprintf("tensor: GroupedMatMulLeft group %d must be positive", group))
-	}
-	b := tokenMixGroups(w, src, dst)
-	if w.Cols != group {
-		panic("tensor: GroupedMatMulLeft shape")
-	}
-	k2 := w.Rows
-	for g := 0; g < b; g++ {
-		srcG := src.rowBlock(g*group, group)
-		product(dst.rowBlock(g*k2, k2).Data, k2, w.Data, group, 1, &srcG, nil, tileStore)
-	}
-}
-
-// GroupedMatMulLeftGradInto accumulates GroupedMatMulLeftInto's gradients,
-// either of which may be nil: dSrc group g += wᵀ @ dOut group g, each element
-// summed over w's rows ascending on top of what dSrc holds (MatMulTransAInto's
-// form), and dW += dOut group g @ (src group g)ᵀ, groups ascending, each
-// group's element summed from zero and added once (MatMulTransBAddInto's
-// form, against a k-major copy of the group when a tile fits).
-func GroupedMatMulLeftGradInto(dW, dSrc, dOut, w, src *Matrix) {
-	k2, group := w.Rows, w.Cols
-	b := tokenMixGroups(w, src, dOut)
-	var st []float64
-	if dW != nil && tileFits(k2, group, src.Cols) {
-		st = getTrans(src.Cols * group)
-		defer putTrans(st)
-	}
-	for g := 0; g < b; g++ {
-		dOutG := dOut.rowBlock(g*k2, k2)
-		if dSrc != nil {
-			product(dSrc.rowBlock(g*group, group).Data, group, w.Data, 1, group, &dOutG, nil, tileAccum)
-		}
-		if dW != nil {
-			srcG := src.rowBlock(g*group, group)
-			if st != nil {
-				transposeInto(st, &srcG)
-			}
-			transB(dW, &dOutG, &srcG, st)
-		}
-	}
-}
-
-// GroupedMatMulLeftSlotsInto is GroupedMatMulLeftInto at the named output
-// rows only. w is K×H and src holds b groups of H rows; dst row i is row
-// slots[i] of the (b·K)×C product, w row s % K @ src group s / K for
-// s = slots[i], slots strictly ascending. Each run of consecutive slots
-// within a group is one product of w's rows [k0, k0+n) against the group,
-// so every row computed is the full product's row, summed the same way, and
-// bitwise equal to it. No run is assumed to start at a group's first slot.
+// straight-line scalar loop. So a row is the same bits whichever runs it
+// falls in; naming every row makes each group one run.
 func GroupedMatMulLeftSlotsInto(dst, w, src *Matrix, slots []int32) {
 	slotMixShapes(w, src, dst, slots)
 	k, h, c := w.Rows, w.Cols, src.Cols
@@ -518,13 +470,14 @@ func GroupedMatMulLeftSlotsInto(dst, w, src *Matrix, slots []int32) {
 // GroupedMatMulLeftSlotsGradInto accumulates GroupedMatMulLeftSlotsInto's
 // gradients from dOut (one row per slot), either of which may be nil: per
 // run of consecutive slots [k0, k0+n) of group g, runs ascending,
-// dSrc group g += w[k0:k0+n]ᵀ @ dOut[run] (each element on top of what dSrc
-// holds, run rows ascending: MatMulTransAInto's form) and
-// dW[k0:k0+n] += dOut[run] @ (src group g)ᵀ (each element summed from zero
-// and added once: MatMulTransBAddInto's form). That is
-// GroupedMatMulLeftGradInto's sequence with the unnamed rows left out; where
-// their output gradient is a zero row, leaving them out is bitwise
-// (DESIGN.md §6).
+// dSrc group g += w[k0:k0+n]ᵀ @ dOut[run] (each element summed over the
+// run's rows ascending on top of what dSrc holds: MatMulTransAInto's form)
+// and dW[k0:k0+n] += dOut[run] @ (src group g)ᵀ (each element summed from
+// zero and added once: MatMulTransBAddInto's form, against a k-major copy
+// of the group when a tile fits the run). With every row named that is the
+// full product's gradient, one run per group; naming fewer leaves the
+// unnamed rows' terms out, which is bitwise wherever their output gradient
+// is a zero row (DESIGN.md §6).
 func GroupedMatMulLeftSlotsGradInto(dW, dSrc, dOut, w, src *Matrix, slots []int32) {
 	slotMixShapes(w, src, dOut, slots)
 	k, h, c := w.Rows, w.Cols, src.Cols
@@ -576,16 +529,6 @@ func slotRun(slots []int32, lo, k int) int {
 		hi++
 	}
 	return hi
-}
-
-// tokenMixGroups validates src (b·K)×C against out (b·K2)×C for a K2×K
-// weight and returns b.
-func tokenMixGroups(w, src, out *Matrix) int {
-	if w.Cols <= 0 || src.Rows%w.Cols != 0 || out.Rows != src.Rows/w.Cols*w.Rows || out.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: GroupedMatMulLeft %dx%d weight, %dx%d against %dx%d",
-			w.Rows, w.Cols, src.Rows, src.Cols, out.Rows, out.Cols))
-	}
-	return src.Rows / w.Cols
 }
 
 // rowBlock returns a view (no copy) of the n consecutive rows from row lo.

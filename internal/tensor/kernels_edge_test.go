@@ -29,7 +29,7 @@ func TestRowKernelsDegenerateShapes(t *testing.T) {
 
 	// Zero-width grouped kernels.
 	GroupedWeightedSumInto(New(2, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), everySlot(4), 2)
-	GroupedMatMulLeftInto(New(4, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), 2)
+	GroupedMatMulLeftSlotsInto(New(4, 0), FromSlice(2, 2, []float64{1, 2, 3, 4}), New(4, 0), everySlot(4))
 	scores := FromSlice(2, 2, []float64{9, 9, 9, 9})
 	GroupedScoreInto(scores, New(2, 0), New(4, 0), everySlot(4), 2, 1)
 	for _, v := range scores.Data {
@@ -51,7 +51,6 @@ func TestGroupedKernelsPanicOnNonPositiveGroup(t *testing.T) {
 		"GroupMeanInto":          func(g int) { GroupMeanInto(New(2, 2), New(4, 2), everySlot(4), g) },
 		"GroupedScoreInto":       func(g int) { GroupedScoreInto(New(2, 2), New(2, 3), New(4, 3), everySlot(4), g, 1) },
 		"GroupedWeightedSumInto": func(g int) { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(4, 3), everySlot(4), g) },
-		"GroupedMatMulLeftInto":  func(g int) { GroupedMatMulLeftInto(New(4, 3), New(2, 2), New(4, 3), g) },
 	}
 	for name, f := range cases {
 		for _, g := range []int{0, -1} {
@@ -153,7 +152,7 @@ func TestGroupedKernelsBoundaryGroups(t *testing.T) {
 		const k2 = 5
 		mix := Randn(k2, group, 1, rng)
 		out := New(b*k2, d)
-		GroupedMatMulLeftInto(out, mix, vals, group)
+		GroupedMatMulLeftSlotsInto(out, mix, vals, everySlot(b*k2))
 		wantOut := New(b*k2, d)
 		groupedMatMulLeftNaive(wantOut, mix, vals, group)
 		if !out.Equal(wantOut, 1e-12) {

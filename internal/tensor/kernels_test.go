@@ -242,7 +242,7 @@ func TestGroupedMatMulLeftMatchesPerGroupMatMul(t *testing.T) {
 	w := Randn(k2, k, 1, rng)
 	src := Randn(groups*k, c, 1, rng)
 	dst := New(groups*k2, c)
-	GroupedMatMulLeftInto(dst, w, src, k)
+	GroupedMatMulLeftSlotsInto(dst, w, src, everySlot(groups*k2))
 	for g := 0; g < groups; g++ {
 		block := FromSlice(k, c, src.Data[g*k*c:(g+1)*k*c])
 		want := New(k2, c)
@@ -264,7 +264,7 @@ func TestGroupedShapePanics(t *testing.T) {
 		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{1, 1}, 2, 1) },
 		func() { GroupedWeightedSumInto(New(2, 3), New(2, 2), New(2, 3), []int32{-1, 2}, 2) },
 		func() { GroupedScoreInto(New(2, 2), New(2, 3), New(2, 3), []int32{0, 4}, 2, 1) },
-		func() { GroupedMatMulLeftInto(New(4, 2), New(2, 3), New(4, 2), 2) },
+		func() { GroupedMatMulLeftSlotsInto(New(4, 2), New(2, 3), New(4, 2), everySlot(4)) },
 	}
 	for i, f := range cases {
 		func() {
