@@ -166,7 +166,7 @@ var smokes = map[string]struct {
 		},
 	},
 	// A sub-second timeline at a modest fixed rate: the smoke checks the
-	// open-loop machinery (calibration, per-second accounting, both variants'
+	// open-loop machinery (calibration, per-second accounting, every variant's
 	// summaries), not the overload physics — scripts/overload_smoke.sh
 	// covers those at realistic pressure.
 	"overload": {
@@ -176,7 +176,7 @@ var smokes = map[string]struct {
 		},
 		cells: [][3]string{{"summary", "adaptive", "effective_max_batch"}},
 		check: func(t *testing.T, rows []Row) {
-			for _, v := range []string{"static", "adaptive"} {
+			for _, v := range []string{"static", "admission", "adaptive"} {
 				// Every offered request is accounted for on the variant's timeline.
 				var offered, accounted float64
 				for _, r := range rows {

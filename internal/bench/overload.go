@@ -23,7 +23,7 @@ import (
 // bench-overload` sets to force the shed path).
 var (
 	OverloadRate  float64 // offered burst rate, req/sec (0 = 2× the calibrated sustainable rate)
-	OverloadQueue = 64    // adaptive engine's per-lane admission bound
+	OverloadQueue = 64    // admission and adaptive engines' per-lane admission bound
 )
 
 // The rest of the timeline is fixed; a variable so the package smoke test
@@ -44,11 +44,12 @@ const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
 //	burst     the full offered rate (2× the calibrated sustainable rate)
 //	recovery  rate/4 again
 //
-// It runs twice over self-hosted engines: "static" (fixed MaxBatch,
+// It runs three times over self-hosted engines: "static" (fixed MaxBatch,
 // unbounded admission — the burst builds an unbounded queue and
-// recovery-phase latency shows it) and "adaptive" (SLO controller + bounded
-// admission — excess load is shed with 429 + Retry-After and the completed
-// requests' p99 stays near the target). Each variant is a group of
+// recovery-phase latency shows it), "admission" (bounded admission alone —
+// excess load is shed with 429 + Retry-After) and "adaptive" (SLO controller
+// + the same bounded admission, so any difference from "admission" is the
+// controller's). Each variant is a group of
 // per-second offered/completed/shed/latency lines, plus its line in the
 // "summary" group: calibrated and offered rates, burst and recovery p99,
 // shed/lost accounting and the control plane's final effective batching.
@@ -68,6 +69,7 @@ func overloadExp(o Options) (string, []Row, error) {
 		ov   overload.Config
 	}{
 		{"static", overload.Config{}},
+		{"admission", overload.Config{MaxQueue: OverloadQueue}},
 		{"adaptive", overload.Config{TargetP99: overloadSLO, Interval: 50 * time.Millisecond, MaxQueue: OverloadQueue}},
 	}
 	offered := OverloadRate
