@@ -78,7 +78,7 @@ bench-recover:
 bench-replicate:
 	$(GO) run ./cmd/taser-bench -exp replicate
 
-# Open-loop bursts, static vs overload plane: at 2× the calibrated rate, then forced onto the shed path (DESIGN.md §14).
+# Open-loop bursts, static vs admission-only: at 2× the calibrated rate, then forced onto the shed path (DESIGN.md §14).
 bench-overload:
 	$(GO) run ./cmd/taser-bench -exp overload
 	$(GO) run ./cmd/taser-bench -exp overload -open-rate 10000 -open-queue 4

@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonPath  = fs.String("json", "", "also write the rows to this file as JSON")
 	)
 	fs.Float64Var(&bench.OverloadRate, "open-rate", bench.OverloadRate, "overload: offered burst rate, req/sec (default 2× the calibrated sustainable rate)")
-	fs.IntVar(&bench.OverloadQueue, "open-queue", bench.OverloadQueue, "overload: adaptive engine's per-lane admission bound")
+	fs.IntVar(&bench.OverloadQueue, "open-queue", bench.OverloadQueue, "overload: admission engine's per-lane admission bound")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -139,8 +139,6 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&o.finetune.LR, "finetune-lr", 0, "fine-tuning learning rate (0 = finetune default)")
 
 	ov := &o.serve.Overload
-	fs.DurationVar(&ov.TargetP99, "slo-p99", 0, "p99 latency target: the engine retunes its effective batching against it (0 = controller off)")
-	fs.DurationVar(&ov.Interval, "overload-interval", 0, "SLO controller decision cadence (0 = default 250ms; requires -slo-p99)")
 	fs.IntVar(&ov.MaxQueue, "max-queue", 0, "bounded admission: waiters per priority lane before shedding with 429 (0 = admission off)")
 	fs.IntVar(&ov.Capacity, "overload-capacity", 0, "concurrent requests admitted across lanes (0 = default 2×-max-batch; requires -max-queue)")
 
@@ -154,7 +152,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 // validate fails fast on what no single config can see — contradictory flag
 // combinations (a -checkpoint-every that silently does nothing, a -promote
 // with no leader to catch up from) and a knob explicitly set to the value that
-// disables it (-slo-p99 0: as a default that is simply off) — and then asks
+// disables it (-max-queue 0: as a default that is simply off) — and then asks
 // the configs that need no model to check their own values. explicit marks
 // the flags set on the command line. serve.Config.Validate, which owns every
 // serving, durability and overload value, runs as soon as there is a model.
@@ -178,9 +176,6 @@ func (o *options) validate(explicit map[string]bool) error {
 		case o.train.Model != train.ModelGraphMixer:
 			return fail("-shards %d requires -model graphmixer: the endpoint tee keeps one hop shard-locally complete, multi-hop backbones (%s) would read incomplete neighborhoods", o.shards, o.train.Model)
 		}
-	}
-	if explicit["slo-p99"] && o.serve.Overload.TargetP99 <= 0 {
-		return fail("-slo-p99 must be a positive duration, got %v", o.serve.Overload.TargetP99)
 	}
 	if explicit["max-queue"] && o.serve.Overload.MaxQueue <= 0 {
 		return fail("-max-queue must be positive, got %d (omit the flag to leave admission control off)", o.serve.Overload.MaxQueue)

@@ -44,18 +44,14 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // substring; "" = must pass
 	}{
 		{name: "defaults pass"},
-		{name: "overload fully on", args: []string{"-slo-p99", "25ms", "-overload-interval", "100ms", "-max-queue", "64", "-overload-capacity", "32"}},
-		{name: "controller alone", args: []string{"-slo-p99", "1ms"}},
+		{name: "overload fully on", args: []string{"-max-queue", "64", "-overload-capacity", "32"}},
 		{name: "admission alone", args: []string{"-max-queue", "8"}},
 		{name: "sharded overload", args: []string{"-shards", "4", "-model", "graphmixer", "-max-queue", "8"}},
 		{name: "durable finetune", args: []string{"-wal-dir", wal, "-finetune", "-finetune-interval", "50ms"}},
 
-		{name: "explicit zero slo", args: []string{"-slo-p99", "0s"}, wantErr: "-slo-p99 must be a positive duration"},
-		{name: "negative slo", args: []string{"-slo-p99", "-1s"}, wantErr: "-slo-p99 must be a positive duration"},
 		{name: "explicit zero queue", args: []string{"-max-queue", "0"}, wantErr: "-max-queue must be positive"},
 		// Stated by overload.Config.Normalize alone, reached through
 		// serve.Config.Validate once the model exists.
-		{name: "interval without target", args: []string{"-overload-interval", "1s"}, wantErr: "-overload-interval requires -slo-p99"},
 		{name: "capacity without queue", args: []string{"-overload-capacity", "16"}, wantErr: "-overload-capacity requires -max-queue"},
 		{name: "negative max-batch", args: []string{"-max-batch", "-1"}, wantErr: "serve: Config.MaxBatch"},
 
@@ -110,7 +106,7 @@ func TestServeConfigValidate(t *testing.T) {
 		}},
 		{name: "zeros select defaults", mutate: func(c *serve.Config) {}},
 		{name: "overload on", mutate: func(c *serve.Config) {
-			c.Overload = overload.Config{TargetP99: 25 * time.Millisecond, MaxQueue: 64}
+			c.Overload = overload.Config{MaxQueue: 64}
 		}},
 		{name: "negative max-batch", mutate: func(c *serve.Config) { c.MaxBatch = -1 }, wantErr: "MaxBatch"},
 		{name: "negative max-wait", mutate: func(c *serve.Config) { c.MaxWait = -time.Millisecond }, wantErr: "MaxWait"},

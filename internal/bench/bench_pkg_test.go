@@ -174,9 +174,9 @@ var smokes = map[string]struct {
 			lower(t, &OverloadRate, 400)
 			lower(t, &overloadPhase, 300*time.Millisecond)
 		},
-		cells: [][3]string{{"summary", "adaptive", "effective_max_batch"}},
+		cells: [][3]string{{"summary", "admission", "shed"}},
 		check: func(t *testing.T, rows []Row) {
-			for _, v := range []string{"static", "admission", "adaptive"} {
+			for _, v := range []string{"static", "admission"} {
 				// Every offered request is accounted for on the variant's timeline.
 				var offered, accounted float64
 				for _, r := range rows {
@@ -196,8 +196,8 @@ var smokes = map[string]struct {
 					t.Errorf("%s: offered/sustainable rates wrong", v)
 				}
 			}
-			if _, ok := cell(rows, "summary", "static", "effective_max_batch"); ok {
-				t.Error("the static engine has no overload plane to report")
+			if mustCell(t, rows, "summary", "static", "shed") != 0 {
+				t.Error("the static engine has no overload plane to shed with")
 			}
 		},
 	},

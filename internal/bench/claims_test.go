@@ -15,6 +15,10 @@ package bench
 //     scale 0.1 / 3 epochs (EXPERIMENTS.md records both), so the test pins
 //     the profile at which it was reproduced rather than a smaller one tuned
 //     until green.
+//   - §III-A on the same TASER runs: adaptive mini-batch selection avoids
+//     noise. A noise training edge's mean score P(e) (Eq. 11) is below a
+//     clean one's, and noise's share of the selector's mass is below its
+//     base rate among training edges.
 //
 // Not covered: every timing-direction claim — Fig. 3(a)'s finder ordering,
 // Table III's NF and FS falling as the GPU finder and the cache are switched
@@ -95,13 +99,34 @@ func TestClaimTaserBeatsBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		taser, err := o.accuracy(ds, model, full.set)
+		tr, err := o.trainer(ds, model, full.set)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, _, taser := tr.Run()
 		t.Logf("%s: %s %.4f, %s %.4f (%+.4f)", model, baseline.name, base, full.name, taser, taser-base)
 		if !(taser > base) {
 			t.Errorf("%s: TASER's test MRR %.4f is not above Baseline's %.4f", model, taser, base)
+		}
+
+		var noiseSum, cleanSum float64
+		var noiseN, cleanN int
+		for e := 0; e < tr.Selector.Len(); e++ {
+			if p := tr.Selector.Score(e); ds.Noise[e] {
+				noiseSum, noiseN = noiseSum+p, noiseN+1
+			} else {
+				cleanSum, cleanN = cleanSum+p, cleanN+1
+			}
+		}
+		ratio := (noiseSum / float64(noiseN)) / (cleanSum / float64(cleanN))
+		share, rate := noiseSum/(noiseSum+cleanSum), float64(noiseN)/float64(noiseN+cleanN)
+		t.Logf("%s: noise/clean mean score %.3f; noise holds %.1f%% of the selector's mass, %.1f%% of training edges",
+			model, ratio, 100*share, 100*rate)
+		if !(ratio < 1) {
+			t.Errorf("%s: a noise edge's mean score is %.3f of a clean edge's, want below 1", model, ratio)
+		}
+		if !(share < rate) {
+			t.Errorf("%s: noise holds %.1f%% of the selector's mass, not below its %.1f%% base rate", model, 100*share, 100*rate)
 		}
 	}
 }

@@ -23,14 +23,12 @@ import (
 // bench-overload` sets to force the shed path).
 var (
 	OverloadRate  float64 // offered burst rate, req/sec (0 = 2× the calibrated sustainable rate)
-	OverloadQueue = 64    // admission and adaptive engines' per-lane admission bound
+	OverloadQueue = 64    // admission engine's per-lane admission bound
 )
 
 // The rest of the timeline is fixed; a variable so the package smoke test
 // can shorten the run.
 var overloadPhase = 3 * time.Second // per-phase duration
-
-const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
 
 // overloadExp is the open-loop overload experiment: where a closed loop's
 // clients wait for each response, so a slow server throttles its own offered
@@ -44,15 +42,13 @@ const overloadSLO = 25 * time.Millisecond // adaptive engine's p99 target
 //	burst     the full offered rate (2× the calibrated sustainable rate)
 //	recovery  rate/4 again
 //
-// It runs three times over self-hosted engines: "static" (fixed MaxBatch,
-// unbounded admission — the burst builds an unbounded queue and
-// recovery-phase latency shows it), "admission" (bounded admission alone —
-// excess load is shed with 429 + Retry-After) and "adaptive" (SLO controller
-// + the same bounded admission, so any difference from "admission" is the
-// controller's). Each variant is a group of
-// per-second offered/completed/shed/latency lines, plus its line in the
-// "summary" group: calibrated and offered rates, burst and recovery p99,
-// shed/lost accounting and the control plane's final effective batching.
+// It runs twice over self-hosted engines: "static" (unbounded admission —
+// the burst builds an unbounded queue and recovery-phase latency shows it)
+// and "admission" (bounded admission — excess load is shed with 429 +
+// Retry-After). Each variant is a group of per-second
+// offered/completed/shed/latency lines, plus its line in the "summary"
+// group: calibrated and offered rates, burst and recovery p99 and shed/lost
+// accounting.
 func overloadExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
@@ -70,7 +66,6 @@ func overloadExp(o Options) (string, []Row, error) {
 	}{
 		{"static", overload.Config{}},
 		{"admission", overload.Config{MaxQueue: OverloadQueue}},
-		{"adaptive", overload.Config{TargetP99: overloadSLO, Interval: 50 * time.Millisecond, MaxQueue: OverloadQueue}},
 	}
 	offered := OverloadRate
 	var rows, summary []Row
@@ -104,17 +99,13 @@ func overloadExp(o Options) (string, []Row, error) {
 				Row{"summary", v.name, "offered", offered, "1/s"}) // open-loop burst
 			timeline, sum := runOpenTimeline(o, srv.URL, v.name, zipf, qt, offered)
 			rows, summary = append(rows, timeline...), append(summary, sum...)
-			// The control plane's own account of the run, when it has one.
-			if ov := e.Stats().Overload; ov != nil {
-				summary = append(summary, Row{"summary", v.name, "effective_max_batch", float64(ov.EffectiveMaxBatch), ""})
-			}
 			return nil
 		}()
 		if runErr != nil {
 			return "", nil, runErr
 		}
 	}
-	title := fmt.Sprintf("Open-loop overload: baseline, burst, recovery at %v each | SLO %v", overloadPhase, overloadSLO)
+	title := fmt.Sprintf("Open-loop overload: baseline, burst, recovery at %v each", overloadPhase)
 	return title, append(rows, summary...), nil
 }
 

@@ -14,8 +14,12 @@
 //     time, so old interactions carry stale or contradictory signal;
 //   - noise edges: a fraction ρ of interactions connect unrelated nodes.
 //
-// Ground-truth noise labels are retained per event so tests can verify that
-// adaptive sampling preferentially avoids noise.
+// Ground-truth noise labels are retained per event so tests can check which
+// adaptive mechanism avoids noise. Today only mini-batch selection does:
+// TestClaimTaserBeatsBaseline (internal/bench) asserts that its scores put
+// less than noise's base-rate share of their mass on noise edges. The
+// adaptive neighbor sampler is not held to it: co-trained as it is, it
+// learns toward noise candidates rather than away from them.
 package datasets
 
 import (

@@ -215,20 +215,8 @@ func TestConfigNormalize(t *testing.T) {
 	base, baseWait := 32, 2*time.Millisecond
 	t.Run("zero stays disabled", func(t *testing.T) {
 		c, err := Config{}.Normalize(base, baseWait)
-		if on := c.ControllerEnabled() || c.AdmissionEnabled(); err != nil || on {
+		if on := c.AdmissionEnabled(); err != nil || on {
 			t.Fatalf("zero config: err=%v enabled=%v", err, on)
-		}
-	})
-	t.Run("controller defaults", func(t *testing.T) {
-		c, err := Config{TargetP99: 25 * time.Millisecond}.Normalize(base, baseWait)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Interval != 250*time.Millisecond {
-			t.Fatalf("controller defaults = %+v", c)
-		}
-		if c.AdmissionEnabled() {
-			t.Fatal("TargetP99 alone must not enable admission")
 		}
 	})
 	t.Run("admission defaults", func(t *testing.T) {
@@ -239,19 +227,11 @@ func TestConfigNormalize(t *testing.T) {
 		if c.Capacity != 2*base {
 			t.Fatalf("admission defaults = %+v", c)
 		}
-		if c.ControllerEnabled() {
-			t.Fatal("MaxQueue alone must not enable the controller")
-		}
 	})
 	bad := []Config{
-		{TargetP99: -time.Second},
 		{MaxQueue: -1},
-		{Capacity: 16}, // admission knob without MaxQueue
-		{TargetP99: time.Millisecond, Capacity: 16}, // admission knob without MaxQueue
-		{Interval: time.Second},                     // controller knob without TargetP99
-		{MaxQueue: 4, Interval: time.Second},        // controller knob without TargetP99
-		{TargetP99: time.Millisecond, Interval: -1}, // negative cadence
-		{MaxQueue: 4, Capacity: -1},                 // negative capacity
+		{Capacity: 16},              // admission knob without MaxQueue
+		{MaxQueue: 4, Capacity: -1}, // negative capacity
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(base, baseWait); err == nil {

@@ -1,27 +1,19 @@
 // Package overload is the serving plane's overload control plane
 // (DESIGN.md §14): it decides what happens when offered load exceeds what
-// the engine can serve within its latency SLO. Instead of queueing without
-// bound (closed-loop collapse: every request eventually served, none of
-// them on time), the engine degrades deliberately, with two independent
-// mechanisms that compose:
+// the engine can serve. Instead of queueing without bound (closed-loop
+// collapse: every request eventually served, none of them on time), the
+// engine degrades deliberately by bounding admission.
 //
-//   - A Gate (gate.go) bounds admission. Requests enter a shared in-service
-//     capacity through per-lane bounded FIFO queues; when a lane's queue is
-//     full the request is shed immediately with ErrOverload and a
-//     Retry-After estimate, so clients back off instead of piling on.
-//     Freed slots are handed off between lanes by smooth weighted
-//     round-robin, which gives prediction priority over ingest (and both
-//     priority over replication catch-up) while guaranteeing
-//     starvation-freedom for every lane.
+// A Gate (gate.go) admits requests into a shared in-service capacity
+// through per-lane bounded FIFO queues; when a lane's queue is full the
+// request is shed immediately with ErrOverload and a Retry-After estimate,
+// so clients back off instead of piling on. Freed slots are handed off
+// between lanes by smooth weighted round-robin, which gives prediction
+// priority over ingest (and both priority over replication catch-up) while
+// guaranteeing starvation-freedom for every lane.
 //
-//   - A Controller (controller.go) retunes the micro-batching scheduler's
-//     effective MaxBatch against a p99 target using the live request-latency
-//     window: AIMD — double the batch ceiling (clamped) when p99 exceeds the
-//     target, relax it additively back toward the operator's configured base
-//     when p99 is comfortably under it.
-//
-// Both are opt-in per serve.Config; the zero Config disables the subsystem
-// entirely and the engine runs exactly its static-config path.
+// The gate is opt-in per serve.Config; the zero Config disables the
+// subsystem entirely and the engine runs exactly its static-config path.
 package overload
 
 import (
@@ -36,7 +28,7 @@ type Lane int
 
 const (
 	// LanePredict carries interactive serving requests (PredictLink, Embed)
-	// — the latency-SLO'd traffic the other lanes must never starve.
+	// — the latency-sensitive traffic the other lanes must never starve.
 	LanePredict Lane = iota
 	// LaneIngest carries public stream writes (Ingest, Bootstrap).
 	LaneIngest
@@ -87,17 +79,9 @@ func (e *RejectedError) Error() string {
 func (e *RejectedError) Unwrap() error { return ErrOverload }
 
 // Config is the user-facing overload surface serve.Config embeds. The zero
-// value disables the subsystem. TargetP99 > 0 enables the SLO controller;
-// MaxQueue > 0 enables admission control — each works alone, together they
-// are the full control plane. How far the controller may tighten and the
-// lanes' shares are constants (controller.go, gate.go).
+// value disables the subsystem; MaxQueue > 0 enables admission control. The
+// lanes' shares are constants (gate.go).
 type Config struct {
-	// TargetP99 is the latency SLO the controller steers the scheduler's
-	// effective MaxBatch toward (0 = no controller: static config).
-	TargetP99 time.Duration
-	// Interval is the controller's decision cadence (default 250ms).
-	Interval time.Duration
-
 	// MaxQueue bounds each lane's admission queue; a request arriving at a
 	// full lane is shed with ErrOverload (0 = no admission control).
 	MaxQueue int
@@ -105,9 +89,6 @@ type Config struct {
 	// all lanes (default 2× the scheduler's base MaxBatch).
 	Capacity int
 }
-
-// ControllerEnabled reports whether the SLO feedback controller is on.
-func (c Config) ControllerEnabled() bool { return c.TargetP99 > 0 }
 
 // AdmissionEnabled reports whether bounded admission (the gate) is on.
 func (c Config) AdmissionEnabled() bool { return c.MaxQueue > 0 }
@@ -117,16 +98,8 @@ func (c Config) AdmissionEnabled() bool { return c.MaxQueue > 0 }
 // scheduler's base MaxWait, bears on nothing; it stays only because
 // benchmark/ passes it.
 func (c Config) Normalize(baseBatch int, _ time.Duration) (Config, error) {
-	if c.TargetP99 < 0 || c.Interval < 0 || c.MaxQueue < 0 || c.Capacity < 0 {
-		return c, fmt.Errorf("overload: TargetP99, Interval, MaxQueue and Capacity must not be negative (got %v, %v, %d, %d)",
-			c.TargetP99, c.Interval, c.MaxQueue, c.Capacity)
-	}
-	if c.ControllerEnabled() {
-		if c.Interval == 0 {
-			c.Interval = 250 * time.Millisecond
-		}
-	} else if c.Interval != 0 {
-		return c, fmt.Errorf("overload: Interval requires TargetP99 (-overload-interval requires -slo-p99): there is no controller to tick without a target")
+	if c.MaxQueue < 0 || c.Capacity < 0 {
+		return c, fmt.Errorf("overload: MaxQueue and Capacity must not be negative (got %d, %d)", c.MaxQueue, c.Capacity)
 	}
 	if c.AdmissionEnabled() {
 		if c.Capacity == 0 {

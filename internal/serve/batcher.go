@@ -94,7 +94,7 @@ func (e *Engine) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 // with the wait. With admission control on, the request first enters the
 // gate's predict lane: a full lane sheds immediately with ErrOverload (the
 // HTTP 429 path) instead of queueing without bound, and the measured latency
-// includes the gate wait — the queueing delay the SLO controller must see.
+// includes the gate wait.
 func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, error) {
 	if src < 0 || int(src) >= e.cfg.NumNodes || (kind == reqPredict && (dst < 0 || int(dst) >= e.cfg.NumNodes)) {
 		return response{}, fmt.Errorf("serve: node id out of range [0, %d)", e.cfg.NumNodes)
@@ -133,9 +133,7 @@ func (e *Engine) submit(kind reqKind, src, dst int32, t float64) (response, erro
 // after the first arrival, and always in a flush, so an accepted request is
 // never stranded and quit is only looked at between batches. Submitters park
 // on e.reqs while a flush runs: the next batch forms behind it, 1 root when
-// idle, MaxBatch when saturated. curMaxBatch is the static config or the SLO
-// controller's retuned value (an atomic read, re-read per request so a
-// control decision takes effect mid-stream).
+// idle, MaxBatch when saturated.
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	var pending []*request
@@ -148,7 +146,7 @@ func (e *Engine) loop() {
 		}
 		first, roots := time.Now(), pending[0].rootCount()
 	gather:
-		for yielded := false; roots < e.curMaxBatch(); {
+		for yielded := false; roots < e.cfg.MaxBatch; {
 			select {
 			case r := <-e.reqs:
 				pending = append(pending, r)

@@ -30,24 +30,19 @@ func waitGateQueued(t *testing.T, g *overload.Gate, lane overload.Lane, n int) {
 	}
 }
 
-// curMaxWait is the gather's time bound as the anchor below reads it. The
-// scheduler reads Config.MaxWait directly — the controller retunes only the
-// batch ceiling — so it is the static config whether the plane is on or off.
-func (e *Engine) curMaxWait() time.Duration { return e.cfg.MaxWait }
-
 // TestOverloadDisabledAnchor is the bitwise-identity contract: an engine with
 // a zero Overload config runs no overload code on any path — no gate, no
-// controller, no "overload" key in the stats payload — and an engine with the
-// control plane on serves embeddings bitwise-equal to the disabled one (the
-// plane shapes admission and scheduling, never computation).
+// "overload" key in the stats payload — and an engine with the control plane
+// on serves embeddings bitwise-equal to the disabled one (the plane shapes
+// admission, never computation).
 func TestOverloadDisabledAnchor(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 21)
 	off, _ := newTestEngine(t, ds, nil)
 	on, _ := newTestEngine(t, ds, func(c *Config) {
-		c.Overload = overload.Config{TargetP99: 50 * time.Millisecond, MaxQueue: 64}
+		c.Overload = overload.Config{MaxQueue: 64}
 	})
 
-	if off.gate != nil || off.ctrl != nil {
+	if off.gate != nil {
 		t.Fatal("disabled engine constructed overload state")
 	}
 	if off.Stats().Overload != nil {
@@ -56,14 +51,11 @@ func TestOverloadDisabledAnchor(t *testing.T) {
 	if raw, _ := json.Marshal(off.wireStats(nil)); strings.Contains(string(raw), `"overload"`) {
 		t.Fatal(`disabled engine's stats payload has an "overload" key`)
 	}
-	if b, w := off.curMaxBatch(), off.curMaxWait(); b != off.cfg.MaxBatch || w != off.cfg.MaxWait {
-		t.Fatalf("disabled effective values %d/%v, want the static config %d/%v", b, w, off.cfg.MaxBatch, off.cfg.MaxWait)
-	}
 
-	if on.gate == nil || on.ctrl == nil {
+	if on.gate == nil {
 		t.Fatal("enabled engine missing overload state")
 	}
-	if st := on.Stats(); st.Overload == nil || st.Overload.Gate == nil || st.Overload.Controller == nil {
+	if st := on.Stats(); st.Overload == nil || st.Overload.Gate == nil {
 		t.Fatalf("enabled engine's overload stats incomplete: %+v", st.Overload)
 	}
 
@@ -207,50 +199,6 @@ func TestHandlerOverloadSurface(t *testing.T) {
 	if shed := pred["shed"].(float64); shed != 1 {
 		t.Fatalf("stats shed[predict] = %v, want 1", shed)
 	}
-	if eb := ov["effective_max_batch"].(float64); int(eb) != e.cfg.MaxBatch {
-		t.Fatalf("effective_max_batch = %v, want the static %d (no controller)", eb, e.cfg.MaxBatch)
-	}
-	if _, hasCtrl := ov["controller"]; hasCtrl {
-		t.Fatal("admission-only engine reports a controller block")
-	}
-}
-
-// TestControllerRetunesUnderLoad puts a sub-nanosecond SLO on a live engine:
-// every real request breaches it, so the control loop must walk the effective
-// MaxBatch to its clamp (4× base, two doublings) — visible through Stats, in
-// the overload block and the controller's own — while the request path keeps
-// serving.
-func TestControllerRetunesUnderLoad(t *testing.T) {
-	ds := datasets.Wikipedia(0.02, 24)
-	e, _ := newTestEngine(t, ds, func(c *Config) {
-		c.Overload = overload.Config{TargetP99: time.Nanosecond, Interval: time.Millisecond}
-	})
-	wm, _ := e.Watermark()
-	for i := 0; i < 8; i++ { // populate the latency window
-		if _, err := e.Embed(int32(i), wm+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantBatch := 4 * e.cfg.MaxBatch
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		ov := e.Stats().Overload
-		if ov.EffectiveMaxBatch == wantBatch {
-			if ov.Controller.Tightened < 2 || ov.Controller.MaxBatch != wantBatch {
-				t.Fatalf("reached the clamp in %d tighten steps with controller ceiling %d, want >= 2 and %d",
-					ov.Controller.Tightened, ov.Controller.MaxBatch, wantBatch)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("controller never reached the clamp: %+v (want batch %d)", ov, wantBatch)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Still serving under the tightened schedule.
-	if _, err := e.Embed(1, wm+1); err != nil {
-		t.Fatalf("Embed under tightened schedule: %v", err)
-	}
 }
 
 // TestIngestFloodDoesNotStarvePredict is the lane-priority smoke: with the
@@ -303,7 +251,7 @@ func TestCloseDuringShedBurst(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ds := datasets.Wikipedia(0.02, 26)
 	e, _ := newTestEngine(t, ds, func(c *Config) {
-		c.Overload = overload.Config{TargetP99: 25 * time.Millisecond, MaxQueue: 2, Capacity: 2}
+		c.Overload = overload.Config{MaxQueue: 2, Capacity: 2}
 	})
 	wm, _ := e.Watermark()
 	var tick atomic.Int64
@@ -345,7 +293,7 @@ func TestCloseDuringShedBurst(t *testing.T) {
 		t.Fatal("requests hung across Close during a shed burst")
 	}
 
-	// Every engine goroutine (scheduler, control loop) must be gone.
+	// Every engine goroutine (the scheduler) must be gone.
 	waitGoroutinesGone(t, before)
 }
 
@@ -478,7 +426,7 @@ func TestFleetCloseDuringShedBurst(t *testing.T) {
 }
 
 // TestLatencyRingConcurrentSampling hammers the latency ring with writers
-// while a sampler continuously snapshots it (the controller's access
+// while a sampler continuously snapshots it (a /v1/stats reader's access
 // pattern). Under -race this proves sampling never races the request path;
 // the value assertions prove quantiles stay within the written value set
 // across ring wrap-around.

@@ -103,18 +103,17 @@ type Config struct {
 	Durability Durability
 
 	// Overload enables the overload control plane (internal/overload,
-	// DESIGN.md §14): TargetP99 attaches an SLO feedback controller to the
-	// scheduler's effective MaxBatch, MaxQueue bounds admission with
-	// priority lanes (predict over ingest over replication) and typed
-	// ErrOverload shedding. The zero value disables it entirely — the engine
-	// then runs exactly the static-config path, bit for bit.
+	// DESIGN.md §14): MaxQueue bounds admission with priority lanes (predict
+	// over ingest over replication) and typed ErrOverload shedding. The zero
+	// value disables it entirely — the engine then runs exactly the
+	// static-config path, bit for bit.
 	Overload overload.Config
 
 	Seed uint64
 }
 
 // latencyWindow is how many recent request latencies an engine (and a fleet's
-// router) retains for the P50/P99 stats and the SLO controller's sample.
+// router) retains for the P50/P99 stats.
 const latencyWindow = 4096
 
 // Validate reports whether New would accept the config, without building
@@ -262,14 +261,11 @@ type Engine struct {
 	// Apply/ApplyPrefix. Promotion flips it back.
 	readOnly atomic.Bool
 
-	// Overload control plane (internal/overload, DESIGN.md §14). Both nil
-	// when Config.Overload is zero — the anchor guarantee: the disabled
-	// engine runs no overload code on any path. gate bounds admission with
-	// priority lanes (entered through enter/leave); ctrl retunes the
-	// scheduler's effective MaxBatch (read via curMaxBatch) from the latency
-	// ring.
+	// Overload control plane (internal/overload, DESIGN.md §14). Nil when
+	// Config.Overload is zero — the anchor guarantee: the disabled engine
+	// runs no overload code on any path. gate bounds admission with
+	// priority lanes (entered through enter/leave).
 	gate *overload.Gate
-	ctrl *overload.Controller
 
 	reqs      chan *request
 	quit      chan struct{}
@@ -333,51 +329,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Overload.AdmissionEnabled() {
 		e.gate = overload.NewGate(cfg.Overload)
 	}
-	if cfg.Overload.ControllerEnabled() {
-		e.ctrl, err = overload.NewController(overload.ControllerConfig{
-			TargetP99: cfg.Overload.TargetP99,
-			BaseBatch: cfg.MaxBatch,
-			Sample:    e.lat.sample,
-		})
-		if err != nil {
-			if e.wlog != nil {
-				e.wlog.Close()
-			}
-			return nil, err
-		}
-		e.wg.Add(1)
-		go e.controlLoop()
-	}
 	e.wg.Add(1)
 	go e.loop()
 	return e, nil
-}
-
-// controlLoop ticks the SLO controller on its configured cadence. It runs
-// on its own goroutine so a slow quantile computation can never stall the
-// scheduler; the Sample hook is a copy under the latency ring's lock, so it
-// never stalls the request path either.
-func (e *Engine) controlLoop() {
-	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.Overload.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.quit:
-			return
-		case <-t.C:
-			e.ctrl.Tick()
-		}
-	}
-}
-
-// curMaxBatch returns the scheduler's effective batch ceiling: the SLO
-// controller's when one is attached, the static config otherwise.
-func (e *Engine) curMaxBatch() int {
-	if e.ctrl != nil {
-		return e.ctrl.MaxBatch()
-	}
-	return e.cfg.MaxBatch
 }
 
 // enter is every public call's way past the engine's admission policy: a

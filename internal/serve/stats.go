@@ -35,10 +35,9 @@ func (r *latencyRing) add(d time.Duration) {
 	r.idx = (r.idx + 1) % len(r.buf)
 }
 
-// sample copies the retained window into dst and returns it — the SLO
-// controller's Sample hook. Copy-only under the lock: sorting (and any other
-// O(n log n) work) happens in the caller's scratch buffer, so sampling never
-// stalls the request path's add().
+// sample copies the retained window into dst and returns it. Copy-only
+// under the lock: sorting (and any other O(n log n) work) happens in the
+// caller's buffer, so sampling never stalls the request path's add().
 func (r *latencyRing) sample(dst []float64) []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -148,13 +147,9 @@ type ReplicationStats struct {
 	DupRecords uint64 `json:"repl_dup_records"`
 }
 
-// OverloadStats reports the overload control plane. EffectiveMaxBatch is
-// the ceiling the scheduler is using right now; with no controller it equals
-// the static config. Controller/Gate are nil for whichever half is disabled.
+// OverloadStats reports the overload control plane: its admission gate.
 type OverloadStats struct {
-	EffectiveMaxBatch int                       `json:"effective_max_batch"`
-	Controller        *overload.ControllerStats `json:"controller,omitempty"`
-	Gate              *overload.GateStats       `json:"gate,omitempty"`
+	Gate *overload.GateStats `json:"gate,omitempty"`
 }
 
 // Merge folds another engine's Stats into s — how a fleet builds its merged
@@ -216,17 +211,9 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// Merge folds another engine's overload block into s: the effective batch
-// ceiling reports the minimum across shards (the most-tightened one — the
-// fleet's weakest link under pressure), controller and gate fold by their own
-// rules — into copies, for the reason Stats.Merge gives.
+// Merge folds another engine's overload block into s: the gate folds by its
+// own rules, into a copy, for the reason Stats.Merge gives.
 func (s *OverloadStats) Merge(o OverloadStats) {
-	s.EffectiveMaxBatch = min(s.EffectiveMaxBatch, o.EffectiveMaxBatch)
-	if s.Controller != nil && o.Controller != nil {
-		c := *s.Controller
-		c.Merge(*o.Controller)
-		s.Controller = &c
-	}
 	if s.Gate != nil && o.Gate != nil {
 		g := *s.Gate
 		g.Merge(*o.Gate)
@@ -291,17 +278,9 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	e.ingestMu.Unlock()
-	if e.gate != nil || e.ctrl != nil {
-		ov := &OverloadStats{EffectiveMaxBatch: e.curMaxBatch()}
-		if e.ctrl != nil {
-			cs := e.ctrl.Stats()
-			ov.Controller = &cs
-		}
-		if e.gate != nil {
-			gs := e.gate.Stats()
-			ov.Gate = &gs
-		}
-		s.Overload = ov
+	if e.gate != nil {
+		gs := e.gate.Stats()
+		s.Overload = &OverloadStats{Gate: &gs}
 	}
 	if snap := e.snap.Load(); snap != nil {
 		s.SnapshotVersion = snap.Version

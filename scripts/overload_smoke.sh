@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Overload-plane smoke test (DESIGN.md §14): one real taser-serve process
-# with the SLO controller and a deliberately tiny admission gate, a parallel
+# with a deliberately tiny admission gate, a parallel
 # predict burst that must shed deliberately (429 + usable Retry-After, shed
 # counters in /v1/stats), full recovery once the burst drains, and a SIGTERM
 # mid-burst that must exit cleanly — the process-level analog of the
 # in-process zero-goroutine-leak drain test (TestCloseDuringShedBurst).
 #
-#   server :18301 (-slo-p99 25ms -max-queue 2 -overload-capacity 1
+#   server :18301 (-max-queue 2 -overload-capacity 1
 #                  → at most 1 in service + 2 queued per lane; everything
 #                    else sheds)
 #   8 predict clients, 4 requests in flight each → guaranteed rejections
@@ -53,35 +53,24 @@ go build -o "$BIN" ./cmd/taser-serve
 say "built $BIN"
 
 say "contradictory overload flags must fail fast"
-if "$BIN" $COMMON -slo-p99 0s >"$WORK/flags1.log" 2>&1; then
-    die "an explicit -slo-p99 0s was accepted"
-fi
-grep -q "slo-p99" "$WORK/flags1.log" || die "zero-SLO rejection did not name the flag"
-if "$BIN" $COMMON -overload-interval 100ms >"$WORK/flags2.log" 2>&1; then
-    die "-overload-interval without -slo-p99 was accepted"
-fi
-grep -q "overload-interval requires -slo-p99" "$WORK/flags2.log" \
-    || die "interval-without-target rejection did not explain itself"
-if "$BIN" $COMMON -overload-capacity 4 >"$WORK/flags3.log" 2>&1; then
+if "$BIN" $COMMON -overload-capacity 4 >"$WORK/flags1.log" 2>&1; then
     die "-overload-capacity without -max-queue was accepted"
 fi
-grep -q "overload-capacity requires -max-queue" "$WORK/flags3.log" \
+grep -q "overload-capacity requires -max-queue" "$WORK/flags1.log" \
     || die "capacity-without-queue rejection did not explain itself"
-if "$BIN" $COMMON -max-queue -1 >"$WORK/flags4.log" 2>&1; then
+if "$BIN" $COMMON -max-queue -1 >"$WORK/flags2.log" 2>&1; then
     die "a negative -max-queue was accepted"
 fi
-grep -q "max-queue must be positive" "$WORK/flags4.log" \
+grep -q "max-queue must be positive" "$WORK/flags2.log" \
     || die "negative-queue rejection did not explain itself"
 
 say "starting taser-serve with the overload plane on tiny queues"
-"$BIN" $COMMON -addr "$ADDR" -slo-p99 25ms -max-queue 2 -overload-capacity 1 \
+"$BIN" $COMMON -addr "$ADDR" -max-queue 2 -overload-capacity 1 \
     >"$WORK/serve.log" 2>&1 &
 SRV=$!; PIDS+=("$SRV")
 wait_json "http://$ADDR/v1/healthz" '"status":"ok"'
 STATS=$(curl -fsS --max-time 2 "http://$ADDR/v1/stats")
 echo "$STATS" | grep -q '"overload"' || die "/v1/stats has no overload block"
-echo "$STATS" | grep -q '"effective_max_batch"' || die "overload block has no effective batch"
-echo "$STATS" | grep -q '"target_p99_us"' || die "overload block has no controller view"
 echo "$STATS" | grep -q '"lanes"' || die "overload block has no gate lanes"
 
 say "burst: 8 clients × 4 in flight against capacity 1 / queue 2 must shed"
