@@ -29,7 +29,7 @@
 // exits 2 before the first pretraining epoch.
 //
 // Sharding: -shards K (K > 1, requires -model graphmixer) partitions the node
-// space across K engines behind a consistent-hash router. Ingest routes each
+// space across K engines by a hash of the node id. Ingest routes each
 // event to the shard owning its destination (teed to the source's owner when
 // that differs), prediction scatter/gathers across shards when the endpoints
 // hash apart, and -wal-dir gives every shard its own store directory
@@ -121,7 +121,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.train.N, "n", 10, "supporting neighbors per hop")
 	fs.Uint64Var(&o.train.Seed, "seed", 42, "random seed")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.shards, "shards", 1, "serving shards: partition the node space across K engines behind a consistent-hash router (requires -model graphmixer for K>1)")
+	fs.IntVar(&o.shards, "shards", 1, "serving shards: partition the node space across K engines by a hash of the node id (requires -model graphmixer for K>1)")
 	fs.IntVar(&o.serve.MaxBatch, "max-batch", 32, "max roots per serving micro-batch")
 	fs.IntVar(&o.serve.CacheSize, "emb-cache", 4096, "embedding-cache capacity in nodes (0 disables)")
 	fs.IntVar(&o.serve.SnapshotEvery, "snapshot-every", 256, "publish a snapshot every k ingested events")
@@ -285,7 +285,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	if fleet != nil {
-		fmt.Fprintf(stdout, "sharded plane: %d engines on a consistent-hash ring (vnodes=%d/shard)\n", o.shards, serve.DefaultVNodes)
+		fmt.Fprintf(stdout, "sharded plane: %d engines, nodes hash-partitioned\n", o.shards)
 	}
 
 	// Recover the stream from the durable store when one exists (a fleet

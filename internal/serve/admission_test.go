@@ -63,7 +63,7 @@ func TestFleetBootstrapIsAllOrNothing(t *testing.T) {
 	// started: shard 0's slice stays admissible, shard 1's does not.
 	bad := -1
 	for i := n - 1; i >= 0 && bad < 0; i-- {
-		if fl.ring.Owner(events[i].Src) == 1 && fl.ring.Owner(events[i].Dst) == 1 {
+		if fl.owner(events[i].Src) == 1 && fl.owner(events[i].Dst) == 1 {
 			bad = i
 		}
 	}

@@ -15,13 +15,13 @@ import (
 )
 
 // Fleet shards the serving plane: K independent Engines, each owning a
-// consistent-hash partition of the node id space, behind the Engine-shaped
+// hash partition of the node id space, behind the Engine-shaped
 // surface the HTTP layer and load generators already speak. DESIGN.md §13.
 //
 // The partition rule is ownership by destination with an endpoint tee: an
-// event (src→dst, t) is stored on Owner(dst) and, when the endpoints hash to
-// different shards, teed to Owner(src) as well. Every event touching a node v
-// therefore lands on Owner(v) in stream order, so v's temporal adjacency,
+// event (src→dst, t) is stored on owner(dst) and, when the endpoints hash to
+// different shards, teed to owner(src) as well. Every event touching a node v
+// therefore lands on owner(v) in stream order, so v's temporal adjacency,
 // edge-feature rows and last-event-time on its owner shard are bitwise
 // identical to the single-engine ones. That makes exactly one hop of temporal
 // neighborhood shard-locally complete — which is why a K>1 fleet requires a
@@ -43,8 +43,7 @@ import (
 // ordering (tee atomicity) and a close gate that drains in-flight
 // scatter/gathers before any shard's scheduler shuts down.
 type Fleet struct {
-	cfg  Config // normalized template; Model/Pred are the caller's originals (shards hold clones)
-	ring *Ring
+	cfg Config // normalized template; Model/Pred are the caller's originals (shards hold clones)
 
 	shards []*Engine
 	// shardMu[i] serializes fleet writes into shard i. A teed event locks both
@@ -98,8 +97,8 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // NewFleet builds and starts a fleet of cfg.Shards engines. A K=1 fleet is
-// the degenerate ring — every node owned by shard 0, every call the local
-// fast path — and serves bitwise-identically to a bare Engine. K>1 requires a
+// the degenerate partition — every node owned by shard 0, every call the
+// local fast path — and serves bitwise-identically to a bare Engine. K>1 requires a
 // one-layer model (see the type comment for why).
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	base, err := cfg.Config.normalize()
@@ -118,13 +117,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			"so multi-hop backbones (TGAT) would silently read incomplete hop-2 neighborhoods",
 			cfg.Shards, base.Model.NumLayers())
 	}
-	ring, err := NewRing(cfg.Shards, DefaultVNodes, base.Seed)
-	if err != nil {
-		return nil, err
-	}
 	f := &Fleet{
 		cfg:     base,
-		ring:    ring,
 		shardMu: make([]sync.Mutex, cfg.Shards),
 		pred:    base.Pred.Clone(),
 	}
@@ -183,10 +177,28 @@ func (f *Fleet) Close() {
 	}
 }
 
+// owner maps a node id to the shard that owns it: SplitMix64 of (seed, node)
+// modulo K. Ownership is a pure function of (K, seed), so a restarted fleet
+// reopens each per-shard store under the layout that wrote it (Recover checks
+// that it did), and a hash rather than the ids decides it, so densely
+// assigned ids spread evenly over the shards.
+func (f *Fleet) owner(node int32) int {
+	return int(mix64(f.cfg.Seed^mix64(uint64(uint32(node))+0x5bf0_3635)) % uint64(len(f.shards)))
+}
+
+// mix64 is SplitMix64's finalizer: a cheap, well-distributed 64-bit mixer
+// (the same construction the WAL's synthetic-stream tests use for ids).
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // targets returns the owning shard(s) of an event in ascending index order:
-// Owner(dst) always, plus Owner(src) when the endpoints hash apart.
+// owner(dst) always, plus owner(src) when the endpoints hash apart.
 func (f *Fleet) targets(src, dst int32) (a, b int, teed bool) {
-	od, os := f.ring.Owner(dst), f.ring.Owner(src)
+	od, os := f.owner(dst), f.owner(src)
 	if od == os {
 		return od, od, false
 	}
@@ -216,7 +228,7 @@ func (f *Fleet) Ingest(src, dst int32, t float64, feat []float64) error {
 		return err
 	}
 	defer f.leave()
-	owner := f.ring.Owner(dst)
+	owner := f.owner(dst)
 	if err := f.shards[owner].enter(overload.LaneIngest); err != nil {
 		return &ShardError{Shard: owner, Err: err}
 	}
@@ -312,7 +324,7 @@ func (f *Fleet) Embed(node int32, t float64) (EmbedResult, error) {
 	}
 	defer f.leave()
 	start := time.Now()
-	res, err := f.shards[f.ring.Owner(node)].Embed(node, t)
+	res, err := f.shards[f.owner(node)].Embed(node, t)
 	f.lat.add(time.Since(start))
 	f.requests.Add(1)
 	return res, err
@@ -338,7 +350,7 @@ func (f *Fleet) PredictLink(src, dst int32, t float64) (PredictResult, error) {
 }
 
 func (f *Fleet) predictLink(src, dst int32, t float64) (PredictResult, error) {
-	ss, sd := f.ring.Owner(src), f.ring.Owner(dst)
+	ss, sd := f.owner(src), f.owner(dst)
 	if ss == sd {
 		return f.shards[ss].PredictLink(src, dst, t)
 	}
@@ -482,11 +494,11 @@ func (f *Fleet) Stats() FleetStats {
 //     refuses it.
 //
 //   - Layout validation + dedup accounting. Every recovered event must be
-//     owned by the shard holding it under the current ring — a mismatch means
-//     the store was written with a different -shards K, which is unsupported
-//     and fails loudly here instead of serving wrong neighborhoods. The scan
-//     also recomputes the distinct/teed counters (an event's canonical copy
-//     is the one on Owner(dst)).
+//     owned by the shard holding it under the current partition — a mismatch
+//     means the store was written with a different -shards K or seed, which
+//     is unsupported and fails loudly here instead of serving wrong
+//     neighborhoods. The scan also recomputes the distinct/teed counters (an
+//     event's canonical copy is the one on owner(dst)).
 //
 // The report carries every shard's own under Shards; its event counts are
 // their sums (teed copies included, Teed of them) and its watermark the
@@ -520,7 +532,7 @@ func (f *Fleet) Recover() (RecoveryReport, error) {
 	var distinct, total int
 	for i, s := range f.shards {
 		for _, ev := range s.Pin().Graph.Events {
-			od, os := f.ring.Owner(ev.Dst), f.ring.Owner(ev.Src)
+			od, os := f.owner(ev.Dst), f.owner(ev.Src)
 			if od != i && os != i {
 				return rep, fmt.Errorf(
 					"serve: recovered shard %d holds event (%d→%d) owned by shards (%d, %d) — "+

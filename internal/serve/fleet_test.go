@@ -269,7 +269,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	st := fl.Stats()
 	wantTeed := 0
 	for _, ev := range events {
-		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
+		if fl.owner(ev.Src) != fl.owner(ev.Dst) {
 			wantTeed++
 		}
 	}
@@ -286,7 +286,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 	var cross, local int
 	for i := 0; i < len(events) && (cross < 15 || local < 15); i++ {
 		ev := events[i*7919%len(events)]
-		isCross := fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst)
+		isCross := fl.owner(ev.Src) != fl.owner(ev.Dst)
 		if isCross && cross >= 15 || !isCross && local >= 15 {
 			continue
 		}
@@ -397,7 +397,7 @@ func TestFleetDrainOrdering(t *testing.T) {
 	}
 	var crossSrc, crossDst int32 = -1, -1
 	for _, ev := range ds.Graph.Events {
-		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
+		if fl.owner(ev.Src) != fl.owner(ev.Dst) {
 			crossSrc, crossDst = ev.Src, ev.Dst
 			break
 		}
@@ -485,7 +485,7 @@ func TestFleetStatsHTTP(t *testing.T) {
 	var crossEv, localEv *tgraph.Event
 	for i := range ds.Graph.Events {
 		ev := &ds.Graph.Events[i]
-		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
+		if fl.owner(ev.Src) != fl.owner(ev.Dst) {
 			crossEv = ev
 		} else {
 			localEv = ev
@@ -675,7 +675,7 @@ func TestFleetCrashRecoveryEquivalence(t *testing.T) {
 	wantDistinct := 0
 	for s := 0; s < K; s++ {
 		for _, i := range perShard[s][:rec.shards[s].NumEvents()] {
-			if fl.ring.Owner(ds.Graph.Events[i].Dst) == s {
+			if fl.owner(ds.Graph.Events[i].Dst) == s {
 				wantDistinct++
 			}
 		}
@@ -714,8 +714,51 @@ func TestFleetRecoverRefusesPublishedWeights(t *testing.T) {
 	}
 }
 
+// TestFleetRecoverRefusesAnotherLayout: ownership is a function of (K, seed),
+// so a store reopened under another shard count or seed would serve
+// neighborhoods from the wrong shards — Recover refuses it with the layout
+// error, and reopening under the layout that wrote it recovers.
+func TestFleetRecoverRefusesAnotherLayout(t *testing.T) {
+	ds := datasets.Wikipedia(0.02, 5)
+	tr := newMixerTrainer(t, ds)
+	base := t.TempDir()
+	mk := func(shards int, seed uint64) *Fleet {
+		return newTestFleet(t, tr, ds, shards, func(fc *FleetConfig) {
+			fc.Durability = Durability{Dir: base, SyncEvery: 4}
+			fc.Seed = seed
+		})
+	}
+	fl := mk(2, 3)
+	if err := fl.Bootstrap(ds.Graph.Events, ds.EdgeFeat); err != nil {
+		t.Fatal(err)
+	}
+	fl.Close()
+
+	for _, c := range []struct {
+		name   string
+		shards int
+		seed   uint64
+	}{{"K=3", 3, 3}, {"another seed", 2, 4}} {
+		re := mk(c.shards, c.seed)
+		_, err := re.Recover()
+		if err == nil || !strings.Contains(err.Error(), "written under a different shard layout") {
+			t.Fatalf("%s: want the shard-layout error, got %v", c.name, err)
+		}
+		re.Close()
+	}
+	re := mk(2, 3)
+	if _, err := re.Recover(); err != nil {
+		t.Fatalf("same layout: %v", err)
+	}
+	if n := re.NumEvents(); n != len(ds.Graph.Events) {
+		t.Fatalf("same layout recovered %d distinct events, want %d", n, len(ds.Graph.Events))
+	}
+}
+
 // TestFleetIngestStaleAcrossTee: a teed event must be atomic — if it is stale
 // for either target shard it lands on neither, and the error names the shard.
+// The event's time lies between its two target shards' watermarks, so one
+// copy alone would have been admitted.
 func TestFleetIngestStaleAcrossTee(t *testing.T) {
 	ds := datasets.Wikipedia(0.02, 5)
 	tr := newMixerTrainer(t, ds)
@@ -723,20 +766,28 @@ func TestFleetIngestStaleAcrossTee(t *testing.T) {
 	if err := fl.Bootstrap(ds.Graph.Events, ds.EdgeFeat); err != nil {
 		t.Fatal(err)
 	}
-	var crossEv *tgraph.Event
+	var (
+		crossEv *tgraph.Event
+		at      float64
+	)
 	for i := range ds.Graph.Events {
 		ev := &ds.Graph.Events[i]
-		if fl.ring.Owner(ev.Src) != fl.ring.Owner(ev.Dst) {
-			crossEv = ev
+		a, b, teed := fl.targets(ev.Src, ev.Dst)
+		if !teed {
+			continue
+		}
+		wa, _ := fl.shards[a].Watermark()
+		wb, _ := fl.shards[b].Watermark()
+		if wa != wb {
+			crossEv, at = ev, (wa+wb)/2
 			break
 		}
 	}
 	if crossEv == nil {
-		t.Fatal("no cross-shard pair")
+		t.Fatal("no cross-shard pair whose shards' watermarks differ")
 	}
-	wm, _ := fl.Watermark()
 	before := fl.Stats()
-	err := fl.Ingest(crossEv.Src, crossEv.Dst, wm-1, nil)
+	err := fl.Ingest(crossEv.Src, crossEv.Dst, at, nil)
 	if !errors.Is(err, ErrStaleEvent) {
 		t.Fatalf("want ErrStaleEvent, got %v", err)
 	}
@@ -768,7 +819,7 @@ func TestFleetNonFiniteQueryDoesNotPoisonCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := int32(0), int32(1)
-	for fl.ring.Owner(dst) == fl.ring.Owner(src) {
+	for fl.owner(dst) == fl.owner(src) {
 		dst++
 	}
 	if _, err := fl.PredictLink(src, dst, math.Inf(1)); err == nil || statusFor(err) != http.StatusBadRequest {

@@ -72,7 +72,7 @@ say "mixed ingest/predict traffic (cross-shard pairs included)"
 T0=$(field "http://$ADDR/v1/stats" live_watermark)
 for i in $(seq 60); do
     # Rotating endpoints across a handful of node ids guarantees both
-    # same-shard and cross-shard events against any 4-way ring layout.
+    # same-shard and cross-shard events under any 4-way partition.
     SRC=$((i % 7)); DST=$(( (i * 3 + 1) % 11 ))
     [ "$SRC" = "$DST" ] && DST=$(( (DST + 1) % 11 ))
     curl -fsS --max-time 2 -X POST "http://$ADDR/v1/ingest" \
