@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -112,7 +113,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	o.train.Finder, o.train.FinderPolicy = train.FinderGPU, "recent"
 	o.serve.Policy = sampler.MostRecent
 
-	fs.StringVar(&o.dataset, "dataset", "wikipedia", "dataset: wikipedia|reddit|flights|movielens|gdelt")
+	fs.StringVar(&o.dataset, "dataset", "wikipedia", "dataset: "+strings.Join(datasets.Names(), "|"))
 	fs.Float64Var(&o.scale, "scale", 0.1, "dataset scale multiplier")
 	fs.StringVar((*string)(&o.train.Model), "model", "tgat", "backbone: tgat|graphmixer")
 	fs.IntVar(&o.train.Epochs, "epochs", 2, "offline pretraining epochs")

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"taser/internal/adaptive"
 	"taser/internal/datasets"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	var (
-		dataset   = flag.String("dataset", "wikipedia", "dataset: wikipedia|reddit|flights|movielens|gdelt")
+		dataset   = flag.String("dataset", "wikipedia", "dataset: "+strings.Join(datasets.Names(), "|"))
 		scale     = flag.Float64("scale", 0.25, "dataset scale multiplier")
 		model     = flag.String("model", "tgat", "backbone: tgat|graphmixer")
 		finder    = flag.String("finder", "gpu", "neighbor finder: origin|tgl|gpu")

@@ -155,8 +155,8 @@ func (o Options) Normalize() Options {
 // train.Config.Validate refuses. cmd/taser-bench reports it as a usage error.
 func (o Options) Validate() error {
 	for _, n := range o.Datasets {
-		if !slices.Contains(allNames, n) {
-			return fmt.Errorf("bench: unknown dataset %q (known: %s)", n, strings.Join(allNames, ", "))
+		if !slices.Contains(datasets.Names(), n) {
+			return fmt.Errorf("bench: unknown dataset %q (known: %s)", n, strings.Join(datasets.Names(), ", "))
 		}
 	}
 	if err := datasets.CheckScale(o.Scale); err != nil {
@@ -199,5 +199,3 @@ func (o Options) loadDatasets(def []string) []*datasets.Dataset {
 	}
 	return out
 }
-
-var allNames = []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"taser/internal/datasets"
 	"taser/internal/train"
 )
 
@@ -78,7 +79,26 @@ var smokes = map[string]struct {
 	"table2": {
 		tune: func(t *testing.T, o *Options) { o.Datasets = nil }, // Table II always lists all five
 		cells: [][3]string{{"", "wikipedia", "|E|"}, {"", "reddit", "|V|"}, {"", "flights", "dv"},
-			{"", "movielens", "de"}, {"", "gdelt", "test"}},
+			{"", "movielens", "de"}, {"", "gdelt", "test"},
+			{"", "wikipedia", "noise"}, {"", "reddit", "mean deg"}, {"", "gdelt", "max deg"}},
+		check: func(t *testing.T, rows []Row) {
+			o := tinyOptions(nil)
+			for _, name := range datasets.Names() {
+				ds, _ := datasets.ByName(name, o.Scale, o.Seed)
+				noisy := 0
+				for _, b := range ds.Noise {
+					if b {
+						noisy++
+					}
+				}
+				if got, want := mustCell(t, rows, "", name, "noise"), 100*float64(noisy)/float64(len(ds.Noise)); got != want {
+					t.Errorf("%s: noise %v%%, want the noisy share of ds.Noise, %v%%", name, got, want)
+				}
+				if mean, mx := mustCell(t, rows, "", name, "mean deg"), mustCell(t, rows, "", name, "max deg"); !(mx >= mean && mean > 0) {
+					t.Errorf("%s: max deg %v below mean deg %v", name, mx, mean)
+				}
+			}
+		},
 	},
 	"table1": {
 		cells: [][3]string{{"wikipedia", "w/ Ada. Neighbor", "tgat"}, {"wikipedia", "w/ Ada. Mini-Batch", "graphmixer"}},

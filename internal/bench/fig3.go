@@ -25,7 +25,7 @@ import (
 func fig3a(o Options) (string, []Row, error) {
 	title := fmt.Sprintf("Fig. 3(a) — 2-hop sampling time per epoch | scale=%.2f batch=%d", o.Scale, o.BatchSize)
 	var rows []Row
-	for _, ds := range o.loadDatasets(allNames) {
+	for _, ds := range o.loadDatasets(datasets.Names()) {
 		for _, budget := range []int{5, 10, 15, 20, 25} {
 			rng := mathx.NewRNG(o.Seed)
 			v := fmt.Sprintf("n=%d", budget)

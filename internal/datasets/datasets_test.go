@@ -209,7 +209,14 @@ func (w *mathxWelford) add(x float64) { w.n++; w.sum += x }
 func (w *mathxWelford) mean() float64 { return w.sum / math.Max(1, float64(w.n)) }
 
 func TestAllFiveSpecs(t *testing.T) {
-	for _, d := range All(0.1, 42) {
+	if len(registry) != 5 {
+		t.Fatalf("%d datasets registered, want Table II's five", len(registry))
+	}
+	for _, r := range registry {
+		d := r.gen(0.1, 42)
+		if d.Spec.Name != r.name {
+			t.Fatalf("registered as %q, generates %q", r.name, d.Spec.Name)
+		}
 		if len(d.Graph.Events) == 0 {
 			t.Fatalf("%s: empty", d.Spec.Name)
 		}
@@ -226,7 +233,7 @@ func TestAllFiveSpecs(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"wikipedia", "reddit", "flights", "movielens", "gdelt"} {
+	for _, name := range Names() {
 		d, ok := ByName(name, 0.05, 1)
 		if !ok || d.Spec.Name != name {
 			t.Fatalf("ByName(%s)", name)

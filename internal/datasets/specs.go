@@ -82,30 +82,31 @@ func sc(base int, scale float64) int {
 	return n
 }
 
-// All returns every generator keyed by name, in the paper's column order.
-func All(scale float64, seed uint64) []*Dataset {
-	return []*Dataset{
-		Wikipedia(scale, seed),
-		Reddit(scale, seed),
-		Flights(scale, seed),
-		MovieLens(scale, seed),
-		GDELT(scale, seed),
+// registry is every generator by its Table II name, in the paper's column
+// order — the one list of datasets Names, ByName and the commands read.
+var registry = []struct {
+	name string
+	gen  func(scale float64, seed uint64) *Dataset
+}{
+	{"wikipedia", Wikipedia}, {"reddit", Reddit}, {"flights", Flights},
+	{"movielens", MovieLens}, {"gdelt", GDELT},
+}
+
+// Names lists the datasets in Table II's column order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
 	}
+	return names
 }
 
 // ByName generates a single dataset by its Table II name.
 func ByName(name string, scale float64, seed uint64) (*Dataset, bool) {
-	switch name {
-	case "wikipedia":
-		return Wikipedia(scale, seed), true
-	case "reddit":
-		return Reddit(scale, seed), true
-	case "flights":
-		return Flights(scale, seed), true
-	case "movielens":
-		return MovieLens(scale, seed), true
-	case "gdelt":
-		return GDELT(scale, seed), true
+	for _, r := range registry {
+		if r.name == name {
+			return r.gen(scale, seed), true
+		}
 	}
 	return nil, false
 }
