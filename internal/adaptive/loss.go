@@ -6,7 +6,6 @@ import (
 
 	"taser/internal/autograd"
 	"taser/internal/models"
-	"taser/internal/tensor"
 )
 
 // Eq. 25's REINFORCE hyperparameters α and β, at the paper's values.
@@ -92,7 +91,6 @@ func (s *NeighborSampler) SampleLoss(g *autograd.Graph, info *models.CoTrainInfo
 	default:
 		panic("adaptive: co-train info carries neither attention nor tokens")
 	}
-	clampCoef(coef)
 	return g.WeightedSumConst(sel.LogQ, coef)
 }
 
@@ -113,17 +111,4 @@ func (c *slotCursor) row(slot int) int {
 		panic(fmt.Sprintf("adaptive: chosen slot %d has no value or token row (a padded slot of the model's block)", slot))
 	}
 	return c.r
-}
-
-// clampCoef bounds coefficient magnitudes; REINFORCE estimates are heavy-
-// tailed and a single outlier batch can destabilize the sampler.
-func clampCoef(m *tensor.Matrix) {
-	const lim = 10
-	for i, v := range m.Data {
-		if v > lim {
-			m.Data[i] = lim
-		} else if v < -lim {
-			m.Data[i] = -lim
-		}
-	}
 }

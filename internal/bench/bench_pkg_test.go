@@ -194,20 +194,29 @@ var smokes = map[string]struct {
 			lower(t, &OverloadRate, 400)
 			lower(t, &overloadPhase, 300*time.Millisecond)
 		},
-		cells: [][3]string{{"summary", "admission", "shed"}},
+		cells: [][3]string{{"summary", "admission", "shed"}, {"summary", "static", "client_dropped"}},
 		check: func(t *testing.T, rows []Row) {
 			for _, v := range []string{"static", "admission"} {
-				// Every offered request is accounted for on the variant's timeline.
-				var offered, accounted float64
+				// Every launched request is accounted for on the variant's
+				// timeline, an arrival the generator dropped included.
+				var offered, accounted, dropped float64
 				for _, r := range rows {
-					if r.Group == v && r.Metric == "offered" {
+					switch {
+					case r.Group != v:
+					case r.Metric == "offered":
 						offered += r.Value
-					} else if r.Group == v && (r.Metric == "completed" || r.Metric == "shed" || r.Metric == "errs") {
+					case r.Metric == "completed" || r.Metric == "shed" || r.Metric == "errs":
 						accounted += r.Value
+					case r.Metric == "client_dropped":
+						accounted += r.Value
+						dropped += r.Value
 					}
 				}
 				if offered == 0 || accounted != offered {
 					t.Errorf("%s: timeline offers %v requests and accounts for %v", v, offered, accounted)
+				}
+				if got := mustCell(t, rows, "summary", v, "client_dropped"); got != dropped {
+					t.Errorf("%s: summary client_dropped %v, timeline %v", v, got, dropped)
 				}
 				if mustCell(t, rows, "summary", v, "lost") != 0 || mustCell(t, rows, "summary", v, "retry_after_ok") != 1 {
 					t.Errorf("%s: requests lost or shed without Retry-After", v)

@@ -46,9 +46,9 @@ var overloadPhase = 3 * time.Second // per-phase duration
 // the burst builds an unbounded queue and recovery-phase latency shows it)
 // and "admission" (bounded admission — excess load is shed with 429 +
 // Retry-After). Each variant is a group of per-second
-// offered/completed/shed/latency lines, plus its line in the "summary"
-// group: calibrated and offered rates, burst and recovery p99 and shed/lost
-// accounting.
+// offered/completed/shed/client_dropped/latency lines, plus its line in the
+// "summary" group: calibrated and offered rates, burst and recovery p99 and
+// shed/client_dropped/lost accounting.
 func overloadExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
@@ -156,11 +156,15 @@ type openSecond struct {
 	completed int
 	shed      int
 	errs      int
+	dropped   int       // arrivals the generator could not send: openConns were in flight
 	lats      []float64 // seconds, completed requests only
 }
 
 // runOpenTimeline drives the three-phase constant-arrival-rate timeline and
-// returns its per-second lines (group label) and its summary cells.
+// returns its per-second lines (group label) and its summary cells. At most
+// openConns requests are in flight: an arrival that finds them all taken is
+// not sent and counts as client_dropped — the generator's saturation, read
+// apart from the server's shed and kept out of lost.
 func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate float64) (timeline, summary []Row) {
 	dur := overloadPhase
 	phases := []struct {
@@ -178,6 +182,7 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 	var launched int
 	var shedMissingRA int
 	client := openHTTPClient()
+	inflight := make(chan struct{}, openConns)
 	rng := mathx.NewRNG(o.Seed ^ 0x09e2)
 
 	start := time.Now()
@@ -198,11 +203,23 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 			if sec >= totalSecs {
 				sec = totalSecs - 1
 			}
+			launched++
+			sent := true
+			select {
+			case inflight <- struct{}{}:
+			default:
+				sent = false
+			}
 			mu.Lock()
 			secs[sec].phase = ph.name
 			secs[sec].offered++
+			if !sent {
+				secs[sec].dropped++
+			}
 			mu.Unlock()
-			launched++
+			if !sent {
+				continue
+			}
 
 			var url string
 			var body map[string]any
@@ -214,6 +231,7 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 			wg.Add(1)
 			go func(sec int) {
 				defer wg.Done()
+				defer func() { <-inflight }()
 				t0 := time.Now()
 				status, retryAfter, err := postJSONStatus(client, url, body)
 				lat := time.Since(t0).Seconds()
@@ -249,7 +267,7 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 
 	mu.Lock()
 	defer mu.Unlock()
-	var done, shed, errCount int
+	var done, shed, errCount, dropped int
 	phaseLats := map[string][]float64{}
 	for i, s := range secs {
 		if s.offered == 0 {
@@ -258,11 +276,13 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 		done += s.completed
 		shed += s.shed
 		errCount += s.errs
+		dropped += s.dropped
 		phaseLats[s.phase] = append(phaseLats[s.phase], s.lats...)
 		v := fmt.Sprintf("%d %s", i, s.phase)
 		timeline = append(timeline,
 			Row{label, v, "offered", float64(s.offered), ""}, Row{label, v, "completed", float64(s.completed), ""},
-			Row{label, v, "shed", float64(s.shed), ""}, Row{label, v, "errs", float64(s.errs), ""})
+			Row{label, v, "shed", float64(s.shed), ""}, Row{label, v, "errs", float64(s.errs), ""},
+			Row{label, v, "client_dropped", float64(s.dropped), ""})
 		if len(s.lats) > 0 { // else the cells are absent
 			timeline = append(timeline,
 				Row{label, v, "p50", stats.Quantile(s.lats, 0.50) * 1e3, "ms"},
@@ -282,19 +302,27 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 	}
 	return timeline, append(summary,
 		Row{"summary", label, "shed", float64(shed), ""},
+		Row{"summary", label, "client_dropped", float64(dropped), ""},
 		Row{"summary", label, "retry_after_ok", retryOK, ""},
-		Row{"summary", label, "lost", float64(launched - done - shed - errCount), ""})
+		Row{"summary", label, "lost", float64(launched - done - shed - errCount - dropped), ""})
 }
 
+// openConns is the open-loop driver's connection pool, and so its bound on
+// requests in flight: without one, a burst past the server's pace opens a
+// connection per arrival until the process runs out of file descriptors.
+const openConns = 512
+
 // openHTTPClient builds the open-loop driver's client: enough idle
-// connections that a burst does not spend its budget on TCP churn, and a hard
-// timeout so a wedged server turns into counted losses, not a hung bench.
+// connections that a burst does not spend its budget on TCP churn, no more
+// than openConns of them, and a hard timeout so a wedged server turns into
+// counted losses, not a hung bench.
 func openHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: 30 * time.Second,
 		Transport: &http.Transport{
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 512,
+			MaxIdleConns:        openConns,
+			MaxIdleConnsPerHost: openConns,
+			MaxConnsPerHost:     openConns,
 		},
 	}
 }

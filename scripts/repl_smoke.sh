@@ -15,32 +15,8 @@ ADDR_B=127.0.0.1:18192
 ADDR_C=127.0.0.1:18193
 COMMON="-dataset wikipedia -scale 0.02 -epochs 0 -seed 42"
 
-WORK=$(mktemp -d /tmp/taser-repl-smoke.XXXXXX)
-BIN=$WORK/taser-serve
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do kill -9 "$pid" 2>/dev/null || true; done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-say() { echo "[repl-smoke] $*"; }
-die() { say "FAIL: $*"; exit 1; }
-
-# wait_json URL PATTERN TRIES — poll until the JSON body matches the pattern.
-wait_json() {
-    local url=$1 pattern=$2 tries=${3:-100}
-    for _ in $(seq "$tries"); do
-        if curl -fsS --max-time 2 "$url" 2>/dev/null | grep -q "$pattern"; then
-            return 0
-        fi
-        sleep 0.2
-    done
-    die "$url never matched '$pattern'"
-}
-
-# field URL NAME — extract a numeric JSON field (scientific notation included).
-field() { curl -fsS --max-time 2 "$1" | grep -o "\"$2\":[0-9.eE+-]*" | head -1 | cut -d: -f2; }
+SMOKE_TAG=repl-smoke
+source "$(dirname "$0")/smoke_lib.sh"
 
 go build -o "$BIN" ./cmd/taser-serve
 say "built $BIN"
