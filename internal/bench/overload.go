@@ -203,21 +203,17 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 			if sec >= totalSecs {
 				sec = totalSecs - 1
 			}
-			launched++
-			sent := true
-			select {
-			case inflight <- struct{}{}:
-			default:
-				sent = false
-			}
 			mu.Lock()
 			secs[sec].phase = ph.name
 			secs[sec].offered++
-			if !sent {
-				secs[sec].dropped++
-			}
 			mu.Unlock()
-			if !sent {
+			launched++
+			select {
+			case inflight <- struct{}{}:
+			default:
+				mu.Lock()
+				secs[sec].dropped++
+				mu.Unlock()
 				continue
 			}
 

@@ -277,7 +277,7 @@ func TestShardedPredictionsMatchSingleEngine(t *testing.T) {
 		t.Fatalf("teed counter %d, want %d", st.Teed, wantTeed)
 	}
 	if wantTeed == 0 {
-		t.Fatal("no cross-shard events at K=4; the dataset/ring combination is degenerate")
+		t.Fatal("no cross-shard events at K=4; the dataset/partition combination is degenerate")
 	}
 
 	eng.PublishSnapshot()
