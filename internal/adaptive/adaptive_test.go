@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"taser/internal/autograd"
@@ -379,6 +380,55 @@ func TestParseDecoder(t *testing.T) {
 	for _, bad := range []string{"gatv3", "", "GATv2", "Decoder(7)"} {
 		if got, err := ParseDecoder(bad); err == nil {
 			t.Errorf("ParseDecoder(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+// TestSelectWindowsMatchWholeSet: Select over a whole candidate set draws
+// what Select over its windows, in root order, draws — the same Chosen lists
+// root by root, the same log-probabilities bit for bit, and the sampler's RNG
+// left where the whole draw leaves it (the next draw agrees). The 25 roots
+// are a [srcs | dsts | negs] layout of 5 edges with 3 negatives each, with 0
+// to m valid candidates per root; windows of 12 roots end inside the
+// negatives and leave a last window of one root.
+func TestSelectWindowsMatchWholeSet(t *testing.T) {
+	const roots, m, n, window = 5 * (2 + 3), 8, 3, 12
+	for _, dec := range []Decoder{DecoderGATv2, DecoderLinear} {
+		rng := mathx.NewRNG(22)
+		c := NewCandidateSet(roots, m, 2, 3)
+		for i := 0; i < roots; i++ {
+			for j := 0; j < (i*5)%(m+1); j++ {
+				c.SetEntry(i, j, int32(rng.Intn(20)), rng.Float64()*5)
+			}
+		}
+		c.FinishMask()
+		for _, mat := range []*tensor.Matrix{c.NodeFeat, c.EdgeFeat, c.TargetFeat} {
+			for i := range mat.Data {
+				mat.Data[i] = rng.NormFloat64()
+			}
+		}
+		whole := NewSampler(defaultConfig(2, 3, m, dec), mathx.NewRNG(21))
+		windowed := NewSampler(defaultConfig(2, 3, m, dec), mathx.NewRNG(21))
+		want := whole.Select(autograd.New(), c, n)
+		g, w := autograd.NewReusable(), &CandidateSet{}
+		for lo := 0; lo < roots; lo += window {
+			hi := min(lo+window, roots)
+			g.ResetForwardOnly()
+			sel := windowed.Select(g, c.Window(w, lo, hi), n)
+			for i, got := range sel.Chosen {
+				if !slices.Equal(got, want.Chosen[lo+i]) {
+					t.Fatalf("%v: root %d drew %v in a window, %v in the whole set", dec, lo+i, got, want.Chosen[lo+i])
+				}
+			}
+			for s, v := range sel.LogQ.Val.Data {
+				if u := want.LogQ.Val.Data[lo*m+s]; math.Float64bits(v) != math.Float64bits(u) {
+					t.Fatalf("%v: slot %d has log q %v in a window, %v in the whole set", dec, lo*m+s, v, u)
+				}
+			}
+			windowed.Recycle(sel)
+		}
+		if a, b := whole.rng.Uint64(), windowed.rng.Uint64(); a != b {
+			t.Fatalf("%v: the sampler's RNG is at %#x after the whole set, %#x after the windows", dec, a, b)
 		}
 	}
 }

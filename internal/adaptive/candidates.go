@@ -1,6 +1,9 @@
 package adaptive
 
 import (
+	"fmt"
+	"slices"
+
 	"taser/internal/models"
 	"taser/internal/tensor"
 )
@@ -78,3 +81,41 @@ func (c *CandidateSet) SetEntry(i, j int, node int32, deltaT float64) {
 // FinishMask marks every slot Valid does not name as padding (Nodes −1);
 // call it after the SetEntry calls that fill the set.
 func (c *CandidateSet) FinishMask() { models.MarkPadding(c.Nodes, c.Valid) }
+
+// Window makes w roots [lo, hi) of c and returns it: a set of hi−lo roots
+// over c's own candidate, timespan and feature storage, whose Valid is its
+// own, renumbered from root lo. Select over the windows of a set, in root
+// order, draws what one Select over the whole set draws: a root's scores
+// read its own candidates only, and its draws consume the sampler's RNG in
+// the same order. w's matrix headers and Valid are reused across calls; it
+// is valid until c is reset. A caller that draws a set larger than a
+// training step window by window keeps the sampler graph at a step's size
+// (Trainer.EvalMRR, DESIGN.md §7).
+func (c *CandidateSet) Window(w *CandidateSet, lo, hi int) *CandidateSet {
+	if lo < 0 || hi < lo || hi > c.B {
+		panic(fmt.Sprintf("adaptive: window [%d, %d) of %d roots", lo, hi, c.B))
+	}
+	m := c.M
+	w.B, w.M = hi-lo, m
+	w.Nodes, w.DeltaT = c.Nodes[lo*m:hi*m], c.DeltaT[lo*m:hi*m]
+	w.NodeFeat = rowWindow(w.NodeFeat, c.NodeFeat, lo*m, hi*m)
+	w.EdgeFeat = rowWindow(w.EdgeFeat, c.EdgeFeat, lo*m, hi*m)
+	w.TargetFeat = rowWindow(w.TargetFeat, c.TargetFeat, lo, hi)
+	first, _ := slices.BinarySearch(c.Valid, int32(lo*m))
+	end, _ := slices.BinarySearch(c.Valid, int32(hi*m))
+	w.Valid = w.Valid[:0]
+	for _, s := range c.Valid[first:end] {
+		w.Valid = append(w.Valid, s-int32(lo*m))
+	}
+	return w
+}
+
+// rowWindow points dst (allocated when nil) at rows [lo, hi) of src.
+func rowWindow(dst, src *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	if dst == nil {
+		dst = new(tensor.Matrix)
+	}
+	dst.Rows, dst.Cols = hi-lo, src.Cols
+	dst.Data = src.Data[lo*src.Cols : hi*src.Cols : hi*src.Cols]
+	return dst
+}

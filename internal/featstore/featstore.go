@@ -45,7 +45,8 @@ func (s *Store) rowBytes() int64 { return int64(s.host.Cols) * 8 }
 // transfer time of exactly this call's traffic (0 when accounting is off).
 // Negative ids produce zero rows (neighborhood padding). Rows resident in
 // the cache are served from VRAM; the rest are fetched over PCIe and the
-// access is reported to the cache policy so it can learn the pattern.
+// access is reported to the cache policy so it can learn the pattern. A
+// zero-width store records nothing and models 0.
 //
 // The per-call return value — rather than diffing the shared XferStats
 // counters around the call — is what keeps the FS timing bucket exact when
@@ -54,6 +55,11 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 	if dst.Rows != len(ids) || dst.Cols != s.host.Cols {
 		panic(fmt.Sprintf("featstore: Slice dst %dx%d want %dx%d",
 			dst.Rows, dst.Cols, len(ids), s.host.Cols))
+	}
+	if s.host.Cols == 0 {
+		// A zero-width row is no transfer: nothing to copy, count or model,
+		// and nothing for the policy to learn from.
+		return 0
 	}
 	if s.policy != nil {
 		// The policy learns from the access stream and is not safe for

@@ -36,6 +36,21 @@ func TestSliceUncached(t *testing.T) {
 	}
 }
 
+// TestZeroWidthSliceIsNoTransfer: a store over zero-width rows (a dataset
+// without node features) moves no bytes, so a slice from it records no
+// request on either path and models no time, whatever the ids.
+func TestZeroWidthSliceIsNoTransfer(t *testing.T) {
+	stats := device.NewXferStats()
+	s := New(tensor.New(5, 0), nil, stats)
+	if got := s.Slice([]int32{4, 0, -1, 2}, tensor.New(4, 0)); got != 0 {
+		t.Fatalf("a zero-width slice models %v, want 0", got)
+	}
+	if stats.PCIeRequests() != 0 || stats.VRAMRequests() != 0 || stats.PCIeBytes() != 0 {
+		t.Fatalf("a zero-width slice recorded %d PCIe / %d VRAM requests, %d PCIe bytes",
+			stats.PCIeRequests(), stats.VRAMRequests(), stats.PCIeBytes())
+	}
+}
+
 func TestSlicePaddingRows(t *testing.T) {
 	host := hostMatrix(3, 2)
 	s := New(host, nil, nil)

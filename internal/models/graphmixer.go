@@ -49,32 +49,23 @@ func (m *GraphMixer) Params() []*autograd.Var {
 	return nn.CollectParams(m.tokenIn, m.mixer, m.readout)
 }
 
-// splitTargetsNbrs gathers from h, laid out [t target rows | t·n neighbor
-// rows], the target rows and the neighbor rows of the block's valid slots
-// (V rows, in slot order). Index storage comes from the graph's arena (the
-// tape borrows it until Reset).
-func splitTargetsNbrs(g *autograd.Graph, h *autograd.Var, block *LayerBlock) (hT, hN *autograd.Var) {
-	t := block.NumTargets
-	idxN := g.Ints(len(block.Valid))
-	for i, s := range block.Valid {
-		idxN[i] = int32(t) + s
-	}
-	return g.GatherRows(h, g.RowRange(t)), g.GatherRows(h, idxN)
-}
-
 // Forward implements TGNN (Eqs. 8–9).
 func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrainInfo) {
-	if err := mb.Validate(); err != nil {
-		panic(err)
-	}
+	return m.ForwardRoots(g, mb, 0, mb.Roots())
+}
+
+// ForwardRoots implements TGNN: the window's roots and the neighbors in
+// their valid slots are the only rows it reads.
+func (m *GraphMixer) ForwardRoots(g *autograd.Graph, mb *MiniBatch, lo, hi int) (*autograd.Var, *CoTrainInfo) {
+	live := rootWindow(g, mb, lo, hi)
 	if len(mb.Layers) != 1 {
 		panic("models: GraphMixer is single-layer")
 	}
 	block := mb.Layers[0]
-	t, n := block.NumTargets, block.Budget
+	t, n := len(live), block.Budget
+	valid, slots, below := liveSlots(g, block, live)
 	h := g.Const(mb.LeafFeat)
-	valid := block.Valid
-	hT, hN := splitTargetsNbrs(g, h, block)
+	hT, hN := g.GatherRows(h, below[:t]), g.GatherRows(h, below[t:])
 
 	// Fixed time encoding of each valid neighbor's Δt (Eq. 8), computed
 	// outside the graph since it carries no parameters; the buffers are
@@ -87,14 +78,14 @@ func (m *GraphMixer) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *
 	m.timeEnc.EncodeRows(phi.Data, dts.Data)
 
 	// Tokens exist for valid slots only; the mixer reads them against their
-	// slots of the T·n layout (padding is a zero token) and hands back the
+	// slots of the t·n layout (padding is a zero token) and hands back the
 	// valid rows, which the mean reads the same way.
 	tokens := m.tokenIn.ApplyParts(g, hN, g.GatherRows(g.Const(block.EdgeFeat), valid), g.Const(phi))
-	mixed := m.mixer.Apply(g, tokens, valid, t*n)
-	mean := g.GroupMean(mixed, valid, t, n)
+	mixed := m.mixer.Apply(g, tokens, slots, t*n)
+	mean := g.GroupMean(mixed, slots, t, n)
 	out := g.GELU(m.readout.ApplyParts(g, mean, hT))
 
-	info := &CoTrainInfo{Budget: n, Out: out, Tokens: mixed, Slots: valid}
+	info := &CoTrainInfo{Budget: n, Out: out, Tokens: mixed, Slots: slots}
 	return out, info
 }
 

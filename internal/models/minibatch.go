@@ -172,6 +172,49 @@ func (mb *MiniBatch) Validate() error {
 // Roots returns the number of root targets (outermost layer).
 func (mb *MiniBatch) Roots() int { return mb.Layers[len(mb.Layers)-1].NumTargets }
 
+// rootWindow validates mb and names its roots [lo, hi), ascending, in the
+// graph's storage: the live list of a ForwardRoots pass.
+func rootWindow(g *autograd.Graph, mb *MiniBatch, lo, hi int) []int32 {
+	if err := mb.Validate(); err != nil {
+		panic(err)
+	}
+	if lo < 0 || hi < lo || hi > mb.Roots() {
+		panic(fmt.Sprintf("models: root window [%d, %d) of %d roots", lo, hi, mb.Roots()))
+	}
+	live := g.Ints(hi - lo)
+	for i := range live {
+		live[i] = int32(lo + i)
+	}
+	return live
+}
+
+// liveSlots walks block.Valid against live (both ascending) and returns the
+// valid slots of live targets three ways: valid, as the block numbers them;
+// slots, as the len(live)·n layout of live targets only numbers them (the
+// neighborhood reductions' slot index); and
+// below, live followed by T+s for each slot s — the live targets of the
+// layer underneath, which at the innermost layer are rows of LeafFeat.
+// Storage is the graph's (the tape borrows index lists until Reset).
+func liveSlots(g *autograd.Graph, block *LayerBlock, live []int32) (valid, slots, below []int32) {
+	n := int32(block.Budget)
+	bound := min(len(block.Valid), len(live)*block.Budget)
+	valid, slots = g.Ints(bound)[:0], g.Ints(bound)[:0]
+	below = append(g.Ints(len(live) + bound)[:0], live...)
+	rest := block.Valid
+	for j, i := range live {
+		for len(rest) > 0 && rest[0] < i*n {
+			rest = rest[1:]
+		}
+		for ; len(rest) > 0 && rest[0] < (i+1)*n; rest = rest[1:] {
+			s := rest[0]
+			valid = append(valid, s)
+			slots = append(slots, int32(j)*n+s-i*n)
+			below = append(below, int32(block.NumTargets)+s)
+		}
+	}
+	return valid, slots, below
+}
+
 // CoTrainInfo exposes the internals of the outermost aggregation that the
 // REINFORCE sample loss needs (Eqs. 25–26): it is captured during Forward
 // and consumed by the adaptive package after Backward has populated
@@ -210,8 +253,16 @@ type CoTrainInfo struct {
 // TGNN is the interface shared by both backbones.
 type TGNN interface {
 	// Forward computes root embeddings; info captures co-training internals
-	// for the outermost layer.
+	// for the outermost layer. It is ForwardRoots over every root.
 	Forward(g *autograd.Graph, mb *MiniBatch) (out *autograd.Var, info *CoTrainInfo)
+	// ForwardRoots embeds roots [lo, hi) of mb only, one row each: bitwise
+	// rows lo..hi−1 of Forward's output, because a root's embedding depends
+	// on its own subtree alone and every kernel sums each element in a
+	// fixed order. Nothing outside those roots' subtrees is computed, so a
+	// minibatch larger than a training step can be embedded window by
+	// window, the graph reset in between (Trainer.EvalMRR, DESIGN.md §5).
+	// info numbers the window's roots from 0.
+	ForwardRoots(g *autograd.Graph, mb *MiniBatch, lo, hi int) (out *autograd.Var, info *CoTrainInfo)
 	// NumLayers reports the hop depth (TGAT: 2, GraphMixer: 1).
 	NumLayers() int
 	// HiddenDim reports the embedding width.

@@ -43,7 +43,8 @@ func paddingBias(block *LayerBlock) *tensor.Matrix {
 	return bias
 }
 
-// paddedSplit is splitTargetsNbrs over every slot.
+// paddedSplit gathers from h, laid out [t target rows | t·n neighbor rows],
+// the target rows and the neighbor rows of every slot, padding included.
 func paddedSplit(g *autograd.Graph, h *autograd.Var, t, n int) (hT, hN *autograd.Var) {
 	idxN := allRows(t * n)
 	for i := range idxN {

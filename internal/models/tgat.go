@@ -70,50 +70,27 @@ func (m *TGAT) Params() []*autograd.Var {
 }
 
 // Forward implements TGNN (Algorithm: Eqs. 1–2 with the combiner of Eq. 7).
-//
-// Only live targets are embedded. Every root is live; a target of layer k−1
-// is live if it is a live target of layer k (its own previous-layer state)
-// or the neighbor in a valid slot of one. The rest of the padded layout —
-// the sentinel targets padded slots turn into, with everything sampled under
-// them — is read by nothing above, so no layer runs a row for it.
 func (m *TGAT) Forward(g *autograd.Graph, mb *MiniBatch) (*autograd.Var, *CoTrainInfo) {
-	if err := mb.Validate(); err != nil {
-		panic(err)
-	}
+	return m.ForwardRoots(g, mb, 0, mb.Roots())
+}
+
+// ForwardRoots implements TGNN.
+//
+// Only live targets are embedded. The window's roots are live; a target of
+// layer k−1 is live if it is a live target of layer k (its own
+// previous-layer state) or the neighbor in a valid slot of one. The rest of
+// the padded layout — the other roots' subtrees, and the sentinel targets
+// padded slots turn into with everything sampled under them — is read by
+// nothing above, so no layer runs a row for it.
+func (m *TGAT) ForwardRoots(g *autograd.Graph, mb *MiniBatch, lo, hi int) (*autograd.Var, *CoTrainInfo) {
+	live := rootWindow(g, mb, lo, hi)
 	if len(mb.Layers) != m.cfg.Layers {
 		panic("models: TGAT minibatch layer count mismatch")
 	}
 	top := len(mb.Layers) - 1
 	info := &CoTrainInfo{Budget: mb.Layers[top].Budget}
-	info.Out = m.embed(g, mb, top, g.RowRange(mb.Roots()), info)
+	info.Out = m.embed(g, mb, top, live, info)
 	return info.Out, info
-}
-
-// liveSlots walks block.Valid against live (both ascending) and returns the
-// valid slots of live targets three ways: valid, as the block numbers them;
-// slots, as the len(live)·n layout of live targets only numbers them (the
-// neighborhood reductions' slot index); and
-// below, live followed by T+s for each slot s — the live targets of the
-// layer underneath, which at the innermost layer are rows of LeafFeat.
-// Storage is the graph's (the tape borrows index lists until Reset).
-func liveSlots(g *autograd.Graph, block *LayerBlock, live []int32) (valid, slots, below []int32) {
-	n := int32(block.Budget)
-	bound := min(len(block.Valid), len(live)*block.Budget)
-	valid, slots = g.Ints(bound)[:0], g.Ints(bound)[:0]
-	below = append(g.Ints(len(live) + bound)[:0], live...)
-	rest := block.Valid
-	for j, i := range live {
-		for len(rest) > 0 && rest[0] < i*n {
-			rest = rest[1:]
-		}
-		for ; len(rest) > 0 && rest[0] < (i+1)*n; rest = rest[1:] {
-			s := rest[0]
-			valid = append(valid, s)
-			slots = append(slots, int32(j)*n+s-i*n)
-			below = append(below, int32(block.NumTargets)+s)
-		}
-	}
-	return valid, slots, below
 }
 
 // embed returns layer k's embeddings of the targets live names, one row each

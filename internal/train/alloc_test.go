@@ -54,6 +54,30 @@ func TestStepAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEvalMRRAllocBudget: a warm EvalMRR on the taser-tgat-gatv2
+// trajectory-pin fixture — 10 validation edges ranked against 49 negatives,
+// one build of 510 roots drawn and embedded in windows of 64. The count is
+// per call, not per window.
+func TestEvalMRRAllocBudget(t *testing.T) {
+	const evalAllocBudget = 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := allocBudgetConfig()
+	cfg.Seed = 11
+	tr, err := New(cfg, datasets.Wikipedia(0.08, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		tr.TrainStep()
+	}
+	tr.EvalMRR(SplitVal) // warm the evaluation's shapes in the pool and arenas
+	allocs := testing.AllocsPerRun(5, func() { tr.EvalMRR(SplitVal) })
+	t.Logf("allocs/EvalMRR = %.1f (budget %d)", allocs, evalAllocBudget)
+	if allocs > evalAllocBudget {
+		t.Fatalf("a warm EvalMRR allocates %.1f times, budget %d", allocs, evalAllocBudget)
+	}
+}
+
 // TestPipelinedStepAllocBudget: a base-GraphMixer step through the pipelined
 // loop — the train-base-mixer shape, where the producer completes the whole
 // static build and the consumer only runs the link-prediction step.

@@ -98,9 +98,11 @@ func (t *Trainer) finishBatch(pb *prepared) *builtBatch {
 	} else {
 		// Checking the reusable sampler graph out here ends the previous
 		// step's pass, serialized with SampleLoss/Backward. Only training
-		// batches are co-trained: evaluation and inference batches (no
-		// edges) draw their Selection on a forward-only pass.
-		out.gS = t.samplerGraph(pb.edges == nil)
+		// batches are co-trained; evaluation and inference batches (no
+		// edges) check it out forward-only, window by window (adaptiveHop).
+		if pb.edges != nil {
+			out.gS = t.samplerGraph(false)
+		}
 		// This stage runs while the producer prepares future batches: every
 		// static hop below the staged one samples the dedicated consumer
 		// finder.
@@ -117,17 +119,50 @@ func (t *Trainer) finishBatch(pb *prepared) *builtBatch {
 }
 
 // adaptiveHop resolves the outermost hop through the adaptive sampler: the m
-// candidates prepareRoots staged → Selection of n of them → layer block. The
-// Selection and its candidate set are retained for co-training.
+// candidates prepareRoots staged → Selection of n of them → layer block,
+// whose chosen edges' features are then sliced in one call. A training
+// batch is one window, drawn on the recording graph, and its Selection is
+// retained for co-training. Any other batch draws in windows of at most
+// windowRoots roots, each on a fresh forward-only checkout, so the sampler
+// graph stays within a step's size; the draws are bitwise one Select's
+// (CandidateSet.Window).
 func (t *Trainer) adaptiveHop(pb *prepared, out *builtBatch, targets []sampler.Target) *models.LayerBlock {
-	res := pb.outer
-	out.cs = pb.cs
+	res, cs, n := pb.outer, pb.cs, t.Cfg.N
+	out.cs = cs
 	pb.outer, pb.cs = nil, nil
-	t.time("AS", func() { out.sel = t.Sampler.Select(out.gS, out.cs, t.Cfg.N) })
-	block := t.blockFromSelection(targets, res, out.sel)
+	block := t.pool.getBlock(len(targets), n, t.edgeDim)
+	eids := t.pool.ids.get(len(targets) * n)[:len(targets)*n]
+	for i := range eids {
+		eids[i] = -1
+	}
+	if pb.edges != nil {
+		t.time("AS", func() { out.sel = t.Sampler.Select(out.gS, cs, n) })
+		fillFromSelection(block, eids, targets, res, out.sel, 0)
+	} else {
+		w := t.windowRoots()
+		for lo := 0; lo < cs.B; lo += w {
+			var sel *adaptive.Selection
+			t.time("AS", func() {
+				sel = t.Sampler.Select(t.samplerGraph(true), cs.Window(&t.csWindow, lo, min(lo+w, cs.B)), n)
+			})
+			fillFromSelection(block, eids, targets, res, sel, lo)
+			t.Sampler.Recycle(sel)
+		}
+	}
+	block.FinishMask()
+	t.sliceEdges(eids, block.EdgeFeat)
+	t.pool.ids.put(eids)
 	t.pool.putResult(res)
 	return block
 }
+
+// windowRoots is the most roots a forward-only pass of the Trainer covers:
+// BatchSize, a third of a training step's [srcs | dsts | negs]. A whole
+// step's roots are too many: evaluation's late roots have fuller
+// neighborhoods than the training edges, so such a window, forward-only,
+// needs about what a recording step does, and it grew the TGAT model arena
+// in about half the fixtures tried (DESIGN.md §5).
+func (t *Trainer) windowRoots() int { return t.Cfg.BatchSize }
 
 // releasePrepared returns a batch's pooled buffers, whether or not it was
 // finished (the pipeline discards unfinished batches on early shutdown).
@@ -159,32 +194,22 @@ func (t *Trainer) buildCandidateSet(targets []sampler.Target, res *sampler.Resul
 		}
 	}
 	cs.FinishMask()
-	if t.nodeDim > 0 {
-		t.sliceNodes(cs.Nodes, cs.NodeFeat)
-		t.sliceTargetNodes(targets, cs.TargetFeat)
-	}
+	t.sliceNodes(cs.Nodes, cs.NodeFeat)
+	t.sliceTargetNodes(targets, cs.TargetFeat)
 	t.sliceEdges(res.Eids, cs.EdgeFeat)
 	return cs
 }
 
-// blockFromSelection materializes the n-budget layer block from the adaptive
-// sampler's chosen candidate slots, then slices the chosen edges' features.
-func (t *Trainer) blockFromSelection(targets []sampler.Target, res *sampler.Result, sel *adaptive.Selection) *models.LayerBlock {
-	n := t.Cfg.N
-	block := t.pool.getBlock(len(targets), n, t.edgeDim)
-	eids := t.pool.ids.get(len(targets) * n)[:len(targets)*n]
-	for i := range eids {
-		eids[i] = -1
-	}
-	for i, tg := range targets {
-		for j, slot := range sel.Chosen[i] {
-			s := res.Slot(i, slot)
-			block.SetEntry(i, j, res.Nodes[s], tg.Time-res.Times[s])
-			eids[i*n+j] = res.Eids[s]
+// fillFromSelection fills the rows of block that sel draws for, targets
+// lo, lo+1, … (sel.Chosen[i] is target lo+i's), from the chosen candidate
+// slots of res, and records each chosen edge's id in eids for the slice.
+func fillFromSelection(block *models.LayerBlock, eids []int32, targets []sampler.Target, res *sampler.Result, sel *adaptive.Selection, lo int) {
+	for i, chosen := range sel.Chosen {
+		tg := targets[lo+i]
+		for j, slot := range chosen {
+			s := res.Slot(lo+i, slot)
+			block.SetEntry(lo+i, j, res.Nodes[s], tg.Time-res.Times[s])
+			eids[(lo+i)*block.Budget+j] = res.Eids[s]
 		}
 	}
-	block.FinishMask()
-	t.sliceEdges(eids, block.EdgeFeat)
-	t.pool.ids.put(eids)
-	return block
 }

@@ -136,7 +136,11 @@ func (c *buildCore) sliceEdges(ids []int32, dst *tensor.Matrix) {
 	c.charge("FS", start, modeled)
 }
 
+// sliceNodes is sliceEdges for node-feature rows.
 func (c *buildCore) sliceNodes(ids []int32, dst *tensor.Matrix) {
+	if c.nodeDim == 0 {
+		return
+	}
 	start := time.Now()
 	modeled := c.NodeStore.Slice(ids, dst)
 	c.charge("FS", start, modeled)
@@ -144,6 +148,9 @@ func (c *buildCore) sliceNodes(ids []int32, dst *tensor.Matrix) {
 
 // sliceTargetNodes fetches the targets' own node features, one row each.
 func (c *buildCore) sliceTargetNodes(targets []sampler.Target, dst *tensor.Matrix) {
+	if c.nodeDim == 0 {
+		return
+	}
 	ids := c.pool.ids.get(len(targets))
 	for _, tg := range targets {
 		ids = append(ids, tg.Node)

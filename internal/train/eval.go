@@ -1,6 +1,10 @@
 package train
 
-import "taser/internal/sampler"
+import (
+	"taser/internal/models"
+	"taser/internal/sampler"
+	"taser/internal/tensor"
+)
 
 // Split selects which chronological slice of events to evaluate.
 type Split int
@@ -55,8 +59,10 @@ func (t *Trainer) EvalMRR(split Split) float64 {
 	return sumRR / float64(count)
 }
 
-// evalChunk embeds a chunk of edges' sources, positives and K negatives in
-// one forward pass and returns the summed reciprocal ranks.
+// evalChunk ranks a chunk of edges: one build of their sources, positives
+// and K negatives, embedded window by window (embedWindows), then every
+// (source, candidate) pair scored in one pass. It returns the summed
+// reciprocal ranks.
 func (t *Trainer) evalChunk(edges []int) float64 {
 	b := len(edges)
 	k := t.Cfg.EvalNegatives
@@ -76,15 +82,14 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 			roots = append(roots, sampler.Target{Node: t.negativeDst(), Time: ev.Time})
 		}
 	}
+	// One build for the chunk, through the same pool as a training step:
+	// the finder and feature slicing run once over every root, as the GPU
+	// finder's streams (seeded per call and block) require.
 	pb := t.prepareRoots(roots)
 	built := t.finishBatch(pb)
 	defer t.releasePrepared(pb)
-	// Same reusable graph and pooled index scratch as a training step: the
-	// eval path shares the build pool and the arena, so steady-state
-	// evaluation allocates like a step instead of rebuilding from scratch —
-	// and, forward-only, without a gradient per intermediate.
-	g := t.modelGraph(true)
-	emb, _ := t.Model.Forward(g, built.mb)
+	emb := t.embedWindows(built.mb)
+	defer t.pool.putMat(emb)
 
 	// Score all (src, candidate) pairs in one shot.
 	srcIdx := t.pool.ids.get(b * (1 + k))[:b*(1+k)]
@@ -100,7 +105,8 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 			dstIdx[p] = int32(2*b + i*k + j)
 		}
 	}
-	logits := t.Pred.ScoreGathered(g, emb, srcIdx, dstIdx)
+	g := t.modelGraph(true)
+	logits := t.Pred.ScoreGathered(g, g.Const(emb), srcIdx, dstIdx)
 
 	var sumRR float64
 	for i := 0; i < b; i++ {
@@ -114,6 +120,23 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 		sumRR += 1.0 / float64(rank)
 	}
 	return sumRR
+}
+
+// embedWindows embeds mb's roots into a pooled roots×d matrix (hand it back
+// with putMat) in windows of at most windowRoots roots, each a ForwardRoots
+// pass on a fresh forward-only checkout of the model graph whose rows are
+// copied out before the next: however many negatives evaluation ranks, its
+// passes stay within a step's size, and the rows are bitwise one Forward's.
+func (t *Trainer) embedWindows(mb *models.MiniBatch) *tensor.Matrix {
+	roots, d := mb.Roots(), t.Model.HiddenDim()
+	emb := t.pool.getMat(roots, d)
+	w := t.windowRoots()
+	for lo := 0; lo < roots; lo += w {
+		hi := min(lo+w, roots)
+		out, _ := t.Model.ForwardRoots(t.modelGraph(true), mb, lo, hi)
+		copy(emb.Data[lo*d:hi*d], out.Val.Data)
+	}
+	return emb
 }
 
 // Run trains for Cfg.Epochs epochs and returns the per-epoch losses plus the

@@ -209,6 +209,10 @@ type Trainer struct {
 	// construction.
 	gM, gS graphHolder
 
+	// csWindow is the candidate-set window a forward-only Selection draws
+	// over (adaptiveHop); its headers are reused from batch to batch.
+	csWindow adaptive.CandidateSet
+
 	// freshGraphs disables graph/arena reuse: every checkout returns a new
 	// unpooled graph (see graphHolder.checkout).
 	freshGraphs bool

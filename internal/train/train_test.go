@@ -280,3 +280,45 @@ func TestOriginFinderBaselineStep(t *testing.T) {
 		t.Fatal("origin finder step")
 	}
 }
+
+// TestStepPCIeRequestsAreMissedEdgeRows: wikipedia has no node features, so
+// a step's PCIe requests are its edge rows that miss the cache — the real
+// edge rows its build slices (the valid slots of its blocks and, with
+// adaptive sampling, of its candidate set) less those served from VRAM. A
+// zero-width node row is no transfer.
+func TestStepPCIeRequestsAreMissedEdgeRows(t *testing.T) {
+	ds := datasets.Wikipedia(0.05, 3)
+	if ds.Spec.NodeDim != 0 {
+		t.Fatalf("wikipedia has %d-wide node features", ds.Spec.NodeDim)
+	}
+	for _, ada := range []bool{false, true} {
+		tr, err := New(Config{Model: ModelTGAT, AdaNeighbor: ada, CacheRatio: 0.2,
+			Hidden: 8, TimeDim: 4, BatchSize: 32, Seed: 3}, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 2; epoch++ { // the second epoch's cache holds rows
+			for i := 0; i < 10; i++ { // past the first batches' empty neighborhoods
+				tr.TrainStep()
+			}
+			pcie, vram := tr.Xfer.PCIeRequests(), tr.Xfer.VRAMRequests()
+			pb := tr.prepareBatch(tr.nextBatchEdges())
+			built := tr.finishBatch(pb)
+			rows := 0
+			for _, blk := range built.mb.Layers {
+				rows += len(blk.Valid)
+			}
+			if built.cs != nil {
+				rows += len(built.cs.Valid)
+			}
+			pcie, vram = tr.Xfer.PCIeRequests()-pcie, tr.Xfer.VRAMRequests()-vram
+			if pcie != int64(rows)-vram {
+				t.Fatalf("ada=%v epoch %d: %d PCIe requests for %d edge rows, %d of them VRAM hits",
+					ada, epoch, pcie, rows, vram)
+			}
+			t.Logf("ada=%v epoch %d: %d edge rows, %d VRAM hits", ada, epoch, rows, vram)
+			tr.releasePrepared(pb)
+			tr.TrainEpoch()
+		}
+	}
+}
