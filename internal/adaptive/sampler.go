@@ -400,6 +400,12 @@ func (s *NeighborSampler) Select(g *autograd.Graph, c *CandidateSet, n int) *Sel
 			sel.Chosen[b] = sel.Chosen[b][:0]
 			continue
 		}
+		if cap(sel.Chosen[b]) < n {
+			// Room for n at once: a slot whose draws grow one size at a
+			// time would allocate again whenever its root first has more
+			// candidates, long after warm-up.
+			sel.Chosen[b] = make([]int, 0, n)
+		}
 		sel.Chosen[b] = s.ws.SampleInto(s.rng, weights, min(n, valid), sel.Chosen[b])
 	}
 	return sel

@@ -37,7 +37,7 @@ func allocBudgetConfig() Config {
 // TestStepAllocBudget: a full TASER training step (build + adaptive selection
 // + forward/backward + both optimizer steps).
 func TestStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 10
+	const stepAllocBudget = 7
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := datasets.Wikipedia(0.1, 3)
 	tr, err := New(allocBudgetConfig(), ds)
