@@ -122,10 +122,10 @@ const calibrationLaps = 5
 // back-to-back, no think time — the rate the engine sustains when clients
 // self-throttle (HTTP + build + forward; batches form behind each flush, no
 // request waits on MaxWait). The open-loop burst offers a multiple of this.
-// It returns the rate of each of calibrationLaps laps of the same traffic;
-// the fastest is the reading, because interference from the host only ever
-// slows a lap (one lap alone read anywhere from 4,643 to 13,460 req/s at one
-// commit).
+// It returns the rate of each of calibrationLaps laps of that traffic, fresh
+// node draws each lap; the fastest is the reading, because interference from
+// the host only ever slows a lap (one lap alone read anywhere from 4,643 to
+// 13,460 req/s at one commit).
 func calibrateRate(o Options, base string, zipf *mathx.Alias, qt float64) ([]float64, error) {
 	const clients, reqs = 4, 100
 	client := openHTTPClient()

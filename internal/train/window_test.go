@@ -3,7 +3,6 @@ package train
 import (
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"taser/internal/adaptive"
@@ -47,25 +46,11 @@ func TestForwardOnlyWindowsMatchOneWindow(t *testing.T) {
 			}
 			trs[i] = tr
 		}
-		small, one := trs[0].BuildMiniBatch(roots), trs[1].BuildMiniBatch(roots)
-		for l := range one.Layers {
-			a, b := small.Layers[l], one.Layers[l]
-			if !slices.Equal(a.NbrNodes, b.NbrNodes) || !slices.Equal(a.Valid, b.Valid) ||
-				!bitsEqual(a.DeltaT.Data, b.DeltaT.Data) || !bitsEqual(a.EdgeFeat.Data, b.EdgeFeat.Data) {
-				t.Fatalf("%s: layer %d of the windowed build differs from one window's", cfg.Model, l)
-			}
-		}
-		if !bitsEqual(small.LeafFeat.Data, one.LeafFeat.Data) {
-			t.Fatalf("%s: leaf features differ", cfg.Model)
-		}
+		requireMiniBatchesEqual(t, trs[0].BuildMiniBatch(roots), trs[1].BuildMiniBatch(roots))
 		if a, b := trs[0].EvalMRR(SplitVal), trs[1].EvalMRR(SplitVal); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: windowed MRR %v, one window's %v", cfg.Model, a, b)
 		}
 	}
-}
-
-func bitsEqual(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestEvalMRRStaysInTrainingMemory: evaluation at the paper's 49 negatives
