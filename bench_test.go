@@ -129,7 +129,7 @@ func benchmarkTrainStep(b *testing.B, cfg train.Config) {
 		b.Fatal(err)
 	}
 	// Steady state is the quantity of interest: a few warmup steps fill the
-	// buffer pools, the autograd tape and the arena shape classes so allocs/op
+	// buffer pools, the autograd tape and the arenas so allocs/op
 	// reports the recycled path, not the one-time warmup.
 	for i := 0; i < 5; i++ {
 		tr.TrainStep()

@@ -218,6 +218,9 @@ var smokes = map[string]struct {
 				if got := mustCell(t, rows, "summary", v, "client_dropped"); got != dropped {
 					t.Errorf("%s: summary client_dropped %v, timeline %v", v, got, dropped)
 				}
+				if got := mustCell(t, rows, "summary", v, "client_dropped_share"); got != dropped/offered {
+					t.Errorf("%s: summary client_dropped_share %v, timeline %v of %v arrivals", v, got, dropped, offered)
+				}
 				if mustCell(t, rows, "summary", v, "lost") != 0 || mustCell(t, rows, "summary", v, "retry_after_ok") != 1 {
 					t.Errorf("%s: requests lost or shed without Retry-After", v)
 				}

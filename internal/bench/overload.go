@@ -50,7 +50,8 @@ var overloadPhase = 3 * time.Second // per-phase duration
 // Retry-After). Each variant is a group of per-second
 // offered/completed/shed/client_dropped/latency lines, plus its line in the
 // "summary" group: calibrated and offered rates, burst and recovery p99 and
-// shed/client_dropped/lost accounting.
+// shed/client_dropped/lost accounting, with client_dropped also as a share
+// of the arrivals (the generator's saturation).
 func overloadExp(o Options) (string, []Row, error) {
 	fx, err := newServingFixture(o)
 	if err != nil {
@@ -314,6 +315,7 @@ func runOpenTimeline(o Options, base, label string, zipf *mathx.Alias, qt, rate 
 	return timeline, append(summary,
 		Row{"summary", label, "shed", float64(shed), ""},
 		Row{"summary", label, "client_dropped", float64(dropped), ""},
+		Row{"summary", label, "client_dropped_share", float64(dropped) / float64(max(launched, 1)), "share"},
 		Row{"summary", label, "retry_after_ok", retryOK, ""},
 		Row{"summary", label, "lost", float64(launched - done - shed - errCount - dropped), ""})
 }

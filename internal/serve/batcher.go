@@ -293,11 +293,7 @@ func (e *Engine) flush(pending []*request) {
 		fs.dIdx = append(fs.dIdx, di)
 	}
 
-	// Build + forward the cache misses as one minibatch, padded to the next
-	// power of two so the buffer pool sees a handful of shape classes instead
-	// of one per distinct batch size. Forward is row-local (attention,
-	// normalization and token mixing all stay within a target's rows), so
-	// padding with sentinel roots never perturbs real outputs.
+	// Build + forward the cache misses as one minibatch.
 	fs.miss = fs.miss[:0]
 	for i := range fs.states {
 		if !fs.states[i].cached {
@@ -308,9 +304,6 @@ func (e *Engine) flush(pending []*request) {
 		fs.roots = fs.roots[:0]
 		for _, si := range fs.miss {
 			fs.roots = append(fs.roots, sampler.Target{Node: fs.states[si].node, Time: fs.states[si].t})
-		}
-		for len(fs.roots) < padBatch(len(fs.miss)) {
-			fs.roots = append(fs.roots, sampler.Padding)
 		}
 		if e.memo != nil {
 			e.memo.pin(snap, wv)
@@ -400,13 +393,4 @@ func (e *Engine) scorePairs(pending []*request) []float64 {
 		fs.scores[i] = logits.Val.Data[j]
 	}
 	return fs.scores
-}
-
-// padBatch rounds n up to the next power of two (the pool shape classes).
-func padBatch(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

@@ -117,7 +117,7 @@ func warmPipelined(t *testing.T, tr *Trainer, steps int) {
 	prev := -1
 	for lap := 0; lap < 10; lap++ {
 		atFurthestLead(tr, steps)
-		if n := pooledBlocks(tr.pool); n != prev {
+		if n := pooled(&tr.pool.blocks); n != prev {
 			prev = n
 			continue
 		}
@@ -150,16 +150,12 @@ func atFurthestLead(tr *Trainer, steps int) {
 	}
 }
 
-// pooledBlocks counts the LayerBlocks the build pool holds; with no batch in
-// flight that is every block it has built.
-func pooledBlocks(p *buildPool) int {
-	p.blocks.mu.Lock()
-	defer p.blocks.mu.Unlock()
-	n := 0
-	for _, list := range p.blocks.free {
-		n += len(list)
-	}
-	return n
+// pooled counts the buffers a free list holds; with no batch in flight
+// that is every buffer of its family the pool has built.
+func pooled[T any](l *freeList[T]) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
 }
 
 // TestTrainStepGraphReuseMatchesFresh pins the §5 equivalence contract at the

@@ -40,9 +40,9 @@ type InferConfig struct {
 //
 // The online serving subsystem (internal/serve) creates one per engine and
 // retargets it at each published snapshot with SwapGraph. The buffer pool
-// survives swaps: block/matrix shape classes depend only on batch size and
-// model shape, not on the graph, so steady-state serving recycles the same
-// buffers while the graph grows underneath.
+// survives swaps: it files buffers by capacity, which depends on the batch
+// size and the model's shape, not on the graph, so steady-state serving
+// recycles the same buffers while the graph grows underneath.
 //
 // Build and Release are not safe for concurrent use with each other or with
 // SwapGraph; the serving scheduler owns the builder from a single goroutine,

@@ -317,3 +317,27 @@ func BenchmarkInferBuild(b *testing.B) {
 		ib.Release(ib.Build(roots))
 	}
 }
+
+// TestInferencePoolHoldsOneFullBuild: a serving flush builds exactly its
+// missed roots, so successive flushes build every count from 1 to a full
+// micro-batch. After them the pool holds no more blocks and leaf matrices
+// than one full build uses: no count leaves buffers of its own behind.
+func TestInferencePoolHoldsOneFullBuild(t *testing.T) {
+	const layers, maxBatch = 2, 32 // serve.Config's default MaxBatch
+	ds := datasets.GDELT(0.03, 3)
+	ib, err := NewInferenceBuilder(InferConfig{
+		TCSR: ds.TCSR, NodeFeat: ds.NodeFeat, EdgeFeat: ds.EdgeFeat,
+		Layers: layers, Budget: 10, Policy: sampler.MostRecent, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := inferRoots(ds, maxBatch)
+	for n := 1; n <= maxBatch; n++ {
+		ib.Release(ib.Build(roots[:n]))
+	}
+	if blocks, mats := pooled(&ib.core.pool.blocks), pooled(&ib.core.pool.mats); blocks > layers || mats > 1 {
+		t.Fatalf("after builds of 1..%d roots the pool holds %d blocks and %d leaf matrices; one build uses %d and 1",
+			maxBatch, blocks, mats, layers)
+	}
+}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"slices"
 	"sync"
 
 	"taser/internal/adaptive"
@@ -8,14 +9,6 @@ import (
 	"taser/internal/sampler"
 	"taser/internal/tensor"
 )
-
-// blockKey identifies a LayerBlock shape class. In steady state a training
-// run only ever materializes a handful of shapes (one per hop), so the free
-// lists hit on every step after warm-up.
-type blockKey struct{ t, budget, edgeDim int }
-
-// csKey identifies a CandidateSet shape class.
-type csKey struct{ b, m, nodeDim, edgeDim int }
 
 // buildPool recycles every buffer the minibatch construction path
 // materializes — layer blocks, candidate sets, finder results, leaf feature
@@ -25,15 +18,20 @@ type csKey struct{ b, m, nodeDim, edgeDim int }
 // prefetch goroutine and releases them on the consumer after the optimizer
 // step.
 //
+// Each family is one freeList, which knows a buffer by its capacity alone,
+// so it holds no more buffers than were ever in flight at once, whatever
+// sizes passed through it. The node and edge widths are fixed for a
+// trainer, so the element count decides the fit.
+//
 // Ownership is move-semantics: a get transfers the buffer to the caller, a
 // put transfers it back. Buffers handed to external callers (e.g. through
 // Trainer.BuildMiniBatch) are simply never returned; the pool then allocates
 // fresh ones, which keeps the exported API leak-proof.
 type buildPool struct {
-	blocks  keyedList[blockKey, models.LayerBlock]
-	sets    keyedList[csKey, adaptive.CandidateSet]
-	results keyedList[struct{}, sampler.Result]
-	mats    keyedList[int, tensor.Matrix] // keyed by column count
+	blocks  freeList[*models.LayerBlock]
+	sets    freeList[*adaptive.CandidateSet]
+	results freeList[*sampler.Result]
+	mats    freeList[*tensor.Matrix]
 	targets sliceList[sampler.Target]
 	ids     sliceList[int32]
 	ints    sliceList[int]
@@ -41,86 +39,84 @@ type buildPool struct {
 
 func newBuildPool() *buildPool { return &buildPool{} }
 
-// keyedList is a free list of *T buffers bucketed by shape class K.
-type keyedList[K comparable, T any] struct {
+// freeList is a free list of buffers, each filed with its capacity in
+// elements, kept in ascending capacity. get takes the smallest free buffer
+// that holds need elements or, when none does, the largest, which the
+// caller's reshape then grows. Best fit, not the last buffer put back: that
+// would hand evaluation's buffers to training steps and grow every buffer
+// to evaluation's size.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free map[K][]*T
+	free []filed[T]
 }
 
-// get pops a buffer of class k, or returns nil when none is free.
-func (l *keyedList[K, T]) get(k K) *T {
+type filed[T any] struct {
+	v   T
+	cap int
+}
+
+// get removes the best-fitting buffer for need elements (of equal fits, the
+// latest put); ok is false when the list is empty.
+func (l *freeList[T]) get(need int) (v T, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	list := l.free[k]
-	n := len(list)
-	if n == 0 {
-		return nil
+	if len(l.free) == 0 {
+		return v, false
 	}
-	l.free[k] = list[:n-1]
-	return list[n-1]
+	i := min(l.atLeast(need), len(l.free)-1)
+	v = l.free[i].v
+	l.free = slices.Delete(l.free, i, i+1)
+	return v, true
 }
 
-// put takes a buffer of class k back; nil is ignored.
-func (l *keyedList[K, T]) put(k K, v *T) {
-	if v == nil {
-		return
-	}
+func (l *freeList[T]) put(v T, capacity int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.free == nil {
-		l.free = make(map[K][]*T)
+	l.free = slices.Insert(l.free, l.atLeast(capacity), filed[T]{v, capacity})
+}
+
+// atLeast is the index of the first free buffer of capacity ≥ c.
+func (l *freeList[T]) atLeast(c int) int {
+	i, _ := slices.BinarySearchFunc(l.free, c, func(f filed[T], c int) int { return f.cap - c })
+	return i
+}
+
+// sliceList is a freeList of []T scratch slices.
+type sliceList[T any] struct{ freeList[[]T] }
+
+// get returns an empty slice with capacity ≥ n. A free slice too small for
+// n is dropped, as a reshape drops a grown buffer's old storage.
+func (l *sliceList[T]) get(n int) []T {
+	if s, ok := l.freeList.get(n); ok && cap(s) >= n {
+		return s[:0]
 	}
-	l.free[k] = append(l.free[k], v)
+	return make([]T, 0, n)
 }
 
-// sliceList is a free list of []T scratch slices. get returns an empty slice
-// with capacity ≥ hint; put takes one back (nil is ignored).
-type sliceList[T any] struct {
-	mu   sync.Mutex
-	free [][]T
-}
-
-func (l *sliceList[T]) get(hint int) []T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		s := l.free[n-1]
-		l.free = l.free[:n-1]
-		if cap(s) >= hint {
-			return s[:0]
-		}
-	}
-	return make([]T, 0, hint)
-}
-
+// put takes a slice back; nil is ignored.
 func (l *sliceList[T]) put(s []T) {
-	if s == nil {
-		return
+	if s != nil {
+		l.freeList.put(s, cap(s))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.free = append(l.free, s)
 }
 
 // getBlock returns a t×budget layer block with edge width edgeDim, zeroed
 // but for a reused block's edge features, which the caller must slice
 // (LayerBlock.Reset).
 func (p *buildPool) getBlock(t, budget, edgeDim int) *models.LayerBlock {
-	if blk := p.blocks.get(blockKey{t, budget, edgeDim}); blk != nil {
+	if blk, ok := p.blocks.get(t * budget); ok {
 		blk.Reset(t, budget, edgeDim)
 		return blk
 	}
 	return models.NewLayerBlock(t, budget, edgeDim)
 }
 
-func (p *buildPool) putBlock(blk *models.LayerBlock) {
-	p.blocks.put(blockKey{blk.NumTargets, blk.Budget, blk.EdgeFeat.Cols}, blk)
-}
+func (p *buildPool) putBlock(blk *models.LayerBlock) { p.blocks.put(blk, cap(blk.NbrNodes)) }
 
 // getSet returns a b×m candidate set, zeroed but for a reused set's feature
 // matrices, which the caller must slice (CandidateSet.Reset).
 func (p *buildPool) getSet(b, m, nodeDim, edgeDim int) *adaptive.CandidateSet {
-	if cs := p.sets.get(csKey{b, m, nodeDim, edgeDim}); cs != nil {
+	if cs, ok := p.sets.get(b * m); ok {
 		cs.Reset(b, m, nodeDim, edgeDim)
 		return cs
 	}
@@ -129,27 +125,31 @@ func (p *buildPool) getSet(b, m, nodeDim, edgeDim int) *adaptive.CandidateSet {
 
 func (p *buildPool) putSet(cs *adaptive.CandidateSet) {
 	if cs != nil {
-		p.sets.put(csKey{cs.B, cs.M, cs.NodeFeat.Cols, cs.EdgeFeat.Cols}, cs)
+		p.sets.put(cs, cap(cs.Nodes))
 	}
 }
 
 // getResult returns a finder result; callers shape it via Finder.Sample.
 func (p *buildPool) getResult() *sampler.Result {
-	if res := p.results.get(struct{}{}); res != nil {
+	if res, ok := p.results.get(0); ok {
 		return res
 	}
 	return &sampler.Result{}
 }
 
-func (p *buildPool) putResult(res *sampler.Result) { p.results.put(struct{}{}, res) }
+func (p *buildPool) putResult(res *sampler.Result) {
+	if res != nil {
+		p.results.put(res, 0)
+	}
+}
 
 // getMat returns a rows×cols matrix for the caller to slice into: a reused
 // one is not cleared (tensor.Matrix.ResizeUninit).
 func (p *buildPool) getMat(rows, cols int) *tensor.Matrix {
-	if m := p.mats.get(cols); m != nil {
+	if m, ok := p.mats.get(rows * cols); ok {
 		return m.ResizeUninit(rows, cols)
 	}
 	return tensor.New(rows, cols)
 }
 
-func (p *buildPool) putMat(m *tensor.Matrix) { p.mats.put(m.Cols, m) }
+func (p *buildPool) putMat(m *tensor.Matrix) { p.mats.put(m, cap(m.Data)) }

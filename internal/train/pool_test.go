@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taser/internal/adaptive"
+	"taser/internal/datasets"
 	"taser/internal/sampler"
 	"taser/internal/tensor"
 )
@@ -68,5 +69,36 @@ func TestPooledBuildEqualsFresh(t *testing.T) {
 		"TargetFeat": {gotSet.TargetFeat, wantSet.TargetFeat},
 	} {
 		requireSameBits(t, "candidate "+name, pair[0], pair[1])
+	}
+}
+
+// TestPoolKeepsNoShapes: the pool files buffers by capacity alone, so after
+// evaluation chunks of two sizes and the training steps around them no
+// family holds more free buffers than after the first chunk. A pool keyed
+// by shape kept each chunk size's blocks and sets for the rest of the run.
+func TestPoolKeepsNoShapes(t *testing.T) {
+	tr, err := New(allocBudgetConfig(), datasets.Wikipedia(0.08, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [7]int {
+		p := tr.pool
+		return [7]int{pooled(&p.blocks), pooled(&p.sets), pooled(&p.results), pooled(&p.mats),
+			pooled(&p.targets.freeList), pooled(&p.ids.freeList), pooled(&p.ints.freeList)}
+	}
+	for i := 0; i < 4; i++ {
+		tr.TrainStep()
+	}
+	tr.Cfg.MaxEvalEdges = 30
+	tr.EvalMRR(SplitVal)
+	want := counts()
+	tr.Cfg.MaxEvalEdges = 17
+	tr.EvalMRR(SplitVal)
+	for i := 0; i < 4; i++ {
+		tr.TrainStep()
+	}
+	if got := counts(); got != want {
+		t.Fatalf("free buffers per family (blocks, sets, results, mats, targets, ids, ints): "+
+			"%v after a second chunk size and more steps, %v after the first chunk", got, want)
 	}
 }

@@ -13,11 +13,10 @@
 #     name it does not print may still have no caller, since the linker keeps
 #     methods that might be called through an interface.
 #   - Every allowlisted name is kept on purpose: an interface method no
-#     binary happens to call, a test hook of a kernel's build-tagged twin, an
-#     exported helper other packages' tests call, or a method of a generic
-#     type whose symbol holds a space (awk splits it, so it prints though
-#     reached). Package main's functions all print as main.*, so a function
-#     one binary calls hides a dead one of the same name in another.
+#     binary happens to call, a test hook of a kernel's build-tagged twin, or
+#     an exported helper other packages' tests call. Package main's functions
+#     all print as main.*, so a function one binary calls hides a dead one of
+#     the same name in another.
 #
 # A new line is a function only tests reach: delete it, or, if it is kept on
 # purpose, add it with `scripts/unreached.sh -update`. A line that
@@ -31,8 +30,9 @@ trap 'rm -rf "$d"' EXIT
 
 go build -gcflags=all=-l -o "$d/" ./cmd/...
 (cd benchmark && go build -gcflags=all=-l -o "$d/benchmark" .)
-go tool nm "$d"/taser-* "$d/benchmark" | awk '{print $NF}' |
-    sed -e 's/\[[^]]*\]//g' -e 's/\.abi0$//' | sort -u >"$d/syms"
+go tool nm "$d"/taser-* "$d/benchmark" |
+    sed -E 's/^([^ ]+:[[:space:]]+)? *[0-9a-f]* [A-Za-z] //' |
+    sed -e ':a' -e 's/\[[^][]*\]//' -e 'ta' -e 's/\.abi0$//' | sort -u >"$d/syms"
 
 cat >"$d/decls.go" <<'GO'
 package main
