@@ -17,11 +17,11 @@ import (
 // TGAT fanout under the three neighbor finders as the per-layer budget
 // grows. All finders receive identical chronological batches (the only order
 // the TGL finder is built for). The shape to reproduce: Origin is orders of
-// magnitude slower than both parallel finders, and the TASER GPU finder
-// beats the TGL pointer-array finder. (The paper's 37–56× GPU-vs-TGL gap
-// comes from thousands of CUDA threads vs 192 CPU threads; on a host-only
-// simulator both finders share the same cores, so expect the same ordering
-// with a smaller ratio.)
+// magnitude slower than both other finders, and the TASER GPU finder beats
+// the TGL pointer-array finder. (The paper's 37–56× GPU-vs-TGL gap comes
+// from thousands of CUDA threads vs 192 CPU threads; on a host-only
+// simulator both finders run serially on the caller's goroutine, so expect
+// the same ordering with a smaller ratio.)
 func fig3a(o Options) (string, []Row, error) {
 	title := fmt.Sprintf("Fig. 3(a) — 2-hop sampling time per epoch | scale=%.2f batch=%d", o.Scale, o.BatchSize)
 	var rows []Row

@@ -1,35 +1,16 @@
 package device
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
-// The launch benchmarks measure kernel-dispatch overhead: an empty-ish kernel
-// makes goroutine spawn/teardown (or, with the persistent pool, channel
-// handoff) the dominant cost. Save the output per commit and compare with
-// benchstat (see EXPERIMENTS.md for recorded before/after numbers).
+var launchSink int
 
-func benchmarkLaunch(b *testing.B, workers, blocks int) {
-	g := NewWithWorkers(workers)
-	var sink atomic.Int64
+// BenchmarkLaunch measures kernel-dispatch overhead: an almost empty kernel
+// over a training-scale grid (one block per target at batch-600 root
+// counts), so the cost is the launch's loop and the kernel's call.
+func BenchmarkLaunch(b *testing.B) {
+	g := New()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.LaunchBlocksIndexed(blocks, func(worker, block int) {
-			sink.Add(int64(worker + block))
-		})
+		g.LaunchBlocks(600, func(block int) { launchSink += block })
 	}
 }
-
-// BenchmarkLaunchTinyGrid is the worst case for per-launch spawning: many
-// launches, almost no work per block (the shape of a small neighbor-finder
-// call in the serving path).
-func BenchmarkLaunchTinyGrid(b *testing.B) { benchmarkLaunch(b, 4, 8) }
-
-// BenchmarkLaunchTrainGrid matches a training-scale finder launch: one block
-// per target at batch-600 root counts.
-func BenchmarkLaunchTrainGrid(b *testing.B) { benchmarkLaunch(b, 4, 600) }
-
-// BenchmarkLaunchSingleWorker pins the inline fast path (no pool involved).
-func BenchmarkLaunchSingleWorker(b *testing.B) { benchmarkLaunch(b, 1, 64) }

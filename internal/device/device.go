@@ -6,10 +6,10 @@
 //
 //  1. The SIMD execution model. The GPU neighbor finder (Algorithm 2) is
 //     block-centric: one thread block per target node, one thread per sampled
-//     neighbor. GPU.LaunchBlocks reproduces this schedule by fanning block
-//     indices across a fixed worker pool (one worker per host core, standing
-//     in for an SM); the kernel body iterates its "threads" as a vectorized
-//     inner loop, mirroring how a warp executes in lockstep.
+//     neighbor. GPU.LaunchBlocks reproduces the block schedule — a grid of
+//     independent blocks — and runs it in ascending block order on the
+//     caller's goroutine; the kernel body iterates its "threads" as a
+//     vectorized inner loop, mirroring how a warp executes in lockstep.
 //
 //  2. The memory hierarchy. Feature tensors live in host RAM; a VRAM-resident
 //     cache serves hot rows at VRAM bandwidth while misses go over PCIe with
@@ -20,122 +20,25 @@
 package device
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// GPU models a SIMD accelerator with a fixed number of concurrently
-// executing blocks (persistent worker goroutines ≈ streaming
-// multiprocessors). Workers are spawned once, on the first multi-worker
-// launch, and then fed launches over a channel — real accelerators keep
-// their SMs powered between kernels, and spawning goroutines per launch
-// made dispatch overhead scale with launch frequency, which the serving
-// path's many small batches would amplify.
-type GPU struct {
-	workers int
+// GPU models a SIMD accelerator's block schedule. It holds no state: the
+// blocks of a launch run one after another on the caller's goroutine, so the
+// blocks of a kernel may share one scratch without synchronization.
+type GPU struct{}
 
-	poolOnce sync.Once
-	work     chan *launch
-}
+// New returns a GPU.
+func New() *GPU { return &GPU{} }
 
-// launch is one kernel grid in flight: workers atomically claim block
-// indices until the grid is exhausted, then signal completion.
-type launch struct {
-	blocks int64
-	next   int64
-	kernel func(worker, block int)
-	wg     sync.WaitGroup
-}
-
-// run executes the work-stealing loop on behalf of worker w.
-func (l *launch) run(w int) {
-	for {
-		b := atomic.AddInt64(&l.next, 1) - 1
-		if b >= l.blocks {
-			break
-		}
-		l.kernel(w, int(b))
-	}
-	l.wg.Done()
-}
-
-// New returns a GPU using one worker per available host core.
-func New() *GPU { return NewWithWorkers(runtime.GOMAXPROCS(0)) }
-
-// NewWithWorkers returns a GPU with an explicit worker count; useful for
-// scaling studies and tests.
-func NewWithWorkers(workers int) *GPU {
-	if workers < 1 {
-		workers = 1
-	}
-	return &GPU{workers: workers}
-}
-
-// Workers reports the parallel block capacity.
-func (g *GPU) Workers() int { return g.workers }
-
-// LaunchBlocks executes kernel(block) for every block in [0, blocks),
-// scheduling blocks across the worker pool. It blocks until the grid
-// completes, like a synchronous CUDA kernel launch.
+// LaunchBlocks executes kernel(block) for every block in [0, blocks), in
+// ascending order, and returns when the grid completes, like a synchronous
+// CUDA kernel launch.
 func (g *GPU) LaunchBlocks(blocks int, kernel func(block int)) {
-	g.LaunchBlocksIndexed(blocks, func(_, b int) { kernel(b) })
-}
-
-// LaunchBlocksIndexed is LaunchBlocks with the executing worker's index
-// passed to the kernel (the SM id, in hardware terms). Worker indices lie in
-// [0, Workers()); a kernel can therefore keep per-worker scratch — RNG state,
-// sampling bitmaps — without any synchronization, which is what makes the
-// neighbor-finder kernels allocation-free in steady state. Each worker
-// goroutine owns a fixed index for its lifetime and processes one launch at
-// a time, so two blocks never run concurrently on the same index even when
-// launches overlap.
-func (g *GPU) LaunchBlocksIndexed(blocks int, kernel func(worker, block int)) {
-	if blocks <= 0 {
-		return
+	for b := 0; b < blocks; b++ {
+		kernel(b)
 	}
-	participants := g.workers
-	if participants > blocks {
-		participants = blocks
-	}
-	if participants == 1 {
-		for b := 0; b < blocks; b++ {
-			kernel(0, b)
-		}
-		return
-	}
-	work := g.pool()
-	l := &launch{blocks: int64(blocks), kernel: kernel}
-	// One handoff per participating worker. A worker that drains the grid
-	// early may pick up a second handoff of the same launch and complete it
-	// immediately; wg counts handoffs, so the accounting stays exact.
-	l.wg.Add(participants)
-	for i := 0; i < participants; i++ {
-		work <- l
-	}
-	l.wg.Wait()
-	// The pool channel must outlive the sends above: keep g (whose finalizer
-	// closes the channel) reachable until the launch has fully completed.
-	runtime.KeepAlive(g)
-}
-
-// pool lazily starts the persistent workers. They capture only the work
-// channel, so an unreachable GPU is collectable: its finalizer closes the
-// channel and the workers exit instead of leaking.
-func (g *GPU) pool() chan *launch {
-	g.poolOnce.Do(func() {
-		g.work = make(chan *launch)
-		for w := 0; w < g.workers; w++ {
-			go func(w int, work chan *launch) {
-				for l := range work {
-					l.run(w)
-				}
-			}(w, g.work)
-		}
-		runtime.SetFinalizer(g, func(g *GPU) { close(g.work) })
-	})
-	return g.work
 }
 
 // XferKind distinguishes the two paths features can take to the compute units.

@@ -29,7 +29,7 @@ func NewRNG(seed uint64) *RNG {
 // Reseed re-initializes r in place so its stream is identical to a fresh
 // NewRNG(seed), without allocating. It lets hot loops that need one stream
 // per (call, block) pair — e.g. the GPU finder's per-block RNGs — reuse one
-// generator per worker instead of heap-allocating one per block.
+// generator instead of heap-allocating one per block.
 func (r *RNG) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {

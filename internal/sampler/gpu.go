@@ -14,31 +14,27 @@ import (
 // (lines 11–14). Unlike the TGL pointer-array finder it supports arbitrary
 // training order, which adaptive mini-batch selection requires.
 //
-// Per-block RNG streams are derived deterministically from (seed, block), so
-// results are reproducible regardless of how the scheduler interleaves
-// blocks.
+// Each block's RNG stream is derived from (seed, call, block) alone, so a
+// block's draw does not depend on which other targets share its call or on
+// the order the blocks run in, as on hardware whose scheduler interleaves
+// them.
 type GPUFinder struct {
 	tcsr tgraph.Adjacency
 	gpu  *device.GPU
 	seed uint64
 	call uint64
 
-	// Per-worker kernel state: the block RNG stream is still derived from
-	// (seed, call, block), but the generator object and the fill scratch are
-	// reused per worker so a launch performs no heap allocation.
-	rngs    []mathx.RNG
-	scratch []fillScratch
+	// Kernel state reused by every block, reseeded per block, so a launch
+	// performs no heap allocation.
+	rng     mathx.RNG
+	scratch fillScratch
 }
 
 // NewGPUFinder builds the finder on the given device. The adjacency may be
 // any packed layout (flat TCSR or an incrementally published AppendableTCSR);
 // the kernel only reads per-node views.
 func NewGPUFinder(t tgraph.Adjacency, gpu *device.GPU, seed uint64) *GPUFinder {
-	return &GPUFinder{
-		tcsr: t, gpu: gpu, seed: seed,
-		rngs:    make([]mathx.RNG, gpu.Workers()),
-		scratch: make([]fillScratch, gpu.Workers()),
-	}
+	return &GPUFinder{tcsr: t, gpu: gpu, seed: seed}
 }
 
 // Name implements Finder.
@@ -54,7 +50,7 @@ func (f *GPUFinder) Sample(targets []Target, budget int, policy Policy, out *Res
 	}
 	f.call++
 	call := f.call
-	f.gpu.LaunchBlocksIndexed(len(targets), func(worker, block int) {
+	f.gpu.LaunchBlocks(len(targets), func(block int) {
 		tgt := targets[block]
 		nbr, ts, eid := f.tcsr.Adj(tgt.Node)
 		// Line 5: single-thread binary search for the pivot.
@@ -66,9 +62,8 @@ func (f *GPUFinder) Sample(targets []Target, budget int, policy Policy, out *Res
 			fillMostRecent(out, block, nbr, ts, eid, pivot, budget)
 			return
 		}
-		rng := &f.rngs[worker]
-		rng.Reseed(f.seed ^ call*0x9e3779b97f4a7c15 ^ uint64(block)*0xbf58476d1ce4e5b9)
-		fill(policy, out, block, nbr, ts, eid, pivot, budget, tgt.Time, rng, &f.scratch[worker])
+		f.rng.Reseed(f.seed ^ call*0x9e3779b97f4a7c15 ^ uint64(block)*0xbf58476d1ce4e5b9)
+		fill(policy, out, block, nbr, ts, eid, pivot, budget, tgt.Time, &f.rng, &f.scratch)
 	})
 	return nil
 }

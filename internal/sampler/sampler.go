@@ -4,8 +4,8 @@
 //   - Origin: the sequential per-node finder shipped with TGAT/GraphMixer,
 //     which locates the temporal pivot with a linear scan. It is the
 //     baseline in Fig. 1 and Fig. 3(a).
-//   - TGL: the parallel CPU finder from TGL, which keeps a per-node pointer
-//     array so the pivot is found in amortized O(1) — but only when
+//   - TGL: TGL's CPU finder (parallel in TGL), which keeps a per-node
+//     pointer array so the pivot is found in amortized O(1) — but only when
 //     mini-batches arrive in chronological order, which is exactly why it
 //     cannot serve TASER's randomly ordered adaptive mini-batches.
 //   - GPU: TASER's block-centric finder (Algorithm 2): one block per target
@@ -13,7 +13,7 @@
 //     detection in uniform sampling without replacement. It supports
 //     arbitrary training order.
 //
-// All finders sample from N(v, t) = {(u, t_u) : t_u < t} under one of two
+// Every finder runs on its caller's goroutine. All finders sample from N(v, t) = {(u, t_u) : t_u < t} under one of two
 // static policies: uniform without replacement, or most-recent.
 package sampler
 

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -252,27 +253,78 @@ func TestTGLSharedNodeInBatch(t *testing.T) {
 	}
 }
 
-func TestGPUFinderDeterministicAcrossSchedules(t *testing.T) {
+// scheduleTargets is the fixture of the schedule tests: 64 targets over
+// randomTCSR(4, 50, 2000), late enough that most have neighbors to draw.
+func scheduleTargets() (*tgraph.TCSR, []Target) {
 	tc := randomTCSR(4, 50, 2000)
 	targets := make([]Target, 64)
 	rng := mathx.NewRNG(5)
 	for i := range targets {
 		targets[i] = Target{Node: int32(rng.Intn(50)), Time: 50 + rng.Float64()*50}
 	}
-	// Same seed, different worker counts → identical samples.
-	f1 := NewGPUFinder(tc, device.NewWithWorkers(1), 42)
-	f8 := NewGPUFinder(tc, device.NewWithWorkers(8), 42)
-	var o1, o8 Result
-	if err := f1.Sample(targets, 7, Uniform, &o1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f8.Sample(targets, 7, Uniform, &o8); err != nil {
-		t.Fatal(err)
-	}
-	for i := range o1.Nodes {
-		if o1.Nodes[i] != o8.Nodes[i] || o1.Eids[i] != o8.Eids[i] {
-			t.Fatal("GPU finder must be schedule-independent for a fixed seed")
+	return tc, targets
+}
+
+// TestGPUFinderDeterministicAcrossSchedules holds the property that makes
+// the block schedule immaterial: a block's draw depends only on (seed, call,
+// block), not on the blocks that share its grid. Fresh finders with the same
+// seed are given all 64 targets, the first 20 alone, and the 64 with the
+// first 20 padded (blocks that draw nothing); every block they share returns
+// the same row. The padded grid is what catches one stream shared across
+// blocks: the prefix alone draws the same under any serial schedule.
+func TestGPUFinderDeterministicAcrossSchedules(t *testing.T) {
+	tc, targets := scheduleTargets()
+	const budget, head = 7, 20
+	sample := func(targets []Target) Result {
+		var out Result
+		if err := NewGPUFinder(tc, device.New(), 42).Sample(targets, budget, Uniform, &out); err != nil {
+			t.Fatal(err)
 		}
+		return out
+	}
+	all := sample(targets)
+	padded := append([]Target(nil), targets...)
+	for i := range padded[:head] {
+		padded[i] = Padding
+	}
+	for _, c := range []struct {
+		name   string
+		got    Result
+		lo, hi int // the blocks shared with the full grid
+	}{
+		{"first 20 alone", sample(targets[:head]), 0, head},
+		{"first 20 padded", sample(padded), head, len(targets)},
+	} {
+		for i := c.lo * budget; i < c.hi*budget; i++ {
+			if c.got.Nodes[i] != all.Nodes[i] || c.got.Eids[i] != all.Eids[i] {
+				t.Fatalf("%s: slot %d (block %d) drew %d/%d, the full grid %d/%d",
+					c.name, i, i/budget, c.got.Nodes[i], c.got.Eids[i], all.Nodes[i], all.Eids[i])
+			}
+		}
+	}
+}
+
+// TestTGLFinderIndependentOfGOMAXPROCS: the TGL finder's draws are a function
+// of its seed and its calls, not of the host's core count.
+func TestTGLFinderIndependentOfGOMAXPROCS(t *testing.T) {
+	tc, targets := scheduleTargets()
+	sample := func(procs int) Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out Result
+		if err := NewTGLFinder(tc, mathx.NewRNG(9)).Sample(targets, 7, Uniform, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	one, four := sample(1), sample(4)
+	differ := 0
+	for i := range one.Nodes {
+		if one.Nodes[i] != four.Nodes[i] || one.Eids[i] != four.Eids[i] {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d slots differ between GOMAXPROCS 1 and 4", differ, len(one.Nodes))
 	}
 }
 

@@ -1,14 +1,11 @@
 package sampler
 
 import (
-	"runtime"
-	"sync"
-
 	"taser/internal/mathx"
 	"taser/internal/tgraph"
 )
 
-// TGLFinder reproduces TGL's high-performance parallel CPU neighbor finder.
+// TGLFinder reproduces TGL's CPU neighbor finder.
 // Its key data structure is a per-node pointer array: because TGL schedules
 // mini-batches chronologically, each node's temporal pivot only ever moves
 // forward, so root pivots are maintained in amortized O(1) instead of a
@@ -21,25 +18,13 @@ import (
 type TGLFinder struct {
 	tcsr    tgraph.Adjacency
 	ptr     []int // per-node pivot pointer (monotone until Reset)
-	workers int
-	rngs    []*mathx.RNG // one per worker
-	scratch []fillScratch
+	rng     *mathx.RNG
+	scratch fillScratch
 }
 
-// NewTGLFinder builds the finder with one worker per host core.
+// NewTGLFinder builds the finder on a stream split from rng.
 func NewTGLFinder(t tgraph.Adjacency, rng *mathx.RNG) *TGLFinder {
-	workers := runtime.GOMAXPROCS(0)
-	f := &TGLFinder{
-		tcsr:    t,
-		ptr:     make([]int, t.NumNodes()),
-		workers: workers,
-		rngs:    make([]*mathx.RNG, workers),
-		scratch: make([]fillScratch, workers),
-	}
-	for i := range f.rngs {
-		f.rngs[i] = rng.Split()
-	}
-	return f
+	return &TGLFinder{tcsr: t, ptr: make([]int, t.NumNodes()), rng: rng.Split()}
 }
 
 // Name implements Finder.
@@ -70,51 +55,19 @@ func (f *TGLFinder) Sample(targets []Target, budget int, policy Policy, out *Res
 		}
 		f.ptr[tgt.Node] = p
 	}
-	// Phase 2 (parallel): sample from the pointer-located pivots. Queries at
-	// times older than a node's pointer (multi-hop targets, shared nodes in
-	// one batch) scan backward — correct, but no longer amortized O(1).
-	f.parallelTargets(len(targets), func(worker, i int) {
-		tgt := targets[i]
+	// Phase 2: sample from the pointer-located pivots. Queries at times older
+	// than a node's pointer (multi-hop targets, shared nodes in one batch)
+	// scan backward — correct, but no longer amortized O(1).
+	for i, tgt := range targets {
 		nbr, ts, eid := f.tcsr.Adj(tgt.Node)
 		pivot := f.ptr[tgt.Node]
 		for pivot > 0 && ts[pivot-1] >= tgt.Time {
 			pivot--
 		}
 		if pivot == 0 {
-			return
+			continue
 		}
-		fill(policy, out, i, nbr, ts, eid, pivot, budget, tgt.Time, f.rngs[worker], &f.scratch[worker])
-	})
+		fill(policy, out, i, nbr, ts, eid, pivot, budget, tgt.Time, f.rng, &f.scratch)
+	}
 	return nil
-}
-
-// parallelTargets fans i ∈ [0, n) across the worker pool in contiguous chunks.
-func (f *TGLFinder) parallelTargets(n int, body func(worker, i int)) {
-	workers := f.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

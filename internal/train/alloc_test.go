@@ -26,19 +26,14 @@ func allocBudgetConfig() Config {
 // made per a @ bᵀ product is +14 per TASER step and the pre-arena execution
 // stack made ~1,430.
 //
-// They pin GOMAXPROCS to 1 for their duration, the trainer's construction
-// included. testing.AllocsPerRun pins the measured runs itself, but New
-// sizes the GPU finder's device pool from GOMAXPROCS, and with more than one
-// worker every launch hands the pool a heap-allocated launch header
-// (device.GPU.LaunchBlocksIndexed): +2 on a TASER step and +1 on a pipelined
-// GraphMixer step at two workers. The kernels allocate nothing at any
-// GOMAXPROCS (the steady-state tests of internal/tensor and autograd).
+// The finders and the kernels run on the caller's goroutine, so the counts
+// do not depend on GOMAXPROCS; testing.AllocsPerRun runs the measured calls
+// at GOMAXPROCS 1 itself.
 
 // TestStepAllocBudget: a full TASER training step (build + adaptive selection
 // + forward/backward + both optimizer steps).
 func TestStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 7
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const stepAllocBudget = 5
 	ds := datasets.Wikipedia(0.1, 3)
 	tr, err := New(allocBudgetConfig(), ds)
 	if err != nil {
@@ -59,8 +54,7 @@ func TestStepAllocBudget(t *testing.T) {
 // one build of 510 roots drawn and embedded in windows of 64. The count is
 // per call, not per window.
 func TestEvalMRRAllocBudget(t *testing.T) {
-	const evalAllocBudget = 16
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const evalAllocBudget = 14
 	cfg := allocBudgetConfig()
 	cfg.Seed = 11
 	tr, err := New(cfg, datasets.Wikipedia(0.08, 4))
@@ -82,8 +76,7 @@ func TestEvalMRRAllocBudget(t *testing.T) {
 // loop — the train-base-mixer shape, where the producer completes the whole
 // static build and the consumer only runs the link-prediction step.
 func TestPipelinedStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 6.25
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const stepAllocBudget = 5.25
 	ds := datasets.GDELT(0.03, 3)
 	tr, err := New(Config{
 		Model: ModelGraphMixer, Finder: FinderGPU, CacheRatio: 0.2,

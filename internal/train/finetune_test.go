@@ -1,7 +1,6 @@
 package train
 
 import (
-	"runtime"
 	"testing"
 
 	"taser/internal/datasets"
@@ -133,8 +132,7 @@ func TestFinetuneStepSwapGraphKeepsStepping(t *testing.T) {
 // of allocations, so a long-running fine-tuner generates O(1) garbage per
 // step just like the offline loop.
 func TestFinetuneStepAllocBudget(t *testing.T) {
-	const stepAllocBudget = 5
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const stepAllocBudget = 3
 	ds := datasets.Wikipedia(0.1, 3)
 	tr, err := New(Config{
 		Model: ModelTGAT, Finder: FinderGPU, FinderPolicy: "recent",

@@ -54,7 +54,6 @@ type InferenceBuilder struct {
 
 	core     buildCore
 	seed     uint64
-	gpu      *device.GPU // one worker pool shared by every snapshot's finder
 	finder   sampler.Finder
 	finderMu sync.Mutex
 
@@ -84,7 +83,7 @@ func NewInferenceBuilder(cfg InferConfig) (*InferenceBuilder, error) {
 	if cfg.NodeFeat == nil {
 		cfg.NodeFeat = tensor.New(cfg.TCSR.NumNodes(), 0)
 	}
-	b := &InferenceBuilder{seed: cfg.Seed, gpu: device.New()}
+	b := &InferenceBuilder{seed: cfg.Seed}
 	b.core = buildCore{
 		NodeStore: featstore.New(cfg.NodeFeat, nil, nil), pool: newBuildPool(),
 		policy: cfg.Policy, layers: cfg.Layers, budget: cfg.Budget,
@@ -100,14 +99,12 @@ func NewInferenceBuilder(cfg InferConfig) (*InferenceBuilder, error) {
 }
 
 // SwapGraph retargets the builder at a new immutable graph snapshot: a fresh
-// finder over tcsr (on the builder's one device, so its persistent worker
-// pool is not respawned per snapshot) and a fresh edge-feature store (rows
-// aligned with the snapshot's event ids). The node store and the buffer pool
-// are retained. The finder is reseeded from the configured seed, so
-// randomized policies restart their stream per snapshot; MostRecent draws no
-// randomness and is unaffected. tcsr may be any packed layout; with
-// incremental snapshots (tgraph.AppendableTCSR) the swap cost is independent
-// of the stream length.
+// finder over tcsr and a fresh edge-feature store (rows aligned with the
+// snapshot's event ids). The node store and the buffer pool are retained.
+// The finder is reseeded from the configured seed, so randomized policies
+// restart their stream per snapshot; MostRecent draws no randomness and is
+// unaffected. tcsr may be any packed layout; with incremental snapshots
+// (tgraph.AppendableTCSR) the swap cost is independent of the stream length.
 func (b *InferenceBuilder) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Matrix) error {
 	if edgeFeat == nil {
 		edgeFeat = tensor.New(0, b.core.edgeDim)
@@ -116,7 +113,7 @@ func (b *InferenceBuilder) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Mat
 		return fmt.Errorf("train: SwapGraph edge-feature width %d, builder expects %d",
 			edgeFeat.Cols, b.core.edgeDim)
 	}
-	finder := sampler.NewGPUFinder(tcsr, b.gpu, b.seed)
+	finder := sampler.NewGPUFinder(tcsr, device.New(), b.seed)
 	b.finderMu.Lock()
 	b.finder = finder
 	b.finderMu.Unlock()
