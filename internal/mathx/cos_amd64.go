@@ -7,7 +7,7 @@ package mathx
 var haveTrigAsm = cpuHasTrig()
 
 func cpuHasTrig() bool {
-	avx2, _ := CPUFeatures()
+	avx2, _, _ := CPUFeatures()
 	return avx2
 }
 

@@ -8,7 +8,7 @@ package mathx
 var haveGELUAsm = cpuHasGELU()
 
 func cpuHasGELU() bool {
-	avx2, fma := CPUFeatures()
+	avx2, fma, _ := CPUFeatures()
 	return avx2 && fma
 }
 
@@ -60,7 +60,7 @@ func geluLanes(y, t, x []float64) int {
 //go:noescape
 func geluAVX2(y, t, x *float64, n int)
 
-// CPUFeatures reads CPUID and XCR0 (gelu_amd64.s): whether AVX2 and FMA are
-// there and the OS preserves the registers they use. It is the tree's one
-// CPU probe; tensor's matmul tile reads it too.
-func CPUFeatures() (avx2, fma bool)
+// CPUFeatures reads CPUID and XCR0 (gelu_amd64.s): whether AVX2, FMA and
+// AVX-512F are there and the OS preserves the registers they use. It is the
+// tree's one CPU probe; tensor's matmul tile reads it too.
+func CPUFeatures() (avx2, fma, avx512f bool)

@@ -161,14 +161,17 @@ next:
 	VZEROUPPER
 	RET
 
-// func CPUFeatures() (avx2, fma bool)
+// func CPUFeatures() (avx2, fma, avx512f bool)
 //
 // The YMM registers are usable when CPUID.1:ECX reports OSXSAVE and AVX and
 // XCR0 shows the OS saving XMM and YMM state; then CPUID.1:ECX bit 12 is FMA
-// and CPUID.7:EBX bit 5 is AVX2.
-TEXT ·CPUFeatures(SB), NOSPLIT, $0-2
+// and CPUID.7:EBX bit 5 is AVX2. The ZMM registers are usable when XCR0 also
+// shows opmask, ZMM_Hi256 and Hi16_ZMM state saved; then CPUID.7:EBX bit 16
+// is AVX-512F.
+TEXT ·CPUFeatures(SB), NOSPLIT, $0-3
 	MOVB $0, avx2+0(FP)
 	MOVB $0, fma+1(FP)
+	MOVB $0, avx512f+2(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
@@ -182,6 +185,7 @@ TEXT ·CPUFeatures(SB), NOSPLIT, $0-2
 	JNE  no
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R9
 	ANDL $6, AX              // XCR0: SSE (1) | AVX (2) state enabled
 	CMPL AX, $6
 	JNE  no
@@ -191,8 +195,15 @@ TEXT ·CPUFeatures(SB), NOSPLIT, $0-2
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
+	MOVL BX, R8
 	SHRL $5, BX
 	ANDL $1, BX
 	MOVB BX, avx2+0(FP)
+	ANDL $0xE6, R9           // XCR0: also opmask (5) | ZMM_Hi256 (6) | Hi16_ZMM (7)
+	CMPL R9, $0xE6
+	JNE  no
+	SHRL $16, R8
+	ANDL $1, R8
+	MOVB R8, avx512f+2(FP)
 no:
 	RET

@@ -9,7 +9,8 @@ import (
 // TestCPUProbe holds the tree's one CPUID routine, and the gates the GELU and
 // trig kernels derive from it, to the operating system's own reading of the
 // same bits, where there is one to read: /proc/cpuinfo lists avx2 and fma
-// exactly when the CPU has them and the OS saves the YMM state.
+// exactly when the CPU has them and the OS saves the YMM state, and avx512f
+// exactly when the CPU has it and the OS saves the opmask and ZMM state.
 func TestCPUProbe(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -24,9 +25,10 @@ func TestCPUProbe(t *testing.T) {
 	for _, f := range strings.Fields(flags) {
 		has[f] = true
 	}
-	avx2, fma := CPUFeatures()
-	if avx2 != has["avx2"] || fma != has["fma"] {
-		t.Fatalf("CPUFeatures() = avx2 %v fma %v, /proc/cpuinfo says avx2 %v fma %v", avx2, fma, has["avx2"], has["fma"])
+	avx2, fma, avx512f := CPUFeatures()
+	if avx2 != has["avx2"] || fma != has["fma"] || avx512f != has["avx512f"] {
+		t.Fatalf("CPUFeatures() = avx2 %v fma %v avx512f %v, /proc/cpuinfo says avx2 %v fma %v avx512f %v",
+			avx2, fma, avx512f, has["avx2"], has["fma"], has["avx512f"])
 	}
 	if haveGELUAsm != (avx2 && fma) {
 		t.Fatalf("haveGELUAsm = %v with avx2 %v fma %v", haveGELUAsm, avx2, fma)

@@ -75,17 +75,18 @@ var tokenMixShapes = [][4]int{
 }
 
 // TestGroupedMatMulLeftBitwiseMatchesScalar holds the slot kernels to the
-// scalar oracles at the named rows, Float64bits-equal, on the assembly tile
-// and on its Go twin, for every slot set of tokenMixSlotSets: the forward
-// rows are the full product's rows, and both halves of the backward,
+// scalar oracles at the named rows, Float64bits-equal, on every tile
+// implementation the CPU has, for every slot set of tokenMixSlotSets: the
+// forward rows are the full product's rows, and both halves of the backward,
 // accumulated onto non-zero destinations, are the full product's gradients
 // under an output gradient that is zero at every unnamed row.
 func TestGroupedMatMulLeftBitwiseMatchesScalar(t *testing.T) {
-	defer forceGoTile(false)
-	for _, impl := range []string{"asm", "go"} {
-		if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
-			continue // no AVX2 on this CPU: the "go" round covers the only path
+	defer useTile(cpuTile())
+	for _, ti := range tiles {
+		if !useTile(ti.kind) {
+			continue // the CPU lacks this tile: products never run it here
 		}
+		impl := ti.name
 		rng := mathx.NewRNG(77)
 		for _, s := range tokenMixShapes {
 			k2, group, c, b := s[0], s[1], s[2], s[3]
@@ -219,11 +220,11 @@ func TestGroupedMatMulLeftGradShapePanics(t *testing.T) {
 // BenchmarkGroupedMatMulLeft times the two token-mixing products of a
 // train-taser-tgat step (tokenUp 12×25 and tokenDown 25×12 over 56
 // neighborhoods of 73 channels) with every output row named, in the three
-// forms the step runs them — forward, dSrc and dW — on the assembly tile
-// and on its Go twin, next to BenchmarkMatMul's dense shapes. SetBytes
-// carries the FLOP count.
+// forms the step runs them — forward, dSrc and dW — on each tile
+// implementation the CPU has (go, avx2, avx512, as in BenchmarkMatMul), next
+// to BenchmarkMatMul's dense shapes. SetBytes carries the FLOP count.
 func BenchmarkGroupedMatMulLeft(b *testing.B) {
-	defer forceGoTile(false)
+	defer useTile(cpuTile())
 	const groups, c = 56, 73
 	for _, s := range [][2]int{{12, 25}, {25, 12}} {
 		k2, group := s[0], s[1]
@@ -240,10 +241,10 @@ func BenchmarkGroupedMatMulLeft(b *testing.B) {
 			{"dW", func() { GroupedMatMulLeftSlotsGradInto(dW, nil, out, w, src, every) }},
 		}
 		for _, f := range forms {
-			for _, impl := range []string{"asm", "go"} {
-				b.Run(fmt.Sprintf("%dx%d/%s/%s", k2, group, f.name, impl), func(b *testing.B) {
-					if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
-						b.Skip("no AVX2 on this CPU: every product runs the Go twin")
+			for _, ti := range tiles {
+				b.Run(fmt.Sprintf("%dx%d/%s/%s", k2, group, f.name, ti.name), func(b *testing.B) {
+					if !useTile(ti.kind) {
+						b.Skipf(lacksTile, ti.name)
 					}
 					b.SetBytes(int64(2 * groups * k2 * group * c))
 					for i := 0; i < b.N; i++ {

@@ -183,12 +183,14 @@ var serveColdShapes = [][3]int{{873, 48, 24}, {193, 72, 24}, {873, 1, 16}}
 // the three product forms it runs in — forward x@w (ab), the weight gradient
 // xᵀ@dy (aTb) and the input gradient dy@wᵀ (abT), 2·m·k·n FLOP each — and
 // every serve-cold layer as the forward a linear layer runs, x@w + b with the
-// bias in the tile's store (abBias), on the AVX2 assembly tile (asm) and on
-// its Go twin (go), the path on CPUs without AVX2. SetBytes carries the
-// multiply-add FLOP count, so the MB/s column reads MFLOP/s. On a shared host
-// the asm/go ratio is the stable signal.
+// bias in the tile's store (abBias), on each tile implementation: the Go
+// twin (go, the path on CPUs without AVX2), tileAVX2 (avx2) and tileAVX512
+// (avx512), skipping those the CPU lacks. SetBytes carries the multiply-add
+// FLOP count, so the MB/s column reads MFLOP/s. All three run from one test
+// binary, so a per-shape ratio between them is not a code-layout artifact; on
+// a shared host those ratios are the stable signal.
 func BenchmarkMatMul(b *testing.B) {
-	defer forceGoTile(false)
+	defer useTile(cpuTile())
 	type form struct {
 		name string
 		run  func(x, w, y, dw, dx, bias *Matrix)
@@ -208,10 +210,10 @@ func BenchmarkMatMul(b *testing.B) {
 			x, w, bias := Randn(m, k, 1, rng), Randn(k, n, 1, rng), Randn(1, n, 1, rng)
 			y, dw, dx := New(m, n), New(k, n), New(m, k)
 			for _, f := range forms {
-				for _, impl := range []string{"asm", "go"} {
-					b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, f.name, impl), func(b *testing.B) {
-						if asm := forceGoTile(impl == "go"); !asm && impl == "asm" {
-							b.Skip("no AVX2 on this CPU: every product runs the Go twin")
+				for _, ti := range tiles {
+					b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, f.name, ti.name), func(b *testing.B) {
+						if !useTile(ti.kind) {
+							b.Skipf(lacksTile, ti.name)
 						}
 						b.SetBytes(int64(2 * m * k * n))
 						for i := 0; i < b.N; i++ {
@@ -248,9 +250,9 @@ func BenchmarkMatMulRef(b *testing.B) {
 // product over the whole depth, on the tile and on its Go twin — for a depth
 // of one row, less than a chunk, exactly one chunk, whole chunks plus a
 // remainder, and on the scalar fallback (fewer than 4 output rows, fewer
-// than 8 columns).
+// than 8 columns), on every tile implementation the CPU has.
 func TestMatMulTransAChunksMatchOnePass(t *testing.T) {
-	defer forceGoTile(false)
+	defer useTile(cpuTile())
 	rng := mathx.NewRNG(23)
 	for _, s := range [][3]int{
 		{1, 9, 16}, {transAChunk - 3, 9, 16}, {transAChunk, 12, 24}, {2*transAChunk + 37, 9, 16},
@@ -259,18 +261,20 @@ func TestMatMulTransAChunksMatchOnePass(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := Randn(m, k, 1, rng), Randn(m, n, 1, rng)
 		start := Randn(k, n, 1, rng)
-		for _, goTile := range []bool{false, true} {
-			forceGoTile(goTile)
+		for _, ti := range tiles {
+			if !useTile(ti.kind) {
+				continue // the CPU lacks this tile: products never run it here
+			}
 			got, want := start.Clone(), start.Clone()
 			MatMulTransAInto(got, a, b)
 			product(want.Data, k, a.Data, 1, k, b, nil, tileAccum)
 			if d := bitwiseDiff(got, want); d >= 0 {
-				t.Fatalf("(%dx%d)ᵀ@%dx%d, Go tile %v: elem %d is %v chunked, %v in one pass", m, k, m, n, goTile, d, got.Data[d], want.Data[d])
+				t.Fatalf("(%dx%d)ᵀ@%dx%d, %s tile: elem %d is %v chunked, %v in one pass", m, k, m, n, ti.name, d, got.Data[d], want.Data[d])
 			}
 			ref := start.Clone()
 			matMulTransARef(ref, a, b)
 			if d := bitwiseDiff(got, ref); d >= 0 {
-				t.Fatalf("(%dx%d)ᵀ@%dx%d, Go tile %v: elem %d differs from the reference loop", m, k, m, n, goTile, d)
+				t.Fatalf("(%dx%d)ᵀ@%dx%d, %s tile: elem %d differs from the reference loop", m, k, m, n, ti.name, d)
 			}
 		}
 	}

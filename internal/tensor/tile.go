@@ -8,15 +8,17 @@ package tensor
 //	dst[l*ldd + 8bj+c]  ⟵  Σ_kk  a[l*lane + kk*kstep] · b[kk*ldb + 8bj+c]  (+ bias[8bj+c])
 //
 // for l < 4, c < 8, kk < k, with the block's 32 sums held in registers
-// (eight 4-wide YMM accumulators in the AVX2 routine) across the whole k
-// loop. Every block of a panel reads the same four lanes of a. The lane and
-// k strides of a are independent, so one kernel serves all three products:
+// across the whole k loop: eight 4-wide YMM accumulators in tileAVX2, and in
+// tileAVX512 eight 8-wide ZMM accumulators for a pair of blocks (four for an
+// odd last one). Every block of a panel reads the same four lanes of a. The
+// lane and k strides of a are independent, so one kernel serves all three
+// products:
 //
 //	a @ b    lane = a.Cols, kstep = 1       (a lane is a row of a)
 //	aᵀ @ b   lane = 1,      kstep = a.Cols  (a lane is a column of a)
 //	a @ bᵀ   as a @ b against a k-major copy of b (matmul.go)
 //
-// Contract, shared by the assembly routine and its Go twin and pinned by
+// Contract, shared by the assembly routines and their Go twin and pinned by
 // TestTileAsmMatchesGoBitwise: every output element is accumulated
 // k-ascending, one rounded multiply then one rounded add per step — never a
 // fused multiply-add — which is exactly the sequence of the straight-line
@@ -33,13 +35,25 @@ const (
 	tileAdd                   // dst = (dst + (0 + p₀ + p₁ + …)) + b (dst += a @ bᵀ)
 )
 
-// tile runs one panel of `blocks` 4×8 blocks on whichever implementation
-// the CPU supports (haveTileAsm, decided once at package init from CPUID).
-// A nil bias adds nothing. Memory safety lives here, not in the assembly:
-// the wrapper takes slices and indexes the last element each operand will
-// touch, once per panel, so a short operand panics before the unchecked
-// routine runs. Strides are non-negative, which makes the last index also
-// the largest.
+// tileKind names an implementation of the tile, narrowest first.
+type tileKind int
+
+const (
+	goTile     tileKind = iota // tileGo: every CPU and architecture
+	avx2Tile                   // tileAVX2: 256-bit registers
+	avx512Tile                 // tileAVX512: 512-bit registers
+)
+
+// tileImpl is the implementation tile runs: the widest the CPU has
+// (cpuTile), chosen once at package init. No flag, environment variable or
+// build tag overrides it; only this package's tests switch it.
+var tileImpl = cpuTile()
+
+// tile runs one panel of `blocks` 4×8 blocks on tileImpl. A nil bias adds
+// nothing. Memory safety lives here, not in the assembly: the wrapper takes
+// slices and indexes the last element each operand will touch, once per
+// panel, so a short operand panics before the unchecked routine runs.
+// Strides are non-negative, which makes the last index also the largest.
 func tile(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k, blocks int, bias []float64, mode tileMode) {
 	if ldd|lane|kstep|ldb|k < 0 || blocks < 1 {
 		panic("tensor: tile with negative stride or depth, or no block")
@@ -54,7 +68,11 @@ func tile(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb
 	if k > 0 { // depth 0 touches neither a nor b, and has no element to point at
 		_ = a[3*lane+(k-1)*kstep]
 		_ = b[(k-1)*ldb+w-1]
-		if haveTileAsm {
+		switch tileImpl {
+		case avx512Tile:
+			tileAVX512(&dst[0], ldd, &a[0], lane, kstep, &b[0], ldb, k, blocks, pb, int(mode))
+			return
+		case avx2Tile:
 			tileAVX2(&dst[0], ldd, &a[0], lane, kstep, &b[0], ldb, k, blocks, pb, int(mode))
 			return
 		}
@@ -62,9 +80,9 @@ func tile(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb
 	tileGo(dst, ldd, a, lane, kstep, b, ldb, k, blocks, bias, mode)
 }
 
-// tileGo is the pure-Go twin of tileAVX2: the implementation on CPUs without
-// AVX2 and on every other architecture, and the reference the assembly is
-// tested against. It walks the panel one block at a time.
+// tileGo is the pure-Go twin of tileAVX2 and tileAVX512: the implementation
+// on CPUs without AVX2 and on every other architecture, and the reference the
+// assembly is tested against. It walks the panel one block at a time.
 func tileGo(dst []float64, ldd int, a []float64, lane, kstep int, b []float64, ldb, k, blocks int, bias []float64, mode tileMode) {
 	for j := 0; j < 8*blocks; j += 8 {
 		var bv *[8]float64

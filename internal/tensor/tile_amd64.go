@@ -2,25 +2,19 @@ package tensor
 
 import "taser/internal/mathx"
 
-// haveTileAsm reports whether tile may run tileAVX2: the CPU has AVX2 and
-// the OS saves the YMM state. Probed once at package init; there is no flag,
-// environment variable or build tag that overrides it.
-var haveTileAsm = cpuHasAVX2()
-
-// cpuHasAVX2 asks the tree's one CPUID routine.
-func cpuHasAVX2() bool {
-	avx2, _ := mathx.CPUFeatures()
-	return avx2
-}
-
-// forceGoTile routes every product through the Go twin (on) or back to what
-// the CPU probe chose (off), and reports whether the assembly tile is then
-// active. It exists so BenchmarkMatMul and the equivalence tests can time and
-// compare one implementation against the other; nothing outside this
-// package's tests calls it, and it must not be called while kernels run.
-func forceGoTile(on bool) (asm bool) {
-	haveTileAsm = !on && cpuHasAVX2()
-	return haveTileAsm
+// cpuTile returns the widest tile the CPU runs, as the tree's one CPUID
+// routine reports it: tileAVX512 where the CPU has AVX-512F and AVX2 and the
+// OS saves the ZMM and opmask state, else tileAVX2 where it has AVX2 and the
+// OS saves the YMM state, else tileGo.
+func cpuTile() tileKind {
+	avx2, _, avx512f := mathx.CPUFeatures()
+	switch {
+	case avx2 && avx512f:
+		return avx512Tile
+	case avx2:
+		return avx2Tile
+	}
+	return goTile
 }
 
 // tileAVX2 is the panel of 4×8 tiles of tile.go in AVX2 assembly
@@ -30,3 +24,9 @@ func forceGoTile(on bool) (asm bool) {
 //
 //go:noescape
 func tileAVX2(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, blocks int, bias *float64, mode int)
+
+// tileAVX512 is tileAVX2 on 512-bit registers (tile_amd64.s), two blocks per
+// k loop, under the same contract and the same calling rules.
+//
+//go:noescape
+func tileAVX512(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, blocks int, bias *float64, mode int)

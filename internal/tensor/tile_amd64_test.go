@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,55 +24,64 @@ func spice(s []float64, rng *mathx.RNG) {
 	}
 }
 
-// TestTileAsmMatchesGoBitwise calls the assembly tile and its Go twin
-// directly on the same operands — random strides in both lane layouts, all
-// three init modes, with and without a bias, panels of 1–4 blocks, depths
-// from 0 up, inputs salted with ±Inf, NaN, −0 and denormals — and requires
+// asmTiles are the assembly routines behind tile, with the kind each is.
+var asmTiles = []struct {
+	name string
+	kind tileKind
+	run  func(dst *float64, ldd int, a *float64, lane, kstep int, b *float64, ldb, k, blocks int, bias *float64, mode int)
+}{{"avx2", avx2Tile, tileAVX2}, {"avx512", avx512Tile, tileAVX512}}
+
+// TestTileAsmMatchesGoBitwise calls each assembly tile the CPU has and the Go
+// twin directly on the same operands — random strides in both lane layouts,
+// all three init modes, with and without a bias, panels of 1–4 blocks (so
+// tileAVX512's pair loop runs with and without its odd tail), depths from 0
+// up, inputs salted with ±Inf, NaN, −0 and denormals — and requires
 // bitwise-equal output (NaN equal to NaN: which payload survives is the
 // hardware's choice).
 func TestTileAsmMatchesGoBitwise(t *testing.T) {
-	if !haveTileAsm {
-		t.Skip("CPU without AVX2: every product already runs tileGo")
-	}
-	rng := mathx.NewRNG(41)
-	for ci, tc := range randomTileCases(rng, 960) {
-		nd, na, nb, nbias := tc.lens()
-		// The routine takes pointers; at depth 0 it must not follow a or b.
-		a, b, bias := make([]float64, max(na, 1)), make([]float64, max(nb, 1)), make([]float64, nbias)
-		init := make([]float64, nd)
-		for _, s := range [][]float64{a, b, bias, init} {
-			for i := range s {
-				s[i] = rng.NormFloat64()
+	for _, at := range asmTiles {
+		t.Run(at.name, func(t *testing.T) {
+			if at.kind > cpuTile() {
+				t.Skipf(lacksTile, at.name)
 			}
-			if ci/24%2 == 1 { // every mode × bias × blocks combination, salted and not
-				spice(s, rng)
+			rng := mathx.NewRNG(41)
+			for ci, tc := range randomTileCases(rng, 960) {
+				nd, na, nb, nbias := tc.lens()
+				// The routine takes pointers; at depth 0 it must not follow a or b.
+				a, b, bias := make([]float64, max(na, 1)), make([]float64, max(nb, 1)), make([]float64, nbias)
+				init := make([]float64, nd)
+				for _, s := range [][]float64{a, b, bias, init} {
+					for i := range s {
+						s[i] = rng.NormFloat64()
+					}
+					if ci/24%2 == 1 { // every mode × bias × blocks combination, salted and not
+						spice(s, rng)
+					}
+				}
+				var pb *float64
+				if tc.bias {
+					pb = &bias[0]
+				}
+				viaAsm := append([]float64(nil), init...)
+				viaGo := append([]float64(nil), init...)
+				at.run(&viaAsm[0], tc.ldd, &a[0], tc.lane, tc.kstep, &b[0], tc.ldb, tc.k, tc.blocks, pb, int(tc.mode))
+				tileGo(viaGo, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
+				if i := sameBits(viaAsm, viaGo); i >= 0 {
+					t.Fatalf("%+v: dst[%d]: %s %v (%#x) vs Go %v (%#x)", tc, i, at.name,
+						viaAsm[i], math.Float64bits(viaAsm[i]), viaGo[i], math.Float64bits(viaGo[i]))
+				}
 			}
-		}
-		var pb *float64
-		if tc.bias {
-			pb = &bias[0]
-		}
-		viaAsm := append([]float64(nil), init...)
-		viaGo := append([]float64(nil), init...)
-		tileAVX2(&viaAsm[0], tc.ldd, &a[0], tc.lane, tc.kstep, &b[0], tc.ldb, tc.k, tc.blocks, pb, int(tc.mode))
-		tileGo(viaGo, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
-		if i := sameBits(viaAsm, viaGo); i >= 0 {
-			t.Fatalf("%+v: dst[%d]: asm %v (%#x) vs Go %v (%#x)", tc, i,
-				viaAsm[i], math.Float64bits(viaAsm[i]), viaGo[i], math.Float64bits(viaGo[i]))
-		}
+		})
 	}
 }
 
-// TestMatMulWithoutAVX2MatchesWith runs every entry point twice, on the
-// assembly tile and with the CPU probe's answer overridden to "no AVX2", on
-// the shapes a TASER step and a serve-cold flush issue (the forward also as
-// a linear layer, with its bias): the products must be bitwise-identical, so
-// which CPU a model trained on is invisible in its weights.
+// TestMatMulWithoutAVX2MatchesWith runs every entry point on every tile
+// implementation the CPU has, on the shapes a TASER step and a serve-cold
+// flush issue (the forward also as a linear layer, with its bias): every pair
+// of implementations must give bitwise-identical products, so which CPU a
+// model trained on is invisible in its weights.
 func TestMatMulWithoutAVX2MatchesWith(t *testing.T) {
-	if !haveTileAsm {
-		t.Skip("CPU without AVX2: every product already runs tileGo")
-	}
-	defer forceGoTile(false)
+	defer useTile(cpuTile())
 	rng := mathx.NewRNG(42)
 	for _, s := range [][3]int{{1389, 73, 73}, {550, 48, 24}, {733, 72, 24}, {1389, 105, 16}, {1056, 24, 24}, {1389, 32, 16}, {37, 29, 19}, {873, 1, 16}} {
 		m, k, n := s[0], s[1], s[2]
@@ -80,8 +90,7 @@ func TestMatMulWithoutAVX2MatchesWith(t *testing.T) {
 		bt := Randn(n, k, 1, rng)
 		wide := Randn(m, n, 1, rng)
 		bias := Randn(1, n, 1, rng).Data
-		run := func(asm bool) [4]*Matrix {
-			forceGoTile(!asm)
+		run := func() [4]*Matrix {
 			r := [4]*Matrix{New(m, n), Randn(m, n, 1, mathx.NewRNG(5)), Randn(k, n, 1, mathx.NewRNG(6)), New(m, n)}
 			MatMulInto(r[0], a, b)
 			MatMulTransBAddInto(r[1], a, bt)
@@ -89,10 +98,24 @@ func TestMatMulWithoutAVX2MatchesWith(t *testing.T) {
 			MatMulPartsInto(r[3], b, []*Matrix{a}, bias)
 			return r
 		}
-		with, without := run(true), run(false)
-		for i, name := range []string{"MatMulInto", "MatMulTransBAddInto", "MatMulTransAInto", "MatMulPartsInto with a bias"} {
-			if d := bitwiseDiff(with[i], without[i]); d >= 0 {
-				t.Fatalf("%dx%dx%d %s: elem %d differs between the assembly tile and the Go twin", m, k, n, name, d)
+		got := make([][4]*Matrix, len(tiles))
+		for i, ti := range tiles {
+			if useTile(ti.kind) {
+				got[i] = run()
+			}
+		}
+		for i := range tiles {
+			for j := i + 1; j < len(tiles); j++ {
+				t.Run(fmt.Sprintf("%dx%dx%d/%s-%s", m, k, n, tiles[i].name, tiles[j].name), func(t *testing.T) {
+					if tiles[j].kind > cpuTile() {
+						t.Skipf(lacksTile, tiles[j].name)
+					}
+					for e, name := range []string{"MatMulInto", "MatMulTransBAddInto", "MatMulTransAInto", "MatMulPartsInto with a bias"} {
+						if d := bitwiseDiff(got[i][e], got[j][e]); d >= 0 {
+							t.Fatalf("%s: elem %d differs", name, d)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -8,6 +8,41 @@ import (
 	"taser/internal/mathx"
 )
 
+// tiles lists every tile implementation under the name tests and benchmarks
+// give it.
+var tiles = []struct {
+	name string
+	kind tileKind
+}{{"go", goTile}, {"avx2", avx2Tile}, {"avx512", avx512Tile}}
+
+// useTile routes every product through implementation k and reports whether
+// the CPU runs it; on false nothing changes. useTile(cpuTile()) restores the
+// init-time choice. It must not be called while kernels run.
+func useTile(k tileKind) bool {
+	if k > cpuTile() {
+		return false
+	}
+	tileImpl = k
+	return true
+}
+
+// lacksTile is the skip message for a tile implementation the CPU lacks.
+const lacksTile = "the CPU (or OS) lacks %s: products never run that tile here"
+
+// eachTile runs f as one subtest per tile implementation, skipping with the
+// reason those the CPU lacks, and restores the init-time choice afterwards.
+func eachTile(t *testing.T, f func(t *testing.T)) {
+	defer useTile(cpuTile())
+	for _, ti := range tiles {
+		t.Run(ti.name, func(t *testing.T) {
+			if !useTile(ti.kind) {
+				t.Skipf(lacksTile, ti.name)
+			}
+			f(t)
+		})
+	}
+}
+
 // canaryBits is a NaN with a recognizable payload: a kernel that reads a
 // canary poisons its output with NaN, one that writes over it changes the
 // bits.
@@ -148,61 +183,60 @@ func orNil(s []float64, ok bool) []float64 {
 }
 
 // TestTileStaysInsideItsOperands is the canary test for the unchecked
-// routine behind tile: with every operand cut to the exact extent the
+// routines behind tile: with every operand cut to the exact extent the
 // contract names, NaN canaries on both sides of each (the bias's included),
-// and canaries in every column of b and dst past the panel's last one,
-// neither implementation may read a canary (the result would turn NaN) or
-// write one, and both must equal the scalar reference.
+// and canaries in every column of b and dst past the panel's last one, no
+// implementation may read a canary (the result would turn NaN) or write one,
+// and each must equal the scalar reference. tile runs once on every
+// implementation the CPU has; the AVX-512 routine's 16-column pair loads must
+// stop at the last block, odd or even.
 func TestTileStaysInsideItsOperands(t *testing.T) {
-	rng := mathx.NewRNG(31)
-	impls := map[string]func([]float64, int, []float64, int, int, []float64, int, int, int, []float64, tileMode){
-		"tile": tile, "tileGo": tileGo,
-	}
-	canary := math.Float64frombits(canaryBits)
-	for _, tc := range randomTileCases(rng, 480) {
-		nd, na, nb, nbias := tc.lens()
-		a, aOK := guarded(na)
-		b, bOK := guarded(nb)
-		bias, biasOK := guarded(nbias)
-		init := make([]float64, nd)
-		for _, s := range [][]float64{a, b, bias, init} {
-			for i := range s {
-				s[i] = rng.NormFloat64()
+	eachTile(t, func(t *testing.T) {
+		rng := mathx.NewRNG(31)
+		canary := math.Float64frombits(canaryBits)
+		for _, tc := range randomTileCases(rng, 480) {
+			nd, na, nb, nbias := tc.lens()
+			a, aOK := guarded(na)
+			b, bOK := guarded(nb)
+			bias, biasOK := guarded(nbias)
+			init := make([]float64, nd)
+			for _, s := range [][]float64{a, b, bias, init} {
+				for i := range s {
+					s[i] = rng.NormFloat64()
+				}
 			}
-		}
-		for i := range b {
-			if i%tc.ldb >= 8*tc.blocks {
-				b[i] = canary
+			for i := range b {
+				if i%tc.ldb >= 8*tc.blocks {
+					b[i] = canary
+				}
 			}
-		}
-		for i := range init {
-			if !tc.inPanel(i) {
-				init[i] = canary
+			for i := range init {
+				if !tc.inPanel(i) {
+					init[i] = canary
+				}
 			}
-		}
-		want := append([]float64(nil), init...)
-		tileRef(want, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
-		for name, impl := range impls {
+			want := append([]float64(nil), init...)
+			tileRef(want, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
 			dst, dOK := guarded(nd)
 			copy(dst, init)
-			impl(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
+			tile(dst, tc.ldd, a, tc.lane, tc.kstep, b, tc.ldb, tc.k, tc.blocks, orNil(bias, tc.bias), tc.mode)
 			if !aOK() || !bOK() || !biasOK() || !dOK() {
-				t.Fatalf("%s %+v: wrote outside an operand", name, tc)
+				t.Fatalf("%+v: wrote outside an operand", tc)
 			}
 			for i, v := range dst {
 				if !tc.inPanel(i) {
 					if math.Float64bits(v) != canaryBits {
-						t.Fatalf("%s %+v: dst[%d] outside the panel changed", name, tc, i)
+						t.Fatalf("%+v: dst[%d] outside the panel changed", tc, i)
 					}
 				} else if math.IsNaN(v) {
-					t.Fatalf("%s %+v: dst[%d] is NaN — read outside an operand", name, tc, i)
+					t.Fatalf("%+v: dst[%d] is NaN — read outside an operand", tc, i)
 				}
 			}
 			if i := sameBits(dst, want); i >= 0 {
-				t.Fatalf("%s %+v: dst[%d] = %v, reference %v", name, tc, i, dst[i], want[i])
+				t.Fatalf("%+v: dst[%d] = %v, reference %v", tc, i, dst[i], want[i])
 			}
 		}
-	}
+	})
 }
 
 // TestTilePanicsOnShortOperand pins where memory safety lives: an operand
@@ -253,51 +287,54 @@ func TestTilePanicsOnShortOperand(t *testing.T) {
 // TestMatMulDriversStayInBounds runs the three entry points on matrices whose
 // storage is exact-length with canaries on both sides, over shapes with
 // every remainder (rows%4, cols%8, the shifted-back partial tiles, fewer
-// rows or columns than one tile, k = 0): results must match the references
-// bitwise with no canary read or written.
+// rows or columns than one tile, k = 0), on every tile implementation the
+// CPU has: results must match the references bitwise with no canary read or
+// written.
 func TestMatMulDriversStayInBounds(t *testing.T) {
-	rng := mathx.NewRNG(32)
-	shapes := [][3]int{
-		{4, 1, 8}, {5, 3, 9}, {7, 5, 15}, {3, 9, 40}, {40, 9, 7}, {13, 40, 17},
-		{66, 48, 24}, {67, 38, 27}, {130, 40, 33}, {9, 0, 11}, {0, 4, 9}, {6, 4, 0},
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a, aOK := guardedRandn(m, k, rng)
-		b, bOK := guardedRandn(k, n, rng)
-		bt, btOK := guardedRandn(n, k, rng)
-		wide, wideOK := guardedRandn(m, n, rng)
-		check := func(name string, got, want *Matrix, gotOK func() bool) {
-			t.Helper()
-			if !aOK() || !bOK() || !btOK() || !wideOK() || !gotOK() {
-				t.Fatalf("%s %dx%dx%d: wrote outside an operand", name, m, k, n)
-			}
-			if i := firstNaN(got.Data); i >= 0 {
-				t.Fatalf("%s %dx%dx%d: elem %d is NaN — read outside an operand", name, m, k, n, i)
-			}
-			if d := bitwiseDiff(got, want); d >= 0 {
-				t.Fatalf("%s %dx%dx%d: elem %d differs from the reference", name, m, k, n, d)
-			}
+	eachTile(t, func(t *testing.T) {
+		rng := mathx.NewRNG(32)
+		shapes := [][3]int{
+			{4, 1, 8}, {5, 3, 9}, {7, 5, 15}, {3, 9, 40}, {40, 9, 7}, {13, 40, 17},
+			{66, 48, 24}, {67, 38, 27}, {130, 40, 33}, {9, 0, 11}, {0, 4, 9}, {6, 4, 0},
 		}
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			a, aOK := guardedRandn(m, k, rng)
+			b, bOK := guardedRandn(k, n, rng)
+			bt, btOK := guardedRandn(n, k, rng)
+			wide, wideOK := guardedRandn(m, n, rng)
+			check := func(name string, got, want *Matrix, gotOK func() bool) {
+				t.Helper()
+				if !aOK() || !bOK() || !btOK() || !wideOK() || !gotOK() {
+					t.Fatalf("%s %dx%dx%d: wrote outside an operand", name, m, k, n)
+				}
+				if i := firstNaN(got.Data); i >= 0 {
+					t.Fatalf("%s %dx%dx%d: elem %d is NaN — read outside an operand", name, m, k, n, i)
+				}
+				if d := bitwiseDiff(got, want); d >= 0 {
+					t.Fatalf("%s %dx%dx%d: elem %d differs from the reference", name, m, k, n, d)
+				}
+			}
 
-		got, gotOK := guardedRandn(m, n, rng)
-		want := New(m, n)
-		MatMulInto(got, a, b)
-		matMulRef(want, a, b)
-		check("MatMulInto", got, want, gotOK)
+			got, gotOK := guardedRandn(m, n, rng)
+			want := New(m, n)
+			MatMulInto(got, a, b)
+			matMulRef(want, a, b)
+			check("MatMulInto", got, want, gotOK)
 
-		got, gotOK = guardedRandn(m, n, rng)
-		want = got.Clone()
-		MatMulTransBAddInto(got, a, bt)
-		matMulTransBRef(want, a, bt)
-		check("MatMulTransBAddInto", got, want, gotOK)
+			got, gotOK = guardedRandn(m, n, rng)
+			want = got.Clone()
+			MatMulTransBAddInto(got, a, bt)
+			matMulTransBRef(want, a, bt)
+			check("MatMulTransBAddInto", got, want, gotOK)
 
-		got, gotOK = guardedRandn(k, n, rng)
-		want = got.Clone()
-		MatMulTransAInto(got, a, wide)
-		matMulTransARef(want, a, wide)
-		check("MatMulTransAInto", got, want, gotOK)
-	}
+			got, gotOK = guardedRandn(k, n, rng)
+			want = got.Clone()
+			MatMulTransAInto(got, a, wide)
+			matMulTransARef(want, a, wide)
+			check("MatMulTransAInto", got, want, gotOK)
+		}
+	})
 }
 
 // TestMatMulTransBSteadyStateAllocFree pins the a @ bᵀ scratch discipline:
