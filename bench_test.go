@@ -118,7 +118,7 @@ func BenchmarkCacheLRU(b *testing.B) {
 	})
 }
 
-// --- Fig. 1 / Table III: one training step per pipeline stage ---
+// --- Fig. 1 / Table III: one training step per system optimization ---
 
 func benchmarkTrainStep(b *testing.B, cfg train.Config) {
 	ds := datasets.Wikipedia(0.1, 3)
@@ -138,33 +138,6 @@ func benchmarkTrainStep(b *testing.B, cfg train.Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainStep()
-	}
-}
-
-// benchmarkTrainStepPipelined is benchmarkTrainStep through the asynchronous
-// prefetch loop: per-op time approaches max(build, PP) instead of build + PP
-// once GOMAXPROCS ≥ 2 (the producer needs its own core to hide behind PP).
-func benchmarkTrainStepPipelined(b *testing.B, cfg train.Config) {
-	ds := datasets.Wikipedia(0.1, 3)
-	cfg.Hidden, cfg.TimeDim, cfg.BatchSize = 16, 8, 64
-	cfg.MaxEvalEdges = 10
-	tr, err := train.New(cfg, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := tr.NewPipeline(0)
-	b.Cleanup(p.Close)
-	for i := 0; i < 5; i++ { // steady state, as in benchmarkTrainStep
-		if _, ok := p.Step(); !ok {
-			b.Fatal("pipeline exhausted during warmup")
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := p.Step(); !ok {
-			b.Fatal("pipeline exhausted")
-		}
 	}
 }
 
@@ -197,35 +170,6 @@ func BenchmarkStepTASER(b *testing.B) {
 // BenchmarkStepGraphMixer covers the second backbone.
 func BenchmarkStepGraphMixer(b *testing.B) {
 	benchmarkTrainStep(b, train.Config{
-		Model: train.ModelGraphMixer, Finder: train.FinderGPU, CacheRatio: 0.2,
-		AdaBatch: true, AdaNeighbor: true, Decoder: adaptive.DecoderLinear,
-	})
-}
-
-// --- pipelined variants of the step benchmarks (this repo's async loop) ---
-
-// BenchmarkStepPipelinedGPUFinderCache is the pipelined counterpart of
-// BenchmarkStepGPUFinderCache (compare the two with benchstat).
-func BenchmarkStepPipelinedGPUFinderCache(b *testing.B) {
-	benchmarkTrainStepPipelined(b, train.Config{
-		Model: train.ModelTGAT, Finder: train.FinderGPU, CacheRatio: 0.2,
-	})
-}
-
-// BenchmarkStepPipelinedTASER is the pipelined counterpart of
-// BenchmarkStepTASER: the Selection resolves consumer-side, candidate
-// staging overlaps with PP, and the selector sees bounded-stale updates.
-func BenchmarkStepPipelinedTASER(b *testing.B) {
-	benchmarkTrainStepPipelined(b, train.Config{
-		Model: train.ModelTGAT, Finder: train.FinderGPU, CacheRatio: 0.2,
-		AdaBatch: true, AdaNeighbor: true, Decoder: adaptive.DecoderGATv2,
-	})
-}
-
-// BenchmarkStepPipelinedGraphMixer is the pipelined counterpart of
-// BenchmarkStepGraphMixer.
-func BenchmarkStepPipelinedGraphMixer(b *testing.B) {
-	benchmarkTrainStepPipelined(b, train.Config{
 		Model: train.ModelGraphMixer, Finder: train.FinderGPU, CacheRatio: 0.2,
 		AdaBatch: true, AdaNeighbor: true, Decoder: adaptive.DecoderLinear,
 	})

@@ -38,7 +38,6 @@ func main() {
 		cache     = flag.Float64("cache", 0.2, "edge-feature cache ratio")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		evalEdges = flag.Int("eval-edges", 300, "max edges per MRR evaluation")
-		pipeline  = flag.Bool("pipeline", false, "overlap batch construction with compute (async prefetch loop)")
 	)
 	flag.Parse()
 
@@ -75,12 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	for e := 0; e < cfg.Epochs; e++ {
-		var res train.EpochResult
-		if *pipeline {
-			res = tr.TrainEpochPipelined()
-		} else {
-			res = tr.TrainEpoch()
-		}
+		res := tr.TrainEpoch()
 		fmt.Printf("epoch %2d  loss=%.4f  (%.1fs, %d steps)\n",
 			e+1, res.MeanLoss, res.Duration.Seconds(), res.Steps)
 	}

@@ -3,7 +3,6 @@ package adaptive
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"taser/internal/autograd"
 	"taser/internal/encoding"
@@ -101,9 +100,7 @@ type NeighborSampler struct {
 	freqs         []int           // frequency-encoder scratch
 
 	// selFree recycles Selection headers (with their Chosen backing
-	// storage) between Select and Recycle; a mutex because release may happen
-	// on a different goroutine than the next Select (pipeline shutdown).
-	selMu   sync.Mutex
+	// storage) between Select and Recycle.
 	selFree []*Selection
 }
 
@@ -340,17 +337,13 @@ type Selection struct {
 // shaped for b roots. Per-root Chosen slices keep their capacity across
 // recycles, so warm draws are allocation-free.
 func (s *NeighborSampler) getSelection(b int) *Selection {
-	s.selMu.Lock()
-	var sel *Selection
-	if n := len(s.selFree); n > 0 {
-		sel = s.selFree[n-1]
-		s.selFree[n-1] = nil
-		s.selFree = s.selFree[:n-1]
-	}
-	s.selMu.Unlock()
-	if sel == nil {
+	n := len(s.selFree)
+	if n == 0 {
 		return &Selection{Chosen: make([][]int, b)}
 	}
+	sel := s.selFree[n-1]
+	s.selFree[n-1] = nil
+	s.selFree = s.selFree[:n-1]
 	if cap(sel.Chosen) < b {
 		chosen := make([][]int, b)
 		copy(chosen, sel.Chosen[:cap(sel.Chosen)])
@@ -369,9 +362,7 @@ func (s *NeighborSampler) Recycle(sel *Selection) {
 		return
 	}
 	sel.LogQ = nil // graph-owned; dead at the producing graph's Reset
-	s.selMu.Lock()
 	s.selFree = append(s.selFree, sel)
-	s.selMu.Unlock()
 }
 
 // Select draws n supporting neighbors per root without replacement from

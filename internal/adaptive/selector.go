@@ -6,7 +6,6 @@ package adaptive
 
 import (
 	"fmt"
-	"sync"
 
 	"taser/internal/mathx"
 )
@@ -18,15 +17,13 @@ import (
 // (low-noise) interactions are revisited more while a γ-weighted uniform
 // floor preserves exploration.
 //
-// The selector is safe for concurrent use: in the pipelined training loop the
-// prefetch goroutine draws upcoming batches while the consumer posts score
-// updates, so a prefetched batch may have been drawn from scores that are up
-// to 3 steps stale (the pipeline's depth plus one; DESIGN.md §8).
+// The training loop draws each batch after the previous step's Update, so
+// every draw sees current scores (DESIGN.md §8). A selector is
+// single-goroutine state.
 type MiniBatchSelector struct {
-	mu     sync.Mutex
 	scores []float64
 	rng    *mathx.RNG
-	ws     mathx.WeightedSampler // draw scratch (guarded by mu)
+	ws     mathx.WeightedSampler // draw scratch
 }
 
 // Gamma is Eq. 11's uniform-mixture magnitude γ, at the paper's value.
@@ -49,8 +46,6 @@ func (s *MiniBatchSelector) Len() int { return len(s.scores) }
 
 // Score returns P(e) for a training edge (exported for tests/diagnostics).
 func (s *MiniBatchSelector) Score(e int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.scores[e]
 }
 
@@ -60,8 +55,6 @@ func (s *MiniBatchSelector) Score(e int) float64 {
 // allocation-free: the O(numTrain) key/index scratch is reused across calls
 // and only the result occupies out.
 func (s *MiniBatchSelector) SampleBatchInto(batchSize int, out []int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.ws.SampleInto(s.rng, s.scores, batchSize, out)
 }
 
@@ -71,8 +64,6 @@ func (s *MiniBatchSelector) Update(edges []int, logits []float64) {
 	if len(edges) != len(logits) {
 		panic("adaptive: Update length mismatch")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, e := range edges {
 		s.scores[e] = mathx.Sigmoid(logits[i]) + Gamma
 	}

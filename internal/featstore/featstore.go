@@ -7,7 +7,6 @@ package featstore
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"taser/internal/cache"
@@ -15,13 +14,10 @@ import (
 	"taser/internal/tensor"
 )
 
-// Store is one feature matrix (e.g. all edge features) behind a cache.
-// Slicing is safe for concurrent use: the pipelined training loop slices
-// features for upcoming batches from the prefetch goroutine while the
-// consumer slices adaptively chosen edges, and both funnel through the same
-// (stateful, non-thread-safe) cache policy, so Slice serializes on a mutex.
+// Store is one feature matrix (e.g. all edge features) behind a cache. Its
+// cache policy learns from the access stream, so a Store is
+// single-goroutine state, like the build path that owns it.
 type Store struct {
-	mu     sync.Mutex
 	host   *tensor.Matrix // numRows×dim, lives in "RAM"
 	vram   *tensor.Matrix // capacity×dim, lives in "VRAM"
 	policy cache.Policy   // nil means uncached: every read goes over PCIe
@@ -48,9 +44,8 @@ func (s *Store) rowBytes() int64 { return int64(s.host.Cols) * 8 }
 // access is reported to the cache policy so it can learn the pattern. A
 // zero-width store records nothing and models 0.
 //
-// The per-call return value — rather than diffing the shared XferStats
-// counters around the call — is what keeps the FS timing bucket exact when
-// the pipelined loop slices from two goroutines at once.
+// The per-call return value lets the caller charge exactly this call's
+// traffic to its FS bucket without diffing the XferStats counters around it.
 func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 	if dst.Rows != len(ids) || dst.Cols != s.host.Cols {
 		panic(fmt.Sprintf("featstore: Slice dst %dx%d want %dx%d",
@@ -60,14 +55,6 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 		// A zero-width row is no transfer: nothing to copy, count or model,
 		// and nothing for the policy to learn from.
 		return 0
-	}
-	if s.policy != nil {
-		// The policy learns from the access stream and is not safe for
-		// concurrent use. An uncached store (e.g. the node features) reads a
-		// read-only host matrix into caller-owned rows with atomic accounting,
-		// so it takes no lock: the pipeline overlaps those slices on both sides.
-		s.mu.Lock()
-		defer s.mu.Unlock()
 	}
 	var pcieReqs, vramReqs int64
 	for i := 0; i < len(ids); i++ {
@@ -106,8 +93,7 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 	if s.stats == nil {
 		return 0
 	}
-	// One charge per path for the whole call: the counters are atomics
-	// shared with the other side of the pipeline.
+	// One charge per path for the whole call.
 	pcieBytes, vramBytes := pcieReqs*s.rowBytes(), vramReqs*s.rowBytes()
 	s.stats.Record(device.XferPCIe, pcieReqs, pcieBytes)
 	s.stats.Record(device.XferVRAM, vramReqs, vramBytes)
@@ -115,21 +101,17 @@ func (s *Store) Slice(ids []int32, dst *tensor.Matrix) time.Duration {
 }
 
 // EndEpoch advances the cache policy and loads newly resident rows into
-// VRAM. The refill is charged as PCIe maintenance traffic. The policy swap
-// and the refill happen under one lock, so a concurrent Slice can never
-// cache-hit a newly resident row whose VRAM slot is still unfilled.
+// VRAM. The refill is charged as PCIe maintenance traffic.
 func (s *Store) EndEpoch() {
 	if s.policy == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refillLocked(s.policy.EndEpoch())
+	s.refill(s.policy.EndEpoch())
 }
 
-// refillLocked loads rows (already marked resident by the policy) into their
-// VRAM slots; the caller holds s.mu.
-func (s *Store) refillLocked(inserted []int32) {
+// refill loads rows (already marked resident by the policy) into their VRAM
+// slots.
+func (s *Store) refill(inserted []int32) {
 	if s.vram == nil {
 		return
 	}

@@ -128,7 +128,7 @@ func TestOracleRefillFlow(t *testing.T) {
 	s := New(host, pol, stats)
 	future := make([]int64, 6)
 	future[2], future[4] = 10, 5
-	s.refillLocked(pol.Reveal(future))
+	s.refill(pol.Reveal(future))
 	dst := tensor.New(2, 2)
 	stats.Reset()
 	s.Slice([]int32{2, 4}, dst)

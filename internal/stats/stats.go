@@ -6,16 +6,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
 // Timer accumulates named durations; it powers the NF/AS/FS/PP runtime
-// breakdowns in Table III and Fig. 1. It is safe for concurrent use: the
-// pipelined training loop charges build-phase buckets from the prefetch
-// goroutine while the consumer charges PP.
+// breakdowns in Table III and Fig. 1. Like the training loop that charges
+// it, a Timer is single-goroutine state.
 type Timer struct {
-	mu      sync.Mutex
 	buckets map[string]time.Duration
 	order   []string
 }
@@ -27,8 +24,6 @@ func NewTimer() *Timer {
 
 // Add charges d to bucket name.
 func (t *Timer) Add(name string, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if _, ok := t.buckets[name]; !ok {
 		t.order = append(t.order, name)
 	}
@@ -37,15 +32,11 @@ func (t *Timer) Add(name string, d time.Duration) {
 
 // Get returns the accumulated duration for name.
 func (t *Timer) Get(name string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.buckets[name]
 }
 
 // Reset zeroes all buckets while keeping their order.
 func (t *Timer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for k := range t.buckets {
 		t.buckets[k] = 0
 	}
@@ -53,8 +44,6 @@ func (t *Timer) Reset() {
 
 // Breakdown formats each bucket as seconds with its share of the total.
 func (t *Timer) Breakdown() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var total time.Duration
 	for _, d := range t.buckets {
 		total += d

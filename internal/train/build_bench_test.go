@@ -7,9 +7,8 @@ import (
 )
 
 // benchmarkBuild measures the minibatch build path in isolation — edge
-// choice, root assembly, prepare + finish, buffer release — the part of a
-// training step the pipeline overlaps with PP and the buffer pool makes
-// (near-)allocation-free. allocs/op is the regression guard: the seed's
+// choice, root assembly, build, buffer release — the part of a training
+// step before PP, which the buffer pool makes (near-)allocation-free. allocs/op is the regression guard: the seed's
 // unpooled path allocated ~350 objects per step on this configuration.
 func benchmarkBuild(b *testing.B, mut func(*Config)) {
 	ds := tinyDS(40)
@@ -23,9 +22,8 @@ func benchmarkBuild(b *testing.B, mut func(*Config)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		edges := tr.nextBatchEdges()
-		pb := tr.prepareBatch(edges)
-		tr.finishBatch(pb)
-		tr.releasePrepared(pb)
+		built := tr.buildBatch(tr.rootsForEdges(edges), edges)
+		tr.releaseBatch(&built)
 	}
 }
 

@@ -1,8 +1,6 @@
 package train
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"taser/internal/featstore"
@@ -19,16 +17,16 @@ import (
 // the static policy into a pooled Result, block fill, edge-feature slicing,
 // then extension of the target list by the block's neighbors; after the
 // innermost hop, leaf (h⁰) slicing. What differs between callers arrives as
-// data — the finder instance and its mutex, an optional per-hop block
-// supplier (the Trainer's adaptive hop), a Timer that may be nil — so nothing
-// here asks who is calling.
+// data — the finder instance, an optional per-hop block supplier (the
+// Trainer's adaptive hop), a Timer that may be nil — so nothing here asks who
+// is calling.
 //
 // The Trainer embeds the core; the exported fields are part of its surface.
 type buildCore struct {
 	EdgeStore *featstore.Store // unused (and possibly nil) when edgeDim is 0
 	NodeStore *featstore.Store
 	Timer     *stats.Timer  // NF/FS accounting; nil leaves the build untimed
-	modeled   *atomic.Int64 // FS's modeled transfer time in ns, also in Timer's FS; set with Timer
+	modeled   time.Duration // FS's modeled transfer time, also in Timer's FS
 
 	pool             *buildPool
 	policy           sampler.Policy // static sampling policy of every finder call
@@ -43,10 +41,10 @@ type buildCore struct {
 // that caller's stack.
 type hopFunc func(l int, targets []sampler.Target) *models.LayerBlock
 
-// build materializes the minibatch for roots, sampling static hops from f
-// under mu. The minibatch's buffers are the pool's: hand them back with
+// build materializes the minibatch for roots, sampling static hops from f.
+// The minibatch's buffers are the pool's: hand them back with
 // release after the forward pass, or never (then the pool allocates anew).
-func (c *buildCore) build(roots []sampler.Target, f sampler.Finder, mu *sync.Mutex, hop hopFunc) *models.MiniBatch {
+func (c *buildCore) build(roots []sampler.Target, f sampler.Finder, hop hopFunc) *models.MiniBatch {
 	blocks := make([]*models.LayerBlock, c.layers) // [0] = innermost
 	targets := roots
 	var spent []sampler.Target // pooled intermediate target list to recycle
@@ -56,7 +54,7 @@ func (c *buildCore) build(roots []sampler.Target, f sampler.Finder, mu *sync.Mut
 			block = hop(l, targets)
 		}
 		if block == nil {
-			block = c.staticHop(c.pool.getBlock(len(targets), c.budget, c.edgeDim), targets, f, mu)
+			block = c.staticHop(c.pool.getBlock(len(targets), c.budget, c.edgeDim), targets, f)
 		}
 		blocks[l] = block
 		next := c.pool.targets.get(len(targets) + len(block.NbrNodes))
@@ -82,9 +80,9 @@ func (c *buildCore) release(mb *models.MiniBatch) {
 
 // staticHop fills block, a pooled len(targets)×n block, from an n-budget
 // finder result and slices its edge features (the non-adaptive hop).
-func (c *buildCore) staticHop(block *models.LayerBlock, targets []sampler.Target, f sampler.Finder, mu *sync.Mutex) *models.LayerBlock {
+func (c *buildCore) staticHop(block *models.LayerBlock, targets []sampler.Target, f sampler.Finder) *models.LayerBlock {
 	res := c.pool.getResult()
-	c.sample(f, mu, targets, c.budget, res)
+	c.sample(f, targets, c.budget, res)
 	for i, tg := range targets {
 		for j := 0; j < int(res.Counts[i]); j++ {
 			s := res.Slot(i, j)
@@ -97,16 +95,10 @@ func (c *buildCore) staticHop(block *models.LayerBlock, targets []sampler.Target
 	return block
 }
 
-// sample runs a neighbor finder under that instance's mutex and charges NF.
-// Finders keep mutable RNG/pointer state, so each instance has its own lock:
-// the Trainer's producer-side and consumer-side instances overlap while each
-// one's sampling stream stays a function of its own call order.
-func (c *buildCore) sample(f sampler.Finder, mu *sync.Mutex, targets []sampler.Target, budget int, out *sampler.Result) {
+// sample runs a neighbor finder and charges NF.
+func (c *buildCore) sample(f sampler.Finder, targets []sampler.Target, budget int, out *sampler.Result) {
 	start := time.Now()
-	mu.Lock()
-	err := f.Sample(targets, budget, c.policy, out)
-	mu.Unlock()
-	if err != nil {
+	if err := f.Sample(targets, budget, c.policy, out); err != nil {
 		panic(err) // targets are internally generated; a failure is a bug
 	}
 	c.charge("NF", start, 0)
@@ -118,15 +110,13 @@ func (c *buildCore) sample(f sampler.Finder, mu *sync.Mutex, targets []sampler.T
 func (c *buildCore) charge(bucket string, start time.Time, modeled time.Duration) {
 	if c.Timer != nil {
 		c.Timer.Add(bucket, time.Since(start)+modeled)
-		c.modeled.Add(int64(modeled))
+		c.modeled += modeled
 	}
 }
 
 // sliceEdges fetches edge-feature rows (ids aligned with dst's rows; −1
 // yields a zero row), charging FS with both the real copy time and the
-// modeled transfer time. Slice reports its own call's modeled cost, so
-// concurrent slicing from the prefetch goroutine and the consumer never
-// cross-charges.
+// modeled transfer time, which Slice reports for its own call.
 func (c *buildCore) sliceEdges(ids []int32, dst *tensor.Matrix) {
 	if c.edgeDim == 0 {
 		return

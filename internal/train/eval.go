@@ -85,9 +85,8 @@ func (t *Trainer) evalChunk(edges []int) float64 {
 	// One build for the chunk, through the same pool as a training step:
 	// the finder and feature slicing run once over every root, as the GPU
 	// finder's streams (seeded per call and block) require.
-	pb := t.prepareRoots(roots)
-	built := t.finishBatch(pb)
-	defer t.releasePrepared(pb)
+	built := t.buildBatch(roots, nil)
+	defer t.releaseBatch(&built)
 	emb := t.embedWindows(built.mb)
 	defer t.pool.putMat(emb)
 

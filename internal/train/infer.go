@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 
 	"taser/internal/autograd"
 	"taser/internal/device"
@@ -44,18 +43,19 @@ type InferConfig struct {
 // size and the model's shape, not on the graph, so steady-state serving
 // recycles the same buffers while the graph grows underneath.
 //
-// Build and Release are not safe for concurrent use with each other or with
-// SwapGraph; the serving scheduler owns the builder from a single goroutine,
-// which is also what keeps the finder's sampling stream well-defined.
+// A builder is single-goroutine state, unguarded: Build, Release, SwapGraph
+// and the graph checkouts must not run concurrently. Its owners serialize
+// them — a serving engine's scheduler goroutine, and the fine-tuning loop,
+// whose rounds hold the tuner's runMu — which is also what keeps the
+// finder's sampling stream well-defined.
 type InferenceBuilder struct {
 	// Memo, when set, is asked about every target of the hop under the top
 	// (Build); nil builds every target.
 	Memo Memo
 
-	core     buildCore
-	seed     uint64
-	finder   sampler.Finder
-	finderMu sync.Mutex
+	core   buildCore
+	seed   uint64
+	finder sampler.Finder
 
 	g graphHolder
 }
@@ -113,10 +113,7 @@ func (b *InferenceBuilder) SwapGraph(tcsr tgraph.Adjacency, edgeFeat *tensor.Mat
 		return fmt.Errorf("train: SwapGraph edge-feature width %d, builder expects %d",
 			edgeFeat.Cols, b.core.edgeDim)
 	}
-	finder := sampler.NewGPUFinder(tcsr, device.New(), b.seed)
-	b.finderMu.Lock()
-	b.finder = finder
-	b.finderMu.Unlock()
+	b.finder = sampler.NewGPUFinder(tcsr, device.New(), b.seed)
 	if b.core.edgeDim > 0 {
 		b.core.EdgeStore = featstore.New(edgeFeat, nil, nil)
 	}
@@ -145,9 +142,9 @@ type Memo interface {
 // model copies instead of computing it.
 func (b *InferenceBuilder) Build(roots []sampler.Target) *models.MiniBatch {
 	if b.Memo == nil {
-		return b.core.build(roots, b.finder, &b.finderMu, nil)
+		return b.core.build(roots, b.finder, nil)
 	}
-	return b.core.build(roots, b.finder, &b.finderMu, func(l int, targets []sampler.Target) *models.LayerBlock {
+	return b.core.build(roots, b.finder, func(l int, targets []sampler.Target) *models.LayerBlock {
 		if l != b.core.layers-2 {
 			return nil
 		}
@@ -161,7 +158,7 @@ func (b *InferenceBuilder) Build(roots []sampler.Target) *models.MiniBatch {
 				targets[i] = sampler.Padding
 			}
 		}
-		return b.core.staticHop(block, targets, b.finder, &b.finderMu)
+		return b.core.staticHop(block, targets, b.finder)
 	})
 }
 

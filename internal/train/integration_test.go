@@ -2,6 +2,8 @@ package train
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"taser/internal/adaptive"
@@ -24,7 +26,7 @@ func TestNoTemporalLeakage(t *testing.T) {
 		}
 		edges := tr.nextBatchEdges()
 		roots := tr.rootsForEdges(edges)
-		built := tr.buildMiniBatch(roots)
+		built := tr.buildBatch(roots, nil)
 
 		// Walk layers outermost→innermost reconstructing target times.
 		targets := roots
@@ -59,7 +61,7 @@ func TestMiniBatchLayoutInvariant(t *testing.T) {
 	tr, _ := New(cfg, ds)
 	edges := tr.nextBatchEdges()
 	roots := tr.rootsForEdges(edges)
-	built := tr.buildMiniBatch(roots)
+	built := tr.buildBatch(roots, nil)
 	if err := built.mb.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +128,31 @@ func TestTrainStepDeterministic(t *testing.T) {
 	}
 	if a, b := mk(), mk(); a != b {
 		t.Fatalf("same seed, different losses: %v vs %v", a, b)
+	}
+}
+
+// TestTrainingIndependentOfGOMAXPROCS: training and evaluation run on the
+// caller's goroutine, so a TASER run (both adaptive components) and the
+// EvalMRR after it are bitwise the same at one proc and at two.
+func TestTrainingIndependentOfGOMAXPROCS(t *testing.T) {
+	ds := tinyDS(25)
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := tinyCfg()
+		cfg.AdaBatch, cfg.AdaNeighbor = true, true
+		cfg.Decoder = adaptive.DecoderGATv2
+		tr, err := New(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for i := 0; i < 6; i++ {
+			bits = append(bits, math.Float64bits(tr.TrainStep()))
+		}
+		return append(bits, math.Float64bits(tr.EvalMRR(SplitVal)))
+	}
+	if one, two := run(1), run(2); !slices.Equal(one, two) {
+		t.Fatalf("6 losses and the MRR (bits) differ between GOMAXPROCS 1 and 2:\n%x\n%x", one, two)
 	}
 }
 

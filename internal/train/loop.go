@@ -41,25 +41,18 @@ func (t *Trainer) rootsForEdges(edges []int) []sampler.Target {
 	return roots
 }
 
-// TrainStep runs one iteration of Algorithm 1 and returns the model loss.
-// It is the synchronous path: prepare and consume back to back on the
-// calling goroutine. See Pipeline for the overlapped variant.
+// TrainStep runs one iteration of Algorithm 1 and returns the model loss:
+// draw the batch (from current importance scores with AdaBatch), build it
+// (resolving the adaptive Selection, if any), the model update
+// (linkStep.update, the PP bucket), adaptive-sampler co-training, and the
+// importance-score update — then recycle the batch's buffers.
 func (t *Trainer) TrainStep() float64 {
 	edges := t.nextBatchEdges()
 	if len(edges) == 0 {
 		return 0
 	}
-	return t.consume(t.prepareBatch(edges))
-}
-
-// consume runs the parameter-dependent half of one training step on a
-// prepared batch: finish construction (resolving the adaptive Selection, if
-// any), the model update (linkStep.update, the PP bucket), adaptive-sampler
-// co-training, and the importance-score update — then recycles the batch's
-// buffers.
-func (t *Trainer) consume(pb *prepared) float64 {
-	built := t.finishBatch(pb)
-	b := len(pb.edges)
+	b := len(edges)
+	built := t.buildBatch(t.rootsForEdges(edges), edges)
 
 	// Forward + model loss (Eq. 10) + backward + step: the PP bucket.
 	// Everything read after the step (positive logits here, dL/dh below) is
@@ -84,13 +77,12 @@ func (t *Trainer) consume(pb *prepared) float64 {
 		})
 	}
 
-	// Update importance scores with fresh positive logits (Eq. 11). In the
-	// pipelined loop, batches already in flight were drawn before this update
-	// lands — the bounded staleness documented in DESIGN.md.
+	// Update importance scores with fresh positive logits (Eq. 11); the next
+	// step draws from them.
 	if t.Selector != nil {
-		t.Selector.Update(pb.edges, t.posLogits[:b])
+		t.Selector.Update(edges, t.posLogits[:b])
 	}
-	t.releasePrepared(pb)
+	t.releaseBatch(&built)
 	return loss
 }
 

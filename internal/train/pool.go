@@ -2,7 +2,6 @@ package train
 
 import (
 	"slices"
-	"sync"
 
 	"taser/internal/adaptive"
 	"taser/internal/models"
@@ -13,10 +12,8 @@ import (
 // buildPool recycles every buffer the minibatch construction path
 // materializes — layer blocks, candidate sets, finder results, leaf feature
 // matrices, and the per-step target/id scratch slices — so the steady-state
-// build path is (near-)allocation-free. It is safe for concurrent use (each
-// free list locks itself): the pipelined loop acquires buffers on the
-// prefetch goroutine and releases them on the consumer after the optimizer
-// step.
+// build path is (near-)allocation-free. Like its owner (a Trainer or an
+// InferenceBuilder), it is single-goroutine state.
 //
 // Each family is one freeList, which knows a buffer by its capacity alone,
 // so it holds no more buffers than were ever in flight at once, whatever
@@ -46,7 +43,6 @@ func newBuildPool() *buildPool { return &buildPool{} }
 // would hand evaluation's buffers to training steps and grow every buffer
 // to evaluation's size.
 type freeList[T any] struct {
-	mu   sync.Mutex
 	free []filed[T]
 }
 
@@ -58,8 +54,6 @@ type filed[T any] struct {
 // get removes the best-fitting buffer for need elements (of equal fits, the
 // latest put); ok is false when the list is empty.
 func (l *freeList[T]) get(need int) (v T, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.free) == 0 {
 		return v, false
 	}
@@ -70,8 +64,6 @@ func (l *freeList[T]) get(need int) (v T, ok bool) {
 }
 
 func (l *freeList[T]) put(v T, capacity int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.free = slices.Insert(l.free, l.atLeast(capacity), filed[T]{v, capacity})
 }
 

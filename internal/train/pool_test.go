@@ -39,18 +39,18 @@ func TestPooledBuildEqualsFresh(t *testing.T) {
 	}
 	earlier, later := roots(100), roots(600)
 
-	first := reused.build(earlier, reused.Finder, &reused.finderMuP, nil)
+	first := reused.build(earlier, reused.Finder, nil)
 	reused.release(first)
-	got := reused.build(later, reused.Finder, &reused.finderMuP, nil)
+	got := reused.build(later, reused.Finder, nil)
 	if got.Layers[0] != first.Layers[0] || got.Layers[1] != first.Layers[1] || got.LeafFeat != first.LeafFeat {
 		t.Fatal("the pool did not hand the first batch's buffers back")
 	}
-	requireMiniBatchesEqual(t, got, fresh.build(later, fresh.Finder, &fresh.finderMuP, nil))
+	requireMiniBatchesEqual(t, got, fresh.build(later, fresh.Finder, nil))
 
 	candidates := func(tr *Trainer, roots []sampler.Target) *adaptive.CandidateSet {
 		res := tr.pool.getResult()
 		defer tr.pool.putResult(res)
-		tr.sample(tr.Finder, &tr.finderMuP, roots, tr.Cfg.M, res)
+		tr.sample(tr.Finder, roots, tr.Cfg.M, res)
 		return tr.buildCandidateSet(roots, res)
 	}
 	firstSet := candidates(reused, earlier)
@@ -100,5 +100,47 @@ func TestPoolKeepsNoShapes(t *testing.T) {
 	if got := counts(); got != want {
 		t.Fatalf("free buffers per family (blocks, sets, results, mats, targets, ids, ints): "+
 			"%v after a second chunk size and more steps, %v after the first chunk", got, want)
+	}
+}
+
+// TestPoolRoundTrip checks that recycled buffers come back with what the fill
+// reads cleared — valid-slot indexes, ids — and reshaped (the property the
+// equivalence test relies on). Feature rows are the slice's to write:
+// TestPooledBuildEqualsFresh.
+func TestPoolRoundTrip(t *testing.T) {
+	p := newBuildPool()
+	blk := p.getBlock(3, 2, 4)
+	blk.SetEntry(1, 1, 7, 0.5)
+	blk.FinishMask()
+	p.putBlock(blk)
+	blk2 := p.getBlock(3, 2, 4)
+	if blk2 != blk {
+		t.Fatal("expected the pooled block back")
+	}
+	if len(blk2.Valid) != 0 {
+		t.Fatalf("recycled block indexes %v", blk2.Valid)
+	}
+	for s, v := range blk2.NbrNodes {
+		if v != 0 {
+			t.Fatalf("recycled NbrNodes slot %d not zeroed: %v", s, v)
+		}
+	}
+	// Shape change reuses the block only when capacity allows; either way the
+	// result must be zeroed and correctly shaped.
+	p.putBlock(blk2)
+	blk3 := p.getBlock(2, 2, 4)
+	if blk3.NumTargets != 2 || blk3.EdgeFeat.Rows != 4 || blk3.EdgeFeat.Cols != 4 {
+		t.Fatalf("reshaped block: %+v", blk3)
+	}
+	cs := p.getSet(2, 3, 4, 5)
+	cs.SetEntry(0, 1, 9, 1.5)
+	cs.FinishMask()
+	p.putSet(cs)
+	cs2 := p.getSet(2, 3, 4, 5)
+	if cs2 != cs {
+		t.Fatal("expected the pooled candidate set back")
+	}
+	if len(cs2.Valid) != 0 {
+		t.Fatalf("recycled candidate set indexes %v", cs2.Valid)
 	}
 }

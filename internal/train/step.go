@@ -15,7 +15,7 @@ const clipNorm = 5
 
 // linkStep is the model update of Algorithm 1 — the self-supervised
 // link-prediction objective, forward–backward and one Adam step — and the one
-// implementation of it: Trainer.consume wraps it with PP timing, sampler
+// implementation of it: Trainer.TrainStep wraps it with PP timing, sampler
 // co-training and the importance-score update, FineTuner.Step with the
 // assembly of streamed events into roots. The index and label scratch is
 // reused across steps; callers serialize steps by construction.

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"taser/internal/adaptive"
@@ -179,20 +177,14 @@ type Trainer struct {
 	Selector *adaptive.MiniBatchSelector // nil unless AdaBatch
 	Sampler  *adaptive.NeighborSampler   // nil unless AdaNeighbor
 
-	// Finder serves the producer side of the pipeline; finderC is an
-	// independent instance (own RNG streams / call counter / TGL pointer
-	// array) for the static hops below the adaptive one, which are resolved
-	// consumer-side (after the Selection they depend on) when adaptive
-	// neighbor sampling is on. Dedicating an instance — and a mutex, see
-	// buildCore.sample — to each side keeps every finder's sampling stream a
-	// function of its own call order, so pipelined adaptive training is
-	// deterministic for a fixed seed and bitwise-equal to the synchronous
-	// loop, instead of depending on how producer and consumer interleave on
-	// one shared stream.
-	Finder    sampler.Finder
-	finderC   sampler.Finder
-	finderMuP sync.Mutex // guards Finder
-	finderMuC sync.Mutex // guards finderC
+	// Finder samples every hop of a batch, or only the adaptive hop's m
+	// candidates when adaptive neighbor sampling is on; finderC, an
+	// independent instance (own RNG streams, call counter and TGL pointer
+	// array), then samples the static hops below it. finderC is kept so that
+	// no recorded trajectory moves: folding it into Finder would change the
+	// Uniform policy's draws at those hops and re-record the pins.
+	Finder  sampler.Finder
+	finderC sampler.Finder
 
 	Xfer       *device.XferStats
 	OptSampler *nn.Adam
@@ -200,13 +192,12 @@ type Trainer struct {
 	rng    *mathx.RNG
 	cursor int // chronological batch cursor (baseline mini-batching)
 
-	posLogits []float64 // consumer-side step scratch
+	posLogits []float64 // step scratch
 
 	// Reusable arena-backed autograd graphs: gM records the model
 	// forward–backward, gS the adaptive sampler's (a separate graph so the
-	// sample loss backward never replays model ops). Both are owned by the
-	// consumer side (consume, finishBatch, eval), which is serialized by
-	// construction.
+	// sample loss backward never replays model ops). A Trainer is
+	// single-goroutine state, and so are they.
 	gM, gS graphHolder
 
 	// csWindow is the candidate-set window a forward-only Selection draws
@@ -240,7 +231,7 @@ func New(cfg Config, ds *datasets.Dataset) (*Trainer, error) {
 	edgeDim := ds.Spec.EdgeDim
 	t := &Trainer{Cfg: cfg, DS: ds, rng: rng, Xfer: device.NewXferStats()}
 	t.buildCore = buildCore{
-		Timer: stats.NewTimer(), modeled: new(atomic.Int64), pool: newBuildPool(),
+		Timer: stats.NewTimer(), pool: newBuildPool(),
 		budget: cfg.N, nodeDim: nodeDim, edgeDim: edgeDim,
 	}
 
@@ -344,7 +335,7 @@ func (t *Trainer) negativeDst() int32 {
 // ModeledFS is the part of Timer's FS bucket that is the cost model's
 // PCIe/VRAM transfer time rather than the copy's wall time, accumulated since
 // New (Timer.Reset does not clear it; read it as a difference).
-func (t *Trainer) ModeledFS() time.Duration { return time.Duration(t.modeled.Load()) }
+func (t *Trainer) ModeledFS() time.Duration { return t.modeled }
 
 // time runs f and charges its wall time to bucket.
 func (t *Trainer) time(bucket string, f func()) {

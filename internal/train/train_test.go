@@ -302,8 +302,8 @@ func TestStepPCIeRequestsAreMissedEdgeRows(t *testing.T) {
 				tr.TrainStep()
 			}
 			pcie, vram := tr.Xfer.PCIeRequests(), tr.Xfer.VRAMRequests()
-			pb := tr.prepareBatch(tr.nextBatchEdges())
-			built := tr.finishBatch(pb)
+			edges := tr.nextBatchEdges()
+			built := tr.buildBatch(tr.rootsForEdges(edges), edges)
 			rows := 0
 			for _, blk := range built.mb.Layers {
 				rows += len(blk.Valid)
@@ -317,7 +317,7 @@ func TestStepPCIeRequestsAreMissedEdgeRows(t *testing.T) {
 					ada, epoch, pcie, rows, vram)
 			}
 			t.Logf("ada=%v epoch %d: %d edge rows, %d VRAM hits", ada, epoch, rows, vram)
-			tr.releasePrepared(pb)
+			tr.releaseBatch(&built)
 			tr.TrainEpoch()
 		}
 	}
